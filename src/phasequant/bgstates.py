@@ -179,13 +179,15 @@ def _ln_bessel_i(nu: float, x: float) -> float:
 def _tail_dim(k: float, rho: float, tail_tol: float) -> int:
     # Smallest n past the term peak with rho^{2(n+k)}/(n! Gamma(2k+n)) below
     # tail_tol * I_{2k-1}(2 rho); the factor-2 ratio condition makes the
-    # geometric tail bound legitimate.
+    # geometric tail bound legitimate.  |c_n|^2 carries rho^{2(n+k)-1}: the
+    # missing 1/rho is restored below rho = 1, the spare rho kept above it.
     log_rhs = math.log(tail_tol) + _ln_bessel_i(2.0 * k - 1.0, 2.0 * rho)
     n = 1
     while n <= _MAX_TERMS:
         past_peak = n * (2.0 * k + n - 1.0) >= 2.0 * rho * rho
         log_term = (
             2.0 * (n + k) * math.log(rho) - ln_gamma(n + 1.0) - ln_gamma(2.0 * k + n)
+            + max(0.0, -math.log(rho))
         )
         if past_peak and log_term < log_rhs:
             return n
@@ -234,7 +236,8 @@ def make_bg_state(k: float, z: complex, dim: int | None = None,
             + n * math.log(rho)
             - 0.5 * lg
         )
-        coeffs = np.exp(log_amp) * np.exp(1j * cmath.phase(z) * n)
+        theta = math.atan2(z.imag, z.real)  # cmath.phase raises on a subnormal angle
+        coeffs = np.exp(log_amp) * np.exp(1j * theta * n)
 
     state = BGState(k=k, z=z, dim=dim, coeffs=coeffs, tail_tol=tail_tol)
 
@@ -263,7 +266,7 @@ def eigenvector_residual(state: BGState) -> float:
 def _entire_series_scaled(k: float, w: complex, scale: float) -> complex:
     # sum_n w^n / (n! Gamma(2k+n)) damped by exp(-scale); the term magnitude
     # peaks near n = sqrt(|w|), matching scale = 2 sqrt(|w|).
-    mag, theta = abs(w), cmath.phase(w)
+    mag, theta = abs(w), math.atan2(w.imag, w.real)
     if mag == 0.0:
         return complex(math.exp(-ln_gamma(2.0 * k) - scale))
     log_mag = math.log(mag)

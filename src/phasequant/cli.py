@@ -22,10 +22,30 @@ import os
 import sys
 import tempfile
 
-import numpy as np
 
-from . import __version__, bgstates, fockreal, nfm, phaseops, repalg, specfun, verify
-from .repalg import RepLabel
+def _apply_thread_cap() -> bool:
+    """Cap the numeric thread pools at PHASEQUANT_THREADS; False if it is invalid."""
+    raw = os.environ.get("PHASEQUANT_THREADS")
+    if raw is None:
+        return True
+    try:
+        cap = int(raw)
+    except ValueError:
+        return False
+    if cap <= 0:
+        return False
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(name, str(cap))
+    return True
+
+
+# the thread pools are sized when numpy loads; main() reports a bad value
+_apply_thread_cap()
+
+import numpy as np  # noqa: E402
+
+from . import __version__, bgstates, fockreal, nfm, phaseops, repalg, specfun, verify  # noqa: E402
+from .repalg import RepLabel  # noqa: E402
 
 _OMEGA = {"plus_one": 1.0, "imaginary_unit": 1j}
 _BUILDERS = {
@@ -171,8 +191,8 @@ def _cmd_ground_variance(args) -> tuple[int, str]:
     for k in k_values:
         analytic = phaseops.ground_state_variance(k)
         pair = phaseops.build_phase_ops(RepLabel(k=k), args.dim)
-        cos = pair.cos_op.entries
-        matrix = float((cos @ cos)[0, 0].real)
+        cos = pair.cos_op.diagonals
+        matrix = float(repalg.banded_matmul(cos, cos, args.dim)[0][0].real)
         gap = abs(matrix - analytic)
         rows.append(f"{k!r},{analytic!r},{matrix!r},{gap!r}")
         entries.append({"k": k, "analytic": analytic, "matrix_diag0": matrix,
@@ -459,24 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_thread_cap() -> None:
-    raw = os.environ.get("PHASEQUANT_THREADS")
-    if raw is None:
-        return
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        raise SystemExit(2)
-    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(name, str(cap))
-
-
 def main(argv=None) -> int:
-    try:
-        _apply_thread_cap()
-    except SystemExit:
+    if not _apply_thread_cap():
         print("usage error: PHASEQUANT_THREADS must be a positive integer", file=sys.stderr)
         return 2
     parser = build_parser()

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InconsistentDataError, TruncationError
-from .repalg import RepLabel, build_k3, build_kminus, build_kplus
+from .repalg import RepLabel, build_k3, build_kminus, build_kplus, commutator_gap
 from .phaseops import build_phase_ops
 from .specfun import ln_gamma
 
@@ -44,8 +44,6 @@ __all__ = [
     "squared_boson",
     "two_mode",
     "sector_table_csv_lines",
-    "csv_lines",
-    "json_envelope",
 ]
 
 REALIZATION_TAGS = (
@@ -235,7 +233,11 @@ def hp_phase_ops(k: float, dim: int) -> HPPhaseOps:
     cos = (a+ F + F a)/2, sin = i (a+ F - F a)/2.  Both must agree with
     each other and with the abstract phase-operator pair to 1e-13.
     """
-    gens = hp_generators(k, dim)
+    return _hp_phase_ops(hp_generators(k, dim))
+
+
+def _hp_phase_ops(gens: HPGenerators) -> HPPhaseOps:
+    k, dim = gens.k, gens.kp.dim
     kp, km = gens.kp.entries, gens.km.entries
     n = np.arange(dim, dtype=np.longdouble)
     inv = 1.0 / (n + np.longdouble(k))
@@ -363,7 +365,7 @@ def alpha_expectations(k: float, alpha: complex, dim: int | None = None) -> Alph
         lgm = np.array([ln_gamma(v + 1.0) for v in m])
         c[:dim] = np.exp(m * math.log(r) - 0.5 * lgm - 0.5 * r * r) * np.exp(1j * beta * m)
     gens = hp_generators(k, mdim)
-    phase = hp_phase_ops(k, mdim)
+    phase = _hp_phase_ops(gens)
     kp = gens.kp.entries.astype(np.float64)
     km = gens.km.entries.astype(np.float64)
     pairs = (
@@ -497,15 +499,15 @@ def two_mode(dim_per_mode: int) -> TwoModeOps:
         _match(km[block], build_kminus(label, len(flat)).entries, f"sector {s} lowering")
         _match(k3[block], build_k3(label, len(flat)).entries, f"sector {s} compact")
 
-    diag = 0.5 * (n1 + n2 + 1).astype(np.longdouble)
-    interior = np.flatnonzero(np.maximum(n1, n2) <= d - 2)
-    win = np.ix_(interior, interior)
-    ladder_comm = (kp @ km - km @ kp + 2.0 * k3)[win]
-    compact_p = (diag[:, np.newaxis] * kp - kp * diag[np.newaxis, :] - kp)[win]
-    compact_m = (diag[:, np.newaxis] * km - km * diag[np.newaxis, :] + km)[win]
+    # flattened, K+ and K- are the diagonals -(d+1) and d+1, zero at wrap-around slots
+    kp_band = {-(d + 1): np.diag(kp, -(d + 1))}
+    km_band = {d + 1: np.diag(km, d + 1)}
+    k3_band = {0: np.diag(k3)}
+    inside = np.maximum(n1, n2) <= d - 2
     worst = max(
-        float(np.max(np.abs(block))) if block.size else 0.0
-        for block in (ladder_comm, compact_p, compact_m)
+        commutator_gap(kp_band, km_band, {0: -2.0 * k3_band[0]}, d * d, inside),
+        commutator_gap(k3_band, kp_band, kp_band, d * d, inside),
+        commutator_gap(k3_band, km_band, {d + 1: -km_band[d + 1]}, d * d, inside),
     )
     if worst > _COMM_TOL:
         raise InconsistentDataError(f"two-mode interior commutators off by {worst:.3e}")
@@ -527,24 +529,3 @@ def sector_table_csv_lines(ops: TwoModeOps) -> list[str]:
         lines.append(f"{e.n1},{e.n2},{e.sector},{e.irrep_k!r},{e.irrep_n}")
     return lines
 
-
-def csv_lines(op: FockOperator) -> list[str]:
-    """Row-major CSV serialization with header ``i,j,re,im``; im is 0 here."""
-    ent = op.entries.astype(np.float64)
-    lines = ["i,j,re,im"]
-    for i in range(op.dim):
-        for j in range(op.dim):
-            lines.append(f"{i},{j},{float(ent[i, j])!r},0.0")
-    return lines
-
-
-def json_envelope(op: FockOperator) -> dict:
-    """JSON-ready envelope {dim, realization_tag, entries} at double precision."""
-    ent = op.entries.astype(np.float64)
-    return {
-        "dim": op.dim,
-        "realization_tag": op.realization_tag,
-        "entries": [
-            [[float(ent[i, j]), 0.0] for j in range(op.dim)] for i in range(op.dim)
-        ],
-    }

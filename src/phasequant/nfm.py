@@ -545,9 +545,13 @@ def simulate_and_reconstruct(
     variances invert to (n, k).  The level inversion is attempted only on
     flat patterns and its failure on non-level-like data propagates.
     """
+    return _simulate(spec, state_truth(spec), noise, rng)
+
+
+def _simulate(spec, truth: StateTruth, noise: float, rng) -> SimulationOutcome:
+    # simulate_and_reconstruct given the truth, which run_trials computes once
     if not (math.isfinite(noise) and noise >= 0.0):
         raise DomainError(f"noise must be a nonnegative relative jitter, got {noise!r}")
-    truth = state_truth(spec)
     reading = ideal_readings(truth)
     second = ideal_second_moments(truth)
     if noise > 0.0:
@@ -631,11 +635,12 @@ def run_trials(spec, noise: float = 0.0, trials: int = 1, seed: int = 0) -> Tria
     """
     if not (isinstance(trials, int) and trials >= 1):
         raise DomainError(f"trials must be a positive integer, got {trials!r}")
+    truth = state_truth(spec)
     rows = []
     flat = 0
     phases = []
     for t in range(trials):
-        out = simulate_and_reconstruct(spec, noise, np.random.default_rng([seed, t]))
+        out = _simulate(spec, truth, noise, np.random.default_rng([seed, t]))
         rec = out.reconstruction
         if rec.flat_pattern:
             flat += 1

@@ -115,6 +115,11 @@ def _f_array(k: float, dim: int) -> np.ndarray:
     return np.sqrt(n * (2.0 * kk + n - 1.0)) * (1.0 / (kk + n) + 1.0 / (kk + n - 1.0))
 
 
+def _max_gap(x, y) -> float:
+    # entrywise max |x - y| of two diagonal maps; absent diagonals are zero
+    return max(float(np.max(np.abs(x.get(d, 0) - y.get(d, 0)))) for d in set(x) | set(y))
+
+
 def build_phase_ops(label: RepLabel, dim: int) -> PhaseOperatorPair:
     """Build the cos/sin pair two ways and insist the routes agree.
 
@@ -126,34 +131,27 @@ def build_phase_ops(label: RepLabel, dim: int) -> PhaseOperatorPair:
     if dim < 2:
         raise DomainError(f"build_phase_ops requires dim >= 2, got {dim}")
     inv_diag = 1.0 / (np.clongdouble(label.k) + np.arange(dim, dtype=np.clongdouble))
-    half_sym = 0.5 * (inv_diag[:, None] + inv_diag[None, :])
-
-    k1 = build_k1(label, dim)
-    k2 = build_k2(label, dim)
-    cos_a = half_sym * k1.entries
-    sin_a = -half_sym * k2.entries
+    # ((1/K3)_ii + (1/K3)_jj)/2 along the two off-diagonals K1 and K2 occupy
+    half_sym = 0.5 * (inv_diag[:-1] + inv_diag[1:])
+    cos_a = {d: half_sym * v for d, v in build_k1(label, dim).diagonals.items()}
+    sin_a = {d: -half_sym * v for d, v in build_k2(label, dim).diagonals.items()}
 
     f = _f_array(label.k, dim)
     omega = np.clongdouble(label.omega)
-    cos_b = np.zeros((dim, dim), dtype=np.clongdouble)
-    sin_b = np.zeros((dim, dim), dtype=np.clongdouble)
-    rows = np.arange(1, dim)
-    cos_b[rows, rows - 1] = omega * f / 4.0
-    cos_b[rows - 1, rows] = omega.conjugate() * f / 4.0
-    sin_b[rows, rows - 1] = 1j * omega * f / 4.0
-    sin_b[rows - 1, rows] = -1j * omega.conjugate() * f / 4.0
+    cos_b = {-1: omega * f / 4.0, 1: omega.conjugate() * f / 4.0}
+    sin_b = {-1: 1j * omega * f / 4.0, 1: -1j * omega.conjugate() * f / 4.0}
 
-    dev = max(float(np.max(np.abs(cos_a - cos_b))), float(np.max(np.abs(sin_a - sin_b))))
+    dev = max(_max_gap(cos_a, cos_b), _max_gap(sin_a, sin_b))
     if dev > _ROUTE_TOL:
         raise TruncationError(
             f"phase-operator build routes disagree by {dev:.3e} at k={label.k}, dim={dim}"
         )
 
     cos_op = TruncatedOperator(
-        dim=dim, k=label.k, entries=cos_b, bandwidth=1, name="cos", omega=label.omega,
+        dim=dim, k=label.k, diagonals=cos_b, name="cos", omega=label.omega,
     )
     sin_op = TruncatedOperator(
-        dim=dim, k=label.k, entries=sin_b, bandwidth=1, name="sin", omega=label.omega,
+        dim=dim, k=label.k, diagonals=sin_b, name="sin", omega=label.omega,
     )
     return PhaseOperatorPair(cos_op=cos_op, sin_op=sin_op, k=label.k, dim=dim)
 
@@ -225,12 +223,12 @@ def diagonal_identities(label: RepLabel, dim: int, margin: int = 4) -> DiagonalI
     ssq[1:] = _closed_sum_squares_diag(x, q)
 
     pair = build_phase_ops(label, dim)
-    c, s = pair.cos_op.entries, pair.sin_op.entries
-    prod_comm = banded_matmul(c, 1, s, 1) - banded_matmul(s, 1, c, 1)
-    prod_ssq = banded_matmul(c, 1, c, 1) + banded_matmul(s, 1, s, 1)
+    c, s = pair.cos_op.diagonals, pair.sin_op.diagonals
+    prod_comm = banded_matmul(c, s, dim)[0] - banded_matmul(s, c, dim)[0]
+    prod_ssq = banded_matmul(c, c, dim)[0] + banded_matmul(s, s, dim)[0]
     cut = dim - margin
-    dev_comm = np.abs(np.diag(prod_comm)[:cut].imag - comm[:cut])
-    dev_ssq = np.abs(np.diag(prod_ssq)[:cut].real - ssq[:cut])
+    dev_comm = np.abs(prod_comm[:cut].imag - comm[:cut])
+    dev_ssq = np.abs(prod_ssq[:cut].real - ssq[:cut])
     residual = float(max(np.max(dev_comm), np.max(dev_ssq)))
     return DiagonalIdentities(commutator_diag=comm, sum_squares_diag=ssq, residual=residual)
 
@@ -264,19 +262,20 @@ def phase_spectrum(pair: PhaseOperatorPair) -> np.ndarray:
     if abs(complex(pair.cos_op.omega).imag) > 1e-13:
         raise DomainError("phase_spectrum requires a real omega convention")
     dim = pair.dim
-    diag = np.diag(pair.cos_op.entries).real.astype(np.float64)
-    off = np.diag(pair.cos_op.entries, k=-1).real.astype(np.float64)
+    zeros = np.zeros(dim)
+    cos, sin = pair.cos_op.diagonals, pair.sin_op.diagonals
+    diag = np.real(cos.get(0, zeros)).astype(np.float64)
+    off = np.real(cos.get(-1, zeros[1:])).astype(np.float64)
     cos_eigs = np.sort(eigvalsh_tridiagonal(diag, off))
 
     # D^dag sin D with D = diag(i^-n) has entries -f/4: real symmetric.
     # i^-n cycles with period 4; the lookup keeps the unitary exact.
     d = np.array([1.0, -1.0j, -1.0, 1.0j])[np.arange(dim) % 4]
-    sin_rot = d.conjugate()[:, None] * pair.sin_op.entries.astype(np.complex128) * d[None, :]
-    if float(np.max(np.abs(sin_rot.imag))) > 1e-13:
+    rot_diag = d.conjugate() * sin.get(0, zeros).astype(np.complex128) * d
+    rot_off = d[1:].conjugate() * sin.get(-1, zeros[1:]).astype(np.complex128) * d[:-1]
+    if max(float(np.max(np.abs(v.imag))) for v in (rot_diag, rot_off)) > 1e-13:
         raise TruncationError("sin_op failed to rotate to a real tridiagonal form")
-    sin_eigs = np.sort(
-        eigvalsh_tridiagonal(np.diag(sin_rot).real, np.diag(sin_rot, k=-1).real)
-    )
+    sin_eigs = np.sort(eigvalsh_tridiagonal(rot_diag.real, rot_off.real))
     if float(np.max(np.abs(sin_eigs - cos_eigs))) > 1e-10:
         raise TruncationError("cos and sin spectra disagree beyond 1e-10")
     return cos_eigs

@@ -12,19 +12,21 @@ operators are exact except near the cut, so algebraic identities are asserted
 on an interior window that excludes the last few rows and columns; the window
 size travels with the operator as ``interior_margin``.
 
-Entries are stored in extended precision (``np.clongdouble``).  The ladder
-amplitudes are square roots whose double rounding alone contributes
-~|entry|^2 * 1e-16 to commutator residuals, which at dim = 256 is ~1e-11 and
-would drown the algebra checks; 80-bit storage pushes that floor below
-1e-13.  Products of banded operators are formed diagonal-by-diagonal, which
-both respects the extended width (BLAS would silently downcast) and is far
-cheaper than dense multiplication.
+Operators are stored as their diagonals {offset j - i: vector} (LAPACK band
+storage), in extended precision (``np.clongdouble``).  The ladder amplitudes
+are square roots whose double rounding alone contributes ~|entry|^2 * 1e-16
+to commutator residuals, which at dim = 256 is ~1e-11 and would drown the
+algebra checks; 80-bit storage pushes that floor below 1e-13.  Products are
+formed diagonal by diagonal, which both respects the extended width (BLAS
+would silently downcast) and is far cheaper than dense multiplication.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -43,6 +45,7 @@ __all__ = [
     "build_k2",
     "casimir",
     "banded_matmul",
+    "commutator_gap",
     "commutator_residual",
     "fluctuation_closed_forms",
     "ladder_norm",
@@ -119,11 +122,9 @@ class TruncatedOperator:
         Basis size; entries act on |k,0> .. |k,dim-1>.
     k : float
         Bargmann index of the carrying representation.
-    entries : array-like, dim x dim
-        Matrix elements; converted to read-only extended precision.
-    bandwidth : int
-        Number of off-diagonals carrying data (0 diagonal, 1 tridiagonal);
-        entries beyond it must vanish.
+    diagonals : mapping of int to array-like
+        Offset d holds entries (i, i + d) in order of i, dim - |d| of them;
+        absent offsets are zero, so nothing can lie outside the band.
     interior_margin : int
         Trailing rows/columns possibly polluted by the truncation cut.
     name : str
@@ -134,8 +135,7 @@ class TruncatedOperator:
 
     dim: int
     k: float
-    entries: np.ndarray
-    bandwidth: int
+    diagonals: dict
     interior_margin: int = 0
     name: str = ""
     omega: complex = 1.0 + 0.0j
@@ -145,25 +145,35 @@ class TruncatedOperator:
             raise DomainError(f"dim must be >= 1, got {self.dim}")
         if not self.k > 0.0:
             raise DomainError(f"k must be positive, got {self.k}")
-        if not 0 <= self.bandwidth:
-            raise DomainError(f"bandwidth must be >= 0, got {self.bandwidth}")
         if not 0 <= self.interior_margin < self.dim:
             raise DomainError(
                 f"interior_margin must lie in [0, dim), got {self.interior_margin} for dim {self.dim}"
             )
-        arr = np.array(self.entries, dtype=np.clongdouble)
-        if arr.shape != (self.dim, self.dim):
-            raise DimensionMismatchError(
-                f"entries shape {arr.shape} does not match dim {self.dim}"
-            )
-        if self.bandwidth < self.dim - 1:
-            i, j = np.indices(arr.shape, sparse=True)
-            if np.any(arr[np.abs(i - j) > self.bandwidth] != 0):
-                raise DomainError(
-                    f"entries of {self.name or 'operator'} exceed declared bandwidth {self.bandwidth}"
-                )
+        diags = {}
+        for offset, values in sorted(self.diagonals.items()):
+            vec = np.array(values, dtype=np.clongdouble)
+            if not abs(offset) < self.dim:
+                raise DomainError(f"offset {offset} lies outside a dim {self.dim} matrix")
+            if vec.shape != (self.dim - abs(offset),):
+                raise DimensionMismatchError(f"diagonal {offset} has shape {vec.shape}")
+            vec.setflags(write=False)
+            diags[int(offset)] = vec
+        object.__setattr__(self, "diagonals", MappingProxyType(diags))
+
+    @property
+    def bandwidth(self) -> int:
+        """Largest |offset| stored (0 diagonal, 1 tridiagonal)."""
+        return max((abs(d) for d in self.diagonals), default=0)
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """Read-only dense dim x dim view, built on first access."""
+        arr = np.zeros((self.dim, self.dim), dtype=np.clongdouble)
+        for d, vec in self.diagonals.items():
+            rows = np.arange(vec.size) + max(0, -d)
+            arr[rows, rows + d] = vec
         arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        return arr
 
     def interior(self, margin: int | None = None) -> np.ndarray:
         """Entries with the last ``margin`` rows and columns cut away."""
@@ -174,7 +184,9 @@ class TruncatedOperator:
         return self.entries[:cut, :cut]
 
     def is_hermitian(self, tol: float = 0.0) -> bool:
-        return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= tol)
+        # diagonal d of the adjoint is the conjugate of diagonal -d
+        return all(float(np.max(np.abs(v - np.conj(self.diagonals.get(-d, 0))))) <= tol
+                   for d, v in self.diagonals.items())
 
 
 @dataclass(frozen=True)
@@ -193,8 +205,7 @@ def build_k3(label: RepLabel, dim: int) -> TruncatedOperator:
         raise DomainError(f"build_k3 requires dim >= 1, got {dim}")
     diag = np.clongdouble(label.k) + np.arange(dim, dtype=np.clongdouble)
     return TruncatedOperator(
-        dim=dim, k=label.k, entries=np.diag(diag),
-        bandwidth=0, name="K3", omega=label.omega,
+        dim=dim, k=label.k, diagonals={0: diag}, name="K3", omega=label.omega,
     )
 
 
@@ -208,11 +219,9 @@ def build_kplus(label: RepLabel, dim: int) -> TruncatedOperator:
     """Raising generator; subdiagonal entries omega sqrt((2k+n)(n+1))."""
     if dim < 2:
         raise DomainError(f"build_kplus requires dim >= 2, got {dim}")
-    entries = np.zeros((dim, dim), dtype=np.clongdouble)
-    rows = np.arange(1, dim)
-    entries[rows, rows - 1] = np.clongdouble(label.omega) * _ladder_coeffs(label.k, dim)
+    sub = np.clongdouble(label.omega) * _ladder_coeffs(label.k, dim)
     return TruncatedOperator(
-        dim=dim, k=label.k, entries=entries, bandwidth=1, name="K+", omega=label.omega,
+        dim=dim, k=label.k, diagonals={-1: sub}, name="K+", omega=label.omega,
     )
 
 
@@ -224,65 +233,70 @@ def build_kminus(label: RepLabel, dim: int) -> TruncatedOperator:
     """
     if dim < 2:
         raise DomainError(f"build_kminus requires dim >= 2, got {dim}")
-    entries = np.zeros((dim, dim), dtype=np.clongdouble)
-    cols = np.arange(1, dim)
     # For unit-modulus omega, 1/omega is its conjugate; conjugation is exact
     # in floating point while division is not, and it makes K- = (K+)^dag
     # hold entrywise rather than to rounding.
-    entries[cols - 1, cols] = np.clongdouble(label.omega).conjugate() * _ladder_coeffs(label.k, dim)
+    sup = np.clongdouble(label.omega).conjugate() * _ladder_coeffs(label.k, dim)
     return TruncatedOperator(
-        dim=dim, k=label.k, entries=entries, bandwidth=1, name="K-", omega=label.omega,
+        dim=dim, k=label.k, diagonals={1: sup}, name="K-", omega=label.omega,
     )
 
 
 def build_k1(label: RepLabel, dim: int) -> TruncatedOperator:
     """K1 = (K+ + K-)/2."""
-    kp = build_kplus(label, dim)
-    km = build_kminus(label, dim)
+    kp, km = build_kplus(label, dim).diagonals, build_kminus(label, dim).diagonals
+    diags = {d: 0.5 * (kp.get(d, 0) + km.get(d, 0)) for d in sorted(set(kp) | set(km))}
     return TruncatedOperator(
-        dim=dim, k=label.k, entries=0.5 * (kp.entries + km.entries),
-        bandwidth=1, name="K1", omega=label.omega,
+        dim=dim, k=label.k, diagonals=diags, name="K1", omega=label.omega,
     )
 
 
 def build_k2(label: RepLabel, dim: int) -> TruncatedOperator:
     """K2 = (K+ - K-)/(2i)."""
-    kp = build_kplus(label, dim)
-    km = build_kminus(label, dim)
+    kp, km = build_kplus(label, dim).diagonals, build_kminus(label, dim).diagonals
+    diags = {d: (kp.get(d, 0) - km.get(d, 0)) / np.clongdouble(2.0j)
+             for d in sorted(set(kp) | set(km))}
     return TruncatedOperator(
-        dim=dim, k=label.k, entries=(kp.entries - km.entries) / np.clongdouble(2.0j),
-        bandwidth=1, name="K2", omega=label.omega,
+        dim=dim, k=label.k, diagonals=diags, name="K2", omega=label.omega,
     )
 
 
-def banded_matmul(a: np.ndarray, bw_a: int, b: np.ndarray, bw_b: int) -> np.ndarray:
-    """Product of two square band matrices, accumulated diagonal-wise.
+def banded_matmul(a, b, dim: int) -> dict:
+    """Product of two dim x dim matrices given as {offset: diagonal} maps.
 
-    Equivalent to ``a @ b`` for matrices that honor the stated bandwidths,
-    but runs in O(dim * bw_a * bw_b) and never leaves the input dtype, so
-    extended-precision entries stay extended.
+    Equivalent to ``a @ b`` on the dense matrices, but runs in O(dim) per
+    pair of diagonals and never leaves the input dtype, so extended-precision
+    diagonals stay extended.
     """
-    dim = a.shape[0]
-    if a.shape != (dim, dim) or b.shape != (dim, dim):
-        raise DimensionMismatchError(f"band product needs square equal shapes, got {a.shape}, {b.shape}")
-    out = np.zeros((dim, dim), dtype=np.result_type(a, b))
-    for d1 in range(-bw_a, bw_a + 1):
-        for d2 in range(-bw_b, bw_b + 1):
+    if not (a and b):
+        return {}
+    dtype = np.result_type(*a.values(), *b.values())
+    out: dict = {}
+    for d1, x in sorted(a.items()):
+        for d2, y in sorted(b.items()):
+            # rows i with all of (i, i+d1), (i+d1, i+d), (i, i+d) in range
             d = d1 + d2
-            lo = max(0, -d1, -d)
-            hi = min(dim - 1, dim - 1 - d1, dim - 1 - d)
-            if lo > hi:
+            lo, hi = max(0, -d1, -d), min(dim, dim - d1, dim - d)
+            if lo >= hi:
                 continue
-            i = np.arange(lo, hi + 1)
-            out[i, i + d] += a[i, i + d1] * b[i + d1, i + d]
+            # entry (i, i+e) is element i - max(0, -e) of diagonal e
+            r, r1, r2 = max(0, -d), max(0, -d1), max(0, -d2)
+            if d not in out:
+                out[d] = np.zeros(dim - abs(d), dtype=dtype)
+            out[d][lo - r:hi - r] += x[lo - r1:hi - r1] * y[lo + d1 - r2:hi + d1 - r2]
     return out
 
 
-def _pairwise_product(a: TruncatedOperator, b: TruncatedOperator) -> np.ndarray:
-    # Band path when both operands are genuinely banded; dense otherwise.
-    if a.bandwidth + b.bandwidth < a.dim - 1:
-        return banded_matmul(a.entries, a.bandwidth, b.entries, b.bandwidth)
-    return a.entries @ b.entries
+def commutator_gap(a, b, expected, dim: int, inside: np.ndarray) -> float:
+    """Max |[A, B] - E| over entries (i, j) with inside[i] and inside[j]."""
+    ab, ba = banded_matmul(a, b, dim), banded_matmul(b, a, dim)
+    worst = 0.0
+    for d in set(ab) | set(ba) | set(expected):
+        t = np.arange(dim - abs(d))
+        keep = inside[t + max(0, -d)] & inside[t + max(0, d)]
+        resid = ab.get(d, 0) - ba.get(d, 0) - expected.get(d, 0)
+        worst = max(worst, float(np.max(np.abs(resid)[keep], initial=0.0)))
+    return worst
 
 
 def casimir(label: RepLabel, dim: int) -> TruncatedOperator:
@@ -294,12 +308,12 @@ def casimir(label: RepLabel, dim: int) -> TruncatedOperator:
     """
     if dim < 2:
         raise DomainError(f"casimir requires dim >= 2, got {dim}")
-    kp = build_kplus(label, dim)
-    km = build_kminus(label, dim)
+    kp, km = build_kplus(label, dim), build_kminus(label, dim)
     k3d = np.clongdouble(label.k) + np.arange(dim, dtype=np.clongdouble)
-    entries = banded_matmul(kp.entries, 1, km.entries, 1) + np.diag(k3d * (1.0 - k3d))
+    diags = banded_matmul(kp.diagonals, km.diagonals, dim)
+    diags[0] = diags.get(0, 0) + k3d * (1.0 - k3d)
     return TruncatedOperator(
-        dim=dim, k=label.k, entries=entries, bandwidth=2,
+        dim=dim, k=label.k, diagonals=diags,
         interior_margin=min(4, dim - 1), name="Casimir", omega=label.omega,
     )
 
@@ -326,10 +340,9 @@ def commutator_residual(
         margin = 2 * (a.bandwidth + b.bandwidth)
     if not 0 <= margin < a.dim:
         raise DomainError(f"margin must lie in [0, dim), got {margin} for dim {a.dim}")
-    comm = _pairwise_product(a, b) - _pairwise_product(b, a)
-    resid = comm - np.clongdouble(sign * 1j) * expected.entries
-    cut = a.dim - margin
-    return float(np.max(np.abs(resid[:cut, :cut])))
+    scaled = {d: np.clongdouble(sign * 1j) * v for d, v in expected.diagonals.items()}
+    inside = np.arange(a.dim) < a.dim - margin
+    return commutator_gap(a.diagonals, b.diagonals, scaled, a.dim, inside)
 
 
 def fluctuation_closed_forms(k: float, n: int) -> FluctuationRecord:
@@ -380,12 +393,9 @@ def csv_lines(op: TruncatedOperator) -> list[str]:
     Values are emitted at double precision via ``repr``, which round-trips.
     """
     ent = op.entries.astype(np.complex128)
-    lines = ["i,j,re,im"]
-    for i in range(op.dim):
-        for j in range(op.dim):
-            z = ent[i, j]
-            lines.append(f"{i},{j},{float(z.real)!r},{float(z.imag)!r}")
-    return lines
+    return ["i,j,re,im"] + [
+        f"{i},{j},{float(z.real)!r},{float(z.imag)!r}" for (i, j), z in np.ndenumerate(ent)
+    ]
 
 
 def json_envelope(op: TruncatedOperator) -> dict:
@@ -400,8 +410,5 @@ def json_envelope(op: TruncatedOperator) -> dict:
         "dim": op.dim,
         "omega": [complex(op.omega).real, complex(op.omega).imag],
         "name": op.name,
-        "entries": [
-            [[ent[i, j].real, ent[i, j].imag] for j in range(op.dim)]
-            for i in range(op.dim)
-        ],
+        "entries": [[[z.real, z.imag] for z in row] for row in ent],
     }

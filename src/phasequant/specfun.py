@@ -133,7 +133,8 @@ def _i_series(nu: float, x: float, policy: EvalPolicy, scale: float) -> float:
         total += term
         # Terms ascend until m(nu+m) > q; the cutoff may only fire on the
         # tail, and is taken relative to the sum (terms are all positive).
-        if term < policy.abs_tol * total and m * (nu + m) > q:
+        # With <=, a subnormal sum, whose tolerance rounds to 0, still stops.
+        if term <= policy.abs_tol * total and m * (nu + m) > q:
             return total
     raise ConvergenceError(
         f"I series for nu={nu}, x={x} not converged in {policy.max_terms} terms"

@@ -102,8 +102,7 @@ def _repalg_checks(results: list) -> None:
     def hermiticity():
         label = repalg.RepLabel(k=0.7)
         for build in (repalg.build_k1, repalg.build_k2, repalg.build_k3):
-            m = build(label, 32).entries
-            if not np.array_equal(m, m.conjugate().T):
+            if not build(label, 32).is_hermitian():
                 return False, f"{build.__name__} differs from its adjoint"
         return True, "k1/k2/k3 exactly self-adjoint at omega=1"
 

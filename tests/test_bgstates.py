@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasequant.bgstates import (
@@ -76,6 +76,15 @@ def test_auto_dim_tail():
         tail = 1.0 - float(np.sum(np.abs(s.coeffs) ** 2))
         # the lower slack absorbs summation roundoff at a few hundred terms
         assert -1e-13 < tail < s.tail_tol
+
+
+@pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("rho", [1e-5, 1e-3, 0.5])
+def test_auto_dim_tail_below_rho_one(k, rho):
+    # the tail past the chosen dim, summed from a wider build of the same state
+    s = make_bg_state(k, rho)
+    wide = make_bg_state(k, rho, dim=s.dim + 40)
+    assert float(np.sum(np.abs(wide.coeffs[s.dim:]) ** 2)) < s.tail_tol
 
 
 def test_number_state_probability():
@@ -156,6 +165,8 @@ def test_overlap_disparate_rho():
     re1=st.floats(-3, 3), im1=st.floats(-3, 3),
     re2=st.floats(-3, 3), im2=st.floats(-3, 3),
 )
+# the second state was cut short at rho = 1e-5 and the overlap routes split
+@example(k=1.0, re1=0.0, im1=1.0, re2=0.0, im2=1e-5)
 def test_overlap_cauchy_schwarz(k, re1, im1, re2, im2):
     z1, z2 = complex(re1, im1), complex(re2, im2)
     ov = overlap(make_bg_state(k, z1), make_bg_state(k, z2))

@@ -57,6 +57,20 @@ class TestUsageErrors:
         assert run_cli("repr", "--k", "0.5", "--dim", "2") == 0
         capsys.readouterr()
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+    def test_thread_cap_limits_threads(self):
+        # the pools start when numpy loads, so the cap must already be set then
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PHASEQUANT_THREADS"] = "1"
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import os, phasequant.cli; print(len(os.listdir('/proc/self/task')))"],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) == 1
+
 
 class TestValidationErrors:
     def test_domain_error_exits_1(self, capsys):

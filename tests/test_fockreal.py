@@ -8,23 +8,22 @@ import math
 import numpy as np
 import pytest
 
-from phasequant.errors import DomainError, TruncationError
+from phasequant import repalg
+from phasequant.errors import DomainError, InconsistentDataError, TruncationError
 from phasequant.fockreal import (
     FockOperator,
     TwoModeBasisIndex,
     alpha_expectations,
-    csv_lines,
     dirac_sg_ops,
     h2_curve,
     hp_generators,
     hp_phase_ops,
-    json_envelope,
     sector_table_csv_lines,
     squared_boson,
     two_mode,
 )
 from phasequant.phaseops import build_phase_ops, f_coeff
-from phasequant.repalg import RepLabel, build_k3, build_kminus, build_kplus
+from phasequant.repalg import RepLabel, banded_matmul, build_k3, build_kminus, build_kplus
 
 H1_AT_1_2 = 2.414864346937582971372
 H2_AT_1_2 = 0.9697627526430243075281
@@ -345,6 +344,16 @@ def test_two_mode_csv(mode16):
     assert lines[1 + 2 * 16] == "2,0,2,1.5,0"
 
 
+def test_two_mode_commutator_check_fires(monkeypatch):
+    # a band product off by a relative 1e-12 leaves the sector blocks intact
+    # but moves [K+, K-] + 2 K3 past the 1e-12 tolerance
+    def skewed(a, b, dim):
+        return {d: v * (1 + 1e-12) for d, v in banded_matmul(a, b, dim).items()}
+    monkeypatch.setattr(repalg, "banded_matmul", skewed)
+    with pytest.raises(InconsistentDataError, match="commutators"):
+        two_mode(8)
+
+
 def test_two_mode_validation():
     with pytest.raises(DomainError):
         two_mode(1)
@@ -354,18 +363,3 @@ def test_two_mode_validation():
         TwoModeBasisIndex(n1=2, n2=0, sector=2, irrep_k=1.0, irrep_n=0)
     with pytest.raises(DomainError):
         TwoModeBasisIndex(n1=2, n2=0, sector=2, irrep_k=1.5, irrep_n=2)
-
-
-# ---------------------------------------------------------------------------
-# exports
-
-
-def test_matrix_csv_and_json():
-    g = hp_generators(0.5, 3)
-    lines = csv_lines(g.k3)
-    assert lines[0] == "i,j,re,im"
-    assert len(lines) == 1 + 9
-    assert lines[1] == "0,0,0.5,0.0"
-    env = json_envelope(g.kp)
-    assert env["dim"] == 3 and env["realization_tag"] == "holstein_primakoff"
-    assert env["entries"][1][0] == [1.0, 0.0]

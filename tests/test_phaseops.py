@@ -13,8 +13,10 @@ import math
 import numpy as np
 import pytest
 
-from phasequant.errors import DomainError
+from phasequant import phaseops
+from phasequant.errors import DomainError, TruncationError
 from phasequant.phaseops import (
+    PhaseOperatorPair,
     build_phase_ops,
     commutator_diag_asymptote,
     cos_squared_diag_asymptote,
@@ -26,7 +28,13 @@ from phasequant.phaseops import (
     phase_spectrum,
     spectrum_verdict,
 )
-from phasequant.repalg import RepLabel, banded_matmul, build_k3, commutator_residual
+from phasequant.repalg import (
+    RepLabel,
+    TruncatedOperator,
+    banded_matmul,
+    build_k3,
+    commutator_residual,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +96,14 @@ def test_build_requires_dim_two():
         build_phase_ops(RepLabel(k=1.0), 1)
 
 
+def test_build_routes_must_agree(monkeypatch):
+    # shift route (b) alone, past the 1e-13 route tolerance
+    f_array = phaseops._f_array
+    monkeypatch.setattr(phaseops, "_f_array", lambda k, dim: f_array(k, dim) + 1e-12)
+    with pytest.raises(TruncationError, match="routes disagree"):
+        build_phase_ops(RepLabel(k=1.0), 16)
+
+
 # ---------------------------------------------------------------------------
 # ground-state variance and the k1 bound
 
@@ -100,8 +116,8 @@ def test_ground_state_variance_values():
 def test_ground_state_variance_matrix_route():
     for k in (0.5, 1.0, 2.0):
         pair = build_phase_ops(RepLabel(k=k), 16)
-        c = pair.cos_op.entries
-        matrix_value = float(banded_matmul(c, 1, c, 1)[0, 0].real)
+        c = pair.cos_op.diagonals
+        matrix_value = float(banded_matmul(c, c, 16)[0][0].real)
         assert abs(matrix_value - ground_state_variance(k)) < 1e-12
 
 
@@ -209,13 +225,18 @@ def test_commutator_and_sum_squares_commute_with_k3():
     for k in (0.5, 1.0):
         lab = RepLabel(k=k)
         pair = build_phase_ops(lab, 64)
-        c, s = pair.cos_op.entries, pair.sin_op.entries
-        k3 = build_k3(lab, 64).entries
-        comm_cs = banded_matmul(c, 1, s, 1) - banded_matmul(s, 1, c, 1)
-        ssq = banded_matmul(c, 1, c, 1) + banded_matmul(s, 1, s, 1)
+        c, s = pair.cos_op.diagonals, pair.sin_op.diagonals
+        k3 = build_k3(lab, 64).diagonals
+        cs, sc = banded_matmul(c, s, 64), banded_matmul(s, c, 64)
+        cc, ss = banded_matmul(c, c, 64), banded_matmul(s, s, 64)
+        comm_cs = {d: cs[d] - sc[d] for d in cs}
+        ssq = {d: cc[d] + ss[d] for d in cc}
         for m in (comm_cs, ssq):
-            lhs = banded_matmul(m, 2, k3, 0) - banded_matmul(k3, 0, m, 2)
-            assert float(np.max(np.abs(lhs[:-4, :-4]))) < 1e-12
+            mk, km = banded_matmul(m, k3, 64), banded_matmul(k3, m, 64)
+            for d in mk:
+                # entries of diagonal d inside the leading 60 x 60 block
+                lhs = (mk[d] - km[d])[: 60 - abs(d)]
+                assert float(np.max(np.abs(lhs))) < 1e-12
 
 
 def test_number_state_uncertainty_equality_at_n0():
@@ -237,6 +258,17 @@ def test_spectrum_bounded_and_filling_for_k1():
         maxes.append(float(np.max(eigs)))
     assert maxes[0] < maxes[1] < maxes[2]
     assert maxes[0] >= 0.999
+
+
+def test_spectrum_cos_sin_must_agree():
+    # scale sin alone by 1 + 1e-8: its spectrum moves past the 1e-10 check
+    pair = build_phase_ops(RepLabel(k=1.0), 64)
+    skewed = TruncatedOperator(
+        dim=64, k=1.0, name="sin",
+        diagonals={d: v * (1 + 1e-8) for d, v in pair.sin_op.diagonals.items()},
+    )
+    with pytest.raises(TruncationError, match="spectra disagree"):
+        phase_spectrum(PhaseOperatorPair(pair.cos_op, skewed, k=1.0, dim=64))
 
 
 @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])

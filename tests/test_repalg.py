@@ -75,16 +75,18 @@ def test_number_state():
 
 def test_truncated_operator_validation():
     with pytest.raises(DomainError):
-        TruncatedOperator(dim=0, k=1.0, entries=np.zeros((0, 0)), bandwidth=0)
+        TruncatedOperator(dim=0, k=1.0, diagonals={})
     with pytest.raises(DimensionMismatchError):
-        TruncatedOperator(dim=3, k=1.0, entries=np.zeros((2, 2)), bandwidth=0)
+        TruncatedOperator(dim=3, k=1.0, diagonals={0: np.zeros(2)})
     with pytest.raises(DomainError):
-        TruncatedOperator(dim=2, k=1.0, entries=np.zeros((2, 2)), bandwidth=0, interior_margin=2)
-    # declared bandwidth must cover every nonzero entry
-    bad = np.zeros((4, 4))
-    bad[0, 3] = 1.0
+        TruncatedOperator(dim=2, k=1.0, diagonals={0: np.zeros(2)}, interior_margin=2)
+    # a diagonal must fit the matrix: length dim - |offset|, |offset| < dim
+    with pytest.raises(DimensionMismatchError):
+        TruncatedOperator(dim=4, k=1.0, diagonals={1: np.zeros(4)})
     with pytest.raises(DomainError):
-        TruncatedOperator(dim=4, k=1.0, entries=bad, bandwidth=1)
+        TruncatedOperator(dim=4, k=1.0, diagonals={4: np.zeros(0)})
+    with pytest.raises(DomainError):
+        TruncatedOperator(dim=4, k=1.0, diagonals={-5: np.zeros(1)})
 
 
 def test_entries_are_read_only():
@@ -202,7 +204,12 @@ def test_banded_matmul_matches_dense():
     for off in range(-3, 4):
         idx = np.arange(max(0, -off), min(dim, dim - off))
         b[idx, idx + off] = rng.normal(size=idx.size) + 1j * rng.normal(size=idx.size)
-    assert np.max(np.abs(banded_matmul(a, 2, b, 3) - a @ b)) < 1e-13
+    prod = banded_matmul({off: np.diag(a, off) for off in range(-2, 3)},
+                         {off: np.diag(b, off) for off in range(-3, 4)}, dim)
+    dense = np.zeros((dim, dim), dtype=complex)
+    for off, vec in prod.items():
+        dense += np.diag(vec, off)
+    assert np.max(np.abs(dense - a @ b)) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +237,8 @@ def test_matrix_second_moments_match_closed_forms():
         lab = RepLabel(k=k)
         k1 = build_k1(lab, dim)
         k2 = build_k2(lab, dim)
-        sq1 = np.diag(banded_matmul(k1.entries, 1, k1.entries, 1)).real
-        sq2 = np.diag(banded_matmul(k2.entries, 1, k2.entries, 1)).real
+        sq1 = banded_matmul(k1.diagonals, k1.diagonals, dim)[0].real
+        sq2 = banded_matmul(k2.diagonals, k2.diagonals, dim)[0].real
         for n in range(dim - 1):
             f = fluctuation_closed_forms(k, n)
             assert abs(float(sq1[n]) - f.var_k1) < 1e-12
