@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     ConvergenceError,
@@ -359,6 +358,8 @@ def moment_integral(k: float, n: int, rho_max: float = 60.0,
             2.0 * k - 1.0, 2.0 * rho
         )
 
+    from scipy.integrate import quad  # deferred: scipy is slow to import
+
     value, abserr, info, *rest = quad(
         integrand, 0.0, rho_max, epsabs=1e-15, epsrel=1e-13, limit=400, full_output=1
     )
@@ -543,6 +544,8 @@ def g_k(k: float, rho: float) -> float:
         if u <= 0.0:
             return 0.0
         return _ive(nu, u) * math.exp(u - 2.0 * rho)
+
+    from scipy.integrate import quad  # deferred: scipy is slow to import
 
     first = quad(damped, 0.0, 2.0 * rho, epsabs=1e-16, epsrel=1e-12, limit=400)[0]
     second = quad(

@@ -8,21 +8,34 @@ comparison.  The squared-boson pair carries the two smallest indices on
 the parity sectors, and the two-mode product realization sweeps out every
 half-integer index at once, one per fixed photon-number difference.
 
-Entries are kept in extended precision, matching the abstract builders:
-double-precision ladder products alone would exceed the commutator
-residual budget near the truncation cut.  Every constructor verifies its
-output against the abstract matrices (or against a second build route)
-entry by entry before returning.
+Every realization is one to three diagonals, so each is stored as
+{offset j - i: vector}, the band layout of the abstract builders; the dense
+matrices (the ``entries`` of a FockOperator and the phase-operator arrays)
+are read-only views built on first access.  Entries are kept in extended
+precision, matching the abstract builders: double-precision ladder products
+alone would exceed the commutator residual budget near the truncation cut.
+Every constructor verifies its output against the abstract builders (or
+against a second build route) diagonal by diagonal before returning.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import DomainError, InconsistentDataError, TruncationError
-from .repalg import RepLabel, build_k3, build_kminus, build_kplus, commutator_gap
+from .repalg import (
+    RepLabel,
+    _densify,
+    band_gap,
+    build_k3,
+    build_kminus,
+    build_kplus,
+    commutator_gap,
+)
 from .phaseops import build_phase_ops
 from .specfun import ln_gamma
 
@@ -63,10 +76,14 @@ _MAX_TERMS = 200_000
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Real matrix acting on the first ``dim`` oscillator number states."""
+    """Real matrix acting on the first ``dim`` oscillator number states.
+
+    ``diagonals`` maps offset d to the entries (i, i + d) in order of i,
+    dim - |d| of them, in extended precision; absent offsets are zero.
+    """
 
     dim: int
-    entries: np.ndarray
+    diagonals: dict
     realization_tag: str
 
     def __post_init__(self) -> None:
@@ -77,13 +94,26 @@ class FockOperator:
                 f"realization_tag must be one of {REALIZATION_TAGS}, "
                 f"got {self.realization_tag!r}"
             )
-        arr = np.array(self.entries, dtype=np.longdouble)
-        if arr.shape != (self.dim, self.dim):
-            raise DomainError(
-                f"entries shape {arr.shape} does not match dim {self.dim}"
-            )
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        diags = {}
+        for offset, values in sorted(self.diagonals.items()):
+            vec = np.array(values, dtype=np.longdouble)
+            if not abs(offset) < self.dim or vec.shape != (self.dim - abs(offset),):
+                raise DomainError(
+                    f"diagonal {offset} of shape {vec.shape} does not fit dim {self.dim}"
+                )
+            vec.setflags(write=False)
+            diags[int(offset)] = vec
+        object.__setattr__(self, "diagonals", MappingProxyType(diags))
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """Read-only dense dim x dim view, built on first access."""
+        return _densify(self.diagonals, self.dim, np.longdouble)
+
+
+def _dense_view(name: str, dtype):
+    # cached read-only dense matrix of the band stored as diagonals[name]
+    return cached_property(lambda self: _densify(self.diagonals[name], self.dim, dtype))
 
 
 @dataclass(frozen=True)
@@ -98,29 +128,39 @@ class HPGenerators:
 
 @dataclass(frozen=True)
 class HPPhaseOps:
-    """Oscillator phase matrices and the band profile carrying them.
+    """Oscillator phase operators and the band profile carrying them.
 
-    cos_op is real and sin_op purely imaginary off the diagonal; both are
-    stored in extended precision.  f_k_diag holds F_k(n) for n = 0..dim-1,
+    ``diagonals`` holds the bands of "cos_op" (real) and "sin_op" (purely
+    imaginary) in extended precision; ``cos_op`` and ``sin_op`` are the dense
+    views, built on first access.  f_k_diag holds F_k(n) for n = 0..dim-1,
     so the band entries are sqrt(n+1) F_k(n) / 2 up to the factor i.
     """
 
-    cos_op: np.ndarray
-    sin_op: np.ndarray
+    diagonals: dict
     f_k_diag: np.ndarray
     k: float
     dim: int
 
+    cos_op = _dense_view("cos_op", np.longdouble)
+    sin_op = _dense_view("sin_op", np.clongdouble)
+
 
 @dataclass(frozen=True)
 class DiracSGOps:
-    """Historical phase-operator candidates, kept for comparison."""
+    """Historical phase-operator candidates, kept for comparison.
 
-    cos_dirac: np.ndarray
-    sin_dirac: np.ndarray
-    cos_sg: np.ndarray
-    sin_sg: np.ndarray
+    ``diagonals`` holds the bands of cos_dirac, sin_dirac, cos_sg and sin_sg;
+    the attributes of those names are the dense views, built on first access.
+    """
+
+    diagonals: dict
+    dim: int
     zero_mode_convention: str
+
+    cos_dirac = _dense_view("cos_dirac", np.longdouble)
+    sin_dirac = _dense_view("sin_dirac", np.clongdouble)
+    cos_sg = _dense_view("cos_sg", np.longdouble)
+    sin_sg = _dense_view("sin_sg", np.clongdouble)
 
 
 @dataclass(frozen=True)
@@ -179,18 +219,24 @@ class TwoModeOps:
     dim_per_mode: int
 
 
-def _ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    # a and a+ as real matrices, transposes of each other by construction
-    adag = np.zeros((dim, dim), dtype=np.longdouble)
-    rows = np.arange(1, dim)
-    adag[rows, rows - 1] = np.sqrt(np.arange(1, dim, dtype=np.longdouble))
-    return adag.T.copy(), adag
+def _agree(mine, ref, what: str, tol: float = _MATCH_TOL) -> None:
+    gap = band_gap(mine, ref)
+    if gap > tol:
+        raise InconsistentDataError(f"{what}: builds disagree by {gap:.3e}")
 
 
-def _match(mine: np.ndarray, ref: np.ndarray, what: str, tol: float = _MATCH_TOL) -> None:
-    diff = float(np.max(np.abs(mine - ref))) if mine.size else 0.0
-    if diff > tol:
-        raise InconsistentDataError(f"{what}: builds disagree by {diff:.3e}")
+def _frozen(bands: dict) -> MappingProxyType:
+    for vec in bands.values():
+        vec.setflags(write=False)
+    return MappingProxyType(bands)
+
+
+def _cos_sin(lower: np.ndarray) -> tuple[MappingProxyType, MappingProxyType]:
+    # cos = (E + E+)/2 and sin = (E - E+)/(2i) for the lowering band E whose
+    # entries (n, n+1) are ``lower``
+    half = 0.5 * lower
+    return (_frozen({-1: half, 1: half}),
+            _frozen({-1: np.clongdouble(0.5j) * lower, 1: np.clongdouble(-0.5j) * lower}))
 
 
 def hp_generators(k: float, dim: int) -> HPGenerators:
@@ -198,22 +244,22 @@ def hp_generators(k: float, dim: int) -> HPGenerators:
 
     The dressing makes the single-mode triple identical to the abstract
     irrep matrices, not an approximation of them; that identity is checked
-    entry by entry against the abstract builders before returning.
+    diagonal by diagonal against the abstract builders before returning.
+    The dense ``entries`` of each member are built on first access.
     """
     if not k > 0.0:
         raise DomainError(f"hp_generators requires k > 0, got {k}")
     if dim < 2:
         raise DomainError(f"hp_generators requires dim >= 2, got {dim}")
-    a, adag = _ladder(dim)
-    root = np.sqrt(np.arange(dim, dtype=np.longdouble) + 2.0 * np.longdouble(k))
-    kp = adag * root[np.newaxis, :]
-    km = root[:, np.newaxis] * a
-    k3 = np.diag(np.arange(dim, dtype=np.longdouble) + np.longdouble(k))
+    n = np.arange(dim, dtype=np.longdouble)
+    # entry (n+1, n) of a+ sqrt(N+2k) and (n, n+1) of sqrt(N+2k) a
+    amp = np.sqrt(n[1:]) * np.sqrt(n[:-1] + 2.0 * np.longdouble(k))
+    kp, km, k3 = {-1: amp}, {1: amp}, {0: n + np.longdouble(k)}
 
     label = RepLabel(k=k)
-    _match(kp, build_kplus(label, dim).entries, "dressed raising vs abstract")
-    _match(km, build_kminus(label, dim).entries, "dressed lowering vs abstract")
-    _match(k3, build_k3(label, dim).entries, "dressed compact vs abstract")
+    _agree(kp, build_kplus(label, dim).diagonals, "dressed raising vs abstract")
+    _agree(km, build_kminus(label, dim).diagonals, "dressed lowering vs abstract")
+    _agree(k3, build_k3(label, dim).diagonals, "dressed compact vs abstract")
     tag = "holstein_primakoff"
     return HPGenerators(
         kp=FockOperator(dim, kp, tag),
@@ -224,51 +270,53 @@ def hp_generators(k: float, dim: int) -> HPGenerators:
 
 
 def hp_phase_ops(k: float, dim: int) -> HPPhaseOps:
-    """Oscillator cos/sin matrices, built twice and reconciled.
+    """Oscillator cos/sin operators, built twice and reconciled.
 
     Route one symmetrizes the ladder combinations against 1/(N+k) exactly
     as the quantization prescription dictates.  Route two contracts the
     shift identity f(N) a+ = a+ f(N+1) into the single band profile
     F_k(N) = sqrt(N+2k) (1/(N+k) + 1/(N+k+1)) / 2 and writes
     cos = (a+ F + F a)/2, sin = i (a+ F - F a)/2.  Both must agree with
-    each other and with the abstract phase-operator pair to 1e-13.
+    each other and with the abstract phase-operator pair to 1e-13, diagonal
+    by diagonal; the dense matrices are built only when first read.
     """
     return _hp_phase_ops(hp_generators(k, dim))
 
 
+def _symmetrize(bands: dict, inv: np.ndarray) -> dict:
+    # (inv(N) X + X inv(N))/4: entry (i, j) of X is scaled by (inv_i + inv_j)/4
+    out = {}
+    for d, v in bands.items():
+        rows, cols = max(0, -d), max(0, d)
+        out[d] = 0.25 * (inv[rows:rows + v.size] * v + v * inv[cols:cols + v.size])
+    return out
+
+
 def _hp_phase_ops(gens: HPGenerators) -> HPPhaseOps:
     k, dim = gens.k, gens.kp.dim
-    kp, km = gens.kp.entries, gens.km.entries
+    kp, km = gens.kp.diagonals[-1], gens.km.diagonals[1]
     n = np.arange(dim, dtype=np.longdouble)
     inv = 1.0 / (n + np.longdouble(k))
     invp = 1.0 / (n + np.longdouble(k) + 1.0)
 
-    ksum = kp + km
-    kdif = kp - km
-    cos_sym = 0.25 * (inv[:, np.newaxis] * ksum + ksum * inv[np.newaxis, :])
-    sin_sym = np.clongdouble(0.25j) * (
-        inv[:, np.newaxis] * kdif + kdif * inv[np.newaxis, :]
-    )
+    cos_sym = _symmetrize({-1: kp, 1: km}, inv)
+    sin_sym = {d: np.clongdouble(1j) * v
+               for d, v in _symmetrize({-1: kp, 1: -km}, inv).items()}
 
-    a, adag = _ladder(dim)
     root = np.sqrt(n + 2.0 * np.longdouble(k))
     f_diag = 0.5 * root * (inv + invp)
-    cos_band = 0.5 * (adag * f_diag[np.newaxis, :] + f_diag[:, np.newaxis] * a)
-    sin_band = np.clongdouble(0.5j) * (
-        adag * f_diag[np.newaxis, :] - f_diag[:, np.newaxis] * a
-    )
+    # F a has entries (n, n+1) = F(n) sqrt(n+1)
+    cos_band, sin_band = _cos_sin(f_diag[:-1] * np.sqrt(n[1:]))
 
-    _match(cos_sym, cos_band, "cos: symmetrized vs band profile")
-    _match(sin_sym, sin_band, "sin: symmetrized vs band profile")
+    _agree(cos_sym, cos_band, "cos: symmetrized vs band profile")
+    _agree(sin_sym, sin_band, "sin: symmetrized vs band profile")
     pair = build_phase_ops(RepLabel(k=k), dim)
-    _match(cos_band.astype(np.clongdouble), pair.cos_op.entries, "cos vs abstract pair")
-    _match(sin_band, pair.sin_op.entries, "sin vs abstract pair")
+    _agree(cos_band, pair.cos_op.diagonals, "cos vs abstract pair")
+    _agree(sin_band, pair.sin_op.diagonals, "sin vs abstract pair")
 
-    cos_band.setflags(write=False)
-    sin_band.setflags(write=False)
     f_diag.setflags(write=False)
-    return HPPhaseOps(cos_op=cos_band, sin_op=sin_band, f_k_diag=f_diag,
-                      k=float(k), dim=dim)
+    return HPPhaseOps(diagonals=MappingProxyType({"cos_op": cos_band, "sin_op": sin_band}),
+                      f_k_diag=f_diag, k=float(k), dim=dim)
 
 
 def dirac_sg_ops(dim: int) -> DiracSGOps:
@@ -276,32 +324,22 @@ def dirac_sg_ops(dim: int) -> DiracSGOps:
 
     The inverse square root in the first pair is undefined on |0>; it is
     patched to annihilate that state and the record carries the convention
-    note.  On the resulting matrices the patched slot is unreachable (a
+    note.  On the resulting operators the patched slot is unreachable (a
     kills |0> first, a+ never lands there), so the two pairs coincide
-    entrywise and are symmetric despite the patch.
+    entrywise and are symmetric despite the patch.  Both pairs are stored
+    as diagonals; the dense matrices are built on first access.
     """
     if dim < 2:
         raise DomainError(f"dirac_sg_ops requires dim >= 2, got {dim}")
-    a, adag = _ladder(dim)
     n = np.arange(dim, dtype=np.longdouble)
-    pinv = np.zeros(dim, dtype=np.longdouble)
-    pinv[1:] = 1.0 / np.sqrt(n[1:])
-    lower_d = a * pinv[np.newaxis, :]
-    raise_d = pinv[:, np.newaxis] * adag
-
-    sg = 1.0 / np.sqrt(n + 1.0)
-    lower_sg = sg[:, np.newaxis] * a
-    raise_sg = adag * sg[np.newaxis, :]
-
-    ops = (
-        0.5 * (lower_d + raise_d),
-        np.clongdouble(-0.5j) * (lower_d - raise_d),
-        0.5 * (lower_sg + raise_sg),
-        np.clongdouble(-0.5j) * (lower_sg - raise_sg),
-    )
-    for op in ops:
-        op.setflags(write=False)
-    return DiracSGOps(*ops, zero_mode_convention="N^{-1/2}|0> mapped to 0")
+    root = np.sqrt(n[1:])
+    # entries (n, n+1) of a N^{-1/2}, whose patched N^{-1/2}|0> never enters,
+    # and of (N+1)^{-1/2} a
+    cos_d, sin_d = _cos_sin(root * (1.0 / np.sqrt(n[1:])))
+    cos_s, sin_s = _cos_sin((1.0 / np.sqrt(n[:-1] + 1.0)) * root)
+    bands = {"cos_dirac": cos_d, "sin_dirac": sin_d, "cos_sg": cos_s, "sin_sg": sin_s}
+    return DiracSGOps(diagonals=MappingProxyType(bands), dim=dim,
+                      zero_mode_convention="N^{-1/2}|0> mapped to 0")
 
 
 def _poisson_cut(r: float, log_tol: float) -> int:
@@ -314,6 +352,15 @@ def _poisson_cut(r: float, log_tol: float) -> int:
         if m >= rr and 2.0 * m * log_r - ln_gamma(m + 1.0) - rr < log_tol:
             return m
     raise TruncationError(f"no admissible truncation below {_MAX_TERMS} at r={r}")
+
+
+def _expect(bands, c: np.ndarray) -> complex:
+    # <c| A |c> with A given by its diagonals, evaluated in the precision of c
+    total = 0j
+    for d, v in bands.items():
+        rows, cols = max(0, -d), max(0, d)
+        total += np.vdot(c[rows:rows + v.size], v.astype(c.dtype) * c[cols:cols + v.size])
+    return total
 
 
 def alpha_expectations(k: float, alpha: complex, dim: int | None = None) -> AlphaExpectations:
@@ -366,14 +413,13 @@ def alpha_expectations(k: float, alpha: complex, dim: int | None = None) -> Alph
         c[:dim] = np.exp(m * math.log(r) - 0.5 * lgm - 0.5 * r * r) * np.exp(1j * beta * m)
     gens = hp_generators(k, mdim)
     phase = _hp_phase_ops(gens)
-    kp = gens.kp.entries.astype(np.float64)
-    km = gens.km.entries.astype(np.float64)
+    kp_c, km_c = _expect(gens.kp.diagonals, c), _expect(gens.km.diagonals, c)
     pairs = (
-        ("K1 mean", mean_k1, float(np.real(c.conj() @ ((kp + km) @ c))) / 2.0),
-        ("K2 mean", mean_k2, float(np.real(c.conj() @ ((kp - km) @ c) / 2.0j))),
-        ("K3 mean", mean_k3, float(np.real(c.conj() @ (gens.k3.entries.astype(np.float64) @ c)))),
-        ("cos mean", cos_mean, float(np.real(c.conj() @ (phase.cos_op.astype(np.complex128) @ c)))),
-        ("sin mean", sin_mean, float(np.real(c.conj() @ (phase.sin_op.astype(np.complex128) @ c)))),
+        ("K1 mean", mean_k1, float(np.real(kp_c + km_c)) / 2.0),
+        ("K2 mean", mean_k2, float(np.real((kp_c - km_c) / 2.0j))),
+        ("K3 mean", mean_k3, float(np.real(_expect(gens.k3.diagonals, c)))),
+        ("cos mean", cos_mean, float(np.real(_expect(phase.diagonals["cos_op"], c)))),
+        ("sin mean", sin_mean, float(np.real(_expect(phase.diagonals["sin_op"], c)))),
     )
     for what, closed, summed in pairs:
         if abs(closed - summed) > _ROUTE_TOL * max(1.0, abs(closed)):
@@ -421,28 +467,40 @@ def h2_curve(k: float, r_values) -> np.ndarray:
     return out
 
 
+def _sector(bands, start: int, stride: int, size: int) -> dict:
+    # the block on basis indices start, start + stride, ... (size of them):
+    # full offset q * stride becomes block offset q, whose entries are every
+    # stride-th element of that diagonal from element start on
+    return {d // stride: v[start:start + (size - abs(d) // stride) * stride:stride]
+            for d, v in bands.items() if d % stride == 0 and abs(d) // stride < size}
+
+
 def squared_boson(dim: int) -> SquaredBosonOps:
     """kp = (a+)^2/2, km = a^2/2, k3 = (N + 1/2)/2 on one bosonic mode.
 
     The lowering member annihilates |0> and |1>, so the space splits into
     parity sectors: the even one carries Bargmann index 1/4 and the odd
-    one 3/4, verified against the abstract builders on each sector.
+    one 3/4, verified diagonal by diagonal against the abstract builders
+    on each sector.
     """
     if dim < 4:
         raise DomainError(f"squared_boson requires dim >= 4, got {dim}")
-    a, adag = _ladder(dim)
-    kp = 0.5 * (adag @ adag)
-    km = 0.5 * (a @ a)
-    k3 = np.diag(0.5 * np.arange(dim, dtype=np.longdouble) + 0.25)
+    n = np.arange(dim, dtype=np.longdouble)
+    root = np.sqrt(n[1:])
+    # entry (n+2, n) of (a+)^2/2 and (n, n+2) of a^2/2
+    amp = 0.5 * (root[1:] * root[:-1])
+    kp, km, k3 = {-2: amp}, {2: amp}, {0: 0.5 * n + 0.25}
 
-    for offset, sector_k in ((0, 0.25), (1, 0.75)):
-        idx = np.arange(offset, dim, 2)
-        block = np.ix_(idx, idx)
+    for start, sector_k in ((0, 0.25), (1, 0.75)):
+        size = len(range(start, dim, 2))
         label = RepLabel(k=sector_k)
-        parity = "even" if offset == 0 else "odd"
-        _match(kp[block], build_kplus(label, len(idx)).entries, f"{parity} sector raising")
-        _match(km[block], build_kminus(label, len(idx)).entries, f"{parity} sector lowering")
-        _match(k3[block], build_k3(label, len(idx)).entries, f"{parity} sector compact")
+        parity = "even" if start == 0 else "odd"
+        _agree(_sector(kp, start, 2, size), build_kplus(label, size).diagonals,
+               f"{parity} sector raising")
+        _agree(_sector(km, start, 2, size), build_kminus(label, size).diagonals,
+               f"{parity} sector lowering")
+        _agree(_sector(k3, start, 2, size), build_k3(label, size).diagonals,
+               f"{parity} sector compact")
 
     tag = "squared_boson"
     return SquaredBosonOps(
@@ -457,22 +515,27 @@ def squared_boson(dim: int) -> SquaredBosonOps:
 def two_mode(dim_per_mode: int) -> TwoModeOps:
     """kp = a1+ a2+, km = a1 a2, k3 = (N1 + N2 + 1)/2 on two modes.
 
-    The flattened basis index is n1 * dim_per_mode + n2.  Every basis
-    element lands in exactly one sector n1 - n2 = const, which carries
-    Bargmann index 1/2 + |n1-n2|/2 with internal level min(n1, n2); each
-    sector block is truncated squarely by the per-mode cut and therefore
-    matches the abstract builders on the full block, while the commutator
-    check must stay on the interior window max(n1, n2) <= dim_per_mode-2.
+    The flattened basis index is n1 * dim_per_mode + n2, so K+ and K- are the
+    diagonals -(d+1) and d+1, zero at the wrap-around slots n2 = d - 1.
+    Every basis element lands in exactly one sector n1 - n2 = const, which
+    carries Bargmann index 1/2 + |n1-n2|/2 with internal level min(n1, n2).
+    A sector is a stride-(d+1) run of the flattened basis, so its block is
+    read as strided slices of the diagonals; it is truncated squarely by the
+    per-mode cut and therefore matches the abstract builders on the full
+    block, while the commutator check must stay on the interior window
+    max(n1, n2) <= dim_per_mode-2.
     """
     d = dim_per_mode
     if d < 2:
         raise DomainError(f"two_mode requires dim_per_mode >= 2, got {d}")
-    a, adag = _ladder(d)
-    kp = np.kron(adag, adag)
-    km = np.kron(a, a)
+    root = np.sqrt(np.arange(1, d, dtype=np.longdouble))
+    # entry (n1+1, n2+1; n1, n2) is sqrt(n1+1) sqrt(n2+1); row-major over
+    # (n1, n2) that is the outer product, with n2 = d - 1 as the zero column
+    amp = np.outer(root, np.append(root, 0.0)).ravel()[:-1]
+    kp, km = {-(d + 1): amp}, {d + 1: amp}
     n1 = np.repeat(np.arange(d), d)
     n2 = np.tile(np.arange(d), d)
-    k3 = np.diag(0.5 * (n1 + n2 + 1).astype(np.longdouble))
+    k3 = {0: 0.5 * (n1 + n2 + 1).astype(np.longdouble)}
 
     table = tuple(
         TwoModeBasisIndex(
@@ -484,30 +547,27 @@ def two_mode(dim_per_mode: int) -> TwoModeOps:
     )
 
     for s in range(-(d - 1), d):
-        m = np.arange(d - abs(s))
-        rows1 = m + s if s > 0 else m
-        rows2 = m if s >= 0 else m - s
-        flat = rows1 * d + rows2
+        # the sector starts at (s, 0) or (0, -s) and steps by (1, 1)
+        start = s * d if s > 0 else -s
+        size = d - abs(s)
         sector_k = 0.5 + abs(s) / 2.0
-        if len(flat) == 1:
-            if float(k3[flat[0], flat[0]]) != sector_k:
+        if size == 1:
+            if float(k3[0][start]) != sector_k:
                 raise InconsistentDataError(f"corner sector {s}: bad compact eigenvalue")
             continue
-        block = np.ix_(flat, flat)
         label = RepLabel(k=sector_k)
-        _match(kp[block], build_kplus(label, len(flat)).entries, f"sector {s} raising")
-        _match(km[block], build_kminus(label, len(flat)).entries, f"sector {s} lowering")
-        _match(k3[block], build_k3(label, len(flat)).entries, f"sector {s} compact")
+        _agree(_sector(kp, start, d + 1, size), build_kplus(label, size).diagonals,
+               f"sector {s} raising")
+        _agree(_sector(km, start, d + 1, size), build_kminus(label, size).diagonals,
+               f"sector {s} lowering")
+        _agree(_sector(k3, start, d + 1, size), build_k3(label, size).diagonals,
+               f"sector {s} compact")
 
-    # flattened, K+ and K- are the diagonals -(d+1) and d+1, zero at wrap-around slots
-    kp_band = {-(d + 1): np.diag(kp, -(d + 1))}
-    km_band = {d + 1: np.diag(km, d + 1)}
-    k3_band = {0: np.diag(k3)}
     inside = np.maximum(n1, n2) <= d - 2
     worst = max(
-        commutator_gap(kp_band, km_band, {0: -2.0 * k3_band[0]}, d * d, inside),
-        commutator_gap(k3_band, kp_band, kp_band, d * d, inside),
-        commutator_gap(k3_band, km_band, {d + 1: -km_band[d + 1]}, d * d, inside),
+        commutator_gap(kp, km, {0: -2.0 * k3[0]}, d * d, inside),
+        commutator_gap(k3, kp, kp, d * d, inside),
+        commutator_gap(k3, km, {d + 1: -km[d + 1]}, d * d, inside),
     )
     if worst > _COMM_TOL:
         raise InconsistentDataError(f"two-mode interior commutators off by {worst:.3e}")

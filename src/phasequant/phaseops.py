@@ -30,12 +30,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import DomainError, TruncationError
 from .repalg import (
     RepLabel,
     TruncatedOperator,
+    band_gap,
     banded_matmul,
     build_k1,
     build_k2,
@@ -115,11 +115,6 @@ def _f_array(k: float, dim: int) -> np.ndarray:
     return np.sqrt(n * (2.0 * kk + n - 1.0)) * (1.0 / (kk + n) + 1.0 / (kk + n - 1.0))
 
 
-def _max_gap(x, y) -> float:
-    # entrywise max |x - y| of two diagonal maps; absent diagonals are zero
-    return max(float(np.max(np.abs(x.get(d, 0) - y.get(d, 0)))) for d in set(x) | set(y))
-
-
 def build_phase_ops(label: RepLabel, dim: int) -> PhaseOperatorPair:
     """Build the cos/sin pair two ways and insist the routes agree.
 
@@ -141,7 +136,7 @@ def build_phase_ops(label: RepLabel, dim: int) -> PhaseOperatorPair:
     cos_b = {-1: omega * f / 4.0, 1: omega.conjugate() * f / 4.0}
     sin_b = {-1: 1j * omega * f / 4.0, 1: -1j * omega.conjugate() * f / 4.0}
 
-    dev = max(_max_gap(cos_a, cos_b), _max_gap(sin_a, sin_b))
+    dev = max(band_gap(cos_a, cos_b), band_gap(sin_a, sin_b))
     if dev > _ROUTE_TOL:
         raise TruncationError(
             f"phase-operator build routes disagree by {dev:.3e} at k={label.k}, dim={dim}"
@@ -259,6 +254,8 @@ def phase_spectrum(pair: PhaseOperatorPair) -> np.ndarray:
     it real tridiagonal); its spectrum is computed the same way and must
     match to 1e-10, which guards the builder and the solver at once.
     """
+    from scipy.linalg import eigvalsh_tridiagonal  # deferred: scipy is slow to import
+
     if abs(complex(pair.cos_op.omega).imag) > 1e-13:
         raise DomainError("phase_spectrum requires a real omega convention")
     dim = pair.dim

@@ -44,6 +44,7 @@ __all__ = [
     "build_k1",
     "build_k2",
     "casimir",
+    "band_gap",
     "banded_matmul",
     "commutator_gap",
     "commutator_residual",
@@ -168,12 +169,7 @@ class TruncatedOperator:
     @cached_property
     def entries(self) -> np.ndarray:
         """Read-only dense dim x dim view, built on first access."""
-        arr = np.zeros((self.dim, self.dim), dtype=np.clongdouble)
-        for d, vec in self.diagonals.items():
-            rows = np.arange(vec.size) + max(0, -d)
-            arr[rows, rows + d] = vec
-        arr.setflags(write=False)
-        return arr
+        return _densify(self.diagonals, self.dim, np.clongdouble)
 
     def interior(self, margin: int | None = None) -> np.ndarray:
         """Entries with the last ``margin`` rows and columns cut away."""
@@ -259,6 +255,23 @@ def build_k2(label: RepLabel, dim: int) -> TruncatedOperator:
     return TruncatedOperator(
         dim=dim, k=label.k, diagonals=diags, name="K2", omega=label.omega,
     )
+
+
+def _densify(diagonals, dim: int, dtype) -> np.ndarray:
+    # read-only dense dim x dim matrix of a {offset: diagonal} map; the
+    # fockreal operators build their dense views with it too
+    arr = np.zeros((dim, dim), dtype=dtype)
+    for d, vec in diagonals.items():
+        rows = np.arange(vec.size) + max(0, -d)
+        arr[rows, rows + d] = vec
+    arr.setflags(write=False)
+    return arr
+
+
+def band_gap(x, y) -> float:
+    """Entrywise max |x - y| of two diagonal maps; absent diagonals are zero."""
+    return max((float(np.max(np.abs(x.get(d, 0) - y.get(d, 0)))) for d in set(x) | set(y)),
+               default=0.0)
 
 
 def banded_matmul(a, b, dim: int) -> dict:

@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
@@ -243,6 +241,8 @@ def _k_quad(nu: float, x: float, scaled: bool, policy: EvalPolicy) -> float:
                 return 0.0
             e = -x * math.cosh(t) + _ln_cosh(nu * t)
             return math.exp(e) if e > -745.0 else 0.0
+
+    from scipy.integrate import quad  # deferred: scipy is slow to import
 
     value, abserr, info, *rest = quad(
         integrand, 0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=400, full_output=1

@@ -171,14 +171,17 @@ def _phaseops_checks(results: list) -> None:
 
     def central_commutants():
         worst = 0.0
+        mm = repalg.banded_matmul
+        inside = np.arange(64) < 64 - 6
         for k in (0.5, 1.0):
-            pair = phaseops.build_phase_ops(repalg.RepLabel(k=k), 64)
-            cos = pair.cos_op.entries
-            sin = pair.sin_op.entries
-            k3 = repalg.build_k3(repalg.RepLabel(k=k), 64).entries
-            for prod in (cos @ sin - sin @ cos, cos @ cos + sin @ sin):
-                comm = prod @ k3 - k3 @ prod
-                worst = max(worst, float(np.max(np.abs(comm[:-6, :-6]))))
+            label = repalg.RepLabel(k=k)
+            pair = phaseops.build_phase_ops(label, 64)
+            cos, sin = pair.cos_op.diagonals, pair.sin_op.diagonals
+            k3 = repalg.build_k3(label, 64).diagonals
+            for x, y, sign in ((mm(cos, sin, 64), mm(sin, cos, 64), -1.0),
+                               (mm(cos, cos, 64), mm(sin, sin, 64), 1.0)):
+                prod = {d: x.get(d, 0) + sign * y.get(d, 0) for d in set(x) | set(y)}
+                worst = max(worst, repalg.commutator_gap(prod, k3, {}, 64, inside))
         return worst < 1e-12, f"max interior commutant residual {worst:.3e}"
 
     def ground_equality():
@@ -192,9 +195,8 @@ def _phaseops_checks(results: list) -> None:
     def large_n_diagonal():
         worst = 0.0
         for k in (0.5, 1.0, 2.0):
-            pair = phaseops.build_phase_ops(repalg.RepLabel(k=k), 256)
-            cos = pair.cos_op.entries
-            diag = np.diag(cos @ cos).real
+            cos = phaseops.build_phase_ops(repalg.RepLabel(k=k), 256).cos_op.diagonals
+            diag = repalg.banded_matmul(cos, cos, 256)[0].real
             for n in (50, 100, 200):
                 closed = phaseops.cos_squared_diag_asymptote(k, n)
                 worst = max(worst, abs(float(diag[n]) / closed - 1.0) * n ** 4)
@@ -296,46 +298,44 @@ def _bgstates_checks(results: list) -> None:
 
 
 def _fockreal_checks(results: list) -> None:
-    def inter(matrix, margin=4):
-        return float(np.max(np.abs(matrix[:-margin, :-margin])))
-
     def five_realizations():
+        # [K+, K-] = -2 K3 (and [K3, K+] = K+ for the dressed ladder) off the
+        # last four rows, [N, cos_sg] = -i sin_sg likewise, and the two-mode
+        # commutator on max(n1, n2) <= d - 2
+        gap = repalg.commutator_gap
+        inside = np.arange(64) < 64 - 4
         worst = 0.0
         for k in (0.25, 0.5, 1.0, 2.0):
             g = fockreal.hp_generators(k, 64)
-            kp, km, k3 = g.kp.entries, g.km.entries, g.k3.entries
-            d3 = np.diag(k3)
-            worst = max(worst, inter(kp @ km - km @ kp + 2.0 * k3))
-            worst = max(worst, inter(d3[:, None] * kp - kp * d3[None, :] - kp))
+            kp, km, k3 = g.kp.diagonals, g.km.diagonals, g.k3.diagonals
+            worst = max(worst, gap(kp, km, {0: -2.0 * k3[0]}, 64, inside),
+                        gap(k3, kp, kp, 64, inside))
         sb = fockreal.squared_boson(64)
-        worst = max(worst, inter(sb.kp.entries @ sb.km.entries
-                                 - sb.km.entries @ sb.kp.entries + 2.0 * sb.k3.entries))
+        worst = max(worst, gap(sb.kp.diagonals, sb.km.diagonals,
+                               {0: -2.0 * sb.k3.diagonals[0]}, 64, inside))
         tm = fockreal.two_mode(8)
         d = tm.dim_per_mode
-        n1 = np.repeat(np.arange(d), d)
-        n2 = np.tile(np.arange(d), d)
-        win = np.flatnonzero(np.maximum(n1, n2) <= d - 2)
-        ix = np.ix_(win, win)
-        comm = tm.kp.entries @ tm.km.entries - tm.km.entries @ tm.kp.entries
-        worst = max(worst, float(np.max(np.abs((comm + 2.0 * tm.k3.entries)[ix]))))
-        sg = fockreal.dirac_sg_ops(64)
-        n = np.arange(64, dtype=np.longdouble)
-        worst = max(worst, inter(n[:, None] * sg.cos_sg - sg.cos_sg * n[None, :]
-                                 + 1j * sg.sin_sg))
+        n1, n2 = np.divmod(np.arange(d * d), d)
+        worst = max(worst, gap(tm.kp.diagonals, tm.km.diagonals,
+                               {0: -2.0 * tm.k3.diagonals[0]}, d * d,
+                               np.maximum(n1, n2) <= d - 2))
+        sg = fockreal.dirac_sg_ops(64).diagonals
+        n = {0: np.arange(64, dtype=np.longdouble)}
+        sin = {d: -1j * v for d, v in sg["sin_sg"].items()}
+        worst = max(worst, gap(n, sg["cos_sg"], sin, 64, inside))
         return worst < 1e-12, f"max interior residual {worst:.3e}"
 
     def hp_equivalence():
         worst = 0.0
         for k in (0.25, 1.0):
             g = fockreal.hp_generators(k, 64)
-            label = repalg.RepLabel(k=k)
-            worst = max(worst, float(np.max(np.abs(
-                g.kp.entries - repalg.build_kplus(label, 64).entries))))
+            ref = repalg.build_kplus(repalg.RepLabel(k=k), 64)
+            worst = max(worst, repalg.band_gap(g.kp.diagonals, ref.diagonals))
         return worst < 1e-13, f"max entry gap {worst:.3e}"
 
     def band_decay():
-        p = fockreal.hp_phase_ops(0.5, 1024)
-        gaps = [abs(float(p.cos_op[n + 1, n].real) - 0.5) * n for n in (10, 100, 1000)]
+        band = fockreal.hp_phase_ops(0.5, 1024).diagonals["cos_op"][-1]
+        gaps = [abs(float(band[n]) - 0.5) * n for n in (10, 100, 1000)]
         ok = gaps[0] < 0.1 and gaps[1] < gaps[0] and gaps[2] < gaps[1]
         return ok, f"n*|band-1/2| at 10/100/1000: {gaps[0]:.2e}/{gaps[1]:.2e}/{gaps[2]:.2e}"
 

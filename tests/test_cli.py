@@ -71,6 +71,38 @@ class TestUsageErrors:
         assert result.returncode == 0, result.stderr
         assert int(result.stdout) == 1
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+    def test_thread_cap_covers_late_scipy(self):
+        # scipy.linalg loads only inside phase_spectrum, after the cap was set
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PHASEQUANT_THREADS"] = "1"
+        code = (
+            "import os, sys, phasequant.cli\n"
+            "import numpy as np\n"
+            "from phasequant import phaseops, repalg\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "phaseops.phase_spectrum(phaseops.build_phase_ops(repalg.RepLabel(k=1.0), 64))\n"
+            "import scipy.linalg\n"
+            "a = np.random.default_rng(0).standard_normal((200, 200))\n"
+            "scipy.linalg.eigh(a + a.T)\n"
+            "print(len(os.listdir('/proc/self/task')))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) == 1
+
+    def test_import_leaves_scipy_unloaded(self):
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, phasequant.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
 
 class TestValidationErrors:
     def test_domain_error_exits_1(self, capsys):

@@ -3,12 +3,14 @@
 Radial-series reference values were frozen from a 40-digit evaluation.
 """
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from phasequant import repalg
+from phasequant import fockreal, repalg
 from phasequant.errors import DomainError, InconsistentDataError, TruncationError
 from phasequant.fockreal import (
     FockOperator,
@@ -33,6 +35,17 @@ H2_QUARTER_QUARTER = 0.4100226978756115976411
 def _interior_max(matrix: np.ndarray, margin: int = 4) -> float:
     cut = matrix[:-margin, :-margin]
     return float(np.max(np.abs(cut)))
+
+
+def _skew(build, only_k=None):
+    # the abstract builder with every stored entry moved by 1e-12
+    def skewed(label, dim):
+        op = build(label, dim)
+        if only_k is not None and label.k != only_k:
+            return op
+        return dataclasses.replace(
+            op, diagonals={d: v + 1e-12 for d, v in op.diagonals.items()})
+    return skewed
 
 
 # ---------------------------------------------------------------------------
@@ -70,13 +83,19 @@ def test_hp_commutators_interior():
         assert _interior_max(d3[:, None] * km - km * d3[None, :] + km) < 1e-12
 
 
+def test_hp_abstract_check_fires(monkeypatch):
+    monkeypatch.setattr(fockreal, "build_kplus", _skew(build_kplus))
+    with pytest.raises(InconsistentDataError, match="dressed raising vs abstract"):
+        hp_generators(0.5, 16)
+
+
 def test_hp_validation():
     with pytest.raises(DomainError):
         hp_generators(0.0, 8)
     with pytest.raises(DomainError):
         hp_generators(1.0, 1)
     with pytest.raises(DomainError):
-        FockOperator(dim=2, entries=np.zeros((2, 2)), realization_tag="nonsense")
+        FockOperator(dim=2, diagonals={0: np.zeros(2)}, realization_tag="nonsense")
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +118,38 @@ def test_phase_ops_match_abstract_pair():
         pair = build_phase_ops(RepLabel(k=k), 48)
         assert float(np.max(np.abs(p.cos_op - pair.cos_op.entries))) < 1e-13
         assert float(np.max(np.abs(p.sin_op - pair.sin_op.entries))) < 1e-13
+
+
+def test_phase_routes_must_agree(monkeypatch):
+    # generators off by a relative 1e-12 feed the symmetrized route only,
+    # which then leaves the band-profile route by ~5e-13
+    hp_generators_ = fockreal.hp_generators
+
+    def bump(op):
+        return dataclasses.replace(
+            op, diagonals={d: v * (1 + 1e-12) for d, v in op.diagonals.items()})
+
+    def skewed(k, dim):
+        g = hp_generators_(k, dim)
+        return dataclasses.replace(g, kp=bump(g.kp), km=bump(g.km))
+    monkeypatch.setattr(fockreal, "hp_generators", skewed)
+    with pytest.raises(InconsistentDataError, match="cos: symmetrized vs band profile"):
+        hp_phase_ops(1.0, 32)
+
+
+def test_phase_ops_build_no_dense_matrix():
+    # both routes and the abstract check run on diagonals: a dense 2000 x 2000
+    # longdouble route alone would take 64 MB
+    hp_phase_ops(1.2, 16)
+    tracemalloc.start()
+    try:
+        p = hp_phase_ops(1.2, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert "cos_op" not in vars(p) and "sin_op" not in vars(p)
+    assert p.cos_op.shape == (2000, 2000)
 
 
 def test_commutator_band_diagonal_identity():
@@ -292,6 +343,12 @@ def test_squared_boson_commutators():
     assert _interior_max(d3[:, None] * kp - kp * d3[None, :] - kp) < 1e-12
 
 
+def test_squared_boson_sector_check_fires(monkeypatch):
+    monkeypatch.setattr(fockreal, "build_kplus", _skew(build_kplus, only_k=0.75))
+    with pytest.raises(InconsistentDataError, match="odd sector raising"):
+        squared_boson(16)
+
+
 def test_squared_boson_validation():
     with pytest.raises(DomainError):
         squared_boson(3)
@@ -351,6 +408,13 @@ def test_two_mode_commutator_check_fires(monkeypatch):
         return {d: v * (1 + 1e-12) for d, v in banded_matmul(a, b, dim).items()}
     monkeypatch.setattr(repalg, "banded_matmul", skewed)
     with pytest.raises(InconsistentDataError, match="commutators"):
+        two_mode(8)
+
+
+def test_two_mode_sector_check_fires(monkeypatch):
+    # only the abstract lowering for sectors +-2 moves
+    monkeypatch.setattr(fockreal, "build_kminus", _skew(build_kminus, only_k=1.5))
+    with pytest.raises(InconsistentDataError, match="sector -2 lowering"):
         two_mode(8)
 
 
