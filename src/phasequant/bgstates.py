@@ -39,7 +39,7 @@ from .errors import (
     TruncationError,
 )
 from .phaseops import build_phase_ops
-from .repalg import RepLabel, build_k1, build_k2
+from .repalg import RepLabel, banded_matvec, build_k1, build_k2
 from .specfun import bessel_i_scaled, bessel_k_scaled, ln_gamma
 
 __all__ = [
@@ -460,7 +460,8 @@ def k12_moments(state: BGState) -> K12Moments:
     Closed forms: mean_k1 = rho cos(phi), mean_k2 = -rho sin(phi), second
     moments rho^2 cos^2/sin^2 plus <K3>/2.  The uncertainty product therefore
     sits exactly at its lower bound <K3>^2/4.  Matrix-vector sums over the
-    stored coefficients must agree before the record is returned.
+    stored coefficients, formed in O(dim) from the operator diagonals, must
+    agree before the record is returned.
     """
     k, rho, phi = state.k, state.rho, state.phi
     k3_mean = k + rho * b_ratio(k, rho)
@@ -477,8 +478,7 @@ def k12_moments(state: BGState) -> K12Moments:
         ("K1", build_k1, mean_k1, second_k1),
         ("K2", build_k2, mean_k2, second_k2),
     ):
-        op = build(label, c.size).entries.astype(np.complex128)
-        applied = op @ c
+        applied = banded_matvec(build(label, c.size).diagonals, c)
         _route_check(closed_mean, float(np.real(np.vdot(c, applied))), tol, f"{name} mean")
         _route_check(
             closed_second, float(np.real(np.vdot(applied, applied))), tol,
@@ -600,8 +600,8 @@ def phase_expectations(state: BGState) -> PhaseExpectations:
     c = _padded_coeffs(state)
     pair = build_phase_ops(RepLabel(k=k), c.size)
     tol = max(_ROUTE_TOL, 10.0 * state.tail_tol * (state.dim + k))
-    cos_s = float(np.real(np.vdot(c, pair.cos_op.entries.astype(np.complex128) @ c)))
-    sin_s = float(np.real(np.vdot(c, pair.sin_op.entries.astype(np.complex128) @ c)))
+    cos_s = float(np.real(np.vdot(c, banded_matvec(pair.cos_op.diagonals, c))))
+    sin_s = float(np.real(np.vdot(c, banded_matvec(pair.sin_op.diagonals, c))))
     _route_check(cos_mean, cos_s, tol, "cos expectation")
     _route_check(sin_mean, sin_s, tol, "sin expectation")
 

@@ -31,6 +31,7 @@ from .repalg import (
     RepLabel,
     _densify,
     band_gap,
+    banded_matvec,
     build_k3,
     build_kminus,
     build_kplus,
@@ -356,11 +357,7 @@ def _poisson_cut(r: float, log_tol: float) -> int:
 
 def _expect(bands, c: np.ndarray) -> complex:
     # <c| A |c> with A given by its diagonals, evaluated in the precision of c
-    total = 0j
-    for d, v in bands.items():
-        rows, cols = max(0, -d), max(0, d)
-        total += np.vdot(c[rows:rows + v.size], v.astype(c.dtype) * c[cols:cols + v.size])
-    return total
+    return np.vdot(c, banded_matvec(bands, c))
 
 
 def alpha_expectations(k: float, alpha: complex, dim: int | None = None) -> AlphaExpectations:

@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 _ROUTE_TOL = 1e-13
+_VERDICT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -247,12 +248,38 @@ def cos_squared_diag_asymptote(k: float, n: int) -> float:
     return 0.5 * (1.0 + 0.25 * (1.0 + 4.0 * q) / (x * x))
 
 
-def phase_spectrum(pair: PhaseOperatorPair) -> np.ndarray:
-    """Sorted eigenvalues of cos_op via a symmetric tridiagonal solver.
+def _sturm_count(diag: list, off_sq: list, x: float, pivmin: float) -> int:
+    # eigenvalues of the symmetric tridiagonal below x: the negative pivots
+    # of the LDL^T factorization of T - x I (Sylvester's law of inertia).
+    # A zero pivot is replaced by -pivmin, which counts that eigenvalue.
+    count, pivot = 0, 1.0
+    for a, b2 in zip(diag, [0.0] + off_sq):
+        pivot = (a - x) - b2 / pivot
+        if pivot == 0.0:
+            pivot = -pivmin
+        if pivot < 0.0:
+            count += 1
+    return count
 
-    sin_op is unitarily equivalent to -cos (conjugation by diag(i^-n) makes
-    it real tridiagonal); its spectrum is computed the same way and must
-    match to 1e-10, which guards the builder and the solver at once.
+
+def phase_spectrum(pair: PhaseOperatorPair) -> np.ndarray:
+    """Sorted eigenvalues of cos_op from one symmetric tridiagonal solve.
+
+    The cos band is solved once by LAPACK; two O(n) routes then check it.
+
+    Band check: conjugation by D = diag(i^-n) turns sin_op into a real
+    tridiagonal with the cos diagonal and the negated cos off-diagonal,
+    and diag((-1)^n) maps that back onto cos, so the two spectra are equal.
+    The rotated sin band must match within 1e-13 entrywise; by Weyl's
+    inequality that bounds the gap between the two spectra by 3e-13.
+
+    Sturm count: the negative pivots of LDL^T(T - x I) count the
+    eigenvalues below x without solving for any of them.  The counts above
+    t = 1 + 1e-12 and below -t, the ``spectrum_verdict`` thresholds, must
+    equal the counts read off the LAPACK eigenvalues.  Both routes carry
+    backward errors of a few eps * ||T||, so eigenvalues within the rounding
+    window delta = 64 eps (max|diag| + 2 max|off|) of a threshold may be
+    counted on either side; no other disagreement passes.
     """
     from scipy.linalg import eigvalsh_tridiagonal  # deferred: scipy is slow to import
 
@@ -270,15 +297,35 @@ def phase_spectrum(pair: PhaseOperatorPair) -> np.ndarray:
     d = np.array([1.0, -1.0j, -1.0, 1.0j])[np.arange(dim) % 4]
     rot_diag = d.conjugate() * sin.get(0, zeros).astype(np.complex128) * d
     rot_off = d[1:].conjugate() * sin.get(-1, zeros[1:]).astype(np.complex128) * d[:-1]
-    if max(float(np.max(np.abs(v.imag))) for v in (rot_diag, rot_off)) > 1e-13:
-        raise TruncationError("sin_op failed to rotate to a real tridiagonal form")
-    sin_eigs = np.sort(eigvalsh_tridiagonal(rot_diag.real, rot_off.real))
-    if float(np.max(np.abs(sin_eigs - cos_eigs))) > 1e-10:
-        raise TruncationError("cos and sin spectra disagree beyond 1e-10")
+    gap = max(float(np.max(np.abs(rot_diag - diag))),
+              float(np.max(np.abs(rot_off + off), initial=0.0)))
+    if gap > _ROUTE_TOL:
+        raise TruncationError(
+            f"cos and sin spectra disagree: the rotated sin band is {gap:.3e} "
+            f"off the cos band at k={pair.k}, dim={dim}"
+        )
+
+    t = 1.0 + _VERDICT_TOL
+    scale = float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off), initial=0.0))
+    delta = 64.0 * np.finfo(np.float64).eps * scale
+    off_sq = off * off
+    pivmin = np.finfo(np.float64).tiny * max(1.0, float(np.max(off_sq, initial=0.0)))
+    diag_l, off_sq_l = diag.tolist(), off_sq.tolist()
+    above = dim - _sturm_count(diag_l, off_sq_l, t, pivmin)
+    below = _sturm_count(diag_l, off_sq_l, -t, pivmin)
+    for what, count, sure, possible in (
+        ("above", above, cos_eigs > t + delta, cos_eigs > t - delta),
+        ("below", below, cos_eigs < -t - delta, cos_eigs < -t + delta),
+    ):
+        if not int(np.sum(sure)) <= count <= int(np.sum(possible)):
+            raise TruncationError(
+                f"Sturm count of eigenvalues {what} +-{t!r} is {count}, LAPACK "
+                f"gives {int(np.sum(sure))}..{int(np.sum(possible))} at k={pair.k}, dim={dim}"
+            )
     return cos_eigs
 
 
-def spectrum_verdict(eigenvalues: np.ndarray, tol: float = 1e-12) -> str:
+def spectrum_verdict(eigenvalues: np.ndarray, tol: float = _VERDICT_TOL) -> str:
     """BOUNDED if every |eigenvalue| <= 1 + tol, else EXCEEDS."""
     return "BOUNDED" if float(np.max(np.abs(eigenvalues))) <= 1.0 + tol else "EXCEEDS"
 
@@ -299,16 +346,22 @@ def improper_eigvec(k: float, mu: float, a0: float, nmax: int) -> ImproperEigvec
         raise DomainError(f"improper_eigvec requires k > 0, got {k}")
     if nmax < 2:
         raise DomainError(f"improper_eigvec requires nmax >= 2, got {nmax}")
+    # f_0 .. f_nmax once, in f_coeff's operation order so the values match it
+    m = np.arange(1, nmax + 1, dtype=np.float64)
+    f = [0.0] + (np.sqrt(m * (2.0 * k + m - 1.0)) * (1.0 / (k + m) + 1.0 / (k + m - 1.0))).tolist()
     a = np.zeros(nmax + 1, dtype=np.float64)
     a[0] = a0
-    a[1] = 4.0 * mu * a0 / f_coeff(k, 1)
+    a[1] = 4.0 * mu * a0 / f[1]
     log_scale = 0.0
-    running_max = max(abs(a[0]), abs(a[1]))
+    prev, cur = float(a[0]), float(a[1])
+    running_max = max(abs(prev), abs(cur))
     for n in range(1, nmax):
-        a[n + 1] = (4.0 * mu * a[n] - f_coeff(k, n) * a[n - 1]) / f_coeff(k, n + 1)
-        running_max = max(running_max, abs(a[n + 1]))
+        prev, cur = cur, (4.0 * mu * cur - f[n] * prev) / f[n + 1]
+        a[n + 1] = cur
+        running_max = max(running_max, abs(cur))
         if (n + 1) % _RENORM_EVERY == 0 and running_max > _RENORM_THRESHOLD:
             a[: n + 2] /= running_max
+            prev, cur = prev / running_max, cur / running_max
             log_scale += math.log(running_max)
             running_max = 1.0
     return ImproperEigvec(values=a, log_scale=log_scale)

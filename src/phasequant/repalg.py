@@ -46,6 +46,7 @@ __all__ = [
     "casimir",
     "band_gap",
     "banded_matmul",
+    "banded_matvec",
     "commutator_gap",
     "commutator_residual",
     "fluctuation_closed_forms",
@@ -300,6 +301,18 @@ def banded_matmul(a, b, dim: int) -> dict:
     return out
 
 
+def banded_matvec(a, c: np.ndarray) -> np.ndarray:
+    """``A @ c`` for A given as a {offset: diagonal} map, in the dtype of c.
+
+    O(dim) per diagonal; the dense matrix is never formed.
+    """
+    out = np.zeros_like(c)
+    for d, v in a.items():
+        rows, cols = max(0, -d), max(0, d)
+        out[rows:rows + v.size] += v.astype(c.dtype) * c[cols:cols + v.size]
+    return out
+
+
 def commutator_gap(a, b, expected, dim: int, inside: np.ndarray) -> float:
     """Max |[A, B] - E| over entries (i, j) with inside[i] and inside[j]."""
     ab, ba = banded_matmul(a, b, dim), banded_matmul(b, a, dim)
@@ -404,24 +417,39 @@ def csv_lines(op: TruncatedOperator) -> list[str]:
     """Row-major CSV serialization with header ``i,j,re,im``.
 
     Values are emitted at double precision via ``repr``, which round-trips.
+    The format is stable: one line per dense entry, (0, 0) .. (dim-1, dim-1),
+    entries outside the band written ``0.0,0.0`` and signed zeros kept.
+    Only the stored diagonals are formatted; no dense matrix is built.
     """
-    ent = op.entries.astype(np.complex128)
-    return ["i,j,re,im"] + [
-        f"{i},{j},{float(z.real)!r},{float(z.imag)!r}" for (i, j), z in np.ndenumerate(ent)
-    ]
+    dim = op.dim
+    values = ["0.0,0.0"] * (dim * dim)
+    for d, vec in op.diagonals.items():
+        z = vec.astype(np.complex128)
+        # entry (i, i+d) sits at flat index i*dim + i + d: a stride of dim+1
+        first = max(0, -d) * dim + max(0, d)
+        values[first:first + z.size * (dim + 1):dim + 1] = [
+            f"{re!r},{im!r}" for re, im in zip(z.real.tolist(), z.imag.tolist())
+        ]
+    cols = [f"{j}," for j in range(dim)]
+    lines = ["i,j,re,im"]
+    for i in range(dim):
+        row = f"{i},"
+        lines += [row + c + v for c, v in zip(cols, values[i * dim:(i + 1) * dim])]
+    return lines
 
 
 def json_envelope(op: TruncatedOperator) -> dict:
     """JSON-ready envelope {k, dim, omega, name, entries}.
 
-    Complex values are encoded as [re, im] pairs at double precision;
-    entries are row-major.
+    Complex values are encoded as [re, im] pairs of Python floats at double
+    precision; entries are the dense matrix, row-major.  ``json.dumps`` of
+    the envelope is stable: the same bytes as formatting entry by entry.
     """
-    ent = op.entries.astype(np.complex128)
+    ent = _densify(op.diagonals, op.dim, np.complex128)
     return {
         "k": op.k,
         "dim": op.dim,
         "omega": [complex(op.omega).real, complex(op.omega).imag],
         "name": op.name,
-        "entries": [[[z.real, z.imag] for z in row] for row in ent],
+        "entries": ent.view(np.float64).reshape(op.dim, op.dim, 2).tolist(),
     }

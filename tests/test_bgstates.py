@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from phasequant import bgstates
 from phasequant.bgstates import (
     BGState,
     b_ratio,
@@ -36,6 +37,7 @@ from phasequant.errors import (
     DomainError,
     TruncationError,
 )
+from phasequant.repalg import TruncatedOperator
 from phasequant.specfun import bessel_i_scaled, ln_gamma
 
 OVERLAP_K1_Z1_Z2 = 0.8595907244977986777519
@@ -277,6 +279,25 @@ def test_k12_uncertainty_saturation():
             assert m.var_k1 == m.var_k2
             assert abs(m.var_k1 * m.var_k2 - 0.25 * k3m.mean**2) < 1e-12
             assert abs(m.second_k1 + m.second_k2 - (rho**2 + k3m.mean)) < 1e-10
+
+
+def test_moment_routes_never_densify(monkeypatch):
+    def refuse(op):
+        raise AssertionError(f"dense view of {op.name} built")
+
+    monkeypatch.setattr(TruncatedOperator, "entries", property(refuse))
+    state = make_bg_state(1.0, 300.0)
+    k12_moments(state)
+    phase_expectations(state)
+
+
+@pytest.mark.parametrize("which", ["k12", "phase"])
+def test_banded_moment_checks_fire_on_a_perturbed_route(monkeypatch, which):
+    matvec = bgstates.banded_matvec
+    monkeypatch.setattr(bgstates, "banded_matvec", lambda a, c: matvec(a, c) * (1.0 + 1e-8))
+    state = make_bg_state(1.0, 3.0 * np.exp(0.4j))
+    with pytest.raises(TruncationError, match="disagree"):
+        (k12_moments if which == "k12" else phase_expectations)(state)
 
 
 # ---------------------------------------------------------------------------

@@ -261,11 +261,95 @@ def test_spectrum_bounded_and_filling_for_k1():
 
 
 def test_spectrum_cos_sin_must_agree():
-    # scale sin alone by 1 + 1e-8: its spectrum moves past the 1e-10 check
+    # scale sin alone by 1 + 1e-8: its band moves past the 1e-13 band check
     pair = build_phase_ops(RepLabel(k=1.0), 64)
     skewed = TruncatedOperator(
         dim=64, k=1.0, name="sin",
         diagonals={d: v * (1 + 1e-8) for d, v in pair.sin_op.diagonals.items()},
+    )
+    with pytest.raises(TruncationError, match="spectra disagree"):
+        phase_spectrum(PhaseOperatorPair(pair.cos_op, skewed, k=1.0, dim=64))
+
+
+@pytest.mark.parametrize("k", [0.25, 0.5, 0.95, 1.0, 2.0])
+@pytest.mark.parametrize("dim", [2, 3, 400, 2000])
+def test_sturm_counts_match_lapack(k, dim):
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    off = build_phase_ops(RepLabel(k=k), dim).cos_op.diagonals[-1].real.astype(np.float64)
+    eigs = eigvalsh_tridiagonal(np.zeros(dim), off)
+    off_sq = (off * off).tolist()
+    for x in (1.0 + 1e-12, -1.0 - 1e-12, 0.5, -0.3):
+        assert phaseops._sturm_count([0.0] * dim, off_sq, x, 1e-300) == int(np.sum(eigs < x))
+
+
+def test_sturm_count_zero_pivot_counts_the_eigenvalue():
+    # [[0, 1], [1, 0]] at x = 0 hits an exact zero pivot; eigenvalues are -1, 1
+    assert phaseops._sturm_count([0.0, 0.0], [1.0], 0.0, 1e-300) == 1
+    assert phaseops._sturm_count([0.0, 0.0], [1.0], 1.0, 1e-300) == 2
+
+
+def _counting_solver(monkeypatch, shift=None):
+    import scipy.linalg
+
+    solve = scipy.linalg.eigvalsh_tridiagonal
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        eigs = solve(*args, **kwargs)
+        return eigs if shift is None else shift(np.sort(eigs))
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", wrapped)
+    return calls
+
+
+def test_phase_spectrum_solves_once(monkeypatch):
+    calls = _counting_solver(monkeypatch)
+    for k in (0.25, 1.0):
+        phase_spectrum(build_phase_ops(RepLabel(k=k), 300))
+    assert len(calls) == 2
+
+
+def test_phase_spectrum_matches_full_solve_of_both_operators():
+    # the removed second solve, as a test: sin's rotated band has the same spectrum
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    pair = build_phase_ops(RepLabel(k=0.7), 300)
+    sub = pair.sin_op.diagonals[-1].astype(np.complex128)
+    rot_off = (1j * sub).real  # i^{n+1} i^{-n} = i on every subdiagonal entry
+    sin_eigs = np.sort(eigvalsh_tridiagonal(np.zeros(300), rot_off))
+    assert np.max(np.abs(sin_eigs - phase_spectrum(pair))) < 1e-12
+
+
+def test_perturbed_sturm_count_raises(monkeypatch):
+    count = phaseops._sturm_count
+    monkeypatch.setattr(phaseops, "_sturm_count", lambda *a: count(*a) + 1)
+    with pytest.raises(TruncationError, match="Sturm count"):
+        phase_spectrum(build_phase_ops(RepLabel(k=1.0), 64))
+
+
+@pytest.mark.parametrize("k, moved", [(0.25, 1.0), (1.0, 1.0 + 2e-12)])
+def test_lapack_eigenvalue_across_threshold_raises(monkeypatch, k, moved):
+    # k = 0.25 has one eigenvalue above 1 + 1e-12, k = 1 none: moving the top
+    # eigenvalue across the threshold leaves the Sturm count disagreeing
+    def shift(eigs):
+        eigs[-1] = moved
+        return eigs
+
+    _counting_solver(monkeypatch, shift)
+    with pytest.raises(TruncationError, match="Sturm count"):
+        phase_spectrum(build_phase_ops(RepLabel(k=k), 400))
+
+
+def test_sin_offdiagonal_perturbed_raises():
+    pair = build_phase_ops(RepLabel(k=1.0), 64)
+    # along the entry i f/4, so the rotated band stays real and its spectrum
+    # moves by at most 1e-12, inside what comparing two solves would allow
+    sub = np.array(pair.sin_op.diagonals[-1])
+    sub[17] += 1e-12j
+    skewed = TruncatedOperator(
+        dim=64, k=1.0, name="sin", diagonals={-1: sub, 1: pair.sin_op.diagonals[1]},
     )
     with pytest.raises(TruncationError, match="spectra disagree"):
         phase_spectrum(PhaseOperatorPair(pair.cos_op, skewed, k=1.0, dim=64))
@@ -359,6 +443,30 @@ def test_improper_eigvec_renormalizes():
         lhs = f_coeff(1.0, n) / 4.0 * a[n - 1] - 5.0 * a[n] + f_coeff(1.0, n + 1) / 4.0 * a[n + 1]
         scale = abs(a[n - 1]) + abs(a[n]) + abs(a[n + 1]) + 1.0
         assert abs(lhs) <= 1e-12 * scale
+
+
+def test_improper_eigvec_bit_identical_to_per_step_coefficients():
+    # the recursion with f_coeff evaluated at every step, as it was written first
+    def reference(k, mu, a0, nmax):
+        a = np.zeros(nmax + 1)
+        a[0] = a0
+        a[1] = 4.0 * mu * a0 / f_coeff(k, 1)
+        log_scale, running_max = 0.0, max(abs(a[0]), abs(a[1]))
+        for n in range(1, nmax):
+            a[n + 1] = (4.0 * mu * a[n] - f_coeff(k, n) * a[n - 1]) / f_coeff(k, n + 1)
+            running_max = max(running_max, abs(a[n + 1]))
+            if (n + 1) % 64 == 0 and running_max > 1e100:
+                a[: n + 2] /= running_max
+                log_scale += math.log(running_max)
+                running_max = 1.0
+        return a, log_scale
+
+    for k in (0.25, 0.5, 1.0, 1.7):
+        for mu in (0.0, 0.5, 1.0, 5.0):
+            res = improper_eigvec(k, mu, 1.0, 2000)
+            want, want_log = reference(k, mu, 1.0, 2000)
+            assert np.array_equal(res.values, want)
+            assert res.log_scale == want_log
 
 
 def test_improper_eigvec_validation():

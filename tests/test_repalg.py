@@ -1,5 +1,7 @@
 """Tests for the truncated generator matrices and algebra checks."""
 
+import cmath
+import json
 import math
 
 import numpy as np
@@ -14,6 +16,7 @@ from phasequant.repalg import (
     RepLabel,
     TruncatedOperator,
     banded_matmul,
+    banded_matvec,
     build_k1,
     build_k2,
     build_k3,
@@ -305,3 +308,51 @@ def test_json_envelope_roundtrip():
     assert env["omega"] == [0.0, 1.0]
     back = np.array([[complex(re, im) for re, im in row] for row in env["entries"]])
     assert np.max(np.abs(back - op.entries.astype(np.complex128))) < 1e-15
+
+
+def _frozen_csv_lines(op):
+    # the entry-by-entry formatter the fast serializer must reproduce byte for byte
+    ent = op.entries.astype(np.complex128)
+    return ["i,j,re,im"] + [
+        f"{i},{j},{float(z.real)!r},{float(z.imag)!r}" for (i, j), z in np.ndenumerate(ent)
+    ]
+
+
+def _frozen_json_entries(op):
+    ent = op.entries.astype(np.complex128)
+    return [[[z.real, z.imag] for z in row] for row in ent]
+
+
+_SERIALIZED = [
+    (build, omega, dim)
+    for build in (build_k3, build_kplus, build_kminus, build_k1, build_k2)
+    for omega in (1.0, 1j, cmath.exp(1.3j))
+    for dim in (1, 2, 3, 17)
+    if build is build_k3 or dim >= 2
+]
+
+
+@pytest.mark.parametrize("build, omega, dim", _SERIALIZED)
+def test_serializers_byte_identical_to_entrywise_format(build, omega, dim):
+    op = build(RepLabel(k=0.75, omega=omega), dim)
+    assert csv_lines(op) == _frozen_csv_lines(op)
+    env = json_envelope(op)
+    assert json.dumps(env["entries"]) == json.dumps(_frozen_json_entries(op))
+    assert all(type(x) is float for row in env["entries"] for pair in row for x in pair)
+
+
+def test_csv_lines_keep_signed_zeros():
+    # K- at omega = -1 carries conj(-1) = -1 - 0j: imaginary parts are -0.0
+    op = build_kminus(RepLabel(k=1.0, omega=-1.0), 3)
+    lines = csv_lines(op)
+    assert lines == _frozen_csv_lines(op)
+    assert lines[2] == "0,1,-1.4142135623730951,-0.0"
+
+
+def test_banded_matvec_matches_dense():
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    for build in (build_k3, build_kplus, build_kminus, build_k1, build_k2):
+        op = build(RepLabel(k=0.6, omega=cmath.exp(0.4j)), 9)
+        dense = op.entries.astype(np.complex128) @ c
+        assert np.max(np.abs(banded_matvec(op.diagonals, c) - dense)) < 1e-13
