@@ -40,7 +40,7 @@ from .errors import (
 )
 from .phaseops import build_phase_ops
 from .repalg import RepLabel, banded_matvec, build_k1, build_k2
-from .specfun import bessel_i_scaled, bessel_k_scaled, ln_gamma
+from .specfun import _k_quad, _tanh_sinh, bessel_i_scaled, ln_gamma
 
 __all__ = [
     "BGState",
@@ -339,9 +339,11 @@ def moment_integral(k: float, n: int, rho_max: float = 60.0,
                     quadrature_tol: float = 1e-9) -> float:
     """Quadrature of int_0^inf rho^{2(n+k)} K_{2k-1}(2 rho) drho.
 
-    The infinite tail beyond rho_max is estimated from the exponential decay
-    of the scaled integrand and added on.  The closed value is
-    n! Gamma(2k+n)/4; callers compare against it.
+    The tanh-sinh rule covers [0, rho_max], with every K from the trapezoid
+    rule of ``bessel_k``; the infinite tail beyond rho_max is estimated from
+    the exponential decay of the scaled integrand and added on.  The rule's
+    error estimate plus that tail must stay below ``quadrature_tol`` of the
+    value.  The closed value is n! Gamma(2k+n)/4; callers compare against it.
     """
     if k < 0.5:
         raise DomainError(f"moment_integral requires k >= 0.5, got {k}")
@@ -351,22 +353,15 @@ def moment_integral(k: float, n: int, rho_max: float = 60.0,
     if rho_max <= power:
         raise DomainError(f"rho_max={rho_max} must exceed 2(n+k)={power}")
 
-    def integrand(rho: float) -> float:
-        if rho <= 0.0:
-            return 0.0
-        return math.exp(power * math.log(rho) - 2.0 * rho) * bessel_k_scaled(
-            2.0 * k - 1.0, 2.0 * rho
-        )
+    nu = 2.0 * k - 1.0
 
-    from scipy.integrate import quad  # deferred: scipy is slow to import
+    def integrand(rho):
+        # a rho-node x t-node grid: each level's K_nu(2 rho) in one array
+        return np.exp(power * np.log(rho) - 2.0 * rho) * _k_quad(nu, 2.0 * rho, scaled=True)
 
-    value, abserr, info, *rest = quad(
-        integrand, 0.0, rho_max, epsabs=1e-15, epsrel=1e-13, limit=400, full_output=1
-    )
-    if rest:
-        raise ConvergenceError(f"moment quadrature failed at k={k}, n={n}: {rest[0]}")
+    value, abserr = (float(v) for v in _tanh_sinh(integrand, rho_max, 1e-13))
     # integrand ~ e^{-2 rho} polynomial: geometric tail from the endpoint value
-    tail = integrand(rho_max) / (2.0 - power / rho_max)
+    tail = float(integrand(np.array([rho_max]))[0]) / (2.0 - power / rho_max)
     total = value + tail
     if abserr + tail > max(quadrature_tol * abs(total), 1e-15):
         raise ConvergenceError(
@@ -515,13 +510,40 @@ def _phase_weight_sums(k: float, rho: float) -> tuple[float, float]:
     raise ConvergenceError(f"phase-weight series stalled at k={k}, rho={rho}")
 
 
+def _g_quadrature(k: float, rho: float) -> tuple[float, float]:
+    # e^{-2 rho} g(rho) = e^{-2 rho} [1/2 int_0^{2 rho} I(u) du
+    # + 1/(8 rho^2) int_0^{2 rho} u^2 I(u) du] with I = I_{2k-1}, and its
+    # error estimate.  I(u) ~ u^{2k-1} at 0, so the rule runs in w = u^beta,
+    # beta = min(2k, 1), which makes the integrand regular there for k < 1/2.
+    # At every node of a level at once, the ascending series of
+    # e^{-2 rho} I(u) du/dw (du/dw = u/(beta w)) is summed in log space.  Its
+    # terms peak at m <= rho and fall like e^{-(m-rho)^2/rho} beyond.
+    nu = 2.0 * k - 1.0
+    beta = min(2.0 * k, 1.0)
+    m = np.arange(int(rho + 8.0 * math.sqrt(rho)) + 30, dtype=np.float64)
+    lg = np.array([ln_gamma(v + 1.0) + ln_gamma(nu + v + 1.0) for v in m])
+    power = ((nu + 1.0 + 2.0 * m) / beta - 1.0)[:, None]
+    offset = (-(nu + 2.0 * m) * math.log(2.0) - lg - 2.0 * rho - math.log(beta))[:, None]
+
+    def integrand(w):
+        ln_w = np.log(w)
+        damped = np.exp(power * ln_w + offset).sum(axis=0)
+        return np.stack([damped, damped * np.exp(2.0 * ln_w / beta)])
+
+    (first, second), (e1, e2) = _tanh_sinh(integrand, (2.0 * rho) ** beta, 1e-12)
+    scale = 1.0 / (8.0 * rho * rho)
+    return float(0.5 * first + scale * second), float(0.5 * e1 + scale * e2)
+
+
 def g_k(k: float, rho: float) -> float:
     """Radial phase weight g(rho), series route checked against quadrature.
 
-    The alternative route integrates I_{2k-1} directly:
-    g = 1/2 int_0^{2rho} I(u) du + 1/(8 rho^2) int_0^{2rho} u^2 I(u) du.
-    Both are evaluated in e^{-2 rho}-scaled form and must agree to 1e-10;
-    the unscaled value overflows past rho ~ 350 and is refused there.
+    The alternative route integrates I_{2k-1} directly, by the tanh-sinh
+    rule: g = 1/2 int_0^{2rho} I(u) du + 1/(8 rho^2) int_0^{2rho} u^2 I(u) du.
+    Its error estimate must stay below 1e-10 of the value (ConvergenceError
+    otherwise).  Both routes are evaluated in e^{-2 rho}-scaled form and must
+    agree to 1e-10; the unscaled value overflows past rho ~ 350 and is
+    refused there.
     """
     if not k > 0.0:
         raise DomainError(f"g_k requires k > 0, got {k}")
@@ -537,22 +559,11 @@ def g_k(k: float, rho: float) -> float:
         raise DomainError("g_k overflows past rho = 350; use ratio_gI instead")
     scaled = _phase_weight_sums(k, rho)[0]
 
-    nu = 2.0 * k - 1.0
-
-    def damped(u: float) -> float:
-        # u = 0 is integrable for nu > -1 and never sampled by the open rule
-        if u <= 0.0:
-            return 0.0
-        return _ive(nu, u) * math.exp(u - 2.0 * rho)
-
-    from scipy.integrate import quad  # deferred: scipy is slow to import
-
-    first = quad(damped, 0.0, 2.0 * rho, epsabs=1e-16, epsrel=1e-12, limit=400)[0]
-    second = quad(
-        lambda u: u * u * damped(u), 0.0, 2.0 * rho, epsabs=1e-16, epsrel=1e-12,
-        limit=400,
-    )[0]
-    quad_scaled = 0.5 * first + second / (8.0 * rho * rho)
+    quad_scaled, err = _g_quadrature(k, rho)
+    if not err <= _ROUTE_TOL * quad_scaled:
+        raise ConvergenceError(
+            f"g_k quadrature at k={k}, rho={rho}: error {err:.3e} of {quad_scaled:.3e}"
+        )
     if abs(scaled - quad_scaled) > _ROUTE_TOL * max(abs(scaled), abs(quad_scaled), 1e-280):
         raise TruncationError(
             f"g_k routes disagree at k={k}, rho={rho}: "

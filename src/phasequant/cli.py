@@ -270,11 +270,11 @@ def _cmd_coherent(args) -> tuple[int, str]:
 
 
 def _cmd_completeness(args) -> tuple[int, str]:
-    value = bgstates.completeness_check(args.k, args.n, args.rho_max)
     moment = bgstates.moment_integral(args.k, args.n, args.rho_max)
-    expected = math.exp(
-        specfun.ln_gamma(args.n + 1.0) + specfun.ln_gamma(2.0 * args.k + args.n)
-    ) / 4.0
+    log_norm = specfun.ln_gamma(args.n + 1.0) + specfun.ln_gamma(2.0 * args.k + args.n)
+    # completeness_check's own expression, so the value is bit-identical to it
+    value = 4.0 * moment * math.exp(-log_norm)
+    expected = math.exp(log_norm) / 4.0
     rel = abs(moment - expected) / expected
     rows = [
         "k,n,completeness,moment,moment_expected,moment_rel_gap",

@@ -6,12 +6,13 @@ series and Bessel quotients.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phasequant import bgstates
+from phasequant import bgstates, specfun
 from phasequant.bgstates import (
     BGState,
     b_ratio,
@@ -207,6 +208,39 @@ def test_completeness_validation():
         moment_integral(1.0, 5, rho_max=10.0)
 
 
+def test_moment_integral_against_mpmath():
+    worst = 0.0
+    with mpmath.workdps(50):
+        for k in (0.5, 0.75, 1.0, 2.5):
+            for n in (0, 5, 20):
+                want = mpmath.factorial(n) * mpmath.gamma(2 * k + n) / 4
+                worst = max(worst, float(abs(moment_integral(k, n) / want - 1)))
+    assert worst < 1e-14
+
+
+def test_completeness_to_rounding():
+    # k = 1/2 puts the logarithmic K_0 singularity at rho = 0
+    for k in (0.5, 1.0, 1.5, 2.7):
+        for n in range(6):
+            assert abs(completeness_check(k, n) - 1.0) <= 1e-13, (k, n)
+
+
+def test_moment_capped_rule_raises(monkeypatch):
+    # the outer tanh-sinh rule gets one halving; the inner K rule keeps its
+    # full budget, so the moment's own error check is what fires
+    k_quad = bgstates._k_quad
+
+    def full_k_quad(*args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(specfun, "_DE_LEVELS", 10)
+            return k_quad(*args, **kwargs)
+
+    monkeypatch.setattr(bgstates, "_k_quad", full_k_quad)
+    monkeypatch.setattr(specfun, "_DE_LEVELS", 1)
+    with pytest.raises(ConvergenceError, match="moment quadrature"):
+        moment_integral(1.0, 3)
+
+
 def test_moment_tail_nonconvergence():
     # rho_max barely past the decay threshold leaves an O(1) tail estimate
     with pytest.raises(ConvergenceError):
@@ -313,6 +347,41 @@ def test_g_k_reference_values():
 def test_g_k_dual_route_below_half():
     # negative Bessel order in the quadrature route; must still agree
     assert g_k(0.25, 1.02) > 0.0
+
+
+def _g_scaled_reference(k, rho):
+    # e^{-2 rho} g(rho) from its defining series at 50 digits
+    with mpmath.workdps(50):
+        k, rho = mpmath.mpf(k), mpmath.mpf(rho)
+        terms = [
+            rho ** (2 * (n + k)) / (mpmath.factorial(n) * mpmath.gamma(2 * k + n))
+            * (1 / (n + k) + 1 / (n + k + 1))
+            for n in range(200)
+        ]
+        return mpmath.fsum(terms) / 2 * mpmath.exp(-2 * rho)
+
+
+@pytest.mark.parametrize("k", [0.25, 0.4, 1.0, 2.0])
+def test_g_k_quadrature_route_against_mpmath(k):
+    for rho in (0.01, 0.5, 1.02, 5.0, 40.0):
+        value, err = bgstates._g_quadrature(k, rho)
+        want = _g_scaled_reference(k, rho)
+        assert float(abs(value / want - 1)) < 1e-13, rho
+        assert err < 1e-11 * value
+
+
+def test_g_k_routes_agree_for_small_k():
+    # u^{2k-1} is singular at 0 for k < 1/2; g_k raises unless both routes
+    # agree to 1e-10
+    for k in (0.02, 0.05, 0.1, 0.25, 0.4, 0.5, 0.75):
+        for rho in (1e-6, 0.3, 1.02, 10.0, 200.0):
+            assert g_k(k, rho) > 0.0
+
+
+def test_g_k_capped_rule_raises(monkeypatch):
+    monkeypatch.setattr(specfun, "_DE_LEVELS", 1)
+    with pytest.raises(ConvergenceError, match="g_k quadrature"):
+        g_k(1.0, 2.0)
 
 
 def test_g_k_domain():

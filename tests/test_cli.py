@@ -103,6 +103,26 @@ class TestUsageErrors:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
+    def test_quadrature_paths_leave_scipy_integrate_unloaded(self):
+        # completeness needs numpy alone; nothing loads scipy.integrate
+        code = (
+            "import sys, tempfile, os\n"
+            "from phasequant import bgstates, cli, specfun, verify\n"
+            "def scipy_mods():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "out = os.path.join(tempfile.mkdtemp(), 'comp.csv')\n"
+            "assert cli.main(['completeness', '--k', '0.5', '--n', '2', '--out', out]) == 0\n"
+            "assert scipy_mods() == [], scipy_mods()\n"
+            "bgstates.g_k(0.25, 1.02)\n"
+            "specfun.bessel_k(2.3, 0.7)\n"
+            "verify.run_all()\n"
+            "assert 'scipy.integrate' not in sys.modules, scipy_mods()\n"
+            "print('ok')\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip().splitlines()[-1] == "ok"
+
 
 class TestValidationErrors:
     def test_domain_error_exits_1(self, capsys):
@@ -243,6 +263,26 @@ class TestAnalysisCommands:
         fields = lines[2].split(",")
         assert float(fields[2]) == pytest.approx(1.0, abs=1e-6)
         assert float(fields[5]) < 1e-8
+
+    def test_completeness_computes_the_moment_once(self, capsys, tmp_path, monkeypatch):
+        import phasequant.bgstates as bgstates
+        calls = []
+        moment = bgstates.moment_integral
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return moment(*args, **kwargs)
+
+        monkeypatch.setattr(bgstates, "moment_integral", counted)
+        target = tmp_path / "comp.json"
+        assert run_cli("completeness", "--k", "1.5", "--n", "4", "--rho-max", "50",
+                       "--format", "json", "--out", str(target)) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+        data = json.loads(target.read_text())
+        monkeypatch.undo()
+        assert data["completeness"] == bgstates.completeness_check(1.5, 4, 50.0)
+        assert data["moment"] == bgstates.moment_integral(1.5, 4, 50.0)
 
     def test_oscillator_profile(self, capsys, tmp_path):
         target = tmp_path / "osc.csv"

@@ -7,10 +7,13 @@ that exercise the I and K branches against each other.
 
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phasequant import specfun
 from phasequant.errors import ConvergenceError, DomainError
 from phasequant.specfun import (
     DEFAULT_POLICY,
@@ -207,6 +210,51 @@ def test_bessel_k_domain_errors():
         bessel_k(-1.0, 1.0)
     with pytest.raises(DomainError):
         bessel_k_scaled(0.5, -1.0)
+
+
+K_ORACLE_NU = (0.0, 0.5, 1.0, 2.3, 11.0, 25.0)
+K_ORACLE_X = (1e-3, 0.1, 1.0, 10.0, 50.0, 200.0, 600.0)
+
+
+def test_bessel_k_against_mpmath():
+    # 50-digit oracle; the bounds are the worst errors of the adaptive
+    # QUADPACK quadrature this rule replaced, so the rule is no less accurate
+    worst_k = worst_scaled = 0.0
+    with mpmath.workdps(50):
+        for nu in K_ORACLE_NU:
+            for x in K_ORACLE_X:
+                want = mpmath.besselk(nu, x)
+                worst_k = max(worst_k, float(abs(bessel_k(nu, x) / want - 1)))
+                want_scaled = want * mpmath.exp(x)
+                worst_scaled = max(
+                    worst_scaled, float(abs(bessel_k_scaled(nu, x) / want_scaled - 1)))
+    assert worst_k < 4.7e-14
+    assert worst_scaled < 5.9e-15
+
+
+def test_bessel_k_shared_grid_matches_scalar_calls():
+    # one grid for many x halves until the slowest x converges; the others
+    # only gain from the extra levels
+    x = np.array(K_ORACLE_X)
+    for nu in (0.0, 2.3, 25.0):
+        got = specfun._k_quad(nu, x, scaled=True)
+        for g, v in zip(got, K_ORACLE_X):
+            assert rel_err(g, bessel_k_scaled(nu, v)) < 2e-15
+
+
+def test_bessel_k_capped_rule_raises(monkeypatch):
+    # one halving leaves a 1e-4 change, far above the 1e-8 acceptance
+    monkeypatch.setattr(specfun, "_DE_LEVELS", 1)
+    with pytest.raises(ConvergenceError, match="K quadrature"):
+        bessel_k(1.0, 1.0)
+    with pytest.raises(ConvergenceError, match="K quadrature"):
+        bessel_k_scaled(1.0, 1.0)
+
+
+def test_bessel_k_unrepresentable_raises():
+    # K_100(0.01) ~ 1e380 overflows double; the rule refuses it
+    with pytest.raises(ConvergenceError):
+        bessel_k(100.0, 0.01)
 
 
 # ---------------------------------------------------------------------------
