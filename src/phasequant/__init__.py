@@ -3,7 +3,7 @@
 Modules
 -------
 specfun
-    Log-Gamma and modified Bessel functions with policy-driven evaluation.
+    Log-Gamma, one Gamma-weighted series rule, and modified Bessel functions.
 repalg
     Truncated number-basis matrices of the K generators and algebra checks.
 phaseops

@@ -40,7 +40,14 @@ from .errors import (
 )
 from .phaseops import build_phase_ops
 from .repalg import RepLabel, banded_matvec, build_k1, build_k2
-from .specfun import _k_quad, _tanh_sinh, bessel_i_scaled, ln_gamma
+from .specfun import (
+    _k_quad,
+    _log_terms,
+    _series_cut,
+    _tanh_sinh,
+    bessel_i_scaled,
+    ln_gamma,
+)
 
 __all__ = [
     "BGState",
@@ -66,8 +73,6 @@ __all__ = [
     "scan_json_summary",
 ]
 
-_SERIES_TOL = 1e-18
-_MAX_TERMS = 200_000
 _ROUTE_TOL = 1e-10
 _SUP_TOL = 1e-9
 
@@ -145,29 +150,8 @@ class ScanResult:
     verdicts: tuple
 
 
-def _ive(nu: float, x: float) -> float:
-    # e^{-x} I_nu(x) for nu > -1; orders below 0 appear here as 2k-1 with
-    # 0 < k < 0.5 and fall outside the specfun domain, so they go through
-    # the ascending series directly (all terms positive, no cancellation).
-    if nu >= 0.0:
-        return bessel_i_scaled(nu, x)
-    if not (nu > -1.0 and x > 0.0):
-        raise DomainError(f"_ive requires nu > -1 and x > 0, got nu={nu}, x={x}")
-    log_half = math.log(0.5 * x)
-    total = 0.0
-    largest = 0.0
-    for m in range(_MAX_TERMS):
-        e = (nu + 2.0 * m) * log_half - ln_gamma(m + 1.0) - ln_gamma(nu + m + 1.0) - x
-        t = math.exp(e) if e > -745.0 else 0.0
-        total += t
-        largest = max(largest, t)
-        if m * (nu + m) > 0.25 * x * x and t < _SERIES_TOL * largest:
-            return total
-    raise ConvergenceError(f"scaled Bessel series stalled at nu={nu}, x={x}")
-
-
 def _ln_bessel_i(nu: float, x: float) -> float:
-    val = _ive(nu, x)
+    val = bessel_i_scaled(nu, x)
     if val > 0.0:
         return math.log(val) + x
     # the scaled value only underflows for tiny x, where the first
@@ -176,24 +160,18 @@ def _ln_bessel_i(nu: float, x: float) -> float:
 
 
 def _tail_dim(k: float, rho: float, tail_tol: float) -> int:
-    # Smallest n past the term peak with rho^{2(n+k)}/(n! Gamma(2k+n)) below
-    # tail_tol * I_{2k-1}(2 rho); the factor-2 ratio condition makes the
-    # geometric tail bound legitimate.  |c_n|^2 carries rho^{2(n+k)-1}: the
-    # missing 1/rho is restored below rho = 1, the spare rho kept above it.
-    log_rhs = math.log(tail_tol) + _ln_bessel_i(2.0 * k - 1.0, 2.0 * rho)
-    n = 1
-    while n <= _MAX_TERMS:
-        past_peak = n * (2.0 * k + n - 1.0) >= 2.0 * rho * rho
-        log_term = (
-            2.0 * (n + k) * math.log(rho) - ln_gamma(n + 1.0) - ln_gamma(2.0 * k + n)
-            + max(0.0, -math.log(rho))
-        )
-        if past_peak and log_term < log_rhs:
-            return n
-        n += 1
-    raise TruncationError(
-        f"no dim below {_MAX_TERMS} meets tail_tol={tail_tol} at k={k}, rho={rho}"
+    # Smallest n past the point where terms at least halve with
+    # rho^{2(n+k)}/(n! Gamma(2k+n)) below tail_tol * I_{2k-1}(2 rho); the
+    # halving makes the geometric tail bound legitimate.  |c_n|^2 carries
+    # rho^{2(n+k)-1}: the missing 1/rho is restored below rho = 1, the spare
+    # rho kept above it.
+    log_rho = math.log(rho)
+    log_tol = (
+        math.log(tail_tol) + _ln_bessel_i(2.0 * k - 1.0, 2.0 * rho)
+        - 2.0 * k * log_rho - max(0.0, -log_rho)
     )
+    log_t = _series_cut(2.0 * log_rho, 2.0 * k, log_tol, ratio=0.5, error=TruncationError)
+    return log_t.size - 1
 
 
 def make_bg_state(k: float, z: complex, dim: int | None = None,
@@ -227,13 +205,10 @@ def make_bg_state(k: float, z: complex, dim: int | None = None,
         coeffs[0] = 1.0
     else:
         n = np.arange(dim, dtype=np.float64)
-        lg = np.array([ln_gamma(v) for v in n + 1.0])
-        lg += np.array([ln_gamma(2.0 * k + v) for v in n])
         log_amp = (
             (k - 0.5) * math.log(rho)
             - 0.5 * _ln_bessel_i(2.0 * k - 1.0, 2.0 * rho)
-            + n * math.log(rho)
-            - 0.5 * lg
+            + 0.5 * _log_terms(2.0 * math.log(rho), 2.0 * k, dim)
         )
         theta = math.atan2(z.imag, z.real)  # cmath.phase raises on a subnormal angle
         coeffs = np.exp(log_amp) * np.exp(1j * theta * n)
@@ -268,17 +243,9 @@ def _entire_series_scaled(k: float, w: complex, scale: float) -> complex:
     mag, theta = abs(w), math.atan2(w.imag, w.real)
     if mag == 0.0:
         return complex(math.exp(-ln_gamma(2.0 * k) - scale))
-    log_mag = math.log(mag)
-    total = 0.0 + 0.0j
-    largest = 0.0
-    for n in range(_MAX_TERMS):
-        e = n * log_mag - ln_gamma(n + 1.0) - ln_gamma(2.0 * k + n) - scale
-        t = math.exp(e) if e > -745.0 else 0.0
-        total += t * cmath.exp(1j * theta * n)
-        largest = max(largest, t)
-        if n * (2.0 * k + n) > mag and t < _SERIES_TOL * largest:
-            return total
-    raise ConvergenceError(f"series for the overlap kernel stalled at k={k}, |w|={mag}")
+    log_t = _series_cut(math.log(mag), 2.0 * k)
+    n = np.arange(log_t.size)
+    return complex(np.sum(np.exp(log_t - scale) * np.exp(1j * theta * n)))
 
 
 def overlap(s1: BGState, s2: BGState) -> complex:
@@ -393,7 +360,7 @@ def b_ratio(k: float, rho: float) -> float:
         # leading series behavior; relative error O(rho^2), and the direct
         # quotient would underflow to 0/0 for extreme orders at tiny rho
         return rho / (2.0 * k)
-    return bessel_i_scaled(2.0 * k, 2.0 * rho) / _ive(2.0 * k - 1.0, 2.0 * rho)
+    return bessel_i_scaled(2.0 * k, 2.0 * rho) / bessel_i_scaled(2.0 * k - 1.0, 2.0 * rho)
 
 
 def _padded_coeffs(state: BGState, minimum: int = 2) -> np.ndarray:
@@ -415,14 +382,17 @@ def _route_check(closed: float, summed: float, tol: float, what: str) -> None:
 
 
 def _moment_tol(state: BGState) -> float:
-    # the matrix route loses the edge coefficient's out-of-band coupling:
-    # |c_{dim-1}|^2 ~ tail_tol * dim(2k+dim-1)/rho^2 against a squared
-    # ladder element dim(2k+dim-1)/4 is the declared tail bound here
+    # The routes over the stored coefficients lose what couples the last one,
+    # c = c_{dim-1}, to the omitted ones.  By the recursion the first omitted
+    # coefficient is c rho / sqrt(edge), edge = dim (2k + dim - 1), and the
+    # rest fall at least geometrically, so a mean loses about rho |c|^2 and a
+    # second moment rho^2 |c|^2.  From dim = 2 on (shorter vectors are
+    # zero-padded to 2) the banded routes also cut row dim, whose square is
+    # edge |c|^2 / 4.
     d, k, rho = state.dim, state.k, state.rho
-    if rho == 0.0:
-        return _ROUTE_TOL
-    edge = d * (2.0 * k + d - 1.0)
-    return max(_ROUTE_TOL, 10.0 * state.tail_tol * edge * edge / (4.0 * rho * rho))
+    edge = d * (2.0 * k + d - 1.0) if d >= 2 else 0.0
+    last = abs(complex(state.coeffs[-1])) ** 2
+    return max(_ROUTE_TOL, 10.0 * last * (rho + rho * rho + edge / 4.0))
 
 
 def k3_moments(state: BGState) -> K3Moments:
@@ -445,7 +415,8 @@ def k3_moments(state: BGState) -> K3Moments:
     tol = _moment_tol(state)
     _route_check(mean, mean_s, tol, "K3 mean")
     _route_check(second, second_s, tol, "K3 second moment")
-    _route_check(variance, second_s - mean_s * mean_s, tol, "K3 variance")
+    # summed about the mean: second_s - mean_s^2 would cancel ~rho^2 digits
+    _route_check(variance, float(np.sum(p * (levels - mean_s) ** 2)), tol, "K3 variance")
     return K3Moments(mean=mean, second=second, variance=variance, b_k=b)
 
 
@@ -491,23 +462,10 @@ def _phase_weight_sums(k: float, rho: float) -> tuple[float, float]:
     # rho e^{-2 rho} I_{2k-1}(2 rho), so their quotient needs no Bessel call
     # and holds for every k > 0.  Term peak sits near n = rho.
     log_rho = math.log(rho)
-    weighted = 0.0
-    plain = 0.0
-    largest = 0.0
-    for n in range(_MAX_TERMS):
-        e = (
-            2.0 * (n + k) * log_rho
-            - ln_gamma(n + 1.0)
-            - ln_gamma(2.0 * k + n)
-            - 2.0 * rho
-        )
-        t = math.exp(e) if e > -745.0 else 0.0
-        weighted += 0.5 * t * (1.0 / (n + k) + 1.0 / (n + k + 1.0))
-        plain += t
-        largest = max(largest, t)
-        if n * (2.0 * k + n - 1.0) > rho * rho and t < _SERIES_TOL * largest:
-            return weighted, plain
-    raise ConvergenceError(f"phase-weight series stalled at k={k}, rho={rho}")
+    t = np.exp(_series_cut(2.0 * log_rho, 2.0 * k) + (2.0 * k * log_rho - 2.0 * rho))
+    n = np.arange(t.size)
+    weighted = 0.5 * float(np.sum(t * (1.0 / (n + k) + 1.0 / (n + k + 1.0))))
+    return weighted, float(np.sum(t))
 
 
 def _g_quadrature(k: float, rho: float) -> tuple[float, float]:
@@ -516,14 +474,17 @@ def _g_quadrature(k: float, rho: float) -> tuple[float, float]:
     # error estimate.  I(u) ~ u^{2k-1} at 0, so the rule runs in w = u^beta,
     # beta = min(2k, 1), which makes the integrand regular there for k < 1/2.
     # At every node of a level at once, the ascending series of
-    # e^{-2 rho} I(u) du/dw (du/dw = u/(beta w)) is summed in log space.  Its
-    # terms peak at m <= rho and fall like e^{-(m-rho)^2/rho} beyond.
+    # e^{-2 rho} I(u) du/dw (du/dw = u/(beta w)) is summed in log space, over
+    # as many terms as the series rule keeps at the largest node, u = 2 rho.
     nu = 2.0 * k - 1.0
     beta = min(2.0 * k, 1.0)
-    m = np.arange(int(rho + 8.0 * math.sqrt(rho)) + 30, dtype=np.float64)
-    lg = np.array([ln_gamma(v + 1.0) + ln_gamma(nu + v + 1.0) for v in m])
+    size = _series_cut(2.0 * math.log(rho), 2.0 * k).size
+    m = np.arange(size, dtype=np.float64)
+    ln2 = math.log(2.0)
     power = ((nu + 1.0 + 2.0 * m) / beta - 1.0)[:, None]
-    offset = (-(nu + 2.0 * m) * math.log(2.0) - lg - 2.0 * rho - math.log(beta))[:, None]
+    offset = (
+        _log_terms(-2.0 * ln2, 2.0 * k, size) - nu * ln2 - 2.0 * rho - math.log(beta)
+    )[:, None]
 
     def integrand(w):
         ln_w = np.log(w)
@@ -638,8 +599,8 @@ def kbound_scan(k_grid: np.ndarray | None = None,
     """Fill the g/I ratio over the grid and pass a verdict per k.
 
     BOUNDED means sup over rho stays at or below 1 + 1e-9.  Rows are
-    independent; each is evaluated by one vectorized series sweep whose term
-    count is set by the largest rho in the grid.
+    independent; each is evaluated by one vectorized series sweep, cut where
+    every rho's terms have fallen below 1e-18 of their largest.
     """
     k_values = _default_k_grid() if k_grid is None else np.asarray(k_grid, dtype=float)
     rho_values = (
@@ -650,23 +611,17 @@ def kbound_scan(k_grid: np.ndarray | None = None,
     if np.any(k_values <= 0.0) or np.any(rho_values <= 0.0):
         raise DomainError("kbound_scan grids must be strictly positive")
 
-    rho_max = float(np.max(rho_values))
-    nmax = int(rho_max + 12.0 * math.sqrt(rho_max) + 60.0)
-    n = np.arange(nmax + 1, dtype=np.float64)
     log_rho = np.log(rho_values)
-    lgn = np.array([ln_gamma(v) for v in n + 1.0])
-
     ratio = np.empty((k_values.size, rho_values.size))
     for i, k in enumerate(k_values):
-        lgk = np.array([ln_gamma(2.0 * k + v) for v in n])
         terms = np.exp(
-            2.0 * (n[:, None] + k) * log_rho[None, :]
-            - (lgn + lgk)[:, None]
-            - 2.0 * rho_values[None, :]
+            _series_cut(2.0 * log_rho, 2.0 * k)
+            + (2.0 * k * log_rho - 2.0 * rho_values)[:, None]
         )
+        n = np.arange(terms.shape[1])
         weights = 0.5 * (1.0 / (n + k) + 1.0 / (n + k + 1.0))
-        # plain column sums equal rho e^{-2 rho} I_{2k-1}(2 rho) termwise
-        ratio[i] = rho_values * (weights @ terms) / np.sum(terms, axis=0)
+        # plain row sums equal rho e^{-2 rho} I_{2k-1}(2 rho) termwise
+        ratio[i] = rho_values * (terms @ weights) / np.sum(terms, axis=1)
 
     sup = ratio.max(axis=1)
     argmax = rho_values[np.argmax(ratio, axis=1)]

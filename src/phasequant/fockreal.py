@@ -38,7 +38,7 @@ from .repalg import (
     commutator_gap,
 )
 from .phaseops import build_phase_ops
-from .specfun import ln_gamma
+from .specfun import _log_terms, _series_cut
 
 __all__ = [
     "REALIZATION_TAGS",
@@ -72,7 +72,6 @@ _MATCH_TOL = 1e-13
 _COMM_TOL = 1e-12
 _ROUTE_TOL = 1e-10
 _TAIL_LOG = math.log(1e-14)
-_MAX_TERMS = 200_000
 
 
 @dataclass(frozen=True)
@@ -343,18 +342,6 @@ def dirac_sg_ops(dim: int) -> DiracSGOps:
                       zero_mode_convention="N^{-1/2}|0> mapped to 0")
 
 
-def _poisson_cut(r: float, log_tol: float) -> int:
-    # smallest count past the term peak with e^{-r^2} r^{2n}/n! below tol
-    if r == 0.0:
-        return 1
-    rr = r * r
-    log_r = math.log(r)
-    for m in range(1, _MAX_TERMS):
-        if m >= rr and 2.0 * m * log_r - ln_gamma(m + 1.0) - rr < log_tol:
-            return m
-    raise TruncationError(f"no admissible truncation below {_MAX_TERMS} at r={r}")
-
-
 def _expect(bands, c: np.ndarray) -> complex:
     # <c| A |c> with A given by its diagonals, evaluated in the precision of c
     return np.vdot(c, banded_matvec(bands, c))
@@ -375,7 +362,11 @@ def alpha_expectations(k: float, alpha: complex, dim: int | None = None) -> Alph
     alpha = complex(alpha)
     r = abs(alpha)
     beta = cmath.phase(alpha)
-    needed = _poisson_cut(r, _TAIL_LOG)
+    needed = 1
+    if r > 0.0:
+        # the smallest count past the term peak with e^{-r^2} r^{2n}/n! below 1e-14
+        needed = _series_cut(2.0 * math.log(r), None, _TAIL_LOG + r * r,
+                             error=TruncationError).size - 1
     if dim is None:
         dim = needed
     elif dim < needed:
@@ -387,10 +378,8 @@ def alpha_expectations(k: float, alpha: complex, dim: int | None = None) -> Alph
         weights = np.array([1.0])
         n = np.arange(1, dtype=np.float64)
     else:
-        deep = _poisson_cut(r, math.log(1e-18))
-        n = np.arange(deep, dtype=np.float64)
-        lg = np.array([ln_gamma(v + 1.0) for v in n])
-        weights = np.exp(2.0 * n * math.log(r) - lg - r * r)
+        weights = np.exp(_series_cut(2.0 * math.log(r), None) - r * r)
+        n = np.arange(weights.size, dtype=np.float64)
     root = np.sqrt(n + 2.0 * k)
     h1 = float(np.sum(root * weights))
     h2 = 0.5 * r * float(np.sum(root * (1.0 / (n + k) + 1.0 / (n + k + 1.0)) * weights))
@@ -406,8 +395,8 @@ def alpha_expectations(k: float, alpha: complex, dim: int | None = None) -> Alph
         c[0] = 1.0
     else:
         m = np.arange(dim, dtype=np.float64)
-        lgm = np.array([ln_gamma(v + 1.0) for v in m])
-        c[:dim] = np.exp(m * math.log(r) - 0.5 * lgm - 0.5 * r * r) * np.exp(1j * beta * m)
+        log_c = 0.5 * (_log_terms(2.0 * math.log(r), None, dim) - r * r)
+        c[:dim] = np.exp(log_c) * np.exp(1j * beta * m)
     gens = hp_generators(k, mdim)
     phase = _hp_phase_ops(gens)
     kp_c, km_c = _expect(gens.kp.diagonals, c), _expect(gens.km.diagonals, c)
@@ -434,7 +423,8 @@ def h2_curve(k: float, r_values) -> np.ndarray:
     """Vectorized phase-mean profile h2 over a radius grid; 0 at r = 0.
 
     One shared term table serves every radius: the Poisson weights
-    exp(2n ln r - ln n! - r^2) are summed against
+    exp(2n ln r - ln n! - r^2), cut where every radius' weights have fallen
+    below 1e-18 of their largest, are summed against
     sqrt(n+2k) (1/(n+k) + 1/(n+k+1)) and scaled by r/2.
     """
     if not k > 0.0:
@@ -445,22 +435,14 @@ def h2_curve(k: float, r_values) -> np.ndarray:
     if not (np.all(np.isfinite(r)) and np.all(r >= 0.0)):
         raise DomainError("radius grid must be finite and nonnegative")
 
-    rmax = float(np.max(r))
-    nmax = int(rmax * rmax + 12.0 * rmax + 60.0)
-    n = np.arange(nmax, dtype=np.float64)
-    lg = np.array([ln_gamma(v + 1.0) for v in n])
-    w = np.sqrt(n + 2.0 * k) * (1.0 / (n + k) + 1.0 / (n + k + 1.0))
-
     out = np.zeros_like(r)
     pos = r > 0.0
     if np.any(pos):
         rp = r[pos]
-        log_terms = (
-            2.0 * n[:, np.newaxis] * np.log(rp)[np.newaxis, :]
-            - lg[:, np.newaxis]
-            - (rp * rp)[np.newaxis, :]
-        )
-        out[pos] = 0.5 * rp * (w @ np.exp(log_terms))
+        terms = np.exp(_series_cut(2.0 * np.log(rp), None) - (rp * rp)[:, np.newaxis])
+        n = np.arange(terms.shape[1], dtype=np.float64)
+        w = np.sqrt(n + 2.0 * k) * (1.0 / (n + k) + 1.0 / (n + k + 1.0))
+        out[pos] = 0.5 * rp * (terms @ w)
     return out
 
 

@@ -105,6 +105,35 @@ def test_coeff_zero_real_positive():
     assert s.coeffs[0].imag == 0.0 and s.coeffs[0].real > 0.0
 
 
+def test_coefficients_against_mpmath():
+    # |c_n| = sqrt(rho^{2n+2k-1} / (I_{2k-1}(2 rho) n! Gamma(2k+n))), 50 digits
+    mpmath.mp.dps = 50
+    for k in (0.25, 0.5, 1.0, 2.5):
+        for rho in (1e-3, 0.5, 3.0, 10.0, 40.0):
+            s = make_bg_state(k, rho * np.exp(0.7j))
+            kk, r = mpmath.mpf(k), mpmath.mpf(rho)
+            norm = mpmath.besseli(2 * kk - 1, 2 * r)
+            for n in range(s.dim):
+                want = mpmath.sqrt(r ** (2 * n + 2 * kk - 1)
+                                   / (norm * mpmath.factorial(n) * mpmath.gamma(2 * kk + n)))
+                assert abs(abs(s.coeffs[n]) - want) <= 2e-13 * want
+
+
+def test_overlap_kernel_against_mpmath():
+    # sum_n w^n / (n! Gamma(2k+n)) = 0F1(; 2k; w) / Gamma(2k); the error is
+    # taken against the series of |w|, which bounds the rounding of any sum
+    mpmath.mp.dps = 50
+    for k in (0.25, 0.5, 1.0, 2.5):
+        kk = mpmath.mpf(k)
+        for w in (0.3 + 0.1j, 2.0 - 1.0j, 9.0, -25.0 + 4.0j, 100.0j, 900.0 + 300.0j):
+            scale = 2.0 * math.sqrt(abs(w))
+            got = bgstates._entire_series_scaled(k, w, scale)
+            damp = mpmath.exp(-scale) / mpmath.gamma(2 * kk)
+            want = mpmath.hyp0f1(2 * kk, mpmath.mpc(w)) * damp
+            size = mpmath.hyp0f1(2 * kk, abs(w)) * damp
+            assert abs(mpmath.mpc(got) - want) <= 5e-14 * size
+
+
 def test_eigenvector_residual_tail_dominated():
     for k, z in [(0.5, 1.0), (1.0, 5.0 * np.exp(1.1j)), (2.0, 30.0)]:
         s = make_bg_state(k, z)
@@ -334,6 +363,23 @@ def test_banded_moment_checks_fire_on_a_perturbed_route(monkeypatch, which):
         (k12_moments if which == "k12" else phase_expectations)(state)
 
 
+@pytest.mark.parametrize("rho", [1e-200, 5e-324])
+def test_moments_at_tiny_rho(rho):
+    s = make_bg_state(1.0, rho * np.exp(0.3j))
+    assert k3_moments(s).mean == 1.0
+    assert k12_moments(s).var_k1 == 0.5
+
+
+@pytest.mark.parametrize("moments", [k3_moments, k12_moments])
+def test_moment_checks_fire_at_tiny_rho(monkeypatch, moments):
+    # a dim-1 state's routes differ by about rho, so a 1e-5 shift must show
+    check = bgstates._route_check
+    monkeypatch.setattr(bgstates, "_route_check",
+                        lambda closed, summed, tol, what: check(closed + 1e-5, summed, tol, what))
+    with pytest.raises(TruncationError, match="disagree"):
+        moments(make_bg_state(1.0, 1e-150 * np.exp(0.3j)))
+
+
 # ---------------------------------------------------------------------------
 # the radial phase weight and its ratio
 
@@ -404,6 +450,22 @@ def test_ratio_vanishes_linearly():
         slope = 0.5 * (1.0 / k + 1.0 / (k + 1.0))
         assert rel_err(ratio_gI(k, 1e-3) / 1e-3, slope) < 1e-5
         assert ratio_gI(k, 0.0) == 0.0
+
+
+def test_ratio_against_mpmath():
+    mpmath.mp.dps = 50
+    for k in (0.25, 0.5, 1.0, 2.5):
+        kk = mpmath.mpf(k)
+        for rho in (0.01, 0.5, 1.0, 3.0, 10.0, 40.0, 100.0, 300.0):
+            r = mpmath.mpf(rho)
+            # g(rho) summed by the term ratio rho^2 / (n (2k+n-1)) past 1e-55
+            term, g, n = r ** (2 * kk) / mpmath.gamma(2 * kk), 0, 0
+            while n <= rho or term > 1e-55 * g:
+                g += term * (1 / (n + kk) + 1 / (n + kk + 1)) / 2
+                n += 1
+                term *= r * r / (n * (2 * kk + n - 1))
+            want = g / mpmath.besseli(2 * kk - 1, 2 * r)
+            assert abs(mpmath.mpf(ratio_gI(k, rho)) - want) <= 5e-15 * want
 
 
 def test_ratio_matches_scaled_bessel_quotient():

@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -276,11 +277,13 @@ def test_ladder_norm_small_n():
             v = kp @ v
 
 
-def test_ladder_log_norm_matches_lgamma():
+def test_ladder_log_norm_against_mpmath():
+    mpmath.mp.dps = 50
     for k in (0.25, 0.75, 2.0):
         for n in (0, 1, 10, 200, 1000):
-            want = 0.5 * (math.lgamma(2 * k) - math.lgamma(n + 1) - math.lgamma(2 * k + n))
-            assert abs(ladder_log_norm(k, n) - want) < 1e-10 * max(1.0, abs(want))
+            want = 0.5 * (mpmath.loggamma(2 * k) - mpmath.loggamma(n + 1)
+                          - mpmath.loggamma(2 * k + n))
+            assert abs(mpmath.mpf(ladder_log_norm(k, n)) - want) < 2e-15 * max(1.0, abs(want))
 
 
 def test_ladder_norm_underflow_is_zero_not_error():

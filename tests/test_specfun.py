@@ -16,8 +16,6 @@ from hypothesis import strategies as st
 from phasequant import specfun
 from phasequant.errors import ConvergenceError, DomainError
 from phasequant.specfun import (
-    DEFAULT_POLICY,
-    EvalPolicy,
     bessel_i,
     bessel_i_asymptotic,
     bessel_i_scaled,
@@ -55,12 +53,15 @@ def test_ln_gamma_reference_values(x, want):
     assert abs(ln_gamma(x) - want) <= 1e-13 * max(1.0, abs(want))
 
 
-def test_ln_gamma_against_stdlib_grid():
-    x = 1e-3
-    while x < 1e6:
-        want = math.lgamma(x)
-        assert abs(ln_gamma(x) - want) <= 1e-13 * max(1.0, abs(want))
-        x *= 1.37
+def test_ln_gamma_against_mpmath():
+    # 50-digit oracle on [1e-3, 2e5]; arrays are evaluated elementwise
+    mpmath.mp.dps = 50
+    x = np.geomspace(1e-3, 2e5, 240)
+    got = ln_gamma(x)
+    for xi, gi in zip(x, got):
+        want = mpmath.loggamma(float(xi))
+        assert abs(mpmath.mpf(gi) - want) <= 1e-15 * max(1.0, abs(want))
+        assert gi == ln_gamma(float(xi))
 
 
 def test_ln_gamma_rejects_nonpositive():
@@ -68,6 +69,8 @@ def test_ln_gamma_rejects_nonpositive():
         ln_gamma(0.0)
     with pytest.raises(DomainError):
         ln_gamma(-1.5)
+    with pytest.raises(DomainError):
+        ln_gamma(np.array([1.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -105,16 +108,14 @@ def test_bessel_i_at_zero_argument():
 
 @pytest.mark.parametrize("nu", [0.0, 0.5, 2.5, 7.0])
 def test_bessel_i_branch_joins_are_seamless(nu):
-    # Evaluate both branches at the same x by shifting the policy thresholds;
-    # the series/scaled-series and scaled-series/asymptotic pairs must agree.
-    lo = EvalPolicy(series_cutoff=25.0, asymptotic_threshold=400.0)
-    hi = EvalPolicy(series_cutoff=35.0, asymptotic_threshold=450.0)
-    x = 30.0
-    assert rel_err(bessel_i(nu, x, lo), bessel_i(nu, x, hi)) < 1e-12
-    near = EvalPolicy(series_cutoff=30.0, asymptotic_threshold=390.0)
-    far = EvalPolicy(series_cutoff=30.0, asymptotic_threshold=410.0)
-    x = 400.0
-    assert rel_err(bessel_i_scaled(nu, x, near), bessel_i_scaled(nu, x, far)) < 1e-11
+    # Evaluate both branches at each switch point: the series/scaled-series
+    # and scaled-series/asymptotic pairs must agree.
+    x = specfun._SERIES_CUTOFF
+    plain = specfun._i_series(nu, x, scale=0.0)
+    assert rel_err(plain * math.exp(-x), specfun._i_series(nu, x, scale=x)) < 1e-12
+    x = specfun._ASYMPTOTIC_THRESHOLD
+    series = specfun._i_series(nu, x, scale=x)
+    assert rel_err(series, specfun._i_asymptotic_scaled(nu, x)) < 1e-11
 
 
 def test_bessel_i_scaled_equals_damped_unscaled():
@@ -142,17 +143,41 @@ def test_bessel_i_asymptotic_agreement_cubic_in_x():
 
 def test_bessel_i_domain_errors():
     with pytest.raises(DomainError):
-        bessel_i(-0.5, 1.0)
+        bessel_i(-1.0, 1.0)
     with pytest.raises(DomainError):
         bessel_i(1.0, -2.0)
     with pytest.raises(DomainError):
-        bessel_i_scaled(-0.1, 1.0)
+        bessel_i_scaled(-1.5, 1.0)
+    with pytest.raises(DomainError):
+        bessel_i_scaled(-0.5, 0.0)
+    with pytest.raises(DomainError, match="bessel_i_scaled"):
+        bessel_i(0.0, 800.0)
 
 
-def test_bessel_i_term_budget_exhaustion():
-    tight = EvalPolicy(max_terms=3)
+def test_bessel_i_term_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 3)
     with pytest.raises(ConvergenceError):
-        bessel_i(0.0, 25.0, tight)
+        bessel_i(0.0, 25.0)
+
+
+def test_bessel_i_scaled_against_mpmath():
+    # 50-digit oracle across both switch points; 2.8e-14 was the worst error
+    # of the scalar series loop this replaced
+    mpmath.mp.dps = 50
+    for nu in (0.0, 0.3, 0.5, 1.0, 2.5, 7.0, 20.0):
+        for x in (1e-3, 0.05, 1.0, 10.0, 29.9, 30.1, 100.0, 250.0, 399.9):
+            want = mpmath.besseli(nu, x) * mpmath.exp(-x)
+            assert abs(mpmath.mpf(bessel_i_scaled(nu, x)) - want) <= 5e-14 * want
+
+
+def test_bessel_i_negative_orders_against_mpmath():
+    # -1 < nu < 0 is the order 2k-1 of states with k < 1/2
+    mpmath.mp.dps = 50
+    for nu in (-0.9, -0.5, -0.2):
+        for x in (1e-3, 0.05, 1.0, 10.0, 30.1, 100.0, 250.0, 399.9, 400.1, 550.0, 700.0):
+            want = mpmath.besseli(nu, x) * mpmath.exp(-x)
+            assert abs(mpmath.mpf(bessel_i_scaled(nu, x)) - want) <= 4.4e-13 * want
+    assert rel_err(bessel_i(-0.5, 2.0), math.sqrt(2.0 / (math.pi * 2.0)) * math.cosh(2.0)) < REL
 
 
 # ---------------------------------------------------------------------------
@@ -290,25 +315,3 @@ def test_recurrence_identity_at_half_order():
 def test_wronskian_identity(nu, x):
     w = bessel_i(nu, x) * bessel_k(nu + 1.0, x) + bessel_i(nu + 1.0, x) * bessel_k(nu, x)
     assert abs(w - 1.0 / x) * x < IDENTITY_REL
-
-
-# ---------------------------------------------------------------------------
-# EvalPolicy validation
-
-
-def test_policy_rejects_bad_thresholds():
-    with pytest.raises(DomainError):
-        EvalPolicy(series_cutoff=0.0)
-    with pytest.raises(DomainError):
-        EvalPolicy(series_cutoff=50.0, asymptotic_threshold=40.0)
-    with pytest.raises(DomainError):
-        EvalPolicy(abs_tol=0.0)
-    with pytest.raises(DomainError):
-        EvalPolicy(max_terms=0)
-
-
-def test_default_policy_values():
-    assert DEFAULT_POLICY.series_cutoff == 30.0
-    assert DEFAULT_POLICY.asymptotic_threshold == 400.0
-    assert DEFAULT_POLICY.abs_tol == 1e-15
-    assert DEFAULT_POLICY.max_terms == 500
