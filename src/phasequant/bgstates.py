@@ -395,6 +395,19 @@ def _moment_tol(state: BGState) -> float:
     return max(_ROUTE_TOL, 10.0 * last * (rho + rho * rho + edge / 4.0))
 
 
+def _phase_tol(state: BGState) -> float:
+    # The cos/sin routes lose what couples the last stored coefficient c to the
+    # first omitted one, c rho / sqrt(edge) with edge = dim (2k + dim - 1),
+    # through the entry f_dim / 4: rho |c|^2 (1/(k+dim) + 1/(k+dim-1)) / 2.
+    # The omitted ones among themselves add about rho^2 |c|^2 / edge, since
+    # ||cos|| < 1.1 and the omitted norms fall at least geometrically.
+    d, k, rho = state.dim, state.k, state.rho
+    edge = d * (2.0 * k + d - 1.0)
+    last = abs(complex(state.coeffs[-1])) ** 2
+    coupling = 0.5 * (1.0 / (k + d) + 1.0 / (k + d - 1.0))
+    return max(_ROUTE_TOL, 10.0 * last * rho * (coupling + rho / edge))
+
+
 def k3_moments(state: BGState) -> K3Moments:
     """Mean, second moment and variance of K3, closed form cross-summed.
 
@@ -571,7 +584,7 @@ def phase_expectations(state: BGState) -> PhaseExpectations:
 
     c = _padded_coeffs(state)
     pair = build_phase_ops(RepLabel(k=k), c.size)
-    tol = max(_ROUTE_TOL, 10.0 * state.tail_tol * (state.dim + k))
+    tol = _phase_tol(state)
     cos_s = float(np.real(np.vdot(c, banded_matvec(pair.cos_op.diagonals, c))))
     sin_s = float(np.real(np.vdot(c, banded_matvec(pair.sin_op.diagonals, c))))
     _route_check(cos_mean, cos_s, tol, "cos expectation")

@@ -263,9 +263,20 @@ def _sturm_count(diag: list, off_sq: list, x: float, pivmin: float) -> int:
 
 
 def phase_spectrum(pair: PhaseOperatorPair) -> np.ndarray:
-    """Sorted eigenvalues of cos_op from one symmetric tridiagonal solve.
+    """Sorted eigenvalues of cos_op from one half-size positive-definite solve.
 
-    The cos band is solved once by LAPACK; two O(n) routes then check it.
+    The cos band T has a zero diagonal, so the perfect shuffle (even rows
+    first, then odd) makes it similar to [[0, B], [B^T, 0]] with B the
+    bidiagonal of its off-diagonal entries b_j = off[2j], c_j = off[2j+1]:
+    the eigenvalues are +-sigma(B), plus an exact 0 when dim is odd (Golub
+    & Kahan, SIAM J. Numer. Anal. B 2 (1965) 205).  LAPACK ``dpteqr``
+    factors the floor(dim/2) positive-definite tridiagonal B^T B (diagonal
+    b_j^2 + c_j^2, off-diagonal c_j b_{j+1}) as LDL^T and takes its
+    eigenvalues by dqds (Fernando & Parlett, Numer. Math. 67 (1994) 191).
+    The result is sorted and mirror-symmetric bit for bit.  A nonzero cos
+    diagonal raises DomainError; a failed factorization TruncationError.
+
+    Two O(n) routes then check the solve.
 
     Band check: conjugation by D = diag(i^-n) turns sin_op into a real
     tridiagonal with the cos diagonal and the negated cos off-diagonal,
@@ -273,31 +284,47 @@ def phase_spectrum(pair: PhaseOperatorPair) -> np.ndarray:
     The rotated sin band must match within 1e-13 entrywise; by Weyl's
     inequality that bounds the gap between the two spectra by 3e-13.
 
-    Sturm count: the negative pivots of LDL^T(T - x I) count the
-    eigenvalues below x without solving for any of them.  The counts above
-    t = 1 + 1e-12 and below -t, the ``spectrum_verdict`` thresholds, must
-    equal the counts read off the LAPACK eigenvalues.  Both routes carry
-    backward errors of a few eps * ||T||, so eigenvalues within the rounding
-    window delta = 64 eps (max|diag| + 2 max|off|) of a threshold may be
-    counted on either side; no other disagreement passes.
+    Sturm count: the negative pivots of LDL^T(T - x I), on the full dim x
+    dim band, count the eigenvalues below x without solving for any of
+    them.  The counts above t = 1 + 1e-12 and below -t, the
+    ``spectrum_verdict`` thresholds, must equal the counts read off the
+    LAPACK eigenvalues.  Both routes carry backward errors of a few
+    eps * ||T||, so eigenvalues within the rounding window
+    delta = 128 eps max|off| of a threshold may be counted on either side;
+    no other disagreement passes.
     """
-    from scipy.linalg import eigvalsh_tridiagonal  # deferred: scipy is slow to import
+    from scipy.linalg.lapack import dpteqr  # deferred: scipy is slow to import
 
     if abs(complex(pair.cos_op.omega).imag) > 1e-13:
         raise DomainError("phase_spectrum requires a real omega convention")
     dim = pair.dim
     zeros = np.zeros(dim)
     cos, sin = pair.cos_op.diagonals, pair.sin_op.diagonals
-    diag = np.real(cos.get(0, zeros)).astype(np.float64)
+    if np.any(cos.get(0, zeros) != 0.0):
+        raise DomainError("phase_spectrum requires a zero cos diagonal")
     off = np.real(cos.get(-1, zeros[1:])).astype(np.float64)
-    cos_eigs = np.sort(eigvalsh_tridiagonal(diag, off))
+
+    half = dim // 2
+    b, c = off[0::2], np.zeros(half)
+    c[: (dim - 1) // 2] = off[1::2]
+    e = c[:-1] * b[1:]
+    # f2py rejects an empty off-diagonal; the 1 x 1 band of dim 2 and 3 gets
+    # a dummy entry, which LAPACK does not read for n = 1
+    sq, _, _, info = dpteqr(b * b + c * c, e if e.size else np.zeros(1),
+                            np.zeros((1, 1)), compute_z=0)
+    if info != 0:
+        raise TruncationError(
+            f"dpteqr failed (info={info}) on the half-size band at k={pair.k}, dim={dim}"
+        )
+    s = np.sqrt(np.sort(sq))
+    cos_eigs = np.concatenate([-s[::-1], np.zeros(dim % 2), s])
 
     # D^dag sin D with D = diag(i^-n) has entries -f/4: real symmetric.
     # i^-n cycles with period 4; the lookup keeps the unitary exact.
     d = np.array([1.0, -1.0j, -1.0, 1.0j])[np.arange(dim) % 4]
     rot_diag = d.conjugate() * sin.get(0, zeros).astype(np.complex128) * d
     rot_off = d[1:].conjugate() * sin.get(-1, zeros[1:]).astype(np.complex128) * d[:-1]
-    gap = max(float(np.max(np.abs(rot_diag - diag))),
+    gap = max(float(np.max(np.abs(rot_diag))),
               float(np.max(np.abs(rot_off + off), initial=0.0)))
     if gap > _ROUTE_TOL:
         raise TruncationError(
@@ -306,11 +333,10 @@ def phase_spectrum(pair: PhaseOperatorPair) -> np.ndarray:
         )
 
     t = 1.0 + _VERDICT_TOL
-    scale = float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off), initial=0.0))
-    delta = 64.0 * np.finfo(np.float64).eps * scale
+    delta = 128.0 * np.finfo(np.float64).eps * float(np.max(np.abs(off), initial=0.0))
     off_sq = off * off
     pivmin = np.finfo(np.float64).tiny * max(1.0, float(np.max(off_sq, initial=0.0)))
-    diag_l, off_sq_l = diag.tolist(), off_sq.tolist()
+    diag_l, off_sq_l = [0.0] * dim, off_sq.tolist()
     above = dim - _sturm_count(diag_l, off_sq_l, t, pivmin)
     below = _sturm_count(diag_l, off_sq_l, -t, pivmin)
     for what, count, sure, possible in (

@@ -606,6 +606,23 @@ def test_phase_expectation_guards():
     assert abs(phase_expectations(make_bg_state(1.0, 2.0j)).tan_ratio) > 1e15
 
 
+@pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("rho", [1e-8, 1e-6, 1e-4])
+def test_phase_expectations_at_small_rho(monkeypatch, k, rho):
+    # a short state drops the rho-sized coupling of its last coefficient to
+    # the omitted ones, so both routes pass; a shift of 100 rho still shows
+    state = make_bg_state(k, rho * np.exp(0.3j))
+    pe = phase_expectations(state)
+    assert abs(pe.tan_ratio - math.tan(0.3)) < 1e-14
+    check = bgstates._route_check
+    monkeypatch.setattr(
+        bgstates, "_route_check",
+        lambda closed, summed, tol, what: check(closed, summed + 100.0 * rho, tol, what),
+    )
+    with pytest.raises(TruncationError, match="expectation"):
+        phase_expectations(state)
+
+
 def test_phase_expectation_matches_excess_at_quarter():
     pe = phase_expectations(make_bg_state(0.25, 1.02))
     assert pe.cos_mean > 1.0

@@ -242,6 +242,16 @@ class TestAnalysisCommands:
         assert data["tan_ratio"] is None
         assert data["k3_mean"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_coherent_at_small_rho(self, capsys, tmp_path):
+        # a dim-1 state: the phase routes differ by the dropped coupling
+        target = tmp_path / "coh.json"
+        assert run_cli("coherent", "--k", "1", "--rho", "1e-8", "--phi", "0.3",
+                       "--format", "json", "--out", str(target)) == 0
+        capsys.readouterr()
+        data = json.loads(target.read_text())
+        assert data["dim"] == 1
+        assert data["cos_mean"] == pytest.approx(7.1650236684420464e-09, rel=1e-12)
+
     def test_coherent_moments_match_library(self, capsys, tmp_path):
         import phasequant.bgstates as bgstates
         target = tmp_path / "coh.json"

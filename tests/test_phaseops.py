@@ -10,6 +10,7 @@ itself, not to the truncation.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -272,7 +273,7 @@ def test_spectrum_cos_sin_must_agree():
 
 
 @pytest.mark.parametrize("k", [0.25, 0.5, 0.95, 1.0, 2.0])
-@pytest.mark.parametrize("dim", [2, 3, 400, 2000])
+@pytest.mark.parametrize("dim", [2, 3, 400, 2000, 2001])
 def test_sturm_counts_match_lapack(k, dim):
     from scipy.linalg import eigvalsh_tridiagonal
 
@@ -289,18 +290,22 @@ def test_sturm_count_zero_pivot_counts_the_eigenvalue():
     assert phaseops._sturm_count([0.0, 0.0], [1.0], 1.0, 1e-300) == 2
 
 
-def _counting_solver(monkeypatch, shift=None):
-    import scipy.linalg
+def _counting_solver(monkeypatch, shift=None, info=None):
+    # wraps the half-size solve; shift edits its sorted eigenvalues of B^T B,
+    # which are the squares of the nonnegative cos eigenvalues
+    import scipy.linalg.lapack
 
-    solve = scipy.linalg.eigvalsh_tridiagonal
+    solve = scipy.linalg.lapack.dpteqr
     calls = []
 
     def wrapped(*args, **kwargs):
         calls.append(args)
-        eigs = solve(*args, **kwargs)
-        return eigs if shift is None else shift(np.sort(eigs))
+        sq, e, z, status = solve(*args, **kwargs)
+        if shift is not None:
+            sq = shift(np.sort(sq))
+        return sq, e, z, status if info is None else info
 
-    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", wrapped)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpteqr", wrapped)
     return calls
 
 
@@ -333,13 +338,47 @@ def test_perturbed_sturm_count_raises(monkeypatch):
 def test_lapack_eigenvalue_across_threshold_raises(monkeypatch, k, moved):
     # k = 0.25 has one eigenvalue above 1 + 1e-12, k = 1 none: moving the top
     # eigenvalue across the threshold leaves the Sturm count disagreeing
-    def shift(eigs):
-        eigs[-1] = moved
-        return eigs
+    def shift(squares):
+        squares[-1] = moved * moved
+        return squares
 
     _counting_solver(monkeypatch, shift)
     with pytest.raises(TruncationError, match="Sturm count"):
         phase_spectrum(build_phase_ops(RepLabel(k=k), 400))
+
+
+def test_failed_half_size_solve_raises(monkeypatch):
+    _counting_solver(monkeypatch, info=3)
+    with pytest.raises(TruncationError, match="dpteqr failed"):
+        phase_spectrum(build_phase_ops(RepLabel(k=1.0), 64))
+
+
+@pytest.mark.parametrize("k", [0.25, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("dim", [2, 3, 40, 41])
+def test_phase_spectrum_against_mpmath(k, dim):
+    pair = build_phase_ops(RepLabel(k=k), dim)
+    off = pair.cos_op.diagonals[-1].real.astype(np.float64)
+    eigs = phase_spectrum(pair)
+    with mpmath.workdps(40):
+        band = mpmath.zeros(dim)
+        for i, v in enumerate(off.tolist()):  # float64 -> mpf is exact
+            band[i + 1, i] = band[i, i + 1] = mpmath.mpf(v)
+        exact = sorted(mpmath.eigsy(band, eigvals_only=True))
+        err = max(abs(mpmath.mpf(float(x)) - r) for x, r in zip(eigs, exact))
+    assert err < 2e-15
+    assert np.array_equal(eigs, -eigs[::-1])  # bit for bit, not just close
+    if dim % 2:
+        assert eigs[dim // 2] == 0.0
+
+
+def test_phase_spectrum_rejects_a_nonzero_cos_diagonal():
+    pair = build_phase_ops(RepLabel(k=1.0), 8)
+    shifted = TruncatedOperator(
+        dim=8, k=1.0, name="cos",
+        diagonals={**pair.cos_op.diagonals, 0: np.full(8, 1e-3)},
+    )
+    with pytest.raises(DomainError, match="zero cos diagonal"):
+        phase_spectrum(PhaseOperatorPair(shifted, pair.sin_op, k=1.0, dim=8))
 
 
 def test_sin_offdiagonal_perturbed_raises():
