@@ -21,4 +21,8 @@ cli
 
 __version__ = "0.1.0"
 
-__all__ = ["__version__"]
+# the numeric modules in dependency order: the order `verify` runs its
+# checks in, and the choices of `phasequant verify-all --module`
+MODULE_ORDER = ("specfun", "repalg", "phaseops", "bgstates", "fockreal", "nfm")
+
+__all__ = ["__version__", "MODULE_ORDER"]

@@ -42,6 +42,7 @@ from .phaseops import build_phase_ops
 from .repalg import RepLabel, banded_matvec, build_k1, build_k2
 from .specfun import (
     _k_quad,
+    _ln_bessel_i,
     _log_terms,
     _series_cut,
     _tanh_sinh,
@@ -148,15 +149,6 @@ class ScanResult:
     sup_per_k: np.ndarray
     argmax_rho: np.ndarray
     verdicts: tuple
-
-
-def _ln_bessel_i(nu: float, x: float) -> float:
-    val = bessel_i_scaled(nu, x)
-    if val > 0.0:
-        return math.log(val) + x
-    # the scaled value only underflows for tiny x, where the first
-    # ascending-series term carries the whole logarithm
-    return nu * math.log(0.5 * x) - ln_gamma(nu + 1.0)
 
 
 def _tail_dim(k: float, rho: float, tail_tol: float) -> int:

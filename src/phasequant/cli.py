@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 
 def _apply_thread_cap() -> bool:
@@ -44,7 +43,10 @@ _apply_thread_cap()
 
 import numpy as np  # noqa: E402
 
-from . import __version__, bgstates, fockreal, nfm, phaseops, repalg, specfun, verify  # noqa: E402
+# every subcommand needs these; each handler imports the rest itself, so a
+# child process loads only the modules its subcommand runs
+from . import MODULE_ORDER, __version__, repalg  # noqa: E402
+from .errors import DomainError  # noqa: E402
 from .repalg import RepLabel  # noqa: E402
 
 _OMEGA = {"plus_one": 1.0, "imaginary_unit": 1j}
@@ -115,9 +117,12 @@ def _meta(args: argparse.Namespace) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    # created 0666 & ~umask, the mode a plain open() gives; O_EXCL refuses
+    # to reuse a name that already exists
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".phasequant-")
+    tmp = os.path.join(directory, f".phasequant-{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
@@ -167,6 +172,8 @@ def _cmd_repr(args) -> tuple[int, str]:
 
 
 def _cmd_phase_spectrum(args) -> tuple[int, str]:
+    from . import phaseops
+
     pair = phaseops.build_phase_ops(RepLabel(k=args.k), args.dim)
     eigs = phaseops.phase_spectrum(pair)
     top = float(np.max(np.abs(eigs)))
@@ -185,6 +192,8 @@ def _cmd_phase_spectrum(args) -> tuple[int, str]:
 
 
 def _cmd_ground_variance(args) -> tuple[int, str]:
+    from . import phaseops
+
     k_values = args.k
     rows = ["k,analytic,matrix_diag0,abs_gap"]
     entries = []
@@ -207,18 +216,20 @@ def _cmd_ground_variance(args) -> tuple[int, str]:
 
 
 def _cmd_kbound_scan(args) -> tuple[int, str]:
+    from . import bgstates
+
     k_grid = rho_grid = None
     if args.k_min is not None or args.k_max is not None or args.k_step is not None:
         if None in (args.k_min, args.k_max, args.k_step):
-            raise nfm.DomainError("give all of --k-min/--k-max/--k-step or none")
+            raise DomainError("give all of --k-min/--k-max/--k-step or none")
         if args.k_max < args.k_min:
-            raise nfm.DomainError("--k-max must be >= --k-min")
+            raise DomainError("--k-max must be >= --k-min")
         k_grid = np.arange(args.k_min, args.k_max + 0.5 * args.k_step, args.k_step)
     if args.rho_min is not None or args.rho_max is not None or args.rho_points is not None:
         if None in (args.rho_min, args.rho_max, args.rho_points):
-            raise nfm.DomainError("give all of --rho-min/--rho-max/--rho-points or none")
+            raise DomainError("give all of --rho-min/--rho-max/--rho-points or none")
         if not 0.0 < args.rho_min < args.rho_max:
-            raise nfm.DomainError("need 0 < --rho-min < --rho-max")
+            raise DomainError("need 0 < --rho-min < --rho-max")
         rho_grid = np.geomspace(args.rho_min, args.rho_max, args.rho_points)
     scan = bgstates.kbound_scan(k_grid, rho_grid)
     summary = bgstates.scan_json_summary(scan)
@@ -238,6 +249,8 @@ def _cmd_kbound_scan(args) -> tuple[int, str]:
 
 
 def _cmd_coherent(args) -> tuple[int, str]:
+    from . import bgstates
+
     z = args.rho * cmath.exp(1j * args.phi)
     state = bgstates.make_bg_state(args.k, z)
     m3 = bgstates.k3_moments(state)
@@ -270,6 +283,8 @@ def _cmd_coherent(args) -> tuple[int, str]:
 
 
 def _cmd_completeness(args) -> tuple[int, str]:
+    from . import bgstates, specfun
+
     moment = bgstates.moment_integral(args.k, args.n, args.rho_max)
     log_norm = specfun.ln_gamma(args.n + 1.0) + specfun.ln_gamma(2.0 * args.k + args.n)
     # completeness_check's own expression, so the value is bit-identical to it
@@ -289,6 +304,8 @@ def _cmd_completeness(args) -> tuple[int, str]:
 
 
 def _cmd_oscillator(args) -> tuple[int, str]:
+    from . import fockreal
+
     r = np.linspace(0.0, args.r_max, args.points)
     h2 = fockreal.h2_curve(args.k, r)
     rows = ["r,h2"]
@@ -306,6 +323,8 @@ def _cmd_oscillator(args) -> tuple[int, str]:
 
 
 def _cmd_two_mode(args) -> tuple[int, str]:
+    from . import fockreal
+
     ops = fockreal.two_mode(args.dim_per_mode)
     rows = fockreal.sector_table_csv_lines(ops)
     payload = {
@@ -322,6 +341,8 @@ def _cmd_two_mode(args) -> tuple[int, str]:
 
 
 def _cmd_nfm_sim(args) -> tuple[int, str]:
+    from . import nfm
+
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as handle:
             spec, noise, trials, seed = nfm.parse_run_config(json.load(handle))
@@ -329,11 +350,11 @@ def _cmd_nfm_sim(args) -> tuple[int, str]:
         state: dict = {"kind": args.kind, "k": args.k}
         if args.kind == "number":
             if args.n is None:
-                raise nfm.DomainError("--kind number requires --n")
+                raise DomainError("--kind number requires --n")
             state["n"] = args.n
         else:
             if args.rho is None:
-                raise nfm.DomainError("--kind bg requires --rho")
+                raise DomainError("--kind bg requires --rho")
             state["rho"] = args.rho
             state["phi"] = args.phi
         spec = nfm.parse_state_spec(state)
@@ -353,6 +374,8 @@ def _cmd_nfm_sim(args) -> tuple[int, str]:
 
 
 def _cmd_verify_all(args) -> tuple[int, str]:
+    from . import verify
+
     results = verify.run_all(args.module if args.module else None)
     by_module: dict[str, list] = {}
     for item in results:
@@ -471,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_nfm_sim)
 
     p = subs.add_parser("verify-all", help="run the per-module invariant battery")
-    p.add_argument("--module", action="append", choices=verify.MODULE_ORDER,
+    p.add_argument("--module", action="append", choices=MODULE_ORDER,
                    help="restrict to a module; repeatable")
     p.add_argument("--out", help="JSON report path")
     p.set_defaults(func=_cmd_verify_all)

@@ -83,6 +83,18 @@ def _require_finite(name: str, value: float) -> float:
     return value
 
 
+def _require_int(name: str, value) -> int:
+    # a config integer: a bool, a fractional or non-finite number, and
+    # anything else int() would change or refuse is an error, not truncated
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if isinstance(value, bool) or number is None or number != value:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class ClassicalConfig:
     """Two-beam configuration: intensities and the relative phase."""
@@ -681,7 +693,7 @@ def parse_state_spec(obj: dict):
     kind = obj.get("kind")
     if kind == "number":
         try:
-            return NumberStateSpec(k=float(obj["k"]), n=int(obj["n"]))
+            return NumberStateSpec(k=float(obj["k"]), n=_require_int("n", obj["n"]))
         except KeyError as missing:
             raise DomainError(f"number spec needs key {missing}") from None
     if kind == "bg":
@@ -703,8 +715,8 @@ def parse_run_config(obj: dict):
         raise DomainError('a run config must carry a "state" entry')
     spec = parse_state_spec(obj["state"])
     noise = float(obj.get("noise", 0.0))
-    trials = int(obj.get("trials", 1))
-    seed = int(obj.get("seed", 0))
+    trials = _require_int("trials", obj.get("trials", 1))
+    seed = _require_int("seed", obj.get("seed", 0))
     return spec, noise, trials, seed
 
 

@@ -27,6 +27,7 @@ f-representation is used instead.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ from .repalg import (
     TruncatedOperator,
     band_gap,
     banded_matmul,
+    banded_matvec,
     build_k1,
     build_k2,
 )
@@ -53,12 +55,14 @@ __all__ = [
     "commutator_diag_asymptote",
     "cos_squared_diag_asymptote",
     "phase_spectrum",
+    "phase_extremes",
     "spectrum_verdict",
     "improper_eigvec",
 ]
 
 _ROUTE_TOL = 1e-13
 _VERDICT_TOL = 1e-12
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -262,6 +266,27 @@ def _sturm_count(diag: list, off_sq: list, x: float, pivmin: float) -> int:
     return count
 
 
+def _cos_band(pair: PhaseOperatorPair, caller: str) -> np.ndarray:
+    # the real off-diagonal of cos_op, once its diagonal is checked to be zero
+    if abs(complex(pair.cos_op.omega).imag) > 1e-13:
+        raise DomainError(f"{caller} requires a real omega convention")
+    zeros = np.zeros(pair.dim)
+    cos = pair.cos_op.diagonals
+    if np.any(cos.get(0, zeros) != 0.0):
+        raise DomainError(f"{caller} requires a zero cos diagonal")
+    return np.real(cos.get(-1, zeros[1:])).astype(np.float64)
+
+
+def _sturm_setup(off: np.ndarray) -> tuple[list, float, float]:
+    # squared off-diagonal, pivot floor and rounding window of the Sturm count
+    # on the zero-diagonal band: both routes that count or solve on it carry
+    # backward errors of a few eps * ||T||, and ||T|| <= 2 max|off|
+    off_sq = off * off
+    pivmin = sys.float_info.min * max(1.0, float(np.max(off_sq, initial=0.0)))
+    delta = 128.0 * _EPS * float(np.max(np.abs(off), initial=0.0))
+    return off_sq.tolist(), pivmin, delta
+
+
 def phase_spectrum(pair: PhaseOperatorPair) -> np.ndarray:
     """Sorted eigenvalues of cos_op from one half-size positive-definite solve.
 
@@ -295,14 +320,10 @@ def phase_spectrum(pair: PhaseOperatorPair) -> np.ndarray:
     """
     from scipy.linalg.lapack import dpteqr  # deferred: scipy is slow to import
 
-    if abs(complex(pair.cos_op.omega).imag) > 1e-13:
-        raise DomainError("phase_spectrum requires a real omega convention")
+    off = _cos_band(pair, "phase_spectrum")
     dim = pair.dim
     zeros = np.zeros(dim)
-    cos, sin = pair.cos_op.diagonals, pair.sin_op.diagonals
-    if np.any(cos.get(0, zeros) != 0.0):
-        raise DomainError("phase_spectrum requires a zero cos diagonal")
-    off = np.real(cos.get(-1, zeros[1:])).astype(np.float64)
+    sin = pair.sin_op.diagonals
 
     half = dim // 2
     b, c = off[0::2], np.zeros(half)
@@ -333,12 +354,10 @@ def phase_spectrum(pair: PhaseOperatorPair) -> np.ndarray:
         )
 
     t = 1.0 + _VERDICT_TOL
-    delta = 128.0 * np.finfo(np.float64).eps * float(np.max(np.abs(off), initial=0.0))
-    off_sq = off * off
-    pivmin = np.finfo(np.float64).tiny * max(1.0, float(np.max(off_sq, initial=0.0)))
-    diag_l, off_sq_l = [0.0] * dim, off_sq.tolist()
-    above = dim - _sturm_count(diag_l, off_sq_l, t, pivmin)
-    below = _sturm_count(diag_l, off_sq_l, -t, pivmin)
+    off_sq, pivmin, delta = _sturm_setup(off)
+    diag = [0.0] * dim
+    above = dim - _sturm_count(diag, off_sq, t, pivmin)
+    below = _sturm_count(diag, off_sq, -t, pivmin)
     for what, count, sure, possible in (
         ("above", above, cos_eigs > t + delta, cos_eigs > t - delta),
         ("below", below, cos_eigs < -t - delta, cos_eigs < -t + delta),
@@ -349,6 +368,87 @@ def phase_spectrum(pair: PhaseOperatorPair) -> np.ndarray:
                 f"gives {int(np.sum(sure))}..{int(np.sum(possible))} at k={pair.k}, dim={dim}"
             )
     return cos_eigs
+
+
+def _inverse_step(off: list, mu: float, floor: float) -> np.ndarray:
+    # one step of inverse iteration on the zero-diagonal band T by the twisted
+    # factorization: LDL^T from the top and UDU^T from the bottom of T - mu I
+    # meet at the row r where gamma_r = D+_r + D-_r + mu is smallest, and
+    # x = (T - mu I)^{-1} gamma_r e_r follows from the two unit factors with
+    # x_r = 1 (Parlett & Dhillon, Linear Algebra Appl. 309 (2000) 121).
+    # A pivot below floor in size is set to +-floor: x changes, the
+    # residual bound it is used for stays valid.
+    dim = len(off) + 1
+
+    def pivots(band):
+        out, pivot = [], -mu
+        for b in band + [0.0]:
+            out.append(pivot if abs(pivot) >= floor else math.copysign(floor, pivot))
+            pivot = -mu - b * b / out[-1]
+        return out
+
+    top, bottom = pivots(off), pivots(off[::-1])[::-1]
+    r = min(range(dim), key=lambda i: abs(top[i] + bottom[i] + mu))
+    x = [0.0] * dim
+    x[r] = 1.0
+    for i in range(r - 1, -1, -1):
+        x[i] = -off[i] / top[i] * x[i + 1]
+    for i in range(r + 1, dim):
+        x[i] = -off[i - 1] / bottom[i] * x[i - 1]
+    return np.array(x)
+
+
+def phase_extremes(pair: PhaseOperatorPair, count: int) -> np.ndarray:
+    """The ``count`` largest eigenvalues of cos_op, ascending, by bisection.
+
+    The spectrum is symmetric about 0, so their negatives are the ``count``
+    smallest.  No full solve is made and nothing loads scipy.
+
+    Bisection: the Sturm count of the full dim x dim band (see
+    :func:`phase_spectrum`) halves the Gershgorin interval around the j-th
+    largest eigenvalue until its bracket [lo, hi], with at most dim - j
+    eigenvalues below lo and more than dim - j below hi, is two adjacent
+    doubles; the bracket holds the eigenvalue, and its midpoint mu is
+    returned (Barth, Martin & Wilkinson, Numer. Math. 9 (1967) 386).
+
+    Inverse iteration: one O(n) twisted-factorization solve of
+    (T - mu I) x = gamma e_r gives a vector whose residual, formed by a
+    separate band product, bounds the distance from mu to the spectrum:
+    min |lambda - mu| <= ||T x - mu x|| / ||x|| (Parlett, The Symmetric
+    Eigenvalue Problem, SIAM 1998, section 4.5).  That bound must lie within
+    the rounding window 128 eps max|off| of the Sturm count; otherwise
+    TruncationError is raised.  A nonzero cos diagonal raises DomainError.
+    """
+    off = _cos_band(pair, "phase_extremes")
+    dim = pair.dim
+    if not 1 <= count <= dim:
+        raise DomainError(f"phase_extremes requires 1 <= count <= dim={dim}, got {count}")
+    off_sq, pivmin, delta = _sturm_setup(off)
+    diag, off_list = [0.0] * dim, off.tolist()
+    scale = float(np.max(np.abs(off)))
+    tops = []
+    for index in range(dim - count, dim):
+        lo, hi = -2.0 * scale - delta, 2.0 * scale + delta
+        while True:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            if _sturm_count(diag, off_sq, mid, pivmin) > index:
+                hi = mid
+            else:
+                lo = mid
+        mu = 0.5 * (lo + hi)
+        x = _inverse_step(off_list, mu, _EPS * scale)
+        x /= np.max(np.abs(x))
+        tx = banded_matvec({-1: off, 1: off}, x)
+        residual = float(np.linalg.norm(tx - mu * x) / np.linalg.norm(x))
+        if not residual <= delta:
+            raise TruncationError(
+                f"inverse iteration at the bisected eigenvalue {mu!r} leaves residual "
+                f"{residual:.3e} above {delta:.3e} at k={pair.k}, dim={dim}"
+            )
+        tops.append(mu)
+    return np.array(tops)
 
 
 def spectrum_verdict(eigenvalues: np.ndarray, tol: float = _VERDICT_TOL) -> str:

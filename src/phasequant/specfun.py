@@ -16,8 +16,10 @@ tens, arguments up to a few hundred):
   e^{-x}, above that an exponentially scaled asymptotic sum with optimal
   truncation.  The series sums t_m = t_{m-1} (x/2)^2 / (m (nu+m)) as a
   cumulative product over the rule's length: exponentiating the log table
-  instead loses about a digit at x = 400.  ``bessel_i`` refuses arguments
-  where e^x overflows.
+  instead loses about a digit at x = 400.  Both raise DomainError where
+  their value overflows (I_nu past x = 709, or the series lead
+  (x/2)^nu / Gamma(nu+1) near nu = -1 at tiny x); the private
+  ``_ln_bessel_i`` keeps that lead a logarithm and so stays finite.
 * ``bessel_k`` -- the trapezoid rule on the integral representation
   K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt, which is uniformly
   valid in real nu and avoids the I_{-nu} - I_nu cancellation at integer nu.
@@ -41,6 +43,7 @@ double range or waste precision.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -64,6 +67,8 @@ _MAX_TERMS = 200_000
 _LOG_SERIES_TOL = math.log(1e-18)
 # How far below the peak (in nats) the first table of a series reaches.
 _TABLE_DEPTH = 48.0
+# Largest argument of math.exp that does not overflow.
+_LOG_MAX = math.log(sys.float_info.max)
 
 _LGAMMA = np.frompyfunc(math.lgamma, 1, 1)
 
@@ -148,13 +153,52 @@ def _series_cut(log_w, a: float | None, log_tol=None, ratio: float = 1.0,
         size *= 2
 
 
-def _i_series(nu: float, x: float, scale: float) -> float:
-    """Ascending series for I_nu(x), nu > -1, every term multiplied by e^{-scale}."""
+def _i_log_series(nu: float, x: float) -> tuple[float, float]:
+    """Ascending series for I_nu(x), nu > -1, as (ln lead, sum).
+
+    I_nu(x) = exp(ln lead) * sum, with lead = (x/2)^nu / Gamma(nu+1) the
+    first term, so sum >= 1.  The lead stays a logarithm: near nu = -1 at
+    tiny x it lies far outside double range.
+    """
     half = 0.5 * x
     size = _series_cut(2.0 * math.log(half), nu + 1.0).size
     m = np.arange(1.0, size)
     rest = float(np.sum(np.cumprod(half * half / (m * (nu + m)))))
-    return math.exp(nu * math.log(half) - ln_gamma(nu + 1.0) - scale) * (1.0 + rest)
+    return nu * math.log(half) - ln_gamma(nu + 1.0), 1.0 + rest
+
+
+def _i_series(nu: float, x: float, scale: float) -> float:
+    """Ascending series for I_nu(x), nu > -1, every term multiplied by e^{-scale}.
+
+    Raises DomainError where that value overflows.
+    """
+    log_lead, total = _i_log_series(nu, x)
+    if log_lead - scale < _LOG_MAX:
+        value = math.exp(log_lead - scale) * total
+        if value < math.inf:
+            return value
+    what = "e^-x I_nu(x)" if scale else "I_nu(x)"
+    raise DomainError(
+        f"{what} = e^{log_lead - scale + math.log(total):.6g} overflows at nu={nu}, x={x}"
+    )
+
+
+def _ln_bessel_i(nu: float, x: float) -> float:
+    """ln I_nu(x) for nu > -1 and x > 0, also where I_nu(x) leaves double range.
+
+    Where e^{-x} I_nu(x) is a normal double this is ln(bessel_i_scaled) + x,
+    bit for bit; below the asymptotic threshold it is otherwise formed from
+    the logarithm of the series lead, which is never exponentiated.
+    """
+    _check_i_domain("ln_bessel_i", nu, x)
+    if x > _ASYMPTOTIC_THRESHOLD:
+        return math.log(_i_asymptotic_scaled(nu, x)) + x
+    log_lead, total = _i_log_series(nu, x)
+    if log_lead - x < _LOG_MAX:
+        scaled = math.exp(log_lead - x) * total
+        if sys.float_info.min <= scaled < math.inf:
+            return math.log(scaled) + x
+    return log_lead + math.log(total)
 
 
 def _i_asymptotic_scaled(nu: float, x: float) -> float:

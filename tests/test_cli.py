@@ -104,7 +104,8 @@ class TestUsageErrors:
         assert result.stdout.strip() == "[]"
 
     def test_quadrature_paths_leave_scipy_integrate_unloaded(self):
-        # completeness needs numpy alone; nothing loads scipy.integrate
+        # completeness needs numpy alone; nothing, the verify battery with its
+        # bisected containment checks included, loads any scipy module
         code = (
             "import sys, tempfile, os\n"
             "from phasequant import bgstates, cli, specfun, verify\n"
@@ -116,12 +117,54 @@ class TestUsageErrors:
             "bgstates.g_k(0.25, 1.02)\n"
             "specfun.bessel_k(2.3, 0.7)\n"
             "verify.run_all()\n"
-            "assert 'scipy.integrate' not in sys.modules, scipy_mods()\n"
+            "assert scipy_mods() == [], scipy_mods()\n"
             "print('ok')\n"
         )
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip().splitlines()[-1] == "ok"
+
+
+# the phasequant modules each subcommand may load: its own and what they import
+_BASE = {"cli", "errors", "repalg", "specfun"}
+_LOADS = {
+    "repr": (["repr", "--k", "0.5", "--dim", "8"], _BASE),
+    "phase-spectrum": (["phase-spectrum", "--k", "1", "--dim", "20"], _BASE | {"phaseops"}),
+    "ground-variance": (["ground-variance", "--k", "0.5"], _BASE | {"phaseops"}),
+    "kbound-scan": (["kbound-scan", "--k-min", "1", "--k-max", "1", "--k-step", "1",
+                     "--rho-min", "1", "--rho-max", "2", "--rho-points", "2"],
+                    _BASE | {"phaseops", "bgstates"}),
+    "coherent": (["coherent", "--k", "1", "--rho", "1"], _BASE | {"phaseops", "bgstates"}),
+    "completeness": (["completeness", "--k", "1", "--n", "1"],
+                     _BASE | {"phaseops", "bgstates"}),
+    "oscillator": (["oscillator", "--k", "1", "--points", "5"], _BASE | {"phaseops", "fockreal"}),
+    "two-mode": (["two-mode", "--dim-per-mode", "3"], _BASE | {"phaseops", "fockreal"}),
+    "nfm-sim": (["nfm-sim", "--kind", "number", "--n", "2"],
+                _BASE | {"phaseops", "bgstates", "nfm"}),
+    "verify-all": (["verify-all", "--module", "specfun"],
+                   _BASE | {"phaseops", "bgstates", "fockreal", "nfm", "verify"}),
+}
+
+
+class TestImports:
+    def test_every_subcommand_is_covered(self):
+        assert set(_LOADS) == set(cli.build_parser()._subparsers._group_actions[0].choices)
+
+    @pytest.mark.parametrize("name", sorted(_LOADS))
+    def test_subcommand_loads_only_what_it_runs(self, name):
+        argv, modules = _LOADS[name]
+        code = (
+            "import sys\n"
+            "from phasequant import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print(sorted(m.split('.')[1] for m in sys.modules if m.startswith('phasequant.')))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        loaded, scipy = result.stdout.strip().splitlines()[-2:]
+        assert loaded == repr(sorted(modules))
+        assert (scipy != "[]") == (name == "phase-spectrum")
 
 
 class TestValidationErrors:
@@ -149,6 +192,22 @@ class TestValidationErrors:
     def test_missing_config_file_exits_1(self, capsys, tmp_path):
         missing = str(tmp_path / "nope.json")
         assert run_cli("nfm-sim", "--config", missing) == 1
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("field, value", [("n", 2.7), ("n", True),
+                                              ("trials", 2.5), ("seed", 7.5)])
+    def test_config_integers_must_be_integral(self, capsys, tmp_path, field, value):
+        state = {"kind": "number", "k": 1.0, "n": 2}
+        config = {"state": state, "trials": 2, "seed": 7}
+        (state if field == "n" else config)[field] = value
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        assert run_cli("nfm-sim", "--config", str(path)) == 1
+        assert f"{field} must be an integer" in capsys.readouterr().err
+
+    def test_coherent_near_order_minus_one(self, capsys):
+        # the Bessel order 2k - 1 = -0.98 at 2 rho = 1e-323 once overflowed
+        assert run_cli("coherent", "--k", "0.01", "--rho", "5e-324", "--phi", "0.3") in (0, 1)
         capsys.readouterr()
 
     def test_failed_run_leaves_no_output_file(self, capsys, tmp_path):
@@ -386,6 +445,17 @@ class TestDeterminism:
                        "--out", str(second)) == 0
         capsys.readouterr()
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_output_mode_follows_umask(self, capsys, tmp_path, umask, mode):
+        target = tmp_path / "x.csv"
+        old = os.umask(umask)
+        try:
+            assert run_cli("repr", "--k", "0.5", "--dim", "4", "--out", str(target)) == 0
+        finally:
+            os.umask(old)
+        capsys.readouterr()
+        assert target.stat().st_mode & 0o777 == mode
 
     def test_no_leftover_temp_files(self, capsys, tmp_path):
         target = tmp_path / "x.csv"

@@ -26,6 +26,7 @@ from phasequant.phaseops import (
     ground_state_variance,
     improper_eigvec,
     k1_bound,
+    phase_extremes,
     phase_spectrum,
     spectrum_verdict,
 )
@@ -359,16 +360,60 @@ def test_phase_spectrum_against_mpmath(k, dim):
     pair = build_phase_ops(RepLabel(k=k), dim)
     off = pair.cos_op.diagonals[-1].real.astype(np.float64)
     eigs = phase_spectrum(pair)
+    count = min(3, dim)
+    tops = phase_extremes(pair, count)
     with mpmath.workdps(40):
         band = mpmath.zeros(dim)
         for i, v in enumerate(off.tolist()):  # float64 -> mpf is exact
             band[i + 1, i] = band[i, i + 1] = mpmath.mpf(v)
         exact = sorted(mpmath.eigsy(band, eigvals_only=True))
         err = max(abs(mpmath.mpf(float(x)) - r) for x, r in zip(eigs, exact))
+        err_tops = max(abs(mpmath.mpf(float(x)) - r) for x, r in zip(tops, exact[-count:]))
     assert err < 2e-15
+    assert err_tops < 2e-15
     assert np.array_equal(eigs, -eigs[::-1])  # bit for bit, not just close
     if dim % 2:
         assert eigs[dim // 2] == 0.0
+
+
+@pytest.mark.parametrize("k", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize("dim", [2, 3, 400, 401, 2000])
+@pytest.mark.parametrize("count", [1, 3])
+def test_phase_extremes_match_phase_spectrum(k, dim, count):
+    # the Sturm rounding window of both routes; at k = 0.5, dim 2000 the
+    # half-size solve is 17 eps max|off| from a 30-digit bisection and the
+    # bisection under 1
+    count = min(count, dim)
+    pair = build_phase_ops(RepLabel(k=k), dim)
+    off = pair.cos_op.diagonals[-1].real.astype(np.float64)
+    tops = phase_extremes(pair, count)
+    eigs = phase_spectrum(pair)
+    assert tops.shape == (count,)
+    assert np.all(np.diff(tops) >= 0.0)
+    window = 128.0 * np.finfo(np.float64).eps * np.max(np.abs(off))
+    assert np.max(np.abs(tops - eigs[-count:])) <= window
+
+
+def test_phase_extremes_inverse_iteration_catches_a_corrupted_band(monkeypatch):
+    # the bisection counts on a band scaled by 1.0001 while the residual is
+    # taken on the true one: the top eigenvalue moves 1e-4, far outside the
+    # window
+    count = phaseops._sturm_count
+    monkeypatch.setattr(phaseops, "_sturm_count",
+                        lambda diag, off_sq, x, pivmin:
+                        count(diag, [1.0002 * v for v in off_sq], x, pivmin))
+    pair = build_phase_ops(RepLabel(k=1.0), 400)
+    with pytest.raises(TruncationError, match="inverse iteration"):
+        phase_extremes(pair, 1)
+
+
+def test_phase_extremes_validation():
+    pair = build_phase_ops(RepLabel(k=1.0), 8)
+    for count in (0, 9):
+        with pytest.raises(DomainError, match="count"):
+            phase_extremes(pair, count)
+    with pytest.raises(DomainError, match="real omega"):
+        phase_extremes(build_phase_ops(RepLabel(k=1.0, omega=1j), 8), 1)
 
 
 def test_phase_spectrum_rejects_a_nonzero_cos_diagonal():

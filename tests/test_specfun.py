@@ -154,6 +154,22 @@ def test_bessel_i_domain_errors():
         bessel_i(0.0, 800.0)
 
 
+@pytest.mark.parametrize("x", [1e-323, 1e-300])
+def test_ln_bessel_i_near_order_minus_one_against_mpmath(x):
+    # at 1e-323 the lead (x/2)^nu / Gamma(nu+1) is e^725.6, past double range;
+    # its logarithm is never exponentiated
+    with mpmath.workdps(40):
+        want = mpmath.log(mpmath.besseli(-0.98, mpmath.mpf(x)))
+        got = specfun._ln_bessel_i(-0.98, x)
+        assert abs(mpmath.mpf(got) - want) <= 4e-16 * abs(want)
+
+
+def test_bessel_i_overflow_is_a_domain_error():
+    for f in (bessel_i, bessel_i_scaled):
+        with pytest.raises(DomainError, match="overflows at nu=-0.98"):
+            f(-0.98, 1e-323)
+
+
 def test_bessel_i_term_budget_exhaustion(monkeypatch):
     monkeypatch.setattr(specfun, "_MAX_TERMS", 3)
     with pytest.raises(ConvergenceError):
