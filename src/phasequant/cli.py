@@ -144,17 +144,24 @@ def _jsonable(value):
     return value
 
 
+def _csv_text(args: argparse.Namespace, rows: list[str]) -> str:
+    return "\n".join([f"# {_meta(args)}"] + rows) + "\n"
+
+
+def _json_text(args: argparse.Namespace, payload: dict) -> str:
+    document = {"_meta": _meta(args)}
+    document.update(_jsonable(payload))
+    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+
+
 def _emit(args: argparse.Namespace, csv_rows: list[str], json_payload: dict,
           path: str | None) -> None:
     if path is None:
         return
     if getattr(args, "format", "csv") == "json":
-        payload = {"_meta": _meta(args)}
-        payload.update(_jsonable(json_payload))
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        _write_atomic(path, _json_text(args, json_payload))
     else:
-        text = "\n".join([f"# {_meta(args)}"] + csv_rows) + "\n"
-    _write_atomic(path, text)
+        _write_atomic(path, _csv_text(args, csv_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +241,9 @@ def _cmd_kbound_scan(args) -> tuple[int, str]:
     scan = bgstates.kbound_scan(k_grid, rho_grid)
     summary = bgstates.scan_json_summary(scan)
     if args.out:
-        text = "\n".join([f"# {_meta(args)}"] + bgstates.scan_csv_lines(scan)) + "\n"
-        _write_atomic(args.out, text)
+        _write_atomic(args.out, _csv_text(args, bgstates.scan_csv_lines(scan)))
     if args.summary:
-        payload = {"_meta": _meta(args)}
-        payload.update(_jsonable(summary))
-        _write_atomic(args.summary, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_atomic(args.summary, _json_text(args, summary))
     verdicts = [row["verdict"] for row in summary["rows"]]
     bracket = summary["flip_bracket"]
     return 0, (
@@ -361,12 +365,9 @@ def _cmd_nfm_sim(args) -> tuple[int, str]:
         noise, trials, seed = args.noise, args.trials, args.seed
     summary = nfm.run_trials(spec, noise=noise, trials=trials, seed=seed)
     if args.out:
-        text = "\n".join([f"# {_meta(args)}"] + nfm.trials_csv_lines(summary)) + "\n"
-        _write_atomic(args.out, text)
+        _write_atomic(args.out, _csv_text(args, nfm.trials_csv_lines(summary)))
     if args.summary:
-        payload = {"_meta": _meta(args)}
-        payload.update(_jsonable(nfm.trials_json_summary(summary)))
-        _write_atomic(args.summary, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _write_atomic(args.summary, _json_text(args, nfm.trials_json_summary(summary)))
     return 0, (
         f"trials={summary.trials} noise={summary.noise!r} rho_mean={summary.rho_mean!r} "
         f"flat={summary.flat_count}"
@@ -389,15 +390,12 @@ def _cmd_verify_all(args) -> tuple[int, str]:
         for item in failures:
             print(f"  FAIL {item.name}: {item.detail}")
     if args.out:
-        payload = {
-            "_meta": _meta(args),
-            "checks": [
-                {"module": item.module, "name": item.name,
-                 "passed": item.passed, "detail": item.detail}
-                for item in results
-            ],
-        }
-        _write_atomic(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        checks = [
+            {"module": item.module, "name": item.name,
+             "passed": item.passed, "detail": item.detail}
+            for item in results
+        ]
+        _write_atomic(args.out, _json_text(args, {"checks": checks}))
     code = 0 if failed_total == 0 else 1
     return code, f"{len(results) - failed_total}/{len(results)} checks passed"
 

@@ -8,12 +8,14 @@ comparison.  The squared-boson pair carries the two smallest indices on
 the parity sectors, and the two-mode product realization sweeps out every
 half-integer index at once, one per fixed photon-number difference.
 
-Every realization is one to three diagonals, so each is stored as
-{offset j - i: vector}, the band layout of the abstract builders; the dense
-matrices (the ``entries`` of a FockOperator and the phase-operator arrays)
-are read-only views built on first access.  Entries are kept in extended
-precision, matching the abstract builders: double-precision ladder products
-alone would exceed the commutator residual budget near the truncation cut.
+Every realization is one to three diagonals, so each generator is a
+``repalg.TruncatedOperator`` like the abstract ones, with real
+(``np.longdouble``) diagonals and ``k`` set only where the space carries a
+single index; the dense matrices (their ``entries`` and the phase-operator
+arrays) are read-only views built on first access.  Entries are kept in
+extended precision, matching the abstract builders: double-precision ladder
+products alone would exceed the commutator residual budget near the
+truncation cut.
 Every constructor verifies its output against the abstract builders (or
 against a second build route) diagonal by diagonal before returning.
 """
@@ -29,6 +31,7 @@ import numpy as np
 from .errors import DomainError, InconsistentDataError, TruncationError
 from .repalg import (
     RepLabel,
+    TruncatedOperator,
     _densify,
     band_gap,
     banded_matvec,
@@ -41,8 +44,6 @@ from .phaseops import build_phase_ops
 from .specfun import _log_terms, _series_cut
 
 __all__ = [
-    "REALIZATION_TAGS",
-    "FockOperator",
     "HPGenerators",
     "HPPhaseOps",
     "DiracSGOps",
@@ -60,55 +61,15 @@ __all__ = [
     "sector_table_csv_lines",
 ]
 
-REALIZATION_TAGS = (
-    "holstein_primakoff",
-    "dirac",
-    "susskind_glogower",
-    "squared_boson",
-    "two_mode",
-)
-
 _MATCH_TOL = 1e-13
 _COMM_TOL = 1e-12
 _ROUTE_TOL = 1e-10
 _TAIL_LOG = math.log(1e-14)
 
 
-@dataclass(frozen=True)
-class FockOperator:
-    """Real matrix acting on the first ``dim`` oscillator number states.
-
-    ``diagonals`` maps offset d to the entries (i, i + d) in order of i,
-    dim - |d| of them, in extended precision; absent offsets are zero.
-    """
-
-    dim: int
-    diagonals: dict
-    realization_tag: str
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise DomainError(f"dim must be >= 1, got {self.dim}")
-        if self.realization_tag not in REALIZATION_TAGS:
-            raise DomainError(
-                f"realization_tag must be one of {REALIZATION_TAGS}, "
-                f"got {self.realization_tag!r}"
-            )
-        diags = {}
-        for offset, values in sorted(self.diagonals.items()):
-            vec = np.array(values, dtype=np.longdouble)
-            if not abs(offset) < self.dim or vec.shape != (self.dim - abs(offset),):
-                raise DomainError(
-                    f"diagonal {offset} of shape {vec.shape} does not fit dim {self.dim}"
-                )
-            vec.setflags(write=False)
-            diags[int(offset)] = vec
-        object.__setattr__(self, "diagonals", MappingProxyType(diags))
-
-    @cached_property
-    def entries(self) -> np.ndarray:
-        """Read-only dense dim x dim view, built on first access."""
-        return _densify(self.diagonals, self.dim, np.longdouble)
+# the former realization operator type; bench/tracer.py still imports the
+# name, so the alias stays until that harness is next changed
+FockOperator = TruncatedOperator
 
 
 def _dense_view(name: str, dtype):
@@ -120,9 +81,9 @@ def _dense_view(name: str, dtype):
 class HPGenerators:
     """Dressed-ladder generator triple on the oscillator space."""
 
-    kp: FockOperator
-    km: FockOperator
-    k3: FockOperator
+    kp: TruncatedOperator
+    km: TruncatedOperator
+    k3: TruncatedOperator
     k: float
 
 
@@ -180,9 +141,9 @@ class AlphaExpectations:
 class SquaredBosonOps:
     """Half-squared ladder triple with its two parity sector indices."""
 
-    kp: FockOperator
-    km: FockOperator
-    k3: FockOperator
+    kp: TruncatedOperator
+    km: TruncatedOperator
+    k3: TruncatedOperator
     even_k: float
     odd_k: float
 
@@ -212,9 +173,9 @@ class TwoModeBasisIndex:
 class TwoModeOps:
     """Product-realization triple with the exhaustive sector table."""
 
-    k3: FockOperator
-    kp: FockOperator
-    km: FockOperator
+    k3: TruncatedOperator
+    kp: TruncatedOperator
+    km: TruncatedOperator
     sector_table: tuple
     dim_per_mode: int
 
@@ -260,11 +221,10 @@ def hp_generators(k: float, dim: int) -> HPGenerators:
     _agree(kp, build_kplus(label, dim).diagonals, "dressed raising vs abstract")
     _agree(km, build_kminus(label, dim).diagonals, "dressed lowering vs abstract")
     _agree(k3, build_k3(label, dim).diagonals, "dressed compact vs abstract")
-    tag = "holstein_primakoff"
     return HPGenerators(
-        kp=FockOperator(dim, kp, tag),
-        km=FockOperator(dim, km, tag),
-        k3=FockOperator(dim, k3, tag),
+        kp=TruncatedOperator(dim, k, kp),
+        km=TruncatedOperator(dim, k, km),
+        k3=TruncatedOperator(dim, k, k3),
         k=float(k),
     )
 
@@ -481,11 +441,10 @@ def squared_boson(dim: int) -> SquaredBosonOps:
         _agree(_sector(k3, start, 2, size), build_k3(label, size).diagonals,
                f"{parity} sector compact")
 
-    tag = "squared_boson"
     return SquaredBosonOps(
-        kp=FockOperator(dim, kp, tag),
-        km=FockOperator(dim, km, tag),
-        k3=FockOperator(dim, k3, tag),
+        kp=TruncatedOperator(dim, None, kp),
+        km=TruncatedOperator(dim, None, km),
+        k3=TruncatedOperator(dim, None, k3),
         even_k=0.25,
         odd_k=0.75,
     )
@@ -551,11 +510,10 @@ def two_mode(dim_per_mode: int) -> TwoModeOps:
     if worst > _COMM_TOL:
         raise InconsistentDataError(f"two-mode interior commutators off by {worst:.3e}")
 
-    tag = "two_mode"
     return TwoModeOps(
-        k3=FockOperator(d * d, k3, tag),
-        kp=FockOperator(d * d, kp, tag),
-        km=FockOperator(d * d, km, tag),
+        k3=TruncatedOperator(d * d, None, k3),
+        kp=TruncatedOperator(d * d, None, kp),
+        km=TruncatedOperator(d * d, None, km),
         sector_table=table,
         dim_per_mode=d,
     )

@@ -125,8 +125,9 @@ def build_phase_ops(label: RepLabel, dim: int) -> PhaseOperatorPair:
 
     Route (a) symmetrizes K1 and K2 with the exactly invertible diagonal
     K3; route (b) writes the tridiagonal entries from f_coeff.  Any
-    entrywise discrepancy beyond 1e-13 raises, since for a diagonal K3 the
-    two are algebraically identical even after truncation.
+    entrywise discrepancy beyond 1e-13 times max(1, max|f|/4) raises, since
+    for a diagonal K3 the two are algebraically identical even after
+    truncation.
     """
     if dim < 2:
         raise DomainError(f"build_phase_ops requires dim >= 2, got {dim}")
@@ -141,8 +142,11 @@ def build_phase_ops(label: RepLabel, dim: int) -> PhaseOperatorPair:
     cos_b = {-1: omega * f / 4.0, 1: omega.conjugate() * f / 4.0}
     sin_b = {-1: 1j * omega * f / 4.0, 1: -1j * omega.conjugate() * f / 4.0}
 
+    # relative to the largest entry max|f|/4 once that passes 1 (k below
+    # about 0.16), as the Sturm window scales with max|off|
+    tol = _ROUTE_TOL * max(1.0, float(np.max(np.abs(f))) / 4.0)
     dev = max(band_gap(cos_a, cos_b), band_gap(sin_a, sin_b))
-    if dev > _ROUTE_TOL:
+    if dev > tol:
         raise TruncationError(
             f"phase-operator build routes disagree by {dev:.3e} at k={label.k}, dim={dim}"
         )

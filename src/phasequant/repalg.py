@@ -9,11 +9,14 @@ Generators act on the lowest-weight basis |k,0> .. |k,dim-1>:
 with K1 = (K+ + K-)/2 and K2 = (K+ - K-)/(2i).  Everything here is a
 compression P.Op.P onto the first ``dim`` states.  Compressions of band
 operators are exact except near the cut, so algebraic identities are asserted
-on an interior window that excludes the last few rows and columns; the window
-size travels with the operator as ``interior_margin``.
+on an interior window that excludes the last few rows and columns; the
+checks that assert them (``commutator_residual``, ``commutator_gap``) take
+the window as an argument.
 
 Operators are stored as their diagonals {offset j - i: vector} (LAPACK band
-storage), in extended precision (``np.clongdouble``).  The ladder amplitudes
+storage), in extended precision: ``np.clongdouble`` when any diagonal is
+complex, as for the abstract builders here, and ``np.longdouble`` otherwise,
+as for the real bosonic realizations in ``fockreal``.  The ladder amplitudes
 are square roots whose double rounding alone contributes ~|entry|^2 * 1e-16
 to commutator residuals, which at dim = 256 is ~1e-11 and would drown the
 algebra checks; 80-bit storage pushes that floor below 1e-13.  Products are
@@ -116,19 +119,20 @@ class NumberState:
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """Compression of an operator onto the first ``dim`` number states.
+    """Compression of an operator onto the first ``dim`` basis states.
 
     Parameters
     ----------
     dim : int
-        Basis size; entries act on |k,0> .. |k,dim-1>.
-    k : float
-        Bargmann index of the carrying representation.
+        Basis size; entries act on basis states 0 .. dim-1.
+    k : float or None
+        Bargmann index of the carrying representation; None for a space
+        that carries several (the squared-boson and two-mode realizations).
     diagonals : mapping of int to array-like
         Offset d holds entries (i, i + d) in order of i, dim - |d| of them;
-        absent offsets are zero, so nothing can lie outside the band.
-    interior_margin : int
-        Trailing rows/columns possibly polluted by the truncation cut.
+        absent offsets are zero, so nothing can lie outside the band.  All
+        are stored as ``np.clongdouble`` if any is complex, else as
+        ``np.longdouble``.
     name : str
         Label used by the serialization envelope.
     omega : complex
@@ -136,24 +140,21 @@ class TruncatedOperator:
     """
 
     dim: int
-    k: float
+    k: float | None
     diagonals: dict
-    interior_margin: int = 0
     name: str = ""
     omega: complex = 1.0 + 0.0j
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise DomainError(f"dim must be >= 1, got {self.dim}")
-        if not self.k > 0.0:
+        if self.k is not None and not self.k > 0.0:
             raise DomainError(f"k must be positive, got {self.k}")
-        if not 0 <= self.interior_margin < self.dim:
-            raise DomainError(
-                f"interior_margin must lie in [0, dim), got {self.interior_margin} for dim {self.dim}"
-            )
+        complex_kind = any(np.iscomplexobj(v) for v in self.diagonals.values())
+        dtype = np.clongdouble if complex_kind else np.longdouble
         diags = {}
         for offset, values in sorted(self.diagonals.items()):
-            vec = np.array(values, dtype=np.clongdouble)
+            vec = np.array(values, dtype=dtype)
             if not abs(offset) < self.dim:
                 raise DomainError(f"offset {offset} lies outside a dim {self.dim} matrix")
             if vec.shape != (self.dim - abs(offset),):
@@ -169,16 +170,9 @@ class TruncatedOperator:
 
     @cached_property
     def entries(self) -> np.ndarray:
-        """Read-only dense dim x dim view, built on first access."""
-        return _densify(self.diagonals, self.dim, np.clongdouble)
-
-    def interior(self, margin: int | None = None) -> np.ndarray:
-        """Entries with the last ``margin`` rows and columns cut away."""
-        m = self.interior_margin if margin is None else margin
-        if not 0 <= m < self.dim:
-            raise DomainError(f"margin must lie in [0, dim), got {m} for dim {self.dim}")
-        cut = self.dim - m
-        return self.entries[:cut, :cut]
+        """Read-only dense dim x dim view in the stored dtype, built on first access."""
+        dtype = np.result_type(np.longdouble, *self.diagonals.values())
+        return _densify(self.diagonals, self.dim, dtype)
 
     def is_hermitian(self, tol: float = 0.0) -> bool:
         # diagonal d of the adjoint is the conjugate of diagonal -d
@@ -260,7 +254,7 @@ def build_k2(label: RepLabel, dim: int) -> TruncatedOperator:
 
 def _densify(diagonals, dim: int, dtype) -> np.ndarray:
     # read-only dense dim x dim matrix of a {offset: diagonal} map; the
-    # fockreal operators build their dense views with it too
+    # fockreal phase-operator records build their dense views with it too
     arr = np.zeros((dim, dim), dtype=dtype)
     for d, vec in diagonals.items():
         rows = np.arange(vec.size) + max(0, -d)
@@ -326,11 +320,11 @@ def commutator_gap(a, b, expected, dim: int, inside: np.ndarray) -> float:
 
 
 def casimir(label: RepLabel, dim: int) -> TruncatedOperator:
-    """K+ K- + K3 (1 - K3); constant k(1 - k) on the interior window.
+    """K+ K- + K3 (1 - K3); k(1 - k) times the identity, to rounding.
 
     For this compression the product K+ K- never leaves the block (K- lowers
-    first), so the matrix comes out exactly diagonal; the interior margin is
-    kept at the generic band-product default anyway.
+    first), so the matrix comes out exactly diagonal and the truncation cut
+    leaves no trace.
     """
     if dim < 2:
         raise DomainError(f"casimir requires dim >= 2, got {dim}")
@@ -339,8 +333,7 @@ def casimir(label: RepLabel, dim: int) -> TruncatedOperator:
     diags = banded_matmul(kp.diagonals, km.diagonals, dim)
     diags[0] = diags.get(0, 0) + k3d * (1.0 - k3d)
     return TruncatedOperator(
-        dim=dim, k=label.k, diagonals=diags,
-        interior_margin=min(4, dim - 1), name="Casimir", omega=label.omega,
+        dim=dim, k=label.k, diagonals=diags, name="Casimir", omega=label.omega,
     )
 
 

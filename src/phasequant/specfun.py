@@ -123,6 +123,7 @@ def _series_cut(log_w, a: float | None, log_tol=None, ratio: float = 1.0,
     if not math.isfinite(top):
         raise error(f"series in w = e^{top} cannot be summed")
     w = math.exp(min(top, 700.0))
+    uncut = f"series in w = e^{top:.6g}, a = {a} not cut within {_MAX_TERMS} terms"
 
     def grow(n):  # t_n / t_{n-1} = w / grow(n)
         return n if a is None else n * (a + n - 1.0)
@@ -130,6 +131,9 @@ def _series_cut(log_w, a: float | None, log_tol=None, ratio: float = 1.0,
     turn = w / ratio
     if a is not None:
         turn = 0.5 * (1.0 - a + math.sqrt((a - 1.0) ** 2 + 4.0 * turn))
+    if turn >= _MAX_TERMS:
+        # the peak itself lies past the longest table: fail before walking to it
+        raise error(uncut)
     first = max(1, math.ceil(turn))
     while first > 1 and ratio * grow(first - 1) >= w:
         first -= 1
@@ -147,9 +151,7 @@ def _series_cut(log_w, a: float | None, log_tol=None, ratio: float = 1.0,
         if below.any():
             return log_t[..., : first + int(below.argmax()) + 1]
         if size == _MAX_TERMS:
-            raise error(
-                f"series in w = e^{top:.6g}, a = {a} not cut within {_MAX_TERMS} terms"
-            )
+            raise error(uncut)
         size *= 2
 
 
@@ -161,10 +163,12 @@ def _i_log_series(nu: float, x: float) -> tuple[float, float]:
     tiny x it lies far outside double range.
     """
     half = 0.5 * x
-    size = _series_cut(2.0 * math.log(half), nu + 1.0).size
+    # x/2 underflows to 0 at the smallest subnormal x; its logarithm does not
+    log_half = math.log(half) if half > 0.0 else math.log(x) - math.log(2.0)
+    size = _series_cut(2.0 * log_half, nu + 1.0).size
     m = np.arange(1.0, size)
     rest = float(np.sum(np.cumprod(half * half / (m * (nu + m)))))
-    return nu * math.log(half) - ln_gamma(nu + 1.0), 1.0 + rest
+    return nu * log_half - ln_gamma(nu + 1.0), 1.0 + rest
 
 
 def _i_series(nu: float, x: float, scale: float) -> float:

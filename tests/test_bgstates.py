@@ -149,6 +149,9 @@ def test_construction_validation():
         make_bg_state(1.0, 1.0, tail_tol=0.0)
     with pytest.raises(TruncationError):
         make_bg_state(1.0, 10.0, dim=5)
+    # the series peak lies past the term budget: fails at once, not after a walk
+    with pytest.raises(TruncationError, match="not cut within"):
+        make_bg_state(0.5, 1e300)
     with pytest.raises(DimensionMismatchError):
         BGState(k=1.0, z=0j, dim=3, coeffs=np.ones(2, dtype=complex), tail_tol=1e-14)
     with pytest.raises(DomainError):

@@ -311,6 +311,13 @@ class TestAnalysisCommands:
         assert data["dim"] == 1
         assert data["cos_mean"] == pytest.approx(7.1650236684420464e-09, rel=1e-12)
 
+    @pytest.mark.parametrize("k", ["1e-5", "1e-6"])
+    def test_phase_routes_agree_at_small_k(self, capsys, k):
+        # phase entries near sqrt(2/k)/4 ~ 112 .. 354: the route check is relative
+        assert run_cli("coherent", "--k", k, "--rho", "1e-300", "--phi", "0.3") == 0
+        assert run_cli("ground-variance", "--k", k) == 0
+        capsys.readouterr()
+
     def test_coherent_moments_match_library(self, capsys, tmp_path):
         import phasequant.bgstates as bgstates
         target = tmp_path / "coh.json"

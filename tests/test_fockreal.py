@@ -13,7 +13,6 @@ import pytest
 from phasequant import fockreal, repalg
 from phasequant.errors import DomainError, InconsistentDataError, TruncationError
 from phasequant.fockreal import (
-    FockOperator,
     TwoModeBasisIndex,
     alpha_expectations,
     dirac_sg_ops,
@@ -94,8 +93,18 @@ def test_hp_validation():
         hp_generators(0.0, 8)
     with pytest.raises(DomainError):
         hp_generators(1.0, 1)
-    with pytest.raises(DomainError):
-        FockOperator(dim=2, diagonals={0: np.zeros(2)}, realization_tag="nonsense")
+
+
+def test_realizations_are_extended_real_truncated_operators():
+    records = ((hp_generators(0.75, 8), 0.75), (squared_boson(8), None), (two_mode(4), None))
+    for ops, k in records:
+        for op in (ops.kp, ops.km, ops.k3):
+            assert isinstance(op, repalg.TruncatedOperator)
+            assert op.k == k
+            assert all(v.dtype == np.longdouble for v in op.diagonals.values())
+            assert op.entries.dtype == np.longdouble
+    # the former type name is kept as an alias of the merged one
+    assert fockreal.FockOperator is repalg.TruncatedOperator
 
 
 # ---------------------------------------------------------------------------

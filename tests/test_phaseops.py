@@ -93,6 +93,23 @@ def test_sin_entry_pattern():
         assert abs(s[n, n + 1] + 1j * f / 4.0) < 1e-15
 
 
+def test_build_stores_extended_complex():
+    pair = build_phase_ops(RepLabel(k=0.75), 8)
+    for op in (pair.cos_op, pair.sin_op):
+        assert all(v.dtype == np.clongdouble for v in op.diagonals.values())
+        assert op.entries.dtype == np.clongdouble
+
+
+def test_build_route_tolerance_is_relative(monkeypatch):
+    # at k = 1e-5 the entries reach max|f|/4 ~ 112 and the routes differ by
+    # ~1.4e-13, a few ulp of them; a shift of ~2.5e-11 must still be caught
+    build_phase_ops(RepLabel(k=1e-5), 16)
+    f_array = phaseops._f_array
+    monkeypatch.setattr(phaseops, "_f_array", lambda k, dim: f_array(k, dim) + 1e-10)
+    with pytest.raises(TruncationError, match="routes disagree"):
+        build_phase_ops(RepLabel(k=1e-5), 16)
+
+
 def test_build_requires_dim_two():
     with pytest.raises(DomainError):
         build_phase_ops(RepLabel(k=1.0), 1)

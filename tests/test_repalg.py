@@ -82,8 +82,6 @@ def test_truncated_operator_validation():
         TruncatedOperator(dim=0, k=1.0, diagonals={})
     with pytest.raises(DimensionMismatchError):
         TruncatedOperator(dim=3, k=1.0, diagonals={0: np.zeros(2)})
-    with pytest.raises(DomainError):
-        TruncatedOperator(dim=2, k=1.0, diagonals={0: np.zeros(2)}, interior_margin=2)
     # a diagonal must fit the matrix: length dim - |offset|, |offset| < dim
     with pytest.raises(DimensionMismatchError):
         TruncatedOperator(dim=4, k=1.0, diagonals={1: np.zeros(4)})
@@ -91,6 +89,32 @@ def test_truncated_operator_validation():
         TruncatedOperator(dim=4, k=1.0, diagonals={4: np.zeros(0)})
     with pytest.raises(DomainError):
         TruncatedOperator(dim=4, k=1.0, diagonals={-5: np.zeros(1)})
+
+
+def test_truncated_operator_index_may_be_absent():
+    # a space carrying several Bargmann indices has none to name
+    op = TruncatedOperator(dim=3, k=None, diagonals={0: np.ones(3)})
+    assert op.k is None
+    for k in (0.0, -1.0):
+        with pytest.raises(DomainError, match="k must be positive"):
+            TruncatedOperator(dim=3, k=k, diagonals={0: np.ones(3)})
+
+
+def test_stored_kind_follows_the_input():
+    real = TruncatedOperator(dim=3, k=1.0, diagonals={0: np.ones(3), 1: np.ones(2)})
+    mixed = TruncatedOperator(dim=3, k=1.0, diagonals={0: np.ones(3), 1: np.ones(2) * 1j})
+    assert {v.dtype for v in real.diagonals.values()} == {np.dtype(np.longdouble)}
+    assert real.entries.dtype == np.longdouble
+    assert {v.dtype for v in mixed.diagonals.values()} == {np.dtype(np.clongdouble)}
+    assert mixed.entries.dtype == np.clongdouble
+
+
+def test_abstract_builders_store_extended_complex():
+    label = RepLabel(k=0.75)
+    for op in (build_k3(label, 8), build_kplus(label, 8), build_kminus(label, 8),
+               build_k1(label, 8), build_k2(label, 8), casimir(label, 8)):
+        assert all(v.dtype == np.clongdouble for v in op.diagonals.values()), op.name
+        assert op.entries.dtype == np.clongdouble
 
 
 def test_entries_are_read_only():
@@ -165,7 +189,7 @@ def test_omega_covariance():
 def test_casimir_constant_on_interior():
     for k, want in [(1.0, 0.0), (0.5, 0.25), (2.0, -2.0)]:
         c = casimir(RepLabel(k=k), 64)
-        inner = c.interior()
+        inner = c.entries[:60, :60]
         off = inner - np.diag(np.diag(inner))
         assert float(np.max(np.abs(off))) == 0.0
         assert float(np.max(np.abs(np.diag(inner) - want))) < 1e-13

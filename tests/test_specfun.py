@@ -170,6 +170,18 @@ def test_bessel_i_overflow_is_a_domain_error():
             f(-0.98, 1e-323)
 
 
+def test_bessel_i_at_smallest_subnormal_against_mpmath():
+    # x/2 underflows to 0 here; |ln x| ~ 745 in the lead amplifies rounding
+    # to about 6e-14
+    mpmath.mp.dps = 50
+    x = 5e-324
+    for nu in (0.0, 0.5, -0.5):
+        want = mpmath.besseli(nu, mpmath.mpf(x))
+        assert abs(mpmath.mpf(bessel_i(nu, x)) - want) <= 1e-13 * want
+        want_scaled = want * mpmath.exp(-mpmath.mpf(x))
+        assert abs(mpmath.mpf(bessel_i_scaled(nu, x)) - want_scaled) <= 1e-13 * want_scaled
+
+
 def test_bessel_i_term_budget_exhaustion(monkeypatch):
     monkeypatch.setattr(specfun, "_MAX_TERMS", 3)
     with pytest.raises(ConvergenceError):
