@@ -70,7 +70,6 @@ __all__ = [
     "phase_expectations",
     "kbound_scan",
     "flip_bracket",
-    "scan_csv_lines",
     "scan_json_summary",
 ]
 
@@ -652,16 +651,6 @@ def flip_bracket(result: ScanResult) -> tuple[float, float] | None:
         return None
     i = exceeding[-1]
     return (float(result.k_values[i]), float(result.k_values[i + 1]))
-
-
-def scan_csv_lines(result: ScanResult) -> list[str]:
-    """CSV rows k,rho,ratio,verdict, one line per grid point."""
-    lines = ["k,rho,ratio,verdict"]
-    for i, k in enumerate(result.k_values):
-        v = result.verdicts[i]
-        for j, rho in enumerate(result.rho_values):
-            lines.append(f"{float(k)!r},{float(rho)!r},{float(result.ratio[i, j])!r},{v}")
-    return lines
 
 
 def scan_json_summary(result: ScanResult) -> dict:

@@ -10,6 +10,11 @@ a failure never leaves a partial output.  Outputs carry a header line
 plus seed produce byte-identical files.  Exit codes: 0 success, 1 validation
 failure, 2 usage error.  PHASEQUANT_THREADS caps the numeric backends'
 thread pools.
+
+Library modules return data, not text.  Handlers pass field names and
+records (or a JSON payload), and only this module renders them, by one
+rule: a float, numpy's included, is the repr of its double, which
+round-trips; integers and labels are their text; NaN is JSON null.
 """
 
 from __future__ import annotations
@@ -59,39 +64,23 @@ _BUILDERS = {
 }
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"expected a positive real, got {text!r}")
-    return value
+def _checked(convert, accept, description: str):
+    """An argparse type: convert, then reject values that fail accept()."""
+    def check(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"expected a {description}, got {text!r}")
+        return value
+    # argparse names the type in "invalid <name> value: ..." messages
+    check.__name__ = description
+    return check
 
 
-def _nonneg_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"expected a nonnegative real, got {text!r}")
-    return value
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite real, got {text!r}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return value
+_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "positive real")
+_nonneg_float = _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "nonnegative real")
+_finite_float = _checked(float, math.isfinite, "finite real")
+_positive_int = _checked(int, lambda v: v > 0, "positive integer")
+_nonneg_int = _checked(int, lambda v: v >= 0, "nonnegative integer")
 
 
 def _flags_text(args: argparse.Namespace) -> str:
@@ -103,12 +92,10 @@ def _flags_text(args: argparse.Namespace) -> str:
         value = getattr(args, key)
         if value is None:
             continue
-        if isinstance(value, float):
-            parts.append(f"{key}={value!r}")
-        elif isinstance(value, (list, tuple)):
+        if isinstance(value, (list, tuple)):
             parts.append(f"{key}={','.join(repr(v) for v in value)}")
         else:
-            parts.append(f"{key}={value}")
+            parts.append(f"{key}={_cell(value)}")
     return " ".join(parts)
 
 
@@ -133,10 +120,32 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
+def _cell(value) -> str:
+    # the one number format: a float (numpy's included) as the repr of its
+    # double, which round-trips; integers and labels as their text
+    return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
+
+
+def _csv_rows(fields, records) -> list[str]:
+    """Header plus one line per record, each record its values in field order."""
+    return [",".join(fields)] + [",".join(map(_cell, record)) for record in records]
+
+
+def _dict_rows(records: list[dict]) -> list[str]:
+    """_csv_rows of dicts that share their keys, the keys giving the header."""
+    return _csv_rows(records[0], (record.values() for record in records))
+
+
 def _jsonable(value):
-    # stable JSON: NaN becomes null rather than the nonstandard NaN token
-    if isinstance(value, float):
+    # plain JSON values: numpy scalars and arrays become Python ones, and NaN
+    # becomes null rather than the nonstandard NaN token
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
         return None if math.isnan(value) else value
+    if isinstance(value, np.generic):
+        return value.item()
     if isinstance(value, dict):
         return {key: _jsonable(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -185,15 +194,9 @@ def _cmd_phase_spectrum(args) -> tuple[int, str]:
     eigs = phaseops.phase_spectrum(pair)
     top = float(np.max(np.abs(eigs)))
     verdict = phaseops.spectrum_verdict(eigs)
-    rows = ["index,eigenvalue"]
-    rows += [f"{i},{float(v)!r}" for i, v in enumerate(eigs)]
-    payload = {
-        "k": args.k,
-        "dim": args.dim,
-        "max_abs": top,
-        "verdict": verdict,
-        "eigenvalues": [float(v) for v in eigs],
-    }
+    rows = _csv_rows(("index", "eigenvalue"), enumerate(eigs))
+    payload = {"k": args.k, "dim": args.dim, "max_abs": top, "verdict": verdict,
+               "eigenvalues": eigs}
     _emit(args, rows, payload, args.out)
     return 0, f"max|lambda| = {top!r}, verdict {verdict}"
 
@@ -201,20 +204,16 @@ def _cmd_phase_spectrum(args) -> tuple[int, str]:
 def _cmd_ground_variance(args) -> tuple[int, str]:
     from . import phaseops
 
-    k_values = args.k
-    rows = ["k,analytic,matrix_diag0,abs_gap"]
     entries = []
-    for k in k_values:
+    for k in args.k:
         analytic = phaseops.ground_state_variance(k)
         pair = phaseops.build_phase_ops(RepLabel(k=k), args.dim)
         cos = pair.cos_op.diagonals
         matrix = float(repalg.banded_matmul(cos, cos, args.dim)[0][0].real)
-        gap = abs(matrix - analytic)
-        rows.append(f"{k!r},{analytic!r},{matrix!r},{gap!r}")
         entries.append({"k": k, "analytic": analytic, "matrix_diag0": matrix,
-                        "abs_gap": gap})
+                        "abs_gap": abs(matrix - analytic)})
     bound = phaseops.k1_bound()
-    _emit(args, rows, {"rows": entries, "k1_bound": bound}, args.out)
+    _emit(args, _dict_rows(entries), {"rows": entries, "k1_bound": bound}, args.out)
     first = entries[0]
     return 0, (
         f"gsv({first['k']!r}) = {first['analytic']!r} "
@@ -241,7 +240,15 @@ def _cmd_kbound_scan(args) -> tuple[int, str]:
     scan = bgstates.kbound_scan(k_grid, rho_grid)
     summary = bgstates.scan_json_summary(scan)
     if args.out:
-        _write_atomic(args.out, _csv_text(args, bgstates.scan_csv_lines(scan)))
+        rhos = scan.rho_values.tolist()
+        records = (
+            (k, rho, ratio, verdict)
+            for k, verdict, row in zip(scan.k_values.tolist(), scan.verdicts,
+                                       scan.ratio.tolist())
+            for rho, ratio in zip(rhos, row)
+        )
+        _write_atomic(args.out, _csv_text(args, _csv_rows(
+            ("k", "rho", "ratio", "verdict"), records)))
     if args.summary:
         _write_atomic(args.summary, _json_text(args, summary))
     verdicts = [row["verdict"] for row in summary["rows"]]
@@ -278,9 +285,7 @@ def _cmd_coherent(args) -> tuple[int, str]:
         "tan_ratio": ph.tan_ratio,
         "eigenvector_residual": bgstates.eigenvector_residual(state),
     }
-    rows = ["field,value"]
-    rows += [f"{key},{value!r}" for key, value in payload.items()]
-    _emit(args, rows, payload, args.out)
+    _emit(args, _csv_rows(("field", "value"), payload.items()), payload, args.out)
     return 0, (
         f"dim={state.dim} <K3>={m3.mean!r} <cos>={ph.cos_mean!r} <sin>={ph.sin_mean!r}"
     )
@@ -295,15 +300,11 @@ def _cmd_completeness(args) -> tuple[int, str]:
     value = 4.0 * moment * math.exp(-log_norm)
     expected = math.exp(log_norm) / 4.0
     rel = abs(moment - expected) / expected
-    rows = [
-        "k,n,completeness,moment,moment_expected,moment_rel_gap",
-        f"{args.k!r},{args.n},{value!r},{moment!r},{expected!r},{rel!r}",
-    ]
     payload = {
         "k": args.k, "n": args.n, "completeness": value,
         "moment": moment, "moment_expected": expected, "moment_rel_gap": rel,
     }
-    _emit(args, rows, payload, args.out)
+    _emit(args, _dict_rows([payload]), payload, args.out)
     return 0, f"completeness = {value!r} (1 - value = {1.0 - value:.2e}), moment rel gap {rel:.2e}"
 
 
@@ -312,34 +313,25 @@ def _cmd_oscillator(args) -> tuple[int, str]:
 
     r = np.linspace(0.0, args.r_max, args.points)
     h2 = fockreal.h2_curve(args.k, r)
-    rows = ["r,h2"]
-    rows += [f"{float(a)!r},{float(b)!r}" for a, b in zip(r, h2)]
     top = float(np.max(h2))
-    payload = {
-        "k": args.k,
-        "r": [float(v) for v in r],
-        "h2": [float(v) for v in h2],
-        "max_h2": top,
-        "h2_end": float(h2[-1]),
-    }
+    end = float(h2[-1])
+    rows = _csv_rows(("r", "h2"), zip(r, h2))
+    payload = {"k": args.k, "r": r, "h2": h2, "max_h2": top, "h2_end": end}
     _emit(args, rows, payload, args.out)
-    return 0, f"max h2 = {top!r}, h2({args.r_max!r}) = {float(h2[-1])!r}"
+    return 0, f"max h2 = {top!r}, h2({args.r_max!r}) = {end!r}"
 
 
 def _cmd_two_mode(args) -> tuple[int, str]:
     from . import fockreal
 
     ops = fockreal.two_mode(args.dim_per_mode)
-    rows = fockreal.sector_table_csv_lines(ops)
-    payload = {
-        "dim_per_mode": ops.dim_per_mode,
-        "sectors": [
-            {"n1": e.n1, "n2": e.n2, "sector": e.sector,
-             "irrep_k": e.irrep_k, "irrep_n": e.irrep_n}
-            for e in ops.sector_table
-        ],
-    }
-    _emit(args, rows, payload, args.out)
+    sectors = [
+        {"n1": e.n1, "n2": e.n2, "sector": e.sector,
+         "irrep_k": e.irrep_k, "irrep_n": e.irrep_n}
+        for e in ops.sector_table
+    ]
+    payload = {"dim_per_mode": ops.dim_per_mode, "sectors": sectors}
+    _emit(args, _dict_rows(sectors), payload, args.out)
     d = ops.dim_per_mode
     return 0, f"{d * d} basis states, sectors -{d - 1}..{d - 1}"
 
@@ -365,7 +357,10 @@ def _cmd_nfm_sim(args) -> tuple[int, str]:
         noise, trials, seed = args.noise, args.trials, args.seed
     summary = nfm.run_trials(spec, noise=noise, trials=trials, seed=seed)
     if args.out:
-        _write_atomic(args.out, _csv_text(args, nfm.trials_csv_lines(summary)))
+        records = ((r.trial, r.recovered_rho, r.recovered_phi, r.err_k1, r.err_k2)
+                   for r in summary.rows)
+        _write_atomic(args.out, _csv_text(args, _csv_rows(
+            ("trial", "recovered_rho", "recovered_phi", "err_k1", "err_k2"), records)))
     if args.summary:
         _write_atomic(args.summary, _json_text(args, nfm.trials_json_summary(summary)))
     return 0, (
@@ -512,10 +507,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         code, summary = args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RuntimeError as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(summary)

@@ -58,7 +58,6 @@ __all__ = [
     "h2_curve",
     "squared_boson",
     "two_mode",
-    "sector_table_csv_lines",
 ]
 
 _MATCH_TOL = 1e-13
@@ -517,12 +516,3 @@ def two_mode(dim_per_mode: int) -> TwoModeOps:
         sector_table=table,
         dim_per_mode=d,
     )
-
-
-def sector_table_csv_lines(ops: TwoModeOps) -> list[str]:
-    """CSV serialization of the sector table, one line per basis element."""
-    lines = ["n1,n2,sector,irrep_k,irrep_n"]
-    for e in ops.sector_table:
-        lines.append(f"{e.n1},{e.n2},{e.sector},{e.irrep_k!r},{e.irrep_n}")
-    return lines
-

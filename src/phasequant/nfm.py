@@ -68,7 +68,6 @@ __all__ = [
     "run_trials",
     "parse_state_spec",
     "parse_run_config",
-    "trials_csv_lines",
     "trials_json_summary",
 ]
 
@@ -534,6 +533,12 @@ def _jitter(rng: np.random.Generator, sigma: float, value: float) -> float:
     return max(0.0, value * (1.0 + sigma * float(rng.standard_normal())))
 
 
+def _jittered(rng: np.random.Generator, sigma: float, record):
+    # one draw per field, in declaration order
+    return type(record)(*(_jitter(rng, sigma, getattr(record, f.name))
+                          for f in dataclasses.fields(record)))
+
+
 def _wrap_angle(delta: float) -> float:
     return (delta + math.pi) % (2.0 * math.pi) - math.pi
 
@@ -569,22 +574,7 @@ def _simulate(spec, truth: StateTruth, noise: float, rng) -> SimulationOutcome:
     if noise > 0.0:
         if rng is None:
             rng = np.random.default_rng(0)
-        reading = InterferenceReading(
-            I1=_jitter(rng, noise, reading.I1),
-            I2=_jitter(rng, noise, reading.I2),
-            w3=_jitter(rng, noise, reading.w3),
-            w4=_jitter(rng, noise, reading.w4),
-            w5=_jitter(rng, noise, reading.w5),
-            w6=_jitter(rng, noise, reading.w6),
-        )
-        second = SecondMoments(
-            n3n4_sumsq=_jitter(rng, noise, second.n3n4_sumsq),
-            n5n6_sumsq=_jitter(rng, noise, second.n5n6_sumsq),
-            n1sq=_jitter(rng, noise, second.n1sq),
-            n2sq=_jitter(rng, noise, second.n2sq),
-            n3n4_diffsq=_jitter(rng, noise, second.n3n4_diffsq),
-            n5n6_diffsq=_jitter(rng, noise, second.n5n6_diffsq),
-        )
+        reading, second = _jittered(rng, noise, reading), _jittered(rng, noise, second)
 
     rec = quantum_reconstruct(reading, second)
     if isinstance(spec, NumberStateSpec) and rec.flat_pattern and rec.K3sq_mean > 0.0:
@@ -724,17 +714,6 @@ def _spec_json(spec) -> dict:
     if isinstance(spec, NumberStateSpec):
         return {"kind": "number", "k": spec.k, "n": spec.n}
     return {"kind": "bg", "k": spec.k, "rho": abs(spec.z), "phi": cmath.phase(spec.z)}
-
-
-def trials_csv_lines(summary: TrialSummary) -> list[str]:
-    """CSV rows trial,recovered_rho,recovered_phi,err_k1,err_k2."""
-    lines = ["trial,recovered_rho,recovered_phi,err_k1,err_k2"]
-    for r in summary.rows:
-        lines.append(
-            f"{r.trial},{float(r.recovered_rho)!r},{float(r.recovered_phi)!r},"
-            f"{float(r.err_k1)!r},{float(r.err_k2)!r}"
-        )
-    return lines
 
 
 def trials_json_summary(summary: TrialSummary) -> dict:

@@ -103,21 +103,25 @@ class ImproperEigvec:
 
 
 def f_coeff(k: float, n: int) -> float:
-    """Tridiagonal coupling sqrt(n(2k+n-1)) (1/(k+n) + 1/(k+n-1)); 0 at n=0."""
+    """Tridiagonal coupling sqrt(n(2k+n-1)) (1/(k+n) + 1/(k+n-1)); 0 at n=0.
+
+    The integer n - 1 is formed first, so at n = 1 a tiny k is not rounded
+    away against it (k + 1 - 1 would be 0 for k below 1e-16).
+    """
     if not k > 0.0:
         raise DomainError(f"f_coeff requires k > 0, got {k}")
     if n < 0:
         raise DomainError(f"f_coeff requires n >= 0, got {n}")
     if n == 0:
         return 0.0
-    return math.sqrt(n * (2.0 * k + n - 1.0)) * (1.0 / (k + n) + 1.0 / (k + n - 1.0))
+    return math.sqrt(n * (2.0 * k + (n - 1.0))) * (1.0 / (k + n) + 1.0 / (k + (n - 1.0)))
 
 
 def _f_array(k: float, dim: int) -> np.ndarray:
     # f_1 .. f_{dim-1} in extended precision for entry construction.
     n = np.arange(1, dim, dtype=np.clongdouble)
     kk = np.clongdouble(k)
-    return np.sqrt(n * (2.0 * kk + n - 1.0)) * (1.0 / (kk + n) + 1.0 / (kk + n - 1.0))
+    return np.sqrt(n * (2.0 * kk + (n - 1.0))) * (1.0 / (kk + n) + 1.0 / (kk + (n - 1.0)))
 
 
 def build_phase_ops(label: RepLabel, dim: int) -> PhaseOperatorPair:
@@ -478,7 +482,8 @@ def improper_eigvec(k: float, mu: float, a0: float, nmax: int) -> ImproperEigvec
         raise DomainError(f"improper_eigvec requires nmax >= 2, got {nmax}")
     # f_0 .. f_nmax once, in f_coeff's operation order so the values match it
     m = np.arange(1, nmax + 1, dtype=np.float64)
-    f = [0.0] + (np.sqrt(m * (2.0 * k + m - 1.0)) * (1.0 / (k + m) + 1.0 / (k + m - 1.0))).tolist()
+    f = [0.0] + (np.sqrt(m * (2.0 * k + (m - 1.0)))
+                 * (1.0 / (k + m) + 1.0 / (k + (m - 1.0)))).tolist()
     a = np.zeros(nmax + 1, dtype=np.float64)
     a[0] = a0
     a[1] = 4.0 * mu * a0 / f[1]

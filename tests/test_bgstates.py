@@ -29,7 +29,6 @@ from phasequant.bgstates import (
     phase_expectations,
     ratio_gI,
     ratio_gI_asymptote,
-    scan_csv_lines,
     scan_json_summary,
 )
 from phasequant.errors import (
@@ -559,15 +558,6 @@ def test_scan_custom_grid_and_validation():
         kbound_scan(np.array([]), np.array([1.0]))
     with pytest.raises(DomainError):
         kbound_scan(np.array([0.5]), np.array([-1.0]))
-
-
-def test_scan_csv_lines(default_scan):
-    lines = scan_csv_lines(default_scan)
-    assert lines[0] == "k,rho,ratio,verdict"
-    assert len(lines) == 1 + 39 * 200
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.1 and float(first[1]) == 0.01
-    assert first[3] in ("BOUNDED", "EXCEEDS")
 
 
 def test_scan_json_summary(default_scan):

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,12 @@ class TestUsageErrors:
     def test_negative_k_rejected_at_parse_time(self, capsys):
         assert run_cli("repr", "--k", "-1", "--dim", "4") == 2
         assert "positive real" in capsys.readouterr().err
+
+    def test_unparsable_value_names_the_expected_kind(self, capsys):
+        assert run_cli("repr", "--k", "0.5", "--dim", "2.5") == 2
+        assert "invalid positive integer value: '2.5'" in capsys.readouterr().err
+        assert run_cli("coherent", "--k", "x", "--rho", "1") == 2
+        assert "invalid positive real value: 'x'" in capsys.readouterr().err
 
     def test_zero_dim_rejected(self, capsys):
         assert run_cli("repr", "--k", "0.5", "--dim", "0") == 2
@@ -311,12 +318,26 @@ class TestAnalysisCommands:
         assert data["dim"] == 1
         assert data["cos_mean"] == pytest.approx(7.1650236684420464e-09, rel=1e-12)
 
-    @pytest.mark.parametrize("k", ["1e-5", "1e-6"])
+    @pytest.mark.parametrize("k", ["1e-5", "1e-6", "1e-7", "1e-8", "1e-20"])
     def test_phase_routes_agree_at_small_k(self, capsys, k):
-        # phase entries near sqrt(2/k)/4 ~ 112 .. 354: the route check is relative
-        assert run_cli("coherent", "--k", k, "--rho", "1e-300", "--phi", "0.3") == 0
+        # phase entries near sqrt(2/k)/4 ~ 112 .. 3.5e9: the route check is
+        # relative, and the n = 1 coupling keeps k against n - 1 = 0
         assert run_cli("ground-variance", "--k", k) == 0
+        assert run_cli("phase-spectrum", "--k", k, "--dim", "6") == 0
+        # below ~1e-16 the Bessel order 2k - 1 of a coherent state rounds to -1
+        if float(k) > 1e-16:
+            assert run_cli("coherent", "--k", k, "--rho", "1e-300", "--phi", "0.3") == 0
         capsys.readouterr()
+
+    def test_ground_variance_at_tiny_k_is_finite_and_quiet(self, capsys, tmp_path):
+        target = tmp_path / "gsv.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("ground-variance", "--k", "1e-20", "--format", "json",
+                           "--out", str(target)) == 0
+        assert "matrix gap 0.00e+00" in capsys.readouterr().out
+        row = json.loads(target.read_text())["rows"][0]
+        assert math.isfinite(row["matrix_diag0"]) and row["abs_gap"] == 0.0
 
     def test_coherent_moments_match_library(self, capsys, tmp_path):
         import phasequant.bgstates as bgstates
@@ -418,6 +439,155 @@ class TestNfmSim:
         data = json.loads(summary.read_text())
         assert data["rho_mean"] == pytest.approx(5.0, rel=0.05)
         assert 0.0 < data["rho_std"] < 1.0
+
+
+def _frozen_scan_csv_lines(result):
+    # the per-module writers the CLI's one cell rule replaced, frozen here so
+    # the files stay byte for byte what they were
+    lines = ["k,rho,ratio,verdict"]
+    for i, k in enumerate(result.k_values):
+        v = result.verdicts[i]
+        for j, rho in enumerate(result.rho_values):
+            lines.append(f"{float(k)!r},{float(rho)!r},{float(result.ratio[i, j])!r},{v}")
+    return lines
+
+
+def _frozen_trials_csv_lines(summary):
+    lines = ["trial,recovered_rho,recovered_phi,err_k1,err_k2"]
+    for r in summary.rows:
+        lines.append(
+            f"{r.trial},{float(r.recovered_rho)!r},{float(r.recovered_phi)!r},"
+            f"{float(r.err_k1)!r},{float(r.err_k2)!r}"
+        )
+    return lines
+
+
+def _frozen_sector_table_csv_lines(ops):
+    lines = ["n1,n2,sector,irrep_k,irrep_n"]
+    for e in ops.sector_table:
+        lines.append(f"{e.n1},{e.n2},{e.sector},{e.irrep_k!r},{e.irrep_n}")
+    return lines
+
+
+def _body(path):
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# phasequant v")
+    return lines[1:]
+
+
+# every subcommand at a small size, once per output format it offers
+_BOTH = ("--format csv --out out.csv", "--format json --out out.json")
+_FORMAT_RUNS = [
+    ("repr --k 0.75 --dim 5 --name k1 --omega imaginary_unit", _BOTH),
+    ("phase-spectrum --k 0.5 --dim 12", _BOTH),
+    ("ground-variance --k 0.5 --k 2.0 --dim 8", _BOTH),
+    ("coherent --k 1.0 --rho 0.0", _BOTH),
+    ("coherent --k 0.5 --rho 2.0 --phi 0.4", _BOTH),
+    ("completeness --k 1.0 --n 2", _BOTH),
+    ("oscillator --k 0.5 --r-max 5 --points 11", _BOTH),
+    ("two-mode --dim-per-mode 3", _BOTH),
+    ("kbound-scan --k-min 0.25 --k-max 1.0 --k-step 0.25 --rho-min 0.1 --rho-max 20"
+     " --rho-points 7", ("--out out.csv --summary out.json",)),
+    ("nfm-sim --kind bg --k 1.0 --rho 2.0 --noise 0.01 --trials 4 --seed 2",
+     ("--out out.csv --summary out.json",)),
+    ("nfm-sim --kind number --k 0.5 --n 2 --trials 2", ("--out out.csv --summary out.json",)),
+    ("verify-all --module repalg", ("--out out.json",)),
+]
+
+
+def _plain_cell(cell):
+    # an integer, a label, or a float written as the repr of its double
+    if cell.isidentifier():
+        return True
+    try:
+        return cell == str(int(cell))
+    except ValueError:
+        return cell == repr(float(cell))
+
+
+def _no_constants(token):
+    raise AssertionError(f"nonstandard JSON constant {token}")
+
+
+class TestOutputFormat:
+    def test_every_subcommand_is_covered(self):
+        runs = {command.split()[0] for command, _ in _FORMAT_RUNS}
+        assert runs == set(cli.build_parser()._subparsers._group_actions[0].choices)
+
+    @pytest.mark.parametrize("command, outputs", _FORMAT_RUNS,
+                             ids=[c.split()[0] for c, _ in _FORMAT_RUNS])
+    def test_cells_and_json_values_are_plain(self, capsys, tmp_path, command, outputs):
+        names = set()
+        for flags in outputs:
+            words = flags.split()
+            names.update(w for w in words if w.startswith("out."))
+            paths = [str(tmp_path / w) if w.startswith("out.") else w for w in words]
+            assert run_cli(*command.split(), *paths) == 0
+        capsys.readouterr()
+        assert {path.name for path in tmp_path.iterdir()} == names
+        for name in names:
+            path = tmp_path / name
+            if path.suffix == ".json":
+                json.loads(path.read_text(), parse_constant=_no_constants)
+                continue
+            header, *rows = _body(path)
+            assert all(field.isidentifier() for field in header.split(","))
+            bad = [cell for row in rows for cell in row.split(",") if not _plain_cell(cell)]
+            assert rows and not bad
+
+    def test_scan_rows_match_the_frozen_writer(self, capsys, tmp_path):
+        from phasequant import bgstates
+        target = tmp_path / "scan.csv"
+        assert run_cli("kbound-scan", "--out", str(target)) == 0
+        capsys.readouterr()
+        lines = _body(target)
+        assert lines[0] == "k,rho,ratio,verdict"
+        assert len(lines) == 1 + 39 * 200
+        first = lines[1].split(",")
+        assert float(first[0]) == 0.1 and float(first[1]) == 0.01
+        assert first[3] in ("BOUNDED", "EXCEEDS")
+        assert lines == _frozen_scan_csv_lines(bgstates.kbound_scan())
+
+    def test_trial_rows_match_the_frozen_writer(self, capsys, tmp_path):
+        from phasequant import nfm
+        target = tmp_path / "trials.csv"
+        assert run_cli("nfm-sim", "--kind", "bg", "--k", "1.0", "--rho", "2.0",
+                       "--noise", "0.005", "--trials", "10", "--seed", "1",
+                       "--out", str(target)) == 0
+        capsys.readouterr()
+        lines = _body(target)
+        assert lines[0] == "trial,recovered_rho,recovered_phi,err_k1,err_k2"
+        assert len(lines) == 11
+        assert lines[1].split(",")[0] == "0"
+        spec = nfm.parse_state_spec({"kind": "bg", "k": 1.0, "rho": 2.0, "phi": 0.0})
+        summary = nfm.run_trials(spec, noise=0.005, trials=10, seed=1)
+        assert lines == _frozen_trials_csv_lines(summary)
+
+    def test_sector_rows_match_the_frozen_writer(self, capsys, tmp_path):
+        from phasequant import fockreal
+        target = tmp_path / "sectors.csv"
+        assert run_cli("two-mode", "--dim-per-mode", "16", "--out", str(target)) == 0
+        capsys.readouterr()
+        lines = _body(target)
+        assert lines[0] == "n1,n2,sector,irrep_k,irrep_n"
+        assert len(lines) == 1 + 16 * 16
+        assert lines[1 + 2 * 16] == "2,0,2,1.5,0"
+        assert lines == _frozen_sector_table_csv_lines(fockreal.two_mode(16))
+
+    def test_cell_rule(self):
+        assert cli._cell(0.1) == "0.1"
+        assert cli._cell(np.float64(0.1)) == "0.1"
+        assert cli._cell(np.float32(0.5)) == "0.5"
+        assert cli._cell(np.longdouble(1.5)) == "1.5"
+        assert cli._cell(-0.0) == "-0.0" and cli._cell(float("nan")) == "nan"
+        assert cli._cell(3) == "3" and cli._cell(np.int64(3)) == "3"
+        assert cli._cell("BOUNDED") == "BOUNDED"
+
+    def test_jsonable_unwraps_numpy(self):
+        value = cli._jsonable({"a": np.array([0.5, np.nan]), "b": np.longdouble(0.25),
+                               "c": np.int64(7), "d": (np.float64(1.0), None)})
+        assert value == {"a": [0.5, None], "b": 0.25, "c": 7, "d": [1.0, None]}
+        assert type(value["b"]) is float and type(value["c"]) is int
 
 
 class TestDeterminism:

@@ -19,7 +19,6 @@ from phasequant.fockreal import (
     h2_curve,
     hp_generators,
     hp_phase_ops,
-    sector_table_csv_lines,
     squared_boson,
     two_mode,
 )
@@ -401,13 +400,6 @@ def test_two_mode_interior_commutators(mode16):
     assert float(np.max(np.abs((kp @ km - km @ kp + 2.0 * k3)[win]))) < 1e-12
     d3 = np.diag(k3)
     assert float(np.max(np.abs((d3[:, None] * kp - kp * d3[None, :] - kp)[win]))) < 1e-12
-
-
-def test_two_mode_csv(mode16):
-    lines = sector_table_csv_lines(mode16)
-    assert lines[0] == "n1,n2,sector,irrep_k,irrep_n"
-    assert len(lines) == 1 + 16 * 16
-    assert lines[1 + 2 * 16] == "2,0,2,1.5,0"
 
 
 def test_two_mode_commutator_check_fires(monkeypatch):

@@ -35,7 +35,6 @@ from phasequant.nfm import (
     run_trials,
     simulate_and_reconstruct,
     state_truth,
-    trials_csv_lines,
     trials_json_summary,
 )
 from phasequant.repalg import RepLabel, build_k3, build_kminus, build_kplus
@@ -456,12 +455,8 @@ def test_trials_flat_statistics():
     assert s.phi_mean is None and s.phi_std is None
 
 
-def test_trials_csv_and_json():
+def test_trials_json_summary():
     s = run_trials(BGStateSpec(k=1.0, z=2.0), noise=0.005, trials=10, seed=1)
-    lines = trials_csv_lines(s)
-    assert lines[0] == "trial,recovered_rho,recovered_phi,err_k1,err_k2"
-    assert len(lines) == 11
-    assert lines[1].split(",")[0] == "0"
     summary = trials_json_summary(s)
     assert summary["state"] == {"kind": "bg", "k": 1.0, "rho": 2.0, "phi": 0.0}
     assert summary["trials"] == 10 and summary["seed"] == 1

@@ -50,6 +50,13 @@ def test_f_coeff_values():
         assert f_coeff(k, 0) == 0.0
 
 
+def test_f_coeff_keeps_tiny_k_at_n_one():
+    # k + (1 - 1), not (k + 1) - 1, which rounds to 0 for k below ~1e-16
+    value = f_coeff(1e-20, 1)
+    assert math.isfinite(value)
+    assert value == pytest.approx(math.sqrt(2e-20) * 1e20, rel=1e-15)
+
+
 def test_f_coeff_domain():
     with pytest.raises(DomainError):
         f_coeff(0.0, 1)
