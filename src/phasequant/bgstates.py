@@ -74,6 +74,9 @@ __all__ = [
 ]
 
 _ROUTE_TOL = 1e-10
+# the smallest k whose Bessel order 2k - 1 does not round to -1: below it
+# every state's normalization I_{2k-1} is taken at an order outside nu > -1
+_K_MIN = math.nextafter(2.0 ** -55, math.inf)
 _SUP_TOL = 1e-9
 
 
@@ -172,9 +175,16 @@ def make_bg_state(k: float, z: complex, dim: int | None = None,
     With dim omitted, the smallest adequate dimension is chosen; an explicit
     dim smaller than that raises.  The lowering-operator eigenvalue relation
     is verified row by row on the interior before the state is returned.
+    k below about 2.78e-17 raises ``DomainError``: there the Bessel order
+    2k - 1 of the normalization rounds to -1.
     """
     if not k > 0.0:
         raise DomainError(f"make_bg_state requires k > 0, got {k}")
+    if not k >= _K_MIN:
+        raise DomainError(
+            f"make_bg_state requires k >= {_K_MIN!r}, got k={k!r}: below it "
+            "the Bessel order 2k - 1 rounds to -1"
+        )
     if not tail_tol > 0.0:
         raise DomainError(f"make_bg_state requires tail_tol > 0, got {tail_tol}")
     z = complex(z)
@@ -261,7 +271,7 @@ def overlap(s1: BGState, s2: BGState) -> complex:
     if m >= 1:
         rr = s1.rho * s2.rho
         first_missing = (
-            abs(s1.coeffs[m - 1]) * abs(s2.coeffs[m - 1]) * rr / (m * (2.0 * k + m - 1.0))
+            abs(s1.coeffs[m - 1]) * abs(s2.coeffs[m - 1]) * rr / (m * (2.0 * k + (m - 1.0)))
         )
         decay = rr / ((m + 1.0) * (2.0 * k + m))
         if decay < 1.0:
@@ -342,7 +352,11 @@ def completeness_check(k: float, n: int, rho_max: float = 60.0,
 
 
 def b_ratio(k: float, rho: float) -> float:
-    """I_{2k}(2 rho) / I_{2k-1}(2 rho), the mean-occupation ratio; 0 at rho=0."""
+    """I_{2k}(2 rho) / I_{2k-1}(2 rho), the mean-occupation ratio; 0 at rho=0.
+
+    Raises ``DomainError`` where I_{2k-1}(2 rho) underflows (large k at
+    moderate rho, e.g. k = 123.456 at rho = 2.5).
+    """
     if not k > 0.0:
         raise DomainError(f"b_ratio requires k > 0, got {k}")
     if rho < 0.0:
@@ -351,7 +365,13 @@ def b_ratio(k: float, rho: float) -> float:
         # leading series behavior; relative error O(rho^2), and the direct
         # quotient would underflow to 0/0 for extreme orders at tiny rho
         return rho / (2.0 * k)
-    return bessel_i_scaled(2.0 * k, 2.0 * rho) / bessel_i_scaled(2.0 * k - 1.0, 2.0 * rho)
+    below = bessel_i_scaled(2.0 * k - 1.0, 2.0 * rho)
+    if below == 0.0:
+        raise DomainError(
+            f"b_ratio: I_{{2k-1}}(2 rho) underflows at k={k!r}, rho={rho!r}, "
+            "so the ratio I_2k/I_{2k-1} is out of double range"
+        )
+    return bessel_i_scaled(2.0 * k, 2.0 * rho) / below
 
 
 def _padded_coeffs(state: BGState, minimum: int = 2) -> np.ndarray:
@@ -393,9 +413,10 @@ def _phase_tol(state: BGState) -> float:
     # The omitted ones among themselves add about rho^2 |c|^2 / edge, since
     # ||cos|| < 1.1 and the omitted norms fall at least geometrically.
     d, k, rho = state.dim, state.k, state.rho
-    edge = d * (2.0 * k + d - 1.0)
+    # (d - 1.0) first, so that at dim 1 a tiny k is not rounded away
+    edge = d * (2.0 * k + (d - 1.0))
     last = abs(complex(state.coeffs[-1])) ** 2
-    coupling = 0.5 * (1.0 / (k + d) + 1.0 / (k + d - 1.0))
+    coupling = 0.5 * (1.0 / (k + d) + 1.0 / (k + (d - 1.0)))
     return max(_ROUTE_TOL, 10.0 * last * rho * (coupling + rho / edge))
 
 

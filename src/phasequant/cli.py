@@ -180,7 +180,12 @@ def _emit(args: argparse.Namespace, csv_rows: list[str], json_payload: dict,
 def _cmd_repr(args) -> tuple[int, str]:
     label = RepLabel(k=args.k, omega=_OMEGA[args.omega])
     op = _BUILDERS[args.name](label, args.dim)
-    _emit(args, repalg.csv_lines(op), repalg.json_envelope(op), args.out)
+    # a 256-state operator is 65 536 cells: serialize only the format written
+    if args.out is not None:
+        if args.format == "json":
+            _emit(args, [], repalg.json_envelope(op), args.out)
+        else:
+            _emit(args, repalg.csv_lines(op), {}, args.out)
     return 0, (
         f"{args.name} k={args.k!r} dim={args.dim} bandwidth={op.bandwidth}"
         + (f" -> {args.out}" if args.out else "")

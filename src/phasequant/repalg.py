@@ -22,6 +22,13 @@ to commutator residuals, which at dim = 256 is ~1e-11 and would drown the
 algebra checks; 80-bit storage pushes that floor below 1e-13.  Products are
 formed diagonal by diagonal, which both respects the extended width (BLAS
 would silently downcast) and is far cheaper than dense multiplication.
+
+The serializers ``csv_lines`` and ``json_envelope`` write the full dense
+matrix but read only the diagonals: each row starts as a copy of one
+prebuilt row of zero cells (in the JSON envelope, whose cells are
+``(re, im)`` tuples, every one is the same shared ``(0.0, 0.0)``) and the
+band is written over it, so no dense matrix is built.  Their text is the
+same as formatting the dense matrix entry by entry.
 """
 
 from __future__ import annotations
@@ -406,6 +413,19 @@ def ladder_norm(k: float, n: int) -> float:
     return math.exp(ladder_log_norm(k, n))
 
 
+def _band_rows(op: TruncatedOperator, background: list, cell) -> list[list]:
+    # the matrix as one list per row, each a copy of background with every
+    # stored entry (i, j) replaced by cell(j, re, im) at double precision,
+    # signed zeros kept; no dense array is formed
+    rows = [background.copy() for _ in range(op.dim)]
+    for d, vec in op.diagonals.items():
+        z = vec.astype(np.complex128)
+        for t, (re, im) in enumerate(zip(z.real.tolist(), z.imag.tolist())):
+            i = t + max(0, -d)
+            rows[i][i + d] = cell(i + d, re, im)
+    return rows
+
+
 def csv_lines(op: TruncatedOperator) -> list[str]:
     """Row-major CSV serialization with header ``i,j,re,im``.
 
@@ -414,35 +434,31 @@ def csv_lines(op: TruncatedOperator) -> list[str]:
     entries outside the band written ``0.0,0.0`` and signed zeros kept.
     Only the stored diagonals are formatted; no dense matrix is built.
     """
-    dim = op.dim
-    values = ["0.0,0.0"] * (dim * dim)
-    for d, vec in op.diagonals.items():
-        z = vec.astype(np.complex128)
-        # entry (i, i+d) sits at flat index i*dim + i + d: a stride of dim+1
-        first = max(0, -d) * dim + max(0, d)
-        values[first:first + z.size * (dim + 1):dim + 1] = [
-            f"{re!r},{im!r}" for re, im in zip(z.real.tolist(), z.imag.tolist())
-        ]
-    cols = [f"{j}," for j in range(dim)]
+    rows = _band_rows(op, [f"{j},0.0,0.0" for j in range(op.dim)],
+                      lambda j, re, im: f"{j},{re!r},{im!r}")
     lines = ["i,j,re,im"]
-    for i in range(dim):
-        row = f"{i},"
-        lines += [row + c + v for c, v in zip(cols, values[i * dim:(i + 1) * dim])]
+    for i, row in enumerate(rows):
+        # one join and one split per row, both in C, instead of a
+        # concatenation per entry
+        lines += (f"{i}," + f"\n{i},".join(row)).split("\n")
     return lines
 
 
 def json_envelope(op: TruncatedOperator) -> dict:
     """JSON-ready envelope {k, dim, omega, name, entries}.
 
-    Complex values are encoded as [re, im] pairs of Python floats at double
-    precision; entries are the dense matrix, row-major.  ``json.dumps`` of
-    the envelope is stable: the same bytes as formatting entry by entry.
+    ``entries`` is the matrix row-major: one list per row, each cell an
+    immutable ``(re, im)`` tuple of Python floats at double precision with
+    signed zeros kept.  Off-band cells all share one ``(0.0, 0.0)`` tuple,
+    which is exact because an entry off the band is always +0.0.  Only the
+    stored diagonals are read; no dense matrix is built.  ``json.dumps``
+    writes a tuple as an array, so the text is the same as formatting entry
+    by entry.
     """
-    ent = _densify(op.diagonals, op.dim, np.complex128)
     return {
         "k": op.k,
         "dim": op.dim,
         "omega": [complex(op.omega).real, complex(op.omega).imag],
         "name": op.name,
-        "entries": ent.view(np.float64).reshape(op.dim, op.dim, 2).tolist(),
+        "entries": _band_rows(op, [(0.0, 0.0)] * op.dim, lambda j, re, im: (re, im)),
     }

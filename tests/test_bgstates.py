@@ -288,6 +288,21 @@ def test_b_ratio_tanh_oracle():
         assert rel_err(b_ratio(0.25, rho), math.tanh(2.0 * rho)) < 1e-13
 
 
+def test_b_ratio_refuses_an_underflowed_denominator():
+    assert bessel_i_scaled(2.0 * 123.456 - 1.0, 5.0) == 0.0
+    with pytest.raises(DomainError, match=r"k=123\.456, rho=2\.5"):
+        b_ratio(123.456, 2.5)
+
+
+def test_make_bg_state_refuses_k_whose_order_rounds_to_minus_one():
+    k_min = bgstates._K_MIN
+    assert 2.0 * k_min - 1.0 > -1.0
+    assert 2.0 * math.nextafter(k_min, 0.0) - 1.0 == -1.0
+    with pytest.raises(DomainError, match="got k=1e-20"):
+        make_bg_state(1e-20, 1e-300)
+    assert make_bg_state(k_min, 1e-300).dim == 1
+
+
 def test_b_ratio_values_and_slope():
     assert rel_err(b_ratio(1.0, 50.0), B_AT_1_50) < 1e-12
     assert b_ratio(1.0, 0.0) == 0.0

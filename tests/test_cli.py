@@ -217,6 +217,25 @@ class TestValidationErrors:
         assert run_cli("coherent", "--k", "0.01", "--rho", "5e-324", "--phi", "0.3") in (0, 1)
         capsys.readouterr()
 
+    @pytest.mark.parametrize("k, rho, named", [
+        # I_{2k-1}(2 rho) underflows to 0 in the mean-occupation ratio
+        ("123.456", "2.5", ("k=123.456", "rho=2.5")),
+        # 2k - 1 rounds to -1: the message gives k and the smallest accepted k
+        ("1e-20", "1e-300", ("k=1e-20", "k >= 2.775557561562892e-17")),
+    ])
+    def test_coherent_out_of_range_is_one_error_line(self, capsys, k, rho, named):
+        assert run_cli("coherent", "--k", k, "--rho", rho, "--phi", "0.3") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and "ln_bessel_i" not in err
+        assert all(text in err for text in named)
+
+    def test_coherent_at_the_smallest_accepted_k(self, capsys):
+        # dim 1: the phase tolerance forms k + (dim - 1), not (k + dim) - 1
+        assert run_cli("coherent", "--k", "2.775557561562892e-17", "--rho", "1e-300",
+                       "--phi", "0.3") == 0
+        assert "dim=1" in capsys.readouterr().out
+
     def test_failed_run_leaves_no_output_file(self, capsys, tmp_path):
         target = tmp_path / "never.csv"
         code = run_cli("completeness", "--k", "0.25", "--n", "0",
@@ -249,6 +268,19 @@ class TestReprOutput:
         assert data["_meta"].startswith("phasequant v")
         assert data["dim"] == 3
         assert data["entries"][0][0] == [1.0, 0.0]
+
+    @pytest.mark.parametrize("fmt, unused", [("csv", ["json_envelope"]),
+                                             ("json", ["csv_lines"]),
+                                             (None, ["csv_lines", "json_envelope"])])
+    def test_serializes_only_what_it_writes(self, capsys, tmp_path, monkeypatch, fmt, unused):
+        def refuse(op):
+            raise AssertionError("serialized a format that is not written")
+
+        for name in unused:
+            monkeypatch.setattr(repalg, name, refuse)
+        flags = [] if fmt is None else ["--format", fmt, "--out", str(tmp_path / f"op.{fmt}")]
+        assert run_cli("repr", "--k", "0.5", "--dim", "4", *flags) == 0
+        capsys.readouterr()
 
     def test_stdout_summary_without_out(self, capsys):
         assert run_cli("repr", "--k", "2.0", "--dim", "8") == 0
@@ -324,7 +356,8 @@ class TestAnalysisCommands:
         # relative, and the n = 1 coupling keeps k against n - 1 = 0
         assert run_cli("ground-variance", "--k", k) == 0
         assert run_cli("phase-spectrum", "--k", k, "--dim", "6") == 0
-        # below ~1e-16 the Bessel order 2k - 1 of a coherent state rounds to -1
+        # below ~2.8e-17 the Bessel order 2k - 1 of a coherent state rounds to -1
+        # and coherent refuses the k (TestValidationErrors)
         if float(k) > 1e-16:
             assert run_cli("coherent", "--k", k, "--rho", "1e-300", "--phi", "0.3") == 0
         capsys.readouterr()

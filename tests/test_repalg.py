@@ -354,9 +354,9 @@ _SERIALIZED = [
     (build, omega, dim)
     for build in (build_k3, build_kplus, build_kminus, build_k1, build_k2)
     for omega in (1.0, 1j, cmath.exp(1.3j))
-    for dim in (1, 2, 3, 17)
+    for dim in (1, 2, 3, 17, 64)
     if build is build_k3 or dim >= 2
-]
+] + [(build_k1, cmath.exp(-2.1j), 256)]  # the benchmark's size
 
 
 @pytest.mark.parametrize("build, omega, dim", _SERIALIZED)
@@ -366,6 +366,32 @@ def test_serializers_byte_identical_to_entrywise_format(build, omega, dim):
     env = json_envelope(op)
     assert json.dumps(env["entries"]) == json.dumps(_frozen_json_entries(op))
     assert all(type(x) is float for row in env["entries"] for pair in row for x in pair)
+
+
+def test_json_cells_are_immutable_float_pairs():
+    # K- at omega = -1 carries imaginary parts -0.0 on its band
+    op = build_kminus(RepLabel(k=1.0, omega=-1.0), 5)
+    rows = json_envelope(op)["entries"]
+    assert len(rows) == 5 and len({id(row) for row in rows}) == 5
+    assert all(type(row) is list and len(row) == 5 for row in rows)
+    assert all(type(cell) is tuple and len(cell) == 2
+               and all(type(x) is float for x in cell) for row in rows for cell in row)
+    # a shared off-band cell cannot be changed through one row
+    with pytest.raises(TypeError):
+        rows[1][0][0] = 1.0
+    assert all(math.copysign(1.0, rows[i][i + 1][1]) == -1.0 for i in range(4))
+    assert math.copysign(1.0, rows[0][0][1]) == 1.0
+
+
+def test_serializers_never_densify(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("dense matrix built")
+
+    op = build_k1(RepLabel(k=0.75, omega=cmath.exp(0.4j)), 32)
+    monkeypatch.setattr(TruncatedOperator, "entries", property(refuse))
+    monkeypatch.setattr("phasequant.repalg._densify", refuse)
+    csv_lines(op)
+    json_envelope(op)
 
 
 def test_csv_lines_keep_signed_zeros():
