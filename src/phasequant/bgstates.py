@@ -37,6 +37,7 @@ from .errors import (
     DimensionMismatchError,
     DomainError,
     TruncationError,
+    check_route,
 )
 from .phaseops import build_phase_ops
 from .repalg import RepLabel, banded_matvec, build_k1, build_k2
@@ -97,6 +98,8 @@ class BGState:
     def __post_init__(self) -> None:
         if not self.k > 0.0:
             raise DomainError(f"BGState requires k > 0, got {self.k}")
+        if self.k == math.inf:
+            raise DomainError(f"BGState requires a finite k, got {self.k}")
         if self.dim < 1:
             raise DomainError(f"BGState requires dim >= 1, got {self.dim}")
         if self.coeffs.shape != (self.dim,):
@@ -180,6 +183,8 @@ def make_bg_state(k: float, z: complex, dim: int | None = None,
     """
     if not k > 0.0:
         raise DomainError(f"make_bg_state requires k > 0, got {k}")
+    if k == math.inf:
+        raise DomainError(f"make_bg_state requires a finite k, got {k}")
     if not k >= _K_MIN:
         raise DomainError(
             f"make_bg_state requires k >= {_K_MIN!r}, got k={k!r}: below it "
@@ -219,8 +224,8 @@ def make_bg_state(k: float, z: complex, dim: int | None = None,
     # interior rows of (K- - z) coeffs vanish identically; rounding only
     sub = np.sqrt((np.arange(1, dim)) * (2.0 * k + np.arange(dim - 1)))
     interior = sub * coeffs[1:] - z * coeffs[:-1]
-    if dim > 1 and float(np.max(np.abs(interior))) > 1e-12 * (1.0 + rho):
-        raise TruncationError("coherent-state coefficients fail the eigenvalue relation")
+    check_route("coherent-state coefficients and K- c = z c", np.max(np.abs(interior), initial=0.0),
+                1e-12 * (1.0 + rho), context=f"at k={k}, z={z}")
     return state
 
 
@@ -296,10 +301,7 @@ def overlap(s1: BGState, s2: BGState) -> complex:
         closed = series * math.exp(ln_pref)
 
     tol = max(_ROUTE_TOL * max(1.0, abs(closed)), 4.0 * cross_tail)
-    if abs(summed - closed) > tol:
-        raise TruncationError(
-            f"overlap routes disagree by {abs(summed - closed):.3e} at k={k}"
-        )
+    check_route("overlap routes", abs(summed - closed), tol, context=f"at k={k}")
     return summed
 
 
@@ -331,11 +333,9 @@ def moment_integral(k: float, n: int, rho_max: float = 60.0,
     # integrand ~ e^{-2 rho} polynomial: geometric tail from the endpoint value
     tail = float(integrand(np.array([rho_max]))[0]) / (2.0 - power / rho_max)
     total = value + tail
-    if abserr + tail > max(quadrature_tol * abs(total), 1e-15):
-        raise ConvergenceError(
-            f"moment quadrature at k={k}, n={n}: error {abserr + tail:.3e} "
-            f"exceeds tol {quadrature_tol}"
-        )
+    bound = max(quadrature_tol * abs(total), 1e-15)
+    check_route("moment quadrature step halvings", abserr + tail, bound, ConvergenceError,
+                context=f"at k={k}, n={n}")
     return total
 
 
@@ -384,14 +384,6 @@ def _padded_coeffs(state: BGState, minimum: int = 2) -> np.ndarray:
     return c
 
 
-def _route_check(closed: float, summed: float, tol: float, what: str) -> None:
-    if abs(closed - summed) > tol * max(1.0, abs(closed)):
-        raise TruncationError(
-            f"{what}: closed form {closed!r} and truncated sum {summed!r} "
-            f"disagree beyond {tol:.1e}"
-        )
-
-
 def _moment_tol(state: BGState) -> float:
     # The routes over the stored coefficients lose what couples the last one,
     # c = c_{dim-1}, to the omitted ones.  By the recursion the first omitted
@@ -438,10 +430,14 @@ def k3_moments(state: BGState) -> K3Moments:
     mean_s = float(np.sum(p * levels))
     second_s = float(np.sum(p * levels * levels))
     tol = _moment_tol(state)
-    _route_check(mean, mean_s, tol, "K3 mean")
-    _route_check(second, second_s, tol, "K3 second moment")
-    # summed about the mean: second_s - mean_s^2 would cancel ~rho^2 digits
-    _route_check(variance, float(np.sum(p * (levels - mean_s) ** 2)), tol, "K3 variance")
+    # the variance summed about the mean: second_s - mean_s^2 would cancel
+    # ~rho^2 digits
+    for what, closed, summed in (
+        ("K3 mean", mean, mean_s), ("K3 second moment", second, second_s),
+        ("K3 variance", variance, float(np.sum(p * (levels - mean_s) ** 2))),
+    ):
+        check_route(f"{what}: closed form and truncated sum", abs(closed - summed),
+                    tol * max(1.0, abs(closed)), context=f"({closed!r} vs {summed!r})")
     return K3Moments(mean=mean, second=second, variance=variance, b_k=b)
 
 
@@ -470,11 +466,12 @@ def k12_moments(state: BGState) -> K12Moments:
         ("K2", build_k2, mean_k2, second_k2),
     ):
         applied = banded_matvec(build(label, c.size).diagonals, c)
-        _route_check(closed_mean, float(np.real(np.vdot(c, applied))), tol, f"{name} mean")
-        _route_check(
-            closed_second, float(np.real(np.vdot(applied, applied))), tol,
-            f"{name} second moment",
-        )
+        for what, closed, summed in (
+            ("mean", closed_mean, float(np.real(np.vdot(c, applied)))),
+            ("second moment", closed_second, float(np.real(np.vdot(applied, applied)))),
+        ):
+            check_route(f"{name} {what}: closed form and truncated sum", abs(closed - summed),
+                        tol * max(1.0, abs(closed)), context=f"({closed!r} vs {summed!r})")
     return K12Moments(
         mean_k1=mean_k1, mean_k2=mean_k2, second_k1=second_k1,
         second_k2=second_k2, var_k1=var, var_k2=var,
@@ -546,15 +543,12 @@ def g_k(k: float, rho: float) -> float:
     scaled = _phase_weight_sums(k, rho)[0]
 
     quad_scaled, err = _g_quadrature(k, rho)
-    if not err <= _ROUTE_TOL * quad_scaled:
-        raise ConvergenceError(
-            f"g_k quadrature at k={k}, rho={rho}: error {err:.3e} of {quad_scaled:.3e}"
-        )
-    if abs(scaled - quad_scaled) > _ROUTE_TOL * max(abs(scaled), abs(quad_scaled), 1e-280):
-        raise TruncationError(
-            f"g_k routes disagree at k={k}, rho={rho}: "
-            f"{scaled!r} (series) vs {quad_scaled!r} (quadrature)"
-        )
+    where = f"at k={k}, rho={rho}"
+    check_route("g_k quadrature step halvings", err,
+                _ROUTE_TOL * quad_scaled, ConvergenceError, context=where)
+    check_route("g_k series and quadrature routes", abs(scaled - quad_scaled),
+                _ROUTE_TOL * max(abs(scaled), abs(quad_scaled), 1e-280),
+                context=f"{where} ({scaled!r} vs {quad_scaled!r})")
     return scaled * math.exp(2.0 * rho)
 
 
@@ -597,10 +591,10 @@ def phase_expectations(state: BGState) -> PhaseExpectations:
     c = _padded_coeffs(state)
     pair = build_phase_ops(RepLabel(k=k), c.size)
     tol = _phase_tol(state)
-    cos_s = float(np.real(np.vdot(c, banded_matvec(pair.cos_op.diagonals, c))))
-    sin_s = float(np.real(np.vdot(c, banded_matvec(pair.sin_op.diagonals, c))))
-    _route_check(cos_mean, cos_s, tol, "cos expectation")
-    _route_check(sin_mean, sin_s, tol, "sin expectation")
+    for name, closed, op in (("cos", cos_mean, pair.cos_op), ("sin", sin_mean, pair.sin_op)):
+        summed = float(np.real(np.vdot(c, banded_matvec(op.diagonals, c))))
+        check_route(f"{name} expectation: closed form and truncated sum", abs(closed - summed),
+                    tol * max(1.0, abs(closed)), context=f"({closed!r} vs {summed!r})")
 
     if cos_mean != 0.0:
         tan = sin_mean / cos_mean

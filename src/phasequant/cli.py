@@ -136,21 +136,18 @@ def _dict_rows(records: list[dict]) -> list[str]:
     return _csv_rows(records[0], (record.values() for record in records))
 
 
+def _numpy_value(value):
+    # json.dumps default for numpy values; a numpy float64 is a float already
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return float(value) if isinstance(value, np.floating) else value.item()
+
+
 def _jsonable(value):
     # plain JSON values: numpy scalars and arrays become Python ones, and NaN
     # becomes null rather than the nonstandard NaN token
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        return None if math.isnan(value) else value
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, dict):
-        return {key: _jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    return value
+    return json.loads(json.dumps(value, default=_numpy_value),
+                      parse_constant=lambda token: None if token == "NaN" else float(token))
 
 
 def _csv_text(args: argparse.Namespace, rows: list[str]) -> str:
@@ -158,9 +155,15 @@ def _csv_text(args: argparse.Namespace, rows: list[str]) -> str:
 
 
 def _json_text(args: argparse.Namespace, payload: dict) -> str:
-    document = {"_meta": _meta(args)}
-    document.update(_jsonable(payload))
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    document = {"_meta": _meta(args), **payload}
+    try:
+        # plain values, such as an operator's 65 536 cells, are not walked again
+        text = json.dumps(document, sort_keys=True, indent=2, allow_nan=False,
+                          default=_numpy_value)
+    except ValueError:
+        # a NaN or an infinity: _jsonable writes NaN as null
+        text = json.dumps(_jsonable(document), sort_keys=True, indent=2)
+    return text + "\n"
 
 
 def _emit(args: argparse.Namespace, csv_rows: list[str], json_payload: dict,

@@ -1,6 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one route-check rule."""
 
 __all__ = [
+    "check_route",
     "DomainError",
     "ConvergenceError",
     "DimensionMismatchError",
@@ -32,3 +33,13 @@ class DegenerateReadingError(ValueError):
 
 class InconsistentDataError(ValueError):
     """Input data violate the model assumed by the estimator."""
+
+
+def check_route(site: str, deviation: float, tol: float, error=TruncationError, context="") -> None:
+    """Raise ``error`` unless two routes agree: deviation <= tol, so NaN fails.
+
+    Every dual-route comparison in the package ends here.  ``site`` names the
+    routes as the subject of "disagree"; ``context`` ends the message.
+    """
+    if not deviation <= tol:
+        raise error(f"{site} disagree by {deviation:.3e} (tolerance {tol:.3e}) {context}".rstrip())

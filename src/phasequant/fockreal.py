@@ -28,7 +28,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DomainError, InconsistentDataError, TruncationError
+from .errors import DomainError, InconsistentDataError, TruncationError, check_route
 from .repalg import (
     RepLabel,
     TruncatedOperator,
@@ -179,12 +179,6 @@ class TwoModeOps:
     dim_per_mode: int
 
 
-def _agree(mine, ref, what: str, tol: float = _MATCH_TOL) -> None:
-    gap = band_gap(mine, ref)
-    if gap > tol:
-        raise InconsistentDataError(f"{what}: builds disagree by {gap:.3e}")
-
-
 def _frozen(bands: dict) -> MappingProxyType:
     for vec in bands.values():
         vec.setflags(write=False)
@@ -209,6 +203,8 @@ def hp_generators(k: float, dim: int) -> HPGenerators:
     """
     if not k > 0.0:
         raise DomainError(f"hp_generators requires k > 0, got {k}")
+    if k == math.inf:
+        raise DomainError(f"hp_generators requires a finite k, got {k}")
     if dim < 2:
         raise DomainError(f"hp_generators requires dim >= 2, got {dim}")
     n = np.arange(dim, dtype=np.longdouble)
@@ -217,9 +213,10 @@ def hp_generators(k: float, dim: int) -> HPGenerators:
     kp, km, k3 = {-1: amp}, {1: amp}, {0: n + np.longdouble(k)}
 
     label = RepLabel(k=k)
-    _agree(kp, build_kplus(label, dim).diagonals, "dressed raising vs abstract")
-    _agree(km, build_kminus(label, dim).diagonals, "dressed lowering vs abstract")
-    _agree(k3, build_k3(label, dim).diagonals, "dressed compact vs abstract")
+    for what, mine, build in (("raising", kp, build_kplus), ("lowering", km, build_kminus),
+                              ("compact", k3, build_k3)):
+        gap = band_gap(mine, build(label, dim).diagonals)
+        check_route(f"dressed {what} vs abstract: builds", gap, _MATCH_TOL, InconsistentDataError)
     return HPGenerators(
         kp=TruncatedOperator(dim, k, kp),
         km=TruncatedOperator(dim, k, km),
@@ -267,11 +264,12 @@ def _hp_phase_ops(gens: HPGenerators) -> HPPhaseOps:
     # F a has entries (n, n+1) = F(n) sqrt(n+1)
     cos_band, sin_band = _cos_sin(f_diag[:-1] * np.sqrt(n[1:]))
 
-    _agree(cos_sym, cos_band, "cos: symmetrized vs band profile")
-    _agree(sin_sym, sin_band, "sin: symmetrized vs band profile")
     pair = build_phase_ops(RepLabel(k=k), dim)
-    _agree(cos_band, pair.cos_op.diagonals, "cos vs abstract pair")
-    _agree(sin_band, pair.sin_op.diagonals, "sin vs abstract pair")
+    for name, sym, band, op in (("cos", cos_sym, cos_band, pair.cos_op),
+                                ("sin", sin_sym, sin_band, pair.sin_op)):
+        for what, gap in (("symmetrized vs band profile", band_gap(sym, band)),
+                          ("band profile vs abstract pair", band_gap(band, op.diagonals))):
+            check_route(f"{name}: {what}: builds", gap, _MATCH_TOL, InconsistentDataError)
 
     f_diag.setflags(write=False)
     return HPPhaseOps(diagonals=MappingProxyType({"cos_op": cos_band, "sin_op": sin_band}),
@@ -318,6 +316,8 @@ def alpha_expectations(k: float, alpha: complex, dim: int | None = None) -> Alph
     """
     if not k > 0.0:
         raise DomainError(f"alpha_expectations requires k > 0, got {k}")
+    if k == math.inf:
+        raise DomainError(f"alpha_expectations requires a finite k, got {k}")
     alpha = complex(alpha)
     r = abs(alpha)
     beta = cmath.phase(alpha)
@@ -367,11 +367,8 @@ def alpha_expectations(k: float, alpha: complex, dim: int | None = None) -> Alph
         ("sin mean", sin_mean, float(np.real(_expect(phase.diagonals["sin_op"], c)))),
     )
     for what, closed, summed in pairs:
-        if abs(closed - summed) > _ROUTE_TOL * max(1.0, abs(closed)):
-            raise TruncationError(
-                f"{what}: closed form {closed!r} and matrix value {summed!r} "
-                f"disagree beyond {_ROUTE_TOL:.1e}"
-            )
+        check_route(f"{what}: closed form and matrix value", abs(closed - summed),
+                    _ROUTE_TOL * max(1.0, abs(closed)), context=f"({closed!r} vs {summed!r})")
     return AlphaExpectations(
         mean_k1=mean_k1, mean_k2=mean_k2, mean_k3=mean_k3,
         h1=h1, h2=h2, cos_mean=cos_mean, sin_mean=sin_mean,
@@ -384,10 +381,13 @@ def h2_curve(k: float, r_values) -> np.ndarray:
     One shared term table serves every radius: the Poisson weights
     exp(2n ln r - ln n! - r^2), cut where every radius' weights have fallen
     below 1e-18 of their largest, are summed against
-    sqrt(n+2k) (1/(n+k) + 1/(n+k+1)) and scaled by r/2.
+    sqrt(n+2k) (1/(n+k) + 1/(n+k+1)) and scaled by r/2.  A k whose 2k
+    overflows raises DomainError.
     """
     if not k > 0.0:
         raise DomainError(f"h2_curve requires k > 0, got {k}")
+    if not 2.0 * k < math.inf:
+        raise DomainError(f"h2_curve requires a finite 2k, got k={k!r}")
     r = np.asarray(r_values, dtype=np.float64)
     if r.ndim != 1 or r.size == 0:
         raise DomainError("h2_curve needs a nonempty 1-d radius grid")
@@ -413,6 +413,18 @@ def _sector(bands, start: int, stride: int, size: int) -> dict:
             for d, v in bands.items() if d % stride == 0 and abs(d) // stride < size}
 
 
+def _check_sectors(kp, km, k3, sectors, stride: int, size: int, sector_k: float) -> None:
+    # each (name, start) block of kp, km, k3 (size indices, stride apart)
+    # against one abstract build at sector_k
+    label = RepLabel(k=sector_k)
+    for what, bands, build in (("raising", kp, build_kplus), ("lowering", km, build_kminus),
+                               ("compact", k3, build_k3)):
+        ref = build(label, size).diagonals
+        for name, start in sectors:
+            gap = band_gap(_sector(bands, start, stride, size), ref)
+            check_route(f"{name} {what}: builds", gap, _MATCH_TOL, InconsistentDataError)
+
+
 def squared_boson(dim: int) -> SquaredBosonOps:
     """kp = (a+)^2/2, km = a^2/2, k3 = (N + 1/2)/2 on one bosonic mode.
 
@@ -429,16 +441,9 @@ def squared_boson(dim: int) -> SquaredBosonOps:
     amp = 0.5 * (root[1:] * root[:-1])
     kp, km, k3 = {-2: amp}, {2: amp}, {0: 0.5 * n + 0.25}
 
-    for start, sector_k in ((0, 0.25), (1, 0.75)):
-        size = len(range(start, dim, 2))
-        label = RepLabel(k=sector_k)
-        parity = "even" if start == 0 else "odd"
-        _agree(_sector(kp, start, 2, size), build_kplus(label, size).diagonals,
-               f"{parity} sector raising")
-        _agree(_sector(km, start, 2, size), build_kminus(label, size).diagonals,
-               f"{parity} sector lowering")
-        _agree(_sector(k3, start, 2, size), build_k3(label, size).diagonals,
-               f"{parity} sector compact")
+    for parity, start, sector_k in (("even", 0, 0.25), ("odd", 1, 0.75)):
+        _check_sectors(kp, km, k3, [(f"{parity} sector", start)], 2,
+                       len(range(start, dim, 2)), sector_k)
 
     return SquaredBosonOps(
         kp=TruncatedOperator(dim, None, kp),
@@ -483,31 +488,22 @@ def two_mode(dim_per_mode: int) -> TwoModeOps:
         for j in range(d)
     )
 
-    for s in range(-(d - 1), d):
-        # the sector starts at (s, 0) or (0, -s) and steps by (1, 1)
-        start = s * d if s > 0 else -s
-        size = d - abs(s)
-        sector_k = 0.5 + abs(s) / 2.0
-        if size == 1:
-            if float(k3[0][start]) != sector_k:
-                raise InconsistentDataError(f"corner sector {s}: bad compact eigenvalue")
-            continue
-        label = RepLabel(k=sector_k)
-        _agree(_sector(kp, start, d + 1, size), build_kplus(label, size).diagonals,
-               f"sector {s} raising")
-        _agree(_sector(km, start, d + 1, size), build_kminus(label, size).diagonals,
-               f"sector {s} lowering")
-        _agree(_sector(k3, start, d + 1, size), build_k3(label, size).diagonals,
-               f"sector {s} compact")
+    # sectors s and -s share k = (1 + |s|)/2 and size d - |s|, so one
+    # abstract build serves both; s starts at (s, 0), -s at (0, s), and
+    # each steps by (1, 1)
+    for m in range(d - 1):
+        sectors = [("sector 0", 0)] if m == 0 else [(f"sector {-m}", m), (f"sector {m}", m * d)]
+        _check_sectors(kp, km, k3, sectors, d + 1, d - m, 0.5 + m / 2.0)
+    for s, start in ((1 - d, d - 1), (d - 1, (d - 1) * d)):
+        check_route(f"corner sector {s}: compact eigenvalue and sector k",
+                    abs(float(k3[0][start]) - (0.5 + (d - 1) / 2.0)), 0.0, InconsistentDataError)
 
     inside = np.maximum(n1, n2) <= d - 2
-    worst = max(
+    check_route("two-mode interior commutators and their algebra values", np.max([
         commutator_gap(kp, km, {0: -2.0 * k3[0]}, d * d, inside),
         commutator_gap(k3, kp, kp, d * d, inside),
         commutator_gap(k3, km, {d + 1: -km[d + 1]}, d * d, inside),
-    )
-    if worst > _COMM_TOL:
-        raise InconsistentDataError(f"two-mode interior commutators off by {worst:.3e}")
+    ]), _COMM_TOL, InconsistentDataError)
 
     return TwoModeOps(
         k3=TruncatedOperator(d * d, None, k3),

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bgstates import k3_moments, k12_moments, make_bg_state
-from .errors import DegenerateReadingError, DomainError, InconsistentDataError
+from .errors import DegenerateReadingError, DomainError, InconsistentDataError, check_route
 
 __all__ = [
     "ClassicalConfig",
@@ -373,14 +373,11 @@ def estimate_k_from_number_state(
             raise DomainError(f"{name} must be finite, got {value!r}")
     if var_k1 <= 0.0 or var_k2 <= 0.0 or k3_mean <= 0.0:
         raise DomainError("variances and the modulus mean must be positive")
-    if abs(var_k1 - var_k2) > tol * max(1.0, abs(var_k1), abs(var_k2)):
-        raise InconsistentDataError(
-            f"component variances differ: {var_k1!r} vs {var_k2!r}"
-        )
-    if abs(k3_sq - k3_mean * k3_mean) > tol * max(1.0, k3_sq):
-        raise InconsistentDataError(
-            "the modulus has nonzero spread, the data is not from a level state"
-        )
+    check_route("component variances", abs(var_k1 - var_k2),
+                tol * max(1.0, abs(var_k1), abs(var_k2)), InconsistentDataError,
+                context=f"({var_k1!r} vs {var_k2!r})")
+    check_route("<K3^2> and <K3>^2", abs(k3_sq - k3_mean * k3_mean), tol * max(1.0, k3_sq),
+                InconsistentDataError, context="(a level state has no modulus spread)")
 
     var = 0.5 * (var_k1 + var_k2)
     half_sum = 2.0 * k3_mean - 1.0
@@ -398,10 +395,10 @@ def estimate_k_from_number_state(
         residual = abs(0.5 * (n * n + 2.0 * n * k + k) - var) / max(1.0, var)
         if best is None or residual < best.residual:
             best = LevelEstimate(n_estimate=n, k_estimate=k, residual=residual)
-    if best is None or best.residual > tol:
-        raise InconsistentDataError(
-            "no nonnegative integer level reproduces the observed variances"
-        )
+    if best is None:
+        raise InconsistentDataError("no nonnegative integer level fits the observed variances")
+    check_route("observed variances and the nearest integer level", best.residual, tol,
+                InconsistentDataError)
     return best
 
 

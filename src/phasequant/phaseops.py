@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TruncationError
+from .errors import DomainError, TruncationError, check_route
 from .repalg import (
     RepLabel,
     TruncatedOperator,
@@ -149,11 +149,8 @@ def build_phase_ops(label: RepLabel, dim: int) -> PhaseOperatorPair:
     # relative to the largest entry max|f|/4 once that passes 1 (k below
     # about 0.16), as the Sturm window scales with max|off|
     tol = _ROUTE_TOL * max(1.0, float(np.max(np.abs(f))) / 4.0)
-    dev = max(band_gap(cos_a, cos_b), band_gap(sin_a, sin_b))
-    if dev > tol:
-        raise TruncationError(
-            f"phase-operator build routes disagree by {dev:.3e} at k={label.k}, dim={dim}"
-        )
+    dev = np.max([band_gap(cos_a, cos_b), band_gap(sin_a, sin_b)])
+    check_route("phase-operator build routes", dev, tol, context=f"at k={label.k}, dim={dim}")
 
     cos_op = TruncatedOperator(
         dim=dim, k=label.k, diagonals=cos_b, name="cos", omega=label.omega,
@@ -169,10 +166,13 @@ def ground_state_variance(k: float) -> float:
 
     Equals f_1^2/16, the matrix diagonal of cos^2 at n = 0; monotone
     decreasing toward 0 for k >= 1 and exceeding 1 as k drops below the
-    k1_bound root.
+    k1_bound root.  k above 1e102, where 8k (k+1)^2 leaves double range,
+    raises DomainError.
     """
     if not k > 0.0:
         raise DomainError(f"ground_state_variance requires k > 0, got {k}")
+    if not k <= 1e102:
+        raise DomainError(f"ground_state_variance requires k <= 1e102, got k={k!r}")
     return (2.0 * k + 1.0) ** 2 / (8.0 * k * (k + 1.0) ** 2)
 
 
@@ -186,8 +186,7 @@ def k1_bound() -> float:
     s = 0.5 * math.sqrt(23.0 / 27.0)
     # both radicands are positive (s < 1/2), so fractional powers suffice
     k = ((0.5 + s) ** (1.0 / 3.0) + (0.5 - s) ** (1.0 / 3.0) - 1.0) / 2.0
-    if abs(ground_state_variance(k) - 1.0) > 1e-12:
-        raise TruncationError("k1_bound closed form failed its root condition")
+    check_route("k1_bound closed form and its root", abs(ground_state_variance(k) - 1.0), 1e-12)
     return k
 
 
@@ -237,7 +236,7 @@ def diagonal_identities(label: RepLabel, dim: int, margin: int = 4) -> DiagonalI
     cut = dim - margin
     dev_comm = np.abs(prod_comm[:cut].imag - comm[:cut])
     dev_ssq = np.abs(prod_ssq[:cut].real - ssq[:cut])
-    residual = float(max(np.max(dev_comm), np.max(dev_ssq)))
+    residual = float(np.max(np.concatenate([dev_comm, dev_ssq])))
     return DiagonalIdentities(commutator_diag=comm, sum_squares_diag=ssq, residual=residual)
 
 
@@ -276,7 +275,7 @@ def _sturm_count(diag: list, off_sq: list, x: float, pivmin: float) -> int:
 
 def _cos_band(pair: PhaseOperatorPair, caller: str) -> np.ndarray:
     # the real off-diagonal of cos_op, once its diagonal is checked to be zero
-    if abs(complex(pair.cos_op.omega).imag) > 1e-13:
+    if not abs(complex(pair.cos_op.omega).imag) <= 1e-13:
         raise DomainError(f"{caller} requires a real omega convention")
     zeros = np.zeros(pair.dim)
     cos = pair.cos_op.diagonals
@@ -353,13 +352,9 @@ def phase_spectrum(pair: PhaseOperatorPair) -> np.ndarray:
     d = np.array([1.0, -1.0j, -1.0, 1.0j])[np.arange(dim) % 4]
     rot_diag = d.conjugate() * sin.get(0, zeros).astype(np.complex128) * d
     rot_off = d[1:].conjugate() * sin.get(-1, zeros[1:]).astype(np.complex128) * d[:-1]
-    gap = max(float(np.max(np.abs(rot_diag))),
-              float(np.max(np.abs(rot_off + off), initial=0.0)))
-    if gap > _ROUTE_TOL:
-        raise TruncationError(
-            f"cos and sin spectra disagree: the rotated sin band is {gap:.3e} "
-            f"off the cos band at k={pair.k}, dim={dim}"
-        )
+    check_route("cos and sin spectra",
+                np.max(np.abs(np.concatenate([rot_diag, rot_off + off]))), _ROUTE_TOL,
+                context=f"(rotated sin band against the cos band) at k={pair.k}, dim={dim}")
 
     t = 1.0 + _VERDICT_TOL
     off_sq, pivmin, delta = _sturm_setup(off)
@@ -449,12 +444,9 @@ def phase_extremes(pair: PhaseOperatorPair, count: int) -> np.ndarray:
         x = _inverse_step(off_list, mu, _EPS * scale)
         x /= np.max(np.abs(x))
         tx = banded_matvec({-1: off, 1: off}, x)
-        residual = float(np.linalg.norm(tx - mu * x) / np.linalg.norm(x))
-        if not residual <= delta:
-            raise TruncationError(
-                f"inverse iteration at the bisected eigenvalue {mu!r} leaves residual "
-                f"{residual:.3e} above {delta:.3e} at k={pair.k}, dim={dim}"
-            )
+        check_route("inverse iteration and bisection",
+                    np.linalg.norm(tx - mu * x) / np.linalg.norm(x), delta,
+                    context=f"at the bisected eigenvalue {mu!r}, k={pair.k}, dim={dim}")
         tops.append(mu)
     return np.array(tops)
 

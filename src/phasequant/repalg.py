@@ -91,7 +91,9 @@ class RepLabel:
     def __post_init__(self) -> None:
         if not self.k > 0.0:
             raise DomainError(f"Bargmann index must be positive, got k={self.k}")
-        if abs(abs(self.omega) - 1.0) > 1e-12:
+        if self.k == math.inf:
+            raise DomainError(f"Bargmann index must be finite, got k={self.k}")
+        if not abs(abs(self.omega) - 1.0) <= 1e-12:
             raise DomainError(f"omega must have unit modulus, got |omega|={abs(self.omega)}")
         if self.group_tag not in GROUP_TAGS:
             raise DomainError(f"group_tag must be one of {GROUP_TAGS}, got {self.group_tag!r}")
@@ -157,6 +159,8 @@ class TruncatedOperator:
             raise DomainError(f"dim must be >= 1, got {self.dim}")
         if self.k is not None and not self.k > 0.0:
             raise DomainError(f"k must be positive, got {self.k}")
+        if self.k == math.inf:
+            raise DomainError(f"k must be finite, got {self.k}")
         complex_kind = any(np.iscomplexobj(v) for v in self.diagonals.values())
         dtype = np.clongdouble if complex_kind else np.longdouble
         diags = {}
@@ -271,9 +275,10 @@ def _densify(diagonals, dim: int, dtype) -> np.ndarray:
 
 
 def band_gap(x, y) -> float:
-    """Entrywise max |x - y| of two diagonal maps; absent diagonals are zero."""
-    return max((float(np.max(np.abs(x.get(d, 0) - y.get(d, 0)))) for d in set(x) | set(y)),
-               default=0.0)
+    """Entrywise max |x - y| of two diagonal maps (absent ones zero); NaN if any is."""
+    gaps = [float(abs(x.get(d, 0) - y.get(d, 0)).max()) for d in set(x) | set(y)]
+    # the built-in max keeps a NaN only where it comes first; the sum keeps it
+    return math.nan if math.isnan(sum(gaps)) else max(gaps, default=0.0)
 
 
 def banded_matmul(a, b, dim: int) -> dict:
@@ -315,15 +320,15 @@ def banded_matvec(a, c: np.ndarray) -> np.ndarray:
 
 
 def commutator_gap(a, b, expected, dim: int, inside: np.ndarray) -> float:
-    """Max |[A, B] - E| over entries (i, j) with inside[i] and inside[j]."""
+    """Max |[A, B] - E| over entries (i, j) with inside[i] and inside[j]; NaN if any is."""
     ab, ba = banded_matmul(a, b, dim), banded_matmul(b, a, dim)
-    worst = 0.0
+    worst = []
     for d in set(ab) | set(ba) | set(expected):
         t = np.arange(dim - abs(d))
         keep = inside[t + max(0, -d)] & inside[t + max(0, d)]
         resid = ab.get(d, 0) - ba.get(d, 0) - expected.get(d, 0)
-        worst = max(worst, float(np.max(np.abs(resid)[keep], initial=0.0)))
-    return worst
+        worst.append(np.max(np.abs(resid)[keep], initial=0.0))
+    return float(np.max(worst, initial=0.0))
 
 
 def casimir(label: RepLabel, dim: int) -> TruncatedOperator:

@@ -47,7 +47,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, check_route
 
 __all__ = [
     "ln_gamma",
@@ -388,13 +388,12 @@ def _k_quad(nu: float, x: np.ndarray, scaled: bool) -> np.ndarray:
         value, err = _trapezoid(integrand, 1.0, 1e-13)
         factor = np.exp(ref) if scaled else np.exp(ref) * np.exp(-x)
         value, err = value * factor, err * factor
-    bad = ~((err <= 1e-8 * np.abs(value)) & np.isfinite(value))
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ConvergenceError(
-            f"K quadrature for nu={nu}, x={x[i]}: "
-            f"estimated error {err[i]:.2e} of {value[i]:.2e}"
-        )
+    # checked at the first failing x; a value that is not finite has a NaN
+    # tolerance, so it fails too
+    tol = np.where(np.isfinite(value), 1e-8 * np.abs(value), np.nan)
+    i = int(np.argmax(~(err <= tol)))
+    check_route("K quadrature step halvings", err[i], tol[i], ConvergenceError,
+                context=f"for nu={nu}, x={x[i]}")
     return value
 
 

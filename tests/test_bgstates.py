@@ -389,12 +389,15 @@ def test_moments_at_tiny_rho(rho):
 
 @pytest.mark.parametrize("moments", [k3_moments, k12_moments])
 def test_moment_checks_fire_at_tiny_rho(monkeypatch, moments):
-    # a dim-1 state's routes differ by about rho, so a 1e-5 shift must show
-    check = bgstates._route_check
-    monkeypatch.setattr(bgstates, "_route_check",
-                        lambda closed, summed, tol, what: check(closed + 1e-5, summed, tol, what))
+    # a dim-1 state's routes differ by about rho, so a 1e-5 shift must show;
+    # |deviation - shift| is the smaller of the two signed shifts
+    state = make_bg_state(1.0, 1e-150 * np.exp(0.3j))
+    check = bgstates.check_route
+    monkeypatch.setattr(bgstates, "check_route",
+                        lambda site, deviation, tol, *args, **kwargs:
+                        check(site, abs(deviation - 1e-5), tol, *args, **kwargs))
     with pytest.raises(TruncationError, match="disagree"):
-        moments(make_bg_state(1.0, 1e-150 * np.exp(0.3j)))
+        moments(state)
 
 
 # ---------------------------------------------------------------------------
@@ -622,10 +625,12 @@ def test_phase_expectations_at_small_rho(monkeypatch, k, rho):
     state = make_bg_state(k, rho * np.exp(0.3j))
     pe = phase_expectations(state)
     assert abs(pe.tan_ratio - math.tan(0.3)) < 1e-14
-    check = bgstates._route_check
+    # |deviation - shift| is the smaller of the two signed shifts
+    check = bgstates.check_route
     monkeypatch.setattr(
-        bgstates, "_route_check",
-        lambda closed, summed, tol, what: check(closed, summed + 100.0 * rho, tol, what),
+        bgstates, "check_route",
+        lambda site, deviation, tol, *args, **kwargs:
+        check(site, abs(deviation - 100.0 * rho), tol, *args, **kwargs),
     )
     with pytest.raises(TruncationError, match="expectation"):
         phase_expectations(state)

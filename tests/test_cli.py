@@ -230,6 +230,22 @@ class TestValidationErrors:
         assert "Traceback" not in err and "ln_bessel_i" not in err
         assert all(text in err for text in named)
 
+    @pytest.mark.parametrize("argv, named", [
+        # (2k+1)^2 overflows a double: once an uncaught OverflowError
+        (("ground-variance", "--k", "1e300"), "k <= 1e102"),
+        # 2k overflows: once exit 0 with nan/inf cells and a RuntimeWarning
+        (("oscillator", "--k", "1e308"), "finite 2k"),
+    ])
+    def test_overflowing_k_is_one_error_line(self, capsys, tmp_path, argv, named):
+        target = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(*argv, "--out", str(target)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and named in err
+        assert not target.exists()
+
     def test_coherent_at_the_smallest_accepted_k(self, capsys):
         # dim 1: the phase tolerance forms k + (dim - 1), not (k + dim) - 1
         assert run_cli("coherent", "--k", "2.775557561562892e-17", "--rho", "1e-300",
@@ -615,6 +631,28 @@ class TestOutputFormat:
         assert cli._cell(-0.0) == "-0.0" and cli._cell(float("nan")) == "nan"
         assert cli._cell(3) == "3" and cli._cell(np.int64(3)) == "3"
         assert cli._cell("BOUNDED") == "BOUNDED"
+
+    def test_plain_payload_is_written_without_a_second_walk(self, capsys, tmp_path,
+                                                            monkeypatch):
+        # a 256-state operator's cells are already plain: json.dumps writes them
+        def walked(value):
+            raise AssertionError("plain payload walked")
+        monkeypatch.setattr(cli, "_jsonable", walked)
+        target = tmp_path / "k1.json"
+        assert run_cli("repr", "--k", "0.5", "--dim", "256", "--name", "k1",
+                       "--format", "json", "--out", str(target)) == 0
+        capsys.readouterr()
+        op = repalg.build_k1(repalg.RepLabel(k=0.5), 256)
+        assert json.loads(target.read_text())["entries"] == json.loads(
+            json.dumps(repalg.json_envelope(op)["entries"]))
+
+    def test_nan_payload_is_walked_to_null(self):
+        args = cli.build_parser().parse_args(["coherent", "--k", "1", "--rho", "0"])
+        text = cli._json_text(args, {"a": np.float64("nan"), "b": (0.5, math.inf),
+                                     "c": np.array([np.nan, -0.0])})
+        assert json.loads(text) == {"_meta": cli._meta(args), "a": None,
+                                    "b": [0.5, math.inf], "c": [None, -0.0]}
+        assert '"b": [\n    0.5,\n    Infinity\n  ]' in text
 
     def test_jsonable_unwraps_numpy(self):
         value = cli._jsonable({"a": np.array([0.5, np.nan]), "b": np.longdouble(0.25),

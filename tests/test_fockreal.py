@@ -412,6 +412,22 @@ def test_two_mode_commutator_check_fires(monkeypatch):
         two_mode(8)
 
 
+def test_two_mode_builds_each_sector_block_once(monkeypatch):
+    # sectors s and -s share k and size: 3 builds per |s| = 0 .. d - 2
+    calls = []
+
+    def counted(build):
+        def built(label, dim):
+            calls.append(label.k)
+            return build(label, dim)
+        return built
+    for name in ("build_kplus", "build_kminus", "build_k3"):
+        monkeypatch.setattr(fockreal, name, counted(getattr(fockreal, name)))
+    two_mode(24)
+    assert len(calls) == 69
+    assert sorted(set(calls)) == [0.5 + m / 2.0 for m in range(23)]
+
+
 def test_two_mode_sector_check_fires(monkeypatch):
     # only the abstract lowering for sectors +-2 moves
     monkeypatch.setattr(fockreal, "build_kminus", _skew(build_kminus, only_k=1.5))
