@@ -35,7 +35,8 @@ class InconsistentDataError(ValueError):
     """Input data violate the model assumed by the estimator."""
 
 
-def check_route(site: str, deviation: float, tol: float, error=TruncationError, context="") -> None:
+def check_route(site: str, deviation: float, tol: float, error=TruncationError,
+                context: str = "") -> None:
     """Raise ``error`` unless two routes agree: deviation <= tol, so NaN fails.
 
     Every dual-route comparison in the package ends here.  ``site`` names the
