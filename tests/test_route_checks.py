@@ -243,6 +243,18 @@ def test_two_mode_refuses_a_nan_sector(monkeypatch):
         two_mode(8)
 
 
+def test_two_mode_checks_both_slices_of_a_shared_build(monkeypatch):
+    # NaN only in the block of sector +2, which starts at (2, 0)
+    sector, d = fockreal._sector, 8
+
+    def nan_at_plus_two(bands, start, stride, size):
+        block = sector(bands, start, stride, size)
+        return {o: v * np.nan for o, v in block.items()} if start == 2 * d else block
+    monkeypatch.setattr(fockreal, "_sector", nan_at_plus_two)
+    with pytest.raises(InconsistentDataError, match="sector 2 raising"):
+        two_mode(d)
+
+
 def test_two_mode_refuses_a_nan_corner(monkeypatch):
     _nan_at(fockreal, monkeypatch, "corner sector")
     with pytest.raises(InconsistentDataError, match="corner sector -7"):
