@@ -37,6 +37,7 @@ from .errors import (
     DimensionMismatchError,
     DomainError,
     TruncationError,
+    check_domain,
     check_route,
 )
 from .phaseops import build_phase_ops
@@ -96,12 +97,8 @@ class BGState:
     tail_tol: float
 
     def __post_init__(self) -> None:
-        if not self.k > 0.0:
-            raise DomainError(f"BGState requires k > 0, got {self.k}")
-        if self.k == math.inf:
-            raise DomainError(f"BGState requires a finite k, got {self.k}")
-        if self.dim < 1:
-            raise DomainError(f"BGState requires dim >= 1, got {self.dim}")
+        check_domain("k", self.k)
+        check_domain("dim", self.dim, "positive integer")
         if self.coeffs.shape != (self.dim,):
             raise DimensionMismatchError("coefficient vector length differs from dim")
         c0 = complex(self.coeffs[0])
@@ -178,22 +175,20 @@ def make_bg_state(k: float, z: complex, dim: int | None = None,
     With dim omitted, the smallest adequate dimension is chosen; an explicit
     dim smaller than that raises.  The lowering-operator eigenvalue relation
     is verified row by row on the interior before the state is returned.
-    k below about 2.78e-17 raises ``DomainError``: there the Bessel order
-    2k - 1 of the normalization rounds to -1.
+    k must be a positive real whose 2k is finite.  k below about 2.78e-17
+    raises ``DomainError``: there the Bessel order 2k - 1 of the
+    normalization rounds to -1.
     """
-    if not k > 0.0:
-        raise DomainError(f"make_bg_state requires k > 0, got {k}")
-    if k == math.inf:
-        raise DomainError(f"make_bg_state requires a finite k, got {k}")
+    check_domain("k", k)
+    check_domain("2k", 2.0 * k)
     if not k >= _K_MIN:
         raise DomainError(
             f"make_bg_state requires k >= {_K_MIN!r}, got k={k!r}: below it "
             "the Bessel order 2k - 1 rounds to -1"
         )
-    if not tail_tol > 0.0:
-        raise DomainError(f"make_bg_state requires tail_tol > 0, got {tail_tol}")
+    check_domain("tail_tol", tail_tol)
     z = complex(z)
-    rho = abs(z)
+    rho = check_domain("rho", abs(z), "nonnegative real")
 
     if rho == 0.0:
         needed = 1
@@ -201,7 +196,7 @@ def make_bg_state(k: float, z: complex, dim: int | None = None,
         needed = _tail_dim(k, rho, tail_tol)
     if dim is None:
         dim = needed
-    elif dim < needed:
+    elif check_domain("dim", dim, "positive integer") < needed:
         raise TruncationError(
             f"dim={dim} cannot meet tail_tol={tail_tol}; need at least {needed}"
         )
@@ -315,9 +310,11 @@ def moment_integral(k: float, n: int, rho_max: float = 60.0,
     error estimate plus that tail must stay below ``quadrature_tol`` of the
     value.  The closed value is n! Gamma(2k+n)/4; callers compare against it.
     """
+    check_domain("k", k)
+    check_domain("rho_max", rho_max)
     if k < 0.5:
         raise DomainError(f"moment_integral requires k >= 0.5, got {k}")
-    if not 0 <= n <= 20:
+    if check_domain("n", n, "nonnegative integer") > 20:
         raise DomainError(f"moment_integral requires 0 <= n <= 20, got {n}")
     power = 2.0 * (n + k)
     if rho_max <= power:
@@ -357,10 +354,8 @@ def b_ratio(k: float, rho: float) -> float:
     Raises ``DomainError`` where I_{2k-1}(2 rho) underflows (large k at
     moderate rho, e.g. k = 123.456 at rho = 2.5).
     """
-    if not k > 0.0:
-        raise DomainError(f"b_ratio requires k > 0, got {k}")
-    if rho < 0.0:
-        raise DomainError(f"b_ratio requires rho >= 0, got {rho}")
+    check_domain("k", k)
+    check_domain("rho", rho, "nonnegative real")
     if rho < 1e-7:
         # leading series behavior; relative error O(rho^2), and the direct
         # quotient would underflow to 0/0 for extreme orders at tiny rho
@@ -528,10 +523,8 @@ def g_k(k: float, rho: float) -> float:
     agree to 1e-10; the unscaled value overflows past rho ~ 350 and is
     refused there.
     """
-    if not k > 0.0:
-        raise DomainError(f"g_k requires k > 0, got {k}")
-    if rho < 0.0:
-        raise DomainError(f"g_k requires rho >= 0, got {rho}")
+    check_domain("k", k)
+    check_domain("rho", rho, "nonnegative real")
     if rho == 0.0:
         return 0.0
     if rho < 1e-7:
@@ -558,10 +551,8 @@ def ratio_gI(k: float, rho: float) -> float:
     This is the modulus of the phase expectation values; whether it stays
     below 1 over all rho is exactly the spectral-containment question.
     """
-    if not k > 0.0:
-        raise DomainError(f"ratio_gI requires k > 0, got {k}")
-    if rho < 0.0:
-        raise DomainError(f"ratio_gI requires rho >= 0, got {rho}")
+    check_domain("k", k)
+    check_domain("rho", rho, "nonnegative real")
     if rho == 0.0:
         return 0.0
     if rho < 1e-7:
@@ -619,7 +610,8 @@ def kbound_scan(k_grid: np.ndarray | None = None,
 
     BOUNDED means sup over rho stays at or below 1 + 1e-9.  Rows are
     independent; each is evaluated by one vectorized series sweep, cut where
-    every rho's terms have fallen below 1e-18 of their largest.
+    every rho's terms have fallen below 1e-18 of their largest.  Every grid
+    value must be a positive real.
     """
     k_values = _default_k_grid() if k_grid is None else np.asarray(k_grid, dtype=float)
     rho_values = (
@@ -627,8 +619,9 @@ def kbound_scan(k_grid: np.ndarray | None = None,
     )
     if k_values.size == 0 or rho_values.size == 0:
         raise DomainError("kbound_scan requires nonempty grids")
-    if np.any(k_values <= 0.0) or np.any(rho_values <= 0.0):
-        raise DomainError("kbound_scan grids must be strictly positive")
+    for name, grid in (("k", k_values), ("rho", rho_values)):
+        for value in grid.tolist():
+            check_domain(name, value)
 
     log_rho = np.log(rho_values)
     ratio = np.empty((k_values.size, rho_values.size))

@@ -1,8 +1,9 @@
 """Command-line driver exposing the package analyses as subcommands.
 
-Every subcommand validates its flags before computing, computes fully before
-touching the filesystem, and writes through a temp file plus atomic rename so
-a failure never leaves a partial output.  Outputs carry a header line
+Every subcommand validates its flags before computing (each flag type is
+``errors.check_domain`` for one domain), computes fully before touching the
+filesystem, and writes through a temp file plus atomic rename so a failure
+never leaves a partial output.  Outputs carry a header line
 
     # phasequant v<version>, <subcommand>, <flags>
 
@@ -26,6 +27,9 @@ import math
 import os
 import sys
 
+# errors loads no numpy, so the thread cap below still comes before numpy
+from .errors import DomainError, check_domain
+
 
 def _apply_thread_cap() -> bool:
     """Cap the numeric thread pools at PHASEQUANT_THREADS; False if it is invalid."""
@@ -33,10 +37,8 @@ def _apply_thread_cap() -> bool:
     if raw is None:
         return True
     try:
-        cap = int(raw)
+        cap = check_domain("PHASEQUANT_THREADS", int(raw), "positive integer")
     except ValueError:
-        return False
-    if cap <= 0:
         return False
     for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(name, str(cap))
@@ -51,7 +53,6 @@ import numpy as np  # noqa: E402
 # every subcommand needs these; each handler imports the rest itself, so a
 # child process loads only the modules its subcommand runs
 from . import MODULE_ORDER, __version__, repalg  # noqa: E402
-from .errors import DomainError  # noqa: E402
 from .repalg import RepLabel  # noqa: E402
 
 _OMEGA = {"plus_one": 1.0, "imaginary_unit": 1j}
@@ -64,23 +65,26 @@ _BUILDERS = {
 }
 
 
-def _checked(convert, accept, description: str):
-    """An argparse type: convert, then reject values that fail accept()."""
-    def check(text: str):
-        value = convert(text)
-        if not accept(value):
-            raise argparse.ArgumentTypeError(f"expected a {description}, got {text!r}")
-        return value
+def _flag_type(domain: str):
+    """An argparse type: read the text as a number, then apply check_domain."""
+    read = int if domain.endswith("integer") else float
+
+    def parse(text: str):
+        value = read(text)
+        try:
+            return check_domain("flag", value, domain)
+        except DomainError:
+            raise argparse.ArgumentTypeError(f"expected a {domain}, got {text!r}") from None
     # argparse names the type in "invalid <name> value: ..." messages
-    check.__name__ = description
-    return check
+    parse.__name__ = domain
+    return parse
 
 
-_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "positive real")
-_nonneg_float = _checked(float, lambda v: math.isfinite(v) and v >= 0.0, "nonnegative real")
-_finite_float = _checked(float, math.isfinite, "finite real")
-_positive_int = _checked(int, lambda v: v > 0, "positive integer")
-_nonneg_int = _checked(int, lambda v: v >= 0, "nonnegative integer")
+_positive_float = _flag_type("positive real")
+_nonneg_float = _flag_type("nonnegative real")
+_finite_float = _flag_type("finite real")
+_positive_int = _flag_type("positive integer")
+_nonneg_int = _flag_type("nonnegative integer")
 
 
 def _flags_text(args: argparse.Namespace) -> str:

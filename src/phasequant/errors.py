@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and its one route-check rule."""
+"""Exception types shared across the package, its domain rule and its route-check rule."""
+
+import math
 
 __all__ = [
+    "check_domain",
     "check_route",
     "DomainError",
     "ConvergenceError",
@@ -44,3 +47,44 @@ def check_route(site: str, deviation: float, tol: float, error=TruncationError,
     """
     if not deviation <= tol:
         raise error(f"{site} disagree by {deviation:.3e} (tolerance {tol:.3e}) {context}".rstrip())
+
+
+def _integer(value) -> int:
+    # an int, or a number equal to one; never a bool
+    number = int(value)
+    if isinstance(value, bool) or number != value:
+        raise ValueError(value)
+    return number
+
+
+# each domain: how a value is read, the test the reading must pass, and the
+# words for that test; a real is finite, so NaN and +-inf lie in no real domain
+_DOMAINS = {
+    "positive real": (float, lambda v: 0.0 < v < math.inf, "finite and > 0"),
+    "nonnegative real": (float, lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+    "finite real": (float, lambda v: -math.inf < v < math.inf, "finite"),
+    "positive integer": (_integer, lambda v: v > 0, "an integer > 0"),
+    "nonnegative integer": (_integer, lambda v: v >= 0, "an integer >= 0"),
+}
+
+
+def check_domain(name: str, value, domain: str = "positive real", message: str = ""):
+    """Return ``value`` read as ``domain``, or raise DomainError.
+
+    ``domain`` is "positive real", "nonnegative real", "finite real",
+    "positive integer" or "nonnegative integer".  Every k, rho, phi, dim and
+    config integer the package takes is checked here, and so is every
+    command-line flag.  The message is "<name> must be <test>, got <value>";
+    a site with an older message passes it as ``message`` (formatted with
+    ``{value}``), used for a finite value that fails the sign test.
+    """
+    read, test, words = _DOMAINS[domain]
+    try:
+        number = read(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is not None and test(number):
+        return number
+    if message and number is not None and math.isfinite(number):
+        raise DomainError(message.format(value=value))
+    raise DomainError(f"{name} must be {words}, got {value!r}")

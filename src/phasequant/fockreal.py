@@ -28,7 +28,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DomainError, InconsistentDataError, TruncationError, check_route
+from .errors import DomainError, InconsistentDataError, TruncationError, check_domain, check_route
 from .repalg import (
     RepLabel,
     TruncatedOperator,
@@ -201,11 +201,8 @@ def hp_generators(k: float, dim: int) -> HPGenerators:
     diagonal by diagonal against the abstract builders before returning.
     The dense ``entries`` of each member are built on first access.
     """
-    if not k > 0.0:
-        raise DomainError(f"hp_generators requires k > 0, got {k}")
-    if k == math.inf:
-        raise DomainError(f"hp_generators requires a finite k, got {k}")
-    if dim < 2:
+    check_domain("k", k)
+    if check_domain("dim", dim, "positive integer") < 2:
         raise DomainError(f"hp_generators requires dim >= 2, got {dim}")
     n = np.arange(dim, dtype=np.longdouble)
     # entry (n+1, n) of a+ sqrt(N+2k) and (n, n+1) of sqrt(N+2k) a
@@ -286,7 +283,7 @@ def dirac_sg_ops(dim: int) -> DiracSGOps:
     entrywise and are symmetric despite the patch.  Both pairs are stored
     as diagonals; the dense matrices are built on first access.
     """
-    if dim < 2:
+    if check_domain("dim", dim, "positive integer") < 2:
         raise DomainError(f"dirac_sg_ops requires dim >= 2, got {dim}")
     n = np.arange(dim, dtype=np.longdouble)
     root = np.sqrt(n[1:])
@@ -314,12 +311,9 @@ def alpha_expectations(k: float, alpha: complex, dim: int | None = None) -> Alph
     reconciled with the matrix expectation over the truncated coherent
     vector to 1e-10 before the record is returned.
     """
-    if not k > 0.0:
-        raise DomainError(f"alpha_expectations requires k > 0, got {k}")
-    if k == math.inf:
-        raise DomainError(f"alpha_expectations requires a finite k, got {k}")
+    check_domain("k", k)
     alpha = complex(alpha)
-    r = abs(alpha)
+    r = check_domain("|alpha|", abs(alpha), "nonnegative real")
     beta = cmath.phase(alpha)
     needed = 1
     if r > 0.0:
@@ -328,7 +322,7 @@ def alpha_expectations(k: float, alpha: complex, dim: int | None = None) -> Alph
                              error=TruncationError).size - 1
     if dim is None:
         dim = needed
-    elif dim < needed:
+    elif check_domain("dim", dim, "positive integer") < needed:
         raise TruncationError(
             f"dim={dim} leaves a coherent tail above 1e-14; need at least {needed}"
         )
@@ -384,8 +378,7 @@ def h2_curve(k: float, r_values) -> np.ndarray:
     sqrt(n+2k) (1/(n+k) + 1/(n+k+1)) and scaled by r/2.  A k whose 2k
     overflows raises DomainError.
     """
-    if not k > 0.0:
-        raise DomainError(f"h2_curve requires k > 0, got {k}")
+    check_domain("k", k, message="h2_curve requires k > 0, got {value}")
     if not 2.0 * k < math.inf:
         raise DomainError(f"h2_curve requires a finite 2k, got k={k!r}")
     r = np.asarray(r_values, dtype=np.float64)
@@ -433,7 +426,7 @@ def squared_boson(dim: int) -> SquaredBosonOps:
     one 3/4, verified diagonal by diagonal against the abstract builders
     on each sector.
     """
-    if dim < 4:
+    if check_domain("dim", dim, "positive integer") < 4:
         raise DomainError(f"squared_boson requires dim >= 4, got {dim}")
     n = np.arange(dim, dtype=np.longdouble)
     root = np.sqrt(n[1:])
@@ -468,7 +461,7 @@ def two_mode(dim_per_mode: int) -> TwoModeOps:
     max(n1, n2) <= dim_per_mode-2.
     """
     d = dim_per_mode
-    if d < 2:
+    if check_domain("dim_per_mode", d, "positive integer") < 2:
         raise DomainError(f"two_mode requires dim_per_mode >= 2, got {d}")
     root = np.sqrt(np.arange(1, d, dtype=np.longdouble))
     # entry (n1+1, n2+1; n1, n2) is sqrt(n1+1) sqrt(n2+1); row-major over

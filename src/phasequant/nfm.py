@@ -38,7 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bgstates import k3_moments, k12_moments, make_bg_state
-from .errors import DegenerateReadingError, DomainError, InconsistentDataError, check_route
+from .errors import (
+    DegenerateReadingError,
+    DomainError,
+    InconsistentDataError,
+    check_domain,
+    check_route,
+)
 
 __all__ = [
     "ClassicalConfig",
@@ -75,25 +81,6 @@ _NEGATIVE_SLACK = 1e-12
 _FLAT_TOL = 1e-10
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
-
-
-def _require_int(name: str, value) -> int:
-    # a config integer: a bool, a fractional or non-finite number, and
-    # anything else int() would change or refuse is an error, not truncated
-    try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if isinstance(value, bool) or number is None or number != value:
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    return number
-
-
 @dataclass(frozen=True)
 class ClassicalConfig:
     """Two-beam configuration: intensities and the relative phase."""
@@ -103,19 +90,15 @@ class ClassicalConfig:
     phi: float
 
     def __post_init__(self) -> None:
-        for name in ("I1", "I2"):
-            value = _require_finite(name, getattr(self, name))
-            if value <= 0.0:
-                raise DomainError(f"{name} must be positive, got {value!r}")
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "phi", _require_finite("phi", self.phi))
+        for name, domain in (("I1", "positive real"), ("I2", "positive real"),
+                             ("phi", "finite real")):
+            object.__setattr__(self, name, check_domain(name, getattr(self, name), domain))
 
 
 def config_from_amplitudes(a1: float, phi1: float, a2: float, phi2: float) -> ClassicalConfig:
     """Config for a1 e^{i phi1} + a2 e^{i phi2}; only phi2 - phi1 survives."""
-    for name, value in (("a1", a1), ("a2", a2)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise DomainError(f"{name} must be a positive amplitude, got {value!r}")
+    check_domain("a1", a1)
+    check_domain("a2", a2)
     return ClassicalConfig(I1=a1 * a1, I2=a2 * a2, phi=phi2 - phi1)
 
 
@@ -136,11 +119,10 @@ class InterferenceReading:
     w6: float
 
     def __post_init__(self) -> None:
-        scale = 1.0
-        for name in ("I1", "I2", "w3", "w4", "w5", "w6"):
-            scale = max(scale, abs(float(getattr(self, name))))
-        for name in ("I1", "I2", "w3", "w4", "w5", "w6"):
-            value = _require_finite(name, getattr(self, name))
+        values = {name: check_domain(name, getattr(self, name), "finite real")
+                  for name in ("I1", "I2", "w3", "w4", "w5", "w6")}
+        scale = max(1.0, *(abs(value) for value in values.values()))
+        for name, value in values.items():
             if value < 0.0:
                 if value < -_NEGATIVE_SLACK * scale:
                     raise DomainError(f"{name} must be nonnegative, got {value!r}")
@@ -207,8 +189,7 @@ def poisson_bracket_check(samples, h: float = 1e-5) -> float:
     The exact residual is zero, so what comes back is the O(h^2) truncation
     error of the stencil.
     """
-    if not (math.isfinite(h) and h > 0.0):
-        raise DomainError(f"step h must be positive, got {h!r}")
+    check_domain("h", h)
     samples = list(samples)
     if not samples:
         raise DomainError("at least one (phi, p) sample is required")
@@ -222,9 +203,7 @@ def poisson_bracket_check(samples, h: float = 1e-5) -> float:
 
     worst = 0.0
     for phi, p in samples:
-        phi, p = float(phi), float(p)
-        if not (math.isfinite(phi) and math.isfinite(p) and p > 0.0):
-            raise DomainError(f"samples need finite phi and p > 0, got ({phi!r}, {p!r})")
+        phi, p = check_domain("phi", phi, "finite real"), check_domain("p", p)
         worst = max(
             worst,
             abs(bracket(_p3, _p1, phi, p) + _p2(phi, p)),
@@ -258,12 +237,8 @@ class SecondMoments:
         for name in ("n3n4_sumsq", "n5n6_sumsq", "n1sq", "n2sq",
                      "n3n4_diffsq", "n5n6_diffsq"):
             value = getattr(self, name)
-            if value is None:
-                continue
-            value = _require_finite(name, value)
-            if value < 0.0:
-                raise DomainError(f"{name} is a second moment and must be >= 0, got {value!r}")
-            object.__setattr__(self, name, value)
+            if value is not None:
+                object.__setattr__(self, name, check_domain(name, value, "nonnegative real"))
 
 
 @dataclass(frozen=True)
@@ -339,8 +314,7 @@ def quantum_reconstruct(
 
 def casimir_gap(k: float, k1sq_plus_k2sq: float, k3sq: float) -> float:
     """Signed residual of <K1^2 + K2^2> = <K3^2> + k(1-k) at level k."""
-    if not (math.isfinite(k) and k > 0.0):
-        raise DomainError(f"k must be positive, got {k!r}")
+    check_domain("k", k)
     return k1sq_plus_k2sq - k3sq - k * (1.0 - k)
 
 
@@ -367,12 +341,9 @@ def estimate_k_from_number_state(
     (unequal component variances, a spread modulus, no admissible root) are
     rejected.
     """
-    for name, value in (("var_k1", var_k1), ("var_k2", var_k2),
-                        ("k3_mean", k3_mean), ("k3_sq", k3_sq)):
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value!r}")
-    if var_k1 <= 0.0 or var_k2 <= 0.0 or k3_mean <= 0.0:
-        raise DomainError("variances and the modulus mean must be positive")
+    for name, value in (("var_k1", var_k1), ("var_k2", var_k2), ("k3_mean", k3_mean)):
+        check_domain(name, value)
+    check_domain("k3_sq", k3_sq, "finite real")
     check_route("component variances", abs(var_k1 - var_k2),
                 tol * max(1.0, abs(var_k1), abs(var_k2)), InconsistentDataError,
                 context=f"({var_k1!r} vs {var_k2!r})")
@@ -414,10 +385,8 @@ class NumberStateSpec:
     n: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.k) and self.k > 0.0):
-            raise DomainError(f"k must be positive, got {self.k!r}")
-        if not (isinstance(self.n, int) and self.n >= 0):
-            raise DomainError(f"n must be a nonnegative integer, got {self.n!r}")
+        object.__setattr__(self, "k", check_domain("k", self.k))
+        object.__setattr__(self, "n", check_domain("n", self.n, "nonnegative integer"))
 
 
 @dataclass(frozen=True)
@@ -428,11 +397,9 @@ class BGStateSpec:
     z: complex
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.k) and self.k > 0.0):
-            raise DomainError(f"k must be positive, got {self.k!r}")
+        object.__setattr__(self, "k", check_domain("k", self.k))
         z = complex(self.z)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise DomainError(f"z must be finite, got {self.z!r}")
+        check_domain("|z|", abs(z), "nonnegative real")
         object.__setattr__(self, "z", z)
 
 
@@ -564,8 +531,7 @@ def simulate_and_reconstruct(
 
 def _simulate(spec, truth: StateTruth, noise: float, rng) -> SimulationOutcome:
     # simulate_and_reconstruct given the truth, which run_trials computes once
-    if not (math.isfinite(noise) and noise >= 0.0):
-        raise DomainError(f"noise must be a nonnegative relative jitter, got {noise!r}")
+    check_domain("noise", noise, "nonnegative real")
     reading = ideal_readings(truth)
     second = ideal_second_moments(truth)
     if noise > 0.0:
@@ -630,10 +596,12 @@ def run_trials(spec, noise: float = 0.0, trials: int = 1, seed: int = 0) -> Tria
     """Repeat simulate_and_reconstruct with one derived stream per trial.
 
     Trial t draws from default_rng([seed, t]), so results are reproducible
-    given the base seed and independent of execution order.
+    given the base seed and independent of execution order.  noise is a
+    nonnegative real, trials a positive integer and seed a nonnegative
+    integer, as ``errors.check_domain`` reads them.
     """
-    if not (isinstance(trials, int) and trials >= 1):
-        raise DomainError(f"trials must be a positive integer, got {trials!r}")
+    trials = check_domain("trials", trials, "positive integer")
+    seed = check_domain("seed", seed, "nonnegative integer")
     truth = state_truth(spec)
     rows = []
     flat = 0
@@ -680,30 +648,28 @@ def parse_state_spec(obj: dict):
     kind = obj.get("kind")
     if kind == "number":
         try:
-            return NumberStateSpec(k=float(obj["k"]), n=_require_int("n", obj["n"]))
+            return NumberStateSpec(k=obj["k"], n=obj["n"])
         except KeyError as missing:
             raise DomainError(f"number spec needs key {missing}") from None
     if kind == "bg":
         try:
-            k = float(obj["k"])
-            rho = float(obj["rho"])
-            phi = float(obj.get("phi", 0.0))
+            k, rho, phi = obj["k"], obj["rho"], obj.get("phi", 0.0)
         except KeyError as missing:
             raise DomainError(f"bg spec needs key {missing}") from None
-        if rho < 0.0:
-            raise DomainError(f"rho must be nonnegative, got {rho!r}")
+        rho = check_domain("rho", rho, "nonnegative real")
+        phi = check_domain("phi", phi, "finite real")
         return BGStateSpec(k=k, z=rho * cmath.exp(1j * phi))
     raise DomainError(f"unknown state kind {kind!r}")
 
 
 def parse_run_config(obj: dict):
-    """Split a run config {state, noise, trials, seed} into run_trials args."""
+    """Split a run config {state, noise, trials, seed} into checked run_trials args."""
     if not isinstance(obj, dict) or "state" not in obj:
         raise DomainError('a run config must carry a "state" entry')
     spec = parse_state_spec(obj["state"])
-    noise = float(obj.get("noise", 0.0))
-    trials = _require_int("trials", obj.get("trials", 1))
-    seed = _require_int("seed", obj.get("seed", 0))
+    noise = check_domain("noise", obj.get("noise", 0.0), "nonnegative real")
+    trials = check_domain("trials", obj.get("trials", 1), "positive integer")
+    seed = check_domain("seed", obj.get("seed", 0), "nonnegative integer")
     return spec, noise, trials, seed
 
 

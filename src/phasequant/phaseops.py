@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TruncationError, check_route
+from .errors import DomainError, TruncationError, check_domain, check_route
 from .repalg import (
     RepLabel,
     TruncatedOperator,
@@ -108,10 +108,8 @@ def f_coeff(k: float, n: int) -> float:
     The integer n - 1 is formed first, so at n = 1 a tiny k is not rounded
     away against it (k + 1 - 1 would be 0 for k below 1e-16).
     """
-    if not k > 0.0:
-        raise DomainError(f"f_coeff requires k > 0, got {k}")
-    if n < 0:
-        raise DomainError(f"f_coeff requires n >= 0, got {n}")
+    check_domain("k", k)
+    check_domain("n", n, "nonnegative integer")
     if n == 0:
         return 0.0
     return math.sqrt(n * (2.0 * k + (n - 1.0))) * (1.0 / (k + n) + 1.0 / (k + (n - 1.0)))
@@ -133,7 +131,7 @@ def build_phase_ops(label: RepLabel, dim: int) -> PhaseOperatorPair:
     for a diagonal K3 the two are algebraically identical even after
     truncation.
     """
-    if dim < 2:
+    if check_domain("dim", dim, "positive integer") < 2:
         raise DomainError(f"build_phase_ops requires dim >= 2, got {dim}")
     inv_diag = 1.0 / (np.clongdouble(label.k) + np.arange(dim, dtype=np.clongdouble))
     # ((1/K3)_ii + (1/K3)_jj)/2 along the two off-diagonals K1 and K2 occupy
@@ -169,8 +167,7 @@ def ground_state_variance(k: float) -> float:
     k1_bound root.  k above 1e102, where 8k (k+1)^2 leaves double range,
     raises DomainError.
     """
-    if not k > 0.0:
-        raise DomainError(f"ground_state_variance requires k > 0, got {k}")
+    check_domain("k", k, message="ground_state_variance requires k > 0, got {value}")
     if not k <= 1e102:
         raise DomainError(f"ground_state_variance requires k <= 1e102, got k={k!r}")
     return (2.0 * k + 1.0) ** 2 / (8.0 * k * (k + 1.0) ** 2)
@@ -214,7 +211,7 @@ def diagonal_identities(label: RepLabel, dim: int, margin: int = 4) -> DiagonalI
     interior deviation of these sequences from the directly multiplied
     matrix products.
     """
-    if dim < 4:
+    if check_domain("dim", dim, "positive integer") < 4:
         raise DomainError(f"diagonal_identities requires dim >= 4, got {dim}")
     if not 0 <= margin < dim:
         raise DomainError(f"margin must lie in [0, dim), got {margin}")
@@ -247,6 +244,7 @@ def commutator_diag_asymptote(k: float, n: int) -> float:
     usual (1+4q)/(4n^3) statement with x = n + k sharpening the plain-n
     version enough to matter at n ~ 50.
     """
+    check_domain("k", k)
     x = n + k
     q = k * (1.0 - k)
     return -(1.0 + 4.0 * q) / (4.0 * x**3)
@@ -254,6 +252,7 @@ def commutator_diag_asymptote(k: float, n: int) -> float:
 
 def cos_squared_diag_asymptote(k: float, n: int) -> float:
     """Large-n diagonal of cos^2: (1 + (1+4q)/(4x^2))/2 with x = n + k."""
+    check_domain("k", k)
     x = n + k
     q = k * (1.0 - k)
     return 0.5 * (1.0 + 0.25 * (1.0 + 4.0 * q) / (x * x))
@@ -468,9 +467,8 @@ def improper_eigvec(k: float, mu: float, a0: float, nmax: int) -> ImproperEigvec
     prefix is rescaled by the running maximum every 64 steps once it passes
     1e100, with the accumulated log reported in ``log_scale``.
     """
-    if not k > 0.0:
-        raise DomainError(f"improper_eigvec requires k > 0, got {k}")
-    if nmax < 2:
+    check_domain("k", k)
+    if check_domain("nmax", nmax, "positive integer") < 2:
         raise DomainError(f"improper_eigvec requires nmax >= 2, got {nmax}")
     # f_0 .. f_nmax once, in f_coeff's operation order so the values match it
     m = np.arange(1, nmax + 1, dtype=np.float64)

@@ -40,7 +40,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError
+from .errors import DimensionMismatchError, DomainError, check_domain
 from .specfun import ln_gamma
 
 __all__ = [
@@ -81,7 +81,7 @@ class RepLabel:
 
     The group tag restricts which k give single-valued representations:
     SO12 needs integer k, SU11 needs 2k integer, and the universal cover
-    places no restriction beyond k > 0.
+    places no restriction beyond k being a positive real.
     """
 
     k: float
@@ -89,10 +89,7 @@ class RepLabel:
     group_tag: str = "UniversalCover"
 
     def __post_init__(self) -> None:
-        if not self.k > 0.0:
-            raise DomainError(f"Bargmann index must be positive, got k={self.k}")
-        if self.k == math.inf:
-            raise DomainError(f"Bargmann index must be finite, got k={self.k}")
+        check_domain("k", self.k, message="Bargmann index must be positive, got k={value}")
         if not abs(abs(self.omega) - 1.0) <= 1e-12:
             raise DomainError(f"omega must have unit modulus, got |omega|={abs(self.omega)}")
         if self.group_tag not in GROUP_TAGS:
@@ -116,10 +113,8 @@ class NumberState:
     n: int
 
     def __post_init__(self) -> None:
-        if not self.k > 0.0:
-            raise DomainError(f"NumberState requires k > 0, got k={self.k}")
-        if self.n < 0:
-            raise DomainError(f"NumberState requires n >= 0, got n={self.n}")
+        check_domain("k", self.k)
+        check_domain("n", self.n, "nonnegative integer")
 
     @property
     def k3_eigenvalue(self) -> float:
@@ -133,10 +128,11 @@ class TruncatedOperator:
     Parameters
     ----------
     dim : int
-        Basis size; entries act on basis states 0 .. dim-1.
+        Basis size, a positive integer; entries act on basis states 0 .. dim-1.
     k : float or None
-        Bargmann index of the carrying representation; None for a space
-        that carries several (the squared-boson and two-mode realizations).
+        Bargmann index of the carrying representation, a positive real; None
+        for a space that carries several (the squared-boson and two-mode
+        realizations).
     diagonals : mapping of int to array-like
         Offset d holds entries (i, i + d) in order of i, dim - |d| of them;
         absent offsets are zero, so nothing can lie outside the band.  All
@@ -155,12 +151,9 @@ class TruncatedOperator:
     omega: complex = 1.0 + 0.0j
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise DomainError(f"dim must be >= 1, got {self.dim}")
-        if self.k is not None and not self.k > 0.0:
-            raise DomainError(f"k must be positive, got {self.k}")
-        if self.k == math.inf:
-            raise DomainError(f"k must be finite, got {self.k}")
+        check_domain("dim", self.dim, "positive integer")
+        if self.k is not None:
+            check_domain("k", self.k, message="k must be positive, got {value}")
         complex_kind = any(np.iscomplexobj(v) for v in self.diagonals.values())
         dtype = np.clongdouble if complex_kind else np.longdouble
         diags = {}
@@ -203,8 +196,7 @@ class FluctuationRecord:
 
 def build_k3(label: RepLabel, dim: int) -> TruncatedOperator:
     """Diagonal compact generator, entries n + k."""
-    if dim < 1:
-        raise DomainError(f"build_k3 requires dim >= 1, got {dim}")
+    check_domain("dim", dim, "positive integer")
     diag = np.clongdouble(label.k) + np.arange(dim, dtype=np.clongdouble)
     return TruncatedOperator(
         dim=dim, k=label.k, diagonals={0: diag}, name="K3", omega=label.omega,
@@ -219,7 +211,7 @@ def _ladder_coeffs(k: float, dim: int) -> np.ndarray:
 
 def build_kplus(label: RepLabel, dim: int) -> TruncatedOperator:
     """Raising generator; subdiagonal entries omega sqrt((2k+n)(n+1))."""
-    if dim < 2:
+    if check_domain("dim", dim, "positive integer") < 2:
         raise DomainError(f"build_kplus requires dim >= 2, got {dim}")
     sub = np.clongdouble(label.omega) * _ladder_coeffs(label.k, dim)
     return TruncatedOperator(
@@ -233,7 +225,7 @@ def build_kminus(label: RepLabel, dim: int) -> TruncatedOperator:
     Annihilates |k,0> and is the conjugate transpose of K+ on the full
     truncated block for any unit-modulus omega.
     """
-    if dim < 2:
+    if check_domain("dim", dim, "positive integer") < 2:
         raise DomainError(f"build_kminus requires dim >= 2, got {dim}")
     # For unit-modulus omega, 1/omega is its conjugate; conjugation is exact
     # in floating point while division is not, and it makes K- = (K+)^dag
@@ -338,7 +330,7 @@ def casimir(label: RepLabel, dim: int) -> TruncatedOperator:
     first), so the matrix comes out exactly diagonal and the truncation cut
     leaves no trace.
     """
-    if dim < 2:
+    if check_domain("dim", dim, "positive integer") < 2:
         raise DomainError(f"casimir requires dim >= 2, got {dim}")
     kp, km = build_kplus(label, dim), build_kminus(label, dim)
     k3d = np.clongdouble(label.k) + np.arange(dim, dtype=np.clongdouble)
@@ -383,10 +375,8 @@ def fluctuation_closed_forms(k: float, n: int) -> FluctuationRecord:
     is bounded below by (n + k)/2 with equality at n = 0.  The second-moment
     sum is <K1^2> + <K2^2> = (n + k)^2 + q with q = k(1 - k).
     """
-    if not k > 0.0:
-        raise DomainError(f"k must be positive, got {k}")
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    check_domain("k", k)
+    check_domain("n", n, "nonnegative integer")
     var = 0.5 * (n * n + 2.0 * n * k + k)
     q = k * (1.0 - k)
     return FluctuationRecord(
@@ -401,10 +391,8 @@ def ladder_log_norm(k: float, n: int) -> float:
     The log form is the usable one for n beyond ~150, where the norm itself
     leaves double range.
     """
-    if not k > 0.0:
-        raise DomainError(f"k must be positive, got {k}")
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    check_domain("k", k)
+    check_domain("n", n, "nonnegative integer")
     return 0.5 * (ln_gamma(2.0 * k) - ln_gamma(n + 1.0) - ln_gamma(2.0 * k + n))
 
 

@@ -130,7 +130,8 @@ def _series_cut(log_w, a: float | None, log_tol=None, ratio: float = 1.0,
 
     turn = w / ratio
     if a is not None:
-        turn = 0.5 * (1.0 - a + math.sqrt((a - 1.0) ** 2 + 4.0 * turn))
+        # sqrt((a - 1)^2 + 4 turn) without squaring, which overflows for a ~ 1e154
+        turn = 0.5 * (1.0 - a + math.hypot(a - 1.0, 2.0 * math.sqrt(turn)))
     if turn >= _MAX_TERMS:
         # the peak itself lies past the longest table: fail before walking to it
         raise error(uncut)

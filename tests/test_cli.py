@@ -235,6 +235,11 @@ class TestValidationErrors:
         (("ground-variance", "--k", "1e300"), "k <= 1e102"),
         # 2k overflows: once exit 0 with nan/inf cells and a RuntimeWarning
         (("oscillator", "--k", "1e308"), "finite 2k"),
+        # (2k - 1)^2 overflowed in the series cut: once an uncaught OverflowError
+        (("coherent", "--k", "1e200", "--rho", "1"), "not cut within"),
+        (("coherent", "--k", "1e300", "--rho", "1"), "not cut within"),
+        # 2k itself overflows: once "cannot convert float NaN to integer"
+        (("coherent", "--k", "1e308", "--rho", "1"), "2k must be finite"),
     ])
     def test_overflowing_k_is_one_error_line(self, capsys, tmp_path, argv, named):
         target = tmp_path / "out.csv"

@@ -1,14 +1,20 @@
 """The verify battery's operator checks work on the stored diagonals.
 
 The dense formulas the checks used before are kept here as references: the
-detail strings must come out byte-identical.
+detail strings must come out byte-identical.  A NaN forced into any check's
+numbers must make that check fail.
 """
 
 import cmath
+import copy
+import dataclasses
+import math
+from collections.abc import Mapping
 
 import numpy as np
+import pytest
 
-from phasequant import nfm, repalg, verify
+from phasequant import bgstates, fockreal, nfm, phaseops, repalg, specfun, verify
 
 
 def _details(modules):
@@ -67,3 +73,76 @@ def test_band_check_details_match_dense_formulas():
     casimir = abs(nfm.casimir_gap(0.8, sq, (0.8 + 3) ** 2))
     assert details["circle identity and Casimir gap"] == (
         f"circle residual {circle:.2e}, Casimir gap {casimir:.2e}")
+
+
+def _poison(value):
+    # the same value with every float in it NaN; integers, labels and flags kept
+    if isinstance(value, (float, complex, np.floating, np.complexfloating, np.ndarray)):
+        return value * math.nan
+    if isinstance(value, Mapping):
+        return {key: _poison(item) for key, item in value.items()}
+    if dataclasses.is_dataclass(value):
+        clone = copy.copy(value)
+        for field in dataclasses.fields(value):
+            object.__setattr__(clone, field.name, _poison(getattr(value, field.name)))
+        return clone
+    return value
+
+
+# (module run, patched module, function, first poisoned call, checks that use it)
+# From the second call on, the first value is a real one: the built-in max
+# keeps it and drops every later NaN.
+NAN_SITES = [
+    ("specfun", specfun, "bessel_i", 2, ["three-term recurrence"]),
+    ("specfun", specfun, "bessel_k", 2, ["I/K Wronskian", "half-integer closed forms"]),
+    ("specfun", specfun, "bessel_i_asymptotic", 2, ["asymptotic remainder order"]),
+    ("repalg", repalg, "build_k2", 1, ["generator hermiticity"]),
+    ("repalg", repalg, "band_gap", 1, ["ladder adjointness"]),
+    ("repalg", repalg, "fluctuation_closed_forms", 2,
+     ["second moments vs closed forms", "correspondence-limit ratio"]),
+    ("repalg", repalg, "banded_matmul", 2, ["omega covariance"]),
+    ("phaseops", repalg, "commutator_residual", 2, ["number-phase commutators"]),
+    ("phaseops", repalg, "commutator_gap", 2, ["[cos,sin] and cos^2+sin^2 central"]),
+    ("phaseops", phaseops, "f_coeff", 2, ["ground-state uncertainty equality"]),
+    ("phaseops", phaseops, "cos_squared_diag_asymptote", 2, ["large-n diagonal asymptote"]),
+    ("phaseops", phaseops, "phase_extremes", 1,
+     ["containment claim k=0.5 (documented, fails honestly)", "containment k=1",
+      "excess at k=0.25"]),
+    ("bgstates", bgstates, "eigenvector_residual", 2, ["lowering eigenvector residual bound"]),
+    ("bgstates", bgstates, "ratio_gI", 2, ["dual-route moment agreement"]),
+    ("bgstates", bgstates, "make_bg_state", 1, ["normalization by direct sum"]),
+    ("bgstates", bgstates, "overlap", 2, ["overlap Cauchy-Schwarz"]),
+    ("bgstates", bgstates, "_series_cut", 1, ["ratio rows bounded/monotone"]),
+    ("fockreal", repalg, "commutator_gap", 2, ["five realizations close the algebra"]),
+    ("fockreal", repalg, "band_gap", 2, ["dressed ladder equals abstract irrep"]),
+    ("fockreal", fockreal, "hp_phase_ops", 1, ["band decay toward the historical pair"]),
+    ("fockreal", fockreal, "h2_curve", 2, ["h2 bound for k >= 0.5"]),
+    ("nfm", nfm, "classical_observables", 2, ["classical round trip"]),
+    ("nfm", nfm, "casimir_gap", 1, ["circle identity and Casimir gap"]),
+    ("nfm", nfm, "poisson_bracket_check", 2, ["bracket residual is O(h^2)"]),
+    ("nfm", nfm, "classical_readings", 2, ["gauge-shift invariance"]),
+]
+
+
+@pytest.mark.parametrize("run, module, name, first, checks", NAN_SITES,
+                         ids=[f"{site[2]}-{site[0]}" for site in NAN_SITES])
+def test_a_nan_fails_the_check(monkeypatch, run, module, name, first, checks):
+    real = getattr(module, name)
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        calls.append(None)
+        value = real(*args, **kwargs)
+        return _poison(value) if len(calls) >= first else value
+
+    monkeypatch.setattr(module, name, poisoned)
+    passed = {r.name: r.passed for r in verify.run_all([run])}
+    assert len(calls) >= first
+    assert not any(passed[check] for check in checks), passed
+
+
+def test_every_numeric_check_is_poisoned_above():
+    # the sector table is counts only; every other check computes a number
+    covered = {check for site in NAN_SITES for check in site[4]}
+    names = {r.name for r in verify.run_all()}
+    assert names - covered == {"two-mode sector exhaustiveness"}
