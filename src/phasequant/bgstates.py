@@ -164,8 +164,7 @@ def _tail_dim(k: float, rho: float, tail_tol: float) -> int:
         math.log(tail_tol) + _ln_bessel_i(2.0 * k - 1.0, 2.0 * rho)
         - 2.0 * k * log_rho - max(0.0, -log_rho)
     )
-    log_t = _series_cut(2.0 * log_rho, 2.0 * k, log_tol, ratio=0.5, error=TruncationError)
-    return log_t.size - 1
+    return _series_cut(2.0 * log_rho, 2.0 * k, log_tol, ratio=0.5, error=TruncationError)
 
 
 def make_bg_state(k: float, z: complex, dim: int | None = None,
@@ -244,7 +243,8 @@ def _entire_series_scaled(k: float, w: complex, scale: float) -> complex:
     mag, theta = abs(w), math.atan2(w.imag, w.real)
     if mag == 0.0:
         return complex(math.exp(-ln_gamma(2.0 * k) - scale))
-    log_t = _series_cut(math.log(mag), 2.0 * k)
+    log_w = math.log(mag)
+    log_t = _log_terms(log_w, 2.0 * k, _series_cut(log_w, 2.0 * k) + 1)
     n = np.arange(log_t.size)
     return complex(np.sum(np.exp(log_t - scale) * np.exp(1j * theta * n)))
 
@@ -479,7 +479,8 @@ def _phase_weight_sums(k: float, rho: float) -> tuple[float, float]:
     # rho e^{-2 rho} I_{2k-1}(2 rho), so their quotient needs no Bessel call
     # and holds for every k > 0.  Term peak sits near n = rho.
     log_rho = math.log(rho)
-    t = np.exp(_series_cut(2.0 * log_rho, 2.0 * k) + (2.0 * k * log_rho - 2.0 * rho))
+    size = _series_cut(2.0 * log_rho, 2.0 * k) + 1
+    t = np.exp(_log_terms(2.0 * log_rho, 2.0 * k, size) + (2.0 * k * log_rho - 2.0 * rho))
     n = np.arange(t.size)
     weighted = 0.5 * float(np.sum(t * (1.0 / (n + k) + 1.0 / (n + k + 1.0))))
     return weighted, float(np.sum(t))
@@ -495,7 +496,7 @@ def _g_quadrature(k: float, rho: float) -> tuple[float, float]:
     # as many terms as the series rule keeps at the largest node, u = 2 rho.
     nu = 2.0 * k - 1.0
     beta = min(2.0 * k, 1.0)
-    size = _series_cut(2.0 * math.log(rho), 2.0 * k).size
+    size = _series_cut(2.0 * math.log(rho), 2.0 * k) + 1
     m = np.arange(size, dtype=np.float64)
     ln2 = math.log(2.0)
     power = ((nu + 1.0 + 2.0 * m) / beta - 1.0)[:, None]
@@ -626,8 +627,9 @@ def kbound_scan(k_grid: np.ndarray | None = None,
     log_rho = np.log(rho_values)
     ratio = np.empty((k_values.size, rho_values.size))
     for i, k in enumerate(k_values):
+        size = _series_cut(2.0 * log_rho, 2.0 * k) + 1
         terms = np.exp(
-            _series_cut(2.0 * log_rho, 2.0 * k)
+            _log_terms(2.0 * log_rho, 2.0 * k, size)
             + (2.0 * k * log_rho - 2.0 * rho_values)[:, None]
         )
         n = np.arange(terms.shape[1])
@@ -664,15 +666,10 @@ def flip_bracket(result: ScanResult) -> tuple[float, float] | None:
 def scan_json_summary(result: ScanResult) -> dict:
     """Per-k summary rows plus the verdict-flip bracket."""
     bracket = flip_bracket(result)
+    columns = zip(result.k_values.tolist(), result.sup_per_k.tolist(),
+                  result.argmax_rho.tolist(), result.verdicts)
     return {
         "flip_bracket": list(bracket) if bracket is not None else None,
-        "rows": [
-            {
-                "k": float(result.k_values[i]),
-                "sup": float(result.sup_per_k[i]),
-                "argmax_rho": float(result.argmax_rho[i]),
-                "verdict": result.verdicts[i],
-            }
-            for i in range(result.k_values.size)
-        ],
+        "rows": [{"k": k, "sup": sup, "argmax_rho": at, "verdict": verdict}
+                 for k, sup, at, verdict in columns],
     }

@@ -107,20 +107,25 @@ def _meta(args: argparse.Namespace) -> str:
     return f"phasequant v{__version__}, {args.subcommand}, {_flags_text(args)}"
 
 
-def _write_atomic(path: str, text: str) -> None:
-    # created 0666 & ~umask, the mode a plain open() gives; O_EXCL refuses
-    # to reuse a name that already exists
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    tmp = os.path.join(directory, f".phasequant-{os.urandom(6).hex()}")
-    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+def _write_atomic(outputs) -> None:
+    # every (path, text) of a run: all temp files are written before any is
+    # renamed.  Mode "x" creates 0666 & ~umask, as a plain open() does, and
+    # refuses to reuse a name that already exists
+    temps = []
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
+        for path, text in outputs:
+            directory = os.path.dirname(os.path.abspath(path))
+            os.makedirs(directory, exist_ok=True)
+            tmp = os.path.join(directory, f".phasequant-{os.urandom(6).hex()}")
+            with open(tmp, "x") as handle:
+                temps.append((tmp, path))
+                handle.write(text)
+        for tmp, path in temps:
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _ in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
@@ -174,10 +179,9 @@ def _emit(args: argparse.Namespace, csv_rows: list[str], json_payload: dict,
           path: str | None) -> None:
     if path is None:
         return
-    if getattr(args, "format", "csv") == "json":
-        _write_atomic(path, _json_text(args, json_payload))
-    else:
-        _write_atomic(path, _csv_text(args, csv_rows))
+    json_out = getattr(args, "format", "csv") == "json"
+    text = _json_text(args, json_payload) if json_out else _csv_text(args, csv_rows)
+    _write_atomic([(path, text)])
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +255,7 @@ def _cmd_kbound_scan(args) -> tuple[int, str]:
         rho_grid = np.geomspace(args.rho_min, args.rho_max, args.rho_points)
     scan = bgstates.kbound_scan(k_grid, rho_grid)
     summary = bgstates.scan_json_summary(scan)
+    outputs = []
     if args.out:
         rhos = scan.rho_values.tolist()
         records = (
@@ -259,10 +264,11 @@ def _cmd_kbound_scan(args) -> tuple[int, str]:
                                        scan.ratio.tolist())
             for rho, ratio in zip(rhos, row)
         )
-        _write_atomic(args.out, _csv_text(args, _csv_rows(
-            ("k", "rho", "ratio", "verdict"), records)))
+        outputs.append((args.out, _csv_text(args, _csv_rows(
+            ("k", "rho", "ratio", "verdict"), records))))
     if args.summary:
-        _write_atomic(args.summary, _json_text(args, summary))
+        outputs.append((args.summary, _json_text(args, summary)))
+    _write_atomic(outputs)
     verdicts = [row["verdict"] for row in summary["rows"]]
     bracket = summary["flip_bracket"]
     return 0, (
@@ -368,13 +374,15 @@ def _cmd_nfm_sim(args) -> tuple[int, str]:
         spec = nfm.parse_state_spec(state)
         noise, trials, seed = args.noise, args.trials, args.seed
     summary = nfm.run_trials(spec, noise=noise, trials=trials, seed=seed)
+    outputs = []
     if args.out:
         records = ((r.trial, r.recovered_rho, r.recovered_phi, r.err_k1, r.err_k2)
                    for r in summary.rows)
-        _write_atomic(args.out, _csv_text(args, _csv_rows(
-            ("trial", "recovered_rho", "recovered_phi", "err_k1", "err_k2"), records)))
+        outputs.append((args.out, _csv_text(args, _csv_rows(
+            ("trial", "recovered_rho", "recovered_phi", "err_k1", "err_k2"), records))))
     if args.summary:
-        _write_atomic(args.summary, _json_text(args, nfm.trials_json_summary(summary)))
+        outputs.append((args.summary, _json_text(args, nfm.trials_json_summary(summary))))
+    _write_atomic(outputs)
     return 0, (
         f"trials={summary.trials} noise={summary.noise!r} rho_mean={summary.rho_mean!r} "
         f"flat={summary.flat_count}"
@@ -402,7 +410,7 @@ def _cmd_verify_all(args) -> tuple[int, str]:
              "passed": item.passed, "detail": item.detail}
             for item in results
         ]
-        _write_atomic(args.out, _json_text(args, {"checks": checks}))
+        _write_atomic([(args.out, _json_text(args, {"checks": checks}))])
     code = 0 if failed_total == 0 else 1
     return code, f"{len(results) - failed_total}/{len(results)} checks passed"
 

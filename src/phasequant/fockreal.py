@@ -319,7 +319,7 @@ def alpha_expectations(k: float, alpha: complex, dim: int | None = None) -> Alph
     if r > 0.0:
         # the smallest count past the term peak with e^{-r^2} r^{2n}/n! below 1e-14
         needed = _series_cut(2.0 * math.log(r), None, _TAIL_LOG + r * r,
-                             error=TruncationError).size - 1
+                             error=TruncationError)
     if dim is None:
         dim = needed
     elif check_domain("dim", dim, "positive integer") < needed:
@@ -331,7 +331,8 @@ def alpha_expectations(k: float, alpha: complex, dim: int | None = None) -> Alph
         weights = np.array([1.0])
         n = np.arange(1, dtype=np.float64)
     else:
-        weights = np.exp(_series_cut(2.0 * math.log(r), None) - r * r)
+        log_w = 2.0 * math.log(r)
+        weights = np.exp(_log_terms(log_w, None, _series_cut(log_w, None) + 1) - r * r)
         n = np.arange(weights.size, dtype=np.float64)
     root = np.sqrt(n + 2.0 * k)
     h1 = float(np.sum(root * weights))
@@ -391,7 +392,9 @@ def h2_curve(k: float, r_values) -> np.ndarray:
     pos = r > 0.0
     if np.any(pos):
         rp = r[pos]
-        terms = np.exp(_series_cut(2.0 * np.log(rp), None) - (rp * rp)[:, np.newaxis])
+        log_w = 2.0 * np.log(rp)
+        terms = np.exp(_log_terms(log_w, None, _series_cut(log_w, None) + 1)
+                       - (rp * rp)[:, np.newaxis])
         n = np.arange(terms.shape[1], dtype=np.float64)
         w = np.sqrt(n + 2.0 * k) * (1.0 / (n + k) + 1.0 / (n + k + 1.0))
         out[pos] = 0.5 * rp * (terms @ w)

@@ -680,17 +680,10 @@ def _spec_json(spec) -> dict:
 
 
 def trials_json_summary(summary: TrialSummary) -> dict:
-    """Aggregate view of a trial batch; phase entries are None if all flat."""
-    return {
-        "state": _spec_json(summary.spec),
-        "noise": summary.noise,
-        "trials": summary.trials,
-        "seed": summary.seed,
-        "flat_count": summary.flat_count,
-        "rho_mean": summary.rho_mean,
-        "rho_std": summary.rho_std,
-        "phi_mean": summary.phi_mean,
-        "phi_std": summary.phi_std,
-        "max_err_k1": summary.max_err_k1,
-        "max_err_k2": summary.max_err_k2,
-    }
+    """Aggregate view of a trial batch: its fields less the rows, spec as "state".
+
+    Phase entries are None if every trial was flat.
+    """
+    fields = {f.name: getattr(summary, f.name) for f in dataclasses.fields(summary)}
+    del fields["spec"], fields["rows"]
+    return {"state": _spec_json(summary.spec), **fields}

@@ -423,7 +423,8 @@ def phase_extremes(pair: PhaseOperatorPair, count: int) -> np.ndarray:
     """
     off = _cos_band(pair, "phase_extremes")
     dim = pair.dim
-    if not 1 <= count <= dim:
+    count = check_domain("count", count, "positive integer")
+    if count > dim:
         raise DomainError(f"phase_extremes requires 1 <= count <= dim={dim}, got {count}")
     off_sq, pivmin, delta = _sturm_setup(off)
     diag, off_list = [0.0] * dim, off.tolist()
@@ -468,6 +469,8 @@ def improper_eigvec(k: float, mu: float, a0: float, nmax: int) -> ImproperEigvec
     1e100, with the accumulated log reported in ``log_scale``.
     """
     check_domain("k", k)
+    check_domain("mu", mu, "finite real")
+    check_domain("a0", a0, "finite real")
     if check_domain("nmax", nmax, "positive integer") < 2:
         raise DomainError(f"improper_eigvec requires nmax >= 2, got {nmax}")
     # f_0 .. f_nmax once, in f_coeff's operation order so the values match it

@@ -8,9 +8,10 @@ tens, arguments up to a few hundred):
 * One private series rule.  Every Barut-Girardello sum in the package (the
   normalization through I_{2k-1}(2 rho), the coefficients, g(rho), the
   overlap kernel) has terms t_n = w^n / (n! Gamma(a+n)), and the oscillator
-  weights are w^n / n!.  ``_log_terms`` tabulates ln t_n in one array
-  expression; ``_series_cut`` sizes the table from the term peak and cuts
-  it at the first n past the peak below a log tolerance (DLMF 10.25.2).
+  weights are w^n / n!.  ``_series_cut`` returns the cut N, the first n
+  past the term peak below a log tolerance (DLMF 10.25.2).  It bisects on
+  the closed-form ln t_n of the largest w alone, which decides for every
+  row; ``_log_terms`` tabulates ln t_n, n <= N, for the callers that sum.
 * ``bessel_i`` / ``bessel_i_scaled`` -- for nu > -1: the ascending series up
   to x = 30, then up to x = 400 the same series with every term scaled by
   e^{-x}, above that an exponentially scaled asymptotic sum with optimal
@@ -65,8 +66,6 @@ _ASYMPTOTIC_THRESHOLD = 400.0
 _MAX_TERMS = 200_000
 # Terms below this fraction of a series' largest term are dropped.
 _LOG_SERIES_TOL = math.log(1e-18)
-# How far below the peak (in nats) the first table of a series reaches.
-_TABLE_DEPTH = 48.0
 # Largest argument of math.exp that does not overflow.
 _LOG_MAX = math.log(sys.float_info.max)
 
@@ -108,52 +107,78 @@ def _log_terms(log_w, a: float | None, size: int) -> np.ndarray:
 
 
 def _series_cut(log_w, a: float | None, log_tol=None, ratio: float = 1.0,
-                error: type[Exception] = ConvergenceError) -> np.ndarray:
-    """The table of :func:`_log_terms` for n = 0 .. N, N its cut.
+                error: type[Exception] = ConvergenceError) -> int:
+    """The cut N of the series of :func:`_log_terms`: they sum n = 0 .. N.
 
     N is the first n >= 1 past the peak, where t_n <= ratio t_{n-1}, at which
     every series (one per entry of log_w) has ln t_n < log_tol.  log_tol
-    defaults to each series' largest term times 1e-18; the terms past N then
-    fall at least geometrically and are dropped.  The table first reaches
-    about 48 nats or more below the peak of the largest w and doubles while
-    no n qualifies; with none below ``_MAX_TERMS``, ``error`` is raised.
+    defaults to each series' largest term times 1e-18 (with ratio 1); the
+    terms past N then fall at least geometrically and are dropped.
+
+    The largest w decides alone: its terms are the largest at every n >= 1,
+    and past its peak they lie furthest above their own largest term too,
+    as d/d ln w of n ln w - max_m (m ln w - c_m) is n - m* >= 0.  Its ln t_n,
+    formed as :func:`_log_terms` forms them, fall past the peak: doubling
+    and bisection find the last n clear above the cut by twice their
+    rounding (``slack``) and the n after it are scanned, so a cut costs
+    O(log N) lgamma calls.  Where log_tol rounds onto the largest term, or
+    no n below ``_MAX_TERMS`` qualifies, ``error`` is raised.
     """
-    log_w = np.asarray(log_w, dtype=np.float64)
-    top = float(log_w.max())
+    top = float(log_w.max() if isinstance(log_w, np.ndarray) else log_w)
     if not math.isfinite(top):
         raise error(f"series in w = e^{top} cannot be summed")
-    w = math.exp(min(top, 700.0))
     uncut = f"series in w = e^{top:.6g}, a = {a} not cut within {_MAX_TERMS} terms"
-
-    def grow(n):  # t_n / t_{n-1} = w / grow(n)
-        return n if a is None else n * (a + n - 1.0)
-
+    w = math.exp(min(top, 700.0))
     turn = w / ratio
     if a is not None:
-        # sqrt((a - 1)^2 + 4 turn) without squaring, which overflows for a ~ 1e154
-        turn = 0.5 * (1.0 - a + math.hypot(a - 1.0, 2.0 * math.sqrt(turn)))
+        # the root of n (a + n - 1) = turn, in the form that does not cancel
+        b = a - 1.0
+        root = math.hypot(b, 2.0 * math.sqrt(turn))
+        turn = 2.0 * turn / (root + b) if b > 0.0 else 0.5 * (root - b)
     if turn >= _MAX_TERMS:
-        # the peak itself lies past the longest table: fail before walking to it
+        # the peak itself lies past the longest series: fail before walking to it
         raise error(uncut)
-    first = max(1, math.ceil(turn))
-    while first > 1 and ratio * grow(first - 1) >= w:
-        first -= 1
-    while ratio * grow(first) < w:
+    # the first n >= 1 with t_n <= ratio t_{n-1}: t_n / t_{n-1} = w / (n (a + n - 1))
+    first = max(1, math.ceil(turn) - 1)
+    while ratio * (first if a is None else first * (a + first - 1.0)) < w:
         first += 1
-    size = int(turn + math.sqrt(2.0 * _TABLE_DEPTH * (turn + 1.0))) + 8
-    while True:
-        size = min(size, _MAX_TERMS)
-        log_t = _log_terms(log_w, a, size)
-        if log_tol is None:
-            tol = log_t.max(axis=-1, keepdims=True) + _LOG_SERIES_TOL
+
+    def log_term(n):  # _log_terms(top, a, n + 1)[n], bit for bit
+        lg = math.lgamma(n + 1.0)
+        if a is not None:
+            lg += math.lgamma(a + n)
+        return top * n - lg
+
+    # bounds the rounding of every log_term below _MAX_TERMS: a few ulp of its parts
+    x = _MAX_TERMS + (a or 0.0)
+    slack = 8.0 * sys.float_info.epsilon * (abs(top) * _MAX_TERMS + x * math.log(x + 2.0))
+    if log_tol is None:
+        peak = log_term(first - 1)
+        if not peak + _LOG_SERIES_TOL < peak:
+            raise error(f"{uncut}: its log-terms near {peak:.2g} do not resolve "
+                        f"the {math.exp(_LOG_SERIES_TOL):.0e} cut")
+        for step in (1, -1):  # none past 2 slack below the largest seen rounds above it
+            n = first - 1 + step
+            while n >= 0 and (value := log_term(n)) >= peak - 2.0 * slack:
+                peak = max(peak, value)
+                n += step
+        log_tol = peak + _LOG_SERIES_TOL
+    above = log_tol + 2.0 * slack  # a term here has every earlier one above the cut
+    last = _MAX_TERMS - 1
+    lo, hi = first - 1, first
+    while hi <= last and log_term(hi) >= above:
+        lo, hi = hi, 2 * hi - first + 1
+    hi = min(hi, last + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if log_term(mid) >= above:
+            lo = mid
         else:
-            tol = log_tol
-        below = (log_t < tol).reshape(-1, size).all(axis=0)[first:]
-        if below.any():
-            return log_t[..., : first + int(below.argmax()) + 1]
-        if size == _MAX_TERMS:
-            raise error(uncut)
-        size *= 2
+            hi = mid
+    for n in range(lo + 1, last + 1):
+        if log_term(n) < log_tol:
+            return n
+    raise error(uncut)
 
 
 def _i_log_series(nu: float, x: float) -> tuple[float, float]:
@@ -166,8 +191,7 @@ def _i_log_series(nu: float, x: float) -> tuple[float, float]:
     half = 0.5 * x
     # x/2 underflows to 0 at the smallest subnormal x; its logarithm does not
     log_half = math.log(half) if half > 0.0 else math.log(x) - math.log(2.0)
-    size = _series_cut(2.0 * log_half, nu + 1.0).size
-    m = np.arange(1.0, size)
+    m = np.arange(1.0, _series_cut(2.0 * log_half, nu + 1.0) + 1)
     rest = float(np.sum(np.cumprod(half * half / (m * (nu + m)))))
     return nu * log_half - ln_gamma(nu + 1.0), 1.0 + rest
 

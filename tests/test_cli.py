@@ -240,6 +240,8 @@ class TestValidationErrors:
         (("coherent", "--k", "1e300", "--rho", "1"), "not cut within"),
         # 2k itself overflows: once "cannot convert float NaN to integer"
         (("coherent", "--k", "1e308", "--rho", "1"), "2k must be finite"),
+        # log-terms near -4.6e102: once a 200,000-row table before blaming the length
+        (("coherent", "--k", "1e100", "--rho", "1"), "do not resolve the 1e-18 cut"),
     ])
     def test_overflowing_k_is_one_error_line(self, capsys, tmp_path, argv, named):
         target = tmp_path / "out.csv"
@@ -256,6 +258,19 @@ class TestValidationErrors:
         assert run_cli("coherent", "--k", "2.775557561562892e-17", "--rho", "1e-300",
                        "--phi", "0.3") == 0
         assert "dim=1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, out_name", [
+        (("kbound-scan", "--k-min", "0.5", "--k-max", "0.6", "--k-step", "0.1"), "scan.csv"),
+        (("nfm-sim", "--kind", "bg", "--k", "1", "--rho", "3"), "t.csv"),
+    ])
+    def test_a_failed_summary_leaves_no_output(self, capsys, tmp_path, argv, out_name):
+        # the summary's directory cannot be made: a regular file holds its name
+        (tmp_path / "blocker").write_text("")
+        assert run_cli(*argv, "--out", str(tmp_path / out_name),
+                       "--summary", str(tmp_path / "blocker" / "s.json")) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        # neither output, and no temp file
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
 
     def test_failed_run_leaves_no_output_file(self, capsys, tmp_path):
         target = tmp_path / "never.csv"

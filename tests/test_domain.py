@@ -134,6 +134,9 @@ def test_every_entry_point_refuses_k_quietly(entry, k):
     lambda: nfm.InterferenceReading("x", 1.0, 1.0, 1.0, 1.0, 1.0),
     lambda: bgstates.BGState(k=1.0, z=0j, dim=math.inf, coeffs=np.ones(1, dtype=complex),
                              tail_tol=1e-14),
+    lambda: phaseops.improper_eigvec(1.0, math.nan, 1.0, 4),
+    lambda: phaseops.improper_eigvec(1.0, 0.5, math.inf, 4),
+    lambda: phaseops.phase_extremes(phaseops.build_phase_ops(repalg.RepLabel(k=1.0), 8), 1.5),
 ])
 def test_rho_phi_and_dims_are_refused_quietly(make):
     with warnings.catch_warnings():
