@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,7 @@ from .phaseops import build_phase_ops
 from .repalg import RepLabel, banded_matvec, build_k1, build_k2
 from .specfun import (
     _k_quad,
+    _i_scaled,
     _ln_bessel_i,
     _log_terms,
     _series_cut,
@@ -80,6 +82,9 @@ _ROUTE_TOL = 1e-10
 # every state's normalization I_{2k-1} is taken at an order outside nu > -1
 _K_MIN = math.nextafter(2.0 ** -55, math.inf)
 _SUP_TOL = 1e-9
+# logarithms of the smallest normal and of the smallest subnormal double
+_LOG_MIN_NORMAL = math.log(sys.float_info.min)
+_LOG_MIN_DOUBLE = math.log(math.ulp(0.0))
 
 
 @dataclass(frozen=True)
@@ -153,6 +158,12 @@ class ScanResult:
     verdicts: tuple
 
 
+def _ln_i(k: float, rho: float) -> float:
+    # ln I_{2k-1}(2 rho), the normalization; 2k goes in apart from its order
+    # 2k - 1, which for 2k < 1 has lost 2k's low bits
+    return _ln_bessel_i(2.0 * k - 1.0, 2.0 * rho, 2.0 * k)
+
+
 def _tail_dim(k: float, rho: float, tail_tol: float) -> int:
     # Smallest n past the point where terms at least halve with
     # rho^{2(n+k)}/(n! Gamma(2k+n)) below tail_tol * I_{2k-1}(2 rho); the
@@ -161,7 +172,7 @@ def _tail_dim(k: float, rho: float, tail_tol: float) -> int:
     # rho kept above it.
     log_rho = math.log(rho)
     log_tol = (
-        math.log(tail_tol) + _ln_bessel_i(2.0 * k - 1.0, 2.0 * rho)
+        math.log(tail_tol) + _ln_i(k, rho)
         - 2.0 * k * log_rho - max(0.0, -log_rho)
     )
     return _series_cut(2.0 * log_rho, 2.0 * k, log_tol, ratio=0.5, error=TruncationError)
@@ -176,7 +187,9 @@ def make_bg_state(k: float, z: complex, dim: int | None = None,
     is verified row by row on the interior before the state is returned.
     k must be a positive real whose 2k is finite.  k below about 2.78e-17
     raises ``DomainError``: there the Bessel order 2k - 1 of the
-    normalization rounds to -1.
+    normalization rounds to -1.  So does a state whose first coefficient
+    c_0 underflows: ln|c_0| below that of the smallest double, about
+    -744.4 (k = 1/2 past rho of about 745).
     """
     check_domain("k", k)
     check_domain("2k", 2.0 * k)
@@ -207,9 +220,14 @@ def make_bg_state(k: float, z: complex, dim: int | None = None,
         n = np.arange(dim, dtype=np.float64)
         log_amp = (
             (k - 0.5) * math.log(rho)
-            - 0.5 * _ln_bessel_i(2.0 * k - 1.0, 2.0 * rho)
+            - 0.5 * _ln_i(k, rho)
             + 0.5 * _log_terms(2.0 * math.log(rho), 2.0 * k, dim)
         )
+        if not log_amp[0] >= _LOG_MIN_DOUBLE:
+            raise DomainError(
+                f"make_bg_state: c_0 underflows at k={k!r}, rho={rho!r}: ln|c_0| = "
+                f"{log_amp[0]:.6g} is below {_LOG_MIN_DOUBLE:.6g}, that of the smallest double"
+            )
         theta = math.atan2(z.imag, z.real)  # cmath.phase raises on a subnormal angle
         coeffs = np.exp(log_amp) * np.exp(1j * theta * n)
 
@@ -290,8 +308,7 @@ def overlap(s1: BGState, s2: BGState) -> complex:
         ln_pref = (
             (k - 0.5) * ln_rr
             + scale
-            - 0.5 * (_ln_bessel_i(2.0 * k - 1.0, 2.0 * r1)
-                     + _ln_bessel_i(2.0 * k - 1.0, 2.0 * r2))
+            - 0.5 * (_ln_i(k, r1) + _ln_i(k, r2))
         )
         closed = series * math.exp(ln_pref)
 
@@ -360,7 +377,8 @@ def b_ratio(k: float, rho: float) -> float:
         # leading series behavior; relative error O(rho^2), and the direct
         # quotient would underflow to 0/0 for extreme orders at tiny rho
         return rho / (2.0 * k)
-    below = bessel_i_scaled(2.0 * k - 1.0, 2.0 * rho)
+    # 2k passed apart from the order, as for _ln_i
+    below = _i_scaled(2.0 * k - 1.0, 2.0 * rho, 2.0 * k)
     if below == 0.0:
         raise DomainError(
             f"b_ratio: I_{{2k-1}}(2 rho) underflows at k={k!r}, rho={rho!r}, "
@@ -473,14 +491,25 @@ def k12_moments(state: BGState) -> K12Moments:
     )
 
 
-def _phase_weight_sums(k: float, rho: float) -> tuple[float, float]:
+def _underflow_shift(log_t: np.ndarray) -> np.ndarray:
+    # per row of log-terms, its largest where that is not a normal double,
+    # else 0: subtracted before exponentiating, it keeps the row's terms from
+    # underflowing and leaves every other row's bits alone
+    top = log_t.max(axis=-1)
+    return np.where(top < _LOG_MIN_NORMAL, top, 0.0)
+
+
+def _phase_weight_sums(k: float, rho: float, for_quotient: bool = False) -> tuple[float, float]:
     # Shared-term sums over t_n = rho^{2(n+k)} e^{-2 rho} / (n! Gamma(2k+n)):
     # the weighted sum is e^{-2 rho} g(rho), the plain sum identically equals
     # rho e^{-2 rho} I_{2k-1}(2 rho), so their quotient needs no Bessel call
-    # and holds for every k > 0.  Term peak sits near n = rho.
+    # and holds for every k > 0.  Term peak sits near n = rho.  A caller that
+    # wants only the quotient may have the terms divided by e^shift first
+    # (see _underflow_shift).
     log_rho = math.log(rho)
     size = _series_cut(2.0 * log_rho, 2.0 * k) + 1
-    t = np.exp(_log_terms(2.0 * log_rho, 2.0 * k, size) + (2.0 * k * log_rho - 2.0 * rho))
+    log_t = _log_terms(2.0 * log_rho, 2.0 * k, size) + (2.0 * k * log_rho - 2.0 * rho)
+    t = np.exp(log_t - _underflow_shift(log_t) if for_quotient else log_t)
     n = np.arange(t.size)
     weighted = 0.5 * float(np.sum(t * (1.0 / (n + k) + 1.0 / (n + k + 1.0))))
     return weighted, float(np.sum(t))
@@ -559,7 +588,7 @@ def ratio_gI(k: float, rho: float) -> float:
     if rho < 1e-7:
         # rho w_0 limit, accurate to O(rho^2) and immune to term underflow
         return rho * 0.5 * (1.0 / k + 1.0 / (k + 1.0))
-    weighted, plain = _phase_weight_sums(k, rho)
+    weighted, plain = _phase_weight_sums(k, rho, for_quotient=True)
     return rho * weighted / plain
 
 
@@ -628,13 +657,12 @@ def kbound_scan(k_grid: np.ndarray | None = None,
     ratio = np.empty((k_values.size, rho_values.size))
     for i, k in enumerate(k_values):
         size = _series_cut(2.0 * log_rho, 2.0 * k) + 1
-        terms = np.exp(
-            _log_terms(2.0 * log_rho, 2.0 * k, size)
-            + (2.0 * k * log_rho - 2.0 * rho_values)[:, None]
-        )
+        log_t = (_log_terms(2.0 * log_rho, 2.0 * k, size)
+                 + (2.0 * k * log_rho - 2.0 * rho_values)[:, None])
+        terms = np.exp(log_t - _underflow_shift(log_t)[:, None])
         n = np.arange(terms.shape[1])
         weights = 0.5 * (1.0 / (n + k) + 1.0 / (n + k + 1.0))
-        # plain row sums equal rho e^{-2 rho} I_{2k-1}(2 rho) termwise
+        # plain row sums equal rho e^{-2 rho} I_{2k-1}(2 rho) termwise, over e^shift
         ratio[i] = rho_values * (terms @ weights) / np.sum(terms, axis=1)
 
     sup = ratio.max(axis=1)

@@ -8,23 +8,21 @@ comparison.  The squared-boson pair carries the two smallest indices on
 the parity sectors, and the two-mode product realization sweeps out every
 half-integer index at once, one per fixed photon-number difference.
 
-Every realization is one to three diagonals, so each generator is a
-``repalg.TruncatedOperator`` like the abstract ones, with real
-(``np.longdouble``) diagonals and ``k`` set only where the space carries a
-single index; the dense matrices (their ``entries`` and the phase-operator
-arrays) are read-only views built on first access.  Entries are kept in
-extended precision, matching the abstract builders: double-precision ladder
-products alone would exceed the commutator residual budget near the
-truncation cut.
+Every operator here, generator or phase operator, is one to three
+diagonals and so a ``repalg.TruncatedOperator`` like the abstract ones,
+with extended-precision diagonals (complex only for the sines) and ``k``
+set only where the space carries a single index; its dense matrix is the
+read-only ``entries`` view, built on first access.  Extended precision
+matches the abstract builders: double-precision ladder products alone would
+exceed the commutator residual budget near the truncation cut.
 Every constructor verifies its output against the abstract builders (or
-against a second build route) diagonal by diagonal before returning.
+against a second build route) diagonal by diagonal before returning; the
+three generator realizations do so through one sector rule.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from types import MappingProxyType
 
 import numpy as np
 
@@ -32,7 +30,6 @@ from .errors import DomainError, InconsistentDataError, TruncationError, check_d
 from .repalg import (
     RepLabel,
     TruncatedOperator,
-    _densify,
     band_gap,
     banded_matvec,
     build_k3,
@@ -71,11 +68,6 @@ _TAIL_LOG = math.log(1e-14)
 FockOperator = TruncatedOperator
 
 
-def _dense_view(name: str, dtype):
-    # cached read-only dense matrix of the band stored as diagonals[name]
-    return cached_property(lambda self: _densify(self.diagonals[name], self.dim, dtype))
-
-
 @dataclass(frozen=True)
 class HPGenerators:
     """Dressed-ladder generator triple on the oscillator space."""
@@ -90,37 +82,32 @@ class HPGenerators:
 class HPPhaseOps:
     """Oscillator phase operators and the band profile carrying them.
 
-    ``diagonals`` holds the bands of "cos_op" (real) and "sin_op" (purely
-    imaginary) in extended precision; ``cos_op`` and ``sin_op`` are the dense
-    views, built on first access.  f_k_diag holds F_k(n) for n = 0..dim-1,
-    so the band entries are sqrt(n+1) F_k(n) / 2 up to the factor i.
+    ``cos`` (real) and ``sin`` (purely imaginary) are tridiagonal.  f_k_diag
+    holds F_k(n) for n = 0..dim-1, so the band entries are
+    sqrt(n+1) F_k(n) / 2 up to the factor i.
     """
 
-    diagonals: dict
+    cos: TruncatedOperator
+    sin: TruncatedOperator
     f_k_diag: np.ndarray
     k: float
     dim: int
 
-    cos_op = _dense_view("cos_op", np.longdouble)
-    sin_op = _dense_view("sin_op", np.clongdouble)
+    # the dense views under their former names, read by the benchmark checks
+    cos_op = property(lambda self: self.cos.entries)
+    sin_op = property(lambda self: self.sin.entries)
 
 
 @dataclass(frozen=True)
 class DiracSGOps:
-    """Historical phase-operator candidates, kept for comparison.
+    """Historical phase-operator candidates, kept for comparison."""
 
-    ``diagonals`` holds the bands of cos_dirac, sin_dirac, cos_sg and sin_sg;
-    the attributes of those names are the dense views, built on first access.
-    """
-
-    diagonals: dict
+    cos_dirac: TruncatedOperator
+    sin_dirac: TruncatedOperator
+    cos_sg: TruncatedOperator
+    sin_sg: TruncatedOperator
     dim: int
     zero_mode_convention: str
-
-    cos_dirac = _dense_view("cos_dirac", np.longdouble)
-    sin_dirac = _dense_view("sin_dirac", np.clongdouble)
-    cos_sg = _dense_view("cos_sg", np.longdouble)
-    sin_sg = _dense_view("sin_sg", np.clongdouble)
 
 
 @dataclass(frozen=True)
@@ -149,23 +136,29 @@ class SquaredBosonOps:
 
 @dataclass(frozen=True)
 class TwoModeBasisIndex:
-    """Tensor basis element (n1, n2) with its sector assignment."""
+    """Tensor basis element (n1, n2) with the sector it lies in."""
 
     n1: int
     n2: int
-    sector: int
-    irrep_k: float
-    irrep_n: int
 
     def __post_init__(self) -> None:
         if self.n1 < 0 or self.n2 < 0:
             raise DomainError(f"occupation numbers must be >= 0, got ({self.n1}, {self.n2})")
-        if self.sector != self.n1 - self.n2:
-            raise DomainError(f"sector {self.sector} is not n1 - n2 = {self.n1 - self.n2}")
-        if self.irrep_k != 0.5 + abs(self.sector) / 2.0:
-            raise DomainError(f"irrep_k {self.irrep_k} inconsistent with sector {self.sector}")
-        if self.irrep_n != min(self.n1, self.n2):
-            raise DomainError(f"irrep_n {self.irrep_n} is not min(n1, n2)")
+
+    @property
+    def sector(self) -> int:
+        """Photon-number difference n1 - n2, constant under the triple."""
+        return self.n1 - self.n2
+
+    @property
+    def irrep_k(self) -> float:
+        """Bargmann index 1/2 + |n1 - n2|/2 of the sector."""
+        return 0.5 + abs(self.sector) / 2.0
+
+    @property
+    def irrep_n(self) -> int:
+        """Level min(n1, n2) within the sector's irrep."""
+        return min(self.n1, self.n2)
 
 
 @dataclass(frozen=True)
@@ -179,18 +172,13 @@ class TwoModeOps:
     dim_per_mode: int
 
 
-def _frozen(bands: dict) -> MappingProxyType:
-    for vec in bands.values():
-        vec.setflags(write=False)
-    return MappingProxyType(bands)
-
-
-def _cos_sin(lower: np.ndarray) -> tuple[MappingProxyType, MappingProxyType]:
+def _cos_sin(lower: np.ndarray, k: float | None) -> tuple[TruncatedOperator, TruncatedOperator]:
     # cos = (E + E+)/2 and sin = (E - E+)/(2i) for the lowering band E whose
     # entries (n, n+1) are ``lower``
-    half = 0.5 * lower
-    return (_frozen({-1: half, 1: half}),
-            _frozen({-1: np.clongdouble(0.5j) * lower, 1: np.clongdouble(-0.5j) * lower}))
+    half, dim = 0.5 * lower, lower.size + 1
+    return (TruncatedOperator(dim, k, {-1: half, 1: half}),
+            TruncatedOperator(dim, k, {-1: np.clongdouble(0.5j) * lower,
+                                       1: np.clongdouble(-0.5j) * lower}))
 
 
 def hp_generators(k: float, dim: int) -> HPGenerators:
@@ -199,7 +187,6 @@ def hp_generators(k: float, dim: int) -> HPGenerators:
     The dressing makes the single-mode triple identical to the abstract
     irrep matrices, not an approximation of them; that identity is checked
     diagonal by diagonal against the abstract builders before returning.
-    The dense ``entries`` of each member are built on first access.
     """
     check_domain("k", k)
     if check_domain("dim", dim, "positive integer") < 2:
@@ -208,12 +195,8 @@ def hp_generators(k: float, dim: int) -> HPGenerators:
     # entry (n+1, n) of a+ sqrt(N+2k) and (n, n+1) of sqrt(N+2k) a
     amp = np.sqrt(n[1:]) * np.sqrt(n[:-1] + 2.0 * np.longdouble(k))
     kp, km, k3 = {-1: amp}, {1: amp}, {0: n + np.longdouble(k)}
-
-    label = RepLabel(k=k)
-    for what, mine, build in (("raising", kp, build_kplus), ("lowering", km, build_kminus),
-                              ("compact", k3, build_k3)):
-        gap = band_gap(mine, build(label, dim).diagonals)
-        check_route(f"dressed {what} vs abstract: builds", gap, _MATCH_TOL, InconsistentDataError)
+    # the whole space is one sector
+    _check_sectors(kp, km, k3, [("dressed", 0)], 1, dim, k)
     return HPGenerators(
         kp=TruncatedOperator(dim, k, kp),
         km=TruncatedOperator(dim, k, km),
@@ -231,7 +214,7 @@ def hp_phase_ops(k: float, dim: int) -> HPPhaseOps:
     F_k(N) = sqrt(N+2k) (1/(N+k) + 1/(N+k+1)) / 2 and writes
     cos = (a+ F + F a)/2, sin = i (a+ F - F a)/2.  Both must agree with
     each other and with the abstract phase-operator pair to 1e-13, diagonal
-    by diagonal; the dense matrices are built only when first read.
+    by diagonal.
     """
     return _hp_phase_ops(hp_generators(k, dim))
 
@@ -259,18 +242,17 @@ def _hp_phase_ops(gens: HPGenerators) -> HPPhaseOps:
     root = np.sqrt(n + 2.0 * np.longdouble(k))
     f_diag = 0.5 * root * (inv + invp)
     # F a has entries (n, n+1) = F(n) sqrt(n+1)
-    cos_band, sin_band = _cos_sin(f_diag[:-1] * np.sqrt(n[1:]))
+    cos, sin = _cos_sin(f_diag[:-1] * np.sqrt(n[1:]), k)
 
     pair = build_phase_ops(RepLabel(k=k), dim)
-    for name, sym, band, op in (("cos", cos_sym, cos_band, pair.cos_op),
-                                ("sin", sin_sym, sin_band, pair.sin_op)):
+    for name, sym, band, op in (("cos", cos_sym, cos.diagonals, pair.cos_op),
+                                ("sin", sin_sym, sin.diagonals, pair.sin_op)):
         for what, gap in (("symmetrized vs band profile", band_gap(sym, band)),
                           ("band profile vs abstract pair", band_gap(band, op.diagonals))):
             check_route(f"{name}: {what}: builds", gap, _MATCH_TOL, InconsistentDataError)
 
     f_diag.setflags(write=False)
-    return HPPhaseOps(diagonals=MappingProxyType({"cos_op": cos_band, "sin_op": sin_band}),
-                      f_k_diag=f_diag, k=float(k), dim=dim)
+    return HPPhaseOps(cos=cos, sin=sin, f_k_diag=f_diag, k=float(k), dim=dim)
 
 
 def dirac_sg_ops(dim: int) -> DiracSGOps:
@@ -280,8 +262,7 @@ def dirac_sg_ops(dim: int) -> DiracSGOps:
     patched to annihilate that state and the record carries the convention
     note.  On the resulting operators the patched slot is unreachable (a
     kills |0> first, a+ never lands there), so the two pairs coincide
-    entrywise and are symmetric despite the patch.  Both pairs are stored
-    as diagonals; the dense matrices are built on first access.
+    entrywise and are symmetric despite the patch.
     """
     if check_domain("dim", dim, "positive integer") < 2:
         raise DomainError(f"dirac_sg_ops requires dim >= 2, got {dim}")
@@ -289,10 +270,9 @@ def dirac_sg_ops(dim: int) -> DiracSGOps:
     root = np.sqrt(n[1:])
     # entries (n, n+1) of a N^{-1/2}, whose patched N^{-1/2}|0> never enters,
     # and of (N+1)^{-1/2} a
-    cos_d, sin_d = _cos_sin(root * (1.0 / np.sqrt(n[1:])))
-    cos_s, sin_s = _cos_sin((1.0 / np.sqrt(n[:-1] + 1.0)) * root)
-    bands = {"cos_dirac": cos_d, "sin_dirac": sin_d, "cos_sg": cos_s, "sin_sg": sin_s}
-    return DiracSGOps(diagonals=MappingProxyType(bands), dim=dim,
+    cos_d, sin_d = _cos_sin(root * (1.0 / np.sqrt(n[1:])), None)
+    cos_s, sin_s = _cos_sin((1.0 / np.sqrt(n[:-1] + 1.0)) * root, None)
+    return DiracSGOps(cos_dirac=cos_d, sin_dirac=sin_d, cos_sg=cos_s, sin_sg=sin_s, dim=dim,
                       zero_mode_convention="N^{-1/2}|0> mapped to 0")
 
 
@@ -358,8 +338,8 @@ def alpha_expectations(k: float, alpha: complex, dim: int | None = None) -> Alph
         ("K1 mean", mean_k1, float(np.real(kp_c + km_c)) / 2.0),
         ("K2 mean", mean_k2, float(np.real((kp_c - km_c) / 2.0j))),
         ("K3 mean", mean_k3, float(np.real(_expect(gens.k3.diagonals, c)))),
-        ("cos mean", cos_mean, float(np.real(_expect(phase.diagonals["cos_op"], c)))),
-        ("sin mean", sin_mean, float(np.real(_expect(phase.diagonals["sin_op"], c)))),
+        ("cos mean", cos_mean, float(np.real(_expect(phase.cos.diagonals, c)))),
+        ("sin mean", sin_mean, float(np.real(_expect(phase.sin.diagonals, c)))),
     )
     for what, closed, summed in pairs:
         check_route(f"{what}: closed form and matrix value", abs(closed - summed),
@@ -418,7 +398,8 @@ def _check_sectors(kp, km, k3, sectors, stride: int, size: int, sector_k: float)
         ref = build(label, size).diagonals
         for name, start in sectors:
             gap = band_gap(_sector(bands, start, stride, size), ref)
-            check_route(f"{name} {what}: builds", gap, _MATCH_TOL, InconsistentDataError)
+            check_route(f"{name} {what} vs abstract: builds", gap, _MATCH_TOL,
+                        InconsistentDataError)
 
 
 def squared_boson(dim: int) -> SquaredBosonOps:
@@ -475,15 +456,6 @@ def two_mode(dim_per_mode: int) -> TwoModeOps:
     n2 = np.tile(np.arange(d), d)
     k3 = {0: 0.5 * (n1 + n2 + 1).astype(np.longdouble)}
 
-    table = tuple(
-        TwoModeBasisIndex(
-            n1=int(i), n2=int(j), sector=int(i - j),
-            irrep_k=0.5 + abs(int(i - j)) / 2.0, irrep_n=int(min(i, j)),
-        )
-        for i in range(d)
-        for j in range(d)
-    )
-
     # sectors s and -s share k = (1 + |s|)/2 and size d - |s|, so one
     # abstract build serves both; s starts at (s, 0), -s at (0, s), and
     # each steps by (1, 1)
@@ -505,6 +477,6 @@ def two_mode(dim_per_mode: int) -> TwoModeOps:
         k3=TruncatedOperator(d * d, None, k3),
         kp=TruncatedOperator(d * d, None, kp),
         km=TruncatedOperator(d * d, None, km),
-        sector_table=table,
+        sector_table=tuple(TwoModeBasisIndex(i, j) for i in range(d) for j in range(d)),
         dim_per_mode=d,
     )

@@ -175,8 +175,13 @@ class TruncatedOperator:
     @cached_property
     def entries(self) -> np.ndarray:
         """Read-only dense dim x dim view in the stored dtype, built on first access."""
-        dtype = np.result_type(np.longdouble, *self.diagonals.values())
-        return _densify(self.diagonals, self.dim, dtype)
+        arr = np.zeros((self.dim, self.dim),
+                       dtype=np.result_type(np.longdouble, *self.diagonals.values()))
+        for d, vec in self.diagonals.items():
+            rows = np.arange(vec.size) + max(0, -d)
+            arr[rows, rows + d] = vec
+        arr.setflags(write=False)
+        return arr
 
     def is_hermitian(self, tol: float = 0.0) -> bool:
         # diagonal d of the adjoint is the conjugate of diagonal -d
@@ -253,17 +258,6 @@ def build_k2(label: RepLabel, dim: int) -> TruncatedOperator:
     return TruncatedOperator(
         dim=dim, k=label.k, diagonals=diags, name="K2", omega=label.omega,
     )
-
-
-def _densify(diagonals, dim: int, dtype) -> np.ndarray:
-    # read-only dense dim x dim matrix of a {offset: diagonal} map; the
-    # fockreal phase-operator records build their dense views with it too
-    arr = np.zeros((dim, dim), dtype=dtype)
-    for d, vec in diagonals.items():
-        rows = np.arange(vec.size) + max(0, -d)
-        arr[rows, rows + d] = vec
-    arr.setflags(write=False)
-    return arr
 
 
 def band_gap(x, y) -> float:

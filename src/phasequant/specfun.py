@@ -14,13 +14,20 @@ tens, arguments up to a few hundred):
   row; ``_log_terms`` tabulates ln t_n, n <= N, for the callers that sum.
 * ``bessel_i`` / ``bessel_i_scaled`` -- for nu > -1: the ascending series up
   to x = 30, then up to x = 400 the same series with every term scaled by
-  e^{-x}, above that an exponentially scaled asymptotic sum with optimal
-  truncation.  The series sums t_m = t_{m-1} (x/2)^2 / (m (nu+m)) as a
+  e^{-x}.  Above that the exponentially scaled asymptotic sum is used where
+  it converges: cut at its smallest term, its last kept term must be below
+  1e-15 of the total.  Where it does not (orders of a few tens and more),
+  the scaled series is summed instead while its sum stays in double range.
+  The series sums t_m = t_{m-1} (x/2)^2 / (m (nu+m)) as a
   cumulative product over the rule's length: exponentiating the log table
   instead loses about a digit at x = 400.  Both raise DomainError where
   their value overflows (I_nu past x = 709, or the series lead
-  (x/2)^nu / Gamma(nu+1) near nu = -1 at tiny x); the private
-  ``_ln_bessel_i`` keeps that lead a logarithm and so stays finite.
+  (x/2)^nu / Gamma(nu+1) near nu = -1 at tiny x), or where neither the
+  asymptotic sum nor the series can be formed; the private
+  ``_ln_bessel_i`` keeps that lead a logarithm and so stays finite.  The
+  private routines take Gamma's argument a = nu + 1 apart from nu, so a
+  caller whose nu = 2k - 1 lost the low bits of a small 2k passes 2k
+  itself.
 * ``bessel_k`` -- the trapezoid rule on the integral representation
   K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt, which is uniformly
   valid in real nu and avoids the I_{-nu} - I_nu cancellation at integer nu.
@@ -181,27 +188,39 @@ def _series_cut(log_w, a: float | None, log_tol=None, ratio: float = 1.0,
     raise error(uncut)
 
 
-def _i_log_series(nu: float, x: float) -> tuple[float, float]:
+def _i_log_series(nu: float, x: float, a: float | None = None) -> tuple[float, float]:
     """Ascending series for I_nu(x), nu > -1, as (ln lead, sum).
 
     I_nu(x) = exp(ln lead) * sum, with lead = (x/2)^nu / Gamma(nu+1) the
     first term, so sum >= 1.  The lead stays a logarithm: near nu = -1 at
-    tiny x it lies far outside double range.
+    tiny x it lies far outside double range.  ``a`` is nu + 1 exactly
+    (default: formed from nu); it enters Gamma(a) and the first term ratio.
+    Raises DomainError where the sum leaves double range, which happens only
+    above the asymptotic threshold.
     """
+    a = nu + 1.0 if a is None else a
     half = 0.5 * x
     # x/2 underflows to 0 at the smallest subnormal x; its logarithm does not
     log_half = math.log(half) if half > 0.0 else math.log(x) - math.log(2.0)
-    m = np.arange(1.0, _series_cut(2.0 * log_half, nu + 1.0) + 1)
-    rest = float(np.sum(np.cumprod(half * half / (m * (nu + m)))))
-    return nu * log_half - ln_gamma(nu + 1.0), 1.0 + rest
+    m = np.arange(1.0, _series_cut(2.0 * log_half, a) + 1)
+    shifted = nu + m
+    shifted[0] = a
+    with np.errstate(over="ignore"):  # an overflowing sum is refused below
+        rest = float(np.sum(np.cumprod(half * half / (m * shifted))))
+    if not rest < math.inf:
+        raise DomainError(
+            f"I_nu(x) cannot be formed at nu={nu}, x={x}: the asymptotic sum does not "
+            "converge there and the ascending series leaves double range"
+        )
+    return nu * log_half - ln_gamma(a), 1.0 + rest
 
 
-def _i_series(nu: float, x: float, scale: float) -> float:
+def _i_series(nu: float, x: float, scale: float, a: float | None = None) -> float:
     """Ascending series for I_nu(x), nu > -1, every term multiplied by e^{-scale}.
 
     Raises DomainError where that value overflows.
     """
-    log_lead, total = _i_log_series(nu, x)
+    log_lead, total = _i_log_series(nu, x, a)
     if log_lead - scale < _LOG_MAX:
         value = math.exp(log_lead - scale) * total
         if value < math.inf:
@@ -212,17 +231,20 @@ def _i_series(nu: float, x: float, scale: float) -> float:
     )
 
 
-def _ln_bessel_i(nu: float, x: float) -> float:
+def _ln_bessel_i(nu: float, x: float, a: float | None = None) -> float:
     """ln I_nu(x) for nu > -1 and x > 0, also where I_nu(x) leaves double range.
 
     Where e^{-x} I_nu(x) is a normal double this is ln(bessel_i_scaled) + x,
-    bit for bit; below the asymptotic threshold it is otherwise formed from
-    the logarithm of the series lead, which is never exponentiated.
+    bit for bit; where the series is summed it is otherwise formed from
+    the logarithm of the series lead, which is never exponentiated.  ``a``
+    is nu + 1 exactly, as for :func:`_i_log_series`.
     """
     _check_i_domain("ln_bessel_i", nu, x)
     if x > _ASYMPTOTIC_THRESHOLD:
-        return math.log(_i_asymptotic_scaled(nu, x)) + x
-    log_lead, total = _i_log_series(nu, x)
+        scaled = _i_asymptotic_scaled(nu, x)
+        if scaled is not None:
+            return math.log(scaled) + x
+    log_lead, total = _i_log_series(nu, x, a)
     if log_lead - x < _LOG_MAX:
         scaled = math.exp(log_lead - x) * total
         if sys.float_info.min <= scaled < math.inf:
@@ -230,24 +252,25 @@ def _ln_bessel_i(nu: float, x: float) -> float:
     return log_lead + math.log(total)
 
 
-def _i_asymptotic_scaled(nu: float, x: float) -> float:
-    """Optimally truncated asymptotic sum for e^{-x} I_nu(x), large x."""
+def _i_asymptotic_scaled(nu: float, x: float) -> float | None:
+    """Asymptotic sum for e^{-x} I_nu(x), large x, or None where it does not converge.
+
+    The sum stops at its smallest term (optimal truncation).  It is accepted
+    only if its last kept term is below 1e-15 of the total; for orders with
+    nu^2 of the order of x or more the terms turn before that.
+    """
     mu = 4.0 * nu * nu
     term = 1.0
     total = term
     for j in range(_MAX_TERMS):
         nxt = -term * (mu - (2 * j + 1) ** 2) / (8.0 * (j + 1) * x)
         if abs(nxt) >= abs(term):
-            break  # past the optimal truncation point
+            return None  # past the optimal truncation point, not converged
         term = nxt
         total += term
         if abs(term) < 1e-15 * abs(total):
-            break
-    else:
-        raise ConvergenceError(
-            f"asymptotic sum for nu={nu}, x={x} not converged in {_MAX_TERMS} terms"
-        )
-    return total / math.sqrt(2.0 * math.pi * x)
+            return total / math.sqrt(2.0 * math.pi * x)
+    return None
 
 
 def _check_i_domain(name: str, nu: float, x: float) -> None:
@@ -293,9 +316,16 @@ def bessel_i_scaled(nu: float, x: float) -> float:
     _check_i_domain("bessel_i_scaled", nu, x)
     if x == 0.0:
         return 1.0 if nu == 0.0 else 0.0
-    if x <= _ASYMPTOTIC_THRESHOLD:
-        return _i_series(nu, x, scale=x)
-    return _i_asymptotic_scaled(nu, x)
+    return _i_scaled(nu, x)
+
+
+def _i_scaled(nu: float, x: float, a: float | None = None) -> float:
+    """e^{-x} I_nu(x) for x > 0, unchecked; ``a`` as for :func:`_i_log_series`."""
+    if x > _ASYMPTOTIC_THRESHOLD:
+        value = _i_asymptotic_scaled(nu, x)
+        if value is not None:
+            return value
+    return _i_series(nu, x, scale=x, a=a)
 
 
 def bessel_i_asymptotic(nu: float, x: float) -> float:

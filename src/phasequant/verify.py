@@ -331,10 +331,10 @@ def _fockreal_checks(results: list) -> None:
         worst = _fold(worst, gap(tm.kp.diagonals, tm.km.diagonals,
                                {0: -2.0 * tm.k3.diagonals[0]}, d * d,
                                np.maximum(n1, n2) <= d - 2))
-        sg = fockreal.dirac_sg_ops(64).diagonals
+        sg = fockreal.dirac_sg_ops(64)
         n = {0: np.arange(64, dtype=np.longdouble)}
-        sin = {d: -1j * v for d, v in sg["sin_sg"].items()}
-        worst = _fold(worst, gap(n, sg["cos_sg"], sin, 64, inside))
+        sin = {d: -1j * v for d, v in sg.sin_sg.diagonals.items()}
+        worst = _fold(worst, gap(n, sg.cos_sg.diagonals, sin, 64, inside))
         return worst < 1e-12, f"max interior residual {worst:.3e}"
 
     def hp_equivalence():
@@ -346,7 +346,7 @@ def _fockreal_checks(results: list) -> None:
         return worst < 1e-13, f"max entry gap {worst:.3e}"
 
     def band_decay():
-        band = fockreal.hp_phase_ops(0.5, 1024).diagonals["cos_op"][-1]
+        band = fockreal.hp_phase_ops(0.5, 1024).cos.diagonals[-1]
         gaps = [abs(float(band[n]) - 0.5) * n for n in (10, 100, 1000)]
         ok = gaps[0] < 0.1 and gaps[1] < gaps[0] and gaps[2] < gaps[1]
         return ok, f"n*|band-1/2| at 10/100/1000: {gaps[0]:.2e}/{gaps[1]:.2e}/{gaps[2]:.2e}"

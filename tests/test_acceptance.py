@@ -88,11 +88,10 @@ def test_criterion_03_commutator_residuals():
     worst = max(worst, float(np.max(np.abs(residual[np.ix_(window, window)]))))
 
     sg = fockreal.dirac_sg_ops(dim)
+    cos, sin = sg.cos_sg.entries, sg.sin_sg.entries
     n = np.arange(dim, dtype=np.longdouble)
-    worst = max(worst, _interior(
-        n[:, None] * sg.cos_sg - sg.cos_sg * n[None, :] + 1j * sg.sin_sg, margin))
-    worst = max(worst, _interior(
-        n[:, None] * sg.sin_sg - sg.sin_sg * n[None, :] - 1j * sg.cos_sg, margin))
+    worst = max(worst, _interior(n[:, None] * cos - cos * n[None, :] + 1j * sin, margin))
+    worst = max(worst, _interior(n[:, None] * sin - sin * n[None, :] - 1j * cos, margin))
 
     elapsed = time.perf_counter() - start
     assert worst < 1e-12, f"max interior residual {worst:.3e}"

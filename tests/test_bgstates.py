@@ -5,6 +5,7 @@ series and Bessel quotients.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -303,6 +304,39 @@ def test_make_bg_state_refuses_k_whose_order_rounds_to_minus_one():
     assert make_bg_state(k_min, 1e-300).dim == 1
 
 
+@pytest.mark.parametrize("k", [1e-10, 1e-14, 1e-16, 2.775557561562892e-17])
+def test_tiny_k_state_is_normalized(k):
+    # 2k reaches the I series apart from the order 2k - 1, which lost its low
+    # bits: the norm was off by up to 0.5
+    state = make_bg_state(k, 1e-300)
+    with mpmath.workdps(50):
+        kk, r = mpmath.mpf(k), mpmath.mpf(1e-300)
+        lead = r ** (2 * kk - 1) / mpmath.besseli(2 * kk - 1, 2 * r)
+        want = sum(lead * r ** (2 * n) / (mpmath.factorial(n) * mpmath.gamma(2 * kk + n))
+                   for n in range(state.dim))
+    norm = float(np.sum(np.abs(state.coeffs) ** 2))
+    assert abs(norm - want) <= 1e-13 and abs(norm - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("k", [1e-10, 1e-16])
+def test_b_ratio_at_tiny_k_against_mpmath(k):
+    # the denominator's order 2k - 1 lost 2k's low bits: 2e-11 off at rho = 1e-3
+    with mpmath.workdps(50):
+        for rho in (1e-3, 1.0):
+            kk, r = mpmath.mpf(k), mpmath.mpf(rho)
+            want = mpmath.besseli(2 * kk, 2 * r) / mpmath.besseli(2 * kk - 1, 2 * r)
+            assert abs(b_ratio(k, rho) - want) <= 1e-14 * want
+
+
+def test_k3_mean_past_the_asymptotic_reach_against_mpmath():
+    # I_99(600) once came from an asymptotic sum 3483x too large, and the
+    # K3 routes disagreed by 350
+    m = k3_moments(make_bg_state(50.0, 300.0))
+    with mpmath.workdps(50):
+        want = 50 + 300 * mpmath.besseli(100, 600) / mpmath.besseli(99, 600)
+    assert abs(m.mean - want) <= 1e-10 * want
+
+
 def test_b_ratio_values_and_slope():
     assert rel_err(b_ratio(1.0, 50.0), B_AT_1_50) < 1e-12
     assert b_ratio(1.0, 0.0) == 0.0
@@ -472,20 +506,45 @@ def test_ratio_vanishes_linearly():
         assert ratio_gI(k, 0.0) == 0.0
 
 
+def _ratio_reference(k, rho):
+    # g(rho) / I_{2k-1}(2 rho) at the working precision, g summed by the term
+    # ratio rho^2 / (n (2k+n-1)) past 1e-55
+    kk, r = mpmath.mpf(k), mpmath.mpf(rho)
+    term, g, n = r ** (2 * kk) / mpmath.gamma(2 * kk), 0, 0
+    while n <= rho or term > 1e-55 * g:
+        g += term * (1 / (n + kk) + 1 / (n + kk + 1)) / 2
+        n += 1
+        term *= r * r / (n * (2 * kk + n - 1))
+    return g / mpmath.besseli(2 * kk - 1, 2 * r)
+
+
 def test_ratio_against_mpmath():
     mpmath.mp.dps = 50
     for k in (0.25, 0.5, 1.0, 2.5):
-        kk = mpmath.mpf(k)
         for rho in (0.01, 0.5, 1.0, 3.0, 10.0, 40.0, 100.0, 300.0):
-            r = mpmath.mpf(rho)
-            # g(rho) summed by the term ratio rho^2 / (n (2k+n-1)) past 1e-55
-            term, g, n = r ** (2 * kk) / mpmath.gamma(2 * kk), 0, 0
-            while n <= rho or term > 1e-55 * g:
-                g += term * (1 / (n + kk) + 1 / (n + kk + 1)) / 2
-                n += 1
-                term *= r * r / (n * (2 * kk + n - 1))
-            want = g / mpmath.besseli(2 * kk - 1, 2 * r)
+            want = _ratio_reference(k, rho)
             assert abs(mpmath.mpf(ratio_gI(k, rho)) - want) <= 5e-15 * want
+
+
+def test_ratio_at_large_k_against_mpmath():
+    # every term underflowed at k = 100, rho = 0.5: once a ZeroDivisionError
+    with mpmath.workdps(50), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rho in (0.01, 0.5, 3.0):
+            want = _ratio_reference(100.0, rho)
+            assert abs(mpmath.mpf(ratio_gI(100.0, rho)) - want) <= 5e-15 * want
+            row = kbound_scan([100.0], [rho]).ratio[0, 0]
+            assert abs(mpmath.mpf(row) - want) <= 5e-15 * want
+
+
+@pytest.mark.parametrize("k", [100.0, 1000.0])
+def test_scan_rows_at_large_k_are_finite_and_bounded(k):
+    # at small rho every term of these rows underflowed, and the ratio read 0/0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = kbound_scan([k])
+    assert np.all(np.isfinite(result.ratio)) and np.all(result.ratio > 0.0)
+    assert result.verdicts == ("BOUNDED",)
 
 
 def test_ratio_matches_scaled_bessel_quotient():

@@ -145,6 +145,22 @@ def test_rho_phi_and_dims_are_refused_quietly(make):
             make()
 
 
+def test_a_coherent_state_whose_c0_underflows_is_refused(capsys, tmp_path):
+    # c_0 ~ e^{-rho} at k = 1/2 leaves double range between rho = 720 and 750;
+    # it once failed the internal "coeffs[0] must be real positive"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rho in (750.0, 1e3, 1e5):
+            with pytest.raises(DomainError, match=r"k=0\.5, rho=.*ln\|c_0\| = -"):
+                bgstates.make_bg_state(0.5, rho)
+    assert bgstates.make_bg_state(0.5, 720.0).coeffs[0].real > 0.0
+    target = tmp_path / "c.csv"
+    assert cli.main(["coherent", "--k", "0.5", "--rho", "750", "--out", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "ln|c_0| = -747.712" in err and not target.exists()
+
+
 FLAG_TYPES = {
     "positive real": cli._positive_float,
     "nonnegative real": cli._nonneg_float,

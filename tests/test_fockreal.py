@@ -106,6 +106,29 @@ def test_realizations_are_extended_real_truncated_operators():
     assert fockreal.FockOperator is repalg.TruncatedOperator
 
 
+def test_every_record_holds_truncated_operators():
+    # the named fields are operators and no other field is one
+    triple = ("kp", "km", "k3")
+    records = (
+        (hp_generators(0.75, 8), triple),
+        (hp_phase_ops(0.75, 8), ("cos", "sin")),
+        (dirac_sg_ops(8), ("cos_dirac", "sin_dirac", "cos_sg", "sin_sg")),
+        (squared_boson(8), triple),
+        (two_mode(4), triple),
+    )
+    for record, names in records:
+        for field in dataclasses.fields(record):
+            value = getattr(record, field.name)
+            assert isinstance(value, repalg.TruncatedOperator) == (field.name in names), field
+
+
+def test_hp_phase_views_are_the_operator_entries():
+    p = hp_phase_ops(1.3, 24)
+    assert p.cos_op is p.cos.entries and p.sin_op is p.sin.entries
+    assert p.cos_op.dtype == np.longdouble and p.sin_op.dtype == np.clongdouble
+    assert p.cos.k == p.sin.k == 1.3 and p.cos.bandwidth == p.sin.bandwidth == 1
+
+
 # ---------------------------------------------------------------------------
 # oscillator phase matrices
 
@@ -190,21 +213,23 @@ def test_shift_identity_exact():
 def test_dirac_equals_susskind_glogower():
     # the inverse-root patch slot is unreachable, so the pairs coincide
     d = dirac_sg_ops(32)
-    assert np.array_equal(d.cos_dirac, d.cos_sg)
-    assert np.array_equal(d.sin_dirac, d.sin_sg)
+    assert np.array_equal(d.cos_dirac.entries, d.cos_sg.entries)
+    assert np.array_equal(d.sin_dirac.entries, d.sin_sg.entries)
     assert "|0>" in d.zero_mode_convention
 
 
 def test_dirac_hermitian_despite_patch():
     d = dirac_sg_ops(32)
-    assert np.array_equal(d.cos_dirac, d.cos_dirac.conj().T)
-    assert np.array_equal(d.sin_dirac, d.sin_dirac.conj().T)
+    cos, sin = d.cos_dirac.entries, d.sin_dirac.entries
+    assert np.array_equal(cos, cos.conj().T)
+    assert np.array_equal(sin, sin.conj().T)
 
 
 def test_sg_sum_of_squares_diagonal():
     # cos^2 + sin^2 = 1 - |0><0|/2; the last diagonal entry feels the cut
     d = dirac_sg_ops(16)
-    total = d.cos_sg @ d.cos_sg + d.sin_sg @ d.sin_sg
+    cos, sin = d.cos_sg.entries, d.sin_sg.entries
+    total = cos @ cos + sin @ sin
     diag = np.diag(total).astype(np.complex128)
     assert diag[0] == 0.5
     assert np.all(diag[1:-1] == 1.0)
@@ -215,9 +240,10 @@ def test_sg_sum_of_squares_diagonal():
 
 def test_sg_number_phase_commutators():
     d = dirac_sg_ops(64)
+    cos, sin = d.cos_sg.entries, d.sin_sg.entries
     n = np.arange(64, dtype=np.longdouble)
-    r1 = n[:, None] * d.cos_sg - d.cos_sg * n[None, :] + 1j * d.sin_sg
-    r2 = n[:, None] * d.sin_sg - d.sin_sg * n[None, :] - 1j * d.cos_sg
+    r1 = n[:, None] * cos - cos * n[None, :] + 1j * sin
+    r2 = n[:, None] * sin - sin * n[None, :] - 1j * cos
     assert _interior_max(r1) < 1e-12
     assert _interior_max(r2) < 1e-12
 
@@ -439,8 +465,10 @@ def test_two_mode_validation():
     with pytest.raises(DomainError):
         two_mode(1)
     with pytest.raises(DomainError):
-        TwoModeBasisIndex(n1=2, n2=0, sector=1, irrep_k=1.5, irrep_n=0)
-    with pytest.raises(DomainError):
-        TwoModeBasisIndex(n1=2, n2=0, sector=2, irrep_k=1.0, irrep_n=0)
-    with pytest.raises(DomainError):
-        TwoModeBasisIndex(n1=2, n2=0, sector=2, irrep_k=1.5, irrep_n=2)
+        TwoModeBasisIndex(n1=-1, n2=0)
+
+
+def test_two_mode_basis_index_derives_its_sector():
+    e = TwoModeBasisIndex(n1=1, n2=4)
+    assert (e.sector, e.irrep_k, e.irrep_n) == (-3, 2.0, 1)
+    assert [f.name for f in dataclasses.fields(e)] == ["n1", "n2"]

@@ -389,7 +389,6 @@ def test_serializers_never_densify(monkeypatch):
 
     op = build_k1(RepLabel(k=0.75, omega=cmath.exp(0.4j)), 32)
     monkeypatch.setattr(TruncatedOperator, "entries", property(refuse))
-    monkeypatch.setattr("phasequant.repalg._densify", refuse)
     csv_lines(op)
     json_envelope(op)
 

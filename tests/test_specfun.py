@@ -6,6 +6,7 @@ that exercise the I and K branches against each other.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -196,6 +197,27 @@ def test_bessel_i_scaled_against_mpmath():
         for x in (1e-3, 0.05, 1.0, 10.0, 29.9, 30.1, 100.0, 250.0, 399.9):
             want = mpmath.besseli(nu, x) * mpmath.exp(-x)
             assert abs(mpmath.mpf(bessel_i_scaled(nu, x)) - want) <= 5e-14 * want
+
+
+@pytest.mark.parametrize("nu, x", [(40.0, 600.0), (99.0, 600.0)])
+def test_bessel_i_past_the_asymptotic_reach_against_mpmath(nu, x):
+    # the asymptotic sum turns here before it converges (it read 3.8x and
+    # 3483x too large); the e^{-x}-scaled series takes over
+    with mpmath.workdps(50):
+        want = mpmath.besseli(nu, x) * mpmath.exp(-x)
+        assert abs(mpmath.mpf(bessel_i_scaled(nu, x)) - want) <= 1e-13 * want
+        ln_want = mpmath.log(mpmath.besseli(nu, x))
+        assert abs(mpmath.mpf(specfun._ln_bessel_i(nu, x)) - ln_want) <= 1e-15 * ln_want
+
+
+def test_bessel_i_where_neither_large_argument_branch_applies():
+    # at nu = 99, x = 1000 the asymptotic sum turns early and the series sum overflows
+    assert specfun._i_asymptotic_scaled(99.0, 1000.0) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (bessel_i_scaled, specfun._ln_bessel_i):
+            with pytest.raises(DomainError, match=r"nu=99\.0, x=1000\.0"):
+                f(99.0, 1000.0)
 
 
 def test_bessel_i_negative_orders_against_mpmath():
