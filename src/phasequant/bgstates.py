@@ -17,7 +17,10 @@ with
 
 and the scan of that ratio over (k, rho) decides whether the phase-operator
 spectrum can fill [-1, 1]: the ratio stays below 1 for k >= 0.4 on the default
-grid but crosses it near rho ~ 1 for k = 0.25.
+grid but crosses it near rho ~ 1 for k = 0.25.  One routine forms the series
+of g and I_{2k-1} for a whole rho grid: the scan sums it row by row,
+``ratio_gI`` is the scan's one cell and ``g_k`` sums the same terms, so the
+scan and a single state's expectations agree bit for bit.
 
 Small-rho behavior of b_k(rho) = I_2k(2 rho)/I_{2k-1}(2 rho): the leading
 series terms give rho/(2k); the k-independent shorthand "b ~ rho" is accurate
@@ -164,17 +167,14 @@ def _ln_i(k: float, rho: float) -> float:
     return _ln_bessel_i(2.0 * k - 1.0, 2.0 * rho, 2.0 * k)
 
 
-def _tail_dim(k: float, rho: float, tail_tol: float) -> int:
+def _tail_dim(k: float, rho: float, ln_i: float, tail_tol: float) -> int:
     # Smallest n past the point where terms at least halve with
-    # rho^{2(n+k)}/(n! Gamma(2k+n)) below tail_tol * I_{2k-1}(2 rho); the
-    # halving makes the geometric tail bound legitimate.  |c_n|^2 carries
-    # rho^{2(n+k)-1}: the missing 1/rho is restored below rho = 1, the spare
-    # rho kept above it.
+    # rho^{2(n+k)}/(n! Gamma(2k+n)) below tail_tol * I_{2k-1}(2 rho), whose
+    # logarithm is ln_i; the halving makes the geometric tail bound
+    # legitimate.  |c_n|^2 carries rho^{2(n+k)-1}: the missing 1/rho is
+    # restored below rho = 1, the spare rho kept above it.
     log_rho = math.log(rho)
-    log_tol = (
-        math.log(tail_tol) + _ln_i(k, rho)
-        - 2.0 * k * log_rho - max(0.0, -log_rho)
-    )
+    log_tol = math.log(tail_tol) + ln_i - 2.0 * k * log_rho - max(0.0, -log_rho)
     return _series_cut(2.0 * log_rho, 2.0 * k, log_tol, ratio=0.5, error=TruncationError)
 
 
@@ -205,7 +205,8 @@ def make_bg_state(k: float, z: complex, dim: int | None = None,
     if rho == 0.0:
         needed = 1
     else:
-        needed = _tail_dim(k, rho, tail_tol)
+        ln_i = _ln_i(k, rho)
+        needed = _tail_dim(k, rho, ln_i, tail_tol)
     if dim is None:
         dim = needed
     elif check_domain("dim", dim, "positive integer") < needed:
@@ -220,7 +221,7 @@ def make_bg_state(k: float, z: complex, dim: int | None = None,
         n = np.arange(dim, dtype=np.float64)
         log_amp = (
             (k - 0.5) * math.log(rho)
-            - 0.5 * _ln_i(k, rho)
+            - 0.5 * ln_i
             + 0.5 * _log_terms(2.0 * math.log(rho), 2.0 * k, dim)
         )
         if not log_amp[0] >= _LOG_MIN_DOUBLE:
@@ -234,11 +235,21 @@ def make_bg_state(k: float, z: complex, dim: int | None = None,
     state = BGState(k=k, z=z, dim=dim, coeffs=coeffs, tail_tol=tail_tol)
 
     # interior rows of (K- - z) coeffs vanish identically; rounding only
-    sub = np.sqrt((np.arange(1, dim)) * (2.0 * k + np.arange(dim - 1)))
-    interior = sub * coeffs[1:] - z * coeffs[:-1]
+    interior = _kminus_rows(state)[:-1]
     check_route("coherent-state coefficients and K- c = z c", np.max(np.abs(interior), initial=0.0),
                 1e-12 * (1.0 + rho), context=f"at k={k}, z={z}")
     return state
+
+
+def _kminus_rows(state: BGState) -> np.ndarray:
+    # the rows of (K- - z) coeffs; the last is -z coeffs[dim-1], since
+    # truncation maps the missing component to zero
+    dim, z, c = state.dim, state.z, state.coeffs
+    sub = np.sqrt(np.arange(1, dim) * (2.0 * state.k + np.arange(dim - 1)))
+    rows = np.empty(dim, dtype=np.complex128)
+    rows[: dim - 1] = sub * c[1:] - z * c[: dim - 1]
+    rows[dim - 1] = -z * c[dim - 1]
+    return rows
 
 
 def eigenvector_residual(state: BGState) -> float:
@@ -247,12 +258,7 @@ def eigenvector_residual(state: BGState) -> float:
     The last row contributes |z| |coeffs[dim-1]| because truncation maps the
     missing component to zero, so the result is tail-sized, not machine-sized.
     """
-    dim, z = state.dim, state.z
-    sub = np.sqrt(np.arange(1, dim) * (2.0 * state.k + np.arange(dim - 1)))
-    res = np.empty(dim, dtype=np.complex128)
-    res[: dim - 1] = sub * state.coeffs[1:] - z * state.coeffs[: dim - 1]
-    res[dim - 1] = -z * state.coeffs[dim - 1]
-    return float(np.linalg.norm(res))
+    return float(np.linalg.norm(_kminus_rows(state)))
 
 
 def _entire_series_scaled(k: float, w: complex, scale: float) -> complex:
@@ -491,28 +497,17 @@ def k12_moments(state: BGState) -> K12Moments:
     )
 
 
-def _underflow_shift(log_t: np.ndarray) -> np.ndarray:
-    # per row of log-terms, its largest where that is not a normal double,
-    # else 0: subtracted before exponentiating, it keeps the row's terms from
-    # underflowing and leaves every other row's bits alone
-    top = log_t.max(axis=-1)
-    return np.where(top < _LOG_MIN_NORMAL, top, 0.0)
-
-
-def _phase_weight_sums(k: float, rho: float, for_quotient: bool = False) -> tuple[float, float]:
-    # Shared-term sums over t_n = rho^{2(n+k)} e^{-2 rho} / (n! Gamma(2k+n)):
-    # the weighted sum is e^{-2 rho} g(rho), the plain sum identically equals
-    # rho e^{-2 rho} I_{2k-1}(2 rho), so their quotient needs no Bessel call
-    # and holds for every k > 0.  Term peak sits near n = rho.  A caller that
-    # wants only the quotient may have the terms divided by e^shift first
-    # (see _underflow_shift).
-    log_rho = math.log(rho)
+def _phase_log_terms(k: float, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # ln t_n, one row per rho, of t_n = rho^{2(n+k)} e^{-2 rho} / (n! Gamma(2k+n)),
+    # and the weights w_n = (1/(n+k) + 1/(n+k+1))/2: sum_n t_n w_n is
+    # e^{-2 rho} g(rho), and sum_n t_n identically equals
+    # rho e^{-2 rho} I_{2k-1}(2 rho), so g/I needs no Bessel call and holds
+    # for every k > 0.  The term peak sits near n = rho.
+    log_rho = np.log(rho)
     size = _series_cut(2.0 * log_rho, 2.0 * k) + 1
-    log_t = _log_terms(2.0 * log_rho, 2.0 * k, size) + (2.0 * k * log_rho - 2.0 * rho)
-    t = np.exp(log_t - _underflow_shift(log_t) if for_quotient else log_t)
-    n = np.arange(t.size)
-    weighted = 0.5 * float(np.sum(t * (1.0 / (n + k) + 1.0 / (n + k + 1.0))))
-    return weighted, float(np.sum(t))
+    log_t = _log_terms(2.0 * log_rho, 2.0 * k, size) + (2.0 * k * log_rho - 2.0 * rho)[:, None]
+    n = np.arange(size)
+    return log_t, 0.5 * (1.0 / (n + k) + 1.0 / (n + k + 1.0))
 
 
 def _g_quadrature(k: float, rho: float) -> tuple[float, float]:
@@ -563,7 +558,8 @@ def g_k(k: float, rho: float) -> float:
         return w0 * math.exp(2.0 * k * math.log(rho) - ln_gamma(2.0 * k))
     if rho > 350.0:
         raise DomainError("g_k overflows past rho = 350; use ratio_gI instead")
-    scaled = _phase_weight_sums(k, rho)[0]
+    log_t, weights = _phase_log_terms(k, np.array([rho]))
+    scaled = float(np.exp(log_t[0]) @ weights)
 
     quad_scaled, err = _g_quadrature(k, rho)
     where = f"at k={k}, rho={rho}"
@@ -580,6 +576,8 @@ def ratio_gI(k: float, rho: float) -> float:
 
     This is the modulus of the phase expectation values; whether it stays
     below 1 over all rho is exactly the spectral-containment question.
+    From rho = 1e-7 on it is the one cell of ``kbound_scan([k], [rho])``,
+    bit for bit; below, the limit rho w_0 with w_0 = (1/k + 1/(k+1))/2.
     """
     check_domain("k", k)
     check_domain("rho", rho, "nonnegative real")
@@ -588,13 +586,12 @@ def ratio_gI(k: float, rho: float) -> float:
     if rho < 1e-7:
         # rho w_0 limit, accurate to O(rho^2) and immune to term underflow
         return rho * 0.5 * (1.0 / k + 1.0 / (k + 1.0))
-    weighted, plain = _phase_weight_sums(k, rho, for_quotient=True)
-    return rho * weighted / plain
+    return float(kbound_scan([k], [rho]).ratio[0, 0])
 
 
 def ratio_gI_asymptote(rho: float) -> float:
-    """Large-rho form of the ratio, 1 - 1/(4 rho), independent of k."""
-    return 1.0 - 0.25 / rho
+    """Large-rho form of the ratio, 1 - 1/(4 rho), independent of k; rho positive real."""
+    return 1.0 - 0.25 / check_domain("rho", rho)
 
 
 def phase_expectations(state: BGState) -> PhaseExpectations:
@@ -640,8 +637,10 @@ def kbound_scan(k_grid: np.ndarray | None = None,
 
     BOUNDED means sup over rho stays at or below 1 + 1e-9.  Rows are
     independent; each is evaluated by one vectorized series sweep, cut where
-    every rho's terms have fallen below 1e-18 of their largest.  Every grid
-    value must be a positive real.
+    every rho's terms have fallen below 1e-18 of their largest.  A row whose
+    terms would underflow is divided by its largest first.  ``ratio_gI`` is
+    the one cell of a one-point scan.  Every grid value must be a positive
+    real.
     """
     k_values = _default_k_grid() if k_grid is None else np.asarray(k_grid, dtype=float)
     rho_values = (
@@ -653,15 +652,16 @@ def kbound_scan(k_grid: np.ndarray | None = None,
         for value in grid.tolist():
             check_domain(name, value)
 
-    log_rho = np.log(rho_values)
     ratio = np.empty((k_values.size, rho_values.size))
     for i, k in enumerate(k_values):
-        size = _series_cut(2.0 * log_rho, 2.0 * k) + 1
-        log_t = (_log_terms(2.0 * log_rho, 2.0 * k, size)
-                 + (2.0 * k * log_rho - 2.0 * rho_values)[:, None])
-        terms = np.exp(log_t - _underflow_shift(log_t)[:, None])
-        n = np.arange(terms.shape[1])
-        weights = 0.5 * (1.0 / (n + k) + 1.0 / (n + k + 1.0))
+        log_t, weights = _phase_log_terms(k, rho_values)
+        # a row whose largest log-term is not a normal double is divided by
+        # that term first, so its terms do not underflow; the quotient is
+        # unchanged and every other row keeps its bits.  Kept inline: moved
+        # into a per-row helper, the scan ran about 20 % slower, as glibc
+        # returned the freed row arrays to the system on every return.
+        top = log_t.max(axis=1)
+        terms = np.exp(log_t - np.where(top < _LOG_MIN_NORMAL, top, 0.0)[:, None])
         # plain row sums equal rho e^{-2 rho} I_{2k-1}(2 rho) termwise, over e^shift
         ratio[i] = rho_values * (terms @ weights) / np.sum(terms, axis=1)
 

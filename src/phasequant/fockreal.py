@@ -307,16 +307,7 @@ def alpha_expectations(k: float, alpha: complex, dim: int | None = None) -> Alph
             f"dim={dim} leaves a coherent tail above 1e-14; need at least {needed}"
         )
 
-    if r == 0.0:
-        weights = np.array([1.0])
-        n = np.arange(1, dtype=np.float64)
-    else:
-        log_w = 2.0 * math.log(r)
-        weights = np.exp(_log_terms(log_w, None, _series_cut(log_w, None) + 1) - r * r)
-        n = np.arange(weights.size, dtype=np.float64)
-    root = np.sqrt(n + 2.0 * k)
-    h1 = float(np.sum(root * weights))
-    h2 = 0.5 * r * float(np.sum(root * (1.0 / (n + k) + 1.0 / (n + k + 1.0)) * weights))
+    h1, h2 = (float(h[0]) for h in _radial_sums(k, np.array([r])))
     mean_k1 = r * math.cos(beta) * h1
     mean_k2 = -r * math.sin(beta) * h1
     mean_k3 = r * r + k
@@ -350,14 +341,33 @@ def alpha_expectations(k: float, alpha: complex, dim: int | None = None) -> Alph
     )
 
 
+def _radial_sums(k: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # h1 = <sqrt(N+2k)> and h2 = (r/2) <sqrt(N+2k)(1/(N+k)+1/(N+k+1))> at
+    # every radius of r, over one shared table of the Poisson weights
+    # exp(2n ln r - ln n! - r^2), cut where every radius' weights have fallen
+    # below 1e-18 of their largest; the vacuum r = 0 has h1 = sqrt(2k), h2 = 0
+    h1 = np.full_like(r, math.sqrt(2.0 * k))
+    h2 = np.zeros_like(r)
+    pos = r > 0.0
+    if np.any(pos):
+        rp = r[pos]
+        log_w = 2.0 * np.log(rp)
+        terms = np.exp(_log_terms(log_w, None, _series_cut(log_w, None) + 1)
+                       - (rp * rp)[:, np.newaxis])
+        n = np.arange(terms.shape[1], dtype=np.float64)
+        root = np.sqrt(n + 2.0 * k)
+        h1[pos] = terms @ root
+        h2[pos] = 0.5 * rp * (terms @ (root * (1.0 / (n + k) + 1.0 / (n + k + 1.0))))
+    return h1, h2
+
+
 def h2_curve(k: float, r_values) -> np.ndarray:
     """Vectorized phase-mean profile h2 over a radius grid; 0 at r = 0.
 
-    One shared term table serves every radius: the Poisson weights
-    exp(2n ln r - ln n! - r^2), cut where every radius' weights have fallen
-    below 1e-18 of their largest, are summed against
-    sqrt(n+2k) (1/(n+k) + 1/(n+k+1)) and scaled by r/2.  A k whose 2k
-    overflows raises DomainError.
+    h2 = (r/2) <sqrt(N+2k)(1/(N+k)+1/(N+k+1))> over the Poisson weights
+    exp(2n ln r - ln n! - r^2), from one shared term table for every
+    radius; ``alpha_expectations`` takes its h2 from the same sums, so the
+    two agree bit for bit.  A k whose 2k overflows raises DomainError.
     """
     check_domain("k", k, message="h2_curve requires k > 0, got {value}")
     if not 2.0 * k < math.inf:
@@ -367,18 +377,7 @@ def h2_curve(k: float, r_values) -> np.ndarray:
         raise DomainError("h2_curve needs a nonempty 1-d radius grid")
     if not (np.all(np.isfinite(r)) and np.all(r >= 0.0)):
         raise DomainError("radius grid must be finite and nonnegative")
-
-    out = np.zeros_like(r)
-    pos = r > 0.0
-    if np.any(pos):
-        rp = r[pos]
-        log_w = 2.0 * np.log(rp)
-        terms = np.exp(_log_terms(log_w, None, _series_cut(log_w, None) + 1)
-                       - (rp * rp)[:, np.newaxis])
-        n = np.arange(terms.shape[1], dtype=np.float64)
-        w = np.sqrt(n + 2.0 * k) * (1.0 / (n + k) + 1.0 / (n + k + 1.0))
-        out[pos] = 0.5 * rp * (terms @ w)
-    return out
+    return _radial_sums(k, r)[1]
 
 
 def _sector(bands, start: int, stride: int, size: int) -> dict:

@@ -102,24 +102,24 @@ class ImproperEigvec:
     log_scale: float
 
 
+def _coupling(k, n):
+    # f_n = sqrt(n(2k+n-1)) (1/(k+n) + 1/(k+n-1)) in the dtype of k and n.
+    # The n - 1 is formed first, so at n = 1 a tiny k is not rounded away
+    # against it (k + 1 - 1 would be 0 for k below 1e-16).
+    return np.sqrt(n * (2.0 * k + (n - 1.0))) * (1.0 / (k + n) + 1.0 / (k + (n - 1.0)))
+
+
 def f_coeff(k: float, n: int) -> float:
     """Tridiagonal coupling sqrt(n(2k+n-1)) (1/(k+n) + 1/(k+n-1)); 0 at n=0.
 
-    The integer n - 1 is formed first, so at n = 1 a tiny k is not rounded
-    away against it (k + 1 - 1 would be 0 for k below 1e-16).
+    The same expression, in double precision, that ``build_phase_ops``
+    evaluates in extended precision and ``improper_eigvec`` over an array.
     """
     check_domain("k", k)
     check_domain("n", n, "nonnegative integer")
     if n == 0:
         return 0.0
-    return math.sqrt(n * (2.0 * k + (n - 1.0))) * (1.0 / (k + n) + 1.0 / (k + (n - 1.0)))
-
-
-def _f_array(k: float, dim: int) -> np.ndarray:
-    # f_1 .. f_{dim-1} in extended precision for entry construction.
-    n = np.arange(1, dim, dtype=np.clongdouble)
-    kk = np.clongdouble(k)
-    return np.sqrt(n * (2.0 * kk + (n - 1.0))) * (1.0 / (kk + n) + 1.0 / (kk + (n - 1.0)))
+    return float(_coupling(k, n))
 
 
 def build_phase_ops(label: RepLabel, dim: int) -> PhaseOperatorPair:
@@ -139,7 +139,7 @@ def build_phase_ops(label: RepLabel, dim: int) -> PhaseOperatorPair:
     cos_a = {d: half_sym * v for d, v in build_k1(label, dim).diagonals.items()}
     sin_a = {d: -half_sym * v for d, v in build_k2(label, dim).diagonals.items()}
 
-    f = _f_array(label.k, dim)
+    f = _coupling(np.clongdouble(label.k), np.arange(1, dim, dtype=np.clongdouble))
     omega = np.clongdouble(label.omega)
     cos_b = {-1: omega * f / 4.0, 1: omega.conjugate() * f / 4.0}
     sin_b = {-1: 1j * omega * f / 4.0, 1: -1j * omega.conjugate() * f / 4.0}
@@ -213,7 +213,7 @@ def diagonal_identities(label: RepLabel, dim: int, margin: int = 4) -> DiagonalI
     """
     if check_domain("dim", dim, "positive integer") < 4:
         raise DomainError(f"diagonal_identities requires dim >= 4, got {dim}")
-    if not 0 <= margin < dim:
+    if not check_domain("margin", margin, "nonnegative integer") < dim:
         raise DomainError(f"margin must lie in [0, dim), got {margin}")
     q = label.q
     x = label.k + np.arange(1, dim, dtype=np.float64)  # n = 1 .. dim-1
@@ -245,6 +245,7 @@ def commutator_diag_asymptote(k: float, n: int) -> float:
     version enough to matter at n ~ 50.
     """
     check_domain("k", k)
+    check_domain("n", n, "nonnegative integer")
     x = n + k
     q = k * (1.0 - k)
     return -(1.0 + 4.0 * q) / (4.0 * x**3)
@@ -253,6 +254,7 @@ def commutator_diag_asymptote(k: float, n: int) -> float:
 def cos_squared_diag_asymptote(k: float, n: int) -> float:
     """Large-n diagonal of cos^2: (1 + (1+4q)/(4x^2))/2 with x = n + k."""
     check_domain("k", k)
+    check_domain("n", n, "nonnegative integer")
     x = n + k
     q = k * (1.0 - k)
     return 0.5 * (1.0 + 0.25 * (1.0 + 4.0 * q) / (x * x))
@@ -473,10 +475,8 @@ def improper_eigvec(k: float, mu: float, a0: float, nmax: int) -> ImproperEigvec
     check_domain("a0", a0, "finite real")
     if check_domain("nmax", nmax, "positive integer") < 2:
         raise DomainError(f"improper_eigvec requires nmax >= 2, got {nmax}")
-    # f_0 .. f_nmax once, in f_coeff's operation order so the values match it
-    m = np.arange(1, nmax + 1, dtype=np.float64)
-    f = [0.0] + (np.sqrt(m * (2.0 * k + (m - 1.0)))
-                 * (1.0 / (k + m) + 1.0 / (k + (m - 1.0)))).tolist()
+    # f_0 .. f_nmax once, by f_coeff's expression so the values match it
+    f = [0.0] + _coupling(k, np.arange(1, nmax + 1, dtype=np.float64)).tolist()
     a = np.zeros(nmax + 1, dtype=np.float64)
     a[0] = a0
     a[1] = 4.0 * mu * a0 / f[1]

@@ -355,7 +355,7 @@ def commutator_residual(
         raise DimensionMismatchError(f"k labels differ: {a.k}, {b.k}, {expected.k}")
     if margin is None:
         margin = 2 * (a.bandwidth + b.bandwidth)
-    if not 0 <= margin < a.dim:
+    if not check_domain("margin", margin, "nonnegative integer") < a.dim:
         raise DomainError(f"margin must lie in [0, dim), got {margin} for dim {a.dim}")
     scaled = {d: np.clongdouble(sign * 1j) * v for d, v in expected.diagonals.items()}
     inside = np.arange(a.dim) < a.dim - margin

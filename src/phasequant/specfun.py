@@ -55,7 +55,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, check_route
+from .errors import ConvergenceError, DomainError, check_domain, check_route
 
 __all__ = [
     "ln_gamma",
@@ -274,10 +274,11 @@ def _i_asymptotic_scaled(nu: float, x: float) -> float | None:
 
 
 def _check_i_domain(name: str, nu: float, x: float) -> None:
-    if not (nu > -1.0 and x >= 0.0) or (nu < 0.0 and x == 0.0):
-        raise DomainError(
-            f"{name} requires nu > -1 and x >= 0 (x > 0 for nu < 0), got nu={nu}, x={x}"
-        )
+    message = f"{name} requires nu > -1 and x >= 0 (x > 0 for nu < 0), got nu={nu}, x={x}"
+    check_domain("nu", nu, "finite real")
+    check_domain("x", x, "nonnegative real", message)
+    if not nu > -1.0 or (nu < 0.0 and x == 0.0):
+        raise DomainError(message)
 
 
 def bessel_i(nu: float, x: float) -> float:
@@ -286,9 +287,9 @@ def bessel_i(nu: float, x: float) -> float:
     Parameters
     ----------
     nu : float
-        Order, nu > -1.
+        Order, finite, nu > -1.
     x : float
-        Argument, x >= 0 (x > 0 for negative order, where I_nu(0) is infinite).
+        Argument, finite, x >= 0 (x > 0 for negative order, where I_nu(0) is infinite).
 
     Raises
     ------
@@ -312,7 +313,7 @@ def bessel_i(nu: float, x: float) -> float:
 
 
 def bessel_i_scaled(nu: float, x: float) -> float:
-    """Exponentially scaled e^{-x} I_nu(x) for nu > -1; safe out to very large x."""
+    """Exponentially scaled e^{-x} I_nu(x) for nu > -1; safe out to any finite x."""
     _check_i_domain("bessel_i_scaled", nu, x)
     if x == 0.0:
         return 1.0 if nu == 0.0 else 0.0
@@ -462,15 +463,13 @@ def bessel_k(nu: float, x: float) -> float:
     Raises
     ------
     DomainError
-        For x <= 0 or nu < 0.
+        Unless nu is a finite real >= 0 and x a finite real > 0.
     ConvergenceError
         If the rule's error estimate (last change plus cut-off tail) exceeds
         1e-8 of the value, or the value is not representable.
     """
-    if nu < 0.0:
-        raise DomainError(f"bessel_k requires nu >= 0, got nu={nu}")
-    if not x > 0.0:
-        raise DomainError(f"bessel_k requires x > 0, got x={x}")
+    check_domain("nu", nu, "nonnegative real", "bessel_k requires nu >= 0, got nu={value}")
+    check_domain("x", x, "positive real", "bessel_k requires x > 0, got x={value}")
     return float(_k_quad(nu, np.array([x]), scaled=False)[0])
 
 
@@ -481,8 +480,6 @@ def bessel_k_scaled(nu: float, x: float) -> float:
     integrand exp(-2x sinh^2(t/2)) cosh(nu t): the scaling is applied inside
     the rule rather than as an overflowing prefactor.
     """
-    if nu < 0.0:
-        raise DomainError(f"bessel_k_scaled requires nu >= 0, got nu={nu}")
-    if not x > 0.0:
-        raise DomainError(f"bessel_k_scaled requires x > 0, got x={x}")
+    check_domain("nu", nu, "nonnegative real", "bessel_k_scaled requires nu >= 0, got nu={value}")
+    check_domain("x", x, "positive real", "bessel_k_scaled requires x > 0, got x={value}")
     return float(_k_quad(nu, np.array([x]), scaled=True)[0])

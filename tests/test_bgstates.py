@@ -698,3 +698,31 @@ def test_phase_expectations_at_small_rho(monkeypatch, k, rho):
 def test_phase_expectation_matches_excess_at_quarter():
     pe = phase_expectations(make_bg_state(0.25, 1.02))
     assert pe.cos_mean > 1.0
+
+
+def test_ratio_gI_is_the_one_point_scan_bit_for_bit():
+    # the scalar and the grid share one g/I routine, so they give the same bits
+    rng = np.random.default_rng(19)
+    ks = rng.uniform(0.1, 3.0, 2000)
+    rhos = np.exp(rng.uniform(-4.0, 5.0, 2000))
+    mismatched = [(k, rho) for k, rho in zip(ks.tolist(), rhos.tolist())
+                  if ratio_gI(k, rho) != kbound_scan([k], [rho]).ratio[0, 0]]
+    assert mismatched == []
+
+
+def test_make_bg_state_evaluates_its_normalization_once(monkeypatch):
+    calls = []
+    real = bgstates._ln_bessel_i
+    monkeypatch.setattr(bgstates, "_ln_bessel_i", lambda *a: calls.append(a) or real(*a))
+    make_bg_state(1.0, 3.0)
+    assert len(calls) == 1
+
+
+def test_interior_check_and_residual_share_the_kminus_rows(monkeypatch):
+    rows = []
+    real = bgstates._kminus_rows
+    monkeypatch.setattr(bgstates, "_kminus_rows", lambda s: rows.append(real(s)) or rows[-1])
+    state = make_bg_state(0.75, 2.0 + 1.0j)
+    assert eigenvector_residual(state) == float(np.linalg.norm(rows[-1]))
+    assert len(rows) == 2 and np.array_equal(rows[0], rows[1])
+    assert rows[-1][-1] == -state.z * state.coeffs[-1]

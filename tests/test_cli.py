@@ -781,3 +781,35 @@ class TestConsoleScript:
             ["phasequant", "no-such-command"], capture_output=True, text=True,
         )
         assert result.returncode == 2
+
+
+_README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def _readme_block(section, language):
+    # the first fenced block of the language under the README section
+    text = open(_README, encoding="utf-8").read()
+    start = text.index(f"```{language}\n", text.index(f"\n## {section}\n")) + len(language) + 4
+    return text[start:text.index("```", start)]
+
+
+def _readme_commands():
+    # the sh block's commands, `\` continuations joined, comments dropped
+    joined = _readme_block("Command line", "sh").replace("\\\n", " ")
+    lines = [line.strip() for line in joined.splitlines()]
+    return [line.split()[1:] for line in lines if line and not line.startswith("#")]
+
+
+def test_readme_command_block_runs(capsys, tmp_path, monkeypatch):
+    # verify-all exits 1 for the documented k = 1/2 containment failure
+    commands = _readme_commands()
+    choices = cli.build_parser()._subparsers._group_actions[0].choices
+    assert {argv[0] for argv in commands} == set(choices)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run_config.json").write_text(_readme_block("Command line", "json"))
+    for argv in commands:
+        expected = 1 if argv[0] == "verify-all" else 0
+        assert run_cli(*argv) == expected, argv
+        outputs = [argv[i + 1] for i, flag in enumerate(argv) if flag in ("--out", "--summary")]
+        assert outputs and all((tmp_path / name).is_file() for name in outputs), argv
+    capsys.readouterr()

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from phasequant import bgstates, cli, fockreal, nfm, phaseops, repalg
+from phasequant import bgstates, cli, fockreal, nfm, phaseops, repalg, specfun
 from phasequant.errors import DomainError, check_domain
 
 DOMAINS = ("positive real", "nonnegative real", "finite real",
@@ -137,6 +137,21 @@ def test_every_entry_point_refuses_k_quietly(entry, k):
     lambda: phaseops.improper_eigvec(1.0, math.nan, 1.0, 4),
     lambda: phaseops.improper_eigvec(1.0, 0.5, math.inf, 4),
     lambda: phaseops.phase_extremes(phaseops.build_phase_ops(repalg.RepLabel(k=1.0), 8), 1.5),
+    lambda: specfun.bessel_i(1.0, math.inf),
+    lambda: specfun.bessel_i_scaled(1.0, math.inf),
+    *(lambda f=f, nu=nu, x=x: f(nu, x)
+      for f in (specfun.bessel_k, specfun.bessel_k_scaled)
+      for nu, x in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf))),
+    *(lambda rho=rho: bgstates.ratio_gI_asymptote(rho) for rho in (0.0, math.nan, -1.0)),
+    *(lambda f=f, k=k, n=n: f(k, n)
+      for f, k in ((phaseops.commutator_diag_asymptote, 1.0),
+                   (phaseops.cos_squared_diag_asymptote, 0.5))
+      for n in (-1, 2.5)),
+    *(lambda margin=margin: phaseops.diagonal_identities(repalg.RepLabel(k=1.0), 8, margin)
+      for margin in (2.5, True)),
+    lambda: repalg.commutator_residual(
+        *(build(repalg.RepLabel(k=1.0), 8) for build in (repalg.build_k1, repalg.build_k2,
+                                                         repalg.build_k3)), margin=2.5),
 ])
 def test_rho_phi_and_dims_are_refused_quietly(make):
     with warnings.catch_warnings():

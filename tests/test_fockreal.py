@@ -472,3 +472,14 @@ def test_two_mode_basis_index_derives_its_sector():
     e = TwoModeBasisIndex(n1=1, n2=4)
     assert (e.sector, e.irrep_k, e.irrep_n) == (-3, 2.0, 1)
     assert [f.name for f in dataclasses.fields(e)] == ["n1", "n2"]
+
+
+def test_alpha_h2_is_the_h2_curve_value_bit_for_bit():
+    # one routine gives h1 and h2 for a radius array; the record and the
+    # curve take the same sums
+    rng = np.random.default_rng(19)
+    ks = rng.uniform(0.1, 3.0, 300)
+    rs = np.exp(rng.uniform(-4.0, 2.0, 300))
+    mismatched = [(k, r) for k, r in zip(ks.tolist(), rs.tolist())
+                  if alpha_expectations(k, r).h2 != h2_curve(k, [r])[0]]
+    assert mismatched == []

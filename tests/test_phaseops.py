@@ -111,8 +111,8 @@ def test_build_route_tolerance_is_relative(monkeypatch):
     # at k = 1e-5 the entries reach max|f|/4 ~ 112 and the routes differ by
     # ~1.4e-13, a few ulp of them; a shift of ~2.5e-11 must still be caught
     build_phase_ops(RepLabel(k=1e-5), 16)
-    f_array = phaseops._f_array
-    monkeypatch.setattr(phaseops, "_f_array", lambda k, dim: f_array(k, dim) + 1e-10)
+    coupling = phaseops._coupling
+    monkeypatch.setattr(phaseops, "_coupling", lambda k, n: coupling(k, n) + 1e-10)
     with pytest.raises(TruncationError, match="routes disagree"):
         build_phase_ops(RepLabel(k=1e-5), 16)
 
@@ -124,8 +124,8 @@ def test_build_requires_dim_two():
 
 def test_build_routes_must_agree(monkeypatch):
     # shift route (b) alone, past the 1e-13 route tolerance
-    f_array = phaseops._f_array
-    monkeypatch.setattr(phaseops, "_f_array", lambda k, dim: f_array(k, dim) + 1e-12)
+    coupling = phaseops._coupling
+    monkeypatch.setattr(phaseops, "_coupling", lambda k, n: coupling(k, n) + 1e-12)
     with pytest.raises(TruncationError, match="routes disagree"):
         build_phase_ops(RepLabel(k=1.0), 16)
 

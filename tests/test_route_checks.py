@@ -146,9 +146,9 @@ def test_commutator_gap_propagates_nan_in_either_order(offset):
 
 
 def test_build_routes_refuse_nan_in_the_f_route(monkeypatch):
-    f_array = phaseops._f_array
-    monkeypatch.setattr(phaseops, "_f_array",
-                        lambda k, dim: np.where(np.arange(dim - 1) == 3, np.nan, f_array(k, dim)))
+    coupling = phaseops._coupling
+    monkeypatch.setattr(phaseops, "_coupling",
+                        lambda k, n: np.where(np.arange(n.size) == 3, np.nan, coupling(k, n)))
     with pytest.raises(TruncationError, match="routes disagree"):
         build_phase_ops(RepLabel(k=1.0), 16)
 
@@ -324,7 +324,10 @@ def test_g_k_refuses_a_nan_quadrature_error(monkeypatch):
 
 def test_g_k_refuses_a_nan_series(monkeypatch):
     # the old relative scale max(|nan|, ...) was itself NaN, so nothing fired
-    monkeypatch.setattr(bgstates, "_phase_weight_sums", lambda k, rho: (math.nan, 1.0))
+    log_terms = bgstates._phase_log_terms
+    monkeypatch.setattr(bgstates, "_phase_log_terms",
+                        lambda k, rho: (np.full_like(log_terms(k, rho)[0], math.nan),
+                                        log_terms(k, rho)[1]))
     with pytest.raises(TruncationError, match="g_k series and quadrature routes disagree"):
         g_k(1.0, 2.0)
 

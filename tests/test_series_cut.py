@@ -133,7 +133,7 @@ def log_term_tables(monkeypatch):
 
 def test_index_only_callers_build_no_table(log_term_tables):
     specfun._i_log_series(1.0, 6.0)
-    assert bgstates._tail_dim(1.0, 3.0, 1e-14) == 17
+    assert bgstates._tail_dim(1.0, 3.0, bgstates._ln_i(1.0, 3.0), 1e-14) == 17
     assert log_term_tables == []
     # the sizing is an index; the one table is the integrand's offset
     bgstates._g_quadrature(1.0, 3.0)
