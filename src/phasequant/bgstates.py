@@ -16,8 +16,9 @@ with
     g(rho) = 1/2 sum_n rho^{2(n+k)} / (n! Gamma(2k+n)) (1/(n+k) + 1/(n+k+1)),
 
 and the scan of that ratio over (k, rho) decides whether the phase-operator
-spectrum can fill [-1, 1]: the ratio stays below 1 for k >= 0.4 on the default
-grid but crosses it near rho ~ 1 for k = 0.25.  One routine forms the series
+spectrum can fill [-1, 1]: on the default grid the ratio stays below 1 for
+k >= 0.35 and crosses it for k <= 0.30 (near rho ~ 1 at k = 0.25), so the
+verdict flips in the measured bracket (0.30, 0.35).  One routine forms the series
 of g and I_{2k-1} for a whole rho grid: the scan sums it row by row,
 ``ratio_gI`` is the scan's one cell and ``g_k`` sums the same terms, so the
 scan and a single state's expectations agree bit for bit.
@@ -88,6 +89,24 @@ _SUP_TOL = 1e-9
 # logarithms of the smallest normal and of the smallest subnormal double
 _LOG_MIN_NORMAL = math.log(sys.float_info.min)
 _LOG_MIN_DOUBLE = math.log(math.ulp(0.0))
+# the largest rho whose 2 rho, the Bessel argument, is a finite double
+_RHO_MAX = sys.float_info.max / 2.0
+
+
+def _check_rho(rho, caller: str, domain: str = "nonnegative real") -> float:
+    # rho read as ``domain`` with 2 rho finite, or DomainError
+    rho = check_domain("rho", rho, domain)
+    if not rho <= _RHO_MAX:
+        raise DomainError(f"{caller} requires rho <= {_RHO_MAX!r}, so that 2 rho is "
+                          f"finite, got rho={rho!r}")
+    return rho
+
+
+def _leading_term_exact(k: float, rho: float) -> bool:
+    # below rho = 1e-7, where the series terms after the first, down by
+    # about rho^2/(2k(k+1)) in b_ratio and ratio_gI, are below rounding; at
+    # tiny k they are not (0.5 at k = 1e-16, rho = 1e-8)
+    return rho < 1e-7 and rho * rho < sys.float_info.epsilon * k * (k + 1.0)
 
 
 @dataclass(frozen=True)
@@ -200,7 +219,7 @@ def make_bg_state(k: float, z: complex, dim: int | None = None,
         )
     check_domain("tail_tol", tail_tol)
     z = complex(z)
-    rho = check_domain("rho", abs(z), "nonnegative real")
+    rho = _check_rho(abs(z), "make_bg_state")
 
     if rho == 0.0:
         needed = 1
@@ -375,13 +394,16 @@ def b_ratio(k: float, rho: float) -> float:
     """I_{2k}(2 rho) / I_{2k-1}(2 rho), the mean-occupation ratio; 0 at rho=0.
 
     Raises ``DomainError`` where I_{2k-1}(2 rho) underflows (large k at
-    moderate rho, e.g. k = 123.456 at rho = 2.5).
+    moderate rho, e.g. k = 123.456 at rho = 2.5) and where 2 rho overflows
+    (rho above 8.99e307).  Below rho = 1e-7 the leading term rho/(2k) is
+    taken where the next ones are below rounding (rho^2 < eps k(k+1)), the
+    Bessel quotient elsewhere.
     """
     check_domain("k", k)
-    check_domain("rho", rho, "nonnegative real")
-    if rho < 1e-7:
-        # leading series behavior; relative error O(rho^2), and the direct
-        # quotient would underflow to 0/0 for extreme orders at tiny rho
+    _check_rho(rho, "b_ratio")
+    if _leading_term_exact(k, rho):
+        # leading series behavior; the direct quotient would underflow to
+        # 0/0 for extreme orders at tiny rho
         return rho / (2.0 * k)
     # 2k passed apart from the order, as for _ln_i
     below = _i_scaled(2.0 * k - 1.0, 2.0 * rho, 2.0 * k)
@@ -513,27 +535,33 @@ def _phase_log_terms(k: float, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def _g_quadrature(k: float, rho: float) -> tuple[float, float]:
     # e^{-2 rho} g(rho) = e^{-2 rho} [1/2 int_0^{2 rho} I(u) du
     # + 1/(8 rho^2) int_0^{2 rho} u^2 I(u) du] with I = I_{2k-1}, and its
-    # error estimate.  I(u) ~ u^{2k-1} at 0, so the rule runs in w = u^beta,
-    # beta = min(2k, 1), which makes the integrand regular there for k < 1/2.
-    # At every node of a level at once, the ascending series of
-    # e^{-2 rho} I(u) du/dw (du/dw = u/(beta w)) is summed in log space, over
-    # as many terms as the series rule keeps at the largest node, u = 2 rho.
-    nu = 2.0 * k - 1.0
+    # error estimate.  At every node of a level at once, the ascending series
+    # of e^{-2 rho} I(u) is summed in log space, over as many terms as the
+    # series rule keeps at the largest node, u = 2 rho.  Its first term, in
+    # u^{2k-1}, is singular at 0 for k < 1/2; in the first integral it runs in
+    # w = u^beta, beta = min(2k, 1), where it is regular.  Everything else
+    # runs in u: at tiny k, w would hold every u above 1e-300 in the last
+    # thousand ulps below w = 1.  One rule on t in [0, 1] carries both, with
+    # u = 2 rho t and w = (2 rho)^beta t.
     beta = min(2.0 * k, 1.0)
     size = _series_cut(2.0 * math.log(rho), 2.0 * k) + 1
-    m = np.arange(size, dtype=np.float64)
-    ln2 = math.log(2.0)
-    power = ((nu + 1.0 + 2.0 * m) / beta - 1.0)[:, None]
-    offset = (
-        _log_terms(-2.0 * ln2, 2.0 * k, size) - nu * ln2 - 2.0 * rho - math.log(beta)
-    )[:, None]
+    ln2, ln_top = math.log(2.0), math.log(2.0 * rho)
+    # ln of the coefficient of u^{2m + 2k - 1}, and that exponent, formed so
+    # that a tiny k is not rounded away against 2m - 1
+    ln_c = (_log_terms(-2.0 * ln2, 2.0 * k, size) - (2.0 * k - 1.0) * ln2 - 2.0 * rho)[:, None]
+    power = ((2.0 * np.arange(size) - 1.0) + 2.0 * k)[:, None]
+    ln_w_top = beta * ln_top
 
-    def integrand(w):
-        ln_w = np.log(w)
-        damped = np.exp(power * ln_w + offset).sum(axis=0)
-        return np.stack([damped, damped * np.exp(2.0 * ln_w / beta)])
+    def integrand(t):
+        ln_t = np.log(t)
+        terms = np.exp(power * (ln_top + ln_t) + ln_c)
+        # the first term in w: c_0 w^{2k/beta - 1} / beta
+        lead = np.exp((2.0 * k / beta - 1.0) * (ln_w_top + ln_t) + ln_c[0]) / beta
+        first = math.exp(ln_w_top) * lead + 2.0 * rho * terms[1:].sum(axis=0)
+        second = 2.0 * rho * np.exp(2.0 * (ln_top + ln_t)) * terms.sum(axis=0)
+        return np.stack([first, second])
 
-    (first, second), (e1, e2) = _tanh_sinh(integrand, (2.0 * rho) ** beta, 1e-12)
+    (first, second), (e1, e2) = _tanh_sinh(integrand, 1.0, 1e-12)
     scale = 1.0 / (8.0 * rho * rho)
     return float(0.5 * first + scale * second), float(0.5 * e1 + scale * e2)
 
@@ -552,8 +580,9 @@ def g_k(k: float, rho: float) -> float:
     check_domain("rho", rho, "nonnegative real")
     if rho == 0.0:
         return 0.0
-    if rho < 1e-7:
-        # leading series term; the next one is down by rho^2/(2k)
+    if rho < 1e-7 and rho * rho < sys.float_info.epsilon * k:
+        # leading series term, where the next one, down by about rho^2/(2k),
+        # is below rounding
         w0 = 0.5 * (1.0 / k + 1.0 / (k + 1.0))
         return w0 * math.exp(2.0 * k * math.log(rho) - ln_gamma(2.0 * k))
     if rho > 350.0:
@@ -576,15 +605,18 @@ def ratio_gI(k: float, rho: float) -> float:
 
     This is the modulus of the phase expectation values; whether it stays
     below 1 over all rho is exactly the spectral-containment question.
-    From rho = 1e-7 on it is the one cell of ``kbound_scan([k], [rho])``,
-    bit for bit; below, the limit rho w_0 with w_0 = (1/k + 1/(k+1))/2.
+    It is the one cell of ``kbound_scan([k], [rho])``, bit for bit, except
+    below rho = 1e-7 where the series terms after the first are below
+    rounding (rho^2 < eps k(k+1)): there it is the limit rho w_0 with
+    w_0 = (1/k + 1/(k+1))/2.  rho above 8.99e307, where 2 rho overflows,
+    raises DomainError.
     """
     check_domain("k", k)
-    check_domain("rho", rho, "nonnegative real")
+    _check_rho(rho, "ratio_gI")
     if rho == 0.0:
         return 0.0
-    if rho < 1e-7:
-        # rho w_0 limit, accurate to O(rho^2) and immune to term underflow
+    if _leading_term_exact(k, rho):
+        # rho w_0 limit, immune to term underflow
         return rho * 0.5 * (1.0 / k + 1.0 / (k + 1.0))
     return float(kbound_scan([k], [rho]).ratio[0, 0])
 
@@ -648,9 +680,10 @@ def kbound_scan(k_grid: np.ndarray | None = None,
     )
     if k_values.size == 0 or rho_values.size == 0:
         raise DomainError("kbound_scan requires nonempty grids")
-    for name, grid in (("k", k_values), ("rho", rho_values)):
-        for value in grid.tolist():
-            check_domain(name, value)
+    for value in k_values.tolist():
+        check_domain("k", value)
+    for value in rho_values.tolist():
+        _check_rho(value, "kbound_scan", "positive real")
 
     ratio = np.empty((k_values.size, rho_values.size))
     for i, k in enumerate(k_values):

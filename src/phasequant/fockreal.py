@@ -14,7 +14,10 @@ with extended-precision diagonals (complex only for the sines) and ``k``
 set only where the space carries a single index; its dense matrix is the
 read-only ``entries`` view, built on first access.  Extended precision
 matches the abstract builders: double-precision ladder products alone would
-exceed the commutator residual budget near the truncation cut.
+exceed the commutator residual budget near the truncation cut.  The
+oscillator and historical cos/sin pairs come from the one ``phaseops``
+constructor, each from its lowering band, and the oscillator pair's
+symmetrized route from the one ``phaseops`` symmetrizer.
 Every constructor verifies its output against the abstract builders (or
 against a second build route) diagonal by diagonal before returning; the
 three generator realizations do so through one sector rule.
@@ -22,6 +25,7 @@ three generator realizations do so through one sector rule.
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +41,7 @@ from .repalg import (
     build_kplus,
     commutator_gap,
 )
-from .phaseops import build_phase_ops
+from .phaseops import _phase_pair, _symmetrize, build_phase_ops
 from .specfun import _log_terms, _series_cut
 
 __all__ = [
@@ -61,6 +65,8 @@ _MATCH_TOL = 1e-13
 _COMM_TOL = 1e-12
 _ROUTE_TOL = 1e-10
 _TAIL_LOG = math.log(1e-14)
+# the largest radius whose r^2, the mean of the Poisson weights, is finite
+_R_MAX = math.sqrt(sys.float_info.max)
 
 
 # the former realization operator type; bench/tracer.py still imports the
@@ -90,9 +96,9 @@ class HPPhaseOps:
     cos: TruncatedOperator
     sin: TruncatedOperator
     f_k_diag: np.ndarray
-    k: float
-    dim: int
 
+    k = property(lambda self: self.cos.k)
+    dim = property(lambda self: self.cos.dim)
     # the dense views under their former names, read by the benchmark checks
     cos_op = property(lambda self: self.cos.entries)
     sin_op = property(lambda self: self.sin.entries)
@@ -106,8 +112,9 @@ class DiracSGOps:
     sin_dirac: TruncatedOperator
     cos_sg: TruncatedOperator
     sin_sg: TruncatedOperator
-    dim: int
     zero_mode_convention: str
+
+    dim = property(lambda self: self.cos_dirac.dim)
 
 
 @dataclass(frozen=True)
@@ -172,15 +179,6 @@ class TwoModeOps:
     dim_per_mode: int
 
 
-def _cos_sin(lower: np.ndarray, k: float | None) -> tuple[TruncatedOperator, TruncatedOperator]:
-    # cos = (E + E+)/2 and sin = (E - E+)/(2i) for the lowering band E whose
-    # entries (n, n+1) are ``lower``
-    half, dim = 0.5 * lower, lower.size + 1
-    return (TruncatedOperator(dim, k, {-1: half, 1: half}),
-            TruncatedOperator(dim, k, {-1: np.clongdouble(0.5j) * lower,
-                                       1: np.clongdouble(-0.5j) * lower}))
-
-
 def hp_generators(k: float, dim: int) -> HPGenerators:
     """kp = a+ sqrt(N+2k), km = sqrt(N+2k) a, k3 = N + k.
 
@@ -219,15 +217,6 @@ def hp_phase_ops(k: float, dim: int) -> HPPhaseOps:
     return _hp_phase_ops(hp_generators(k, dim))
 
 
-def _symmetrize(bands: dict, inv: np.ndarray) -> dict:
-    # (inv(N) X + X inv(N))/4: entry (i, j) of X is scaled by (inv_i + inv_j)/4
-    out = {}
-    for d, v in bands.items():
-        rows, cols = max(0, -d), max(0, d)
-        out[d] = 0.25 * (inv[rows:rows + v.size] * v + v * inv[cols:cols + v.size])
-    return out
-
-
 def _hp_phase_ops(gens: HPGenerators) -> HPPhaseOps:
     k, dim = gens.k, gens.kp.dim
     kp, km = gens.kp.diagonals[-1], gens.km.diagonals[1]
@@ -235,24 +224,27 @@ def _hp_phase_ops(gens: HPGenerators) -> HPPhaseOps:
     inv = 1.0 / (n + np.longdouble(k))
     invp = 1.0 / (n + np.longdouble(k) + 1.0)
 
-    cos_sym = _symmetrize({-1: kp, 1: km}, inv)
-    sin_sym = {d: np.clongdouble(1j) * v
-               for d, v in _symmetrize({-1: kp, 1: -km}, inv).items()}
+    # K1 = (kp + km)/2 and -K2 = i (kp - km)/2
+    cos_sym = _symmetrize({-1: kp / 2.0, 1: km / 2.0}, inv)
+    sin_sym = _symmetrize({-1: 0.5j * kp, 1: -0.5j * km}, inv)
 
     root = np.sqrt(n + 2.0 * np.longdouble(k))
     f_diag = 0.5 * root * (inv + invp)
     # F a has entries (n, n+1) = F(n) sqrt(n+1)
-    cos, sin = _cos_sin(f_diag[:-1] * np.sqrt(n[1:]), k)
+    cos, sin = _phase_pair(f_diag[:-1] * np.sqrt(n[1:]), k)
 
     pair = build_phase_ops(RepLabel(k=k), dim)
+    # relative to the largest band entry, as in build_phase_ops: the band
+    # grows like sqrt(2/k)/4 as k shrinks
+    tol = _MATCH_TOL * max(1.0, float(np.max(np.abs(cos.diagonals[1]))))
     for name, sym, band, op in (("cos", cos_sym, cos.diagonals, pair.cos_op),
                                 ("sin", sin_sym, sin.diagonals, pair.sin_op)):
         for what, gap in (("symmetrized vs band profile", band_gap(sym, band)),
                           ("band profile vs abstract pair", band_gap(band, op.diagonals))):
-            check_route(f"{name}: {what}: builds", gap, _MATCH_TOL, InconsistentDataError)
+            check_route(f"{name}: {what}: builds", gap, tol, InconsistentDataError)
 
     f_diag.setflags(write=False)
-    return HPPhaseOps(cos=cos, sin=sin, f_k_diag=f_diag, k=float(k), dim=dim)
+    return HPPhaseOps(cos=cos, sin=sin, f_k_diag=f_diag)
 
 
 def dirac_sg_ops(dim: int) -> DiracSGOps:
@@ -270,10 +262,16 @@ def dirac_sg_ops(dim: int) -> DiracSGOps:
     root = np.sqrt(n[1:])
     # entries (n, n+1) of a N^{-1/2}, whose patched N^{-1/2}|0> never enters,
     # and of (N+1)^{-1/2} a
-    cos_d, sin_d = _cos_sin(root * (1.0 / np.sqrt(n[1:])), None)
-    cos_s, sin_s = _cos_sin((1.0 / np.sqrt(n[:-1] + 1.0)) * root, None)
-    return DiracSGOps(cos_dirac=cos_d, sin_dirac=sin_d, cos_sg=cos_s, sin_sg=sin_s, dim=dim,
+    cos_d, sin_d = _phase_pair(root * (1.0 / np.sqrt(n[1:])), None)
+    cos_s, sin_s = _phase_pair((1.0 / np.sqrt(n[:-1] + 1.0)) * root, None)
+    return DiracSGOps(cos_dirac=cos_d, sin_dirac=sin_d, cos_sg=cos_s, sin_sg=sin_s,
                       zero_mode_convention="N^{-1/2}|0> mapped to 0")
+
+
+def _check_radius(r: float, caller: str) -> None:
+    if not r <= _R_MAX:
+        raise DomainError(f"{caller} requires r <= {_R_MAX!r}, so that r^2 is finite, "
+                          f"got r={r!r}")
 
 
 def _expect(bands, c: np.ndarray) -> complex:
@@ -289,11 +287,13 @@ def alpha_expectations(k: float, alpha: complex, dim: int | None = None) -> Alph
     h2 = (r/2) <sqrt(N+2k)(1/(N+k)+1/(N+k+1))> the phase means, while
     <K3> = r^2 + k needs no series at all.  Each closed value is
     reconciled with the matrix expectation over the truncated coherent
-    vector to 1e-10 before the record is returned.
+    vector to 1e-10 before the record is returned.  An r = |alpha| past
+    1.34e154, whose r^2 overflows, raises DomainError.
     """
     check_domain("k", k)
     alpha = complex(alpha)
     r = check_domain("|alpha|", abs(alpha), "nonnegative real")
+    _check_radius(r, "alpha_expectations")
     beta = cmath.phase(alpha)
     needed = 1
     if r > 0.0:
@@ -367,7 +367,8 @@ def h2_curve(k: float, r_values) -> np.ndarray:
     h2 = (r/2) <sqrt(N+2k)(1/(N+k)+1/(N+k+1))> over the Poisson weights
     exp(2n ln r - ln n! - r^2), from one shared term table for every
     radius; ``alpha_expectations`` takes its h2 from the same sums, so the
-    two agree bit for bit.  A k whose 2k overflows raises DomainError.
+    two agree bit for bit.  A k whose 2k overflows and an r past 1.34e154,
+    whose r^2 overflows, raise DomainError.
     """
     check_domain("k", k, message="h2_curve requires k > 0, got {value}")
     if not 2.0 * k < math.inf:
@@ -377,6 +378,7 @@ def h2_curve(k: float, r_values) -> np.ndarray:
         raise DomainError("h2_curve needs a nonempty 1-d radius grid")
     if not (np.all(np.isfinite(r)) and np.all(r >= 0.0)):
         raise DomainError("radius grid must be finite and nonnegative")
+    _check_radius(float(np.max(r)), "h2_curve")
     return _radial_sums(k, r)[1]
 
 

@@ -12,7 +12,10 @@ zero diagonal; the single coupling strength is
 with cos entries f_{n+1}/4 on the off-diagonals and sin entries +-i f_{n+1}/4.
 Construction always runs both the symmetrized-product route and the direct
 f-coefficient route and demands entrywise agreement, so a regression in
-either formula cannot pass silently.
+either formula cannot pass silently.  One constructor forms every cos/sin
+pair of the package, here and in ``fockreal``: cos = (E + E^dag)/2 and
+sin = (E - E^dag)/(2i) for a lowering band E (here E = conj(omega) f/2), and
+one symmetrizer, X -> (K3^-1 X + X K3^-1)/2, serves every product route.
 
 Diagonal closed forms are expressed through the K3 eigenvalue x = n + k and
 the Casimir value q = k(1-k):
@@ -71,14 +74,13 @@ class PhaseOperatorPair:
 
     cos_op: TruncatedOperator
     sin_op: TruncatedOperator
-    k: float
-    dim: int
 
     def __post_init__(self) -> None:
-        if not (self.cos_op.dim == self.sin_op.dim == self.dim):
-            raise DomainError("phase operator pair dims are inconsistent")
-        if not (self.cos_op.k == self.sin_op.k == self.k):
-            raise DomainError("phase operator pair k labels are inconsistent")
+        if not (self.cos_op.dim == self.sin_op.dim and self.cos_op.k == self.sin_op.k):
+            raise DomainError("phase operator pair dims or k labels are inconsistent")
+
+    k = property(lambda self: self.cos_op.k)
+    dim = property(lambda self: self.cos_op.dim)
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,27 @@ def f_coeff(k: float, n: int) -> float:
     return float(_coupling(k, n))
 
 
+def _phase_pair(lower: np.ndarray, k: float | None,
+                omega: complex = 1.0 + 0.0j) -> tuple[TruncatedOperator, TruncatedOperator]:
+    # cos = (E + E+)/2 and sin = (E - E+)/(2i) for the lowering band E whose
+    # entries (n, n+1) are ``lower``: every phase pair of the package is formed
+    # here.  The conjugation and the factors i can leave a -0 where an entry
+    # has a zero part; adding 0 turns each into +0 and keeps every other value,
+    # so no stored band holds a negative zero.
+    upper, dim = lower.conjugate(), lower.size + 1
+    cos = {-1: upper / 2.0, 1: lower / 2.0}
+    sin = {-1: 0.5j * upper, 1: -0.5j * lower}
+    return tuple(TruncatedOperator(dim, k, {d: v + 0.0 for d, v in bands.items()}, name, omega)
+                 for name, bands in (("cos", cos), ("sin", sin)))
+
+
+def _symmetrize(bands, inv: np.ndarray) -> dict:
+    # (K3^-1 X + X K3^-1)/2 on the diagonals of X, with K3^-1 = diag(inv):
+    # entry (i, j) of X is scaled by (inv_i + inv_j)/2
+    return {d: (inv[max(0, -d):][:v.size] + inv[max(0, d):][:v.size]) / 2.0 * v
+            for d, v in bands.items()}
+
+
 def build_phase_ops(label: RepLabel, dim: int) -> PhaseOperatorPair:
     """Build the cos/sin pair two ways and insist the routes agree.
 
@@ -133,30 +156,20 @@ def build_phase_ops(label: RepLabel, dim: int) -> PhaseOperatorPair:
     """
     if check_domain("dim", dim, "positive integer") < 2:
         raise DomainError(f"build_phase_ops requires dim >= 2, got {dim}")
-    inv_diag = 1.0 / (np.clongdouble(label.k) + np.arange(dim, dtype=np.clongdouble))
-    # ((1/K3)_ii + (1/K3)_jj)/2 along the two off-diagonals K1 and K2 occupy
-    half_sym = 0.5 * (inv_diag[:-1] + inv_diag[1:])
-    cos_a = {d: half_sym * v for d, v in build_k1(label, dim).diagonals.items()}
-    sin_a = {d: -half_sym * v for d, v in build_k2(label, dim).diagonals.items()}
+    inv = 1.0 / (np.clongdouble(label.k) + np.arange(dim, dtype=np.clongdouble))
+    cos_a = _symmetrize(build_k1(label, dim).diagonals, inv)
+    sin_a = {d: -v for d, v in _symmetrize(build_k2(label, dim).diagonals, inv).items()}
 
     f = _coupling(np.clongdouble(label.k), np.arange(1, dim, dtype=np.clongdouble))
-    omega = np.clongdouble(label.omega)
-    cos_b = {-1: omega * f / 4.0, 1: omega.conjugate() * f / 4.0}
-    sin_b = {-1: 1j * omega * f / 4.0, 1: -1j * omega.conjugate() * f / 4.0}
+    pair = PhaseOperatorPair(*_phase_pair(np.clongdouble(label.omega).conjugate() * f / 2.0,
+                                          label.k, label.omega))
 
     # relative to the largest entry max|f|/4 once that passes 1 (k below
     # about 0.16), as the Sturm window scales with max|off|
     tol = _ROUTE_TOL * max(1.0, float(np.max(np.abs(f))) / 4.0)
-    dev = np.max([band_gap(cos_a, cos_b), band_gap(sin_a, sin_b)])
+    dev = np.max([band_gap(cos_a, pair.cos_op.diagonals), band_gap(sin_a, pair.sin_op.diagonals)])
     check_route("phase-operator build routes", dev, tol, context=f"at k={label.k}, dim={dim}")
-
-    cos_op = TruncatedOperator(
-        dim=dim, k=label.k, diagonals=cos_b, name="cos", omega=label.omega,
-    )
-    sin_op = TruncatedOperator(
-        dim=dim, k=label.k, diagonals=sin_b, name="sin", omega=label.omega,
-    )
-    return PhaseOperatorPair(cos_op=cos_op, sin_op=sin_op, k=label.k, dim=dim)
+    return pair
 
 
 def ground_state_variance(k: float) -> float:

@@ -328,6 +328,33 @@ def test_b_ratio_at_tiny_k_against_mpmath(k):
             assert abs(b_ratio(k, rho) - want) <= 1e-14 * want
 
 
+def _small_rho_references(k, rho):
+    # b = I_2k(2 rho)/I_{2k-1}(2 rho) and g/I_{2k-1}(2 rho) as rho times
+    # weighted means of a_n = rho^{2n}/(n! Gamma(2k+n)), at 60 digits; eight
+    # terms are exact at rho <= 1e-7
+    with mpmath.workdps(60):
+        k, rho = mpmath.mpf(k), mpmath.mpf(rho)
+        a = [rho ** (2 * n) / (mpmath.factorial(n) * mpmath.gamma(2 * k + n)) for n in range(8)]
+        total = mpmath.fsum(a)
+        b = rho * mpmath.fsum(an / (2 * k + n) for n, an in enumerate(a)) / total
+        w = (an * (1 / (n + k) + 1 / (n + k + 1)) / 2 for n, an in enumerate(a))
+        return b, rho * mpmath.fsum(w) / total
+
+
+def test_small_rho_branches_against_mpmath():
+    # below rho = 1e-7 the leading terms rho/(2k) and rho w_0 once dropped a
+    # relative rho^2/(2k): b_ratio was 0.5 off at (1e-16, 1e-8) and 177x at
+    # (2.78e-17, 9.9e-8)
+    ks = [2.78e-17, 1e-16, *np.geomspace(1e-15, 10.0, 9).tolist()]
+    rhos = [1e-300, 1e-200, 1e-100, 1e-30, 1e-17, 1e-15, 1e-12, 1e-10, 1e-9, 1e-8, 5e-8, 9.9e-8]
+    for k in ks:
+        for rho in rhos:
+            want_b, want_ratio = _small_rho_references(k, rho)
+            assert abs(b_ratio(k, rho) - want_b) <= 3e-14 * want_b, (k, rho)
+            assert abs(ratio_gI(k, rho) - want_ratio) <= 3e-14 * want_ratio, (k, rho)
+    assert ratio_gI(0.25, 1e-300) == 2.4e-300
+
+
 def test_k3_mean_past_the_asymptotic_reach_against_mpmath():
     # I_99(600) once came from an asymptotic sum 3483x too large, and the
     # K3 routes disagreed by 350
@@ -468,6 +495,21 @@ def test_g_k_quadrature_route_against_mpmath(k):
         want = _g_scaled_reference(k, rho)
         assert float(abs(value / want - 1)) < 1e-13, rho
         assert err < 1e-11 * value
+
+
+@pytest.mark.parametrize("k", [2.78e-17, 1e-16, 1e-10, 1e-6, 1e-4])
+def test_g_k_at_tiny_k_against_mpmath(k):
+    # in w = u^{2k} every u above 1e-300 lay in the last thousand ulps below
+    # w = 1, and the exponent (2k - 1) + 1 lost k: the two routes once
+    # disagreed at every rho of a 40-point grid for k = 1e-10
+    for rho in (1e-9, 1e-7, 0.01, 1.0, 3.4, 40.0):
+        want = _g_scaled_reference(k, rho)
+        value, err = bgstates._g_quadrature(k, rho)
+        assert float(abs(value / want - 1)) < 1e-13, rho
+        assert err < 1e-11 * value
+        assert float(abs(g_k(k, rho) / (want * mpmath.exp(2 * rho)) - 1)) < 1e-13, rho
+    for rho in np.geomspace(1e-7, 300.0, 40).tolist():
+        assert g_k(k, rho) > 0.0
 
 
 def test_g_k_routes_agree_for_small_k():

@@ -7,6 +7,7 @@ rule, so a flag and the library cannot disagree about what they accept.
 
 import argparse
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -174,6 +175,32 @@ def test_a_coherent_state_whose_c0_underflows_is_refused(capsys, tmp_path):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "ln|c_0| = -747.712" in err and not target.exists()
+
+
+def test_a_rho_or_r_whose_square_or_double_overflows_is_refused(capsys):
+    # 2 rho (the Bessel argument) and r^2 (the Poisson mean) must be finite;
+    # past them the calls once failed with an unrelated message ("x must be
+    # finite", "I_{2k-1} underflows" or "not cut within 200000 terms")
+    top = sys.float_info.max / 2.0
+    for call in (lambda rho: bgstates.b_ratio(1.0, rho),
+                 lambda rho: bgstates.ratio_gI(1.0, rho),
+                 lambda rho: bgstates.make_bg_state(1.0, rho),
+                 lambda rho: bgstates.kbound_scan([1.0], [rho])):
+        for rho in (1e308, math.nextafter(top, math.inf)):
+            with pytest.raises(DomainError, match=r"rho <= 8\.988465674311579e\+307, so that "
+                                                  r"2 rho is finite, got rho="):
+                call(rho)
+    assert 2.0 * top < math.inf and bgstates.b_ratio(1.0, 1e300) == 1.0
+    r_top = math.sqrt(sys.float_info.max)
+    assert np.float64(r_top) * np.float64(r_top) < math.inf
+    for call in (lambda r: fockreal.alpha_expectations(1.0, r),
+                 lambda r: fockreal.h2_curve(1.0, [0.0, r])):
+        with pytest.raises(DomainError, match=r"r <= 1\.3407807929942596e\+154, so that r\^2 "
+                                              r"is finite, got r=1e\+200"):
+            call(1e200)
+    assert cli.main(["coherent", "--k", "1", "--rho", "1e308"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: make_bg_state requires rho <= ") and err.count("\n") == 1
 
 
 FLAG_TYPES = {

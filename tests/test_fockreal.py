@@ -168,6 +168,50 @@ def test_phase_routes_must_agree(monkeypatch):
         hp_phase_ops(1.0, 32)
 
 
+@pytest.mark.parametrize("k", [1e-14, 1e-16])
+def test_phase_checks_are_relative_at_tiny_k(k):
+    # the band reaches sqrt(2/k)/4 ~ 3.5e6 at k = 1e-14: the routes then
+    # differ by a few ulp of it, far past an absolute 1e-13
+    p = hp_phase_ops(k, 64)
+    assert (p.k, p.dim) == (k, 64)
+    assert float(p.cos.diagonals[1][0]) > 1e6
+    e = alpha_expectations(k, 1.0 + 1.0j, 64)
+    assert math.isclose(e.cos_mean, e.sin_mean, rel_tol=1e-14)
+
+
+def _same_bits(x, y):
+    return (x.dtype == y.dtype and np.array_equal(x, y)
+            and np.array_equal(np.signbit(x.real), np.signbit(y.real))
+            and np.array_equal(np.signbit(np.imag(x)), np.signbit(np.imag(y))))
+
+
+def _closed_pair(lower):
+    # cos = (E + E+)/2, sin = (E - E+)/(2i) for a real lowering band E
+    return ({-1: 0.5 * lower, 1: 0.5 * lower},
+            {-1: np.clongdouble(0.5j) * lower, 1: np.clongdouble(-0.5j) * lower})
+
+
+@pytest.mark.parametrize("k", [0.25, 0.5, 1.0, 2.7, 50.0])
+def test_realized_phase_pairs_store_the_closed_form_bits(k):
+    n = np.arange(64, dtype=np.longdouble)
+    inv, invp = 1.0 / (n + np.longdouble(k)), 1.0 / (n + np.longdouble(k) + 1.0)
+    f_diag = 0.5 * np.sqrt(n + 2.0 * np.longdouble(k)) * (inv + invp)
+    p = hp_phase_ops(k, 64)
+    assert _same_bits(p.f_k_diag, f_diag)
+    d = dirac_sg_ops(64)
+    root = np.sqrt(n[1:])
+    for (cos, sin), lower in (
+        ((p.cos, p.sin), f_diag[:-1] * np.sqrt(n[1:])),
+        ((d.cos_dirac, d.sin_dirac), root * (1.0 / np.sqrt(n[1:]))),
+        ((d.cos_sg, d.sin_sg), (1.0 / np.sqrt(n[:-1] + 1.0)) * root),
+    ):
+        for op, bands in zip((cos, sin), _closed_pair(lower)):
+            assert op.diagonals.keys() == bands.keys()
+            for offset, v in bands.items():
+                assert _same_bits(op.diagonals[offset], v), (op.name, offset)
+    assert d.dim == 64 and (d.cos_sg.k, p.cos.k) == (None, k)
+
+
 def test_phase_ops_build_no_dense_matrix():
     # both routes and the abstract check run on diagonals: a dense 2000 x 2000
     # longdouble route alone would take 64 MB

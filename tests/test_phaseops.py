@@ -130,6 +130,43 @@ def test_build_routes_must_agree(monkeypatch):
         build_phase_ops(RepLabel(k=1.0), 16)
 
 
+def _same_bits(x, y):
+    # equal values and dtypes, and the same sign on every zero part
+    return (x.dtype == y.dtype and np.array_equal(x, y)
+            and np.array_equal(np.signbit(x.real), np.signbit(y.real))
+            and np.array_equal(np.signbit(np.imag(x)), np.signbit(np.imag(y))))
+
+
+@pytest.mark.parametrize("k", [0.25, 0.5, 1.0, 2.7, 50.0])
+@pytest.mark.parametrize("omega", [1.0, 1j, complex(math.cos(0.3), math.sin(0.3)), -1.0, -1j])
+def test_build_stores_the_closed_form_bits(k, omega):
+    # cos = (omega f/4, conj(omega) f/4) and sin = i times (omega f/4,
+    # -conj(omega) f/4) on the diagonals (-1, +1), each one product of
+    # extended-precision f; no stored hash, as extended precision differs
+    # between platforms
+    f = phaseops._coupling(np.clongdouble(k), np.arange(1, 64, dtype=np.clongdouble))
+    w = np.clongdouble(RepLabel(k=k, omega=omega).omega)
+    pair = build_phase_ops(RepLabel(k=k, omega=omega), 64)
+    expected = (
+        (pair.cos_op, {-1: w * f / 4.0, 1: w.conjugate() * f / 4.0}),
+        (pair.sin_op, {-1: 1j * w * f / 4.0, 1: -1j * w.conjugate() * f / 4.0}),
+    )
+    for op, bands in expected:
+        assert op.diagonals.keys() == bands.keys()
+        for d, v in bands.items():
+            assert _same_bits(op.diagonals[d], v), (op.name, d)
+        assert (op.k, op.omega, op.dim) == (k, w, 64)
+
+
+def test_pair_reads_k_and_dim_from_its_operators():
+    pair = build_phase_ops(RepLabel(k=0.75), 12)
+    assert (pair.k, pair.dim) == (0.75, 12)
+    with pytest.raises(DomainError, match="inconsistent"):
+        PhaseOperatorPair(pair.cos_op, build_phase_ops(RepLabel(k=0.75), 10).sin_op)
+    with pytest.raises(DomainError, match="inconsistent"):
+        PhaseOperatorPair(pair.cos_op, build_phase_ops(RepLabel(k=0.5), 12).sin_op)
+
+
 # ---------------------------------------------------------------------------
 # ground-state variance and the k1 bound
 
@@ -294,7 +331,7 @@ def test_spectrum_cos_sin_must_agree():
         diagonals={d: v * (1 + 1e-8) for d, v in pair.sin_op.diagonals.items()},
     )
     with pytest.raises(TruncationError, match="spectra disagree"):
-        phase_spectrum(PhaseOperatorPair(pair.cos_op, skewed, k=1.0, dim=64))
+        phase_spectrum(PhaseOperatorPair(pair.cos_op, skewed))
 
 
 @pytest.mark.parametrize("k", [0.25, 0.5, 0.95, 1.0, 2.0])
@@ -447,7 +484,7 @@ def test_phase_spectrum_rejects_a_nonzero_cos_diagonal():
         diagonals={**pair.cos_op.diagonals, 0: np.full(8, 1e-3)},
     )
     with pytest.raises(DomainError, match="zero cos diagonal"):
-        phase_spectrum(PhaseOperatorPair(shifted, pair.sin_op, k=1.0, dim=8))
+        phase_spectrum(PhaseOperatorPair(shifted, pair.sin_op))
 
 
 def test_sin_offdiagonal_perturbed_raises():
@@ -460,7 +497,7 @@ def test_sin_offdiagonal_perturbed_raises():
         dim=64, k=1.0, name="sin", diagonals={-1: sub, 1: pair.sin_op.diagonals[1]},
     )
     with pytest.raises(TruncationError, match="spectra disagree"):
-        phase_spectrum(PhaseOperatorPair(pair.cos_op, skewed, k=1.0, dim=64))
+        phase_spectrum(PhaseOperatorPair(pair.cos_op, skewed))
 
 
 @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])

@@ -168,7 +168,7 @@ def test_k1_bound_refuses_a_nan_root(monkeypatch):
 
 def test_spectrum_refuses_a_nan_sin_band():
     pair = build_phase_ops(RepLabel(k=1.0), 16)
-    skewed = PhaseOperatorPair(pair.cos_op, _with_nan(pair.sin_op, at=5), k=1.0, dim=16)
+    skewed = PhaseOperatorPair(pair.cos_op, _with_nan(pair.sin_op, at=5))
     with pytest.raises(TruncationError, match="spectra disagree"):
         phase_spectrum(skewed)
 
