@@ -86,6 +86,8 @@ _ROUTE_TOL = 1e-10
 # every state's normalization I_{2k-1} is taken at an order outside nu > -1
 _K_MIN = math.nextafter(2.0 ** -55, math.inf)
 _SUP_TOL = 1e-9
+# relative bound on the moment quadrature's error estimate plus its tail
+_QUADRATURE_TOL = 1e-9
 # logarithms of the smallest normal and of the smallest subnormal double
 _LOG_MIN_NORMAL = math.log(sys.float_info.min)
 _LOG_MIN_DOUBLE = math.log(math.ulp(0.0))
@@ -342,15 +344,14 @@ def overlap(s1: BGState, s2: BGState) -> complex:
     return summed
 
 
-def moment_integral(k: float, n: int, rho_max: float = 60.0,
-                    quadrature_tol: float = 1e-9) -> float:
+def moment_integral(k: float, n: int, rho_max: float = 60.0) -> float:
     """Quadrature of int_0^inf rho^{2(n+k)} K_{2k-1}(2 rho) drho.
 
     The tanh-sinh rule covers [0, rho_max], with every K from the trapezoid
     rule of ``bessel_k``; the infinite tail beyond rho_max is estimated from
     the exponential decay of the scaled integrand and added on.  The rule's
-    error estimate plus that tail must stay below ``quadrature_tol`` of the
-    value.  The closed value is n! Gamma(2k+n)/4; callers compare against it.
+    error estimate plus that tail must stay below 1e-9 of the value.  The
+    closed value is n! Gamma(2k+n)/4; callers compare against it.
     """
     check_domain("k", k)
     check_domain("rho_max", rho_max)
@@ -372,14 +373,13 @@ def moment_integral(k: float, n: int, rho_max: float = 60.0,
     # integrand ~ e^{-2 rho} polynomial: geometric tail from the endpoint value
     tail = float(integrand(np.array([rho_max]))[0]) / (2.0 - power / rho_max)
     total = value + tail
-    bound = max(quadrature_tol * abs(total), 1e-15)
+    bound = max(_QUADRATURE_TOL * abs(total), 1e-15)
     check_route("moment quadrature step halvings", abserr + tail, bound, ConvergenceError,
                 context=f"at k={k}, n={n}")
     return total
 
 
-def completeness_check(k: float, n: int, rho_max: float = 60.0,
-                       quadrature_tol: float = 1e-9) -> float:
+def completeness_check(k: float, n: int, rho_max: float = 60.0) -> float:
     """Resolution-of-identity weight on |k,n>, exactly 1 for the true measure.
 
     The angular integral is analytic (only the diagonal term survives) and the
@@ -387,7 +387,7 @@ def completeness_check(k: float, n: int, rho_max: float = 60.0,
     moment, evaluated by quadrature.
     """
     log_norm = ln_gamma(n + 1.0) + ln_gamma(2.0 * k + n)
-    return 4.0 * moment_integral(k, n, rho_max, quadrature_tol) * math.exp(-log_norm)
+    return 4.0 * moment_integral(k, n, rho_max) * math.exp(-log_norm)
 
 
 def b_ratio(k: float, rho: float) -> float:
@@ -641,7 +641,7 @@ def phase_expectations(state: BGState) -> PhaseExpectations:
     c = _padded_coeffs(state)
     pair = build_phase_ops(RepLabel(k=k), c.size)
     tol = _phase_tol(state)
-    for name, closed, op in (("cos", cos_mean, pair.cos_op), ("sin", sin_mean, pair.sin_op)):
+    for name, closed, op in (("cos", cos_mean, pair.cos), ("sin", sin_mean, pair.sin)):
         summed = float(np.real(np.vdot(c, banded_matvec(op.diagonals, c))))
         check_route(f"{name} expectation: closed form and truncated sum", abs(closed - summed),
                     tol * max(1.0, abs(closed)), context=f"({closed!r} vs {summed!r})")
@@ -670,9 +670,10 @@ def kbound_scan(k_grid: np.ndarray | None = None,
     BOUNDED means sup over rho stays at or below 1 + 1e-9.  Rows are
     independent; each is evaluated by one vectorized series sweep, cut where
     every rho's terms have fallen below 1e-18 of their largest.  A row whose
-    terms would underflow is divided by its largest first.  ``ratio_gI`` is
-    the one cell of a one-point scan.  Every grid value must be a positive
-    real.
+    terms would underflow is divided by its largest first, and a cell whose
+    rho sum t_n w_n is not a normal double forms rho (sum t_n w_n / sum t_n)
+    instead.  ``ratio_gI`` is the one cell of a one-point scan.  Every grid
+    value must be a positive real.
     """
     k_values = _default_k_grid() if k_grid is None else np.asarray(k_grid, dtype=float)
     rho_values = (
@@ -696,7 +697,15 @@ def kbound_scan(k_grid: np.ndarray | None = None,
         top = log_t.max(axis=1)
         terms = np.exp(log_t - np.where(top < _LOG_MIN_NORMAL, top, 0.0)[:, None])
         # plain row sums equal rho e^{-2 rho} I_{2k-1}(2 rho) termwise, over e^shift
-        ratio[i] = rho_values * (terms @ weights) / np.sum(terms, axis=1)
+        weighted, total = terms @ weights, np.sum(terms, axis=1)
+        cell = rho_values * weighted
+        ratio[i] = cell / total
+        # where rho sum t_n w_n is not a normal double (tiny rho at small k)
+        # it lost digits or underflowed: such cells divide first instead.
+        # One scalar test per row spares every other row the array work.
+        if cell.min() < sys.float_info.min:
+            low = cell < sys.float_info.min
+            ratio[i, low] = rho_values[low] * (weighted[low] / total[low])
 
     sup = ratio.max(axis=1)
     argmax = rho_values[np.argmax(ratio, axis=1)]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -78,6 +79,23 @@ def _flag_type(domain: str):
     # argparse names the type in "invalid <name> value: ..." messages
     parse.__name__ = domain
     return parse
+
+
+class _DomainHelpFormatter(argparse.HelpFormatter):
+    """Ends each typed flag's help with its domain, read from the type's name.
+
+    ``_flag_type`` names each type after the domain it checks, so the help
+    text cannot drift from the check.
+    """
+
+    def add_argument(self, action):
+        if action.type is not None:
+            import copy  # deferred: only --help formats
+
+            domain = f"a {action.type.__name__}"
+            action = copy.copy(action)
+            action.help = f"{action.help}; {domain}" if action.help else domain
+        super().add_argument(action)
 
 
 _positive_float = _flag_type("positive real")
@@ -224,7 +242,7 @@ def _cmd_ground_variance(args) -> tuple[int, str]:
     for k in args.k:
         analytic = phaseops.ground_state_variance(k)
         pair = phaseops.build_phase_ops(RepLabel(k=k), args.dim)
-        cos = pair.cos_op.diagonals
+        cos = pair.cos.diagonals
         matrix = float(repalg.banded_matmul(cos, cos, args.dim)[0][0].real)
         entries.append({"k": k, "analytic": analytic, "matrix_diag0": matrix,
                         "abs_gap": abs(matrix - analytic)})
@@ -431,7 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Operator toolkit for phase/modulus pairs on the positive discrete series.",
     )
     parser.add_argument("--version", action="version", version=f"phasequant {__version__}")
-    subs = parser.add_subparsers(dest="subcommand", required=True)
+    subs = parser.add_subparsers(
+        dest="subcommand", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser,
+                                       formatter_class=_DomainHelpFormatter))
 
     p = subs.add_parser("repr", help="emit a truncated generator matrix")
     p.add_argument("--k", type=_positive_float, required=True)

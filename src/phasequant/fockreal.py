@@ -14,10 +14,13 @@ with extended-precision diagonals (complex only for the sines) and ``k``
 set only where the space carries a single index; its dense matrix is the
 read-only ``entries`` view, built on first access.  Extended precision
 matches the abstract builders: double-precision ladder products alone would
-exceed the commutator residual budget near the truncation cut.  The
+exceed the commutator residual budget near the truncation cut.  A
+single-space generator triple is a ``Generators(kp, km, k3)``; the
+two-mode triple is a ``TwoModeOps`` with its sector table.  The
 oscillator and historical cos/sin pairs come from the one ``phaseops``
-constructor, each from its lowering band, and the oscillator pair's
-symmetrized route from the one ``phaseops`` symmetrizer.
+constructor, each from its lowering band, as the abstract pair's record
+``PhaseOperatorPair(cos, sin)``, and the oscillator pair's symmetrized
+route from the one ``phaseops`` symmetrizer.
 Every constructor verifies its output against the abstract builders (or
 against a second build route) diagonal by diagonal before returning; the
 three generator realizations do so through one sector rule.
@@ -41,15 +44,12 @@ from .repalg import (
     build_kplus,
     commutator_gap,
 )
-from .phaseops import _phase_pair, _symmetrize, build_phase_ops
+from .phaseops import PhaseOperatorPair, _phase_pair, _symmetrize, build_phase_ops
 from .specfun import _log_terms, _series_cut
 
 __all__ = [
-    "HPGenerators",
-    "HPPhaseOps",
-    "DiracSGOps",
+    "Generators",
     "AlphaExpectations",
-    "SquaredBosonOps",
     "TwoModeBasisIndex",
     "TwoModeOps",
     "hp_generators",
@@ -75,46 +75,12 @@ FockOperator = TruncatedOperator
 
 
 @dataclass(frozen=True)
-class HPGenerators:
-    """Dressed-ladder generator triple on the oscillator space."""
+class Generators:
+    """Raising, lowering and compact generators on one truncated space."""
 
     kp: TruncatedOperator
     km: TruncatedOperator
     k3: TruncatedOperator
-    k: float
-
-
-@dataclass(frozen=True)
-class HPPhaseOps:
-    """Oscillator phase operators and the band profile carrying them.
-
-    ``cos`` (real) and ``sin`` (purely imaginary) are tridiagonal.  f_k_diag
-    holds F_k(n) for n = 0..dim-1, so the band entries are
-    sqrt(n+1) F_k(n) / 2 up to the factor i.
-    """
-
-    cos: TruncatedOperator
-    sin: TruncatedOperator
-    f_k_diag: np.ndarray
-
-    k = property(lambda self: self.cos.k)
-    dim = property(lambda self: self.cos.dim)
-    # the dense views under their former names, read by the benchmark checks
-    cos_op = property(lambda self: self.cos.entries)
-    sin_op = property(lambda self: self.sin.entries)
-
-
-@dataclass(frozen=True)
-class DiracSGOps:
-    """Historical phase-operator candidates, kept for comparison."""
-
-    cos_dirac: TruncatedOperator
-    sin_dirac: TruncatedOperator
-    cos_sg: TruncatedOperator
-    sin_sg: TruncatedOperator
-    zero_mode_convention: str
-
-    dim = property(lambda self: self.cos_dirac.dim)
 
 
 @dataclass(frozen=True)
@@ -128,17 +94,6 @@ class AlphaExpectations:
     h2: float
     cos_mean: float
     sin_mean: float
-
-
-@dataclass(frozen=True)
-class SquaredBosonOps:
-    """Half-squared ladder triple with its two parity sector indices."""
-
-    kp: TruncatedOperator
-    km: TruncatedOperator
-    k3: TruncatedOperator
-    even_k: float
-    odd_k: float
 
 
 @dataclass(frozen=True)
@@ -179,14 +134,14 @@ class TwoModeOps:
     dim_per_mode: int
 
 
-def hp_generators(k: float, dim: int) -> HPGenerators:
+def hp_generators(k: float, dim: int) -> Generators:
     """kp = a+ sqrt(N+2k), km = sqrt(N+2k) a, k3 = N + k.
 
     The dressing makes the single-mode triple identical to the abstract
     irrep matrices, not an approximation of them; that identity is checked
     diagonal by diagonal against the abstract builders before returning.
     """
-    check_domain("k", k)
+    k = check_domain("k", k)
     if check_domain("dim", dim, "positive integer") < 2:
         raise DomainError(f"hp_generators requires dim >= 2, got {dim}")
     n = np.arange(dim, dtype=np.longdouble)
@@ -195,15 +150,10 @@ def hp_generators(k: float, dim: int) -> HPGenerators:
     kp, km, k3 = {-1: amp}, {1: amp}, {0: n + np.longdouble(k)}
     # the whole space is one sector
     _check_sectors(kp, km, k3, [("dressed", 0)], 1, dim, k)
-    return HPGenerators(
-        kp=TruncatedOperator(dim, k, kp),
-        km=TruncatedOperator(dim, k, km),
-        k3=TruncatedOperator(dim, k, k3),
-        k=float(k),
-    )
+    return Generators(*(TruncatedOperator(dim, k, bands) for bands in (kp, km, k3)))
 
 
-def hp_phase_ops(k: float, dim: int) -> HPPhaseOps:
+def hp_phase_ops(k: float, dim: int) -> PhaseOperatorPair:
     """Oscillator cos/sin operators, built twice and reconciled.
 
     Route one symmetrizes the ladder combinations against 1/(N+k) exactly
@@ -217,8 +167,8 @@ def hp_phase_ops(k: float, dim: int) -> HPPhaseOps:
     return _hp_phase_ops(hp_generators(k, dim))
 
 
-def _hp_phase_ops(gens: HPGenerators) -> HPPhaseOps:
-    k, dim = gens.k, gens.kp.dim
+def _hp_phase_ops(gens: Generators) -> PhaseOperatorPair:
+    k, dim = gens.kp.k, gens.kp.dim
     kp, km = gens.kp.diagonals[-1], gens.km.diagonals[1]
     n = np.arange(dim, dtype=np.longdouble)
     inv = 1.0 / (n + np.longdouble(k))
@@ -231,30 +181,29 @@ def _hp_phase_ops(gens: HPGenerators) -> HPPhaseOps:
     root = np.sqrt(n + 2.0 * np.longdouble(k))
     f_diag = 0.5 * root * (inv + invp)
     # F a has entries (n, n+1) = F(n) sqrt(n+1)
-    cos, sin = _phase_pair(f_diag[:-1] * np.sqrt(n[1:]), k)
+    pair = _phase_pair(f_diag[:-1] * np.sqrt(n[1:]), k)
 
-    pair = build_phase_ops(RepLabel(k=k), dim)
+    ref = build_phase_ops(RepLabel(k=k), dim)
     # relative to the largest band entry, as in build_phase_ops: the band
     # grows like sqrt(2/k)/4 as k shrinks
-    tol = _MATCH_TOL * max(1.0, float(np.max(np.abs(cos.diagonals[1]))))
-    for name, sym, band, op in (("cos", cos_sym, cos.diagonals, pair.cos_op),
-                                ("sin", sin_sym, sin.diagonals, pair.sin_op)):
+    tol = _MATCH_TOL * max(1.0, float(np.max(np.abs(pair.cos.diagonals[1]))))
+    for name, sym, band, op in (("cos", cos_sym, pair.cos.diagonals, ref.cos),
+                                ("sin", sin_sym, pair.sin.diagonals, ref.sin)):
         for what, gap in (("symmetrized vs band profile", band_gap(sym, band)),
                           ("band profile vs abstract pair", band_gap(band, op.diagonals))):
             check_route(f"{name}: {what}: builds", gap, tol, InconsistentDataError)
-
-    f_diag.setflags(write=False)
-    return HPPhaseOps(cos=cos, sin=sin, f_k_diag=f_diag)
+    return pair
 
 
-def dirac_sg_ops(dim: int) -> DiracSGOps:
-    """Shift-operator phase candidates on the truncated number basis.
+def dirac_sg_ops(dim: int) -> tuple[PhaseOperatorPair, PhaseOperatorPair]:
+    """Shift-operator phase candidates (dirac, sg) on the truncated number basis.
 
-    The inverse square root in the first pair is undefined on |0>; it is
-    patched to annihilate that state and the record carries the convention
-    note.  On the resulting operators the patched slot is unreachable (a
-    kills |0> first, a+ never lands there), so the two pairs coincide
-    entrywise and are symmetric despite the patch.
+    The Dirac pair is built from a N^{-1/2}, the Susskind-Glogower pair from
+    (N+1)^{-1/2} a.  The inverse square root is undefined on |0>; by
+    convention N^{-1/2}|0> is mapped to 0.  On the resulting operators the
+    patched slot is unreachable (a kills |0> first, a+ never lands there),
+    so the two pairs coincide entrywise and are symmetric despite the patch.
+    Neither space carries a single index, so both pairs have k None.
     """
     if check_domain("dim", dim, "positive integer") < 2:
         raise DomainError(f"dirac_sg_ops requires dim >= 2, got {dim}")
@@ -262,10 +211,8 @@ def dirac_sg_ops(dim: int) -> DiracSGOps:
     root = np.sqrt(n[1:])
     # entries (n, n+1) of a N^{-1/2}, whose patched N^{-1/2}|0> never enters,
     # and of (N+1)^{-1/2} a
-    cos_d, sin_d = _phase_pair(root * (1.0 / np.sqrt(n[1:])), None)
-    cos_s, sin_s = _phase_pair((1.0 / np.sqrt(n[:-1] + 1.0)) * root, None)
-    return DiracSGOps(cos_dirac=cos_d, sin_dirac=sin_d, cos_sg=cos_s, sin_sg=sin_s,
-                      zero_mode_convention="N^{-1/2}|0> mapped to 0")
+    return (_phase_pair(root * (1.0 / np.sqrt(n[1:])), None),
+            _phase_pair((1.0 / np.sqrt(n[:-1] + 1.0)) * root, None))
 
 
 def _check_radius(r: float, caller: str) -> None:
@@ -403,7 +350,7 @@ def _check_sectors(kp, km, k3, sectors, stride: int, size: int, sector_k: float)
                         InconsistentDataError)
 
 
-def squared_boson(dim: int) -> SquaredBosonOps:
+def squared_boson(dim: int) -> Generators:
     """kp = (a+)^2/2, km = a^2/2, k3 = (N + 1/2)/2 on one bosonic mode.
 
     The lowering member annihilates |0> and |1>, so the space splits into
@@ -423,13 +370,7 @@ def squared_boson(dim: int) -> SquaredBosonOps:
         _check_sectors(kp, km, k3, [(f"{parity} sector", start)], 2,
                        len(range(start, dim, 2)), sector_k)
 
-    return SquaredBosonOps(
-        kp=TruncatedOperator(dim, None, kp),
-        km=TruncatedOperator(dim, None, km),
-        k3=TruncatedOperator(dim, None, k3),
-        even_k=0.25,
-        odd_k=0.75,
-    )
+    return Generators(*(TruncatedOperator(dim, None, bands) for bands in (kp, km, k3)))
 
 
 def two_mode(dim_per_mode: int) -> TwoModeOps:

@@ -79,6 +79,8 @@ __all__ = [
 
 _NEGATIVE_SLACK = 1e-12
 _FLAT_TOL = 1e-10
+# relative tolerance of the level-state checks and of the level fit
+_LEVEL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -268,7 +270,6 @@ class ReconstructionResult:
 def quantum_reconstruct(
     nbar: InterferenceReading,
     second: SecondMoments | None = None,
-    flat_tol: float = _FLAT_TOL,
 ) -> ReconstructionResult:
     """Map mean photon numbers to K1/K2 means and, with moments, to <K3^2>.
 
@@ -280,7 +281,7 @@ def quantum_reconstruct(
     k2 = 0.25 * (nbar.w5 - nbar.w6)
     p = math.hypot(k1, k2)
     scale = max(1.0, 0.5 * (nbar.w3 + nbar.w4))
-    flat = p <= flat_tol * scale
+    flat = p <= _FLAT_TOL * scale
     if flat:
         cos_phi = 0.0
         sin_phi = 0.0
@@ -330,7 +331,6 @@ def estimate_k_from_number_state(
     var_k2: float,
     k3_mean: float,
     k3_sq: float,
-    tol: float = 1e-6,
 ) -> LevelEstimate:
     """Invert the level-state variances (n^2 + 2nk + k)/2 for (n, k).
 
@@ -345,10 +345,11 @@ def estimate_k_from_number_state(
         check_domain(name, value)
     check_domain("k3_sq", k3_sq, "finite real")
     check_route("component variances", abs(var_k1 - var_k2),
-                tol * max(1.0, abs(var_k1), abs(var_k2)), InconsistentDataError,
+                _LEVEL_TOL * max(1.0, abs(var_k1), abs(var_k2)), InconsistentDataError,
                 context=f"({var_k1!r} vs {var_k2!r})")
-    check_route("<K3^2> and <K3>^2", abs(k3_sq - k3_mean * k3_mean), tol * max(1.0, k3_sq),
-                InconsistentDataError, context="(a level state has no modulus spread)")
+    check_route("<K3^2> and <K3>^2", abs(k3_sq - k3_mean * k3_mean),
+                _LEVEL_TOL * max(1.0, k3_sq), InconsistentDataError,
+                context="(a level state has no modulus spread)")
 
     var = 0.5 * (var_k1 + var_k2)
     half_sum = 2.0 * k3_mean - 1.0
@@ -368,7 +369,7 @@ def estimate_k_from_number_state(
             best = LevelEstimate(n_estimate=n, k_estimate=k, residual=residual)
     if best is None:
         raise InconsistentDataError("no nonnegative integer level fits the observed variances")
-    check_route("observed variances and the nearest integer level", best.residual, tol,
+    check_route("observed variances and the nearest integer level", best.residual, _LEVEL_TOL,
                 InconsistentDataError)
     return best
 

@@ -269,7 +269,12 @@ def _i_asymptotic_scaled(nu: float, x: float) -> float | None:
         term = nxt
         total += term
         if abs(term) < 1e-15 * abs(total):
-            return total / math.sqrt(2.0 * math.pi * x)
+            # 2 pi x overflows above x = 2.86e307; only there is the root
+            # taken in two factors, so every other value keeps its bits
+            two_pi_x = 2.0 * math.pi * x
+            if two_pi_x == math.inf:
+                return total / (math.sqrt(2.0 * math.pi) * math.sqrt(x))
+            return total / math.sqrt(two_pi_x)
     return None
 
 

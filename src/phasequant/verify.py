@@ -175,8 +175,8 @@ def _phaseops_checks(results: list) -> None:
             k3 = repalg.build_k3(label, 64)
             worst = _fold(
                 worst,
-                repalg.commutator_residual(k3, pair.cos_op, pair.sin_op, sign=-1.0, margin=4),
-                repalg.commutator_residual(k3, pair.sin_op, pair.cos_op, sign=1.0, margin=4),
+                repalg.commutator_residual(k3, pair.cos, pair.sin, sign=-1.0, margin=4),
+                repalg.commutator_residual(k3, pair.sin, pair.cos, sign=1.0, margin=4),
             )
         return worst < 1e-12, f"max interior residual {worst:.3e}"
 
@@ -187,7 +187,7 @@ def _phaseops_checks(results: list) -> None:
         for k in (0.5, 1.0):
             label = repalg.RepLabel(k=k)
             pair = phaseops.build_phase_ops(label, 64)
-            cos, sin = pair.cos_op.diagonals, pair.sin_op.diagonals
+            cos, sin = pair.cos.diagonals, pair.sin.diagonals
             k3 = repalg.build_k3(label, 64).diagonals
             for x, y, sign in ((mm(cos, sin, 64), mm(sin, cos, 64), -1.0),
                                (mm(cos, cos, 64), mm(sin, sin, 64), 1.0)):
@@ -206,7 +206,7 @@ def _phaseops_checks(results: list) -> None:
     def large_n_diagonal():
         worst = 0.0
         for k in (0.5, 1.0, 2.0):
-            cos = phaseops.build_phase_ops(repalg.RepLabel(k=k), 256).cos_op.diagonals
+            cos = phaseops.build_phase_ops(repalg.RepLabel(k=k), 256).cos.diagonals
             diag = repalg.banded_matmul(cos, cos, 256)[0].real
             for n in (50, 100, 200):
                 closed = phaseops.cos_squared_diag_asymptote(k, n)
@@ -331,10 +331,10 @@ def _fockreal_checks(results: list) -> None:
         worst = _fold(worst, gap(tm.kp.diagonals, tm.km.diagonals,
                                {0: -2.0 * tm.k3.diagonals[0]}, d * d,
                                np.maximum(n1, n2) <= d - 2))
-        sg = fockreal.dirac_sg_ops(64)
+        _, sg = fockreal.dirac_sg_ops(64)
         n = {0: np.arange(64, dtype=np.longdouble)}
-        sin = {d: -1j * v for d, v in sg.sin_sg.diagonals.items()}
-        worst = _fold(worst, gap(n, sg.cos_sg.diagonals, sin, 64, inside))
+        sin = {d: -1j * v for d, v in sg.sin.diagonals.items()}
+        worst = _fold(worst, gap(n, sg.cos.diagonals, sin, 64, inside))
         return worst < 1e-12, f"max interior residual {worst:.3e}"
 
     def hp_equivalence():

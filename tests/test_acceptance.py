@@ -33,7 +33,7 @@ def test_criterion_01_ground_state_variance():
     matrix = {}
     for k in (0.5, 1.0):
         pair = phaseops.build_phase_ops(RepLabel(k=k), 16)
-        cos = pair.cos_op.entries
+        cos = pair.cos.entries
         matrix[k] = float((cos @ cos)[0, 0].real)
     elapsed = time.perf_counter() - start
 
@@ -87,8 +87,8 @@ def test_criterion_03_commutator_residuals():
     residual = np.asarray(comm + 2.0 * tm.k3.entries, dtype=np.complex128)
     worst = max(worst, float(np.max(np.abs(residual[np.ix_(window, window)]))))
 
-    sg = fockreal.dirac_sg_ops(dim)
-    cos, sin = sg.cos_sg.entries, sg.sin_sg.entries
+    _, sg = fockreal.dirac_sg_ops(dim)
+    cos, sin = sg.cos.entries, sg.sin.entries
     n = np.arange(dim, dtype=np.longdouble)
     worst = max(worst, _interior(n[:, None] * cos - cos * n[None, :] + 1j * sin, margin))
     worst = max(worst, _interior(n[:, None] * sin - sin * n[None, :] - 1j * cos, margin))
@@ -187,7 +187,7 @@ def test_criterion_06_closed_forms_vs_sums():
                 pairs.append((mean, float(np.real(np.vdot(c, applied[name])))))
                 pairs.append((second, float(np.real(np.vdot(applied[name], applied[name])))))
             ops = bgstates.build_phase_ops(label, long.dim)
-            for closed, op in ((ph.cos_mean, ops.cos_op), (ph.sin_mean, ops.sin_op)):
+            for closed, op in ((ph.cos_mean, ops.cos), (ph.sin_mean, ops.sin)):
                 entries = op.entries.astype(np.complex128)
                 pairs.append((closed, float(np.real(np.vdot(c, entries @ c)))))
             for closed, summed in pairs:

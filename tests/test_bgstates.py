@@ -355,6 +355,25 @@ def test_small_rho_branches_against_mpmath():
     assert ratio_gI(0.25, 1e-300) == 2.4e-300
 
 
+@pytest.mark.parametrize("rho", [3e307, 8.9e307])
+def test_b_ratio_where_2_pi_x_overflows_against_mpmath(rho):
+    # the asymptotic I_{2k-1}(2 rho) read 0 once 2 pi (2 rho) overflowed, and
+    # b_ratio raised "underflows" from rho = 1.43e307 on
+    with mpmath.workdps(50):
+        r = 2 * mpmath.mpf(rho)
+        want = mpmath.besseli(2, r) / mpmath.besseli(1, r)
+        assert abs(b_ratio(1.0, rho) - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("k", [0.25, 1.0])
+@pytest.mark.parametrize("rho", [1e-300, 1e-200])
+def test_scan_cells_at_tiny_rho_against_mpmath(k, rho):
+    # rho sum t_n w_n underflowed at (1/4, 1e-300), and the cell read 0
+    want = _small_rho_references(k, rho)[1]
+    cell = kbound_scan([k], [rho]).ratio[0, 0]
+    assert abs(cell - want) <= 3e-14 * want
+
+
 def test_k3_mean_past_the_asymptotic_reach_against_mpmath():
     # I_99(600) once came from an asymptotic sum 3483x too large, and the
     # K3 routes disagreed by 350

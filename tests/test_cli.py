@@ -5,6 +5,7 @@ installed console script. Covers exit codes (0 success, 1 validation,
 2 usage), header conventions, byte determinism, and atomic writes.
 """
 
+import argparse
 import json
 import math
 import os
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from phasequant import cli, repalg
+from phasequant.errors import check_domain
 
 
 def run_cli(*argv):
@@ -40,6 +42,26 @@ class TestUsageErrors:
         assert "invalid positive integer value: '2.5'" in capsys.readouterr().err
         assert run_cli("coherent", "--k", "x", "--rho", "1") == 2
         assert "invalid positive real value: 'x'" in capsys.readouterr().err
+
+    def test_help_states_every_typed_flags_domain(self):
+        # each typed flag's entry ends with the domain its type checks, read
+        # from the type's own name
+        parser = cli.build_parser()
+        subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        typed = 0
+        for name, sub in subs.choices.items():
+            text = " ".join(sub.format_help().split())
+            for action in sub._actions:
+                if action.type is None:
+                    continue
+                domain = action.type.__name__
+                check_domain("flag", 1, domain)  # a domain the check knows
+                formatter = sub.formatter_class(prog=sub.prog)
+                formatter.add_argument(action)
+                entry = " ".join(formatter.format_help().split())
+                assert entry.endswith(f"a {domain}") and entry in text, (name, entry)
+                typed += 1
+        assert typed == 29
 
     def test_zero_dim_rejected(self, capsys):
         assert run_cli("repr", "--k", "0.5", "--dim", "0") == 2

@@ -112,7 +112,7 @@ def test_every_record_holds_truncated_operators():
     records = (
         (hp_generators(0.75, 8), triple),
         (hp_phase_ops(0.75, 8), ("cos", "sin")),
-        (dirac_sg_ops(8), ("cos_dirac", "sin_dirac", "cos_sg", "sin_sg")),
+        *((pair, ("cos", "sin")) for pair in dirac_sg_ops(8)),
         (squared_boson(8), triple),
         (two_mode(4), triple),
     )
@@ -135,7 +135,8 @@ def test_hp_phase_views_are_the_operator_entries():
 
 def test_band_profile_values():
     p = hp_phase_ops(0.5, 8)
-    assert abs(float(p.f_k_diag[0]) - 4.0 / 3.0) < 1e-15
+    # F_k(0) = 2 band[0] / sqrt(1), read from the cos band
+    assert abs(2.0 * float(p.cos.diagonals[1][0]) - 4.0 / 3.0) < 1e-15
     assert abs(float(p.cos_op[1, 0].real) - 2.0 / 3.0) < 1e-15
     # band entry sqrt(n+1) F(n) / 2 is f_{n+1}/4 in the abstract labeling
     assert abs(float(p.cos_op[1, 0].real) - f_coeff(0.5, 1) / 4.0) < 1e-15
@@ -147,8 +148,8 @@ def test_phase_ops_match_abstract_pair():
     for k in (0.25, 1.3):
         p = hp_phase_ops(k, 48)
         pair = build_phase_ops(RepLabel(k=k), 48)
-        assert float(np.max(np.abs(p.cos_op - pair.cos_op.entries))) < 1e-13
-        assert float(np.max(np.abs(p.sin_op - pair.sin_op.entries))) < 1e-13
+        assert float(np.max(np.abs(p.cos_op - pair.cos.entries))) < 1e-13
+        assert float(np.max(np.abs(p.sin_op - pair.sin.entries))) < 1e-13
 
 
 def test_phase_routes_must_agree(monkeypatch):
@@ -197,19 +198,21 @@ def test_realized_phase_pairs_store_the_closed_form_bits(k):
     inv, invp = 1.0 / (n + np.longdouble(k)), 1.0 / (n + np.longdouble(k) + 1.0)
     f_diag = 0.5 * np.sqrt(n + 2.0 * np.longdouble(k)) * (inv + invp)
     p = hp_phase_ops(k, 64)
-    assert _same_bits(p.f_k_diag, f_diag)
-    d = dirac_sg_ops(64)
+    # F_k(n) = 2 band[n] / sqrt(n+1), read from the cos band, within two ulp
+    f_read = 2.0 * p.cos.diagonals[1] / np.sqrt(n[1:])
+    assert np.max(np.abs(f_read / f_diag[:-1] - 1.0)) <= 2.0 * np.finfo(np.longdouble).eps
+    dirac, sg = dirac_sg_ops(64)
     root = np.sqrt(n[1:])
     for (cos, sin), lower in (
         ((p.cos, p.sin), f_diag[:-1] * np.sqrt(n[1:])),
-        ((d.cos_dirac, d.sin_dirac), root * (1.0 / np.sqrt(n[1:]))),
-        ((d.cos_sg, d.sin_sg), (1.0 / np.sqrt(n[:-1] + 1.0)) * root),
+        ((dirac.cos, dirac.sin), root * (1.0 / np.sqrt(n[1:]))),
+        ((sg.cos, sg.sin), (1.0 / np.sqrt(n[:-1] + 1.0)) * root),
     ):
         for op, bands in zip((cos, sin), _closed_pair(lower)):
             assert op.diagonals.keys() == bands.keys()
             for offset, v in bands.items():
                 assert _same_bits(op.diagonals[offset], v), (op.name, offset)
-    assert d.dim == 64 and (d.cos_sg.k, p.cos.k) == (None, k)
+    assert dirac.dim == sg.dim == 64 and (sg.k, p.k) == (None, k)
 
 
 def test_phase_ops_build_no_dense_matrix():
@@ -233,11 +236,12 @@ def test_commutator_band_diagonal_identity():
         p = hp_phase_ops(k, 64)
         cos = p.cos_op.astype(np.clongdouble)
         comm_diag = np.diag(cos @ p.sin_op - p.sin_op @ cos)
-        f2 = p.f_k_diag.astype(np.longdouble) ** 2
-        n = np.arange(64, dtype=np.longdouble)
+        # F_k(n) = 2 band[n] / sqrt(n+1) for n = 0..62, read from the cos band
+        n = np.arange(63, dtype=np.longdouble)
+        f2 = (2.0 * p.cos.diagonals[1] / np.sqrt(n + 1.0)) ** 2
         prev = np.concatenate([[np.longdouble(0.0)], f2[:-1]])
         closed = 0.5j * ((n + 1.0) * f2 - n * prev)
-        assert float(np.max(np.abs(comm_diag[:-2] - closed[:-2]))) < 1e-12
+        assert float(np.max(np.abs(comm_diag[:-2] - closed[:-1]))) < 1e-12
 
 
 def test_shift_identity_exact():
@@ -256,23 +260,22 @@ def test_shift_identity_exact():
 
 def test_dirac_equals_susskind_glogower():
     # the inverse-root patch slot is unreachable, so the pairs coincide
-    d = dirac_sg_ops(32)
-    assert np.array_equal(d.cos_dirac.entries, d.cos_sg.entries)
-    assert np.array_equal(d.sin_dirac.entries, d.sin_sg.entries)
-    assert "|0>" in d.zero_mode_convention
+    dirac, sg = dirac_sg_ops(32)
+    assert np.array_equal(dirac.cos.entries, sg.cos.entries)
+    assert np.array_equal(dirac.sin.entries, sg.sin.entries)
 
 
 def test_dirac_hermitian_despite_patch():
-    d = dirac_sg_ops(32)
-    cos, sin = d.cos_dirac.entries, d.sin_dirac.entries
+    dirac, _ = dirac_sg_ops(32)
+    cos, sin = dirac.cos.entries, dirac.sin.entries
     assert np.array_equal(cos, cos.conj().T)
     assert np.array_equal(sin, sin.conj().T)
 
 
 def test_sg_sum_of_squares_diagonal():
     # cos^2 + sin^2 = 1 - |0><0|/2; the last diagonal entry feels the cut
-    d = dirac_sg_ops(16)
-    cos, sin = d.cos_sg.entries, d.sin_sg.entries
+    _, sg = dirac_sg_ops(16)
+    cos, sin = sg.cos.entries, sg.sin.entries
     total = cos @ cos + sin @ sin
     diag = np.diag(total).astype(np.complex128)
     assert diag[0] == 0.5
@@ -283,8 +286,8 @@ def test_sg_sum_of_squares_diagonal():
 
 
 def test_sg_number_phase_commutators():
-    d = dirac_sg_ops(64)
-    cos, sin = d.cos_sg.entries, d.sin_sg.entries
+    _, sg = dirac_sg_ops(64)
+    cos, sin = sg.cos.entries, sg.sin.entries
     n = np.arange(64, dtype=np.longdouble)
     r1 = n[:, None] * cos - cos * n[None, :] + 1j * sin
     r2 = n[:, None] * sin - sin * n[None, :] - 1j * cos
@@ -403,7 +406,6 @@ def test_h2_validation():
 
 def test_squared_boson_sectors():
     sb = squared_boson(64)
-    assert (sb.even_k, sb.odd_k) == (0.25, 0.75)
     diag = np.diag(sb.k3.entries).astype(float)
     assert np.allclose(diag[:4], [0.25, 0.75, 1.25, 1.75])
     # the lowering member annihilates |0> and |1>

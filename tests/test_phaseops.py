@@ -77,22 +77,22 @@ def test_f_coeff_approaches_two():
 
 def test_build_phase_ops_entries():
     pair = build_phase_ops(RepLabel(k=0.5), 8)
-    assert abs(complex(pair.cos_op.entries[1, 0]) - 2.0 / 3.0) < 1e-15
-    assert float(np.max(np.abs(np.diag(pair.cos_op.entries)))) == 0.0
-    assert float(np.max(np.abs(np.diag(pair.sin_op.entries)))) == 0.0
-    assert pair.cos_op.bandwidth == 1 and pair.sin_op.bandwidth == 1
+    assert abs(complex(pair.cos.entries[1, 0]) - 2.0 / 3.0) < 1e-15
+    assert float(np.max(np.abs(np.diag(pair.cos.entries)))) == 0.0
+    assert float(np.max(np.abs(np.diag(pair.sin.entries)))) == 0.0
+    assert pair.cos.bandwidth == 1 and pair.sin.bandwidth == 1
 
 
 def test_phase_ops_hermitian():
     for omega in (1.0, 1j):
         pair = build_phase_ops(RepLabel(k=0.75, omega=omega), 12)
-        assert pair.cos_op.is_hermitian(1e-18)
-        assert pair.sin_op.is_hermitian(1e-18)
+        assert pair.cos.is_hermitian(1e-18)
+        assert pair.sin.is_hermitian(1e-18)
 
 
 def test_sin_entry_pattern():
     pair = build_phase_ops(RepLabel(k=1.0), 6)
-    s = pair.sin_op.entries.astype(complex)
+    s = pair.sin.entries.astype(complex)
     for n in range(5):
         f = f_coeff(1.0, n + 1)
         # entries carry extended precision, f_coeff rounds in double: 1 ulp
@@ -102,7 +102,7 @@ def test_sin_entry_pattern():
 
 def test_build_stores_extended_complex():
     pair = build_phase_ops(RepLabel(k=0.75), 8)
-    for op in (pair.cos_op, pair.sin_op):
+    for op in (pair.cos, pair.sin):
         assert all(v.dtype == np.clongdouble for v in op.diagonals.values())
         assert op.entries.dtype == np.clongdouble
 
@@ -148,8 +148,8 @@ def test_build_stores_the_closed_form_bits(k, omega):
     w = np.clongdouble(RepLabel(k=k, omega=omega).omega)
     pair = build_phase_ops(RepLabel(k=k, omega=omega), 64)
     expected = (
-        (pair.cos_op, {-1: w * f / 4.0, 1: w.conjugate() * f / 4.0}),
-        (pair.sin_op, {-1: 1j * w * f / 4.0, 1: -1j * w.conjugate() * f / 4.0}),
+        (pair.cos, {-1: w * f / 4.0, 1: w.conjugate() * f / 4.0}),
+        (pair.sin, {-1: 1j * w * f / 4.0, 1: -1j * w.conjugate() * f / 4.0}),
     )
     for op, bands in expected:
         assert op.diagonals.keys() == bands.keys()
@@ -162,9 +162,9 @@ def test_pair_reads_k_and_dim_from_its_operators():
     pair = build_phase_ops(RepLabel(k=0.75), 12)
     assert (pair.k, pair.dim) == (0.75, 12)
     with pytest.raises(DomainError, match="inconsistent"):
-        PhaseOperatorPair(pair.cos_op, build_phase_ops(RepLabel(k=0.75), 10).sin_op)
+        PhaseOperatorPair(pair.cos, build_phase_ops(RepLabel(k=0.75), 10).sin)
     with pytest.raises(DomainError, match="inconsistent"):
-        PhaseOperatorPair(pair.cos_op, build_phase_ops(RepLabel(k=0.5), 12).sin_op)
+        PhaseOperatorPair(pair.cos, build_phase_ops(RepLabel(k=0.5), 12).sin)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +179,7 @@ def test_ground_state_variance_values():
 def test_ground_state_variance_matrix_route():
     for k in (0.5, 1.0, 2.0):
         pair = build_phase_ops(RepLabel(k=k), 16)
-        c = pair.cos_op.diagonals
+        c = pair.cos.diagonals
         matrix_value = float(banded_matmul(c, c, 16)[0][0].real)
         assert abs(matrix_value - ground_state_variance(k)) < 1e-12
 
@@ -280,15 +280,15 @@ def test_phase_commutators_with_k3():
         lab = RepLabel(k=k)
         pair = build_phase_ops(lab, 64)
         k3 = build_k3(lab, 64)
-        assert commutator_residual(k3, pair.cos_op, pair.sin_op, -1) < 1e-12
-        assert commutator_residual(k3, pair.sin_op, pair.cos_op, +1) < 1e-12
+        assert commutator_residual(k3, pair.cos, pair.sin, -1) < 1e-12
+        assert commutator_residual(k3, pair.sin, pair.cos, +1) < 1e-12
 
 
 def test_commutator_and_sum_squares_commute_with_k3():
     for k in (0.5, 1.0):
         lab = RepLabel(k=k)
         pair = build_phase_ops(lab, 64)
-        c, s = pair.cos_op.diagonals, pair.sin_op.diagonals
+        c, s = pair.cos.diagonals, pair.sin.diagonals
         k3 = build_k3(lab, 64).diagonals
         cs, sc = banded_matmul(c, s, 64), banded_matmul(s, c, 64)
         cc, ss = banded_matmul(c, c, 64), banded_matmul(s, s, 64)
@@ -328,10 +328,10 @@ def test_spectrum_cos_sin_must_agree():
     pair = build_phase_ops(RepLabel(k=1.0), 64)
     skewed = TruncatedOperator(
         dim=64, k=1.0, name="sin",
-        diagonals={d: v * (1 + 1e-8) for d, v in pair.sin_op.diagonals.items()},
+        diagonals={d: v * (1 + 1e-8) for d, v in pair.sin.diagonals.items()},
     )
     with pytest.raises(TruncationError, match="spectra disagree"):
-        phase_spectrum(PhaseOperatorPair(pair.cos_op, skewed))
+        phase_spectrum(PhaseOperatorPair(pair.cos, skewed))
 
 
 @pytest.mark.parametrize("k", [0.25, 0.5, 0.95, 1.0, 2.0])
@@ -339,7 +339,7 @@ def test_spectrum_cos_sin_must_agree():
 def test_sturm_counts_match_lapack(k, dim):
     from scipy.linalg import eigvalsh_tridiagonal
 
-    off = build_phase_ops(RepLabel(k=k), dim).cos_op.diagonals[-1].real.astype(np.float64)
+    off = build_phase_ops(RepLabel(k=k), dim).cos.diagonals[-1].real.astype(np.float64)
     eigs = eigvalsh_tridiagonal(np.zeros(dim), off)
     off_sq = (off * off).tolist()
     for x in (1.0 + 1e-12, -1.0 - 1e-12, 0.5, -0.3):
@@ -383,7 +383,7 @@ def test_phase_spectrum_matches_full_solve_of_both_operators():
     from scipy.linalg import eigvalsh_tridiagonal
 
     pair = build_phase_ops(RepLabel(k=0.7), 300)
-    sub = pair.sin_op.diagonals[-1].astype(np.complex128)
+    sub = pair.sin.diagonals[-1].astype(np.complex128)
     rot_off = (1j * sub).real  # i^{n+1} i^{-n} = i on every subdiagonal entry
     sin_eigs = np.sort(eigvalsh_tridiagonal(np.zeros(300), rot_off))
     assert np.max(np.abs(sin_eigs - phase_spectrum(pair))) < 1e-12
@@ -419,7 +419,7 @@ def test_failed_half_size_solve_raises(monkeypatch):
 @pytest.mark.parametrize("dim", [2, 3, 40, 41])
 def test_phase_spectrum_against_mpmath(k, dim):
     pair = build_phase_ops(RepLabel(k=k), dim)
-    off = pair.cos_op.diagonals[-1].real.astype(np.float64)
+    off = pair.cos.diagonals[-1].real.astype(np.float64)
     eigs = phase_spectrum(pair)
     count = min(3, dim)
     tops = phase_extremes(pair, count)
@@ -446,7 +446,7 @@ def test_phase_extremes_match_phase_spectrum(k, dim, count):
     # bisection under 1
     count = min(count, dim)
     pair = build_phase_ops(RepLabel(k=k), dim)
-    off = pair.cos_op.diagonals[-1].real.astype(np.float64)
+    off = pair.cos.diagonals[-1].real.astype(np.float64)
     tops = phase_extremes(pair, count)
     eigs = phase_spectrum(pair)
     assert tops.shape == (count,)
@@ -481,23 +481,23 @@ def test_phase_spectrum_rejects_a_nonzero_cos_diagonal():
     pair = build_phase_ops(RepLabel(k=1.0), 8)
     shifted = TruncatedOperator(
         dim=8, k=1.0, name="cos",
-        diagonals={**pair.cos_op.diagonals, 0: np.full(8, 1e-3)},
+        diagonals={**pair.cos.diagonals, 0: np.full(8, 1e-3)},
     )
     with pytest.raises(DomainError, match="zero cos diagonal"):
-        phase_spectrum(PhaseOperatorPair(shifted, pair.sin_op))
+        phase_spectrum(PhaseOperatorPair(shifted, pair.sin))
 
 
 def test_sin_offdiagonal_perturbed_raises():
     pair = build_phase_ops(RepLabel(k=1.0), 64)
     # along the entry i f/4, so the rotated band stays real and its spectrum
     # moves by at most 1e-12, inside what comparing two solves would allow
-    sub = np.array(pair.sin_op.diagonals[-1])
+    sub = np.array(pair.sin.diagonals[-1])
     sub[17] += 1e-12j
     skewed = TruncatedOperator(
-        dim=64, k=1.0, name="sin", diagonals={-1: sub, 1: pair.sin_op.diagonals[1]},
+        dim=64, k=1.0, name="sin", diagonals={-1: sub, 1: pair.sin.diagonals[1]},
     )
     with pytest.raises(TruncationError, match="spectra disagree"):
-        phase_spectrum(PhaseOperatorPair(pair.cos_op, skewed))
+        phase_spectrum(PhaseOperatorPair(pair.cos, skewed))
 
 
 @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
@@ -544,7 +544,7 @@ def test_improper_eigvec_satisfies_eigen_equation():
     res = improper_eigvec(k, mu, 1.0, nmax)
     pair = build_phase_ops(RepLabel(k=k), nmax + 1)
     vec = res.values
-    lhs = pair.cos_op.entries.astype(np.complex128) @ vec - mu * vec
+    lhs = pair.cos.entries.astype(np.complex128) @ vec - mu * vec
     assert float(np.max(np.abs(lhs[:nmax]))) < 1e-12
     assert res.log_scale == 0.0
 

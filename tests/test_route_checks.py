@@ -168,7 +168,7 @@ def test_k1_bound_refuses_a_nan_root(monkeypatch):
 
 def test_spectrum_refuses_a_nan_sin_band():
     pair = build_phase_ops(RepLabel(k=1.0), 16)
-    skewed = PhaseOperatorPair(pair.cos_op, _with_nan(pair.sin_op, at=5))
+    skewed = PhaseOperatorPair(pair.cos, _with_nan(pair.sin, at=5))
     with pytest.raises(TruncationError, match="spectra disagree"):
         phase_spectrum(skewed)
 
@@ -218,7 +218,7 @@ def test_hp_phase_ops_refuse_a_nan_abstract_pair(monkeypatch, which):
 
     def nan_pair(label, dim):
         pair = build(label, dim)
-        return dataclasses.replace(pair, **{f"{which}_op": _with_nan(getattr(pair, f"{which}_op"))})
+        return dataclasses.replace(pair, **{which: _with_nan(getattr(pair, which))})
     monkeypatch.setattr(fockreal, "build_phase_ops", nan_pair)
     with pytest.raises(InconsistentDataError, match=f"{which}: band profile vs abstract pair"):
         hp_phase_ops(1.0, 16)

@@ -6,6 +6,7 @@ that exercise the I and K branches against each other.
 """
 
 import math
+import sys
 import warnings
 
 import mpmath
@@ -208,6 +209,16 @@ def test_bessel_i_past_the_asymptotic_reach_against_mpmath(nu, x):
         assert abs(mpmath.mpf(bessel_i_scaled(nu, x)) - want) <= 1e-13 * want
         ln_want = mpmath.log(mpmath.besseli(nu, x))
         assert abs(mpmath.mpf(specfun._ln_bessel_i(nu, x)) - ln_want) <= 1e-15 * ln_want
+
+
+@pytest.mark.parametrize("x", [3e307, 1e308, sys.float_info.max])
+def test_bessel_i_scaled_where_2_pi_x_overflows_against_mpmath(x):
+    # 2 pi x overflows above x = 2.86e307: e^{-x} I_1(x) once read 0 there
+    with mpmath.workdps(50):
+        want = mpmath.besseli(1, x) * mpmath.exp(-mpmath.mpf(x))
+        assert abs(mpmath.mpf(bessel_i_scaled(1.0, x)) - want) <= 1e-15 * want
+        ln_want = mpmath.log(mpmath.besseli(1, x))
+        assert abs(mpmath.mpf(specfun._ln_bessel_i(1.0, x)) - ln_want) <= 1e-15 * ln_want
 
 
 def test_bessel_i_where_neither_large_argument_branch_applies():
