@@ -227,6 +227,14 @@ def make_bg_state(k: float, z: complex, dim: int | None = None,
         needed = 1
     else:
         ln_i = _ln_i(k, rho)
+        # ln|c_0|, bit for bit log_amp[0] below, is checked before the cut:
+        # past rho ~ 1e5 the cut fails first, naming neither rho nor this limit
+        log_c0 = (k - 0.5) * math.log(rho) - 0.5 * ln_i - 0.5 * ln_gamma(2.0 * k)
+        if not log_c0 >= _LOG_MIN_DOUBLE:
+            raise DomainError(
+                f"make_bg_state: c_0 underflows at k={k!r}, rho={rho!r}: ln|c_0| = "
+                f"{log_c0:.6g} is below {_LOG_MIN_DOUBLE:.6g}, that of the smallest double"
+            )
         needed = _tail_dim(k, rho, ln_i, tail_tol)
     if dim is None:
         dim = needed
@@ -245,11 +253,6 @@ def make_bg_state(k: float, z: complex, dim: int | None = None,
             - 0.5 * ln_i
             + 0.5 * _log_terms(2.0 * math.log(rho), 2.0 * k, dim)
         )
-        if not log_amp[0] >= _LOG_MIN_DOUBLE:
-            raise DomainError(
-                f"make_bg_state: c_0 underflows at k={k!r}, rho={rho!r}: ln|c_0| = "
-                f"{log_amp[0]:.6g} is below {_LOG_MIN_DOUBLE:.6g}, that of the smallest double"
-            )
         theta = math.atan2(z.imag, z.real)  # cmath.phase raises on a subnormal angle
         coeffs = np.exp(log_amp) * np.exp(1j * theta * n)
 
@@ -379,6 +382,12 @@ def moment_integral(k: float, n: int, rho_max: float = 60.0) -> float:
     return total
 
 
+def _completeness_weight(k: float, n: int, moment: float) -> float:
+    # 4/(n! Gamma(2k+n)) times the radial moment: the one expression of the
+    # weight, so completeness_check and the CLI agree bit for bit
+    return 4.0 * moment * math.exp(-(ln_gamma(n + 1.0) + ln_gamma(2.0 * k + n)))
+
+
 def completeness_check(k: float, n: int, rho_max: float = 60.0) -> float:
     """Resolution-of-identity weight on |k,n>, exactly 1 for the true measure.
 
@@ -386,8 +395,7 @@ def completeness_check(k: float, n: int, rho_max: float = 60.0) -> float:
     Bessel normalization cancels, leaving 4/(n! Gamma(2k+n)) times the radial
     moment, evaluated by quadrature.
     """
-    log_norm = ln_gamma(n + 1.0) + ln_gamma(2.0 * k + n)
-    return 4.0 * moment_integral(k, n, rho_max) * math.exp(-log_norm)
+    return _completeness_weight(k, n, moment_integral(k, n, rho_max))
 
 
 def b_ratio(k: float, rho: float) -> float:

@@ -12,10 +12,13 @@ plus seed produce byte-identical files.  Exit codes: 0 success, 1 validation
 failure, 2 usage error.  PHASEQUANT_THREADS caps the numeric backends'
 thread pools.
 
-Library modules return data, not text.  Handlers pass field names and
-records (or a JSON payload), and only this module renders them, by one
-rule: a float, numpy's included, is the repr of its double, which
-round-trips; integers and labels are their text; NaN is JSON null.
+Library modules return data, not text, and so do the subcommand handlers:
+each returns its exit code, stdout text, CSV rows and JSON payload, and
+``main`` alone prints and writes them.  ``--out`` gets the rows as CSV, or
+the payload under ``--format json`` or where a subcommand has no rows
+(``verify-all``); ``--summary`` gets the payload.  Only this module renders
+values, by one rule: a float, numpy's included, is the repr of its double,
+which round-trips; integers and labels are their text; NaN is JSON null.
 """
 
 from __future__ import annotations
@@ -153,12 +156,14 @@ def _cell(value) -> str:
     return repr(float(value)) if isinstance(value, (float, np.floating)) else str(value)
 
 
-def _csv_rows(fields, records) -> list[str]:
-    """Header plus one line per record, each record its values in field order."""
-    return [",".join(fields)] + [",".join(map(_cell, record)) for record in records]
+def _csv_rows(fields, records):
+    """Header plus one line per record, each its values in field order, made lazily."""
+    yield ",".join(fields)
+    for record in records:
+        yield ",".join(map(_cell, record))
 
 
-def _dict_rows(records: list[dict]) -> list[str]:
+def _dict_rows(records: list[dict]):
     """_csv_rows of dicts that share their keys, the keys giving the header."""
     return _csv_rows(records[0], (record.values() for record in records))
 
@@ -177,8 +182,8 @@ def _jsonable(value):
                       parse_constant=lambda token: None if token == "NaN" else float(token))
 
 
-def _csv_text(args: argparse.Namespace, rows: list[str]) -> str:
-    return "\n".join([f"# {_meta(args)}"] + rows) + "\n"
+def _csv_text(args: argparse.Namespace, rows) -> str:
+    return "\n".join([f"# {_meta(args)}", *rows]) + "\n"
 
 
 def _json_text(args: argparse.Namespace, payload: dict) -> str:
@@ -193,35 +198,25 @@ def _json_text(args: argparse.Namespace, payload: dict) -> str:
     return text + "\n"
 
 
-def _emit(args: argparse.Namespace, csv_rows: list[str], json_payload: dict,
-          path: str | None) -> None:
-    if path is None:
-        return
-    json_out = getattr(args, "format", "csv") == "json"
-    text = _json_text(args, json_payload) if json_out else _csv_text(args, csv_rows)
-    _write_atomic([(path, text)])
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (exit_code, one-line summary)
+# subcommand handlers; each computes and returns (exit_code, stdout text, CSV
+# rows or None, JSON payload), and main() alone prints and writes them
 
 
-def _cmd_repr(args) -> tuple[int, str]:
+def _cmd_repr(args):
     label = RepLabel(k=args.k, omega=_OMEGA[args.omega])
     op = _BUILDERS[args.name](label, args.dim)
     # a 256-state operator is 65 536 cells: serialize only the format written
-    if args.out is not None:
-        if args.format == "json":
-            _emit(args, [], repalg.json_envelope(op), args.out)
-        else:
-            _emit(args, repalg.csv_lines(op), {}, args.out)
+    written = None if args.out is None else args.format
+    rows = repalg.csv_lines(op) if written == "csv" else []
+    payload = repalg.json_envelope(op) if written == "json" else {}
     return 0, (
         f"{args.name} k={args.k!r} dim={args.dim} bandwidth={op.bandwidth}"
         + (f" -> {args.out}" if args.out else "")
-    )
+    ), rows, payload
 
 
-def _cmd_phase_spectrum(args) -> tuple[int, str]:
+def _cmd_phase_spectrum(args):
     from . import phaseops
 
     pair = phaseops.build_phase_ops(RepLabel(k=args.k), args.dim)
@@ -231,11 +226,10 @@ def _cmd_phase_spectrum(args) -> tuple[int, str]:
     rows = _csv_rows(("index", "eigenvalue"), enumerate(eigs))
     payload = {"k": args.k, "dim": args.dim, "max_abs": top, "verdict": verdict,
                "eigenvalues": eigs}
-    _emit(args, rows, payload, args.out)
-    return 0, f"max|lambda| = {top!r}, verdict {verdict}"
+    return 0, f"max|lambda| = {top!r}, verdict {verdict}", rows, payload
 
 
-def _cmd_ground_variance(args) -> tuple[int, str]:
+def _cmd_ground_variance(args):
     from . import phaseops
 
     entries = []
@@ -247,15 +241,14 @@ def _cmd_ground_variance(args) -> tuple[int, str]:
         entries.append({"k": k, "analytic": analytic, "matrix_diag0": matrix,
                         "abs_gap": abs(matrix - analytic)})
     bound = phaseops.k1_bound()
-    _emit(args, _dict_rows(entries), {"rows": entries, "k1_bound": bound}, args.out)
     first = entries[0]
     return 0, (
         f"gsv({first['k']!r}) = {first['analytic']!r} "
         f"(matrix gap {first['abs_gap']:.2e}); k1 bound {bound!r}"
-    )
+    ), _dict_rows(entries), {"rows": entries, "k1_bound": bound}
 
 
-def _cmd_kbound_scan(args) -> tuple[int, str]:
+def _cmd_kbound_scan(args):
     from . import bgstates
 
     k_grid = rho_grid = None
@@ -273,29 +266,23 @@ def _cmd_kbound_scan(args) -> tuple[int, str]:
         rho_grid = np.geomspace(args.rho_min, args.rho_max, args.rho_points)
     scan = bgstates.kbound_scan(k_grid, rho_grid)
     summary = bgstates.scan_json_summary(scan)
-    outputs = []
-    if args.out:
+
+    def records():
+        # read only if the grid is written
         rhos = scan.rho_values.tolist()
-        records = (
-            (k, rho, ratio, verdict)
-            for k, verdict, row in zip(scan.k_values.tolist(), scan.verdicts,
-                                       scan.ratio.tolist())
-            for rho, ratio in zip(rhos, row)
-        )
-        outputs.append((args.out, _csv_text(args, _csv_rows(
-            ("k", "rho", "ratio", "verdict"), records))))
-    if args.summary:
-        outputs.append((args.summary, _json_text(args, summary)))
-    _write_atomic(outputs)
+        for k, verdict, row in zip(scan.k_values.tolist(), scan.verdicts,
+                                   scan.ratio.tolist()):
+            for rho, ratio in zip(rhos, row):
+                yield k, rho, ratio, verdict
+
     verdicts = [row["verdict"] for row in summary["rows"]]
-    bracket = summary["flip_bracket"]
     return 0, (
         f"{verdicts.count('BOUNDED')} BOUNDED, {verdicts.count('EXCEEDS')} EXCEEDS "
-        f"over {len(verdicts)} k values; flip bracket {bracket}"
-    )
+        f"over {len(verdicts)} k values; flip bracket {summary['flip_bracket']}"
+    ), _csv_rows(("k", "rho", "ratio", "verdict"), records()), summary
 
 
-def _cmd_coherent(args) -> tuple[int, str]:
+def _cmd_coherent(args):
     from . import bgstates
 
     z = args.rho * cmath.exp(1j * args.phi)
@@ -321,30 +308,30 @@ def _cmd_coherent(args) -> tuple[int, str]:
         "tan_ratio": ph.tan_ratio,
         "eigenvector_residual": bgstates.eigenvector_residual(state),
     }
-    _emit(args, _csv_rows(("field", "value"), payload.items()), payload, args.out)
     return 0, (
         f"dim={state.dim} <K3>={m3.mean!r} <cos>={ph.cos_mean!r} <sin>={ph.sin_mean!r}"
-    )
+    ), _csv_rows(("field", "value"), payload.items()), payload
 
 
-def _cmd_completeness(args) -> tuple[int, str]:
+def _cmd_completeness(args):
     from . import bgstates, specfun
 
     moment = bgstates.moment_integral(args.k, args.n, args.rho_max)
+    # completeness_check's own weight, so the value is bit-identical to it
+    value = bgstates._completeness_weight(args.k, args.n, moment)
     log_norm = specfun.ln_gamma(args.n + 1.0) + specfun.ln_gamma(2.0 * args.k + args.n)
-    # completeness_check's own expression, so the value is bit-identical to it
-    value = 4.0 * moment * math.exp(-log_norm)
     expected = math.exp(log_norm) / 4.0
     rel = abs(moment - expected) / expected
     payload = {
         "k": args.k, "n": args.n, "completeness": value,
         "moment": moment, "moment_expected": expected, "moment_rel_gap": rel,
     }
-    _emit(args, _dict_rows([payload]), payload, args.out)
-    return 0, f"completeness = {value!r} (1 - value = {1.0 - value:.2e}), moment rel gap {rel:.2e}"
+    return 0, (
+        f"completeness = {value!r} (1 - value = {1.0 - value:.2e}), moment rel gap {rel:.2e}"
+    ), _dict_rows([payload]), payload
 
 
-def _cmd_oscillator(args) -> tuple[int, str]:
+def _cmd_oscillator(args):
     from . import fockreal
 
     r = np.linspace(0.0, args.r_max, args.points)
@@ -353,11 +340,10 @@ def _cmd_oscillator(args) -> tuple[int, str]:
     end = float(h2[-1])
     rows = _csv_rows(("r", "h2"), zip(r, h2))
     payload = {"k": args.k, "r": r, "h2": h2, "max_h2": top, "h2_end": end}
-    _emit(args, rows, payload, args.out)
-    return 0, f"max h2 = {top!r}, h2({args.r_max!r}) = {end!r}"
+    return 0, f"max h2 = {top!r}, h2({args.r_max!r}) = {end!r}", rows, payload
 
 
-def _cmd_two_mode(args) -> tuple[int, str]:
+def _cmd_two_mode(args):
     from . import fockreal
 
     ops = fockreal.two_mode(args.dim_per_mode)
@@ -367,12 +353,11 @@ def _cmd_two_mode(args) -> tuple[int, str]:
         for e in ops.sector_table
     ]
     payload = {"dim_per_mode": ops.dim_per_mode, "sectors": sectors}
-    _emit(args, _dict_rows(sectors), payload, args.out)
     d = ops.dim_per_mode
-    return 0, f"{d * d} basis states, sectors -{d - 1}..{d - 1}"
+    return 0, f"{d * d} basis states, sectors -{d - 1}..{d - 1}", _dict_rows(sectors), payload
 
 
-def _cmd_nfm_sim(args) -> tuple[int, str]:
+def _cmd_nfm_sim(args):
     from . import nfm
 
     if args.config is not None:
@@ -392,54 +377,43 @@ def _cmd_nfm_sim(args) -> tuple[int, str]:
         spec = nfm.parse_state_spec(state)
         noise, trials, seed = args.noise, args.trials, args.seed
     summary = nfm.run_trials(spec, noise=noise, trials=trials, seed=seed)
-    outputs = []
-    if args.out:
-        records = ((r.trial, r.recovered_rho, r.recovered_phi, r.err_k1, r.err_k2)
-                   for r in summary.rows)
-        outputs.append((args.out, _csv_text(args, _csv_rows(
-            ("trial", "recovered_rho", "recovered_phi", "err_k1", "err_k2"), records))))
-    if args.summary:
-        outputs.append((args.summary, _json_text(args, nfm.trials_json_summary(summary))))
-    _write_atomic(outputs)
+    records = ((r.trial, r.recovered_rho, r.recovered_phi, r.err_k1, r.err_k2)
+               for r in summary.rows)
     return 0, (
         f"trials={summary.trials} noise={summary.noise!r} rho_mean={summary.rho_mean!r} "
         f"flat={summary.flat_count}"
-    )
+    ), _csv_rows(("trial", "recovered_rho", "recovered_phi", "err_k1", "err_k2"),
+                 records), nfm.trials_json_summary(summary)
 
 
-def _cmd_verify_all(args) -> tuple[int, str]:
+def _cmd_verify_all(args):
+    from dataclasses import asdict
+
     from . import verify
 
     results = verify.run_all(args.module if args.module else None)
     by_module: dict[str, list] = {}
     for item in results:
         by_module.setdefault(item.module, []).append(item)
-    failed_total = 0
+    lines = []
     for module, items in by_module.items():
         failures = [item for item in items if not item.passed]
-        failed_total += len(failures)
         status = "PASS" if not failures else "FAIL"
-        print(f"{module}: {status} ({len(items) - len(failures)}/{len(items)} checks)")
-        for item in failures:
-            print(f"  FAIL {item.name}: {item.detail}")
-    if args.out:
-        checks = [
-            {"module": item.module, "name": item.name,
-             "passed": item.passed, "detail": item.detail}
-            for item in results
-        ]
-        _write_atomic([(args.out, _json_text(args, {"checks": checks}))])
-    code = 0 if failed_total == 0 else 1
-    return code, f"{len(results) - failed_total}/{len(results)} checks passed"
+        lines.append(f"{module}: {status} ({len(items) - len(failures)}/{len(items)} checks)")
+        lines.extend(f"  FAIL {item.name}: {item.detail}" for item in failures)
+    failed = sum(not item.passed for item in results)
+    lines.append(f"{len(results) - failed}/{len(results)} checks passed")
+    checks = [asdict(item) for item in results]
+    return (0 if failed == 0 else 1), "\n".join(lines), None, {"checks": checks}
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
-def _add_output_flags(sub, formats=("csv", "json")) -> None:
+def _add_output_flags(sub) -> None:
     sub.add_argument("--out", help="output file path")
-    sub.add_argument("--format", choices=formats, default="csv",
+    sub.add_argument("--format", choices=("csv", "json"), default="csv",
                      help="output file format (default csv)")
 
 
@@ -546,12 +520,25 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help/--version
         return int(exc.code or 0)
+    out, summary = args.out, getattr(args, "summary", None)
+    if None not in (out, summary) and os.path.realpath(out) == os.path.realpath(summary):
+        print(f"error: --out and --summary name one file: {summary}", file=sys.stderr)
+        return 1
     try:
-        code, summary = args.func(args)
-    except (ValueError, OSError, RuntimeError) as exc:
+        code, text, rows, payload = args.func(args)
+        # the one output rule: --out gets the rows as CSV, or the payload under
+        # --format json or where a subcommand has no rows; --summary the payload
+        as_json = rows is None or getattr(args, "format", "csv") == "json"
+        outputs = [] if out is None else [
+            (out, _json_text(args, payload) if as_json else _csv_text(args, rows))]
+        if summary is not None:
+            outputs.append((summary, _json_text(args, payload)))
+        _write_atomic(outputs)
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+        # MemoryError: numpy refuses an array larger than it can allocate
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(summary)
+    print(text)
     return code
 
 

@@ -221,6 +221,18 @@ def _check_radius(r: float, caller: str) -> None:
                           f"got r={r!r}")
 
 
+def _coherent_dim(r: float) -> int:
+    # The smallest count N past the term peak whose dropped Poisson weight
+    # sum_{n >= N} e^{-r^2} r^{2n}/n! is below 1e-14.  Past the peak each
+    # term is at most r^2/(N+1) of the one before, so that weight is at most
+    # t_N / (1 - r^2/(N+1)): the first cut N0 has t_N0 below 1e-14, and the
+    # second lowers the tolerance by that factor at N0, which holds at N >= N0.
+    log_w, log_tol = 2.0 * math.log(r), _TAIL_LOG + r * r
+    first = _series_cut(log_w, None, log_tol, error=TruncationError)
+    return _series_cut(log_w, None, log_tol + math.log1p(-r * r / (first + 1.0)),
+                       error=TruncationError)
+
+
 def _expect(bands, c: np.ndarray) -> complex:
     # <c| A |c> with A given by its diagonals, evaluated in the precision of c
     return np.vdot(c, banded_matvec(bands, c))
@@ -242,11 +254,7 @@ def alpha_expectations(k: float, alpha: complex, dim: int | None = None) -> Alph
     r = check_domain("|alpha|", abs(alpha), "nonnegative real")
     _check_radius(r, "alpha_expectations")
     beta = cmath.phase(alpha)
-    needed = 1
-    if r > 0.0:
-        # the smallest count past the term peak with e^{-r^2} r^{2n}/n! below 1e-14
-        needed = _series_cut(2.0 * math.log(r), None, _TAIL_LOG + r * r,
-                             error=TruncationError)
+    needed = _coherent_dim(r) if r > 0.0 else 1
     if dim is None:
         dim = needed
     elif check_domain("dim", dim, "positive integer") < needed:

@@ -294,6 +294,30 @@ class TestValidationErrors:
         # neither output, and no temp file
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
 
+    @pytest.mark.parametrize("argv", [
+        ("kbound-scan", "--k-min", "0.5", "--k-max", "0.6", "--k-step", "0.1"),
+        ("nfm-sim", "--kind", "bg", "--k", "1", "--rho", "3", "--trials", "3"),
+    ])
+    def test_out_and_summary_naming_one_file_exit_1(self, capsys, tmp_path, argv):
+        # once exit 0, the summary overwriting the CSV without a word
+        assert run_cli(*argv, "--out", str(tmp_path / "same.out"),
+                       "--summary", f"{tmp_path}/./same.out") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "--out and --summary" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unallocatable_grid_is_one_error_line(self, capsys, tmp_path):
+        # 1e18 points (6.94 EiB) exceed any address space, so numpy refuses
+        # before mapping anything; it was a MemoryError traceback
+        target = tmp_path / "s.csv"
+        assert run_cli("kbound-scan", "--rho-min", "0.1", "--rho-max", "10",
+                       "--rho-points", str(10 ** 18), "--out", str(target)) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: Unable to allocate")
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_run_leaves_no_output_file(self, capsys, tmp_path):
         target = tmp_path / "never.csv"
         code = run_cli("completeness", "--k", "0.25", "--n", "0",
@@ -451,6 +475,24 @@ class TestAnalysisCommands:
         fields = lines[2].split(",")
         assert float(fields[2]) == pytest.approx(1.0, abs=1e-6)
         assert float(fields[5]) < 1e-8
+
+    def test_completeness_takes_the_library_weight(self, capsys, tmp_path, monkeypatch):
+        import phasequant.bgstates as bgstates
+        calls = []
+        weight = bgstates._completeness_weight
+
+        def counted(*args):
+            calls.append(args)
+            return weight(*args)
+
+        monkeypatch.setattr(bgstates, "_completeness_weight", counted)
+        target = tmp_path / "comp.json"
+        assert run_cli("completeness", "--k", "1.0", "--n", "2",
+                       "--format", "json", "--out", str(target)) == 0
+        capsys.readouterr()
+        data = json.loads(target.read_text())
+        assert calls == [(1.0, 2, data["moment"])]
+        assert data["completeness"] == weight(1.0, 2, data["moment"])
 
     def test_completeness_computes_the_moment_once(self, capsys, tmp_path, monkeypatch):
         import phasequant.bgstates as bgstates
@@ -626,6 +668,30 @@ class TestOutputFormat:
             bad = [cell for row in rows for cell in row.split(",") if not _plain_cell(cell)]
             assert rows and not bad
 
+    @pytest.mark.parametrize("command, outputs", _FORMAT_RUNS,
+                             ids=[c.split()[0] for c, _ in _FORMAT_RUNS])
+    def test_handlers_neither_print_nor_write(self, capsys, tmp_path, monkeypatch,
+                                              command, outputs):
+        # a handler returns its stdout text, CSV rows and JSON payload; main
+        # alone prints the text and writes the files
+        monkeypatch.chdir(tmp_path)
+        args = cli.build_parser().parse_args([*command.split(), *outputs[0].split()])
+        code, text, rows, payload = args.func(args)
+        assert capsys.readouterr().out == "" and list(tmp_path.iterdir()) == []
+        assert code == 0 and isinstance(text, str) and isinstance(payload, dict)
+        assert (rows is None) == (args.subcommand == "verify-all")
+
+    def test_scan_summary_alone_formats_no_grid_row(self, capsys, tmp_path, monkeypatch):
+        cells = []
+        cell = cli._cell
+        monkeypatch.setattr(cli, "_cell", lambda value: cells.append(value) or cell(value))
+        assert run_cli("kbound-scan", "--k-min", "0.25", "--k-max", "0.5", "--k-step", "0.25",
+                       "--rho-min", "0.1", "--rho-max", "20", "--rho-points", "7",
+                       "--summary", str(tmp_path / "s.json")) == 0
+        capsys.readouterr()
+        # every grid row ends in its verdict; only the header's flags are cells
+        assert cells and not {"BOUNDED", "EXCEEDS"} & set(cells)
+
     def test_scan_rows_match_the_frozen_writer(self, capsys, tmp_path):
         from phasequant import bgstates
         target = tmp_path / "scan.csv"
@@ -766,6 +832,14 @@ class TestVerifyAll:
         data = json.loads(report.read_text())
         assert all(check["passed"] for check in data["checks"])
         assert {check["module"] for check in data["checks"]} == {"specfun"}
+
+    def test_a_failed_report_prints_nothing(self, capsys, tmp_path):
+        # the per-module lines were printed before the report was written
+        (tmp_path / "blocker").write_text("")
+        assert run_cli("verify-all", "--module", "specfun",
+                       "--out", str(tmp_path / "blocker" / "report.json")) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
     def test_unknown_module_exits_2(self, capsys):
         assert run_cli("verify-all", "--module", "not-a-module") == 2

@@ -5,6 +5,8 @@ Radial-series reference values were frozen from a 40-digit evaluation.
 
 import dataclasses
 import math
+
+import mpmath
 import tracemalloc
 
 import numpy as np
@@ -351,6 +353,19 @@ def test_alpha_tan_ratio_k_independent():
 def test_alpha_bound_example():
     ae = alpha_expectations(0.5, 10.0)
     assert 0.9 < ae.h2 <= 1.0
+
+
+@pytest.mark.parametrize("r", [1.0, 3.0, 8.0, 20.0, 50.0, 100.0])
+def test_coherent_dim_drops_weight_below_1e_14(r):
+    # the dropped Poisson weight sum_{n >= dim} e^{-r^2} r^{2n}/n! is the
+    # regularized lower incomplete gamma P(dim, r^2); cutting where the term
+    # alone fell below 1e-14 left 1.6e-14 at r = 8 and 1.4e-13 at r = 100
+    dim = fockreal._coherent_dim(r)
+    with mpmath.workdps(40):
+        dropped = mpmath.gammainc(dim, 0, mpmath.mpf(r) ** 2, regularized=True)
+    assert dropped < 1e-14
+    with pytest.raises(TruncationError, match="coherent tail above 1e-14"):
+        alpha_expectations(0.5, r, dim=dim - 1)
 
 
 def test_alpha_validation():
