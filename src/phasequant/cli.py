@@ -521,6 +521,10 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 for --help/--version
         return int(exc.code or 0)
     out, summary = args.out, getattr(args, "summary", None)
+    for flag, path in (("--out", out), ("--summary", summary)):
+        if path == "":  # abspath("") is the working directory: no file to name
+            print(f"error: {flag} names no file", file=sys.stderr)
+            return 1
     if None not in (out, summary) and os.path.realpath(out) == os.path.realpath(summary):
         print(f"error: --out and --summary name one file: {summary}", file=sys.stderr)
         return 1

@@ -17,18 +17,15 @@ matches the abstract builders: double-precision ladder products alone would
 exceed the commutator residual budget near the truncation cut.  A
 single-space generator triple is a ``Generators(kp, km, k3)``; the
 two-mode triple is a ``TwoModeOps`` with its sector table.  The
-oscillator and historical cos/sin pairs come from the one ``phaseops``
-constructor, each from its lowering band, as the abstract pair's record
-``PhaseOperatorPair(cos, sin)``, and the oscillator pair's symmetrized
-route from the one ``phaseops`` symmetrizer.
-Every constructor verifies its output against the abstract builders (or
-against a second build route) diagonal by diagonal before returning; the
-three generator realizations do so through one sector rule.
+oscillator and historical cos/sin pairs are each held, like the abstract
+pair, as the record ``PhaseOperatorPair(lower, k, omega)`` of their
+lowering band.  Every realization is verified against the abstract
+builders diagonal by diagonal before returning; the three generator
+realizations do so through one sector rule.
 """
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +41,7 @@ from .repalg import (
     build_kplus,
     commutator_gap,
 )
-from .phaseops import PhaseOperatorPair, _phase_pair, _symmetrize, build_phase_ops
+from .phaseops import PhaseOperatorPair, build_phase_ops
 from .specfun import _log_terms, _series_cut
 
 __all__ = [
@@ -65,8 +62,10 @@ _MATCH_TOL = 1e-13
 _COMM_TOL = 1e-12
 _ROUTE_TOL = 1e-10
 _TAIL_LOG = math.log(1e-14)
-# the largest radius whose r^2, the mean of the Poisson weights, is finite
-_R_MAX = math.sqrt(sys.float_info.max)
+# the largest radius, rounded down, whose Poisson series (cut at 1e-18 of its
+# largest term) ends within the 200000-term budget of specfun._series_cut:
+# the cut fails from r = 442.6685044711 on
+_R_MAX = 442.668
 
 
 # the former realization operator type; bench/tracer.py still imports the
@@ -154,44 +153,31 @@ def hp_generators(k: float, dim: int) -> Generators:
 
 
 def hp_phase_ops(k: float, dim: int) -> PhaseOperatorPair:
-    """Oscillator cos/sin operators, built twice and reconciled.
+    """Oscillator cos/sin pair from its band profile, checked against the abstract pair.
 
-    Route one symmetrizes the ladder combinations against 1/(N+k) exactly
-    as the quantization prescription dictates.  Route two contracts the
-    shift identity f(N) a+ = a+ f(N+1) into the single band profile
-    F_k(N) = sqrt(N+2k) (1/(N+k) + 1/(N+k+1)) / 2 and writes
-    cos = (a+ F + F a)/2, sin = i (a+ F - F a)/2.  Both must agree with
-    each other and with the abstract phase-operator pair to 1e-13, diagonal
-    by diagonal.
+    The shift identity f(N) a+ = a+ f(N+1) contracts the ladder combinations
+    symmetrized against 1/(N+k) into the single band profile
+    F_k(N) = sqrt(N+2k) (1/(N+k) + 1/(N+k+1)) / 2, so that
+    cos = (a+ F + F a)/2 and sin = i (a+ F - F a)/2 share the lowering band
+    F a.  Its cos must agree with the abstract phase-operator pair to 1e-13,
+    diagonal by diagonal; sin is formed from the same band.
     """
-    return _hp_phase_ops(hp_generators(k, dim))
-
-
-def _hp_phase_ops(gens: Generators) -> PhaseOperatorPair:
-    k, dim = gens.kp.k, gens.kp.dim
-    kp, km = gens.kp.diagonals[-1], gens.km.diagonals[1]
+    k = check_domain("k", k)
+    if check_domain("dim", dim, "positive integer") < 2:
+        raise DomainError(f"hp_phase_ops requires dim >= 2, got {dim}")
     n = np.arange(dim, dtype=np.longdouble)
     inv = 1.0 / (n + np.longdouble(k))
     invp = 1.0 / (n + np.longdouble(k) + 1.0)
-
-    # K1 = (kp + km)/2 and -K2 = i (kp - km)/2
-    cos_sym = _symmetrize({-1: kp / 2.0, 1: km / 2.0}, inv)
-    sin_sym = _symmetrize({-1: 0.5j * kp, 1: -0.5j * km}, inv)
-
-    root = np.sqrt(n + 2.0 * np.longdouble(k))
-    f_diag = 0.5 * root * (inv + invp)
+    f_diag = 0.5 * np.sqrt(n + 2.0 * np.longdouble(k)) * (inv + invp)
     # F a has entries (n, n+1) = F(n) sqrt(n+1)
-    pair = _phase_pair(f_diag[:-1] * np.sqrt(n[1:]), k)
+    pair = PhaseOperatorPair(f_diag[:-1] * np.sqrt(n[1:]), k)
 
-    ref = build_phase_ops(RepLabel(k=k), dim)
+    cos = pair.cos.diagonals
     # relative to the largest band entry, as in build_phase_ops: the band
     # grows like sqrt(2/k)/4 as k shrinks
-    tol = _MATCH_TOL * max(1.0, float(np.max(np.abs(pair.cos.diagonals[1]))))
-    for name, sym, band, op in (("cos", cos_sym, pair.cos.diagonals, ref.cos),
-                                ("sin", sin_sym, pair.sin.diagonals, ref.sin)):
-        for what, gap in (("symmetrized vs band profile", band_gap(sym, band)),
-                          ("band profile vs abstract pair", band_gap(band, op.diagonals))):
-            check_route(f"{name}: {what}: builds", gap, tol, InconsistentDataError)
+    tol = _MATCH_TOL * max(1.0, float(np.max(np.abs(cos[1]))))
+    gap = band_gap(cos, build_phase_ops(RepLabel(k=k), dim).cos.diagonals)
+    check_route("cos: band profile vs abstract pair: builds", gap, tol, InconsistentDataError)
     return pair
 
 
@@ -211,14 +197,14 @@ def dirac_sg_ops(dim: int) -> tuple[PhaseOperatorPair, PhaseOperatorPair]:
     root = np.sqrt(n[1:])
     # entries (n, n+1) of a N^{-1/2}, whose patched N^{-1/2}|0> never enters,
     # and of (N+1)^{-1/2} a
-    return (_phase_pair(root * (1.0 / np.sqrt(n[1:])), None),
-            _phase_pair((1.0 / np.sqrt(n[:-1] + 1.0)) * root, None))
+    return (PhaseOperatorPair(root * (1.0 / np.sqrt(n[1:])), None),
+            PhaseOperatorPair((1.0 / np.sqrt(n[:-1] + 1.0)) * root, None))
 
 
 def _check_radius(r: float, caller: str) -> None:
     if not r <= _R_MAX:
-        raise DomainError(f"{caller} requires r <= {_R_MAX!r}, so that r^2 is finite, "
-                          f"got r={r!r}")
+        raise DomainError(f"{caller} requires r <= {_R_MAX!r}, where the Poisson series "
+                          f"of h1 and h2 is cut within 200000 terms, got r={r!r}")
 
 
 def _coherent_dim(r: float) -> int:
@@ -247,7 +233,8 @@ def alpha_expectations(k: float, alpha: complex, dim: int | None = None) -> Alph
     <K3> = r^2 + k needs no series at all.  Each closed value is
     reconciled with the matrix expectation over the truncated coherent
     vector to 1e-10 before the record is returned.  An r = |alpha| past
-    1.34e154, whose r^2 overflows, raises DomainError.
+    442.668, where the radial series is no longer cut within 200000 terms,
+    raises DomainError before any series is summed.
     """
     check_domain("k", k)
     alpha = complex(alpha)
@@ -277,8 +264,7 @@ def alpha_expectations(k: float, alpha: complex, dim: int | None = None) -> Alph
         m = np.arange(dim, dtype=np.float64)
         log_c = 0.5 * (_log_terms(2.0 * math.log(r), None, dim) - r * r)
         c[:dim] = np.exp(log_c) * np.exp(1j * beta * m)
-    gens = hp_generators(k, mdim)
-    phase = _hp_phase_ops(gens)
+    gens, phase = hp_generators(k, mdim), hp_phase_ops(k, mdim)
     kp_c, km_c = _expect(gens.kp.diagonals, c), _expect(gens.km.diagonals, c)
     pairs = (
         ("K1 mean", mean_k1, float(np.real(kp_c + km_c)) / 2.0),
@@ -322,8 +308,8 @@ def h2_curve(k: float, r_values) -> np.ndarray:
     h2 = (r/2) <sqrt(N+2k)(1/(N+k)+1/(N+k+1))> over the Poisson weights
     exp(2n ln r - ln n! - r^2), from one shared term table for every
     radius; ``alpha_expectations`` takes its h2 from the same sums, so the
-    two agree bit for bit.  A k whose 2k overflows and an r past 1.34e154,
-    whose r^2 overflows, raise DomainError.
+    two agree bit for bit.  A k whose 2k overflows and an r past 442.668,
+    where the series is no longer cut within 200000 terms, raise DomainError.
     """
     check_domain("k", k, message="h2_curve requires k > 0, got {value}")
     if not 2.0 * k < math.inf:

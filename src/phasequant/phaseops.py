@@ -12,11 +12,12 @@ zero diagonal; the single coupling strength is
 with cos entries f_{n+1}/4 on the off-diagonals and sin entries +-i f_{n+1}/4.
 Construction always runs both the symmetrized-product route and the direct
 f-coefficient route and demands entrywise agreement, so a regression in
-either formula cannot pass silently.  One constructor forms every cos/sin
-pair of the package, here and in ``fockreal``: cos = (E + E^dag)/2 and
-sin = (E - E^dag)/(2i) for a lowering band E (here E = conj(omega) f/2),
-returned as the one pair record, ``PhaseOperatorPair(cos, sin)``; and one
-symmetrizer, X -> (K3^-1 X + X K3^-1)/2, serves every product route.
+either formula cannot pass silently.  Every cos/sin pair of the package,
+here and in ``fockreal``, is the one record
+``PhaseOperatorPair(lower, k, omega)`` of a lowering band E (here
+E = conj(omega) f/2), from which cos = (E + E^dag)/2 and
+sin = (E - E^dag)/(2i) are read; the symmetrizer
+X -> (K3^-1 X + X K3^-1)/2 serves the product route.
 
 Diagonal closed forms are expressed through the K3 eigenvalue x = n + k and
 the Casimir value q = k(1-k):
@@ -71,22 +72,41 @@ _EPS = sys.float_info.epsilon
 
 @dataclass(frozen=True)
 class PhaseOperatorPair:
-    """cos/sin operator pair on a common truncated representation.
+    """cos/sin operator pair of one lowering band on a truncated representation.
 
     The one record of every phase pair: the abstract one, the oscillator
-    one and the two historical candidates.  k and dim are read from the
-    operators; ``k`` is None where the space carries no single index.
+    one and the two historical candidates.  ``lower`` holds the entries
+    (n, n+1) of the lowering band E; cos = (E + E^dag)/2 and
+    sin = (E - E^dag)/(2i) are formed from it on every read and not kept,
+    so neither can disagree with it and no dense view outlives its use.
+    ``k`` is None where the space carries no single index.
     """
 
-    cos: TruncatedOperator
-    sin: TruncatedOperator
+    lower: np.ndarray
+    k: float | None
+    omega: complex = 1.0 + 0.0j
 
     def __post_init__(self) -> None:
-        if not (self.cos.dim == self.sin.dim and self.cos.k == self.sin.k):
-            raise DomainError("phase operator pair dims or k labels are inconsistent")
+        band = np.array(self.lower)
+        if band.ndim != 1 or band.size == 0:
+            raise DomainError(f"a phase pair needs a nonempty 1-d lowering band, "
+                              f"got shape {band.shape}")
+        if self.k is not None:
+            check_domain("k", self.k, message="k must be positive, got {value}")
+        band.setflags(write=False)
+        object.__setattr__(self, "lower", band)
 
-    k = property(lambda self: self.cos.k)
-    dim = property(lambda self: self.cos.dim)
+    def _operator(self, name: str, below: np.ndarray, above: np.ndarray) -> TruncatedOperator:
+        # the conjugation and the factors i can leave a -0 where an entry has a
+        # zero part; adding 0 makes each +0 and keeps every other value
+        return TruncatedOperator(self.dim, self.k, {-1: below + 0.0, 1: above + 0.0},
+                                 name, self.omega)
+
+    dim = property(lambda self: self.lower.size + 1)
+    cos = property(lambda self: self._operator(
+        "cos", self.lower.conjugate() / 2.0, self.lower / 2.0))
+    sin = property(lambda self: self._operator(
+        "sin", 0.5j * self.lower.conjugate(), -0.5j * self.lower))
     # the dense views under their former names, read by the benchmark checks
     cos_op = property(lambda self: self.cos.entries)
     sin_op = property(lambda self: self.sin.entries)
@@ -133,21 +153,6 @@ def f_coeff(k: float, n: int) -> float:
     return float(_coupling(k, n))
 
 
-def _phase_pair(lower: np.ndarray, k: float | None,
-                omega: complex = 1.0 + 0.0j) -> PhaseOperatorPair:
-    # cos = (E + E+)/2 and sin = (E - E+)/(2i) for the lowering band E whose
-    # entries (n, n+1) are ``lower``: every phase pair of the package is formed
-    # here.  The conjugation and the factors i can leave a -0 where an entry
-    # has a zero part; adding 0 turns each into +0 and keeps every other value,
-    # so no stored band holds a negative zero.
-    upper, dim = lower.conjugate(), lower.size + 1
-    cos = {-1: upper / 2.0, 1: lower / 2.0}
-    sin = {-1: 0.5j * upper, 1: -0.5j * lower}
-    return PhaseOperatorPair(*(
-        TruncatedOperator(dim, k, {d: v + 0.0 for d, v in bands.items()}, name, omega)
-        for name, bands in (("cos", cos), ("sin", sin))))
-
-
 def _symmetrize(bands, inv: np.ndarray) -> dict:
     # (K3^-1 X + X K3^-1)/2 on the diagonals of X, with K3^-1 = diag(inv):
     # entry (i, j) of X is scaled by (inv_i + inv_j)/2
@@ -171,7 +176,8 @@ def build_phase_ops(label: RepLabel, dim: int) -> PhaseOperatorPair:
     sin_a = {d: -v for d, v in _symmetrize(build_k2(label, dim).diagonals, inv).items()}
 
     f = _coupling(np.clongdouble(label.k), np.arange(1, dim, dtype=np.clongdouble))
-    pair = _phase_pair(np.clongdouble(label.omega).conjugate() * f / 2.0, label.k, label.omega)
+    pair = PhaseOperatorPair(np.clongdouble(label.omega).conjugate() * f / 2.0, label.k,
+                             label.omega)
 
     # relative to the largest entry max|f|/4 once that passes 1 (k below
     # about 0.16), as the Sturm window scales with max|off|
@@ -297,14 +303,12 @@ def _sturm_count(diag: list, off_sq: list, x: float, pivmin: float) -> int:
 
 
 def _cos_band(pair: PhaseOperatorPair, caller: str) -> np.ndarray:
-    # the real off-diagonal of cos, once its diagonal is checked to be zero
-    if not abs(complex(pair.cos.omega).imag) <= 1e-13:
+    # the real off-diagonal of cos, once the band is checked to be finite
+    if not abs(complex(pair.omega).imag) <= 1e-13:
         raise DomainError(f"{caller} requires a real omega convention")
-    zeros = np.zeros(pair.dim)
-    cos = pair.cos.diagonals
-    if np.any(cos.get(0, zeros) != 0.0):
-        raise DomainError(f"{caller} requires a zero cos diagonal")
-    return np.real(cos.get(-1, zeros[1:])).astype(np.float64)
+    if not np.all(np.isfinite(pair.lower)):
+        raise DomainError(f"{caller} requires a finite phase band")
+    return np.real(pair.cos.diagonals[-1]).astype(np.float64)
 
 
 def _sturm_setup(off: np.ndarray) -> tuple[list, float, float]:
@@ -328,23 +332,17 @@ def phase_spectrum(pair: PhaseOperatorPair) -> np.ndarray:
     factors the floor(dim/2) positive-definite tridiagonal B^T B (diagonal
     b_j^2 + c_j^2, off-diagonal c_j b_{j+1}) as LDL^T and takes its
     eigenvalues by dqds (Fernando & Parlett, Numer. Math. 67 (1994) 191).
-    The result is sorted and mirror-symmetric bit for bit.  A nonzero cos
-    diagonal raises DomainError; a failed factorization TruncationError.
+    The result is sorted and mirror-symmetric bit for bit.  A band that is
+    not finite raises DomainError; a failed factorization TruncationError.
+    sin is formed from the same band, and diag(i^-n) followed by
+    diag((-1)^n) maps it onto cos, so the two share this spectrum.
 
-    Two O(n) routes then check the solve.
-
-    Band check: conjugation by D = diag(i^-n) turns sin into a real
-    tridiagonal with the cos diagonal and the negated cos off-diagonal,
-    and diag((-1)^n) maps that back onto cos, so the two spectra are equal.
-    The rotated sin band must match within 1e-13 entrywise; by Weyl's
-    inequality that bounds the gap between the two spectra by 3e-13.
-
-    Sturm count: the negative pivots of LDL^T(T - x I), on the full dim x
-    dim band, count the eigenvalues below x without solving for any of
-    them.  The counts above t = 1 + 1e-12 and below -t, the
-    ``spectrum_verdict`` thresholds, must equal the counts read off the
-    LAPACK eigenvalues.  Both routes carry backward errors of a few
-    eps * ||T||, so eigenvalues within the rounding window
+    One O(n) route then checks the solve.  Sturm count: the negative pivots
+    of LDL^T(T - x I), on the full dim x dim band, count the eigenvalues
+    below x without solving for any of them.  The counts above
+    t = 1 + 1e-12 and below -t, the ``spectrum_verdict`` thresholds, must
+    equal the counts read off the LAPACK eigenvalues.  Both carry backward
+    errors of a few eps * ||T||, so eigenvalues within the rounding window
     delta = 128 eps max|off| of a threshold may be counted on either side;
     no other disagreement passes.
     """
@@ -352,9 +350,6 @@ def phase_spectrum(pair: PhaseOperatorPair) -> np.ndarray:
 
     off = _cos_band(pair, "phase_spectrum")
     dim = pair.dim
-    zeros = np.zeros(dim)
-    sin = pair.sin.diagonals
-
     half = dim // 2
     b, c = off[0::2], np.zeros(half)
     c[: (dim - 1) // 2] = off[1::2]
@@ -369,15 +364,6 @@ def phase_spectrum(pair: PhaseOperatorPair) -> np.ndarray:
         )
     s = np.sqrt(np.sort(sq))
     cos_eigs = np.concatenate([-s[::-1], np.zeros(dim % 2), s])
-
-    # D^dag sin D with D = diag(i^-n) has entries -f/4: real symmetric.
-    # i^-n cycles with period 4; the lookup keeps the unitary exact.
-    d = np.array([1.0, -1.0j, -1.0, 1.0j])[np.arange(dim) % 4]
-    rot_diag = d.conjugate() * sin.get(0, zeros).astype(np.complex128) * d
-    rot_off = d[1:].conjugate() * sin.get(-1, zeros[1:]).astype(np.complex128) * d[:-1]
-    check_route("cos and sin spectra",
-                np.max(np.abs(np.concatenate([rot_diag, rot_off + off]))), _ROUTE_TOL,
-                context=f"(rotated sin band against the cos band) at k={pair.k}, dim={dim}")
 
     t = 1.0 + _VERDICT_TOL
     off_sq, pivmin, delta = _sturm_setup(off)
@@ -443,7 +429,7 @@ def phase_extremes(pair: PhaseOperatorPair, count: int) -> np.ndarray:
     min |lambda - mu| <= ||T x - mu x|| / ||x|| (Parlett, The Symmetric
     Eigenvalue Problem, SIAM 1998, section 4.5).  That bound must lie within
     the rounding window 128 eps max|off| of the Sturm count; otherwise
-    TruncationError is raised.  A nonzero cos diagonal raises DomainError.
+    TruncationError is raised.  A band that is not finite raises DomainError.
     """
     off = _cos_band(pair, "phase_extremes")
     dim = pair.dim

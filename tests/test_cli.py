@@ -307,6 +307,26 @@ class TestValidationErrors:
         assert "--out and --summary" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("kbound-scan", "--out", ""), "--out"),
+        (("repr", "--k", "1", "--dim", "3", "--out", ""), "--out"),
+        (("verify-all", "--module", "nfm", "--out", ""), "--out"),
+        (("kbound-scan", "--out", "s.csv", "--summary", ""), "--summary"),
+    ])
+    def test_an_empty_output_path_is_refused_before_computing(self, capsys, tmp_path,
+                                                              monkeypatch, argv, flag):
+        # the temp file was once made in the parent of the working directory,
+        # after the run had computed in full
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        handler = cli.build_parser().parse_args(list(argv)).func.__name__
+        monkeypatch.setattr(cli, handler, lambda args: pytest.fail(f"{handler} ran"))
+        assert run_cli(*argv) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {flag} names no file\n")
+        assert list(work.iterdir()) == [] and list(tmp_path.iterdir()) == [work]
+
     def test_unallocatable_grid_is_one_error_line(self, capsys, tmp_path):
         # 1e18 points (6.94 EiB) exceed any address space, so numpy refuses
         # before mapping anything; it was a MemoryError traceback

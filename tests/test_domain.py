@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from phasequant import bgstates, cli, fockreal, nfm, phaseops, repalg, specfun
-from phasequant.errors import DomainError, check_domain
+from phasequant.errors import ConvergenceError, DomainError, check_domain
 
 DOMAINS = ("positive real", "nonnegative real", "finite real",
            "positive integer", "nonnegative integer")
@@ -208,16 +208,45 @@ def test_a_rho_or_r_whose_square_or_double_overflows_is_refused(capsys):
                                                   r"2 rho is finite, got rho="):
                 call(rho)
     assert 2.0 * top < math.inf and bgstates.b_ratio(1.0, 1e300) == 1.0
-    r_top = math.sqrt(sys.float_info.max)
-    assert np.float64(r_top) * np.float64(r_top) < math.inf
     for call in (lambda r: fockreal.alpha_expectations(1.0, r),
                  lambda r: fockreal.h2_curve(1.0, [0.0, r])):
-        with pytest.raises(DomainError, match=r"r <= 1\.3407807929942596e\+154, so that r\^2 "
-                                              r"is finite, got r=1e\+200"):
+        with pytest.raises(DomainError, match=r"r <= 442\.668, where the Poisson series of h1 "
+                                              r"and h2 is cut within 200000 terms, got r=1e\+200"):
             call(1e200)
     assert cli.main(["coherent", "--k", "1", "--rho", "1e308"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: make_bg_state requires rho <= ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("r", [443.0, 500.0])
+def test_the_oscillator_radius_limit_is_named_before_any_series(r, monkeypatch):
+    # the Poisson series of h1 and h2 is no longer cut within 200000 terms
+    # from r = 442.6685 on; past it the calls once failed with "series in
+    # w = e^12.1871, a = None not cut within 200000 terms", naming neither r
+    # nor the limit
+    monkeypatch.setattr(fockreal, "_series_cut", None)  # no series is reached
+    for caller, call in (("alpha_expectations", lambda: fockreal.alpha_expectations(1.0, r)),
+                         ("h2_curve", lambda: fockreal.h2_curve(1.0, [0.0, r]))):
+        with pytest.raises(DomainError, match=rf"^{caller} requires r <= 442\.668, .* "
+                                              rf"got r={r}$"):
+            call()
+
+
+def test_the_oscillator_radius_limit_is_where_the_series_cut_ends():
+    h2 = fockreal.h2_curve(1.0, [fockreal._R_MAX])
+    assert 0.0 < h2[0] < 1.0
+    with pytest.raises(ConvergenceError, match="not cut within 200000 terms"):
+        specfun._series_cut(2.0 * np.log(np.array([442.6686])), None)
+
+
+def test_the_oscillator_command_names_the_radius_limit(tmp_path):
+    child = subprocess.run([sys.executable, "-m", "phasequant.cli", "oscillator", "--k", "1",
+                            "--r-max", "443", "--out", "h2.csv"],
+                           capture_output=True, text=True, cwd=tmp_path)
+    assert (child.returncode, child.stdout) == (1, "")
+    assert child.stderr == ("error: h2_curve requires r <= 442.668, where the Poisson series "
+                            "of h1 and h2 is cut within 200000 terms, got r=443.0\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 FLAG_TYPES = {

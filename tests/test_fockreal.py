@@ -109,12 +109,13 @@ def test_realizations_are_extended_real_truncated_operators():
 
 
 def test_every_record_holds_truncated_operators():
-    # the named fields are operators and no other field is one
+    # the named fields are operators and no other field is one; a phase
+    # pair holds its band, and its cos and sin are operators read from it
     triple = ("kp", "km", "k3")
+    pairs = (hp_phase_ops(0.75, 8), *dirac_sg_ops(8))
     records = (
         (hp_generators(0.75, 8), triple),
-        (hp_phase_ops(0.75, 8), ("cos", "sin")),
-        *((pair, ("cos", "sin")) for pair in dirac_sg_ops(8)),
+        *((pair, ()) for pair in pairs),
         (squared_boson(8), triple),
         (two_mode(4), triple),
     )
@@ -122,11 +123,14 @@ def test_every_record_holds_truncated_operators():
         for field in dataclasses.fields(record):
             value = getattr(record, field.name)
             assert isinstance(value, repalg.TruncatedOperator) == (field.name in names), field
+    for pair in pairs:
+        assert all(isinstance(op, repalg.TruncatedOperator) for op in (pair.cos, pair.sin))
 
 
 def test_hp_phase_views_are_the_operator_entries():
     p = hp_phase_ops(1.3, 24)
-    assert p.cos_op is p.cos.entries and p.sin_op is p.sin.entries
+    for view, op in ((p.cos_op, p.cos), (p.sin_op, p.sin)):
+        assert view.dtype == op.entries.dtype and np.array_equal(view, op.entries)
     assert p.cos_op.dtype == np.longdouble and p.sin_op.dtype == np.clongdouble
     assert p.cos.k == p.sin.k == 1.3 and p.cos.bandwidth == p.sin.bandwidth == 1
 
@@ -155,19 +159,15 @@ def test_phase_ops_match_abstract_pair():
 
 
 def test_phase_routes_must_agree(monkeypatch):
-    # generators off by a relative 1e-12 feed the symmetrized route only,
-    # which then leaves the band-profile route by ~5e-13
-    hp_generators_ = fockreal.hp_generators
+    # an abstract band off by a relative 1e-12 leaves the band profile by
+    # ~5e-13 at its largest entry
+    build = fockreal.build_phase_ops
 
-    def bump(op):
-        return dataclasses.replace(
-            op, diagonals={d: v * (1 + 1e-12) for d, v in op.diagonals.items()})
-
-    def skewed(k, dim):
-        g = hp_generators_(k, dim)
-        return dataclasses.replace(g, kp=bump(g.kp), km=bump(g.km))
-    monkeypatch.setattr(fockreal, "hp_generators", skewed)
-    with pytest.raises(InconsistentDataError, match="cos: symmetrized vs band profile"):
+    def skewed(label, dim):
+        pair = build(label, dim)
+        return dataclasses.replace(pair, lower=pair.lower * (1 + 1e-12))
+    monkeypatch.setattr(fockreal, "build_phase_ops", skewed)
+    with pytest.raises(InconsistentDataError, match="cos: band profile vs abstract pair"):
         hp_phase_ops(1.0, 32)
 
 
@@ -218,8 +218,8 @@ def test_realized_phase_pairs_store_the_closed_form_bits(k):
 
 
 def test_phase_ops_build_no_dense_matrix():
-    # both routes and the abstract check run on diagonals: a dense 2000 x 2000
-    # longdouble route alone would take 64 MB
+    # the band profile and the abstract check run on diagonals: a dense
+    # 2000 x 2000 longdouble route alone would take 64 MB
     hp_phase_ops(1.2, 16)
     tracemalloc.start()
     try:

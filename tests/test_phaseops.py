@@ -16,6 +16,7 @@ import pytest
 
 from phasequant import phaseops
 from phasequant.errors import DomainError, TruncationError
+from phasequant.fockreal import dirac_sg_ops, hp_phase_ops
 from phasequant.phaseops import (
     PhaseOperatorPair,
     build_phase_ops,
@@ -32,7 +33,6 @@ from phasequant.phaseops import (
 )
 from phasequant.repalg import (
     RepLabel,
-    TruncatedOperator,
     banded_matmul,
     build_k3,
     commutator_residual,
@@ -161,10 +161,39 @@ def test_build_stores_the_closed_form_bits(k, omega):
 def test_pair_reads_k_and_dim_from_its_operators():
     pair = build_phase_ops(RepLabel(k=0.75), 12)
     assert (pair.k, pair.dim) == (0.75, 12)
-    with pytest.raises(DomainError, match="inconsistent"):
-        PhaseOperatorPair(pair.cos, build_phase_ops(RepLabel(k=0.75), 10).sin)
-    with pytest.raises(DomainError, match="inconsistent"):
-        PhaseOperatorPair(pair.cos, build_phase_ops(RepLabel(k=0.5), 12).sin)
+
+
+def _lowering_bands(dim):
+    # a seeded random real band E, the oscillator band F_1(n) sqrt(n+1) and
+    # the Susskind-Glogower band 1, each of dim - 1 entries
+    return {
+        "random": np.random.default_rng(dim).uniform(-1.0, 1.0, dim - 1),
+        "oscillator": hp_phase_ops(1.0, dim).lower,
+        "susskind-glogower": dirac_sg_ops(dim)[1].lower,
+    }
+
+
+@pytest.mark.parametrize("dim", [2, 3, 64, 65])
+def test_pair_spectrum_is_the_spectrum_of_cos_and_of_sin(dim):
+    # cos and sin formed from one band E share one spectrum, which
+    # phase_spectrum takes from the cos band alone
+    for name, lower in _lowering_bands(dim).items():
+        pair = PhaseOperatorPair(lower, 1.0)
+        eigs = phase_spectrum(pair)
+        for op in (pair.cos_op, pair.sin_op):
+            dense = np.linalg.eigvalsh(op.astype(np.complex128))
+            assert np.allclose(eigs, np.sort(dense), rtol=0.0, atol=1e-13), (name, dim)
+
+
+@pytest.mark.parametrize("lower, k, match", [
+    (np.ones((3, 3)), 1.0, "1-d lowering band"),
+    (np.ones(0), 1.0, "1-d lowering band"),
+    (np.ones(3), 0.0, "k must be positive"),
+    (np.ones(3), math.nan, "k must be"),
+])
+def test_pair_refuses_a_bad_band_or_k(lower, k, match):
+    with pytest.raises(DomainError, match=match):
+        PhaseOperatorPair(lower, k)
 
 
 # ---------------------------------------------------------------------------
@@ -323,17 +352,6 @@ def test_spectrum_bounded_and_filling_for_k1():
     assert maxes[0] >= 0.999
 
 
-def test_spectrum_cos_sin_must_agree():
-    # scale sin alone by 1 + 1e-8: its band moves past the 1e-13 band check
-    pair = build_phase_ops(RepLabel(k=1.0), 64)
-    skewed = TruncatedOperator(
-        dim=64, k=1.0, name="sin",
-        diagonals={d: v * (1 + 1e-8) for d, v in pair.sin.diagonals.items()},
-    )
-    with pytest.raises(TruncationError, match="spectra disagree"):
-        phase_spectrum(PhaseOperatorPair(pair.cos, skewed))
-
-
 @pytest.mark.parametrize("k", [0.25, 0.5, 0.95, 1.0, 2.0])
 @pytest.mark.parametrize("dim", [2, 3, 400, 2000, 2001])
 def test_sturm_counts_match_lapack(k, dim):
@@ -475,29 +493,6 @@ def test_phase_extremes_validation():
             phase_extremes(pair, count)
     with pytest.raises(DomainError, match="real omega"):
         phase_extremes(build_phase_ops(RepLabel(k=1.0, omega=1j), 8), 1)
-
-
-def test_phase_spectrum_rejects_a_nonzero_cos_diagonal():
-    pair = build_phase_ops(RepLabel(k=1.0), 8)
-    shifted = TruncatedOperator(
-        dim=8, k=1.0, name="cos",
-        diagonals={**pair.cos.diagonals, 0: np.full(8, 1e-3)},
-    )
-    with pytest.raises(DomainError, match="zero cos diagonal"):
-        phase_spectrum(PhaseOperatorPair(shifted, pair.sin))
-
-
-def test_sin_offdiagonal_perturbed_raises():
-    pair = build_phase_ops(RepLabel(k=1.0), 64)
-    # along the entry i f/4, so the rotated band stays real and its spectrum
-    # moves by at most 1e-12, inside what comparing two solves would allow
-    sub = np.array(pair.sin.diagonals[-1])
-    sub[17] += 1e-12j
-    skewed = TruncatedOperator(
-        dim=64, k=1.0, name="sin", diagonals={-1: sub, 1: pair.sin.diagonals[1]},
-    )
-    with pytest.raises(TruncationError, match="spectra disagree"):
-        phase_spectrum(PhaseOperatorPair(pair.cos, skewed))
 
 
 @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
