@@ -525,6 +525,9 @@ def main(argv=None) -> int:
         if path == "":  # abspath("") is the working directory: no file to name
             print(f"error: {flag} names no file", file=sys.stderr)
             return 1
+        if path is not None and os.path.isdir(path):  # the rename would fail last
+            print(f"error: {flag} names a directory: {path}", file=sys.stderr)
+            return 1
     if None not in (out, summary) and os.path.realpath(out) == os.path.realpath(summary):
         print(f"error: --out and --summary name one file: {summary}", file=sys.stderr)
         return 1

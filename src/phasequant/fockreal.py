@@ -21,7 +21,8 @@ oscillator and historical cos/sin pairs are each held, like the abstract
 pair, as the record ``PhaseOperatorPair(lower, k, omega)`` of their
 lowering band.  Every realization is verified against the abstract
 builders diagonal by diagonal before returning; the three generator
-realizations do so through one sector rule.
+realizations do so through one sector rule on their raising and compact
+blocks, as each one's km holds the same array as its kp.
 """
 
 import cmath
@@ -37,7 +38,6 @@ from .repalg import (
     band_gap,
     banded_matvec,
     build_k3,
-    build_kminus,
     build_kplus,
     commutator_gap,
 )
@@ -148,7 +148,7 @@ def hp_generators(k: float, dim: int) -> Generators:
     amp = np.sqrt(n[1:]) * np.sqrt(n[:-1] + 2.0 * np.longdouble(k))
     kp, km, k3 = {-1: amp}, {1: amp}, {0: n + np.longdouble(k)}
     # the whole space is one sector
-    _check_sectors(kp, km, k3, [("dressed", 0)], 1, dim, k)
+    _check_sectors(kp, k3, [("dressed", 0)], 1, dim, k)
     return Generators(*(TruncatedOperator(dim, k, bands) for bands in (kp, km, k3)))
 
 
@@ -160,7 +160,8 @@ def hp_phase_ops(k: float, dim: int) -> PhaseOperatorPair:
     F_k(N) = sqrt(N+2k) (1/(N+k) + 1/(N+k+1)) / 2, so that
     cos = (a+ F + F a)/2 and sin = i (a+ F - F a)/2 share the lowering band
     F a.  Its cos must agree with the abstract phase-operator pair to 1e-13,
-    diagonal by diagonal; sin is formed from the same band.
+    entry by entry: half the gap of the two bands, as sin is formed from
+    the same band.
     """
     k = check_domain("k", k)
     if check_domain("dim", dim, "positive integer") < 2:
@@ -172,11 +173,11 @@ def hp_phase_ops(k: float, dim: int) -> PhaseOperatorPair:
     # F a has entries (n, n+1) = F(n) sqrt(n+1)
     pair = PhaseOperatorPair(f_diag[:-1] * np.sqrt(n[1:]), k)
 
-    cos = pair.cos.diagonals
-    # relative to the largest band entry, as in build_phase_ops: the band
+    # cos is E/2, so its gap is half the gap of the bands; the tolerance is
+    # relative to its largest entry max|E|/2, as in build_phase_ops: that
     # grows like sqrt(2/k)/4 as k shrinks
-    tol = _MATCH_TOL * max(1.0, float(np.max(np.abs(cos[1]))))
-    gap = band_gap(cos, build_phase_ops(RepLabel(k=k), dim).cos.diagonals)
+    tol = _MATCH_TOL * max(1.0, float(np.max(np.abs(pair.lower))) / 2.0)
+    gap = 0.5 * band_gap({1: pair.lower}, {1: build_phase_ops(RepLabel(k=k), dim).lower})
     check_route("cos: band profile vs abstract pair: builds", gap, tol, InconsistentDataError)
     return pair
 
@@ -331,12 +332,13 @@ def _sector(bands, start: int, stride: int, size: int) -> dict:
             for d, v in bands.items() if d % stride == 0 and abs(d) // stride < size}
 
 
-def _check_sectors(kp, km, k3, sectors, stride: int, size: int, sector_k: float) -> None:
-    # each (name, start) block of kp, km, k3 (size indices, stride apart)
-    # against one abstract build at sector_k
+def _check_sectors(kp, k3, sectors, stride: int, size: int, sector_k: float) -> None:
+    # each (name, start) block of kp and k3 (size indices, stride apart)
+    # against one abstract build at sector_k.  Every realization's km holds
+    # the same array as its kp, and the abstract K- at omega = 1 is the same
+    # ladder as K+, so a K- block would repeat the raising check
     label = RepLabel(k=sector_k)
-    for what, bands, build in (("raising", kp, build_kplus), ("lowering", km, build_kminus),
-                               ("compact", k3, build_k3)):
+    for what, bands, build in (("raising", kp, build_kplus), ("compact", k3, build_k3)):
         ref = build(label, size).diagonals
         for name, start in sectors:
             gap = band_gap(_sector(bands, start, stride, size), ref)
@@ -361,7 +363,7 @@ def squared_boson(dim: int) -> Generators:
     kp, km, k3 = {-2: amp}, {2: amp}, {0: 0.5 * n + 0.25}
 
     for parity, start, sector_k in (("even", 0, 0.25), ("odd", 1, 0.75)):
-        _check_sectors(kp, km, k3, [(f"{parity} sector", start)], 2,
+        _check_sectors(kp, k3, [(f"{parity} sector", start)], 2,
                        len(range(start, dim, 2)), sector_k)
 
     return Generators(*(TruncatedOperator(dim, None, bands) for bands in (kp, km, k3)))
@@ -397,7 +399,7 @@ def two_mode(dim_per_mode: int) -> TwoModeOps:
     # each steps by (1, 1)
     for m in range(d - 1):
         sectors = [("sector 0", 0)] if m == 0 else [(f"sector {-m}", m), (f"sector {m}", m * d)]
-        _check_sectors(kp, km, k3, sectors, d + 1, d - m, 0.5 + m / 2.0)
+        _check_sectors(kp, k3, sectors, d + 1, d - m, 0.5 + m / 2.0)
     for s, start in ((1 - d, d - 1), (d - 1, (d - 1) * d)):
         check_route(f"corner sector {s}: compact eigenvalue and sector k",
                     abs(float(k3[0][start]) - (0.5 + (d - 1) / 2.0)), 0.0, InconsistentDataError)

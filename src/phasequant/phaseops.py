@@ -16,8 +16,8 @@ either formula cannot pass silently.  Every cos/sin pair of the package,
 here and in ``fockreal``, is the one record
 ``PhaseOperatorPair(lower, k, omega)`` of a lowering band E (here
 E = conj(omega) f/2), from which cos = (E + E^dag)/2 and
-sin = (E - E^dag)/(2i) are read; the symmetrizer
-X -> (K3^-1 X + X K3^-1)/2 serves the product route.
+sin = (E - E^dag)/(2i) are read; the product route applies the
+symmetrizer X -> (K3^-1 X + X K3^-1)/2 to the ladder K- alone.
 
 Diagonal closed forms are expressed through the K3 eigenvalue x = n + k and
 the Casimir value q = k(1-k):
@@ -41,11 +41,10 @@ from .errors import DomainError, TruncationError, check_domain, check_route
 from .repalg import (
     RepLabel,
     TruncatedOperator,
+    _ladder,
     band_gap,
     banded_matmul,
     banded_matvec,
-    build_k1,
-    build_k2,
 )
 
 __all__ = [
@@ -163,18 +162,16 @@ def _symmetrize(bands, inv: np.ndarray) -> dict:
 def build_phase_ops(label: RepLabel, dim: int) -> PhaseOperatorPair:
     """Build the cos/sin pair two ways and insist the routes agree.
 
-    Route (a) symmetrizes K1 and K2 with the exactly invertible diagonal
-    K3; route (b) writes the tridiagonal entries from f_coeff.  Any
-    entrywise discrepancy beyond 1e-13 times max(1, max|f|/4) raises, since
-    for a diagonal K3 the two are algebraically identical even after
-    truncation.
+    Route (a) symmetrizes the ladder K- with the exactly invertible
+    diagonal K3, which gives the lowering band E of the pair; route (b)
+    writes E = conj(omega) f/2 from f_coeff.  cos and sin are the halves
+    (E + E^dag)/2 and (E - E^dag)/(2i) of either route, formed exactly, so
+    half the entrywise gap of the two bands is the gap of both pairs.  Any
+    discrepancy beyond 1e-13 times max(1, max|f|/4) raises, since for a
+    diagonal K3 the two are algebraically identical even after truncation.
     """
-    if check_domain("dim", dim, "positive integer") < 2:
-        raise DomainError(f"build_phase_ops requires dim >= 2, got {dim}")
+    _, km = _ladder(label, dim, "build_phase_ops")
     inv = 1.0 / (np.clongdouble(label.k) + np.arange(dim, dtype=np.clongdouble))
-    cos_a = _symmetrize(build_k1(label, dim).diagonals, inv)
-    sin_a = {d: -v for d, v in _symmetrize(build_k2(label, dim).diagonals, inv).items()}
-
     f = _coupling(np.clongdouble(label.k), np.arange(1, dim, dtype=np.clongdouble))
     pair = PhaseOperatorPair(np.clongdouble(label.omega).conjugate() * f / 2.0, label.k,
                              label.omega)
@@ -182,7 +179,7 @@ def build_phase_ops(label: RepLabel, dim: int) -> PhaseOperatorPair:
     # relative to the largest entry max|f|/4 once that passes 1 (k below
     # about 0.16), as the Sturm window scales with max|off|
     tol = _ROUTE_TOL * max(1.0, float(np.max(np.abs(f))) / 4.0)
-    dev = np.max([band_gap(cos_a, pair.cos.diagonals), band_gap(sin_a, pair.sin.diagonals)])
+    dev = 0.5 * band_gap(_symmetrize(km, inv), {1: pair.lower})
     check_route("phase-operator build routes", dev, tol, context=f"at k={label.k}, dim={dim}")
     return pair
 

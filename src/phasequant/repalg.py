@@ -6,8 +6,9 @@ Generators act on the lowest-weight basis |k,0> .. |k,dim-1>:
     K+ |k,n> = omega * sqrt((2k + n)(n + 1)) |k,n+1>
     K- |k,n> = (1/omega) * sqrt((2k + n - 1) n) |k,n-1>
 
-with K1 = (K+ + K-)/2 and K2 = (K+ - K-)/(2i).  Everything here is a
-compression P.Op.P onto the first ``dim`` states.  Compressions of band
+with K1 = (K+ + K-)/2 and K2 = (K+ - K-)/(2i); each builder forms the
+ladder sqrt((2k+n)(n+1)) once and reads K+ and K- from it.  Everything
+here is a compression P.Op.P onto the first ``dim`` states.  Compressions of band
 operators are exact except near the cut, so algebraic identities are asserted
 on an interior window that excludes the last few rows and columns; the
 checks that assert them (``commutator_residual``, ``commutator_gap``) take
@@ -45,7 +46,6 @@ from .specfun import ln_gamma
 
 __all__ = [
     "RepLabel",
-    "NumberState",
     "TruncatedOperator",
     "FluctuationRecord",
     "build_k3",
@@ -103,22 +103,6 @@ class RepLabel:
     def q(self) -> float:
         """Casimir eigenvalue k(1 - k)."""
         return self.k * (1.0 - self.k)
-
-
-@dataclass(frozen=True)
-class NumberState:
-    """Basis state |k,n>; K3 eigenvalue is n + k."""
-
-    k: float
-    n: int
-
-    def __post_init__(self) -> None:
-        check_domain("k", self.k)
-        check_domain("n", self.n, "nonnegative integer")
-
-    @property
-    def k3_eigenvalue(self) -> float:
-        return self.n + self.k
 
 
 @dataclass(frozen=True)
@@ -208,20 +192,24 @@ def build_k3(label: RepLabel, dim: int) -> TruncatedOperator:
     )
 
 
-def _ladder_coeffs(k: float, dim: int) -> np.ndarray:
-    # sqrt((2k+n)(n+1)) for n = 0..dim-2: the |k,n> -> |k,n+1> amplitudes.
+def _ladder(label: RepLabel, dim: int, caller: str) -> tuple[dict, dict]:
+    # the K+ map {-1: omega a} and the K- map {1: conj(omega) a} of the one
+    # ladder a_n = sqrt((2k+n)(n+1)), n = 0..dim-2, the |k,n> -> |k,n+1>
+    # amplitudes.  For unit-modulus omega, 1/omega is its conjugate;
+    # conjugation is exact in floating point while division is not, and it
+    # makes K- = (K+)^dag hold entrywise rather than to rounding.
+    if check_domain("dim", dim, "positive integer") < 2:
+        raise DomainError(f"{caller} requires dim >= 2, got {dim}")
     n = np.arange(dim - 1, dtype=np.clongdouble)
-    return np.sqrt((2.0 * np.clongdouble(k) + n) * (n + 1.0))
+    a = np.sqrt((2.0 * np.clongdouble(label.k) + n) * (n + 1.0))
+    omega = np.clongdouble(label.omega)
+    return {-1: omega * a}, {1: omega.conjugate() * a}
 
 
 def build_kplus(label: RepLabel, dim: int) -> TruncatedOperator:
     """Raising generator; subdiagonal entries omega sqrt((2k+n)(n+1))."""
-    if check_domain("dim", dim, "positive integer") < 2:
-        raise DomainError(f"build_kplus requires dim >= 2, got {dim}")
-    sub = np.clongdouble(label.omega) * _ladder_coeffs(label.k, dim)
-    return TruncatedOperator(
-        dim=dim, k=label.k, diagonals={-1: sub}, name="K+", omega=label.omega,
-    )
+    kp, _ = _ladder(label, dim, "build_kplus")
+    return TruncatedOperator(dim=dim, k=label.k, diagonals=kp, name="K+", omega=label.omega)
 
 
 def build_kminus(label: RepLabel, dim: int) -> TruncatedOperator:
@@ -230,20 +218,13 @@ def build_kminus(label: RepLabel, dim: int) -> TruncatedOperator:
     Annihilates |k,0> and is the conjugate transpose of K+ on the full
     truncated block for any unit-modulus omega.
     """
-    if check_domain("dim", dim, "positive integer") < 2:
-        raise DomainError(f"build_kminus requires dim >= 2, got {dim}")
-    # For unit-modulus omega, 1/omega is its conjugate; conjugation is exact
-    # in floating point while division is not, and it makes K- = (K+)^dag
-    # hold entrywise rather than to rounding.
-    sup = np.clongdouble(label.omega).conjugate() * _ladder_coeffs(label.k, dim)
-    return TruncatedOperator(
-        dim=dim, k=label.k, diagonals={1: sup}, name="K-", omega=label.omega,
-    )
+    _, km = _ladder(label, dim, "build_kminus")
+    return TruncatedOperator(dim=dim, k=label.k, diagonals=km, name="K-", omega=label.omega)
 
 
 def build_k1(label: RepLabel, dim: int) -> TruncatedOperator:
     """K1 = (K+ + K-)/2."""
-    kp, km = build_kplus(label, dim).diagonals, build_kminus(label, dim).diagonals
+    kp, km = _ladder(label, dim, "build_k1")
     diags = {d: 0.5 * (kp.get(d, 0) + km.get(d, 0)) for d in sorted(set(kp) | set(km))}
     return TruncatedOperator(
         dim=dim, k=label.k, diagonals=diags, name="K1", omega=label.omega,
@@ -252,7 +233,7 @@ def build_k1(label: RepLabel, dim: int) -> TruncatedOperator:
 
 def build_k2(label: RepLabel, dim: int) -> TruncatedOperator:
     """K2 = (K+ - K-)/(2i)."""
-    kp, km = build_kplus(label, dim).diagonals, build_kminus(label, dim).diagonals
+    kp, km = _ladder(label, dim, "build_k2")
     diags = {d: (kp.get(d, 0) - km.get(d, 0)) / np.clongdouble(2.0j)
              for d in sorted(set(kp) | set(km))}
     return TruncatedOperator(
@@ -324,11 +305,9 @@ def casimir(label: RepLabel, dim: int) -> TruncatedOperator:
     first), so the matrix comes out exactly diagonal and the truncation cut
     leaves no trace.
     """
-    if check_domain("dim", dim, "positive integer") < 2:
-        raise DomainError(f"casimir requires dim >= 2, got {dim}")
-    kp, km = build_kplus(label, dim), build_kminus(label, dim)
+    kp, km = _ladder(label, dim, "casimir")
     k3d = np.clongdouble(label.k) + np.arange(dim, dtype=np.clongdouble)
-    diags = banded_matmul(kp.diagonals, km.diagonals, dim)
+    diags = banded_matmul(kp, km, dim)
     diags[0] = diags.get(0, 0) + k3d * (1.0 - k3d)
     return TruncatedOperator(
         dim=dim, k=label.k, diagonals=diags, name="Casimir", omega=label.omega,

@@ -432,7 +432,7 @@ def _nfm_checks(results: list) -> None:
 
 
 def run_all(modules=None) -> list[CheckResult]:
-    """Run the battery, optionally restricted to the named modules."""
+    """Run the battery, optionally restricted to the named modules, each once."""
     runners = {
         "specfun": _specfun_checks,
         "repalg": _repalg_checks,
@@ -441,7 +441,7 @@ def run_all(modules=None) -> list[CheckResult]:
         "fockreal": _fockreal_checks,
         "nfm": _nfm_checks,
     }
-    selected = MODULE_ORDER if modules is None else tuple(modules)
+    selected = MODULE_ORDER if modules is None else tuple(dict.fromkeys(modules))
     unknown = [m for m in selected if m not in runners]
     if unknown:
         raise ValueError(f"unknown module(s): {', '.join(unknown)}")

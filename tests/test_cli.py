@@ -327,6 +327,26 @@ class TestValidationErrors:
         assert (out, err) == ("", f"error: {flag} names no file\n")
         assert list(work.iterdir()) == [] and list(tmp_path.iterdir()) == [work]
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("kbound-scan", "--k-min", "0.5", "--k-max", "0.6", "--k-step", "0.1",
+          "--out", "s.csv", "--summary", "d"), "--summary"),
+        (("kbound-scan", "--out", "d", "--summary", "s.json"), "--out"),
+        (("repr", "--k", "1", "--dim", "3", "--out", "d"), "--out"),
+    ])
+    def test_a_directory_output_path_is_refused_before_computing(self, capsys, tmp_path,
+                                                                 monkeypatch, argv, flag):
+        # the run once computed, renamed s.csv into place and then failed on
+        # the directory, leaving s.csv behind
+        (tmp_path / "d").mkdir()
+        monkeypatch.chdir(tmp_path)
+        handler = cli.build_parser().parse_args(list(argv)).func.__name__
+        monkeypatch.setattr(cli, handler, lambda args: pytest.fail(f"{handler} ran"))
+        assert run_cli(*argv) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {flag} names a directory: d\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+        assert list((tmp_path / "d").iterdir()) == []
+
     def test_unallocatable_grid_is_one_error_line(self, capsys, tmp_path):
         # 1e18 points (6.94 EiB) exceed any address space, so numpy refuses
         # before mapping anything; it was a MemoryError traceback
@@ -852,6 +872,11 @@ class TestVerifyAll:
         data = json.loads(report.read_text())
         assert all(check["passed"] for check in data["checks"])
         assert {check["module"] for check in data["checks"]} == {"specfun"}
+
+    def test_a_module_named_twice_is_counted_once(self, capsys, tmp_path):
+        assert run_cli("verify-all", "--module", "specfun", "--module", "specfun",
+                       "--out", str(tmp_path / "report.json")) == 0
+        assert "specfun: PASS (4/4 checks)" in capsys.readouterr().out
 
     def test_a_failed_report_prints_nothing(self, capsys, tmp_path):
         # the per-module lines were printed before the report was written

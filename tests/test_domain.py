@@ -72,7 +72,6 @@ def test_a_site_message_covers_finite_values_only():
 
 ENTRY_POINTS = {
     "RepLabel": lambda k: repalg.RepLabel(k=k),
-    "NumberState": lambda k: repalg.NumberState(k=k, n=0),
     "TruncatedOperator": lambda k: repalg.TruncatedOperator(1, k, {0: [1.0]}),
     "fluctuation_closed_forms": lambda k: repalg.fluctuation_closed_forms(k, 1),
     "ladder_log_norm": lambda k: repalg.ladder_log_norm(k, 1),

@@ -500,7 +500,8 @@ def test_two_mode_commutator_check_fires(monkeypatch):
 
 
 def test_two_mode_builds_each_sector_block_once(monkeypatch):
-    # sectors s and -s share k and size: 3 builds per |s| = 0 .. d - 2
+    # sectors s and -s share k and size: one K+ and one K3 build per
+    # |s| = 0 .. d - 2, and no K- build, as km is the kp array
     calls = []
 
     def counted(build):
@@ -508,18 +509,28 @@ def test_two_mode_builds_each_sector_block_once(monkeypatch):
             calls.append(label.k)
             return build(label, dim)
         return built
-    for name in ("build_kplus", "build_kminus", "build_k3"):
+    for name in ("build_kplus", "build_k3"):
         monkeypatch.setattr(fockreal, name, counted(getattr(fockreal, name)))
     two_mode(24)
-    assert len(calls) == 69
+    assert len(calls) == 46
     assert sorted(set(calls)) == [0.5 + m / 2.0 for m in range(23)]
 
 
 def test_two_mode_sector_check_fires(monkeypatch):
-    # only the abstract lowering for sectors +-2 moves
-    monkeypatch.setattr(fockreal, "build_kminus", _skew(build_kminus, only_k=1.5))
-    with pytest.raises(InconsistentDataError, match="sector -2 lowering"):
+    # only the abstract raising for sectors +-2 moves
+    monkeypatch.setattr(fockreal, "build_kplus", _skew(build_kplus, only_k=1.5))
+    with pytest.raises(InconsistentDataError, match="sector -2 raising"):
         two_mode(8)
+
+
+def test_every_realization_lowers_by_its_raising_array():
+    # the sector rule checks raising blocks only: each km diagonal must be
+    # the kp diagonal of the opposite offset, bit for bit
+    for ops in (hp_generators(0.5, 16), hp_generators(1.7, 3), squared_boson(9),
+                two_mode(6)):
+        assert sorted(ops.km.diagonals) == sorted(-s for s in ops.kp.diagonals)
+        for s, v in ops.km.diagonals.items():
+            assert _same_bits(v, ops.kp.diagonals[-s]), s
 
 
 def test_two_mode_validation():

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phasequant import phaseops, repalg
 from phasequant.errors import DimensionMismatchError, DomainError
 from phasequant.repalg import (
     FluctuationRecord,
-    NumberState,
     RepLabel,
     TruncatedOperator,
     banded_matmul,
@@ -68,15 +68,6 @@ def test_casimir_eigenvalue_property():
     assert RepLabel(k=2.0).q == -2.0
 
 
-def test_number_state():
-    s = NumberState(k=0.5, n=3)
-    assert s.k3_eigenvalue == 3.5
-    with pytest.raises(DomainError):
-        NumberState(k=0.5, n=-1)
-    with pytest.raises(DomainError):
-        NumberState(k=0.0, n=0)
-
-
 def test_truncated_operator_validation():
     with pytest.raises(DomainError):
         TruncatedOperator(dim=0, k=1.0, diagonals={})
@@ -115,6 +106,70 @@ def test_abstract_builders_store_extended_complex():
                build_k1(label, 8), build_k2(label, 8), casimir(label, 8)):
         assert all(v.dtype == np.clongdouble for v in op.diagonals.values()), op.name
         assert op.entries.dtype == np.clongdouble
+
+
+def _former_diagonals(label, dim):
+    # each builder's diagonals by the expressions it used before the ladder
+    # was formed once: K1 and K2 from separately built K+ and K- maps
+    n = np.arange(dim - 1, dtype=np.clongdouble)
+    a = np.sqrt((2.0 * np.clongdouble(label.k) + n) * (n + 1.0))
+    kp = {-1: np.clongdouble(label.omega) * a}
+    km = {1: np.clongdouble(label.omega).conjugate() * a}
+    k3 = np.clongdouble(label.k) + np.arange(dim, dtype=np.clongdouble)
+    both = sorted(set(kp) | set(km))
+    return {
+        "K3": {0: k3},
+        "K+": kp,
+        "K-": km,
+        "K1": {d: 0.5 * (kp.get(d, 0) + km.get(d, 0)) for d in both},
+        "K2": {d: (kp.get(d, 0) - km.get(d, 0)) / np.clongdouble(2.0j) for d in both},
+        "Casimir": {0: banded_matmul(kp, km, dim)[0] + k3 * (1.0 - k3)},
+    }
+
+
+def _same_bits(x, y):
+    # equal values with equal sign bits; tobytes() would also read the six
+    # unset padding bytes of each 80-bit long double
+    return (x.dtype == y.dtype and np.array_equal(x, y)
+            and np.array_equal(np.signbit(x.real), np.signbit(y.real))
+            and np.array_equal(np.signbit(x.imag), np.signbit(y.imag)))
+
+
+@pytest.mark.parametrize("omega", [1.0, 1j, cmath.exp(0.3j)])
+@pytest.mark.parametrize("dim", [2, 3, 64])
+def test_builders_keep_their_former_bits(omega, dim):
+    for k in (0.75, 2.5):
+        label = RepLabel(k=k, omega=omega)
+        former = _former_diagonals(label, dim)
+        for build in (build_k3, build_kplus, build_kminus, build_k1, build_k2, casimir):
+            op = build(label, dim)
+            assert sorted(op.diagonals) == sorted(former[op.name]), op.name
+            for d, v in op.diagonals.items():
+                assert _same_bits(v, former[op.name][d]), (op.name, d)
+
+
+def test_each_builder_forms_the_ladder_once(monkeypatch):
+    calls = []
+    ladder = repalg._ladder
+
+    def counted(label, dim, caller):
+        calls.append(caller)
+        return ladder(label, dim, caller)
+    monkeypatch.setattr(repalg, "_ladder", counted)
+    monkeypatch.setattr(phaseops, "_ladder", counted)
+    label = RepLabel(k=0.75, omega=cmath.exp(0.3j))
+    for build in (build_kplus, build_kminus, build_k1, build_k2, casimir,
+                  phaseops.build_phase_ops):
+        calls.clear()
+        build(label, 16)
+        assert calls == [build.__name__]
+
+
+@pytest.mark.parametrize("build", [build_kplus, build_kminus, build_k1, build_k2, casimir])
+def test_the_dim_refusal_names_the_builder(build):
+    # build_k1 and build_k2 once named the build_kplus they called first
+    with pytest.raises(DomainError, match=rf"^{build.__name__} requires dim >= 2, got 1$"):
+        build(RepLabel(k=0.75), 1)
 
 
 def test_entries_are_read_only():

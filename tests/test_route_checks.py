@@ -53,9 +53,7 @@ from phasequant.repalg import (
     RepLabel,
     TruncatedOperator,
     band_gap,
-    build_k2,
     build_k3,
-    build_kminus,
     build_kplus,
     commutator_gap,
 )
@@ -153,9 +151,14 @@ def test_build_routes_refuse_nan_in_the_f_route(monkeypatch):
         build_phase_ops(RepLabel(k=1.0), 16)
 
 
-def test_build_routes_refuse_nan_in_the_sin_route_alone(monkeypatch):
-    # the cos routes agree exactly; max(0.0, nan) would have read 0.0
-    monkeypatch.setattr(phaseops, "build_k2", _nan_build(build_k2))
+def test_build_routes_refuse_nan_in_the_symmetrized_route(monkeypatch):
+    # a NaN in the ladder's K- map, the one input of route (a)
+    ladder = phaseops._ladder
+
+    def nan_lowering(label, dim, caller):
+        kp, km = ladder(label, dim, caller)
+        return kp, {1: np.where(np.arange(dim - 1) == 3, np.nan, km[1])}
+    monkeypatch.setattr(phaseops, "_ladder", nan_lowering)
     with pytest.raises(TruncationError, match="routes disagree"):
         build_phase_ops(RepLabel(k=1.0), 16)
 
@@ -195,7 +198,6 @@ def test_diagonal_identities_report_a_nan_residual(monkeypatch):
 
 @pytest.mark.parametrize("name, build, what", [
     ("build_kplus", build_kplus, "dressed raising"),
-    ("build_kminus", build_kminus, "dressed lowering"),
     ("build_k3", build_k3, "dressed compact"),
 ])
 def test_hp_generators_refuse_nan(monkeypatch, name, build, what):

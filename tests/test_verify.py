@@ -36,6 +36,16 @@ def test_band_checks_build_only_the_eigvalsh_views(monkeypatch):
     assert built == ["K1", "K1"]
 
 
+def test_a_module_named_twice_runs_once():
+    # the specfun battery ran once per mention, and its line read 8/8
+    twice = verify.run_all(["specfun", "specfun"])
+    assert len(twice) == 4
+    assert [r.name for r in twice] == [r.name for r in verify.run_all(["specfun"])]
+    modules = [r.module for r in verify.run_all(["nfm", "specfun", "nfm"])]
+    assert list(dict.fromkeys(modules)) == ["nfm", "specfun"]  # first-occurrence order
+    assert modules.count("specfun") == 4
+
+
 def test_band_check_details_match_dense_formulas():
     details = _details(["repalg", "nfm"])
 
