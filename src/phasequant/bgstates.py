@@ -54,6 +54,7 @@ from .specfun import (
     _log_terms,
     _series_cut,
     _tanh_sinh,
+    _weighted_means,
     bessel_i_scaled,
     ln_gamma,
 )
@@ -88,8 +89,7 @@ _K_MIN = math.nextafter(2.0 ** -55, math.inf)
 _SUP_TOL = 1e-9
 # relative bound on the moment quadrature's error estimate plus its tail
 _QUADRATURE_TOL = 1e-9
-# logarithms of the smallest normal and of the smallest subnormal double
-_LOG_MIN_NORMAL = math.log(sys.float_info.min)
+# logarithm of the smallest subnormal double
 _LOG_MIN_DOUBLE = math.log(math.ulp(0.0))
 # the largest rho whose 2 rho, the Bessel argument, is a finite double
 _RHO_MAX = sys.float_info.max / 2.0
@@ -676,12 +676,13 @@ def kbound_scan(k_grid: np.ndarray | None = None,
     """Fill the g/I ratio over the grid and pass a verdict per k.
 
     BOUNDED means sup over rho stays at or below 1 + 1e-9.  Rows are
-    independent; each is evaluated by one vectorized series sweep, cut where
-    every rho's terms have fallen below 1e-18 of their largest.  A row whose
-    terms would underflow is divided by its largest first, and a cell whose
-    rho sum t_n w_n is not a normal double forms rho (sum t_n w_n / sum t_n)
-    instead.  ``ratio_gI`` is the one cell of a one-point scan.  Every grid
-    value must be a positive real.
+    independent; each is one series mean, rho sum t_n w_n / sum t_n, over a
+    table cut where every rho's terms have fallen below 1e-18 of their
+    largest.  ``specfun._weighted_means`` forms it, with the rule of every
+    series mean: a row whose terms would underflow is divided by its largest
+    first, and a cell whose rho sum t_n w_n is not a normal double forms
+    rho (sum t_n w_n / sum t_n) instead.  ``ratio_gI`` is the one cell of a
+    one-point scan.  Every grid value must be a positive real.
     """
     k_values = _default_k_grid() if k_grid is None else np.asarray(k_grid, dtype=float)
     rho_values = (
@@ -696,24 +697,9 @@ def kbound_scan(k_grid: np.ndarray | None = None,
 
     ratio = np.empty((k_values.size, rho_values.size))
     for i, k in enumerate(k_values):
-        log_t, weights = _phase_log_terms(k, rho_values)
-        # a row whose largest log-term is not a normal double is divided by
-        # that term first, so its terms do not underflow; the quotient is
-        # unchanged and every other row keeps its bits.  Kept inline: moved
-        # into a per-row helper, the scan ran about 20 % slower, as glibc
-        # returned the freed row arrays to the system on every return.
-        top = log_t.max(axis=1)
-        terms = np.exp(log_t - np.where(top < _LOG_MIN_NORMAL, top, 0.0)[:, None])
-        # plain row sums equal rho e^{-2 rho} I_{2k-1}(2 rho) termwise, over e^shift
-        weighted, total = terms @ weights, np.sum(terms, axis=1)
-        cell = rho_values * weighted
-        ratio[i] = cell / total
-        # where rho sum t_n w_n is not a normal double (tiny rho at small k)
-        # it lost digits or underflowed: such cells divide first instead.
-        # One scalar test per row spares every other row the array work.
-        if cell.min() < sys.float_info.min:
-            low = cell < sys.float_info.min
-            ratio[i, low] = rho_values[low] * (weighted[low] / total[low])
+        # sum_n t_n equals rho e^{-2 rho} I_{2k-1}(2 rho) termwise, so rho
+        # times the mean of the weights is g/I
+        ratio[i] = _weighted_means(*_phase_log_terms(k, rho_values), rho_values)[0]
 
     sup = ratio.max(axis=1)
     argmax = rho_values[np.argmax(ratio, axis=1)]

@@ -129,10 +129,12 @@ def _meta(args: argparse.Namespace) -> str:
 
 
 def _write_atomic(outputs) -> None:
-    # every (path, text) of a run: all temp files are written before any is
-    # renamed.  Mode "x" creates 0666 & ~umask, as a plain open() does, and
+    # every (path, text) of a run, all or none: all temp files are written
+    # before any is renamed, and a failure removes the temp files and the
+    # outputs already renamed into place (a file one of them replaced is not
+    # restored).  Mode "x" creates 0666 & ~umask, as a plain open() does, and
     # refuses to reuse a name that already exists
-    temps = []
+    temps, placed = [], []
     try:
         for path, text in outputs:
             directory = os.path.dirname(os.path.abspath(path))
@@ -143,10 +145,10 @@ def _write_atomic(outputs) -> None:
                 handle.write(text)
         for tmp, path in temps:
             os.replace(tmp, path)
+            placed.append(path)
     except BaseException:
-        for tmp, _ in temps:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        for name in [tmp for tmp, _ in temps if os.path.exists(tmp)] + placed:
+            os.unlink(name)
         raise
 
 

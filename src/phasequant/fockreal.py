@@ -42,7 +42,7 @@ from .repalg import (
     commutator_gap,
 )
 from .phaseops import PhaseOperatorPair, build_phase_ops
-from .specfun import _log_terms, _series_cut
+from .specfun import _log_terms, _series_cut, _weighted_means
 
 __all__ = [
     "Generators",
@@ -233,7 +233,8 @@ def alpha_expectations(k: float, alpha: complex, dim: int | None = None) -> Alph
     h2 = (r/2) <sqrt(N+2k)(1/(N+k)+1/(N+k+1))> the phase means, while
     <K3> = r^2 + k needs no series at all.  Each closed value is
     reconciled with the matrix expectation over the truncated coherent
-    vector to 1e-10 before the record is returned.  An r = |alpha| past
+    vector, its weights divided by their own total as h1 and h2 are, to
+    1e-10 before the record is returned.  An r = |alpha| past
     442.668, where the radial series is no longer cut within 200000 terms,
     raises DomainError before any series is summed.
     """
@@ -263,8 +264,9 @@ def alpha_expectations(k: float, alpha: complex, dim: int | None = None) -> Alph
         c[0] = 1.0
     else:
         m = np.arange(dim, dtype=np.float64)
-        log_c = 0.5 * (_log_terms(2.0 * math.log(r), None, dim) - r * r)
-        c[:dim] = np.exp(log_c) * np.exp(1j * beta * m)
+        weights = np.exp(_log_terms(2.0 * math.log(r), None, dim) - r * r)
+        # divided by their own total, as the closed forms' weights are
+        c[:dim] = np.sqrt(weights / np.sum(weights)) * np.exp(1j * beta * m)
     gens, phase = hp_generators(k, mdim), hp_phase_ops(k, mdim)
     kp_c, km_c = _expect(gens.kp.diagonals, c), _expect(gens.km.diagonals, c)
     pairs = (
@@ -285,21 +287,37 @@ def alpha_expectations(k: float, alpha: complex, dim: int | None = None) -> Alph
 
 def _radial_sums(k: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # h1 = <sqrt(N+2k)> and h2 = (r/2) <sqrt(N+2k)(1/(N+k)+1/(N+k+1))> at
-    # every radius of r, over one shared table of the Poisson weights
-    # exp(2n ln r - ln n! - r^2), cut where every radius' weights have fallen
-    # below 1e-18 of their largest; the vacuum r = 0 has h1 = sqrt(2k), h2 = 0
+    # every radius of r: two means over one shared table of the Poisson
+    # weights exp(2n ln r - ln n! - r^2), cut where every radius' weights
+    # have fallen below 1e-18 of their largest, and divided by their own
+    # total, so the rounding common to every weight cancels; the vacuum
+    # r = 0 has h1 = sqrt(2k), h2 = 0
     h1 = np.full_like(r, math.sqrt(2.0 * k))
     h2 = np.zeros_like(r)
     pos = r > 0.0
     if np.any(pos):
         rp = r[pos]
         log_w = 2.0 * np.log(rp)
-        terms = np.exp(_log_terms(log_w, None, _series_cut(log_w, None) + 1)
-                       - (rp * rp)[:, np.newaxis])
-        n = np.arange(terms.shape[1], dtype=np.float64)
+        size = _series_cut(log_w, None) + 1
+        log_t = _log_terms(log_w, None, size) - (rp * rp)[:, np.newaxis]
+        n = np.arange(size, dtype=np.float64)
         root = np.sqrt(n + 2.0 * k)
-        h1[pos] = terms @ root
-        h2[pos] = 0.5 * rp * (terms @ (root * (1.0 / (n + k) + 1.0 / (n + k + 1.0))))
+        means, log_total = _weighted_means(
+            log_t, np.column_stack([root, root * (1.0 / (n + k) + 1.0 / (n + k + 1.0))]),
+            np.column_stack([np.ones_like(rp), 0.5 * rp]))
+        h1[pos], h2[pos] = means.T
+        # the one check the division does not share: the raw total is 1 up to
+        # the dropped tail, below t_N q/(1 - q) with q = r^2/(N+1) past the
+        # last kept term t_N, and to rounding: a few ulp of the sum, plus
+        # that of the log-terms near the peak, of size about r^2 (1 + ln r^2)
+        r2 = rp * rp
+        q = r2 / size
+        tol = (np.exp(log_t[:, -1]) * q / (1.0 - q)
+               + math.ulp(1.0) * (4.0 + r2 * (1.0 + log_w)))
+        deviation = np.abs(np.expm1(log_total))
+        i = int(np.argmax(~(deviation <= tol)))
+        check_route("Poisson weights: raw total and 1", deviation[i], tol[i],
+                    context=f"at r={float(rp[i])!r}")
     return h1, h2
 
 
@@ -308,8 +326,13 @@ def h2_curve(k: float, r_values) -> np.ndarray:
 
     h2 = (r/2) <sqrt(N+2k)(1/(N+k)+1/(N+k+1))> over the Poisson weights
     exp(2n ln r - ln n! - r^2), from one shared term table for every
-    radius; ``alpha_expectations`` takes its h2 from the same sums, so the
-    two agree bit for bit.  A k whose 2k overflows and an r past 442.668,
+    radius.  ``specfun._weighted_means`` forms it, with the rule of every
+    series mean: the weights are divided by their own total (a row whose
+    terms would underflow by its largest first, and a cell that is not a
+    normal double divides before the factor r/2).  The raw total must be
+    1 to within the dropped tail and rounding (TruncationError otherwise).
+    ``alpha_expectations`` takes its h2 from the same means, so the two
+    agree bit for bit.  A k whose 2k overflows and an r past 442.668,
     where the series is no longer cut within 200000 terms, raise DomainError.
     """
     check_domain("k", k, message="h2_curve requires k > 0, got {value}")

@@ -12,6 +12,10 @@ tens, arguments up to a few hundred):
   past the term peak below a log tolerance (DLMF 10.25.2).  It bisects on
   the closed-form ln t_n of the largest w alone, which decides for every
   row; ``_log_terms`` tabulates ln t_n, n <= N, for the callers that sum.
+  Every series mean (g/I in the bound scan, the oscillator's h1 and h2)
+  comes from ``_weighted_means``: sum t_n w_n / sum t_n per row, with the
+  largest term taken out of a row whose terms would underflow, a cell that
+  is not a normal double divided first, and ln sum t_n returned beside it.
 * ``bessel_i`` / ``bessel_i_scaled`` -- for nu > -1: the ascending series up
   to x = 30, then up to x = 400 the same series with every term scaled by
   e^{-x}.  Above that the exponentially scaled asymptotic sum is used where
@@ -73,8 +77,10 @@ _ASYMPTOTIC_THRESHOLD = 400.0
 _MAX_TERMS = 200_000
 # Terms below this fraction of a series' largest term are dropped.
 _LOG_SERIES_TOL = math.log(1e-18)
-# Largest argument of math.exp that does not overflow.
+# Largest argument of math.exp that does not overflow, and the log of the
+# smallest normal double.
 _LOG_MAX = math.log(sys.float_info.max)
+_LOG_MIN_NORMAL = math.log(sys.float_info.min)
 
 _LGAMMA = np.frompyfunc(math.lgamma, 1, 1)
 
@@ -111,6 +117,32 @@ def _log_terms(log_w, a: float | None, size: int) -> np.ndarray:
     if a is not None:
         lg += ln_gamma(a + n)
     return np.multiply.outer(log_w, n) - lg
+
+
+def _weighted_means(log_t: np.ndarray, weights: np.ndarray,
+                    factor) -> tuple[np.ndarray, np.ndarray]:
+    """factor sum t_n w_n / sum t_n and ln sum t_n, per row of a log-term table.
+
+    log_t holds ln t_n with one row per argument, as :func:`_log_terms`
+    gives it; weights holds w_n as one column (1-d) or one column per mean
+    (2-d), and factor broadcasts against the means.  A row whose largest
+    log-term is not a normal double is divided by that term first, so its
+    terms do not underflow: its means are unchanged and every other row
+    keeps its bits.  A cell whose factor sum t_n w_n is not a normal double
+    lost digits or underflowed, so it forms factor (sum t_n w_n / sum t_n).
+    """
+    top = log_t.max(axis=1)
+    shift = np.where(top < _LOG_MIN_NORMAL, top, 0.0)
+    terms = np.exp(log_t - shift[:, np.newaxis])
+    weighted, total = terms @ weights, np.sum(terms, axis=1)
+    per_cell = total if weighted.ndim == 1 else total[:, np.newaxis]
+    cell = factor * weighted
+    means = cell / per_cell
+    # one scalar test spares every table without such a cell the array work
+    if cell.min() < sys.float_info.min:
+        low = cell < sys.float_info.min
+        means[low] = (factor * (weighted / per_cell))[low]
+    return means, np.log(total) + shift
 
 
 def _series_cut(log_w, a: float | None, log_tol=None, ratio: float = 1.0,

@@ -358,6 +358,24 @@ class TestValidationErrors:
         assert err.startswith("error: Unable to allocate")
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_failed_rename_leaves_no_output(self, capsys, tmp_path, monkeypatch):
+        # the CSV was renamed into place before the summary's rename failed,
+        # and stayed there
+        replace, calls = os.replace, []
+
+        def second_fails(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError(f"cannot rename onto {dst}")
+            replace(src, dst)
+        monkeypatch.setattr(os, "replace", second_fails)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("kbound-scan", "--out", "s.csv", "--summary", "s.json") == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: cannot rename onto s.json\n")
+        assert calls == ["s.csv", "s.json"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_run_leaves_no_output_file(self, capsys, tmp_path):
         target = tmp_path / "never.csv"
         code = run_cli("completeness", "--k", "0.25", "--n", "0",

@@ -368,6 +368,46 @@ def test_coherent_dim_drops_weight_below_1e_14(r):
         alpha_expectations(0.5, r, dim=dim - 1)
 
 
+@pytest.mark.parametrize("r", [343.0, 345.0, 373.0, 415.0, 440.0, 442.0])
+def test_alpha_expectations_hold_their_routes_at_large_r(r):
+    # the Poisson weights' common rounding once put the K3 matrix mean
+    # 1.187e-05 from r^2 + k, against a 1.177e-05 tolerance, at r = 343
+    ae = alpha_expectations(1.0, r)
+    assert ae.mean_k3 == r * r + 1.0
+
+
+def _h_reference(k, r):
+    # h1 and h2 at 30 digits, summed over the n within 12 r + 40 of the peak
+    # n = r^2: the Poisson weights outside lie below 1e-30 of the largest
+    with mpmath.workdps(30):
+        k, r = mpmath.mpf(k), mpmath.mpf(r)
+        r2 = r * r
+        lo = max(0, int(r2 - 12 * r - 40))
+        term = mpmath.exp(lo * mpmath.log(r2) - mpmath.loggamma(lo + 1) - r2)
+        total = s1 = s2 = mpmath.mpf(0)
+        for n in range(lo, int(r2 + 12 * r + 40)):
+            root = mpmath.sqrt(n + 2 * k)
+            total += term
+            s1 += term * root
+            s2 += term * root * (1 / (n + k) + 1 / (n + k + 1))
+            term = term * r2 / (n + 1)
+        return float(s1 / total), float(r / 2 * s2 / total)
+
+
+def test_h1_h2_against_mpmath_up_to_the_radius_limit():
+    # the means divide by their own total; the bare Poisson sums were off by
+    # -9.0e-14 at r = 20 and 8.9e-12 at r = 100
+    rng = np.random.default_rng(26)
+    rs = np.append(np.exp(rng.uniform(math.log(1e-3), math.log(442.668), 10)), 442.668)
+    ks = rng.uniform(0.1, 3.0, rs.size)
+    worst = 0.0
+    for k, r in zip(ks.tolist(), rs.tolist()):
+        ae = alpha_expectations(k, r)
+        for got, want in zip((ae.h1, ae.h2), _h_reference(k, r)):
+            worst = max(worst, abs(got - want) / want)
+    assert worst < 1e-14
+
+
 def test_alpha_validation():
     with pytest.raises(DomainError):
         alpha_expectations(0.0, 1.0)

@@ -224,6 +224,18 @@ def test_alpha_expectations_refuse_a_nan_matrix_value(monkeypatch):
         alpha_expectations(1.0, 0.5 + 0.5j)
 
 
+@pytest.mark.parametrize("shift", [1e-9, math.nan])
+def test_radial_sums_refuse_a_wrong_poisson_total(monkeypatch, shift):
+    # every weight off by the factor e^shift: the means divide it away, the
+    # raw total does not.  The first radius that fails is named
+    log_terms = fockreal._log_terms
+    monkeypatch.setattr(fockreal, "_log_terms", lambda *args: log_terms(*args) + shift)
+    with pytest.raises(TruncationError, match=r"Poisson weights: raw total and 1 .* r=1\.0$"):
+        h2_curve(1.0, [0.0, 1.0, 2.0])
+    with pytest.raises(TruncationError, match="Poisson weights: raw total and 1"):
+        alpha_expectations(1.0, 0.5 + 0.5j)
+
+
 def test_squared_boson_refuses_a_nan_sector(monkeypatch):
     monkeypatch.setattr(fockreal, "build_kplus", _nan_build(build_kplus, only_k=0.75))
     with pytest.raises(InconsistentDataError, match="odd sector raising"):

@@ -344,6 +344,23 @@ def test_bessel_k_unrepresentable_raises():
 
 
 # ---------------------------------------------------------------------------
+# the series mean
+
+
+def test_weighted_means_take_out_the_largest_term_of_an_underflowing_row():
+    # the second row lies 800 below the first, where its terms alone would
+    # all underflow; two weight columns, and a factor per row
+    log_t = np.array([[0.0, 0.5], [-800.0, -799.5]])
+    weights = np.array([[1.0, 0.5], [4.0, 0.5]])
+    means, log_total = specfun._weighted_means(log_t, weights, np.array([[1.0], [2.0]]))
+    total = 1.0 + math.exp(0.5)
+    mean = (1.0 + 4.0 * math.exp(0.5)) / total
+    assert np.allclose(means, [[mean, 0.5], [2.0 * mean, 1.0]], rtol=1e-15, atol=0.0)
+    assert np.allclose(log_total, [math.log(total), math.log(total) - 800.0],
+                       rtol=1e-15, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
 # identities tying I and K together
 
 
