@@ -49,6 +49,14 @@ def check_route(site: str, deviation: float, tol: float, error=TruncationError,
         raise error(f"{site} disagree by {deviation:.3e} (tolerance {tol:.3e}) {context}".rstrip())
 
 
+def _worst(*values):
+    # the largest value (0.0 if none), or NaN if any is: the built-in max keeps
+    # a NaN only in first position, so max(0.0, nan) would read as a pass
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    return max(values, default=0.0)
+
+
 def _integer(value) -> int:
     # an int, or a number equal to one; never a bool
     number = int(value)

@@ -10,11 +10,11 @@ half-integer index at once, one per fixed photon-number difference.
 
 Every operator here, generator or phase operator, is one to three
 diagonals and so a ``repalg.TruncatedOperator`` like the abstract ones,
-with extended-precision diagonals (complex only for the sines) and ``k``
-set only where the space carries a single index; its dense matrix is the
-read-only ``entries`` view, built on first access.  Extended precision
-matches the abstract builders: double-precision ladder products alone would
-exceed the commutator residual budget near the truncation cut.  A
+with diagonals in the ``repalg`` storage precision, read from that module
+when a builder runs (the ``repalg`` module docstring says why; complex
+only for the sines), and ``k`` set only where the space carries a single
+index; its dense matrix is the read-only ``entries`` view, built on first
+access.  A
 single-space generator triple is a ``Generators(kp, km, k3)``; the
 two-mode triple is a ``TwoModeOps`` with its sector table.  The
 oscillator and historical cos/sin pairs are each held, like the abstract
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import repalg
 from .errors import DomainError, InconsistentDataError, TruncationError, check_domain, check_route
 from .repalg import (
     RepLabel,
@@ -143,10 +144,10 @@ def hp_generators(k: float, dim: int) -> Generators:
     k = check_domain("k", k)
     if check_domain("dim", dim, "positive integer") < 2:
         raise DomainError(f"hp_generators requires dim >= 2, got {dim}")
-    n = np.arange(dim, dtype=np.longdouble)
+    n = np.arange(dim, dtype=repalg._REAL)
     # entry (n+1, n) of a+ sqrt(N+2k) and (n, n+1) of sqrt(N+2k) a
-    amp = np.sqrt(n[1:]) * np.sqrt(n[:-1] + 2.0 * np.longdouble(k))
-    kp, km, k3 = {-1: amp}, {1: amp}, {0: n + np.longdouble(k)}
+    amp = np.sqrt(n[1:]) * np.sqrt(n[:-1] + 2.0 * repalg._REAL(k))
+    kp, km, k3 = {-1: amp}, {1: amp}, {0: n + k}
     # the whole space is one sector
     _check_sectors(kp, k3, [("dressed", 0)], 1, dim, k)
     return Generators(*(TruncatedOperator(dim, k, bands) for bands in (kp, km, k3)))
@@ -166,10 +167,10 @@ def hp_phase_ops(k: float, dim: int) -> PhaseOperatorPair:
     k = check_domain("k", k)
     if check_domain("dim", dim, "positive integer") < 2:
         raise DomainError(f"hp_phase_ops requires dim >= 2, got {dim}")
-    n = np.arange(dim, dtype=np.longdouble)
-    inv = 1.0 / (n + np.longdouble(k))
-    invp = 1.0 / (n + np.longdouble(k) + 1.0)
-    f_diag = 0.5 * np.sqrt(n + 2.0 * np.longdouble(k)) * (inv + invp)
+    n = np.arange(dim, dtype=repalg._REAL)
+    inv = 1.0 / (n + k)
+    invp = 1.0 / (n + k + 1.0)
+    f_diag = 0.5 * np.sqrt(n + 2.0 * repalg._REAL(k)) * (inv + invp)
     # F a has entries (n, n+1) = F(n) sqrt(n+1)
     pair = PhaseOperatorPair(f_diag[:-1] * np.sqrt(n[1:]), k)
 
@@ -194,7 +195,7 @@ def dirac_sg_ops(dim: int) -> tuple[PhaseOperatorPair, PhaseOperatorPair]:
     """
     if check_domain("dim", dim, "positive integer") < 2:
         raise DomainError(f"dirac_sg_ops requires dim >= 2, got {dim}")
-    n = np.arange(dim, dtype=np.longdouble)
+    n = np.arange(dim, dtype=repalg._REAL)
     root = np.sqrt(n[1:])
     # entries (n, n+1) of a N^{-1/2}, whose patched N^{-1/2}|0> never enters,
     # and of (N+1)^{-1/2} a
@@ -379,7 +380,7 @@ def squared_boson(dim: int) -> Generators:
     """
     if check_domain("dim", dim, "positive integer") < 4:
         raise DomainError(f"squared_boson requires dim >= 4, got {dim}")
-    n = np.arange(dim, dtype=np.longdouble)
+    n = np.arange(dim, dtype=repalg._REAL)
     root = np.sqrt(n[1:])
     # entry (n+2, n) of (a+)^2/2 and (n, n+2) of a^2/2
     amp = 0.5 * (root[1:] * root[:-1])
@@ -408,14 +409,14 @@ def two_mode(dim_per_mode: int) -> TwoModeOps:
     d = dim_per_mode
     if check_domain("dim_per_mode", d, "positive integer") < 2:
         raise DomainError(f"two_mode requires dim_per_mode >= 2, got {d}")
-    root = np.sqrt(np.arange(1, d, dtype=np.longdouble))
+    root = np.sqrt(np.arange(1, d, dtype=repalg._REAL))
     # entry (n1+1, n2+1; n1, n2) is sqrt(n1+1) sqrt(n2+1); row-major over
     # (n1, n2) that is the outer product, with n2 = d - 1 as the zero column
     amp = np.outer(root, np.append(root, 0.0)).ravel()[:-1]
     kp, km = {-(d + 1): amp}, {d + 1: amp}
     n1 = np.repeat(np.arange(d), d)
     n2 = np.tile(np.arange(d), d)
-    k3 = {0: 0.5 * (n1 + n2 + 1).astype(np.longdouble)}
+    k3 = {0: 0.5 * (n1 + n2 + 1).astype(repalg._REAL)}
 
     # sectors s and -s share k = (1 + |s|)/2 and size d - |s|, so one
     # abstract build serves both; s starts at (s, 0), -s at (0, s), and

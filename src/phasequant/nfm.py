@@ -42,6 +42,7 @@ from .errors import (
     DegenerateReadingError,
     DomainError,
     InconsistentDataError,
+    _worst,
     check_domain,
     check_route,
 )
@@ -206,7 +207,7 @@ def poisson_bracket_check(samples, h: float = 1e-5) -> float:
     worst = 0.0
     for phi, p in samples:
         phi, p = check_domain("phi", phi, "finite real"), check_domain("p", p)
-        worst = max(
+        worst = _worst(
             worst,
             abs(bracket(_p3, _p1, phi, p) + _p2(phi, p)),
             abs(bracket(_p3, _p2, phi, p) - _p1(phi, p)),

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import repalg
 from .errors import DomainError, TruncationError, check_domain, check_route
 from .repalg import (
     RepLabel,
@@ -143,7 +144,8 @@ def f_coeff(k: float, n: int) -> float:
     """Tridiagonal coupling sqrt(n(2k+n-1)) (1/(k+n) + 1/(k+n-1)); 0 at n=0.
 
     The same expression, in double precision, that ``build_phase_ops``
-    evaluates in extended precision and ``improper_eigvec`` over an array.
+    evaluates in the ``repalg`` storage precision (the ``repalg`` module
+    docstring says why) and ``improper_eigvec`` over an array.
     """
     check_domain("k", k)
     check_domain("n", n, "nonnegative integer")
@@ -171,9 +173,10 @@ def build_phase_ops(label: RepLabel, dim: int) -> PhaseOperatorPair:
     diagonal K3 the two are algebraically identical even after truncation.
     """
     _, km = _ladder(label, dim, "build_phase_ops")
-    inv = 1.0 / (np.clongdouble(label.k) + np.arange(dim, dtype=np.clongdouble))
-    f = _coupling(np.clongdouble(label.k), np.arange(1, dim, dtype=np.clongdouble))
-    pair = PhaseOperatorPair(np.clongdouble(label.omega).conjugate() * f / 2.0, label.k,
+    k, n = repalg._COMPLEX(label.k), np.arange(dim, dtype=repalg._COMPLEX)
+    inv = 1.0 / (k + n)
+    f = _coupling(k, n[1:])
+    pair = PhaseOperatorPair(repalg._COMPLEX(label.omega).conjugate() * f / 2.0, label.k,
                              label.omega)
 
     # relative to the largest entry max|f|/4 once that passes 1 (k below
@@ -473,7 +476,10 @@ def improper_eigvec(k: float, mu: float, a0: float, nmax: int) -> ImproperEigvec
     Solves the formal eigenvalue equation of the infinite cos operator row
     by row.  Coefficients can grow geometrically for |mu| > 1, so the whole
     prefix is rescaled by the running maximum every 64 steps once it passes
-    1e100, with the accumulated log reported in ``log_scale``.
+    1e100, with the accumulated log reported in ``log_scale``.  A row is
+    about 4|mu|/f_n times the one before, so a large |mu| (5e4 at k <= 5,
+    2e4 at k = 100, 1e4 at k = 1e4) takes a row past double range before
+    a rescaling; that raises DomainError naming mu and the row.
     """
     check_domain("k", k)
     check_domain("mu", mu, "finite real")
@@ -493,8 +499,14 @@ def improper_eigvec(k: float, mu: float, a0: float, nmax: int) -> ImproperEigvec
         a[n + 1] = cur
         running_max = max(running_max, abs(cur))
         if (n + 1) % _RENORM_EVERY == 0 and running_max > _RENORM_THRESHOLD:
+            if running_max == math.inf:
+                break  # dividing by it would make NaNs; the check below names the row
             a[: n + 2] /= running_max
             prev, cur = prev / running_max, cur / running_max
             log_scale += math.log(running_max)
             running_max = 1.0
+    bad = np.flatnonzero(~np.isfinite(a))
+    if bad.size:
+        raise DomainError(f"improper_eigvec: row {bad[0]} leaves double range at mu={mu!r} "
+                          f"between two rescalings, {_RENORM_EVERY} rows apart")
     return ImproperEigvec(values=a, log_scale=log_scale)

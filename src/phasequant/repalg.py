@@ -15,14 +15,18 @@ checks that assert them (``commutator_residual``, ``commutator_gap``) take
 the window as an argument.
 
 Operators are stored as their diagonals {offset j - i: vector} (LAPACK band
-storage), in extended precision: ``np.clongdouble`` when any diagonal is
-complex, as for the abstract builders here, and ``np.longdouble`` otherwise,
-as for the real bosonic realizations in ``fockreal``.  The ladder amplitudes
-are square roots whose double rounding alone contributes ~|entry|^2 * 1e-16
-to commutator residuals, which at dim = 256 is ~1e-11 and would drown the
-algebra checks; 80-bit storage pushes that floor below 1e-13.  Products are
-formed diagonal by diagonal, which both respects the extended width (BLAS
-would silently downcast) and is far cheaper than dense multiplication.
+storage), in the precision this module alone names: ``_COMPLEX``
+(``np.clongdouble``) when any diagonal is complex, as for the abstract
+builders here, and ``_REAL`` (``np.longdouble``) otherwise, as for the real
+bosonic realizations in ``fockreal``, which reads the names when it builds,
+as ``phaseops`` does.  The ladder amplitudes are square roots whose double
+rounding alone contributes ~|entry|^2 * 1e-16 to commutator residuals, which
+at dim = 256 is ~1e-11 and would drown the algebra checks; the 80-bit long
+double of x86-64 Linux pushes that floor below 1e-13.  Where it is a plain
+double (MSVC, macOS arm64), ``verify``'s "five realizations close the
+algebra" fails (1.8e-12 against 1e-12).  Products are formed diagonal by
+diagonal, which both respects the extended width (BLAS would silently
+downcast) and is far cheaper than dense multiplication.
 
 The serializers ``csv_lines`` and ``json_envelope`` write the full dense
 matrix but read only the diagonals: each row starts as a copy of one
@@ -41,7 +45,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, check_domain
+from .errors import DimensionMismatchError, DomainError, _worst, check_domain
 from .specfun import ln_gamma
 
 __all__ = [
@@ -67,6 +71,9 @@ __all__ = [
 ]
 
 GROUP_TAGS = ("SO12", "SU11", "UniversalCover")
+
+# the storage precision of every operator; the module docstring says why
+_REAL, _COMPLEX = np.longdouble, np.clongdouble
 
 _INT_TOL = 1e-12
 
@@ -120,8 +127,7 @@ class TruncatedOperator:
     diagonals : mapping of int to array-like
         Offset d holds entries (i, i + d) in order of i, dim - |d| of them;
         absent offsets are zero, so nothing can lie outside the band.  All
-        are stored as ``np.clongdouble`` if any is complex, else as
-        ``np.longdouble``.
+        are stored as ``_COMPLEX`` if any is complex, else as ``_REAL``.
     name : str
         Label used by the serialization envelope.
     omega : complex
@@ -139,7 +145,7 @@ class TruncatedOperator:
         if self.k is not None:
             check_domain("k", self.k, message="k must be positive, got {value}")
         complex_kind = any(np.iscomplexobj(v) for v in self.diagonals.values())
-        dtype = np.clongdouble if complex_kind else np.longdouble
+        dtype = _COMPLEX if complex_kind else _REAL
         diags = {}
         for offset, values in sorted(self.diagonals.items()):
             vec = np.array(values, dtype=dtype)
@@ -160,7 +166,7 @@ class TruncatedOperator:
     def entries(self) -> np.ndarray:
         """Read-only dense dim x dim view in the stored dtype, built on first access."""
         arr = np.zeros((self.dim, self.dim),
-                       dtype=np.result_type(np.longdouble, *self.diagonals.values()))
+                       dtype=np.result_type(_REAL, *self.diagonals.values()))
         for d, vec in self.diagonals.items():
             rows = np.arange(vec.size) + max(0, -d)
             arr[rows, rows + d] = vec
@@ -186,7 +192,7 @@ class FluctuationRecord:
 def build_k3(label: RepLabel, dim: int) -> TruncatedOperator:
     """Diagonal compact generator, entries n + k."""
     check_domain("dim", dim, "positive integer")
-    diag = np.clongdouble(label.k) + np.arange(dim, dtype=np.clongdouble)
+    diag = _COMPLEX(label.k) + np.arange(dim, dtype=_COMPLEX)
     return TruncatedOperator(
         dim=dim, k=label.k, diagonals={0: diag}, name="K3", omega=label.omega,
     )
@@ -200,9 +206,9 @@ def _ladder(label: RepLabel, dim: int, caller: str) -> tuple[dict, dict]:
     # makes K- = (K+)^dag hold entrywise rather than to rounding.
     if check_domain("dim", dim, "positive integer") < 2:
         raise DomainError(f"{caller} requires dim >= 2, got {dim}")
-    n = np.arange(dim - 1, dtype=np.clongdouble)
-    a = np.sqrt((2.0 * np.clongdouble(label.k) + n) * (n + 1.0))
-    omega = np.clongdouble(label.omega)
+    n = np.arange(dim - 1, dtype=_COMPLEX)
+    a = np.sqrt((2.0 * _COMPLEX(label.k) + n) * (n + 1.0))
+    omega = _COMPLEX(label.omega)
     return {-1: omega * a}, {1: omega.conjugate() * a}
 
 
@@ -234,7 +240,7 @@ def build_k1(label: RepLabel, dim: int) -> TruncatedOperator:
 def build_k2(label: RepLabel, dim: int) -> TruncatedOperator:
     """K2 = (K+ - K-)/(2i)."""
     kp, km = _ladder(label, dim, "build_k2")
-    diags = {d: (kp.get(d, 0) - km.get(d, 0)) / np.clongdouble(2.0j)
+    diags = {d: (kp.get(d, 0) - km.get(d, 0)) / _COMPLEX(2.0j)
              for d in sorted(set(kp) | set(km))}
     return TruncatedOperator(
         dim=dim, k=label.k, diagonals=diags, name="K2", omega=label.omega,
@@ -243,9 +249,7 @@ def build_k2(label: RepLabel, dim: int) -> TruncatedOperator:
 
 def band_gap(x, y) -> float:
     """Entrywise max |x - y| of two diagonal maps (absent ones zero); NaN if any is."""
-    gaps = [float(abs(x.get(d, 0) - y.get(d, 0)).max()) for d in set(x) | set(y)]
-    # the built-in max keeps a NaN only where it comes first; the sum keeps it
-    return math.nan if math.isnan(sum(gaps)) else max(gaps, default=0.0)
+    return _worst(*(float(abs(x.get(d, 0) - y.get(d, 0)).max()) for d in set(x) | set(y)))
 
 
 def banded_matmul(a, b, dim: int) -> dict:
@@ -306,7 +310,7 @@ def casimir(label: RepLabel, dim: int) -> TruncatedOperator:
     leaves no trace.
     """
     kp, km = _ladder(label, dim, "casimir")
-    k3d = np.clongdouble(label.k) + np.arange(dim, dtype=np.clongdouble)
+    k3d = _COMPLEX(label.k) + np.arange(dim, dtype=_COMPLEX)
     diags = banded_matmul(kp, km, dim)
     diags[0] = diags.get(0, 0) + k3d * (1.0 - k3d)
     return TruncatedOperator(
@@ -336,7 +340,7 @@ def commutator_residual(
         margin = 2 * (a.bandwidth + b.bandwidth)
     if not check_domain("margin", margin, "nonnegative integer") < a.dim:
         raise DomainError(f"margin must lie in [0, dim), got {margin} for dim {a.dim}")
-    scaled = {d: np.clongdouble(sign * 1j) * v for d, v in expected.diagonals.items()}
+    scaled = {d: _COMPLEX(sign * 1j) * v for d, v in expected.diagonals.items()}
     inside = np.arange(a.dim) < a.dim - margin
     return commutator_gap(a.diagonals, b.diagonals, scaled, a.dim, inside)
 

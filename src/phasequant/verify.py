@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import MODULE_ORDER, bgstates, fockreal, nfm, phaseops, repalg, specfun
+from .errors import _worst
 
 __all__ = ["CheckResult", "run_all", "MODULE_ORDER"]
 
@@ -39,12 +40,6 @@ def _check(results: list, module: str, name: str, fn) -> None:
     except Exception as exc:  # noqa: BLE001 - battery must keep going
         passed, detail = False, f"{type(exc).__name__}: {exc}"
     results.append(CheckResult(module=module, name=name, passed=passed, detail=detail))
-
-
-def _fold(*values: float) -> float:
-    # the largest value, or NaN if any is NaN, as repalg.band_gap folds; the
-    # built-in max(0.0, nan) is 0.0, so a NaN residual would read as a pass
-    return math.nan if math.isnan(sum(values)) else max(values)
 
 
 def _sum_squares_diagonal(k: float, dim: int) -> np.ndarray:
@@ -69,7 +64,7 @@ def _specfun_checks(results: list) -> None:
         for nu, x in points:
             lhs = specfun.bessel_i(nu - 1.0, x) - specfun.bessel_i(nu + 1.0, x)
             rhs = (2.0 * nu / x) * specfun.bessel_i(nu, x)
-            worst = _fold(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
+            worst = _worst(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
         return worst < 1e-10, f"max relative residual {worst:.3e}"
 
     def wronskian():
@@ -77,7 +72,7 @@ def _specfun_checks(results: list) -> None:
         for nu, x in points:
             lhs = (specfun.bessel_i(nu, x) * specfun.bessel_k(nu + 1.0, x)
                    + specfun.bessel_i(nu + 1.0, x) * specfun.bessel_k(nu, x))
-            worst = _fold(worst, abs(lhs * x - 1.0))
+            worst = _worst(worst, abs(lhs * x - 1.0))
         return worst < 1e-10, f"max |x*W - 1| = {worst:.3e}"
 
     def half_integer():
@@ -85,8 +80,8 @@ def _specfun_checks(results: list) -> None:
         for x in (0.5, 2.0, 10.0, 30.0):
             ref_i = math.sqrt(2.0 / (math.pi * x)) * math.sinh(x)
             ref_k = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x)
-            worst = _fold(worst, abs(specfun.bessel_i(0.5, x) / ref_i - 1.0),
-                        abs(specfun.bessel_k(0.5, x) / ref_k - 1.0))
+            worst = _worst(worst, abs(specfun.bessel_i(0.5, x) / ref_i - 1.0),
+                         abs(specfun.bessel_k(0.5, x) / ref_k - 1.0))
         return worst < 1e-12, f"max relative error {worst:.3e}"
 
     def asymptotic_remainder():
@@ -132,7 +127,7 @@ def _repalg_checks(results: list) -> None:
             diag = _sum_squares_diagonal(k, 64)
             for n in (0, 10, 40):
                 closed = repalg.fluctuation_closed_forms(k, n).sum_squares
-                worst = _fold(worst, abs(float(diag[n]) - closed))
+                worst = _worst(worst, abs(float(diag[n]) - closed))
         return worst < 1e-12, f"max |matrix - closed| = {worst:.3e}"
 
     def omega_covariance():
@@ -173,7 +168,7 @@ def _phaseops_checks(results: list) -> None:
             label = repalg.RepLabel(k=k)
             pair = phaseops.build_phase_ops(label, 64)
             k3 = repalg.build_k3(label, 64)
-            worst = _fold(
+            worst = _worst(
                 worst,
                 repalg.commutator_residual(k3, pair.cos, pair.sin, sign=-1.0, margin=4),
                 repalg.commutator_residual(k3, pair.sin, pair.cos, sign=1.0, margin=4),
@@ -192,7 +187,7 @@ def _phaseops_checks(results: list) -> None:
             for x, y, sign in ((mm(cos, sin, 64), mm(sin, cos, 64), -1.0),
                                (mm(cos, cos, 64), mm(sin, sin, 64), 1.0)):
                 prod = {d: x.get(d, 0) + sign * y.get(d, 0) for d in set(x) | set(y)}
-                worst = _fold(worst, repalg.commutator_gap(prod, k3, {}, 64, inside))
+                worst = _worst(worst, repalg.commutator_gap(prod, k3, {}, 64, inside))
         return worst < 1e-12, f"max interior commutant residual {worst:.3e}"
 
     def ground_equality():
@@ -210,7 +205,7 @@ def _phaseops_checks(results: list) -> None:
             diag = repalg.banded_matmul(cos, cos, 256)[0].real
             for n in (50, 100, 200):
                 closed = phaseops.cos_squared_diag_asymptote(k, n)
-                worst = _fold(worst, abs(float(diag[n]) / closed - 1.0) * n ** 4)
+                worst = _worst(worst, abs(float(diag[n]) / closed - 1.0) * n ** 4)
         return worst < 10.0, f"max rel err * n^4 = {worst:.3f}"
 
     def containment(k, expect_bounded):
@@ -246,7 +241,7 @@ def _bgstates_checks(results: list) -> None:
             m = state.dim
             bound = math.sqrt(state.tail_tol / max(state.rho, 1e-30)
                               * m * (2.0 * k + m - 1.0)) + 1e-13
-            worst = _fold(worst, resid / bound)
+            worst = _worst(worst, resid / bound)
         return worst <= 1.0, f"worst residual/bound = {worst:.3f}"
 
     def dual_routes():
@@ -274,7 +269,7 @@ def _bgstates_checks(results: list) -> None:
             s1 = bgstates.make_bg_state(k, z1)
             s2 = bgstates.make_bg_state(k, z2)
             mag = abs(bgstates.overlap(s1, s2))
-            worst = _fold(worst, mag)
+            worst = _worst(worst, mag)
             if abs(z1 - z2) > 0.3 and mag >= 1.0 - 1e-8:
                 strict_ok = False
             if not abs(bgstates.overlap(s1, s1)) >= 1.0 - 1e-12:
@@ -320,21 +315,21 @@ def _fockreal_checks(results: list) -> None:
         for k in (0.25, 0.5, 1.0, 2.0):
             g = fockreal.hp_generators(k, 64)
             kp, km, k3 = g.kp.diagonals, g.km.diagonals, g.k3.diagonals
-            worst = _fold(worst, gap(kp, km, {0: -2.0 * k3[0]}, 64, inside),
-                        gap(k3, kp, kp, 64, inside))
+            worst = _worst(worst, gap(kp, km, {0: -2.0 * k3[0]}, 64, inside),
+                         gap(k3, kp, kp, 64, inside))
         sb = fockreal.squared_boson(64)
-        worst = _fold(worst, gap(sb.kp.diagonals, sb.km.diagonals,
-                               {0: -2.0 * sb.k3.diagonals[0]}, 64, inside))
+        worst = _worst(worst, gap(sb.kp.diagonals, sb.km.diagonals,
+                                {0: -2.0 * sb.k3.diagonals[0]}, 64, inside))
         tm = fockreal.two_mode(8)
         d = tm.dim_per_mode
         n1, n2 = np.divmod(np.arange(d * d), d)
-        worst = _fold(worst, gap(tm.kp.diagonals, tm.km.diagonals,
-                               {0: -2.0 * tm.k3.diagonals[0]}, d * d,
-                               np.maximum(n1, n2) <= d - 2))
+        worst = _worst(worst, gap(tm.kp.diagonals, tm.km.diagonals,
+                                {0: -2.0 * tm.k3.diagonals[0]}, d * d,
+                                np.maximum(n1, n2) <= d - 2))
         _, sg = fockreal.dirac_sg_ops(64)
-        n = {0: np.arange(64, dtype=np.longdouble)}
+        n = {0: np.arange(64.0)}
         sin = {d: -1j * v for d, v in sg.sin.diagonals.items()}
-        worst = _fold(worst, gap(n, sg.cos.diagonals, sin, 64, inside))
+        worst = _worst(worst, gap(n, sg.cos.diagonals, sin, 64, inside))
         return worst < 1e-12, f"max interior residual {worst:.3e}"
 
     def hp_equivalence():
@@ -342,7 +337,7 @@ def _fockreal_checks(results: list) -> None:
         for k in (0.25, 1.0):
             g = fockreal.hp_generators(k, 64)
             ref = repalg.build_kplus(repalg.RepLabel(k=k), 64)
-            worst = _fold(worst, repalg.band_gap(g.kp.diagonals, ref.diagonals))
+            worst = _worst(worst, repalg.band_gap(g.kp.diagonals, ref.diagonals))
         return worst < 1e-13, f"max entry gap {worst:.3e}"
 
     def band_decay():
@@ -386,9 +381,9 @@ def _nfm_checks(results: list) -> None:
             )
             obs = nfm.classical_observables(nfm.classical_readings(cfg))
             p = math.sqrt(cfg.I1 * cfg.I2)
-            worst = _fold(worst, abs(obs.P3 - p) / p,
-                        abs(obs.cos_phi - math.cos(cfg.phi)),
-                        abs(obs.sin_phi - math.sin(cfg.phi)))
+            worst = _worst(worst, abs(obs.P3 - p) / p,
+                         abs(obs.cos_phi - math.cos(cfg.phi)),
+                         abs(obs.sin_phi - math.sin(cfg.phi)))
         return worst < 1e-12, f"worst deviation {worst:.3e} over 1000 configs"
 
     def circle_and_casimir():
@@ -422,7 +417,7 @@ def _nfm_checks(results: list) -> None:
                 nfm.config_from_amplitudes(a1, p1 + c, a2, p2 + c))
             scale = base.I1 + base.I2
             for name in ("w3", "w4", "w5", "w6"):
-                worst = _fold(worst, abs(getattr(base, name) - getattr(moved, name)) / scale)
+                worst = _worst(worst, abs(getattr(base, name) - getattr(moved, name)) / scale)
         return worst < 1e-12, f"worst reading shift {worst:.3e}"
 
     _check(results, "nfm", "classical round trip", round_trip)

@@ -9,6 +9,8 @@ itself, not to the truncation.
 """
 
 import math
+import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -607,6 +609,17 @@ def test_improper_eigvec_bit_identical_to_per_step_coefficients():
             want, want_log = reference(k, mu, 1.0, 2000)
             assert np.array_equal(res.values, want)
             assert res.log_scale == want_log
+
+
+@pytest.mark.parametrize("mu, row", [(1e5, 59), (-1e5, 59), (1e300, 2), (1e308, 1)])
+def test_improper_eigvec_refuses_a_row_past_double_range(mu, row):
+    # rescaled only every 64 rows, a large |mu| overflows in between; that
+    # is refused, with no inf returned and no RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=re.escape(f"row {row} leaves double range "
+                                                        f"at mu={mu!r}")):
+            improper_eigvec(1.0, mu, 1.0, 2000)
 
 
 def test_improper_eigvec_validation():

@@ -1,8 +1,10 @@
 """Tests for the truncated generator matrices and algebra checks."""
 
+import ast
 import cmath
 import json
 import math
+import pathlib
 
 import mpmath
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasequant import phaseops, repalg
+from phasequant import fockreal, phaseops, repalg
 from phasequant.errors import DimensionMismatchError, DomainError
 from phasequant.repalg import (
     FluctuationRecord,
@@ -98,6 +100,42 @@ def test_stored_kind_follows_the_input():
     assert real.entries.dtype == np.longdouble
     assert {v.dtype for v in mixed.diagonals.values()} == {np.dtype(np.clongdouble)}
     assert mixed.entries.dtype == np.clongdouble
+
+
+def test_the_two_precision_names_switch_every_builder(monkeypatch):
+    # phaseops and fockreal read repalg's names when they build, so this one
+    # patch reaches every stored band of the package
+    monkeypatch.setattr(repalg, "_REAL", np.float64)
+    monkeypatch.setattr(repalg, "_COMPLEX", np.complex128)
+    label = RepLabel(k=0.75, omega=cmath.exp(0.3j))
+    ops = [build(label, 8) for build in (build_k3, build_kplus, build_kminus,
+                                         build_k1, build_k2, casimir)]
+    pairs = [phaseops.build_phase_ops(label, 8), fockreal.hp_phase_ops(0.75, 8),
+             *fockreal.dirac_sg_ops(8)]
+    ops += [op for p in pairs for op in (p.cos, p.sin)]
+    ops += [op for g in (fockreal.hp_generators(0.75, 8), fockreal.squared_boson(8),
+                         fockreal.two_mode(3)) for op in (g.kp, g.km, g.k3)]
+    doubles = {np.dtype(np.float64), np.dtype(np.complex128)}
+    assert {p.lower.dtype for p in pairs} <= doubles
+    for op in ops:
+        assert {v.dtype for v in op.diagonals.values()} <= doubles, op.name
+        assert op.entries.dtype in doubles, op.name
+
+
+def test_only_repalg_names_the_storage_precision():
+    # a module that named np.longdouble itself would escape the patch above
+    wide = {"longdouble", "clongdouble", "float96", "float128", "complex192", "complex256"}
+    named = []
+    for path in sorted(pathlib.Path(repalg.__file__).parent.glob("*.py")):
+        if path.name == "repalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            words = ({node.attr} if isinstance(node, ast.Attribute)
+                     else {node.id} if isinstance(node, ast.Name)
+                     else {alias.name for alias in node.names} if isinstance(node, ast.ImportFrom)
+                     else {node.value} if isinstance(node, ast.Constant) else set())
+            named += [f"{path.name}:{node.lineno}: {w}" for w in words & wide]
+    assert named == []
 
 
 def test_abstract_builders_store_extended_complex():

@@ -31,6 +31,7 @@ from phasequant.errors import (
     DomainError,
     InconsistentDataError,
     TruncationError,
+    _worst,
     check_route,
 )
 from phasequant.fockreal import (
@@ -110,6 +111,22 @@ def test_check_route_message_and_error_class():
 
 # ---------------------------------------------------------------------------
 # aggregators: NaN in any argument and diagonal order
+
+
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_worst_keeps_a_nan_in_any_position(at):
+    # the built-in max keeps a NaN only in first position
+    values = [0.0, 1.0, 2.0]
+    values[at] = math.nan
+    assert math.isnan(_worst(*values))
+    assert _worst(0.0, 2.0, 1.0) == 2.0 and _worst() == 0.0
+
+
+def test_poisson_bracket_check_keeps_a_nan_residual():
+    # 2h overflows, so every residual is NaN; the fold, which starts at 0.0,
+    # must not drop it
+    assert math.isnan(nfm.poisson_bracket_check([(0.3, 1.0)], h=1e308))
+    assert math.isnan(nfm.poisson_bracket_check([(0.3, 1.0), (0.0, 2.0)], h=1e308))
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])

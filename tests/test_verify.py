@@ -46,6 +46,17 @@ def test_a_module_named_twice_runs_once():
     assert modules.count("specfun") == 4
 
 
+def test_double_storage_fails_one_check_more(monkeypatch):
+    # with repalg's two names at the double types, as where np.longdouble is
+    # a plain double (MSVC, macOS arm64), the dressed ladder's interior
+    # commutators reach 1.8e-12 against 1e-12; every other verdict holds
+    monkeypatch.setattr(repalg, "_REAL", np.float64)
+    monkeypatch.setattr(repalg, "_COMPLEX", np.complex128)
+    failed = [r.name for r in verify.run_all() if not r.passed]
+    assert failed == ["containment claim k=0.5 (documented, fails honestly)",
+                      "five realizations close the algebra"]
+
+
 def test_band_check_details_match_dense_formulas():
     details = _details(["repalg", "nfm"])
 
