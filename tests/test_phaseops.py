@@ -10,6 +10,9 @@ itself, not to the truncation.
 
 import math
 import re
+import subprocess
+import sys
+import types
 import warnings
 
 import mpmath
@@ -373,11 +376,10 @@ def test_sturm_count_zero_pivot_counts_the_eigenvalue():
 
 
 def _counting_solver(monkeypatch, shift=None, info=None):
-    # wraps the half-size solve; shift edits its sorted eigenvalues of B^T B,
-    # which are the squares of the nonnegative cos eigenvalues
-    import scipy.linalg.lapack
-
-    solve = scipy.linalg.lapack.dpteqr
+    # wraps the half-size solve at its seam, the module phaseops._lapack
+    # returns; shift edits its sorted eigenvalues of B^T B, which are the
+    # squares of the nonnegative cos eigenvalues
+    solve = phaseops._lapack().dpteqr
     calls = []
 
     def wrapped(*args, **kwargs):
@@ -387,7 +389,7 @@ def _counting_solver(monkeypatch, shift=None, info=None):
             sq = shift(np.sort(sq))
         return sq, e, z, status if info is None else info
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dpteqr", wrapped)
+    monkeypatch.setattr(phaseops, "_lapack", lambda: types.SimpleNamespace(dpteqr=wrapped))
     return calls
 
 
@@ -433,6 +435,59 @@ def test_failed_half_size_solve_raises(monkeypatch):
     _counting_solver(monkeypatch, info=3)
     with pytest.raises(TruncationError, match="dpteqr failed"):
         phase_spectrum(build_phase_ops(RepLabel(k=1.0), 64))
+
+
+# solves every saved half-size band with the module phaseops._lapack returns,
+# in a fresh interpreter; "fallback" makes the private load's spec lookup fail
+_LOADED_SOLVES = """
+import sys
+import numpy as np
+from phasequant import phaseops
+bands, out, mode = sys.argv[1:]
+if mode == "fallback":
+    import importlib.util
+    def refuse(*args, **kwargs):
+        raise ImportError("spec lookup refused")
+    importlib.util.spec_from_file_location = refuse
+lapack = phaseops._lapack()
+bands = np.load(bands)
+names = sorted({key[:-2] for key in bands.files})
+np.savez(out, **{name: lapack.dpteqr(bands[name + "_d"], bands[name + "_e"],
+                                     np.zeros((1, 1)), compute_z=0)[0] for name in names})
+print(lapack.__name__, "scipy.linalg" in sys.modules)
+"""
+
+
+def test_loaded_solver_keeps_the_public_bits(tmp_path):
+    # the private load and its fallback give the bytes of the public routine,
+    # on the phase band of every (k, dim) and on a seeded random band of each size
+    import scipy.linalg.lapack
+
+    rng = np.random.default_rng(0)
+    bands = {}
+    for dim in (2, 3, 400, 2000, 2001):
+        for k in (0.25, 0.5, 1.0, 2.0):
+            pair = build_phase_ops(RepLabel(k=k), dim)
+            bands[f"k{k}-{dim}"] = phaseops._half_size_band(phaseops._cos_band(pair, "test"))
+        half = dim // 2
+        bands[f"random-{dim}"] = (rng.uniform(1.5, 3.0, half),
+                                  rng.uniform(-0.5, 0.5, max(half - 1, 1)))
+    saved = tmp_path / "bands.npz"
+    np.savez(saved, **{f"{name}_{part}": band for name, (d, e) in bands.items()
+                       for part, band in (("d", d), ("e", e))})
+    for mode, module, linalg_loaded in (("private", "scipy.linalg._flapack", "False"),
+                                        ("fallback", "scipy.linalg.lapack", "True")):
+        out = tmp_path / f"{mode}.npz"
+        result = subprocess.run([sys.executable, "-c", _LOADED_SOLVES, str(saved), str(out), mode],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == [module, linalg_loaded]
+        solved = np.load(out)
+        assert sorted(solved.files) == sorted(bands)
+        for name, (d, e) in bands.items():
+            public = scipy.linalg.lapack.dpteqr(d, e, np.zeros((1, 1)), compute_z=0)[0]
+            assert solved[name].dtype == public.dtype, (mode, name)
+            assert solved[name].tobytes() == public.tobytes(), (mode, name)
 
 
 @pytest.mark.parametrize("k", [0.25, 0.5, 1.0, 2.0])
