@@ -45,7 +45,7 @@ from .errors import (
     check_domain,
     check_route,
 )
-from .phaseops import build_phase_ops
+from .phaseops import _check_k, build_phase_ops
 from .repalg import RepLabel, banded_matvec, build_k1, build_k2
 from .specfun import (
     _k_quad,
@@ -584,7 +584,7 @@ def g_k(k: float, rho: float) -> float:
     agree to 1e-10; the unscaled value overflows past rho ~ 350 and is
     refused there.
     """
-    check_domain("k", k)
+    _check_k(k, "g_k")
     check_domain("rho", rho, "nonnegative real")
     if rho == 0.0:
         return 0.0
@@ -619,7 +619,7 @@ def ratio_gI(k: float, rho: float) -> float:
     w_0 = (1/k + 1/(k+1))/2.  rho above 8.99e307, where 2 rho overflows,
     raises DomainError.
     """
-    check_domain("k", k)
+    _check_k(k, "ratio_gI")
     _check_rho(rho, "ratio_gI")
     if rho == 0.0:
         return 0.0
@@ -682,7 +682,8 @@ def kbound_scan(k_grid: np.ndarray | None = None,
     series mean: a row whose terms would underflow is divided by its largest
     first, and a cell whose rho sum t_n w_n is not a normal double forms
     rho (sum t_n w_n / sum t_n) instead.  ``ratio_gI`` is the one cell of a
-    one-point scan.  Every grid value must be a positive real.
+    one-point scan.  Every grid value must be a positive real, and every k
+    at least ``phaseops._K_MIN``, the smallest normal double.
     """
     k_values = _default_k_grid() if k_grid is None else np.asarray(k_grid, dtype=float)
     rho_values = (
@@ -691,7 +692,7 @@ def kbound_scan(k_grid: np.ndarray | None = None,
     if k_values.size == 0 or rho_values.size == 0:
         raise DomainError("kbound_scan requires nonempty grids")
     for value in k_values.tolist():
-        check_domain("k", value)
+        _check_k(value, "kbound_scan")
     for value in rho_values.tolist():
         _check_rho(value, "kbound_scan", "positive real")
 

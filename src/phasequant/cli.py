@@ -16,9 +16,12 @@ Library modules return data, not text, and so do the subcommand handlers:
 each returns its exit code, stdout text, CSV rows and JSON payload, and
 ``main`` alone prints and writes them.  ``--out`` gets the rows as CSV, or
 the payload under ``--format json`` or where a subcommand has no rows
-(``verify-all``); ``--summary`` gets the payload.  Only this module renders
-values, by one rule: a float, numpy's included, is the repr of its double,
-which round-trips; integers and labels are their text; NaN is JSON null.
+(``verify-all``); ``--summary`` gets the payload.  Values are rendered by
+one rule: a float, numpy's included, is the repr of its double, which
+round-trips; integers and labels are their text; NaN is JSON null.  This
+module applies it, and so do the operator serializers in ``repalg``:
+``csv_lines`` writes the repr of each double, and ``json_envelope`` returns
+Python floats, which ``json`` writes by the same repr.
 """
 
 from __future__ import annotations
@@ -344,7 +347,7 @@ def _cmd_oscillator(args):
     end = float(h2[-1])
     rows = _csv_rows(("r", "h2"), zip(r, h2))
     payload = {"k": args.k, "r": r, "h2": h2, "max_h2": top, "h2_end": end}
-    return 0, f"max h2 = {top!r}, h2({args.r_max!r}) = {end!r}", rows, payload
+    return 0, f"max h2 = {top!r}, h2({float(r[-1])!r}) = {end!r}", rows, payload
 
 
 def _cmd_two_mode(args):

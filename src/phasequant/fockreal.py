@@ -42,7 +42,7 @@ from .repalg import (
     build_kplus,
     commutator_gap,
 )
-from .phaseops import PhaseOperatorPair, build_phase_ops
+from .phaseops import PhaseOperatorPair, _check_k, build_phase_ops
 from .specfun import _log_terms, _series_cut, _weighted_means
 
 __all__ = [
@@ -160,8 +160,9 @@ def hp_phase_ops(k: float, dim: int) -> PhaseOperatorPair:
     symmetrized against 1/(N+k) into the single band profile
     F_k(N) = sqrt(N+2k) (1/(N+k) + 1/(N+k+1)) / 2, so that
     cos = (a+ F + F a)/2 and sin = i (a+ F - F a)/2 share the lowering band
-    F a.  Its cos must agree with the abstract phase-operator pair to 1e-13,
-    entry by entry: half the gap of the two bands, as sin is formed from
+    F a.  Its cos must agree with the abstract phase-operator pair to
+    1e-13 * max(1, max|E|/2), relative to its largest entry once that passes
+    1, entry by entry: half the gap of the two bands, as sin is formed from
     the same band.
     """
     k = check_domain("k", k)
@@ -239,7 +240,7 @@ def alpha_expectations(k: float, alpha: complex, dim: int | None = None) -> Alph
     442.668, where the radial series is no longer cut within 200000 terms,
     raises DomainError before any series is summed.
     """
-    check_domain("k", k)
+    _check_k(k, "alpha_expectations")
     alpha = complex(alpha)
     r = check_domain("|alpha|", abs(alpha), "nonnegative real")
     _check_radius(r, "alpha_expectations")
@@ -333,10 +334,11 @@ def h2_curve(k: float, r_values) -> np.ndarray:
     normal double divides before the factor r/2).  The raw total must be
     1 to within the dropped tail and rounding (TruncationError otherwise).
     ``alpha_expectations`` takes its h2 from the same means, so the two
-    agree bit for bit.  A k whose 2k overflows and an r past 442.668,
-    where the series is no longer cut within 200000 terms, raise DomainError.
+    agree bit for bit.  A subnormal k (below ``phaseops._K_MIN``), a k
+    whose 2k overflows and an r past 442.668, where the series is no longer
+    cut within 200000 terms, raise DomainError.
     """
-    check_domain("k", k, message="h2_curve requires k > 0, got {value}")
+    _check_k(k, "h2_curve", "h2_curve requires k > 0, got {value}")
     if not 2.0 * k < math.inf:
         raise DomainError(f"h2_curve requires a finite 2k, got k={k!r}")
     r = np.asarray(r_values, dtype=np.float64)

@@ -17,7 +17,9 @@ represent.  Noiseless readings obey w3+w4 = w5+w6 = 2(I1+I2).
 
 On the quantum side the readings are mean photon numbers and the channel
 differences estimate generator expectations, <K1> = (n3-n4)/4 and
-<K2> = (n5-n6)/4.  Summed-channel second moments yield the modulus through
+<K2> = (n5-n6)/4, by the one map of both sides: ``_readings`` goes from the
+pattern (P1, P2) to the six readings, ``_pattern`` back.  Summed-channel
+second moments yield the modulus through
 
     2 <K3^2> = <(N3+N4)^2> - <N1^2> - <N2^2>,
 
@@ -25,7 +27,7 @@ evaluated over both phase-shifter settings so their gap stays visible.  The
 modulus mean is never treated as directly measured; it comes from second
 moments or from coherent-state closed forms.  For a flat pattern (both
 differences zero) the component variances equal (n^2 + 2nk + k)/2 on a level
-state, which inverts to the level pair (n, k).
+state (``repalg.fluctuation_closed_forms``), which inverts to the pair (n, k).
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .errors import (
     check_domain,
     check_route,
 )
+from .repalg import fluctuation_closed_forms
 
 __all__ = [
     "ClassicalConfig",
@@ -147,31 +150,6 @@ class ClassicalObservables:
     sin_phi: float
 
 
-def classical_readings(cfg: ClassicalConfig) -> InterferenceReading:
-    """The four phase-shifted intensities plus the two shielded ones."""
-    p = math.sqrt(cfg.I1 * cfg.I2)
-    base = cfg.I1 + cfg.I2
-    c = 2.0 * p * math.cos(cfg.phi)
-    s = 2.0 * p * math.sin(cfg.phi)
-    return InterferenceReading(
-        I1=cfg.I1, I2=cfg.I2, w3=base + c, w4=base - c, w5=base - s, w6=base + s
-    )
-
-
-def classical_observables(reading: InterferenceReading) -> ClassicalObservables:
-    """P1, P2, P3 and the phase ratios cos = P1/P3, sin = -P2/P3.
-
-    P3 is rebuilt from the reading differences, so P1^2 + P2^2 = P3^2 holds
-    identically on noiseless data and the ratios stay on the unit circle.
-    """
-    p1 = 0.25 * (reading.w3 - reading.w4)
-    p2 = 0.25 * (reading.w5 - reading.w6)
-    p3 = 0.25 * math.hypot(reading.w4 - reading.w3, reading.w6 - reading.w5)
-    if p3 == 0.0:
-        raise DegenerateReadingError("w3 = w4 and w5 = w6: the relative phase is undefined")
-    return ClassicalObservables(P1=p1, P2=p2, P3=p3, cos_phi=p1 / p3, sin_phi=-p2 / p3)
-
-
 def _p1(phi: float, p: float) -> float:
     return p * math.cos(phi)
 
@@ -182,6 +160,38 @@ def _p2(phi: float, p: float) -> float:
 
 def _p3(phi: float, p: float) -> float:
     return p
+
+
+def _readings(I1: float, I2: float, P1: float, P2: float) -> InterferenceReading:
+    # the pattern (P1, P2) on the baseline I1 + I2; _pattern reads it back
+    base = I1 + I2
+    return InterferenceReading(I1=I1, I2=I2, w3=base + 2.0 * P1, w4=base - 2.0 * P1,
+                               w5=base + 2.0 * P2, w6=base - 2.0 * P2)
+
+
+def _pattern(reading: InterferenceReading) -> tuple[float, float, float]:
+    # P1 = (w3-w4)/4, P2 = (w5-w6)/4 and their modulus
+    p1 = 0.25 * (reading.w3 - reading.w4)
+    p2 = 0.25 * (reading.w5 - reading.w6)
+    return p1, p2, math.hypot(p1, p2)
+
+
+def classical_readings(cfg: ClassicalConfig) -> InterferenceReading:
+    """The four phase-shifted intensities plus the two shielded ones."""
+    p = math.sqrt(cfg.I1 * cfg.I2)
+    return _readings(cfg.I1, cfg.I2, _p1(cfg.phi, p), _p2(cfg.phi, p))
+
+
+def classical_observables(reading: InterferenceReading) -> ClassicalObservables:
+    """P1, P2, P3 and the phase ratios cos = P1/P3, sin = -P2/P3.
+
+    P3 is rebuilt from the reading differences, so P1^2 + P2^2 = P3^2 holds
+    identically on noiseless data and the ratios stay on the unit circle.
+    """
+    p1, p2, p3 = _pattern(reading)
+    if p3 == 0.0:
+        raise DegenerateReadingError("w3 = w4 and w5 = w6: the relative phase is undefined")
+    return ClassicalObservables(P1=p1, P2=p2, P3=p3, cos_phi=p1 / p3, sin_phi=-p2 / p3)
 
 
 def poisson_bracket_check(samples, h: float = 1e-5) -> float:
@@ -278,17 +288,10 @@ def quantum_reconstruct(
     gap reported; they are never merged silently.  Without second moments the
     modulus fields stay None.
     """
-    k1 = 0.25 * (nbar.w3 - nbar.w4)
-    k2 = 0.25 * (nbar.w5 - nbar.w6)
-    p = math.hypot(k1, k2)
+    k1, k2, p = _pattern(nbar)
     scale = max(1.0, 0.5 * (nbar.w3 + nbar.w4))
     flat = p <= _FLAT_TOL * scale
-    if flat:
-        cos_phi = 0.0
-        sin_phi = 0.0
-    else:
-        cos_phi = k1 / p
-        sin_phi = -k2 / p
+    cos_phi, sin_phi = (0.0, 0.0) if flat else (k1 / p, -k2 / p)
 
     k3sq = gap = var1 = var2 = None
     if second is not None:
@@ -365,7 +368,7 @@ def estimate_k_from_number_state(
         k = k3_mean - n
         if k <= 0.0:
             continue
-        residual = abs(0.5 * (n * n + 2.0 * n * k + k) - var) / max(1.0, var)
+        residual = abs(fluctuation_closed_forms(k, n).var_k1 - var) / max(1.0, var)
         if best is None or residual < best.residual:
             best = LevelEstimate(n_estimate=n, k_estimate=k, residual=residual)
     if best is None:
@@ -426,7 +429,7 @@ def state_truth(spec) -> StateTruth:
     if isinstance(spec, NumberStateSpec):
         k, n = spec.k, spec.n
         level = k + n
-        var = 0.5 * (n * n + 2.0 * n * k + k)
+        var = fluctuation_closed_forms(k, n).var_k1
         return StateTruth(
             k=k, mean_k1=0.0, mean_k2=0.0, mean_k3=level,
             k3_sq=level * level, var_k1=var, var_k2=var, n=n,
@@ -456,15 +459,7 @@ def ideal_readings(truth: StateTruth) -> InterferenceReading:
     state in the positive discrete series, so all six numbers are
     nonnegative.  The shielded channels are set to the modulus mean each.
     """
-    base = 2.0 * truth.mean_k3
-    return InterferenceReading(
-        I1=truth.mean_k3,
-        I2=truth.mean_k3,
-        w3=base + 2.0 * truth.mean_k1,
-        w4=base - 2.0 * truth.mean_k1,
-        w5=base + 2.0 * truth.mean_k2,
-        w6=base - 2.0 * truth.mean_k2,
-    )
+    return _readings(truth.mean_k3, truth.mean_k3, truth.mean_k1, truth.mean_k2)
 
 
 def ideal_second_moments(truth: StateTruth) -> SecondMoments:
@@ -507,6 +502,18 @@ def _jittered(rng: np.random.Generator, sigma: float, record):
 
 def _wrap_angle(delta: float) -> float:
     return (delta + math.pi) % (2.0 * math.pi) - math.pi
+
+
+def _circular_stats(phases: list) -> tuple[float, float]:
+    # mean and std of the phases, each first taken within pi of their
+    # circular mean by whole turns (none where it already is, so such a
+    # batch keeps its bits); the mean is wrapped back into (-pi, pi]
+    centre = math.atan2(sum(map(math.sin, phases)), sum(map(math.cos, phases)))
+    near = [phi - 2.0 * math.pi * round((phi - centre) / (2.0 * math.pi)) for phi in phases]
+    mean = float(np.mean(near))
+    if not -math.pi < mean <= math.pi:
+        mean -= math.copysign(2.0 * math.pi, mean)
+    return mean, float(np.std(near))
 
 
 def recovered_phase(rec: ReconstructionResult) -> float:
@@ -578,7 +585,7 @@ class TrialRow:
 
 @dataclass(frozen=True)
 class TrialSummary:
-    """Per-trial rows plus spread statistics; phase stats skip flat rows."""
+    """Per-trial rows plus spread statistics; phase stats skip flat rows and are circular."""
 
     spec: object
     noise: float
@@ -605,39 +612,30 @@ def run_trials(spec, noise: float = 0.0, trials: int = 1, seed: int = 0) -> Tria
     trials = check_domain("trials", trials, "positive integer")
     seed = check_domain("seed", seed, "nonnegative integer")
     truth = state_truth(spec)
-    rows = []
-    flat = 0
-    phases = []
+    rows, phases = [], []
     for t in range(trials):
         out = _simulate(spec, truth, noise, np.random.default_rng([seed, t]))
         rec = out.reconstruction
         if rec.flat_pattern:
-            flat += 1
             phi = math.nan
         else:
             phi = recovered_phase(rec)
             phases.append(phi)
-        rows.append(
-            TrialRow(
-                trial=t,
-                recovered_rho=rec.p_estimate,
-                recovered_phi=phi,
-                err_k1=out.errors["err_k1"],
-                err_k2=out.errors["err_k2"],
-            )
-        )
+        rows.append(TrialRow(trial=t, recovered_rho=rec.p_estimate, recovered_phi=phi,
+                             err_k1=out.errors["err_k1"], err_k2=out.errors["err_k2"]))
     rho = np.array([r.recovered_rho for r in rows])
+    phi_mean, phi_std = _circular_stats(phases) if phases else (None, None)
     return TrialSummary(
         spec=spec,
         noise=noise,
         trials=trials,
         seed=seed,
         rows=tuple(rows),
-        flat_count=flat,
+        flat_count=trials - len(phases),
         rho_mean=float(np.mean(rho)),
         rho_std=float(np.std(rho)),
-        phi_mean=float(np.mean(phases)) if phases else None,
-        phi_std=float(np.std(phases)) if phases else None,
+        phi_mean=phi_mean,
+        phi_std=phi_std,
         max_err_k1=max(r.err_k1 for r in rows),
         max_err_k2=max(r.err_k2 for r in rows),
     )

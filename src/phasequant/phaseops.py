@@ -68,6 +68,19 @@ __all__ = [
 _ROUTE_TOL = 1e-13
 _VERDICT_TOL = 1e-12
 _EPS = sys.float_info.epsilon
+# the smallest k of every routine that divides by it: 1/k overflows below
+# 1/DBL_MAX = 5.56e-309, so a subnormal k is refused and 1/k stays <= 4.5e307
+_K_MIN = sys.float_info.min
+# the largest cos off-diagonal entry the spectrum routes take: past it the
+# half-size band B^T B, whose eigenvalues reach (2 max|off|)^2, leaves double range
+_BAND_MAX = 0.5 * math.sqrt(sys.float_info.max)
+
+
+def _check_k(k, caller: str, message: str = "") -> None:
+    # k a positive real (check_domain, with message) and not subnormal
+    if check_domain("k", k, message=message) < _K_MIN:
+        raise DomainError(f"{caller} requires k >= {_K_MIN!r} (a normal double: 1/k "
+                          f"overflows below 5.56e-309), got k={k!r}")
 
 
 @dataclass(frozen=True)
@@ -147,7 +160,7 @@ def f_coeff(k: float, n: int) -> float:
     evaluates in the ``repalg`` storage precision (the ``repalg`` module
     docstring says why) and ``improper_eigvec`` over an array.
     """
-    check_domain("k", k)
+    _check_k(k, "f_coeff")
     check_domain("n", n, "nonnegative integer")
     if n == 0:
         return 0.0
@@ -193,9 +206,9 @@ def ground_state_variance(k: float) -> float:
     Equals f_1^2/16, the matrix diagonal of cos^2 at n = 0; monotone
     decreasing toward 0 for k >= 1 and exceeding 1 as k drops below the
     k1_bound root.  k above 1e102, where 8k (k+1)^2 leaves double range,
-    raises DomainError.
+    raises DomainError, and so does a subnormal k (below ``_K_MIN``).
     """
-    check_domain("k", k, message="ground_state_variance requires k > 0, got {value}")
+    _check_k(k, "ground_state_variance", "ground_state_variance requires k > 0, got {value}")
     if not k <= 1e102:
         raise DomainError(f"ground_state_variance requires k <= 1e102, got k={k!r}")
     return (2.0 * k + 1.0) ** 2 / (8.0 * k * (k + 1.0) ** 2)
@@ -306,9 +319,13 @@ def _cos_band(pair: PhaseOperatorPair, caller: str) -> np.ndarray:
     # the real off-diagonal of cos, once the band is checked to be finite
     if not abs(complex(pair.omega).imag) <= 1e-13:
         raise DomainError(f"{caller} requires a real omega convention")
-    if not np.all(np.isfinite(pair.lower)):
-        raise DomainError(f"{caller} requires a finite phase band")
-    return np.real(pair.cos.diagonals[-1]).astype(np.float64)
+    off = np.real(pair.cos.diagonals[-1])
+    top = np.max(np.abs(off))
+    if not top <= _BAND_MAX:  # NaN and inf included
+        raise DomainError(f"{caller} requires a finite phase band, every cos entry <= "
+                          f"{_BAND_MAX!r} so that its squares stay doubles, got {top:.3e} "
+                          f"at k={pair.k!r}")
+    return off.astype(np.float64)
 
 
 def _sturm_setup(off: np.ndarray) -> tuple[list, float, float]:
@@ -382,7 +399,8 @@ def phase_spectrum(pair: PhaseOperatorPair) -> np.ndarray:
     b_j^2 + c_j^2, off-diagonal c_j b_{j+1}) as LDL^T and takes its
     eigenvalues by dqds (Fernando & Parlett, Numer. Math. 67 (1994) 191).
     The result is sorted and mirror-symmetric bit for bit.  A band that is
-    not finite raises DomainError; a failed factorization TruncationError.
+    not finite, or has an entry past ``_BAND_MAX``, where the squares
+    overflow, raises DomainError; a failed factorization TruncationError.
     sin is formed from the same band, and diag(i^-n) followed by
     diag((-1)^n) maps it onto cos, so the two share this spectrum.
 
@@ -469,7 +487,8 @@ def phase_extremes(pair: PhaseOperatorPair, count: int) -> np.ndarray:
     min |lambda - mu| <= ||T x - mu x|| / ||x|| (Parlett, The Symmetric
     Eigenvalue Problem, SIAM 1998, section 4.5).  That bound must lie within
     the rounding window 128 eps max|off| of the Sturm count; otherwise
-    TruncationError is raised.  A band that is not finite raises DomainError.
+    TruncationError is raised.  A band that is not finite, or has an entry
+    past ``_BAND_MAX``, raises DomainError.
     """
     off = _cos_band(pair, "phase_extremes")
     dim = pair.dim
@@ -521,7 +540,7 @@ def improper_eigvec(k: float, mu: float, a0: float, nmax: int) -> ImproperEigvec
     2e4 at k = 100, 1e4 at k = 1e4) takes a row past double range before
     a rescaling; that raises DomainError naming mu and the row.
     """
-    check_domain("k", k)
+    _check_k(k, "improper_eigvec")
     check_domain("mu", mu, "finite real")
     check_domain("a0", a0, "finite real")
     if check_domain("nmax", nmax, "positive integer") < 2:

@@ -292,6 +292,25 @@ class TestValidationErrors:
         assert "Traceback" not in err and named in err
         assert not target.exists()
 
+    @pytest.mark.parametrize("argv, named", [
+        # 1/k overflows: once exit 0 with inf/NaN cells, or a Sturm-count
+        # message that blamed the route for an overflowing band
+        (("ground-variance", "--k", "5e-324"), "ground_state_variance requires k >= "),
+        (("kbound-scan", "--k-min", "5e-324", "--k-max", "5e-324", "--k-step", "1",
+          "--rho-min", "0.5", "--rho-max", "2", "--rho-points", "3"), "kbound_scan requires k >= "),
+        (("oscillator", "--k", "5e-324", "--r-max", "1", "--points", "3"), "h2_curve requires k >= "),
+        (("phase-spectrum", "--k", "5e-324", "--dim", "4"), "every cos entry <= 6.7039"),
+    ])
+    def test_subnormal_k_is_one_error_line(self, capsys, tmp_path, argv, named):
+        target = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(*argv, "--out", str(target)) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+        assert not target.exists()
+
     def test_coherent_at_the_smallest_accepted_k(self, capsys):
         # dim 1: the phase tolerance forms k + (dim - 1), not (k + dim) - 1
         assert run_cli("coherent", "--k", "2.775557561562892e-17", "--rho", "1e-300",
@@ -600,6 +619,11 @@ class TestAnalysisCommands:
         values = [float(line.split(",")[1]) for line in lines[2:]]
         assert values[0] == 0.0
         assert max(values) <= 1.0 + 1e-12
+
+    def test_oscillator_prints_the_last_grid_radius(self, capsys):
+        # one point is the grid [0.0]: the line once read "h2(1.0) = 0.0"
+        assert run_cli("oscillator", "--k", "1", "--r-max", "1", "--points", "1") == 0
+        assert capsys.readouterr().out == "max h2 = 0.0, h2(0.0) = 0.0\n"
 
     def test_two_mode_table(self, capsys, tmp_path):
         target = tmp_path / "tm.csv"

@@ -110,6 +110,52 @@ def test_every_entry_point_refuses_k_quietly(entry, k):
             ENTRY_POINTS[entry](k)
 
 
+# the entry points that divide by k: below 1/DBL_MAX, 1/k overflows
+DIVIDING_BY_K = ("f_coeff", "ground_state_variance", "improper_eigvec", "g_k", "ratio_gI",
+                 "kbound_scan", "alpha_expectations", "h2_curve")
+
+
+@pytest.mark.parametrize("k", [5e-324, 1e-309, math.nextafter(sys.float_info.min, 0.0)])
+@pytest.mark.parametrize("entry", DIVIDING_BY_K)
+def test_every_entry_point_dividing_by_k_refuses_a_subnormal_k(entry, k):
+    # these once returned inf or NaN, or raised a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"requires k >= 2\.2250738585072014e-308 .*"
+                                              + re.escape(f"got k={k!r}")):
+            ENTRY_POINTS[entry](k)
+
+
+def _all_finite(value) -> bool:
+    # every number in a result: a scalar, an array or a record of them
+    if hasattr(value, "__dataclass_fields__"):
+        return all(_all_finite(getattr(value, name)) for name in value.__dataclass_fields__)
+    if isinstance(value, tuple) and all(isinstance(item, str) for item in value):
+        return True
+    return bool(np.all(np.isfinite(np.asarray(value, dtype=float))))
+
+
+@pytest.mark.parametrize("entry", DIVIDING_BY_K)
+def test_the_smallest_normal_k_gives_finite_values(entry):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _all_finite(ENTRY_POINTS[entry](sys.float_info.min))
+
+
+@pytest.mark.parametrize("route", [phaseops.phase_spectrum,
+                                   lambda pair: phaseops.phase_extremes(pair, 2)])
+def test_spectrum_routes_refuse_a_band_whose_squares_overflow(route):
+    # at k = 5e-324 the cos band starts at 1.6e161, so its squares overflow:
+    # the Sturm check once failed on them and blamed the route
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"every cos entry <= 6\.70390396497129\de\+153"):
+            route(phaseops.build_phase_ops(repalg.RepLabel(k=5e-324), 4))
+        top = float(np.max(route(phaseops.build_phase_ops(repalg.RepLabel(k=1e-308), 4))))
+    # the top eigenvalue is about the first entry, f_1/4 = sqrt(2/k)/4
+    assert top == pytest.approx(math.sqrt(2.0) / math.sqrt(1e-308) / 4.0, rel=1e-12)
+
+
 @pytest.mark.parametrize("make", [
     lambda: bgstates.make_bg_state(1.0, complex(math.inf, 0.0)),
     lambda: bgstates.make_bg_state(1.0, complex(0.0, math.nan)),

@@ -20,6 +20,7 @@ from phasequant.nfm import (
     InterferenceReading,
     NumberStateSpec,
     SecondMoments,
+    StateTruth,
     casimir_gap,
     classical_observables,
     classical_readings,
@@ -364,6 +365,57 @@ def test_ideal_readings_nonnegative():
         assert r.sum_residual() < 1e-12 * (r.I1 + r.I2)
 
 
+def _bits(record) -> list:
+    # every field of a record as the hex of its double (a -0.0 included), or as is
+    return [float.hex(v) if isinstance(v, float) else v
+            for v in (getattr(record, name) for name in record.__dataclass_fields__)]
+
+
+def test_classical_and_ideal_readings_share_one_map():
+    # equal beams I1 = I2 = I carry the pattern (I cos phi, -I sin phi) on the
+    # baseline 2I, the same as a state with <K3> = I and those <K1>, <K2>
+    rng = np.random.default_rng(29)
+    for intensity, phi in zip(10.0 ** rng.uniform(-3.0, 3.0, 200),
+                              rng.uniform(-math.pi, math.pi, 200)):
+        intensity, phi = float(intensity), float(phi)
+        truth = StateTruth(k=1.0, mean_k1=intensity * math.cos(phi),
+                           mean_k2=-intensity * math.sin(phi), mean_k3=intensity,
+                           k3_sq=intensity * intensity, var_k1=0.0, var_k2=0.0)
+        assert (_bits(classical_readings(ClassicalConfig(intensity, intensity, phi)))
+                == _bits(ideal_readings(truth)))
+
+
+def test_pattern_reading_keeps_the_former_bits():
+    # classical_observables and quantum_reconstruct against the expressions
+    # each wrote before they shared _pattern, on readings with a pattern and
+    # on flat ones
+    rng = np.random.default_rng(2029)
+    for trial in range(400):
+        w = 10.0 ** rng.uniform(-6.0, 6.0, 4)
+        w3, w4, w5, w6 = (float(v) for v in w)
+        if trial % 10 == 0:
+            w4, w6 = w3, w5
+        elif trial % 10 == 1:
+            w4, w6 = w3 * (1.0 + 1e-13), w5 * (1.0 - 1e-13)
+        reading = InterferenceReading(I1=1.0, I2=1.0, w3=w3, w4=w4, w5=w5, w6=w6)
+        k1, k2 = 0.25 * (w3 - w4), 0.25 * (w5 - w6)
+        p3 = 0.25 * math.hypot(w4 - w3, w6 - w5)
+        if p3 == 0.0:
+            with pytest.raises(DegenerateReadingError):
+                classical_observables(reading)
+        else:
+            assert _bits(classical_observables(reading)) == [
+                float.hex(v) for v in (k1, k2, p3, k1 / p3, -k2 / p3)]
+        p = math.hypot(k1, k2)
+        flat = p <= 1e-10 * max(1.0, 0.5 * (w3 + w4))
+        rec = quantum_reconstruct(reading)
+        assert rec.flat_pattern == flat
+        assert [float.hex(v) for v in (rec.K1_mean, rec.K2_mean, rec.p_estimate,
+                                       rec.cos_phi, rec.sin_phi)] == [
+            float.hex(v) for v in (k1, k2, p, 0.0 if flat else k1 / p,
+                                   0.0 if flat else -k2 / p)]
+
+
 def test_ideal_second_moments_match_both_routes():
     truth = state_truth(BGStateSpec(k=1.0, z=2.0))
     rec = quantum_reconstruct(ideal_readings(truth), ideal_second_moments(truth))
@@ -440,11 +492,17 @@ def test_trials_deterministic():
     assert a.rows != c.rows
 
 
-def test_trials_noisy_spread():
-    s = run_trials(BGStateSpec(k=1.0, z=3.0), noise=0.01, trials=200, seed=42)
+@pytest.mark.parametrize("phi", [0.0, 3.1415, -3.13])
+def test_trials_noisy_spread(phi):
+    # near +-pi the recovered phases straddle the cut; the plain mean once
+    # read about 0 there, with a spread near pi
+    s = run_trials(BGStateSpec(k=1.0, z=3.0 * cmath.exp(1j * phi)), noise=0.01, trials=200,
+                   seed=42)
     assert abs(s.rho_mean - 3.0) < 0.02
     assert 0.0 < s.rho_std < 0.1
-    assert abs(s.phi_mean) < 0.01
+    assert abs((s.phi_mean - phi + math.pi) % (2.0 * math.pi) - math.pi) < 0.01
+    assert -math.pi < s.phi_mean <= math.pi
+    assert 0.0 < s.phi_std < 0.05
     assert s.flat_count == 0
 
 
