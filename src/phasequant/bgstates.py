@@ -93,6 +93,10 @@ _QUADRATURE_TOL = 1e-9
 _LOG_MIN_DOUBLE = math.log(math.ulp(0.0))
 # the largest rho whose 2 rho, the Bessel argument, is a finite double
 _RHO_MAX = sys.float_info.max / 2.0
+# the phase series of every k is cut within specfun's 200000 terms up to
+# this rho; it fails from 197133.69053852008 at k <= 1e-10, from 197134.68
+# at k = 1 and from 206824.38 at k = 1e4
+_RHO_CUT = 197133.69
 
 
 def _check_rho(rho, caller: str, domain: str = "nonnegative real") -> float:
@@ -285,26 +289,34 @@ def eigenvector_residual(state: BGState) -> float:
     return float(np.linalg.norm(_kminus_rows(state)))
 
 
-def _entire_series_scaled(k: float, w: complex, scale: float) -> complex:
-    # sum_n w^n / (n! Gamma(2k+n)) damped by exp(-scale); the term magnitude
-    # peaks near n = sqrt(|w|), matching scale = 2 sqrt(|w|).
-    mag, theta = abs(w), math.atan2(w.imag, w.real)
-    if mag == 0.0:
-        return complex(math.exp(-ln_gamma(2.0 * k) - scale))
-    log_w = math.log(mag)
+def _overlap_closed(k: float, z1: complex, z2: complex) -> complex:
+    # S(conj(z2) z1) / sqrt(S(rho1^2) S(rho2^2)), S(w) = sum_n t_n with
+    # t_n = w^n / (n! Gamma(2k+n)), as one series mean: the rows rho1 rho2,
+    # rho1^2 and rho2^2 of one table, each shifted by its largest term, and
+    # the first row's means of cos and sin of n (arg z1 - arg z2)
+    with np.errstate(divide="ignore"):  # ln 0 = -inf keeps t_0 alone
+        ln1, ln2 = np.log([abs(z1), abs(z2)])
+    log_w = np.array([ln1 + ln2, 2.0 * ln1, 2.0 * ln2])
     log_t = _log_terms(log_w, 2.0 * k, _series_cut(log_w, 2.0 * k) + 1)
-    n = np.arange(log_t.size)
-    return complex(np.sum(np.exp(log_t - scale) * np.exp(1j * theta * n)))
+    top = log_t.max(axis=1)
+    theta = math.atan2(z1.imag, z1.real) - math.atan2(z2.imag, z2.real)
+    angle = theta * np.arange(log_t.shape[1])
+    means, ln_s = _weighted_means(log_t - top[:, None],
+                                  np.column_stack([np.cos(angle), np.sin(angle)]), 1.0)
+    ln_s += top
+    return complex(*means[0]) * math.exp(ln_s[0] - 0.5 * (ln_s[1] + ln_s[2]))
 
 
 def overlap(s1: BGState, s2: BGState) -> complex:
     """<k,z2|k,z1> by truncated inner product, validated against closed form.
 
-    The closed form reduces to |z2 z1|^{k-1/2} S(conj(z2) z1) over the root of
-    both normalizations, with S the entire series behind I_{2k-1}; written
-    this way no branch cut is ever taken.  The two routes must agree to 1e-10
-    or to the cross-term tail bound when that is larger (states of very
-    different rho leave a genuinely bigger tail past the shorter vector).
+    The closed form is the Barut-Girardello one, S(conj(z2) z1) over
+    sqrt(S(rho1^2) S(rho2^2)) with S(w) = sum_n w^n / (n! Gamma(2k+n)) =
+    0F1(; 2k; w) / Gamma(2k): one series mean over one log-term table, so it
+    reads neither the Bessel normalization nor the stored coefficients, and
+    takes no branch cut.  The two routes must agree to 1e-10 or to the
+    cross-term tail bound when that is larger (states of very different rho
+    leave a genuinely bigger tail past the shorter vector).
     """
     if s1.k != s2.k:
         raise DimensionMismatchError(f"overlap needs equal k, got {s1.k} and {s2.k}")
@@ -316,32 +328,15 @@ def overlap(s1: BGState, s2: BGState) -> complex:
     # geometric series (term ratios only shrink); Cauchy-Schwarz caps it
     shorter = s1 if s1.dim <= s2.dim else s2
     cross_tail = math.sqrt(shorter.tail_tol)
-    if m >= 1:
-        rr = s1.rho * s2.rho
-        first_missing = (
-            abs(s1.coeffs[m - 1]) * abs(s2.coeffs[m - 1]) * rr / (m * (2.0 * k + (m - 1.0)))
-        )
-        decay = rr / ((m + 1.0) * (2.0 * k + m))
-        if decay < 1.0:
-            cross_tail = min(cross_tail, first_missing / (1.0 - decay))
+    rr = s1.rho * s2.rho
+    first_missing = (
+        abs(s1.coeffs[m - 1]) * abs(s2.coeffs[m - 1]) * rr / (m * (2.0 * k + (m - 1.0)))
+    )
+    decay = rr / ((m + 1.0) * (2.0 * k + m))
+    if decay < 1.0:
+        cross_tail = min(cross_tail, first_missing / (1.0 - decay))
 
-    r1, r2 = s1.rho, s2.rho
-    if r1 == 0.0 or r2 == 0.0:
-        closed = complex(s1.coeffs[0].real * s2.coeffs[0].real)
-    else:
-        w = s2.z.conjugate() * s1.z
-        ln_rr = math.log(r1) + math.log(r2)
-        scale = 2.0 * math.exp(0.5 * ln_rr)
-        series = _entire_series_scaled(k, w, scale)
-        # exponent collapses to -(sqrt(r1)-sqrt(r2))^2 plus the power
-        # prefactor; assembled in log space so tiny rho cannot underflow
-        ln_pref = (
-            (k - 0.5) * ln_rr
-            + scale
-            - 0.5 * (_ln_i(k, r1) + _ln_i(k, r2))
-        )
-        closed = series * math.exp(ln_pref)
-
+    closed = _overlap_closed(k, s1.z, s2.z)
     tol = max(_ROUTE_TOL * max(1.0, abs(closed)), 4.0 * cross_tail)
     check_route("overlap routes", abs(summed - closed), tol, context=f"at k={k}")
     return summed
@@ -369,8 +364,10 @@ def moment_integral(k: float, n: int, rho_max: float = 60.0) -> float:
     nu = 2.0 * k - 1.0
 
     def integrand(rho):
-        # a rho-node x t-node grid: each level's K_nu(2 rho) in one array
-        return np.exp(power * np.log(rho) - 2.0 * rho) * _k_quad(nu, 2.0 * rho, scaled=True)
+        # a rho-node x t-node grid: each level's K_nu(2 rho) in one array,
+        # formed first, so that a K out of range is refused before the power
+        # factor can overflow
+        return _k_quad(nu, 2.0 * rho, scaled=True) * np.exp(power * np.log(rho) - 2.0 * rho)
 
     value, abserr = (float(v) for v in _tanh_sinh(integrand, rho_max, 1e-13))
     # integrand ~ e^{-2 rho} polynomial: geometric tail from the endpoint value
@@ -401,11 +398,13 @@ def completeness_check(k: float, n: int, rho_max: float = 60.0) -> float:
 def b_ratio(k: float, rho: float) -> float:
     """I_{2k}(2 rho) / I_{2k-1}(2 rho), the mean-occupation ratio; 0 at rho=0.
 
-    Raises ``DomainError`` where I_{2k-1}(2 rho) underflows (large k at
-    moderate rho, e.g. k = 123.456 at rho = 2.5) and where 2 rho overflows
-    (rho above 8.99e307).  Below rho = 1e-7 the leading term rho/(2k) is
-    taken where the next ones are below rounding (rho^2 < eps k(k+1)), the
-    Bessel quotient elsewhere.
+    Below rho = 1e-7 the leading term rho/(2k) is taken where the next ones
+    are below rounding (rho^2 < eps k(k+1)), the Bessel quotient elsewhere.
+    Where e^{-2 rho} I_{2k-1}(2 rho) or e^{-2 rho} I_{2k}(2 rho) is not a
+    normal double (large k at moderate rho, e.g. k = 123.456 at rho = 2.5)
+    it is the series mean rho sum t_n / (n + 2k) / sum t_n over the terms
+    t_n of I_{2k-1} (DLMF 10.25.2), which needs no Bessel value.  rho above
+    8.99e307, where 2 rho overflows, raises ``DomainError``.
     """
     check_domain("k", k)
     _check_rho(rho, "b_ratio")
@@ -415,12 +414,12 @@ def b_ratio(k: float, rho: float) -> float:
         return rho / (2.0 * k)
     # 2k passed apart from the order, as for _ln_i
     below = _i_scaled(2.0 * k - 1.0, 2.0 * rho, 2.0 * k)
-    if below == 0.0:
-        raise DomainError(
-            f"b_ratio: I_{{2k-1}}(2 rho) underflows at k={k!r}, rho={rho!r}, "
-            "so the ratio I_2k/I_{2k-1} is out of double range"
-        )
-    return bessel_i_scaled(2.0 * k, 2.0 * rho) / below
+    above = bessel_i_scaled(2.0 * k, 2.0 * rho)
+    if min(below, above) < sys.float_info.min:
+        log_t, _ = _phase_log_terms(k, np.array([rho]))
+        weights = 1.0 / (np.arange(log_t.shape[1]) + 2.0 * k)
+        return float(_weighted_means(log_t, weights, rho)[0][0])
+    return above / below
 
 
 def _padded_coeffs(state: BGState, minimum: int = 2) -> np.ndarray:
@@ -532,9 +531,18 @@ def _phase_log_terms(k: float, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     # and the weights w_n = (1/(n+k) + 1/(n+k+1))/2: sum_n t_n w_n is
     # e^{-2 rho} g(rho), and sum_n t_n identically equals
     # rho e^{-2 rho} I_{2k-1}(2 rho), so g/I needs no Bessel call and holds
-    # for every k > 0.  The term peak sits near n = rho.
+    # for every k > 0.  The term peak sits near n = rho, so past _RHO_CUT a
+    # series that is not cut is refused as out of the domain.
     log_rho = np.log(rho)
-    size = _series_cut(2.0 * log_rho, 2.0 * k) + 1
+    try:
+        size = _series_cut(2.0 * log_rho, 2.0 * k) + 1
+    except ConvergenceError:
+        top = float(rho.max())
+        if top <= _RHO_CUT:
+            raise
+        raise DomainError(f"the phase series is not cut within 200000 terms at k={float(k)!r}, "
+                          f"rho={top!r}: rho <= {_RHO_CUT!r} is cut at every k, a larger "
+                          "rho only at a larger k") from None
     log_t = _log_terms(2.0 * log_rho, 2.0 * k, size) + (2.0 * k * log_rho - 2.0 * rho)[:, None]
     n = np.arange(size)
     return log_t, 0.5 * (1.0 / (n + k) + 1.0 / (n + k + 1.0))

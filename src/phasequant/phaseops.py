@@ -301,13 +301,14 @@ def cos_squared_diag_asymptote(k: float, n: int) -> float:
     return 0.5 * (1.0 + 0.25 * (1.0 + 4.0 * q) / (x * x))
 
 
-def _sturm_count(diag: list, off_sq: list, x: float, pivmin: float) -> int:
-    # eigenvalues of the symmetric tridiagonal below x: the negative pivots
-    # of the LDL^T factorization of T - x I (Sylvester's law of inertia).
-    # A zero pivot is replaced by -pivmin, which counts that eigenvalue.
+def _sturm_count(off_sq: list, x: float, pivmin: float) -> int:
+    # eigenvalues of the zero-diagonal symmetric tridiagonal below x: the
+    # negative pivots of the LDL^T factorization of T - x I (Sylvester's law
+    # of inertia).  A zero pivot is replaced by -pivmin, which counts that
+    # eigenvalue.
     count, pivot = 0, 1.0
-    for a, b2 in zip(diag, [0.0] + off_sq):
-        pivot = (a - x) - b2 / pivot
+    for b2 in [0.0] + off_sq:
+        pivot = -x - b2 / pivot
         if pivot == 0.0:
             pivot = -pivmin
         if pivot < 0.0:
@@ -425,9 +426,8 @@ def phase_spectrum(pair: PhaseOperatorPair) -> np.ndarray:
 
     t = 1.0 + _VERDICT_TOL
     off_sq, pivmin, delta = _sturm_setup(off)
-    diag = [0.0] * dim
-    above = dim - _sturm_count(diag, off_sq, t, pivmin)
-    below = _sturm_count(diag, off_sq, -t, pivmin)
+    above = dim - _sturm_count(off_sq, t, pivmin)
+    below = _sturm_count(off_sq, -t, pivmin)
     for what, count, sure, possible in (
         ("above", above, cos_eigs > t + delta, cos_eigs > t - delta),
         ("below", below, cos_eigs < -t - delta, cos_eigs < -t + delta),
@@ -496,7 +496,7 @@ def phase_extremes(pair: PhaseOperatorPair, count: int) -> np.ndarray:
     if count > dim:
         raise DomainError(f"phase_extremes requires 1 <= count <= dim={dim}, got {count}")
     off_sq, pivmin, delta = _sturm_setup(off)
-    diag, off_list = [0.0] * dim, off.tolist()
+    off_list = off.tolist()
     scale = float(np.max(np.abs(off)))
     tops = []
     for index in range(dim - count, dim):
@@ -505,7 +505,7 @@ def phase_extremes(pair: PhaseOperatorPair, count: int) -> np.ndarray:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
                 break
-            if _sturm_count(diag, off_sq, mid, pivmin) > index:
+            if _sturm_count(off_sq, mid, pivmin) > index:
                 hi = mid
             else:
                 lo = mid

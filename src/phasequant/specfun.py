@@ -12,7 +12,8 @@ tens, arguments up to a few hundred):
   past the term peak below a log tolerance (DLMF 10.25.2).  It bisects on
   the closed-form ln t_n of the largest w alone, which decides for every
   row; ``_log_terms`` tabulates ln t_n, n <= N, for the callers that sum.
-  Every series mean (g/I in the bound scan, the oscillator's h1 and h2)
+  Every series mean (g/I in the bound scan, the oscillator's h1 and h2,
+  the overlap's closed form, b_ratio where a Bessel value is not normal)
   comes from ``_weighted_means``: sum t_n w_n / sum t_n per row, with the
   largest term taken out of a row whose terms would underflow, a cell that
   is not a normal double divided first, and ln sum t_n returned beside it.
@@ -110,13 +111,17 @@ def _log_terms(log_w, a: float | None, size: int) -> np.ndarray:
     """ln(w^n / (n! Gamma(a+n))) for n < size, one row per entry of log_w.
 
     The result has shape log_w.shape + (size,).  a = None drops the
-    Gamma(a+n) factor, which leaves the Poisson form w^n / n!.
+    Gamma(a+n) factor, which leaves the Poisson form w^n / n!.  w^0 = 1 also
+    at w = 0 (ln w = -inf), so a zero w keeps t_0 alone.
     """
     n = np.arange(size, dtype=np.float64)
     lg = ln_gamma(n + 1.0)
     if a is not None:
         lg += ln_gamma(a + n)
-    return np.multiply.outer(log_w, n) - lg
+    power = np.empty(np.shape(log_w) + (size,))
+    power[..., 0] = 0.0
+    np.multiply.outer(log_w, n[1:], out=power[..., 1:])
+    return power - lg
 
 
 def _weighted_means(log_t: np.ndarray, weights: np.ndarray,
@@ -164,6 +169,8 @@ def _series_cut(log_w, a: float | None, log_tol=None, ratio: float = 1.0,
     no n below ``_MAX_TERMS`` qualifies, ``error`` is raised.
     """
     top = float(log_w.max() if isinstance(log_w, np.ndarray) else log_w)
+    if top == -math.inf:
+        return 1  # every w is 0: t_1 = 0 is the first term past the peak t_0
     if not math.isfinite(top):
         raise error(f"series in w = e^{top} cannot be summed")
     uncut = f"series in w = e^{top:.6g}, a = {a} not cut within {_MAX_TERMS} terms"
@@ -441,7 +448,9 @@ def _k_frame(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cut point T and integer reference exponent R of the scaled K integrand.
 
     B(t) = nu t - 2x sinh^2(t/2) bounds the scaled exponent from above
-    (ln cosh y <= y) and peaks at t_b = asinh(nu/x); R is B(t_b) rounded.
+    (ln cosh y <= y) and peaks at t_b = asinh(nu/x); R is B(t_b) rounded,
+    about ln(e^x K_nu(x)).  Where R passes ln DBL_MAX, e^R overflows and the
+    rule cannot form K: DomainError names nu and the first such x.
     T > t_b solves x (cosh T - 1) = nu T - B(t_b) + _K_DROP.  The fixed-point
     iteration rises monotonically to it and contracts, since x sinh T > nu
     there.  T is rounded up to a power of two, so every node t = T j 2^-m is
@@ -449,10 +458,18 @@ def _k_frame(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     tb = np.log(nu + np.hypot(nu, x)) - np.log(x)
     peak = nu * tb - np.hypot(nu, x) + x
+    ref = np.rint(peak)
+    i = int(np.argmax(~(ref <= _LOG_MAX)))
+    if not ref[i] <= _LOG_MAX:
+        raise DomainError(
+            f"K_nu(x) is out of the quadrature's range at nu={nu!r}, x={float(x[i])!r}: its "
+            f"reference exponent {ref[i]:.6g}, about ln(e^x K_nu(x)), passes ln DBL_MAX = "
+            f"{_LOG_MAX:.6g}"
+        )
     span = tb
     for _ in range(8):
         span = np.arccosh(np.minimum(1.0 + (nu * span - peak + _K_DROP) / x, 1e300))
-    return np.exp2(np.ceil(np.log2(np.minimum(span + 0.5, 700.0)))), np.rint(peak)
+    return np.exp2(np.ceil(np.log2(np.minimum(span + 0.5, 700.0)))), ref
 
 
 def _k_quad(nu: float, x: np.ndarray, scaled: bool) -> np.ndarray:
@@ -500,7 +517,9 @@ def bessel_k(nu: float, x: float) -> float:
     Raises
     ------
     DomainError
-        Unless nu is a finite real >= 0 and x a finite real > 0.
+        Unless nu is a finite real >= 0 and x a finite real > 0; and, before
+        any node is evaluated, where the rule's reference exponent, about
+        ln(e^x K_nu(x)), passes ln DBL_MAX (K_200(1), K_15(3.2e-21)).
     ConvergenceError
         If the rule's error estimate (last change plus cut-off tail) exceeds
         1e-8 of the value, or the value is not representable.

@@ -4,7 +4,9 @@ Reference values were frozen from a 40-digit evaluation of the defining
 series and Bessel quotients.
 """
 
+import cmath
 import math
+import sys
 import warnings
 
 import mpmath
@@ -119,19 +121,39 @@ def test_coefficients_against_mpmath():
                 assert abs(abs(s.coeffs[n]) - want) <= 2e-13 * want
 
 
+def _overlap_0f1(k, z1, z2):
+    # <k,z2|k,z1> = 0F1(; 2k; conj(z2) z1) / sqrt(0F1(; 2k; rho1^2) 0F1(; 2k; rho2^2))
+    two_k = 2 * mpmath.mpf(k)
+    z1, z2 = mpmath.mpc(z1), mpmath.mpc(z2)
+    return mpmath.hyp0f1(two_k, mpmath.conj(z2) * z1) / mpmath.sqrt(
+        mpmath.hyp0f1(two_k, abs(z1) ** 2) * mpmath.hyp0f1(two_k, abs(z2) ** 2))
+
+
 def test_overlap_kernel_against_mpmath():
-    # sum_n w^n / (n! Gamma(2k+n)) = 0F1(; 2k; w) / Gamma(2k); the error is
-    # taken against the series of |w|, which bounds the rounding of any sum
-    mpmath.mp.dps = 50
-    for k in (0.25, 0.5, 1.0, 2.5):
-        kk = mpmath.mpf(k)
-        for w in (0.3 + 0.1j, 2.0 - 1.0j, 9.0, -25.0 + 4.0j, 100.0j, 900.0 + 300.0j):
-            scale = 2.0 * math.sqrt(abs(w))
-            got = bgstates._entire_series_scaled(k, w, scale)
-            damp = mpmath.exp(-scale) / mpmath.gamma(2 * kk)
-            want = mpmath.hyp0f1(2 * kk, mpmath.mpc(w)) * damp
-            size = mpmath.hyp0f1(2 * kk, abs(w)) * damp
-            assert abs(mpmath.mpc(got) - want) <= 5e-14 * size
+    # the closed route alone, against mpmath's 0F1 ratio; |overlap| <= 1, so
+    # the error is absolute.  Its rounding is that of ln S, a few ulp of
+    # ln Gamma(2k) at large k (2.9e-13 at k = 300)
+    mpmath.mp.dps = 40
+    pairs = [(0.0, 0.0), (0.0, 3.0 * cmath.exp(1.0j)), (2.0, 0.0), (1e-300, 5.0 * cmath.exp(2.0j)),
+             (0.5, -0.7), (3.0j, -3.0j), (10.0, 30.0 * cmath.exp(-2.0j)), (30.0, 30.0 * cmath.exp(0.1j)),
+             (1e-5, 20.0 * cmath.exp(1.0j))]
+    for k in (0.25, 0.5, 1.0, 2.5, 20.0, 100.0, 300.0):
+        for z1, z2 in pairs:
+            got = bgstates._overlap_closed(k, complex(z1), complex(z2))
+            assert abs(mpmath.mpc(got) - _overlap_0f1(k, z1, z2)) <= 1e-12, (k, z1, z2)
+    # where S(rho^2) itself overflows a double (e^1400)
+    z1, z2 = 700.0 + 0.0j, 700.0 * cmath.exp(0.3j)
+    got = bgstates._overlap_closed(0.5, z1, z2)
+    assert abs(mpmath.mpc(got) - _overlap_0f1(0.5, z1, z2)) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [100.0, 300.0, 1000.0])
+def test_overlap_returns_at_large_k(k):
+    # the closed form once rebuilt both normalizations through ln I and
+    # overflowed exp from k = 85.71 at rho = 0.5 on
+    s1, s2 = make_bg_state(k, 0.5), make_bg_state(k, 0.7j)
+    want = _overlap_0f1(k, s1.z, s2.z)
+    assert abs(mpmath.mpc(overlap(s1, s2)) - want) <= 1e-12
 
 
 def test_eigenvector_residual_tail_dominated():
@@ -290,10 +312,58 @@ def test_b_ratio_tanh_oracle():
         assert rel_err(b_ratio(0.25, rho), math.tanh(2.0 * rho)) < 1e-13
 
 
-def test_b_ratio_refuses_an_underflowed_denominator():
-    assert bessel_i_scaled(2.0 * 123.456 - 1.0, 5.0) == 0.0
-    with pytest.raises(DomainError, match=r"k=123\.456, rho=2\.5"):
-        b_ratio(123.456, 2.5)
+def _b_mpmath(k, rho):
+    k, rho = mpmath.mpf(k), mpmath.mpf(rho)
+    return mpmath.besseli(2 * k, 2 * rho) / mpmath.besseli(2 * k - 1, 2 * rho)
+
+
+@pytest.mark.parametrize("k, rho", [
+    # e^{-2 rho} I_2k(2 rho) = 1.24e-322 is subnormal: the quotient was off by 1.4e-3
+    (51.112930054530516, 0.02755827865580318),
+    # a subnormal numerator: off by 5.0e-6
+    (39.88159296635607, 0.003073835879535938),
+    (51.0, 0.0275),
+    # I_{2k-1}(2 rho) underflows to 0: once refused
+    (123.456, 2.5), (300.0, 1.0), (1e4, 0.5),
+])
+def test_b_ratio_where_a_bessel_value_is_not_normal(k, rho):
+    assert min(bessel_i_scaled(2.0 * k - 1.0, 2.0 * rho),
+               bessel_i_scaled(2.0 * k, 2.0 * rho)) < sys.float_info.min
+    mpmath.mp.dps = 30
+    want = _b_mpmath(k, rho)
+    assert abs(b_ratio(k, rho) - want) <= 1e-13 * want
+
+
+def test_b_ratio_against_mpmath_where_the_series_mean_may_take_over():
+    # seeded sweep, k log-uniform in [20, 1e4] and rho in [1e-6, 3]; most
+    # cells have a Bessel value that is not a normal double and take the
+    # series mean, held to 1e-13.  The other cells keep the Bessel quotient,
+    # whose series lead e^{nu ln(x/2) - ln Gamma(nu+1)} carries a few ulp of
+    # |nu ln(x/2)| ~ 400: 2.0e-13 at k = 72.8, rho = 2.06
+    mpmath.mp.dps = 30
+    rng = np.random.default_rng(30)
+    mean_cells = 0
+    for _ in range(120):
+        k = float(10.0 ** rng.uniform(math.log10(20.0), 4.0))
+        rho = float(10.0 ** rng.uniform(-6.0, math.log10(3.0)))
+        by_mean = min(bessel_i_scaled(2.0 * k - 1.0, 2.0 * rho),
+                      bessel_i_scaled(2.0 * k, 2.0 * rho)) < sys.float_info.min
+        mean_cells += by_mean
+        want = _b_mpmath(k, rho)
+        assert abs(b_ratio(k, rho) - want) <= (1e-13 if by_mean else 3e-13) * want, (k, rho)
+    assert mean_cells >= 90
+
+
+def test_the_phase_series_names_its_rho_limit():
+    # once ConvergenceError "series in w = e^24.4121, a = 2.0 not cut within
+    # 200000 terms", naming neither rho nor a limit
+    with pytest.raises(DomainError, match=r"^the phase series is not cut within 200000 terms at "
+                                          r"k=1\.0, rho=200000\.0: rho <= 197133\.69 is cut at "
+                                          r"every k"):
+        ratio_gI(1.0, 2e5)
+    # the limit holds at the smallest k, and no rho cut today is refused
+    for k, rho in ((1e-300, bgstates._RHO_CUT), (1.0, 1.9e5), (1.0, 197134.68), (1e4, 2e5)):
+        assert 0.99 < ratio_gI(k, rho) < 1.0
 
 
 def test_make_bg_state_refuses_k_whose_order_rounds_to_minus_one():

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -257,8 +258,6 @@ class TestValidationErrors:
         capsys.readouterr()
 
     @pytest.mark.parametrize("k, rho, named", [
-        # I_{2k-1}(2 rho) underflows to 0 in the mean-occupation ratio
-        ("123.456", "2.5", ("k=123.456", "rho=2.5")),
         # 2k - 1 rounds to -1: the message gives k and the smallest accepted k
         ("1e-20", "1e-300", ("k=1e-20", "k >= 2.775557561562892e-17")),
     ])
@@ -268,6 +267,25 @@ class TestValidationErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err and "ln_bessel_i" not in err
         assert all(text in err for text in named)
+
+    @pytest.mark.parametrize("k, rho", [
+        # I_{2k-1}(2 rho) underflows to 0: once exit 1, "underflows"
+        ("123.456", "2.5"), ("300", "1"), ("1e4", "0.5"),
+        # e^{-2 rho} I_2k(2 rho) subnormal: once exit 1 blaming the K3
+        # variance, or exit 0 with b_k off by 5.0e-6
+        ("51", "0.0275"), ("39.88159296635607", "0.003073835879535938"),
+    ])
+    def test_coherent_where_a_bessel_value_is_not_normal(self, capsys, tmp_path, k, rho):
+        target = tmp_path / "coh.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("coherent", "--k", k, "--rho", rho, "--format", "json",
+                           "--out", str(target)) == 0
+        capsys.readouterr()
+        mpmath.mp.dps = 30
+        kk, rr = mpmath.mpf(k), mpmath.mpf(rho)
+        want = mpmath.besseli(2 * kk, 2 * rr) / mpmath.besseli(2 * kk - 1, 2 * rr)
+        assert abs(json.loads(target.read_text())["b_k"] - want) <= 1e-13 * want
 
     @pytest.mark.parametrize("argv, named", [
         # (2k+1)^2 overflows a double: once an uncaught OverflowError
@@ -302,6 +320,30 @@ class TestValidationErrors:
         (("phase-spectrum", "--k", "5e-324", "--dim", "4"), "every cos entry <= 6.7039"),
     ])
     def test_subnormal_k_is_one_error_line(self, capsys, tmp_path, argv, named):
+        target = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(*argv, "--out", str(target)) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("argv, named", [
+        # K_15 overflows at the rule's node nearest 0, x = 3.23e-21: once
+        # "K quadrature step halvings disagree by inf (tolerance nan)"
+        (("completeness", "--k", "8", "--n", "0"),
+         "K_nu(x) is out of the quadrature's range at nu=15.0, x=3.2270949548362303e-21"),
+        # once also "RuntimeWarning: overflow encountered in exp" from the power factor
+        (("completeness", "--k", "80", "--n", "20", "--rho-max", "400"),
+         "K_nu(x) is out of the quadrature's range at nu=159.0, "),
+        # once ConvergenceError "series in w = e^27.631, a = 2.0 not cut within 200000 terms"
+        (("kbound-scan", "--k-min", "1", "--k-max", "1", "--k-step", "1", "--rho-min", "1",
+          "--rho-max", "1e6", "--rho-points", "3"),
+         "not cut within 200000 terms at k=1.0, rho=1000000.0: rho <= 197133.69 is cut at every k"),
+    ], ids=["completeness-k8", "completeness-k80", "kbound-scan-rho1e6"])
+    def test_a_series_or_quadrature_out_of_range_is_one_error_line(self, capsys, tmp_path, argv,
+                                                                   named):
         target = tmp_path / "out.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -366,13 +366,13 @@ def test_sturm_counts_match_lapack(k, dim):
     eigs = eigvalsh_tridiagonal(np.zeros(dim), off)
     off_sq = (off * off).tolist()
     for x in (1.0 + 1e-12, -1.0 - 1e-12, 0.5, -0.3):
-        assert phaseops._sturm_count([0.0] * dim, off_sq, x, 1e-300) == int(np.sum(eigs < x))
+        assert phaseops._sturm_count(off_sq, x, 1e-300) == int(np.sum(eigs < x))
 
 
 def test_sturm_count_zero_pivot_counts_the_eigenvalue():
     # [[0, 1], [1, 0]] at x = 0 hits an exact zero pivot; eigenvalues are -1, 1
-    assert phaseops._sturm_count([0.0, 0.0], [1.0], 0.0, 1e-300) == 1
-    assert phaseops._sturm_count([0.0, 0.0], [1.0], 1.0, 1e-300) == 2
+    assert phaseops._sturm_count([1.0], 0.0, 1e-300) == 1
+    assert phaseops._sturm_count([1.0], 1.0, 1e-300) == 2
 
 
 def _counting_solver(monkeypatch, shift=None, info=None):
@@ -536,8 +536,8 @@ def test_phase_extremes_inverse_iteration_catches_a_corrupted_band(monkeypatch):
     # window
     count = phaseops._sturm_count
     monkeypatch.setattr(phaseops, "_sturm_count",
-                        lambda diag, off_sq, x, pivmin:
-                        count(diag, [1.0002 * v for v in off_sq], x, pivmin))
+                        lambda off_sq, x, pivmin:
+                        count([1.0002 * v for v in off_sq], x, pivmin))
     pair = build_phase_ops(RepLabel(k=1.0), 400)
     with pytest.raises(TruncationError, match="inverse iteration"):
         phase_extremes(pair, 1)

@@ -311,7 +311,7 @@ def test_make_bg_state_refuses_a_nan_coefficient(monkeypatch):
 
 def test_overlap_refuses_a_nan_closed_form(monkeypatch):
     s1, s2 = make_bg_state(1.0, 1.0), make_bg_state(1.0, 2.0j)
-    monkeypatch.setattr(bgstates, "_entire_series_scaled", lambda k, w, scale: complex(math.nan))
+    monkeypatch.setattr(bgstates, "_overlap_closed", lambda k, z1, z2: complex(math.nan))
     with pytest.raises(TruncationError, match="overlap routes disagree"):
         overlap(s1, s2)
 

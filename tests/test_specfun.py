@@ -338,9 +338,33 @@ def test_bessel_k_capped_rule_raises(monkeypatch):
 
 
 def test_bessel_k_unrepresentable_raises():
-    # K_100(0.01) ~ 1e380 overflows double; the rule refuses it
-    with pytest.raises(ConvergenceError):
+    # K_100(0.01) ~ 1e380 overflows double; the rule refuses it before any node
+    with pytest.raises(DomainError, match=r"nu=100\.0, x=0\.01: its reference exponent 890"):
         bessel_k(100.0, 0.01)
+
+
+@pytest.mark.parametrize("nu, x, ref", [
+    # once "K quadrature step halvings disagree by inf (tolerance nan)"
+    (15.0, 3.2e-21, 744), (200.0, 1.0, 999), (5.0, 1e-200, 2309),
+    # once a RuntimeWarning from arccosh, and from a multiply, first
+    (5.0, 1e-308, 3552), (50.0, 1e-10, 1332),
+])
+@pytest.mark.parametrize("k_function", [bessel_k, bessel_k_scaled])
+def test_bessel_k_out_of_range_is_one_domain_error(k_function, nu, x, ref):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=rf"^K_nu\(x\) is out of the quadrature's range at "
+                                              rf"nu={nu!r}, x={x!r}: its reference exponent {ref},"):
+            k_function(nu, x)
+
+
+def test_bessel_k_range_limit_is_the_reference_exponent():
+    # R = 690 and 345 lie below the limit, and K is formed there
+    mpmath.mp.dps = 30
+    for nu, x in ((1.0, 1e-300), (0.5, 1e-300)):
+        assert specfun._k_frame(nu, np.array([x]))[1][0] <= specfun._LOG_MAX
+        want = mpmath.besselk(nu, x)
+        assert abs(bessel_k(nu, x) - want) <= 1e-13 * want
 
 
 # ---------------------------------------------------------------------------
@@ -393,3 +417,14 @@ def test_recurrence_identity_at_half_order():
 def test_wronskian_identity(nu, x):
     w = bessel_i(nu, x) * bessel_k(nu + 1.0, x) + bessel_i(nu + 1.0, x) * bessel_k(nu, x)
     assert abs(w - 1.0 / x) * x < IDENTITY_REL
+
+
+def test_a_zero_w_keeps_the_first_term_alone():
+    # ln w = -inf: w^0 = 1, and the series is cut at N = 1 with t_1 = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = specfun._log_terms(np.array([-math.inf, 0.0]), 2.5, 3)
+        assert specfun._series_cut(np.array([-math.inf, -math.inf]), 2.5) == 1
+    assert table[0].tolist() == [-math.lgamma(2.5), -math.inf, -math.inf]
+    n = np.arange(3.0)
+    assert table[1].tolist() == (-(specfun.ln_gamma(n + 1.0) + specfun.ln_gamma(2.5 + n))).tolist()
