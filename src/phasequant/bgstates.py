@@ -3,12 +3,13 @@
 The state solves K- |k,z> = z |k,z> with z = rho e^{i phi}.  Its number-state
 coefficients are
 
-    c_n = rho^{k-1/2} I_{2k-1}(2 rho)^{-1/2} z^n / sqrt(n! Gamma(2k+n)),
+    c_n = S^{-1/2} z^n / sqrt(n! (2k)_n),  S = sum_n rho^{2n} / (n! (2k)_n) = 0F1(; 2k; rho^2)
 
-so normalization rides on the modified Bessel function of the first kind.
-Every expectation value in this module is produced twice, once in closed form
-through Bessel-function ratios and once by truncated sums over the stored
-coefficients, and construction fails loudly if the routes drift apart.
+(DLMF 10.25.2; Barut & Girardello, Commun. Math. Phys. 21 (1971) 41): the
+state is normalized by the table of its own terms.  Every expectation value
+in this module is produced twice, once in closed form through Bessel-function
+ratios and once by truncated sums over the stored coefficients, and
+construction fails loudly if the routes drift apart.
 
 Phase expectation values factor as <cos> = cos(phi) g(rho)/I_{2k-1}(2 rho)
 with
@@ -50,7 +51,6 @@ from .repalg import RepLabel, banded_matvec, build_k1, build_k2
 from .specfun import (
     _k_quad,
     _i_scaled,
-    _ln_bessel_i,
     _log_terms,
     _series_cut,
     _tanh_sinh,
@@ -83,14 +83,14 @@ __all__ = [
 ]
 
 _ROUTE_TOL = 1e-10
-# the smallest k whose Bessel order 2k - 1 does not round to -1: below it
-# every state's normalization I_{2k-1} is taken at an order outside nu > -1
-_K_MIN = math.nextafter(2.0 ** -55, math.inf)
 _SUP_TOL = 1e-9
 # relative bound on the moment quadrature's error estimate plus its tail
 _QUADRATURE_TOL = 1e-9
 # logarithm of the smallest subnormal double
 _LOG_MIN_DOUBLE = math.log(math.ulp(0.0))
+# make_bg_state's refusal, given k, rho and what bounds ln|c_0|
+_C0_UNDERFLOWS = ("make_bg_state: c_0 underflows at k={!r}, rho={!r}: ln|c_0| {} is below "
+                  f"{_LOG_MIN_DOUBLE:.6g}, that of the smallest double")
 # the largest rho whose 2 rho, the Bessel argument, is a finite double
 _RHO_MAX = sys.float_info.max / 2.0
 # the phase series of every k is cut within specfun's 200000 terms up to
@@ -186,21 +186,18 @@ class ScanResult:
     verdicts: tuple
 
 
-def _ln_i(k: float, rho: float) -> float:
-    # ln I_{2k-1}(2 rho), the normalization; 2k goes in apart from its order
-    # 2k - 1, which for 2k < 1 has lost 2k's low bits
-    return _ln_bessel_i(2.0 * k - 1.0, 2.0 * rho, 2.0 * k)
+def _state_log_terms(log_w, k: float, size: int) -> np.ndarray:
+    """ln(w^n Gamma(2k+d) / (n! Gamma(2k+n))) for n < size, one row per entry of log_w.
 
-
-def _tail_dim(k: float, rho: float, ln_i: float, tail_tol: float) -> int:
-    # Smallest n past the point where terms at least halve with
-    # rho^{2(n+k)}/(n! Gamma(2k+n)) below tail_tol * I_{2k-1}(2 rho), whose
-    # logarithm is ln_i; the halving makes the geometric tail bound
-    # legitimate.  |c_n|^2 carries rho^{2(n+k)-1}: the missing 1/rho is
-    # restored below rho = 1, the spare rho kept above it.
-    log_rho = math.log(rho)
-    log_tol = math.log(tail_tol) + ln_i - 2.0 * k * log_rho - max(0.0, -log_rho)
-    return _series_cut(2.0 * log_rho, 2.0 * k, log_tol, ratio=0.5, error=TruncationError)
+    d = 0 for 2k >= 1 and 1 below.  Each term is w^n / n! over a running sum of
+    ln(2k+m), so no ln Gamma(2k+n) ~ 2k ln 2k cancels at large k; ln 2k enters
+    as max(0, ln 2k) from n = 1 on and min(0, ln 2k) at n = 0, so at tiny k
+    (ln 2k ~ -690 at k = 1e-300) it rounds against no other term.
+    """
+    ln_2k = math.log(2.0 * k)
+    rising = np.log(2.0 * k + np.arange(size - 1.0))
+    rising[:1] = max(0.0, ln_2k)
+    return _log_terms(log_w, None, size) + np.append(min(0.0, ln_2k), -np.cumsum(rising))
 
 
 def make_bg_state(k: float, z: complex, dim: int | None = None,
@@ -210,19 +207,14 @@ def make_bg_state(k: float, z: complex, dim: int | None = None,
     With dim omitted, the smallest adequate dimension is chosen; an explicit
     dim smaller than that raises.  The lowering-operator eigenvalue relation
     is verified row by row on the interior before the state is returned.
-    k must be a positive real whose 2k is finite.  k below about 2.78e-17
-    raises ``DomainError``: there the Bessel order 2k - 1 of the
-    normalization rounds to -1.  So does a state whose first coefficient
-    c_0 underflows: ln|c_0| below that of the smallest double, about
-    -744.4 (k = 1/2 past rho of about 745).
+    The coefficients, ln S, the c_0 check and the tail cut read one table.
+    k must be at least ``phaseops._K_MIN`` with 2k finite.  A state whose
+    c_0 underflows raises ``DomainError``: ln|c_0| below that of the
+    smallest double, about -744.4 (k = 1/2 past rho of about 745), or below
+    -17328.7 where the series is not cut within specfun's 200000 terms.
     """
-    check_domain("k", k)
+    _check_k(k, "make_bg_state")
     check_domain("2k", 2.0 * k)
-    if not k >= _K_MIN:
-        raise DomainError(
-            f"make_bg_state requires k >= {_K_MIN!r}, got k={k!r}: below it "
-            "the Bessel order 2k - 1 rounds to -1"
-        )
     check_domain("tail_tol", tail_tol)
     z = complex(z)
     rho = _check_rho(abs(z), "make_bg_state")
@@ -230,16 +222,27 @@ def make_bg_state(k: float, z: complex, dim: int | None = None,
     if rho == 0.0:
         needed = 1
     else:
-        ln_i = _ln_i(k, rho)
-        # ln|c_0|, bit for bit log_amp[0] below, is checked before the cut:
-        # past rho ~ 1e5 the cut fails first, naming neither rho nor this limit
-        log_c0 = (k - 0.5) * math.log(rho) - 0.5 * ln_i - 0.5 * ln_gamma(2.0 * k)
+        log_w = 2.0 * math.log(rho)
+        try:
+            size = _series_cut(log_w, 2.0 * k) + 1
+        except ConvergenceError:
+            # a term peak past n = 1e5, half the budget, has the term ratio
+            # rho^2/(n (2k+n-1)) >= 2 up to n = 5e4: ln|c_0| < -(5e4/2) ln 2 = -17328.7
+            if not rho * rho >= 1e5 * (2.0 * k + (1e5 - 1.0)):
+                raise
+            raise DomainError(_C0_UNDERFLOWS.format(k, rho, "< -17328.7")) from None
+        log_t = _state_log_terms(log_w, k, size)
+        top = log_t.max()
+        ln_s = top + math.log(np.sum(np.exp(log_t - top)))
+        # checked before the tail cut, which past rho ~ 1e5 fails first
+        log_c0 = 0.5 * (log_t[0] - ln_s)
         if not log_c0 >= _LOG_MIN_DOUBLE:
-            raise DomainError(
-                f"make_bg_state: c_0 underflows at k={k!r}, rho={rho!r}: ln|c_0| = "
-                f"{log_c0:.6g} is below {_LOG_MIN_DOUBLE:.6g}, that of the smallest double"
-            )
-        needed = _tail_dim(k, rho, ln_i, tail_tol)
+            raise DomainError(_C0_UNDERFLOWS.format(k, rho, f"= {log_c0:.6g}"))
+        # the first n past which terms halve, rho^{2n} / (n! Gamma(2k+n)) below
+        # tail_tol S / Gamma(2k+d) and, above rho = 1, below that over rho
+        log_tol = (math.log(tail_tol) + ln_s - ln_gamma(2.0 * k)
+                   - min(0.0, math.log(2.0 * k)) - max(0.0, 0.5 * log_w))
+        needed = _series_cut(log_w, 2.0 * k, log_tol, ratio=0.5, error=TruncationError)
     if dim is None:
         dim = needed
     elif check_domain("dim", dim, "positive integer") < needed:
@@ -251,18 +254,15 @@ def make_bg_state(k: float, z: complex, dim: int | None = None,
     if rho == 0.0:
         coeffs[0] = 1.0
     else:
-        n = np.arange(dim, dtype=np.float64)
-        log_amp = (
-            (k - 0.5) * math.log(rho)
-            - 0.5 * ln_i
-            + 0.5 * _log_terms(2.0 * math.log(rho), 2.0 * k, dim)
-        )
+        if dim > size:
+            log_t = _state_log_terms(log_w, k, dim)
         theta = math.atan2(z.imag, z.real)  # cmath.phase raises on a subnormal angle
-        coeffs = np.exp(log_amp) * np.exp(1j * theta * n)
+        coeffs = np.exp(0.5 * (log_t[:dim] - ln_s)) * np.exp(1j * theta * np.arange(dim))
 
     state = BGState(k=k, z=z, dim=dim, coeffs=coeffs, tail_tol=tail_tol)
 
-    # interior rows of (K- - z) coeffs vanish identically; rounding only
+    # interior rows of (K- - z) coeffs vanish identically; rounding only; they
+    # read no table, so they check the coefficients by a second route
     interior = _kminus_rows(state)[:-1]
     check_route("coherent-state coefficients and K- c = z c", np.max(np.abs(interior), initial=0.0),
                 1e-12 * (1.0 + rho), context=f"at k={k}, z={z}")
@@ -291,13 +291,13 @@ def eigenvector_residual(state: BGState) -> float:
 
 def _overlap_closed(k: float, z1: complex, z2: complex) -> complex:
     # S(conj(z2) z1) / sqrt(S(rho1^2) S(rho2^2)), S(w) = sum_n t_n with
-    # t_n = w^n / (n! Gamma(2k+n)), as one series mean: the rows rho1 rho2,
-    # rho1^2 and rho2^2 of one table, each shifted by its largest term, and
+    # t_n = w^n / (n! (2k)_n), as one series mean: the rows rho1 rho2, rho1^2
+    # and rho2^2 of the state's table, each shifted by its largest term, and
     # the first row's means of cos and sin of n (arg z1 - arg z2)
     with np.errstate(divide="ignore"):  # ln 0 = -inf keeps t_0 alone
         ln1, ln2 = np.log([abs(z1), abs(z2)])
     log_w = np.array([ln1 + ln2, 2.0 * ln1, 2.0 * ln2])
-    log_t = _log_terms(log_w, 2.0 * k, _series_cut(log_w, 2.0 * k) + 1)
+    log_t = _state_log_terms(log_w, k, _series_cut(log_w, 2.0 * k) + 1)
     top = log_t.max(axis=1)
     theta = math.atan2(z1.imag, z1.real) - math.atan2(z2.imag, z2.real)
     angle = theta * np.arange(log_t.shape[1])
@@ -311,12 +311,14 @@ def overlap(s1: BGState, s2: BGState) -> complex:
     """<k,z2|k,z1> by truncated inner product, validated against closed form.
 
     The closed form is the Barut-Girardello one, S(conj(z2) z1) over
-    sqrt(S(rho1^2) S(rho2^2)) with S(w) = sum_n w^n / (n! Gamma(2k+n)) =
-    0F1(; 2k; w) / Gamma(2k): one series mean over one log-term table, so it
-    reads neither the Bessel normalization nor the stored coefficients, and
-    takes no branch cut.  The two routes must agree to 1e-10 or to the
-    cross-term tail bound when that is larger (states of very different rho
-    leave a genuinely bigger tail past the shorter vector).
+    sqrt(S(rho1^2) S(rho2^2)) with S(w) = sum_n w^n / (n! (2k)_n) =
+    0F1(; 2k; w): one series mean over the state's log-term table, so it
+    reads no Bessel value and not the stored coefficients, and takes no
+    branch cut.  It shares that table with the normalization; the K- c = z c
+    rows of ``make_bg_state``, which read none, check the table.  The two
+    routes must agree to 1e-10 or to the cross-term tail bound when that is
+    larger (states of very different rho leave a genuinely bigger tail past
+    the shorter vector).
     """
     if s1.k != s2.k:
         raise DimensionMismatchError(f"overlap needs equal k, got {s1.k} and {s2.k}")
@@ -412,7 +414,7 @@ def b_ratio(k: float, rho: float) -> float:
         # leading series behavior; the direct quotient would underflow to
         # 0/0 for extreme orders at tiny rho
         return rho / (2.0 * k)
-    # 2k passed apart from the order, as for _ln_i
+    # 2k passed apart from the order 2k - 1, which for 2k < 1 lost 2k's low bits
     below = _i_scaled(2.0 * k - 1.0, 2.0 * rho, 2.0 * k)
     above = bessel_i_scaled(2.0 * k, 2.0 * rho)
     if min(below, above) < sys.float_info.min:
@@ -465,12 +467,17 @@ def k3_moments(state: BGState) -> K3Moments:
 
     mean = k + rho b_k, second = k^2 + rho^2 + rho b_k and
     variance = rho^2 (1 - b_k^2) + (1-2k) rho b_k; each is compared against
-    the direct sum over |coeffs|^2 before being returned.
+    the direct sum over |coeffs|^2 before being returned.  A second moment
+    that overflows (k above sqrt(DBL_MAX)) raises ``DomainError`` first.
     """
     k, rho = state.k, state.rho
     b = b_ratio(k, rho)
     mean = k + rho * b
     second = k * k + rho * rho + rho * b
+    if second == math.inf:
+        raise DomainError(
+            f"k3_moments: the K3 second moment k^2 + rho^2 + rho b_k is infinite at k={k!r}, "
+            f"rho={rho!r}: k^2 overflows past k = {math.sqrt(sys.float_info.max)!r}")
     variance = rho * rho * (1.0 - b * b) + (1.0 - 2.0 * k) * rho * b
 
     p = np.abs(state.coeffs) ** 2

@@ -5,13 +5,14 @@ tens, arguments up to a few hundred):
 
 * ``ln_gamma`` -- the stdlib's ``math.lgamma`` behind a domain check, also
   elementwise on a numpy array.
-* One private series rule.  Every Barut-Girardello sum in the package (the
-  normalization through I_{2k-1}(2 rho), the coefficients, g(rho), the
-  overlap kernel) has terms t_n = w^n / (n! Gamma(a+n)), and the oscillator
-  weights are w^n / n!.  ``_series_cut`` returns the cut N, the first n
-  past the term peak below a log tolerance (DLMF 10.25.2).  It bisects on
-  the closed-form ln t_n of the largest w alone, which decides for every
-  row; ``_log_terms`` tabulates ln t_n, n <= N, for the callers that sum.
+* One private series rule.  Every Gamma-weighted sum in the package (the
+  I_nu series, g(rho), the bound scan, b_ratio's series mean) has terms
+  t_n = w^n / (n! Gamma(a+n)), and the oscillator weights are w^n / n!.
+  ``_series_cut`` returns the cut N, the first n past the term peak below a
+  log tolerance (DLMF 10.25.2).  It bisects on the closed-form ln t_n of
+  the largest w alone, which decides for every row; ``_log_terms``
+  tabulates ln t_n, n <= N, for the callers that sum (``bgstates`` forms
+  the coherent state's terms, relative to Gamma(2k), from its w^n / n!).
   Every series mean (g/I in the bound scan, the oscillator's h1 and h2,
   the overlap's closed form, b_ratio where a Bessel value is not normal)
   comes from ``_weighted_means``: sum t_n w_n / sum t_n per row, with the
@@ -28,11 +29,9 @@ tens, arguments up to a few hundred):
   instead loses about a digit at x = 400.  Both raise DomainError where
   their value overflows (I_nu past x = 709, or the series lead
   (x/2)^nu / Gamma(nu+1) near nu = -1 at tiny x), or where neither the
-  asymptotic sum nor the series can be formed; the private
-  ``_ln_bessel_i`` keeps that lead a logarithm and so stays finite.  The
-  private routines take Gamma's argument a = nu + 1 apart from nu, so a
-  caller whose nu = 2k - 1 lost the low bits of a small 2k passes 2k
-  itself.
+  asymptotic sum nor the series can be formed.  The private routines
+  take Gamma's argument a = nu + 1 apart from nu, so a caller whose
+  nu = 2k - 1 lost the low bits of a small 2k passes 2k itself.
 * ``bessel_k`` -- the trapezoid rule on the integral representation
   K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt, which is uniformly
   valid in real nu and avoids the I_{-nu} - I_nu cancellation at integer nu.
@@ -84,6 +83,8 @@ _LOG_MAX = math.log(sys.float_info.max)
 _LOG_MIN_NORMAL = math.log(sys.float_info.min)
 
 _LGAMMA = np.frompyfunc(math.lgamma, 1, 1)
+# math.lgamma overflows from here on
+_LGAMMA_LIMIT = 2.5599833278516387e+305
 
 
 def ln_gamma(x):
@@ -95,16 +96,25 @@ def ln_gamma(x):
     Raises
     ------
     DomainError
-        If any ``x <= 0``.
+        If any ``x <= 0``, or any x is at least ``_LGAMMA_LIMIT`` (2.56e305),
+        where ``math.lgamma`` overflows.
     """
     if np.ndim(x):
         x = np.asarray(x, dtype=np.float64)
         if not x.min() > 0.0:
             raise DomainError(f"ln_gamma requires x > 0, got {x[~(x > 0.0)][0]}")
+        _check_lgamma("ln_gamma", "x", x.max())
         return _LGAMMA(x).astype(np.float64)
     if not x > 0.0:
         raise DomainError(f"ln_gamma requires x > 0, got {x}")
+    _check_lgamma("ln_gamma", "x", x)
     return math.lgamma(x)
+
+
+def _check_lgamma(what: str, name: str, x) -> None:
+    if not x < _LGAMMA_LIMIT:
+        raise DomainError(f"{what} requires {name} < {_LGAMMA_LIMIT!r}, where math.lgamma "
+                          f"overflows, got {name}={float(x)!r}")
 
 
 def _log_terms(log_w, a: float | None, size: int) -> np.ndarray:
@@ -166,8 +176,11 @@ def _series_cut(log_w, a: float | None, log_tol=None, ratio: float = 1.0,
     and bisection find the last n clear above the cut by twice their
     rounding (``slack``) and the n after it are scanned, so a cut costs
     O(log N) lgamma calls.  Where log_tol rounds onto the largest term, or
-    no n below ``_MAX_TERMS`` qualifies, ``error`` is raised.
+    no n below ``_MAX_TERMS`` qualifies, ``error`` is raised; an a from
+    ``_LGAMMA_LIMIT`` on, whose ln Gamma(a + n) overflows, raises DomainError.
     """
+    if a is not None:
+        _check_lgamma("the series in w^n / (n! Gamma(a+n))", "a", a)
     top = float(log_w.max() if isinstance(log_w, np.ndarray) else log_w)
     if top == -math.inf:
         return 1  # every w is 0: t_1 = 0 is the first term past the peak t_0
@@ -227,15 +240,16 @@ def _series_cut(log_w, a: float | None, log_tol=None, ratio: float = 1.0,
     raise error(uncut)
 
 
-def _i_log_series(nu: float, x: float, a: float | None = None) -> tuple[float, float]:
-    """Ascending series for I_nu(x), nu > -1, as (ln lead, sum).
+def _i_series(nu: float, x: float, scale: float, a: float | None = None) -> float:
+    """Ascending series for I_nu(x), nu > -1, every term multiplied by e^{-scale}.
 
-    I_nu(x) = exp(ln lead) * sum, with lead = (x/2)^nu / Gamma(nu+1) the
-    first term, so sum >= 1.  The lead stays a logarithm: near nu = -1 at
-    tiny x it lies far outside double range.  ``a`` is nu + 1 exactly
-    (default: formed from nu); it enters Gamma(a) and the first term ratio.
-    Raises DomainError where the sum leaves double range, which happens only
-    above the asymptotic threshold.
+    I_nu(x) = lead * sum, with lead = (x/2)^nu / Gamma(nu+1) the first term,
+    so sum >= 1.  The lead is kept as a logarithm until e^{-scale} is taken
+    out: near nu = -1 at tiny x it lies far outside double range.  ``a`` is
+    nu + 1 exactly (default: formed from nu); it enters Gamma(a) and the
+    first term ratio.  Raises DomainError where the sum leaves double range,
+    which happens only above the asymptotic threshold, or where the value
+    overflows.
     """
     a = nu + 1.0 if a is None else a
     half = 0.5 * x
@@ -251,15 +265,7 @@ def _i_log_series(nu: float, x: float, a: float | None = None) -> tuple[float, f
             f"I_nu(x) cannot be formed at nu={nu}, x={x}: the asymptotic sum does not "
             "converge there and the ascending series leaves double range"
         )
-    return nu * log_half - ln_gamma(a), 1.0 + rest
-
-
-def _i_series(nu: float, x: float, scale: float, a: float | None = None) -> float:
-    """Ascending series for I_nu(x), nu > -1, every term multiplied by e^{-scale}.
-
-    Raises DomainError where that value overflows.
-    """
-    log_lead, total = _i_log_series(nu, x, a)
+    log_lead, total = nu * log_half - ln_gamma(a), 1.0 + rest
     if log_lead - scale < _LOG_MAX:
         value = math.exp(log_lead - scale) * total
         if value < math.inf:
@@ -268,27 +274,6 @@ def _i_series(nu: float, x: float, scale: float, a: float | None = None) -> floa
     raise DomainError(
         f"{what} = e^{log_lead - scale + math.log(total):.6g} overflows at nu={nu}, x={x}"
     )
-
-
-def _ln_bessel_i(nu: float, x: float, a: float | None = None) -> float:
-    """ln I_nu(x) for nu > -1 and x > 0, also where I_nu(x) leaves double range.
-
-    Where e^{-x} I_nu(x) is a normal double this is ln(bessel_i_scaled) + x,
-    bit for bit; where the series is summed it is otherwise formed from
-    the logarithm of the series lead, which is never exponentiated.  ``a``
-    is nu + 1 exactly, as for :func:`_i_log_series`.
-    """
-    _check_i_domain("ln_bessel_i", nu, x)
-    if x > _ASYMPTOTIC_THRESHOLD:
-        scaled = _i_asymptotic_scaled(nu, x)
-        if scaled is not None:
-            return math.log(scaled) + x
-    log_lead, total = _i_log_series(nu, x, a)
-    if log_lead - x < _LOG_MAX:
-        scaled = math.exp(log_lead - x) * total
-        if sys.float_info.min <= scaled < math.inf:
-            return math.log(scaled) + x
-    return log_lead + math.log(total)
 
 
 def _i_asymptotic_scaled(nu: float, x: float) -> float | None:
@@ -365,7 +350,7 @@ def bessel_i_scaled(nu: float, x: float) -> float:
 
 
 def _i_scaled(nu: float, x: float, a: float | None = None) -> float:
-    """e^{-x} I_nu(x) for x > 0, unchecked; ``a`` as for :func:`_i_log_series`."""
+    """e^{-x} I_nu(x) for x > 0, unchecked; ``a`` as for :func:`_i_series`."""
     if x > _ASYMPTOTIC_THRESHOLD:
         value = _i_asymptotic_scaled(nu, x)
         if value is not None:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phasequant import bgstates, specfun
+from phasequant import bgstates, phaseops, specfun
 from phasequant.bgstates import (
     BGState,
     b_ratio,
@@ -131,8 +131,7 @@ def _overlap_0f1(k, z1, z2):
 
 def test_overlap_kernel_against_mpmath():
     # the closed route alone, against mpmath's 0F1 ratio; |overlap| <= 1, so
-    # the error is absolute.  Its rounding is that of ln S, a few ulp of
-    # ln Gamma(2k) at large k (2.9e-13 at k = 300)
+    # the error is absolute
     mpmath.mp.dps = 40
     pairs = [(0.0, 0.0), (0.0, 3.0 * cmath.exp(1.0j)), (2.0, 0.0), (1e-300, 5.0 * cmath.exp(2.0j)),
              (0.5, -0.7), (3.0j, -3.0j), (10.0, 30.0 * cmath.exp(-2.0j)), (30.0, 30.0 * cmath.exp(0.1j)),
@@ -145,6 +144,38 @@ def test_overlap_kernel_against_mpmath():
     z1, z2 = 700.0 + 0.0j, 700.0 * cmath.exp(0.3j)
     got = bgstates._overlap_closed(0.5, z1, z2)
     assert abs(mpmath.mpc(got) - _overlap_0f1(0.5, z1, z2)) <= 1e-12
+
+
+def test_overlap_kernel_at_large_k_against_mpmath():
+    # ln S once carried a few ulp of ln Gamma(2k): 2.9e-13 at k = 300,
+    # 1.5e-12 at k = 1000, 1.7e-11 at k = 1e4
+    mpmath.mp.dps = 40
+    pairs = [(0.5, 0.7j), (3.0 * cmath.exp(1.0j), 2.0), (10.0, 30.0 * cmath.exp(-2.0j)),
+             (1e-300, 5.0 * cmath.exp(2.0j)), (30.0, 30.0 * cmath.exp(0.1j))]
+    for k in (86.0, 300.0, 1000.0, 1e4):
+        for z1, z2 in pairs:
+            got = bgstates._overlap_closed(k, complex(z1), complex(z2))
+            assert abs(mpmath.mpc(got) - _overlap_0f1(k, z1, z2)) <= 1e-14, (k, z1, z2)
+
+
+def test_state_table_against_mpmath():
+    # c_n = z^n / sqrt(n! (2k)_n 0F1(; 2k; rho^2)) at 30 digits, over the
+    # whole k range: until the state read its own table, k below 2.78e-17 was
+    # refused and the coefficients lost digits as k grew (1.1e-11 at k = 1e4)
+    rng = np.random.default_rng(31)
+    ks = np.exp(rng.uniform(math.log(2.3e-308), math.log(1e6), 60))
+    rhos = np.exp(rng.uniform(math.log(1e-3), math.log(30.0), 60))
+    phis = rng.uniform(-math.pi, math.pi, 60)
+    with mpmath.workdps(30):
+        for k, rho, phi in zip(ks.tolist(), rhos.tolist(), phis.tolist()):
+            state = make_bg_state(k, rho * cmath.exp(1j * phi))
+            two_k, z = 2 * mpmath.mpf(k), mpmath.mpc(state.z)
+            want = 1 / mpmath.sqrt(mpmath.hyp0f1(two_k, abs(z) ** 2))
+            for n, got in enumerate(state.coeffs.tolist()):
+                if n:
+                    want *= z / mpmath.sqrt(n * (two_k + (n - 1)))
+                assert abs(mpmath.mpc(got) - want) <= 1e-13 * abs(want), (k, rho, phi, n)
+            assert abs(float(np.sum(np.abs(state.coeffs) ** 2)) - 1.0) <= 1e-14, (k, rho)
 
 
 @pytest.mark.parametrize("k", [100.0, 300.0, 1000.0])
@@ -366,13 +397,16 @@ def test_the_phase_series_names_its_rho_limit():
         assert 0.99 < ratio_gI(k, rho) < 1.0
 
 
-def test_make_bg_state_refuses_k_whose_order_rounds_to_minus_one():
-    k_min = bgstates._K_MIN
-    assert 2.0 * k_min - 1.0 > -1.0
-    assert 2.0 * math.nextafter(k_min, 0.0) - 1.0 == -1.0
-    with pytest.raises(DomainError, match="got k=1e-20"):
-        make_bg_state(1e-20, 1e-300)
-    assert make_bg_state(k_min, 1e-300).dim == 1
+def test_make_bg_state_refuses_a_subnormal_k():
+    # the one k floor of every entry point, phaseops._K_MIN; the Bessel order
+    # 2k - 1 of the normalization once set it at 2.78e-17
+    with pytest.raises(DomainError, match=r"make_bg_state requires k >= 2\.2250738585072014e-308 "
+                                          r".*got k=1e-310"):
+        make_bg_state(1e-310, 1e-300)
+    assert make_bg_state(phaseops._K_MIN, 1e-300).dim == 1
+    for rho in (1e-300, 0.5, 3.0, 30.0):
+        state = make_bg_state(phaseops._K_MIN, rho)
+        assert abs(float(np.sum(np.abs(state.coeffs) ** 2)) - 1.0) <= 1e-14
 
 
 @pytest.mark.parametrize("k", [1e-10, 1e-14, 1e-16, 2.775557561562892e-17])
@@ -460,6 +494,19 @@ def test_b_ratio_values_and_slope():
     for k in (0.5, 1.0, 2.0):
         # leading behavior rho/(2k); at k=1/2 this is the rho limit itself
         assert rel_err(b_ratio(k, 1e-4) / 1e-4, 1.0 / (2.0 * k)) < 1e-7
+
+
+def test_k3_moments_where_k_squared_overflows():
+    # k^2 in the closed second moment: once a RuntimeWarning from the summed
+    # route, then "disagree by nan (tolerance inf)"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"k3_moments: the K3 second moment .* at k=1e\+200, "
+                                              r"rho=0\.0: k\^2 overflows past "
+                                              r"k = 1\.3407807929942596e\+154"):
+            k3_moments(make_bg_state(1e200, 0.0))
+        k = math.sqrt(sys.float_info.max)
+        assert k3_moments(make_bg_state(k, 0.0)).second == k * k
 
 
 def test_k3_moments_ground_state():
@@ -842,12 +889,19 @@ def test_ratio_gI_is_the_one_point_scan_bit_for_bit():
     assert mismatched == []
 
 
-def test_make_bg_state_evaluates_its_normalization_once(monkeypatch):
-    calls = []
-    real = bgstates._ln_bessel_i
-    monkeypatch.setattr(bgstates, "_ln_bessel_i", lambda *a: calls.append(a) or real(*a))
-    make_bg_state(1.0, 3.0)
-    assert len(calls) == 1
+def test_the_state_and_the_closed_overlap_call_no_bessel_i(monkeypatch):
+    # the state is normalized by its own table, so no I_nu routine enters
+    def refuse(*args, **kwargs):
+        raise AssertionError("an I_nu routine was called")
+
+    for module in (specfun, bgstates):
+        for name in ("bessel_i", "bessel_i_scaled", "bessel_i_asymptotic", "_i_scaled",
+                     "_i_series", "_i_asymptotic_scaled"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for k, z in ((1.0, 3.0), (1e-300, 2.0j), (1e4, 3.0), (0.5, 700.0)):
+        assert make_bg_state(k, z).dim > 1
+    assert abs(bgstates._overlap_closed(1.0, 3.0 + 0.0j, 2.0j)) < 1.0
 
 
 def test_interior_check_and_residual_share_the_kminus_rows(monkeypatch):

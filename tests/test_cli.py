@@ -258,15 +258,26 @@ class TestValidationErrors:
         capsys.readouterr()
 
     @pytest.mark.parametrize("k, rho, named", [
-        # 2k - 1 rounds to -1: the message gives k and the smallest accepted k
-        ("1e-20", "1e-300", ("k=1e-20", "k >= 2.775557561562892e-17")),
+        # a subnormal k: the message gives k and the smallest accepted k
+        ("1e-310", "1e-300", ("k=1e-310", "k >= 2.2250738585072014e-308")),
     ])
     def test_coherent_out_of_range_is_one_error_line(self, capsys, k, rho, named):
         assert run_cli("coherent", "--k", k, "--rho", rho, "--phi", "0.3") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err and "ln_bessel_i" not in err
+        assert "Traceback" not in err
         assert all(text in err for text in named)
+
+    @pytest.mark.parametrize("k, rho", [
+        # the K- c = z c rows once disagreed by 5.493e-12 against 4.0e-12 and
+        # 2.109e-11 against 2.0e-12: ln I and ln Gamma(2k+n) cancelled
+        ("1e4", "3"), ("1e6", "1"),
+    ])
+    def test_coherent_at_large_k(self, capsys, k, rho):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("coherent", "--k", k, "--rho", rho) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("k, rho", [
         # I_{2k-1}(2 rho) underflows to 0: once exit 1, "underflows"
@@ -299,6 +310,13 @@ class TestValidationErrors:
         (("coherent", "--k", "1e308", "--rho", "1"), "2k must be finite"),
         # log-terms near -4.6e102: once a 200,000-row table before blaming the length
         (("coherent", "--k", "1e100", "--rho", "1"), "do not resolve the 1e-18 cut"),
+        # math.lgamma(2k) overflows: once an uncaught OverflowError in the series cut
+        (("coherent", "--k", "3e305", "--rho", "1"), "a < 2.5599833278516387e+305"),
+        (("nfm-sim", "--kind", "bg", "--k", "1.98e306", "--rho", "4.87e257"),
+         "a < 2.5599833278516387e+305"),
+        # k^2 overflows in the K3 second moment: once a RuntimeWarning, then
+        # "disagree by nan (tolerance inf)"
+        (("coherent", "--k", "1e200", "--rho", "0"), "overflows past k = 1.3407807929942596e+154"),
     ])
     def test_overflowing_k_is_one_error_line(self, capsys, tmp_path, argv, named):
         target = tmp_path / "out.csv"

@@ -227,16 +227,17 @@ def test_a_coherent_state_whose_c0_underflows_is_refused(capsys, tmp_path):
 def test_c0_is_checked_before_the_tail_cut():
     # from rho ~ 1e5 on the tail cut ran first and failed with "series in
     # w = e^27.631, a = 2.0 not cut within 200000 terms", naming neither rho
-    # nor the c_0 limit
-    for rho, log_c0 in ((1e6, "-999989"), (1e307, "-1e+307")):
-        message = f"c_0 underflows at k=1, rho={rho!r}: ln|c_0| = {log_c0} is below -744.44"
+    # nor the c_0 limit.  Past the term budget no table forms (from rho =
+    # 1.98e5 at k = 1), and the term peak past n = 1e5 bounds ln|c_0|
+    for rho in (1.98e5, 1e6, 1e307):
+        message = f"c_0 underflows at k=1, rho={rho!r}: ln|c_0| < -17328.7 is below -744.44"
         with pytest.raises(DomainError, match=re.escape(message)):
             bgstates.make_bg_state(1, rho)
     child = subprocess.run([sys.executable, "-m", "phasequant.cli", "coherent",
                             "--k", "1", "--rho", "1e6"], capture_output=True, text=True)
     assert (child.returncode, child.stdout) == (1, "")
     assert child.stderr == ("error: make_bg_state: c_0 underflows at k=1.0, rho=1000000.0: "
-                            "ln|c_0| = -999989 is below -744.44, that of the smallest double\n")
+                            "ln|c_0| < -17328.7 is below -744.44, that of the smallest double\n")
 
 
 def test_a_rho_or_r_whose_square_or_double_overflows_is_refused(capsys):

@@ -302,11 +302,20 @@ def test_two_mode_refuses_a_nan_commutator(monkeypatch, which):
 
 
 def test_make_bg_state_refuses_a_nan_coefficient(monkeypatch):
-    log_terms = bgstates._log_terms
-    monkeypatch.setattr(bgstates, "_log_terms",
-                        lambda *args: np.append(log_terms(*args)[:-1], np.nan))
+    # the NaN enters the table that an explicit dim rebuilds, past the one
+    # that gave ln S
+    sizes = []
+    table = bgstates._state_log_terms
+
+    def with_nan(log_w, k, size):
+        sizes.append(size)
+        log_t = table(log_w, k, size)
+        return log_t if len(sizes) == 1 else np.append(log_t[:-1], np.nan)
+
+    monkeypatch.setattr(bgstates, "_state_log_terms", with_nan)
     with pytest.raises(TruncationError, match="coherent-state coefficients"):
-        make_bg_state(1.0, 3.0)
+        make_bg_state(1.0, 3.0, dim=40)
+    assert len(sizes) == 2 and sizes[0] < sizes[1] == 40
 
 
 def test_overlap_refuses_a_nan_closed_form(monkeypatch):

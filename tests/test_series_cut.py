@@ -82,7 +82,7 @@ def _sweep():
         rows = 2.0 * np.log(10.0 ** rng.uniform(-3, 2, int(rng.integers(2, 24))))
         a = float(10.0 ** rng.uniform(-3, 1.5)) if rng.random() < 0.7 else None
         yield "grid", (rows, a), {}
-    for _ in range(3000):  # _tail_dim: an explicit tolerance, terms that halve
+    for _ in range(3000):  # make_bg_state's tail cut: an explicit tolerance, terms that halve
         yield "ratio 0.5", (float(rng.uniform(-50.0, 12.0)), float(10.0 ** rng.uniform(-3, 3))), {
             "log_tol": float(rng.uniform(-80.0, 10.0)), "ratio": 0.5, "error": TruncationError}
     for _ in range(2000):  # alpha_expectations: e^{-r^2} r^{2n}/n! below 1e-14
@@ -117,6 +117,16 @@ def test_unresolved_log_terms_fail_at_once():
 
 
 @pytest.fixture
+def state_tables(monkeypatch):
+    # every bgstates._state_log_terms call, by size
+    sizes = []
+    real = bgstates._state_log_terms
+    monkeypatch.setattr(bgstates, "_state_log_terms",
+                        lambda log_w, k, size: sizes.append(size) or real(log_w, k, size))
+    return sizes
+
+
+@pytest.fixture
 def log_term_tables(monkeypatch):
     # every _log_terms call through the modules that import it, by size
     sizes = []
@@ -131,11 +141,14 @@ def log_term_tables(monkeypatch):
     return sizes
 
 
-def test_index_only_callers_build_no_table(log_term_tables):
-    specfun._i_log_series(1.0, 6.0)
-    assert bgstates._tail_dim(1.0, 3.0, bgstates._ln_i(1.0, 3.0), 1e-14) == 17
+def test_index_only_callers_build_no_table(log_term_tables, state_tables):
+    specfun._i_series(1.0, 6.0, 0.0)
     assert log_term_tables == []
+    # the tail cut is an index; the one table is the state's own
+    assert bgstates.make_bg_state(1.0, 3.0).dim == 17
+    assert len(state_tables) == 1 and log_term_tables == state_tables
     # the sizing is an index; the one table is the integrand's offset
+    log_term_tables.clear()
     bgstates._g_quadrature(1.0, 3.0)
     assert len(log_term_tables) == 1
     # the dim is an index; the tables are the weights and the coefficients
@@ -144,6 +157,12 @@ def test_index_only_callers_build_no_table(log_term_tables):
     assert len(log_term_tables) == 2
 
 
-def test_make_bg_state_builds_one_table(log_term_tables):
-    state = bgstates.make_bg_state(1.0, 3.0)
-    assert log_term_tables == [state.dim]
+def test_make_bg_state_builds_one_table(log_term_tables, state_tables):
+    # README-size states (coherent, nfm-sim, verify-all): the coefficients,
+    # ln S, c_0 and the tail cut read one table
+    for k, rho in ((1.0, 3.0), (1.0, 3.0 * np.exp(0.5j)), (0.75, 2.0), (0.5, 0.5)):
+        state_tables.clear()
+        log_term_tables.clear()
+        state = bgstates.make_bg_state(k, rho)
+        assert len(state_tables) == 1 and state_tables[0] >= state.dim
+        assert log_term_tables == state_tables
