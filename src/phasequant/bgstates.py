@@ -7,9 +7,9 @@ coefficients are
 
 (DLMF 10.25.2; Barut & Girardello, Commun. Math. Phys. 21 (1971) 41): the
 state is normalized by the table of its own terms.  Every expectation value
-in this module is produced twice, once in closed form through Bessel-function
-ratios and once by truncated sums over the stored coefficients, and
-construction fails loudly if the routes drift apart.
+in this module is produced twice, once in closed form through series means
+over the state's or the phase table and once by truncated sums over the
+stored coefficients, and construction fails loudly if the routes drift apart.
 
 Phase expectation values factor as <cos> = cos(phi) g(rho)/I_{2k-1}(2 rho)
 with
@@ -22,11 +22,10 @@ k >= 0.35 and crosses it for k <= 0.30 (near rho ~ 1 at k = 0.25), so the
 verdict flips in the measured bracket (0.30, 0.35).  One routine forms the series
 of g and I_{2k-1} for a whole rho grid: the scan sums it row by row,
 ``ratio_gI`` is the scan's one cell and ``g_k`` sums the same terms, so the
-scan and a single state's expectations agree bit for bit.
-
-Small-rho behavior of b_k(rho) = I_2k(2 rho)/I_{2k-1}(2 rho): the leading
-series terms give rho/(2k); the k-independent shorthand "b ~ rho" is accurate
-only at k = 1/2 and is not used here.
+scan and a single state's expectations agree bit for bit.  b_k(rho) =
+I_2k(2 rho)/I_{2k-1}(2 rho) of the K3 moments is the same table's mean of
+rho/(n + 2k); at small rho it is rho/(2k), not the shorthand "b ~ rho",
+which holds only at k = 1/2.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ from .phaseops import _check_k, build_phase_ops
 from .repalg import RepLabel, banded_matvec, build_k1, build_k2
 from .specfun import (
     _k_quad,
-    _i_scaled,
     _log_terms,
     _series_cut,
     _tanh_sinh,
@@ -400,28 +398,24 @@ def completeness_check(k: float, n: int, rho_max: float = 60.0) -> float:
 def b_ratio(k: float, rho: float) -> float:
     """I_{2k}(2 rho) / I_{2k-1}(2 rho), the mean-occupation ratio; 0 at rho=0.
 
-    Below rho = 1e-7 the leading term rho/(2k) is taken where the next ones
-    are below rounding (rho^2 < eps k(k+1)), the Bessel quotient elsewhere.
-    Where e^{-2 rho} I_{2k-1}(2 rho) or e^{-2 rho} I_{2k}(2 rho) is not a
-    normal double (large k at moderate rho, e.g. k = 123.456 at rho = 2.5)
-    it is the series mean rho sum t_n / (n + 2k) / sum t_n over the terms
-    t_n of I_{2k-1} (DLMF 10.25.2), which needs no Bessel value.  rho above
-    8.99e307, where 2 rho overflows, raises ``DomainError``.
+    Up to ``_RHO_CUT`` the series mean rho sum t_n / (n + 2k) / sum t_n over
+    the phase table, whose t_n are the terms of I_{2k-1} (DLMF 10.25.2),
+    within 1e-13 of mpmath; below rho = 1e-7 its leading term rho/(2k) where
+    the next ones are below rounding (rho^2 < eps k(k+1)).  Past it, where
+    the series is not cut, the quotient of the asymptotic e^{-2 rho} I_nu.
+    A k below ``phaseops._K_MIN`` or a rho above 8.99e307 raises DomainError.
     """
-    check_domain("k", k)
+    _check_k(k, "b_ratio")
     _check_rho(rho, "b_ratio")
     if _leading_term_exact(k, rho):
-        # leading series behavior; the direct quotient would underflow to
-        # 0/0 for extreme orders at tiny rho
+        # leading series behavior, which holds also at k = 1e300, where the
+        # table is not cut
         return rho / (2.0 * k)
-    # 2k passed apart from the order 2k - 1, which for 2k < 1 lost 2k's low bits
-    below = _i_scaled(2.0 * k - 1.0, 2.0 * rho, 2.0 * k)
-    above = bessel_i_scaled(2.0 * k, 2.0 * rho)
-    if min(below, above) < sys.float_info.min:
-        log_t, _ = _phase_log_terms(k, np.array([rho]))
-        weights = 1.0 / (np.arange(log_t.shape[1]) + 2.0 * k)
-        return float(_weighted_means(log_t, weights, rho)[0][0])
-    return above / below
+    if rho > _RHO_CUT:
+        return bessel_i_scaled(2.0 * k, 2.0 * rho) / bessel_i_scaled(2.0 * k - 1.0, 2.0 * rho)
+    log_t, _ = _phase_log_terms(k, np.array([rho]))
+    weights = 1.0 / (np.arange(log_t.shape[1]) + 2.0 * k)
+    return float(_weighted_means(log_t, weights, rho)[0][0])
 
 
 def _padded_coeffs(state: BGState, minimum: int = 2) -> np.ndarray:

@@ -9,15 +9,15 @@ tens, arguments up to a few hundred):
   I_nu series, g(rho), the bound scan, b_ratio's series mean) has terms
   t_n = w^n / (n! Gamma(a+n)), and the oscillator weights are w^n / n!.
   ``_series_cut`` returns the cut N, the first n past the term peak below a
-  log tolerance (DLMF 10.25.2).  It bisects on the closed-form ln t_n of
-  the largest w alone, which decides for every row; ``_log_terms``
-  tabulates ln t_n, n <= N, for the callers that sum (``bgstates`` forms
-  the coherent state's terms, relative to Gamma(2k), from its w^n / n!).
-  Every series mean (g/I in the bound scan, the oscillator's h1 and h2,
-  the overlap's closed form, b_ratio where a Bessel value is not normal)
-  comes from ``_weighted_means``: sum t_n w_n / sum t_n per row, with the
-  largest term taken out of a row whose terms would underflow, a cell that
-  is not a normal double divided first, and ln sum t_n returned beside it.
+  log tolerance (DLMF 10.25.2), for a below ``_A_LIMIT``.  It bisects on
+  the closed-form ln t_n of the largest w alone, which decides for every
+  row; ``_log_terms`` tabulates ln t_n, n <= N, for the callers that sum
+  (``bgstates`` forms the coherent state's terms, relative to Gamma(2k),
+  from its w^n / n!).  Every series mean (g/I in the bound scan, b_ratio,
+  the oscillator's h1 and h2, the overlap's closed form) comes from
+  ``_weighted_means``: sum t_n w_n / sum t_n per row, with the largest term
+  taken out of a row whose terms would underflow, a cell that is not a
+  normal double divided first, and ln sum t_n returned beside it.
 * ``bessel_i`` / ``bessel_i_scaled`` -- for nu > -1: the ascending series up
   to x = 30, then up to x = 400 the same series with every term scaled by
   e^{-x}.  Above that the exponentially scaled asymptotic sum is used where
@@ -29,9 +29,7 @@ tens, arguments up to a few hundred):
   instead loses about a digit at x = 400.  Both raise DomainError where
   their value overflows (I_nu past x = 709, or the series lead
   (x/2)^nu / Gamma(nu+1) near nu = -1 at tiny x), or where neither the
-  asymptotic sum nor the series can be formed.  The private routines
-  take Gamma's argument a = nu + 1 apart from nu, so a caller whose
-  nu = 2k - 1 lost the low bits of a small 2k passes 2k itself.
+  asymptotic sum nor the series can be formed.
 * ``bessel_k`` -- the trapezoid rule on the integral representation
   K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt, which is uniformly
   valid in real nu and avoids the I_{-nu} - I_nu cancellation at integer nu.
@@ -47,9 +45,10 @@ the quadrature route of g_k in ``bgstates``.  Both rules evaluate each
 level's nodes in one numpy expression; nothing here imports scipy.
 
 The scaled variants ``bessel_i_scaled`` (e^{-x} I_nu) and ``bessel_k_scaled``
-(e^{x} K_nu) exist because downstream ratios such as I_{2k}(2 rho)/I_{2k-1}(2 rho)
-and products I*K are needed at 2*rho ~ 200 where the unscaled values leave
-double range or waste precision.
+(e^{x} K_nu) exist because downstream values are needed where the unscaled
+ones leave double range: I_{2k}(2 rho)/I_{2k-1}(2 rho) past the phase
+series' reach (rho > 197133.69), and K_{2k-1}(2 rho) e^{2 rho} in the
+radial moment.
 """
 
 from __future__ import annotations
@@ -85,6 +84,9 @@ _LOG_MIN_NORMAL = math.log(sys.float_info.min)
 _LGAMMA = np.frompyfunc(math.lgamma, 1, 1)
 # math.lgamma overflows from here on
 _LGAMMA_LIMIT = 2.5599833278516387e+305
+# _series_cut refuses a from here on, where ln Gamma(a) nears 2^59: its ulp of
+# 128 rounds the 1e-18 cut away (first at a = 1.58788157537119e16)
+_A_LIMIT = 1.58788e16
 
 
 def ln_gamma(x):
@@ -103,18 +105,18 @@ def ln_gamma(x):
         x = np.asarray(x, dtype=np.float64)
         if not x.min() > 0.0:
             raise DomainError(f"ln_gamma requires x > 0, got {x[~(x > 0.0)][0]}")
-        _check_lgamma("ln_gamma", "x", x.max())
+        _check_lgamma(x.max())
         return _LGAMMA(x).astype(np.float64)
     if not x > 0.0:
         raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    _check_lgamma("ln_gamma", "x", x)
+    _check_lgamma(x)
     return math.lgamma(x)
 
 
-def _check_lgamma(what: str, name: str, x) -> None:
+def _check_lgamma(x) -> None:
     if not x < _LGAMMA_LIMIT:
-        raise DomainError(f"{what} requires {name} < {_LGAMMA_LIMIT!r}, where math.lgamma "
-                          f"overflows, got {name}={float(x)!r}")
+        raise DomainError(f"ln_gamma requires x < {_LGAMMA_LIMIT!r}, where math.lgamma "
+                          f"overflows, got x={float(x)!r}")
 
 
 def _log_terms(log_w, a: float | None, size: int) -> np.ndarray:
@@ -175,12 +177,13 @@ def _series_cut(log_w, a: float | None, log_tol=None, ratio: float = 1.0,
     formed as :func:`_log_terms` forms them, fall past the peak: doubling
     and bisection find the last n clear above the cut by twice their
     rounding (``slack``) and the n after it are scanned, so a cut costs
-    O(log N) lgamma calls.  Where log_tol rounds onto the largest term, or
-    no n below ``_MAX_TERMS`` qualifies, ``error`` is raised; an a from
-    ``_LGAMMA_LIMIT`` on, whose ln Gamma(a + n) overflows, raises DomainError.
+    O(log N) lgamma calls.  Where no n below ``_MAX_TERMS`` qualifies,
+    ``error`` is raised; an a from ``_A_LIMIT`` on raises DomainError.
     """
-    if a is not None:
-        _check_lgamma("the series in w^n / (n! Gamma(a+n))", "a", a)
+    if a is not None and not a < _A_LIMIT:
+        raise DomainError(f"the series in w^n / (n! Gamma(a+n)) requires a < {_A_LIMIT!r} "
+                          f"(k < {_A_LIMIT / 2.0:.6g} where a = 2k), where ln Gamma(a) "
+                          f"resolves the 1e-18 cut, got a={float(a)!r}")
     top = float(log_w.max() if isinstance(log_w, np.ndarray) else log_w)
     if top == -math.inf:
         return 1  # every w is 0: t_1 = 0 is the first term past the peak t_0
@@ -213,9 +216,6 @@ def _series_cut(log_w, a: float | None, log_tol=None, ratio: float = 1.0,
     slack = 8.0 * sys.float_info.epsilon * (abs(top) * _MAX_TERMS + x * math.log(x + 2.0))
     if log_tol is None:
         peak = log_term(first - 1)
-        if not peak + _LOG_SERIES_TOL < peak:
-            raise error(f"{uncut}: its log-terms near {peak:.2g} do not resolve "
-                        f"the {math.exp(_LOG_SERIES_TOL):.0e} cut")
         for step in (1, -1):  # none past 2 slack below the largest seen rounds above it
             n = first - 1 + step
             while n >= 0 and (value := log_term(n)) >= peak - 2.0 * slack:
@@ -240,24 +240,21 @@ def _series_cut(log_w, a: float | None, log_tol=None, ratio: float = 1.0,
     raise error(uncut)
 
 
-def _i_series(nu: float, x: float, scale: float, a: float | None = None) -> float:
+def _i_series(nu: float, x: float, scale: float) -> float:
     """Ascending series for I_nu(x), nu > -1, every term multiplied by e^{-scale}.
 
     I_nu(x) = lead * sum, with lead = (x/2)^nu / Gamma(nu+1) the first term,
     so sum >= 1.  The lead is kept as a logarithm until e^{-scale} is taken
-    out: near nu = -1 at tiny x it lies far outside double range.  ``a`` is
-    nu + 1 exactly (default: formed from nu); it enters Gamma(a) and the
-    first term ratio.  Raises DomainError where the sum leaves double range,
-    which happens only above the asymptotic threshold, or where the value
-    overflows.
+    out: near nu = -1 at tiny x it lies far outside double range.  Raises
+    DomainError where the sum leaves double range, which happens only above
+    the asymptotic threshold, or where the value overflows.
     """
-    a = nu + 1.0 if a is None else a
+    a = nu + 1.0
     half = 0.5 * x
     # x/2 underflows to 0 at the smallest subnormal x; its logarithm does not
     log_half = math.log(half) if half > 0.0 else math.log(x) - math.log(2.0)
     m = np.arange(1.0, _series_cut(2.0 * log_half, a) + 1)
     shifted = nu + m
-    shifted[0] = a
     with np.errstate(over="ignore"):  # an overflowing sum is refused below
         rest = float(np.sum(np.cumprod(half * half / (m * shifted))))
     if not rest < math.inf:
@@ -346,16 +343,11 @@ def bessel_i_scaled(nu: float, x: float) -> float:
     _check_i_domain("bessel_i_scaled", nu, x)
     if x == 0.0:
         return 1.0 if nu == 0.0 else 0.0
-    return _i_scaled(nu, x)
-
-
-def _i_scaled(nu: float, x: float, a: float | None = None) -> float:
-    """e^{-x} I_nu(x) for x > 0, unchecked; ``a`` as for :func:`_i_series`."""
     if x > _ASYMPTOTIC_THRESHOLD:
         value = _i_asymptotic_scaled(nu, x)
         if value is not None:
             return value
-    return _i_series(nu, x, scale=x, a=a)
+    return _i_series(nu, x, scale=x)
 
 
 def bessel_i_asymptotic(nu: float, x: float) -> float:
@@ -379,6 +371,9 @@ _DE_INTERVALS = 8
 _TS_SPAN = 3.5
 # The K integrand is cut where its exponent bound has dropped by this much.
 _K_DROP = 45.0
+# Below this x the K integrand's tail lies past t = 710, where sinh^2(t/2)
+# overflows and cuts it off: K_{1/2}(7.4e-308) was 1.1e-13 off, unflagged.
+_K_X_MIN = 1e-306
 _LN2 = math.log(2.0)
 
 
@@ -435,7 +430,8 @@ def _k_frame(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     B(t) = nu t - 2x sinh^2(t/2) bounds the scaled exponent from above
     (ln cosh y <= y) and peaks at t_b = asinh(nu/x); R is B(t_b) rounded,
     about ln(e^x K_nu(x)).  Where R passes ln DBL_MAX, e^R overflows and the
-    rule cannot form K: DomainError names nu and the first such x.
+    rule cannot form K: DomainError names nu and the first such x, as it
+    does an x below ``_K_X_MIN``.
     T > t_b solves x (cosh T - 1) = nu T - B(t_b) + _K_DROP.  The fixed-point
     iteration rises monotonically to it and contracts, since x sinh T > nu
     there.  T is rounded up to a power of two, so every node t = T j 2^-m is
@@ -450,6 +446,12 @@ def _k_frame(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"K_nu(x) is out of the quadrature's range at nu={nu!r}, x={float(x[i])!r}: its "
             f"reference exponent {ref[i]:.6g}, about ln(e^x K_nu(x)), passes ln DBL_MAX = "
             f"{_LOG_MAX:.6g}"
+        )
+    if not x.min() >= _K_X_MIN:
+        raise DomainError(
+            f"K_nu(x) is out of the quadrature's range at nu={nu!r}, x={float(x.min())!r}: "
+            f"below x = {_K_X_MIN!r} its integrand's tail lies past t = 710, where "
+            "sinh^2(t/2) overflows"
         )
     span = tb
     for _ in range(8):
@@ -503,8 +505,9 @@ def bessel_k(nu: float, x: float) -> float:
     ------
     DomainError
         Unless nu is a finite real >= 0 and x a finite real > 0; and, before
-        any node is evaluated, where the rule's reference exponent, about
-        ln(e^x K_nu(x)), passes ln DBL_MAX (K_200(1), K_15(3.2e-21)).
+        any node is evaluated, for x below ``_K_X_MIN`` (1e-306) or where the
+        rule's reference exponent, about ln(e^x K_nu(x)), passes ln DBL_MAX
+        (K_200(1), K_15(3.2e-21)).
     ConvergenceError
         If the rule's error estimate (last change plus cut-off tail) exceeds
         1e-8 of the value, or the value is not representable.

@@ -365,24 +365,39 @@ def test_b_ratio_where_a_bessel_value_is_not_normal(k, rho):
     assert abs(b_ratio(k, rho) - want) <= 1e-13 * want
 
 
-def test_b_ratio_against_mpmath_where_the_series_mean_may_take_over():
-    # seeded sweep, k log-uniform in [20, 1e4] and rho in [1e-6, 3]; most
-    # cells have a Bessel value that is not a normal double and take the
-    # series mean, held to 1e-13.  The other cells keep the Bessel quotient,
-    # whose series lead e^{nu ln(x/2) - ln Gamma(nu+1)} carries a few ulp of
-    # |nu ln(x/2)| ~ 400: 2.0e-13 at k = 72.8, rho = 2.06
+def test_b_ratio_against_mpmath_at_large_k_and_small_rho():
+    # seeded sweep, k log-uniform in [20, 1e4] and rho in [1e-6, 3]: the
+    # Bessel quotient, taken where both values were normal doubles, carried
+    # a few ulp of its series lead's |nu ln(x/2)| ~ 400, 2.0e-13 at k = 72.8,
+    # rho = 2.06; every cell is now the series mean
     mpmath.mp.dps = 30
     rng = np.random.default_rng(30)
-    mean_cells = 0
     for _ in range(120):
         k = float(10.0 ** rng.uniform(math.log10(20.0), 4.0))
         rho = float(10.0 ** rng.uniform(-6.0, math.log10(3.0)))
-        by_mean = min(bessel_i_scaled(2.0 * k - 1.0, 2.0 * rho),
-                      bessel_i_scaled(2.0 * k, 2.0 * rho)) < sys.float_info.min
-        mean_cells += by_mean
         want = _b_mpmath(k, rho)
-        assert abs(b_ratio(k, rho) - want) <= (1e-13 if by_mean else 3e-13) * want, (k, rho)
-    assert mean_cells >= 90
+        assert abs(b_ratio(k, rho) - want) <= 1e-13 * want, (k, rho)
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_k=st.floats(-3.0, 4.0), log_rho=st.floats(-3.0, math.log10(2e4)))
+# the Bessel quotient's worst cells: 5.6e-13 at (479.45, 392.17) and
+# 2.5e-14 at (72.8, 2.5); refused at (50, 700); 2.8e-13 at (300, 300), where
+# the K3 variance failed its route check; and the long tables of small k
+@example(log_k=math.log10(479.45), log_rho=math.log10(392.17))
+@example(log_k=math.log10(72.8), log_rho=math.log10(2.5))
+@example(log_k=math.log10(50.0), log_rho=math.log10(700.0))
+@example(log_k=math.log10(300.0), log_rho=math.log10(300.0))
+@example(log_k=math.log10(0.5), log_rho=math.log10(300.0))
+@example(log_k=math.log10(0.0196), log_rho=math.log10(16333.0))
+def test_b_ratio_against_mpmath_property(log_k, log_rho):
+    # README's bound for the series mean: 1e-13, at 40 digits
+    k, rho = 10.0 ** log_k, 10.0 ** log_rho
+    with mpmath.workdps(40):
+        kk, r = mpmath.mpf(k), 2 * mpmath.mpf(rho)
+        want = (mpmath.besseli(2 * kk, r, maxterms=10**6)
+                / mpmath.besseli(2 * kk - 1, r, maxterms=10**6))
+        assert abs(b_ratio(k, rho) - want) <= 1e-13 * want
 
 
 def test_the_phase_series_names_its_rho_limit():
@@ -889,19 +904,73 @@ def test_ratio_gI_is_the_one_point_scan_bit_for_bit():
     assert mismatched == []
 
 
-def test_the_state_and_the_closed_overlap_call_no_bessel_i(monkeypatch):
-    # the state is normalized by its own table, so no I_nu routine enters
+def _refuse_bessel_i(monkeypatch, allowed=()):
+    # every I_nu routine that specfun and bgstates hold raises, but those named
+    # in allowed, which bgstates calls through a counter and whose specfun
+    # helpers stay; returns the calls
+    calls = []
+
     def refuse(*args, **kwargs):
         raise AssertionError("an I_nu routine was called")
 
+    helpers = () if allowed else ("_i_series", "_i_asymptotic_scaled")
     for module in (specfun, bgstates):
-        for name in ("bessel_i", "bessel_i_scaled", "bessel_i_asymptotic", "_i_scaled",
-                     "_i_series", "_i_asymptotic_scaled"):
-            if hasattr(module, name):
+        for name in ("bessel_i", "bessel_i_scaled", "bessel_i_asymptotic", *helpers):
+            if hasattr(module, name) and name not in allowed:
                 monkeypatch.setattr(module, name, refuse)
-    for k, z in ((1.0, 3.0), (1e-300, 2.0j), (1e4, 3.0), (0.5, 700.0)):
-        assert make_bg_state(k, z).dim > 1
+    for name in allowed:
+        real = getattr(bgstates, name)
+        monkeypatch.setattr(bgstates, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    return calls
+
+
+def test_the_state_and_the_closed_overlap_call_no_bessel_i(monkeypatch):
+    # the state is normalized by its own table, and b_k and g/I are series
+    # means over the phase table, so no I_nu routine enters up to _RHO_CUT
+    _refuse_bessel_i(monkeypatch)
+    for k, z in ((1.0, 3.0), (1e-300, 2.0j), (1e4, 3.0), (0.5, 700.0), (300.0, 300.0)):
+        state = make_bg_state(k, z)
+        assert state.dim > 1
+        assert k3_moments(state).b_k == b_ratio(k, abs(z))
+        assert k12_moments(state).var_k1 > 0.0
+        assert abs(phase_expectations(state).cos_mean) < 1.0
     assert abs(bgstates._overlap_closed(1.0, 3.0 + 0.0j, 2.0j)) < 1.0
+    for k in (1e-300, 1.0, 1e4):
+        assert 0.99 < ratio_gI(k, bgstates._RHO_CUT) < 1.0
+    assert 0.99 < b_ratio(1.0, bgstates._RHO_CUT) < 1.0
+
+
+def test_b_ratio_past_the_phase_series_calls_only_bessel_i_scaled(monkeypatch):
+    # past _RHO_CUT the series is not cut at small k: the asymptotic quotient
+    calls = _refuse_bessel_i(monkeypatch, allowed=("bessel_i_scaled",))
+    for rho in (math.nextafter(bgstates._RHO_CUT, math.inf), 3e5, 1e300):
+        calls.clear()
+        assert 0.99 < b_ratio(1.0, rho) <= 1.0
+        assert calls == ["bessel_i_scaled", "bessel_i_scaled"]
+    with mpmath.workdps(40):
+        r = 2 * mpmath.mpf(3e5)
+        want = mpmath.besseli(2, r) / mpmath.besseli(1, r)
+    assert abs(b_ratio(1.0, 3e5) - want) <= 1e-15 * want
+
+
+def test_every_series_in_2k_names_the_large_k_limit():
+    # from k = 7.9394e15 on ln Gamma(2k) passes 2^59 and rounds the 1e-18 cut
+    # away: once a ConvergenceError "... do not resolve the 1e-18 cut"
+    inside = math.nextafter(specfun._A_LIMIT / 2.0, 0.0)
+    state = make_bg_state(inside, 1.0)
+    assert abs(float(np.sum(np.abs(state.coeffs) ** 2)) - 1.0) <= 1e-14
+    with mpmath.workdps(40):
+        kk = mpmath.mpf(inside)
+        want = mpmath.besseli(2 * kk, 2) / mpmath.besseli(2 * kk - 1, 2)
+    assert abs(b_ratio(inside, 1.0) - want) <= 1e-13 * want
+    assert ratio_gI(inside, 1.0) == kbound_scan([inside], [1.0]).ratio[0, 0] > 0.0
+    outside = specfun._A_LIMIT / 2.0
+    for call in (lambda: make_bg_state(outside, 1.0), lambda: b_ratio(outside, 1.0),
+                 lambda: ratio_gI(outside, 100.0), lambda: g_k(outside, 1.0)):
+        with pytest.raises(DomainError, match=r"requires a < 1\.58788e\+16 \(k < 7\.9394e\+15 "
+                                              r"where a = 2k\)"):
+            call()
 
 
 def test_interior_check_and_residual_share_the_kminus_rows(monkeypatch):

@@ -298,22 +298,51 @@ class TestValidationErrors:
         want = mpmath.besseli(2 * kk, 2 * rr) / mpmath.besseli(2 * kk - 1, 2 * rr)
         assert abs(json.loads(target.read_text())["b_k"] - want) <= 1e-13 * want
 
+    @pytest.mark.parametrize("k, rho", [
+        # the asymptotic I_99(1400) does not converge and the series leaves
+        # double range: once exit 1, "I_nu(x) cannot be formed"
+        ("50", "700"),
+        # the closed K3 variance cancels terms near 9e4 to 106: the Bessel
+        # quotient's 2.8e-13 once failed its route check, exit 1
+        ("300", "300"),
+    ])
+    def test_coherent_where_the_bessel_quotient_failed(self, capsys, tmp_path, k, rho):
+        target = tmp_path / "coh.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("coherent", "--k", k, "--rho", rho, "--format", "json",
+                           "--out", str(target)) == 0
+        capsys.readouterr()
+        got = json.loads(target.read_text())
+        mpmath.mp.dps = 40
+        kk, rr = mpmath.mpf(k), mpmath.mpf(rho)
+        b = mpmath.besseli(2 * kk, 2 * rr) / mpmath.besseli(2 * kk - 1, 2 * rr)
+        assert abs(got["b_k"] - b) <= 1e-13 * b
+        assert abs(got["k3_mean"] - (kk + rr * b)) <= 1e-13 * (kk + rr * b)
+        # README's bound: b_k's 1e-13 carried through the terms that cancel
+        variance = rr * rr * (1 - b * b) + (1 - 2 * kk) * rr * b
+        terms = 2 * rr * rr * b * b + abs(1 - 2 * kk) * rr * b
+        assert abs(got["k3_variance"] - variance) <= 1e-13 * terms
+
     @pytest.mark.parametrize("argv, named", [
         # (2k+1)^2 overflows a double: once an uncaught OverflowError
         (("ground-variance", "--k", "1e300"), "k <= 1e102"),
         # 2k overflows: once exit 0 with nan/inf cells and a RuntimeWarning
         (("oscillator", "--k", "1e308"), "finite 2k"),
-        # (2k - 1)^2 overflowed in the series cut: once an uncaught OverflowError
-        (("coherent", "--k", "1e200", "--rho", "1"), "not cut within"),
-        (("coherent", "--k", "1e300", "--rho", "1"), "not cut within"),
+        # every series in a = 2k is refused from k = 7.9394e15 on, where
+        # ln Gamma(2k) no longer resolves the 1e-18 cut.  (2k - 1)^2
+        # overflowed in the series cut: once an uncaught OverflowError
+        (("coherent", "--k", "1e200", "--rho", "1"), "k < 7.9394e+15 where a = 2k"),
+        (("coherent", "--k", "1e300", "--rho", "1"), "k < 7.9394e+15 where a = 2k"),
         # 2k itself overflows: once "cannot convert float NaN to integer"
         (("coherent", "--k", "1e308", "--rho", "1"), "2k must be finite"),
-        # log-terms near -4.6e102: once a 200,000-row table before blaming the length
-        (("coherent", "--k", "1e100", "--rho", "1"), "do not resolve the 1e-18 cut"),
+        # log-terms near -4.6e102: once a 200,000-row table before blaming the
+        # length, then a ConvergenceError naming no limit
+        (("coherent", "--k", "1e100", "--rho", "1"), "k < 7.9394e+15 where a = 2k"),
         # math.lgamma(2k) overflows: once an uncaught OverflowError in the series cut
-        (("coherent", "--k", "3e305", "--rho", "1"), "a < 2.5599833278516387e+305"),
+        (("coherent", "--k", "3e305", "--rho", "1"), "k < 7.9394e+15 where a = 2k"),
         (("nfm-sim", "--kind", "bg", "--k", "1.98e306", "--rho", "4.87e257"),
-         "a < 2.5599833278516387e+305"),
+         "k < 7.9394e+15 where a = 2k"),
         # k^2 overflows in the K3 second moment: once a RuntimeWarning, then
         # "disagree by nan (tolerance inf)"
         (("coherent", "--k", "1e200", "--rho", "0"), "overflows past k = 1.3407807929942596e+154"),

@@ -111,8 +111,8 @@ def test_every_entry_point_refuses_k_quietly(entry, k):
 
 
 # the entry points that divide by k: below 1/DBL_MAX, 1/k overflows
-DIVIDING_BY_K = ("f_coeff", "ground_state_variance", "improper_eigvec", "g_k", "ratio_gI",
-                 "kbound_scan", "alpha_expectations", "h2_curve")
+DIVIDING_BY_K = ("f_coeff", "ground_state_variance", "improper_eigvec", "b_ratio", "g_k",
+                 "ratio_gI", "kbound_scan", "alpha_expectations", "h2_curve")
 
 
 @pytest.mark.parametrize("k", [5e-324, 1e-309, math.nextafter(sys.float_info.min, 0.0)])

@@ -39,9 +39,12 @@ PINNED = {
         0, '7613de6f34735f980040a74d327cdf39e91781711800d3ad84f74174af816c93',
         {'scan.csv': 'd01b12a200fb4222b38ebe9d603651be91673d59de6248d2ffc1b315520752f2',
          'scan.json': 'b13aa61f3fa071d3d9a95fbc5c1129c3fa66d756aea2bcdf20708a89781f17a6'}),
+    # recorded after b_ratio became one series mean over the phase table:
+    # b_k, k3_mean, k3_variance and var_k1/var_k2 moved in their last digits
+    # (k3_mean now correctly rounded), and with them nfm-sim's trials and summary
     'coherent --k 1.0 --rho 3.0 --phi 0.785 --format json --out coh.json': (
-        0, '8f37ba852a0c8946b155a21ddb6185fa960f5876bc225511da2e989854a2f9f4',
-        {'coh.json': 'fa75124230d77920a0e14bd911527c3d01bb86884ddb091fff7ee74d2b228905'}),
+        0, '1d9ada2b7260b2295f007a59b1e3ba9c23457d78440e7c771ef65fd4436792fe',
+        {'coh.json': '122e60c4868f863ea8b81d1f2e77b12cd417182b8c7f46a9056d9f6caaa4b772'}),
     'completeness --k 1.0 --n 3 --out comp.csv': (
         0, '280f3e9d39696b352b5c709df28605966bd1045b72cef894fecd5f0d1e31ed7b',
         {'comp.csv': '42b35fc2cb50fd2d3f7b81855488c709be921658ad59613f5b0308d65efc4fc5'}),
@@ -54,11 +57,11 @@ PINNED = {
     'nfm-sim --kind bg --k 1.0 --rho 3.0 --phi 0.5 --noise 0.01 --trials 100 --seed 7 '
     '--out trials.csv --summary run.json': (
         0, '7d4a47338ee1c70a4860417b3b10d4ec9cda9faa7c9d40e6d4e633cb7f415bff',
-        {'trials.csv': '09d74e40e962bff9b0b8962c82715a756a3d03a3f117c4f8e0bf4ad59ead90dd',
-         'run.json': '2a88828625a69109829362746b033294265ef695da08e4bb4b0d44315376d94a'}),
+        {'trials.csv': 'ef86ec631933a864c421fea99d1f46cee45dc758a5ea5a951c1628ae9d7f6628',
+         'run.json': '7d316d42e82fc1d714b86ab90da416ee82f5a3af89b91467b365f3ed1294cd4b'}),
     'nfm-sim --config run_config.json --out trials.csv': (
         0, '7d4a47338ee1c70a4860417b3b10d4ec9cda9faa7c9d40e6d4e633cb7f415bff',
-        {'trials.csv': 'c485690c0825d30544b8c72dfb541533759e8b82325b6e2af9099979280e76d3'}),
+        {'trials.csv': 'db1432e1597ec69a32c8fe5c716f16797d6dc30ed33d88d0f372ebd970584bda'}),
     'verify-all --out report.json': (
         1, '935f9354d42acf9c3a76ded2b63c9544520721af4560b839798e96f19af15346',
         # recorded after the state was normalized by its own table: the

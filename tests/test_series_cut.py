@@ -9,12 +9,13 @@ kind of call the package makes.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from phasequant import bgstates, fockreal, specfun
-from phasequant.errors import ConvergenceError, TruncationError
+from phasequant.errors import ConvergenceError, DomainError, TruncationError
 from phasequant.specfun import _LOG_SERIES_TOL, _MAX_TERMS, _log_terms, _series_cut
 
 _TABLE_DEPTH = 48.0
@@ -109,11 +110,17 @@ def test_the_cut_is_an_int():
     assert _series_cut(2.0 * math.log(3.0), 2.0) == 19
 
 
-def test_unresolved_log_terms_fail_at_once():
-    # ln t_0 = -ln Gamma(2e100) = -4.6e102: a 41-nat cut rounds onto it
-    with pytest.raises(ConvergenceError, match=r"not cut within 200000 terms: its log-terms "
-                       r"near -4\.6e\+102 do not resolve the 1e-18 cut"):
-        _series_cut(0.0, 2e100)
+def test_unresolvable_log_terms_are_refused_at_once():
+    # ln t_0 = -ln Gamma(2e100) = -4.6e102: a 41-nat cut rounds onto it, as it
+    # does from ln Gamma(a) = 2^59 on; once a ConvergenceError after the peak scan
+    inside = math.nextafter(specfun._A_LIMIT, 0.0)
+    assert math.lgamma(inside) < 2.0 ** 59
+    for log_w in (2.0 * math.log(1e-3), 0.0, 2.0 * math.log(1e9)):
+        assert _series_cut(log_w, inside) >= 1
+    for a in (specfun._A_LIMIT, 2e100):
+        with pytest.raises(DomainError, match=r"requires a < 1\.58788e\+16 \(k < 7\.9394e\+15 "
+                                              r"where a = 2k\).*" + re.escape(f"got a={a!r}")):
+            _series_cut(0.0, a)
 
 
 @pytest.fixture

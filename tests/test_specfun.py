@@ -77,7 +77,8 @@ def test_ln_gamma_rejects_nonpositive():
 
 def test_ln_gamma_past_the_lgamma_limit_is_a_domain_error():
     # math.lgamma overflows from 2.5599833278516387e+305; ln_gamma once
-    # leaked its OverflowError, and so did the series cut through 2k
+    # leaked its OverflowError, and so did the series cut through 2k, which
+    # now refuses every a from specfun._A_LIMIT on
     limit = 2.5599833278516387e+305
     assert ln_gamma(math.nextafter(limit, 0.0)) == sys.float_info.max
     message = r"requires x < 2\.5599833278516387e\+305, where math\.lgamma overflows, got x=3e\+305"
@@ -85,7 +86,7 @@ def test_ln_gamma_past_the_lgamma_limit_is_a_domain_error():
         ln_gamma(3e305)
     with pytest.raises(DomainError, match=message):
         ln_gamma(np.array([1.0, 3e305]))
-    with pytest.raises(DomainError, match=r"requires a < 2\.5599833278516387e\+305"):
+    with pytest.raises(DomainError, match=r"requires a < 1\.58788e\+16"):
         specfun._series_cut(0.0, limit)
 
 
@@ -357,13 +358,31 @@ def test_bessel_k_out_of_range_is_one_domain_error(k_function, nu, x, ref):
             k_function(nu, x)
 
 
+@pytest.mark.parametrize("nu, x", [
+    # once ConvergenceError: the tail past t = 710, where sinh^2(t/2)
+    # overflows, was cut off; 1.1e-13 off, with no error, at (0.5, 7.4e-308)
+    (0.5, 5e-324), (0.5, 1e-310), (0.5, 2.2250738585072014e-308), (0.0, 5e-324),
+    (0.5, 7.4e-308), (1.0, math.nextafter(1e-306, 0.0)),
+])
+@pytest.mark.parametrize("k_function", [bessel_k, bessel_k_scaled])
+def test_bessel_k_below_the_smallest_x_is_one_domain_error(k_function, nu, x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=rf"^K_nu\(x\) is out of the quadrature's range at "
+                                              rf"nu={nu!r}, x={x!r}: below x = 1e-306 "):
+            k_function(nu, x)
+
+
 def test_bessel_k_range_limit_is_the_reference_exponent():
-    # R = 690 and 345 lie below the limit, and K is formed there
+    # R = 690 and 345 lie below the limit, and K is formed there, as it is
+    # down to the smallest x, 1e-306, for every nu whose R lies below it
     mpmath.mp.dps = 30
-    for nu, x in ((1.0, 1e-300), (0.5, 1e-300)):
+    for nu, x in ((1.0, 1e-300), (0.5, 1e-300), (0.0, 1e-306), (0.25, 1e-306),
+                  (0.5, 1e-306), (0.9, 1e-306), (1.0, 1e-306)):
         assert specfun._k_frame(nu, np.array([x]))[1][0] <= specfun._LOG_MAX
         want = mpmath.besselk(nu, x)
         assert abs(bessel_k(nu, x) - want) <= 1e-13 * want
+        assert abs(bessel_k_scaled(nu, x) - want * mpmath.exp(x)) <= 1e-13 * want
 
 
 # ---------------------------------------------------------------------------
