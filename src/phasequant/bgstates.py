@@ -398,11 +398,12 @@ def completeness_check(k: float, n: int, rho_max: float = 60.0) -> float:
 def b_ratio(k: float, rho: float) -> float:
     """I_{2k}(2 rho) / I_{2k-1}(2 rho), the mean-occupation ratio; 0 at rho=0.
 
-    Up to ``_RHO_CUT`` the series mean rho sum t_n / (n + 2k) / sum t_n over
-    the phase table, whose t_n are the terms of I_{2k-1} (DLMF 10.25.2),
-    within 1e-13 of mpmath; below rho = 1e-7 its leading term rho/(2k) where
-    the next ones are below rounding (rho^2 < eps k(k+1)).  Past it, where
-    the series is not cut, the quotient of the asymptotic e^{-2 rho} I_nu.
+    The series mean rho sum t_n / (n + 2k) / sum t_n over the phase table,
+    whose t_n are the terms of I_{2k-1} (DLMF 10.25.2), within 1e-13 of
+    mpmath up to ``_RHO_CUT`` and wherever the table is cut past it; below
+    rho = 1e-7 its leading term rho/(2k) where the next ones are below
+    rounding (rho^2 < eps k(k+1)).  Past ``_RHO_CUT``, where the table is
+    not cut, the quotient of e^{-2 rho} I_nu.
     A k below ``phaseops._K_MIN`` or a rho above 8.99e307 raises DomainError.
     """
     _check_k(k, "b_ratio")
@@ -411,9 +412,12 @@ def b_ratio(k: float, rho: float) -> float:
         # leading series behavior, which holds also at k = 1e300, where the
         # table is not cut
         return rho / (2.0 * k)
-    if rho > _RHO_CUT:
+    try:
+        log_t, _ = _phase_log_terms(k, np.array([rho]))
+    except DomainError:
+        if not rho > _RHO_CUT:
+            raise
         return bessel_i_scaled(2.0 * k, 2.0 * rho) / bessel_i_scaled(2.0 * k - 1.0, 2.0 * rho)
-    log_t, _ = _phase_log_terms(k, np.array([rho]))
     weights = 1.0 / (np.arange(log_t.shape[1]) + 2.0 * k)
     return float(_weighted_means(log_t, weights, rho)[0][0])
 
@@ -475,15 +479,16 @@ def k3_moments(state: BGState) -> K3Moments:
     variance = rho * rho * (1.0 - b * b) + (1.0 - 2.0 * k) * rho * b
 
     p = np.abs(state.coeffs) ** 2
-    levels = state.k + np.arange(state.dim)
-    mean_s = float(np.sum(p * levels))
+    n = np.arange(state.dim)
+    levels = k + n
+    occupation = float(np.sum(p * n))
     second_s = float(np.sum(p * levels * levels))
     tol = _moment_tol(state)
-    # the variance summed about the mean: second_s - mean_s^2 would cancel
-    # ~rho^2 digits
+    # the variance summed about the mean occupation: second_s - mean^2 would
+    # cancel ~rho^2 digits, and k + n rounds to ulp 0.5 from k = 2^51 on
     for what, closed, summed in (
-        ("K3 mean", mean, mean_s), ("K3 second moment", second, second_s),
-        ("K3 variance", variance, float(np.sum(p * (levels - mean_s) ** 2))),
+        ("K3 mean", mean, k + occupation), ("K3 second moment", second, second_s),
+        ("K3 variance", variance, float(np.sum(p * (n - occupation) ** 2))),
     ):
         check_route(f"{what}: closed form and truncated sum", abs(closed - summed),
                     tol * max(1.0, abs(closed)), context=f"({closed!r} vs {summed!r})")

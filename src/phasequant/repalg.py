@@ -350,15 +350,15 @@ def fluctuation_closed_forms(k: float, n: int) -> FluctuationRecord:
 
     Both variances equal (n^2 + 2nk + k)/2; the product of the two spreads
     is bounded below by (n + k)/2 with equality at n = 0.  The second-moment
-    sum is <K1^2> + <K2^2> = (n + k)^2 + q with q = k(1 - k).
+    sum <K1^2> + <K2^2> = (n + k)^2 + k(1 - k) is twice that, formed as
+    n^2 + 2nk + k: the other form cancels from k ~ 1e9 on and overflows.
     """
     check_domain("k", k)
     check_domain("n", n, "nonnegative integer")
-    var = 0.5 * (n * n + 2.0 * n * k + k)
-    q = k * (1.0 - k)
+    sum_squares = n * n + 2.0 * n * k + k
+    var = 0.5 * sum_squares
     return FluctuationRecord(
-        var_k1=var, var_k2=var, uncertainty_product=var,
-        sum_squares=(n + k) ** 2 + q,
+        var_k1=var, var_k2=var, uncertainty_product=var, sum_squares=sum_squares,
     )
 
 

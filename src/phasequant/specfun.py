@@ -18,18 +18,19 @@ tens, arguments up to a few hundred):
   ``_weighted_means``: sum t_n w_n / sum t_n per row, with the largest term
   taken out of a row whose terms would underflow, a cell that is not a
   normal double divided first, and ln sum t_n returned beside it.
-* ``bessel_i`` / ``bessel_i_scaled`` -- for nu > -1: the ascending series up
-  to x = 30, then up to x = 400 the same series with every term scaled by
-  e^{-x}.  Above that the exponentially scaled asymptotic sum is used where
-  it converges: cut at its smallest term, its last kept term must be below
-  1e-15 of the total.  Where it does not (orders of a few tens and more),
-  the scaled series is summed instead while its sum stays in double range.
-  The series sums t_m = t_{m-1} (x/2)^2 / (m (nu+m)) as a
-  cumulative product over the rule's length: exponentiating the log table
-  instead loses about a digit at x = 400.  Both raise DomainError where
-  their value overflows (I_nu past x = 709, or the series lead
-  (x/2)^nu / Gamma(nu+1) near nu = -1 at tiny x), or where neither the
-  asymptotic sum nor the series can be formed.
+* ``bessel_i`` / ``bessel_i_scaled`` -- for nu > -1, one ascending series
+  (DLMF 10.25.2) at every x, its terms t_m = t_{m-1} (x/2)^2 / (m (nu+m))
+  summed relative to the largest as cumulative products over the rule's
+  length, so the sum lies in [1, N+1].  The logarithm of the largest term,
+  of e^{-x} for the scaled value and of the sum meet in one ``math.fsum``
+  before the one exp, so no part need be a double on its own.
+  ``bessel_i_scaled`` takes the exponentially scaled asymptotic sum (DLMF
+  10.40.1) instead wherever that holds: cut at its smallest term, its last
+  kept term must be below 1e-15 of the total, and so must e^{-2x}, the
+  relative size of the second exponential it omits.  Both raise
+  DomainError where their value overflows (I_nu past x = 709, or near
+  nu = -1 at tiny x), and ConvergenceError past the series' term budget
+  (x beyond about 3.9e5 where the asymptotic sum does not hold).
 * ``bessel_k`` -- the trapezoid rule on the integral representation
   K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt, which is uniformly
   valid in real nu and avoids the I_{-nu} - I_nu cancellation at integer nu.
@@ -46,9 +47,9 @@ level's nodes in one numpy expression; nothing here imports scipy.
 
 The scaled variants ``bessel_i_scaled`` (e^{-x} I_nu) and ``bessel_k_scaled``
 (e^{x} K_nu) exist because downstream values are needed where the unscaled
-ones leave double range: I_{2k}(2 rho)/I_{2k-1}(2 rho) past the phase
-series' reach (rho > 197133.69), and K_{2k-1}(2 rho) e^{2 rho} in the
-radial moment.
+ones leave double range: I_{2k}(2 rho)/I_{2k-1}(2 rho) where the phase
+series is not cut (past rho = 197133.69), and K_{2k-1}(2 rho) e^{2 rho} in
+the radial moment.
 """
 
 from __future__ import annotations
@@ -69,9 +70,6 @@ __all__ = [
     "bessel_k_scaled",
 ]
 
-# Largest argument of the plain I series, and of the e^{-x}-scaled one.
-_SERIES_CUTOFF = 30.0
-_ASYMPTOTIC_THRESHOLD = 400.0
 # Most terms any series may take; read at call time.
 _MAX_TERMS = 200_000
 # Terms below this fraction of a series' largest term are dropped.
@@ -241,45 +239,50 @@ def _series_cut(log_w, a: float | None, log_tol=None, ratio: float = 1.0,
 
 
 def _i_series(nu: float, x: float, scale: float) -> float:
-    """Ascending series for I_nu(x), nu > -1, every term multiplied by e^{-scale}.
+    """Ascending series for I_nu(x), nu > -1, times e^{-scale} (DLMF 10.25.2).
 
-    I_nu(x) = lead * sum, with lead = (x/2)^nu / Gamma(nu+1) the first term,
-    so sum >= 1.  The lead is kept as a logarithm until e^{-scale} is taken
-    out: near nu = -1 at tiny x it lies far outside double range.  Raises
-    DomainError where the sum leaves double range, which happens only above
-    the asymptotic threshold, or where the value overflows.
+    t_m = t_{m-1} r_m with r_m = (x/2)^2 / (m (nu+m)), t_0 = (x/2)^nu /
+    Gamma(nu+1).  r_m falls with m, so the largest term is t_p with p the
+    number of r_m > 1.  The terms are summed relative to it, as cumulative
+    products of 1/r below p and of r above, so the sum lies in [1, N+1] at
+    every x.  ln t_p, e^{-scale} and the sum meet in one ``math.fsum`` before
+    the one exp: neither the lead near nu = -1 at tiny x, nor t_p, nor e^{-x}
+    need be a double on its own.  Raises DomainError where the value
+    overflows.
     """
     a = nu + 1.0
     half = 0.5 * x
     # x/2 underflows to 0 at the smallest subnormal x; its logarithm does not
     log_half = math.log(half) if half > 0.0 else math.log(x) - math.log(2.0)
     m = np.arange(1.0, _series_cut(2.0 * log_half, a) + 1)
-    shifted = nu + m
-    with np.errstate(over="ignore"):  # an overflowing sum is refused below
-        rest = float(np.sum(np.cumprod(half * half / (m * shifted))))
-    if not rest < math.inf:
-        raise DomainError(
-            f"I_nu(x) cannot be formed at nu={nu}, x={x}: the asymptotic sum does not "
-            "converge there and the ascending series leaves double range"
-        )
-    log_lead, total = nu * log_half - ln_gamma(a), 1.0 + rest
-    if log_lead - scale < _LOG_MAX:
-        value = math.exp(log_lead - scale) * total
+    r = half * half / (m * (nu + m))
+    p = int(np.count_nonzero(r > 1.0))
+    rise = r[:p]
+    total = 1.0 + float(np.sum(np.cumprod(1.0 / rise[::-1]))) + float(np.sum(np.cumprod(r[p:])))
+    parts = [nu * log_half, -ln_gamma(a), -scale, math.log(total), *np.log(rise).tolist()]
+    log_value = math.fsum(parts)
+    if log_value <= _LOG_MAX:
+        # e^{log_value} alone would add |log_value| eps / 2; the residual restores it
+        value = math.exp(log_value) * (1.0 + math.fsum([*parts, -log_value]))
         if value < math.inf:
             return value
     what = "e^-x I_nu(x)" if scale else "I_nu(x)"
-    raise DomainError(
-        f"{what} = e^{log_lead - scale + math.log(total):.6g} overflows at nu={nu}, x={x}"
-    )
+    hint = "" if scale else "; use bessel_i_scaled instead"
+    raise DomainError(f"{what} = e^{log_value:.6g} overflows at nu={nu}, x={x}{hint}")
 
 
 def _i_asymptotic_scaled(nu: float, x: float) -> float | None:
-    """Asymptotic sum for e^{-x} I_nu(x), large x, or None where it does not converge.
+    """Asymptotic sum for e^{-x} I_nu(x) (DLMF 10.40.1), or None where it does not hold.
 
     The sum stops at its smallest term (optimal truncation).  It is accepted
     only if its last kept term is below 1e-15 of the total; for orders with
-    nu^2 of the order of x or more the terms turn before that.
+    nu^2 of the order of x or more the terms turn before that.  It omits a
+    second exponential of relative size e^{-2x}, so it is refused where that
+    is not below 1e-15 too: at half-integer nu the sum ends exactly, however
+    small x is.
     """
+    if not math.exp(-2.0 * x) < 1e-15:
+        return None
     mu = 4.0 * nu * nu
     term = 1.0
     total = term
@@ -323,31 +326,25 @@ def bessel_i(nu: float, x: float) -> float:
         For an order or argument outside that domain, or where I_nu(x)
         overflows (x beyond about 709); use :func:`bessel_i_scaled` there.
     ConvergenceError
-        If the term budget is exhausted.
+        If the term budget is exhausted (x beyond about 3.9e5).
     """
     _check_i_domain("bessel_i", nu, x)
     if x == 0.0:
         return 1.0 if nu == 0.0 else 0.0
-    if x <= _SERIES_CUTOFF:
-        return _i_series(nu, x, scale=0.0)
-    try:
-        return math.exp(x) * bessel_i_scaled(nu, x)
-    except OverflowError:
-        raise DomainError(
-            f"bessel_i overflows at x={x}; use bessel_i_scaled instead"
-        ) from None
+    return _i_series(nu, x, scale=0.0)
 
 
 def bessel_i_scaled(nu: float, x: float) -> float:
-    """Exponentially scaled e^{-x} I_nu(x) for nu > -1; safe out to any finite x."""
+    """Exponentially scaled e^{-x} I_nu(x) for nu > -1.
+
+    The asymptotic sum where it holds (to any finite x at orders up to a few
+    tens), else the ascending series of :func:`bessel_i` scaled by e^{-x}.
+    """
     _check_i_domain("bessel_i_scaled", nu, x)
     if x == 0.0:
         return 1.0 if nu == 0.0 else 0.0
-    if x > _ASYMPTOTIC_THRESHOLD:
-        value = _i_asymptotic_scaled(nu, x)
-        if value is not None:
-            return value
-    return _i_series(nu, x, scale=x)
+    value = _i_asymptotic_scaled(nu, x)
+    return _i_series(nu, x, scale=x) if value is None else value
 
 
 def bessel_i_asymptotic(nu: float, x: float) -> float:

@@ -524,6 +524,14 @@ def test_k3_moments_where_k_squared_overflows():
         assert k3_moments(make_bg_state(k, 0.0)).second == k * k
 
 
+def test_k3_variance_is_summed_about_k():
+    # from k = 2^51 on k + n rounds to ulp 0.5: the variance summed about the
+    # mean level once read 0.25 at k = 4296874917913091, against 1.1e-16
+    for k in (4296874917913091.0, 7.9e15):
+        m = k3_moments(make_bg_state(k, 1.0))
+        assert m.mean == k and abs(m.variance) < 1e-15
+
+
 def test_k3_moments_ground_state():
     m = k3_moments(make_bg_state(0.75, 0.0))
     assert (m.mean, m.second, m.variance, m.b_k) == (0.75, 0.5625, 0.0, 0.0)
@@ -942,9 +950,12 @@ def test_the_state_and_the_closed_overlap_call_no_bessel_i(monkeypatch):
 
 
 def test_b_ratio_past_the_phase_series_calls_only_bessel_i_scaled(monkeypatch):
-    # past _RHO_CUT the series is not cut at small k: the asymptotic quotient
+    # past _RHO_CUT the table is cut at k = 1 up to rho = 197134.68, and not
+    # at all further on: there the asymptotic quotient
     calls = _refuse_bessel_i(monkeypatch, allowed=("bessel_i_scaled",))
-    for rho in (math.nextafter(bgstates._RHO_CUT, math.inf), 3e5, 1e300):
+    assert 0.99 < b_ratio(1.0, math.nextafter(bgstates._RHO_CUT, math.inf)) < 1.0
+    assert calls == []
+    for rho in (3e5, 1e300):
         calls.clear()
         assert 0.99 < b_ratio(1.0, rho) <= 1.0
         assert calls == ["bessel_i_scaled", "bessel_i_scaled"]
@@ -952,6 +963,20 @@ def test_b_ratio_past_the_phase_series_calls_only_bessel_i_scaled(monkeypatch):
         r = 2 * mpmath.mpf(3e5)
         want = mpmath.besseli(2, r) / mpmath.besseli(1, r)
     assert abs(b_ratio(1.0, 3e5) - want) <= 1e-15 * want
+
+
+def test_b_ratio_past_the_phase_series_reads_the_table_where_it_is_cut(monkeypatch):
+    # at k = 1e4 the table is cut up to rho = 206824.38; the quotient once
+    # refused (1e4, 2e5), and would be 1.9e-11 off.  mpmath (30 digits,
+    # maxterms 10**6) took 264 s for this reference, so it is frozen
+    _refuse_bessel_i(monkeypatch)
+    want = 0.95125034800023766398
+    assert abs(b_ratio(1e4, 2e5) - want) <= 1e-14 * want
+    # neither route reaches k = 1e3 here: the table is not cut, and the
+    # quotient's series needs more terms than the budget
+    monkeypatch.undo()
+    with pytest.raises(ConvergenceError, match="not cut within 200000 terms"):
+        b_ratio(1e3, 2e5)
 
 
 def test_every_series_in_2k_names_the_large_k_limit():

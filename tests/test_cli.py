@@ -346,6 +346,12 @@ class TestValidationErrors:
         # k^2 overflows in the K3 second moment: once a RuntimeWarning, then
         # "disagree by nan (tolerance inf)"
         (("coherent", "--k", "1e200", "--rho", "0"), "overflows past k = 1.3407807929942596e+154"),
+        # (n + k)^2 in the closed sum of squares: once an uncaught OverflowError
+        # from k = 1.35e154 on, and 0.0 for 9.1e154 at k = 1.3e154
+        (("nfm-sim", "--kind", "number", "--k", "1e100", "--n", "3"), "nearest integer level"),
+        (("nfm-sim", "--kind", "number", "--k", "1.3e154", "--n", "3"), "n3n4_sumsq must be finite"),
+        (("nfm-sim", "--kind", "number", "--k", "1e200", "--n", "3"), "n3n4_sumsq must be finite"),
+        (("nfm-sim", "--kind", "number", "--k", "1e308", "--n", "3"), "w3 must be finite"),
     ])
     def test_overflowing_k_is_one_error_line(self, capsys, tmp_path, argv, named):
         target = tmp_path / "out.csv"

@@ -345,6 +345,15 @@ def test_fluctuation_examples():
     assert fluctuation_closed_forms(1.0, 10).sum_squares == 121.0
 
 
+def test_sum_squares_is_twice_the_variance_at_large_k():
+    # (n + k)^2 + k(1 - k) cancels from k ~ 1e9 on: once 0.0 for 9.1e154 at
+    # k = 1.3e154, and an OverflowError from k = 1.35e154 on
+    for k in (1e9 + 0.5, 1.3e154, 1e200):
+        f = fluctuation_closed_forms(k, 3)
+        assert f.sum_squares == 2.0 * f.var_k1 == 9.0 + 7.0 * k
+    assert fluctuation_closed_forms(1e308, 3).sum_squares == math.inf
+
+
 @settings(max_examples=80, deadline=None)
 @given(k=st.floats(min_value=0.05, max_value=8.0), n=st.integers(min_value=0, max_value=200))
 def test_uncertainty_bound(k, n):

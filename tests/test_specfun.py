@@ -91,7 +91,7 @@ def test_ln_gamma_past_the_lgamma_limit_is_a_domain_error():
 
 
 # ---------------------------------------------------------------------------
-# bessel_i: frozen references and branch joins
+# bessel_i: frozen references and route agreement
 
 
 @pytest.mark.parametrize(
@@ -124,15 +124,23 @@ def test_bessel_i_at_zero_argument():
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.5, 2.5, 7.0])
-def test_bessel_i_branch_joins_are_seamless(nu):
-    # Evaluate both branches at each switch point: the series/scaled-series
-    # and scaled-series/asymptotic pairs must agree.
-    x = specfun._SERIES_CUTOFF
-    plain = specfun._i_series(nu, x, scale=0.0)
-    assert rel_err(plain * math.exp(-x), specfun._i_series(nu, x, scale=x)) < 1e-12
-    x = specfun._ASYMPTOTIC_THRESHOLD
-    series = specfun._i_series(nu, x, scale=x)
-    assert rel_err(series, specfun._i_asymptotic_scaled(nu, x)) < 1e-11
+@pytest.mark.parametrize("x", [30.0, 400.0])
+def test_bessel_i_routes_agree_where_both_hold(nu, x):
+    # the scaled series and the asymptotic sum are independent routes
+    asymptotic = specfun._i_asymptotic_scaled(nu, x)
+    assert asymptotic is not None
+    assert rel_err(specfun._i_series(nu, x, scale=x), asymptotic) < 1e-13
+
+
+def test_bessel_i_asymptotic_sum_is_refused_where_its_second_exponential_counts():
+    # the omitted e^{-2x} is above 1e-15 up to x = ln(1e15)/2 = 17.27; at
+    # half-integer nu the sum ends exactly there, and once read 500x too small
+    assert specfun._i_asymptotic_scaled(0.5, 17.2) is None
+    assert specfun._i_asymptotic_scaled(0.5, 1e-3) is None
+    assert specfun._i_asymptotic_scaled(0.5, 17.3) is not None
+    for x in (1e-3, 1.0, 17.2, 17.3):
+        want = math.sqrt(2.0 / (math.pi * x)) * math.sinh(x) * math.exp(-x)
+        assert rel_err(bessel_i_scaled(0.5, x), want) < REL
 
 
 def test_bessel_i_scaled_equals_damped_unscaled():
@@ -196,8 +204,8 @@ def test_bessel_i_term_budget_exhaustion(monkeypatch):
 
 
 def test_bessel_i_scaled_against_mpmath():
-    # 50-digit oracle across both switch points; 2.8e-14 was the worst error
-    # of the scalar series loop this replaced
+    # 50-digit oracle over both routes: the series alone below x = 17.27, the
+    # asymptotic sum from there at small orders
     mpmath.mp.dps = 50
     for nu in (0.0, 0.3, 0.5, 1.0, 2.5, 7.0, 20.0):
         for x in (1e-3, 0.05, 1.0, 10.0, 29.9, 30.1, 100.0, 250.0, 399.9):
@@ -222,13 +230,38 @@ def test_bessel_i_scaled_where_2_pi_x_overflows_against_mpmath(x):
         assert abs(mpmath.mpf(bessel_i_scaled(1.0, x)) - want) <= 1e-15 * want
 
 
-def test_bessel_i_where_neither_large_argument_branch_applies():
-    # at nu = 99, x = 1000 the asymptotic sum turns early and the series sum overflows
-    assert specfun._i_asymptotic_scaled(99.0, 1000.0) is None
+@pytest.mark.parametrize("nu, x", [(99.0, 1000.0), (1000.0, 1500.0), (1000.0, 2000.0)])
+def test_bessel_i_where_neither_large_argument_branch_applies(nu, x):
+    # the asymptotic sum turns early here; the scaled series once overflowed
+    # (a DomainError at 99 and 2000) or lost its lead to underflow (0.0 at
+    # 1500, where the value is 9.3e-143)
+    assert specfun._i_asymptotic_scaled(nu, x) is None
+    with mpmath.workdps(50):
+        want = mpmath.besseli(nu, x) * mpmath.exp(-mpmath.mpf(x))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainError, match=r"nu=99\.0, x=1000\.0"):
-            bessel_i_scaled(99.0, 1000.0)
+        got = bessel_i_scaled(nu, x)
+    assert abs(mpmath.mpf(got) - want) <= 2e-12 * want
+
+
+def test_bessel_i_scaled_seeded_sweep_against_mpmath():
+    # every cell whose e^{-x} I_nu(x) is a normal double is returned, within
+    # 2e-12: orders log-uniform in [0.1, 2000] or uniform in (-1, 0),
+    # arguments log-uniform in [1e-3, 3000]
+    rng = np.random.default_rng(133)
+    cells = 0
+    with mpmath.workdps(30):
+        for _ in range(600):
+            nu = (-rng.uniform(0.0, 1.0) if rng.random() < 0.2
+                  else math.exp(rng.uniform(math.log(0.1), math.log(2000.0))))
+            x = math.exp(rng.uniform(math.log(1e-3), math.log(3000.0)))
+            want = mpmath.besseli(nu, x) * mpmath.exp(-mpmath.mpf(x))
+            if not sys.float_info.min <= want <= sys.float_info.max:
+                continue
+            cells += 1
+            got = bessel_i_scaled(nu, x)
+            assert abs(mpmath.mpf(got) - want) <= 2e-12 * want, (nu, x, got)
+    assert cells > 400
 
 
 def test_bessel_i_negative_orders_against_mpmath():
