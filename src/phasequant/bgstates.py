@@ -49,7 +49,7 @@ from .phaseops import _check_k, build_phase_ops
 from .repalg import RepLabel, banded_matvec, build_k1, build_k2
 from .specfun import (
     _k_quad,
-    _log_terms,
+    _peak_table,
     _series_cut,
     _tanh_sinh,
     _weighted_means,
@@ -184,28 +184,17 @@ class ScanResult:
     verdicts: tuple
 
 
-def _state_log_terms(log_w, k: float, size: int) -> np.ndarray:
-    """ln(w^n Gamma(2k+d) / (n! Gamma(2k+n))) for n < size, one row per entry of log_w.
-
-    d = 0 for 2k >= 1 and 1 below.  Each term is w^n / n! over a running sum of
-    ln(2k+m), so no ln Gamma(2k+n) ~ 2k ln 2k cancels at large k; ln 2k enters
-    as max(0, ln 2k) from n = 1 on and min(0, ln 2k) at n = 0, so at tiny k
-    (ln 2k ~ -690 at k = 1e-300) it rounds against no other term.
-    """
-    ln_2k = math.log(2.0 * k)
-    rising = np.log(2.0 * k + np.arange(size - 1.0))
-    rising[:1] = max(0.0, ln_2k)
-    return _log_terms(log_w, None, size) + np.append(min(0.0, ln_2k), -np.cumsum(rising))
-
-
 def make_bg_state(k: float, z: complex, dim: int | None = None,
                   tail_tol: float = 1e-14) -> BGState:
     """Construct |k,z> truncated where the coefficient tail is below tail_tol.
 
     With dim omitted, the smallest adequate dimension is chosen; an explicit
-    dim smaller than that raises.  The lowering-operator eigenvalue relation
-    is verified row by row on the interior before the state is returned.
-    The coefficients, ln S, the c_0 check and the tail cut read one table.
+    dim smaller than that raises.  The coefficients, S, the c_0 check and
+    the tail cut read one table of the amplitudes rho^n / sqrt(n! (2k)_n)
+    relative to the largest, multiplied out from their ratios.  Before the
+    state is returned, the lowering-operator eigenvalue relation is verified
+    row by row on the interior, and the tail 1 - sum |c_n|^2 must lie in
+    [0, tail_tol] to 4 dim eps (TruncationError otherwise).
     k must be at least ``phaseops._K_MIN`` with 2k finite.  A state whose
     c_0 underflows raises ``DomainError``: ln|c_0| below that of the
     smallest double, about -744.4 (k = 1/2 past rho of about 745), or below
@@ -229,17 +218,19 @@ def make_bg_state(k: float, z: complex, dim: int | None = None,
             if not rho * rho >= 1e5 * (2.0 * k + (1e5 - 1.0)):
                 raise
             raise DomainError(_C0_UNDERFLOWS.format(k, rho, "< -17328.7")) from None
-        log_t = _state_log_terms(log_w, k, size)
-        top = log_t.max()
-        ln_s = top + math.log(np.sum(np.exp(log_t - top)))
+        # the amplitudes sqrt(t_n / t_p) of t_n = rho^{2n} / (n! (2k)_n), so that
+        # S = t_p sum amp^2, and ln sqrt(t_p / t_0) with t_0 = 1
+        table, ln_peak = _peak_table(rho, math.log(rho), 2.0 * k, size, root=True)
+        amp, ln_peak = table[0], float(ln_peak[0])
+        total = float(np.sum(amp * amp))
         # checked before the tail cut, which past rho ~ 1e5 fails first
-        log_c0 = 0.5 * (log_t[0] - ln_s)
+        log_c0 = -(ln_peak + 0.5 * math.log(total))
         if not log_c0 >= _LOG_MIN_DOUBLE:
             raise DomainError(_C0_UNDERFLOWS.format(k, rho, f"= {log_c0:.6g}"))
-        # the first n past which terms halve, rho^{2n} / (n! Gamma(2k+n)) below
-        # tail_tol S / Gamma(2k+d) and, above rho = 1, below that over rho
-        log_tol = (math.log(tail_tol) + ln_s - ln_gamma(2.0 * k)
-                   - min(0.0, math.log(2.0 * k)) - max(0.0, 0.5 * log_w))
+        # the first n past which terms halve, t_n / Gamma(2k) below
+        # tail_tol S / Gamma(2k) and, above rho = 1, below that over rho
+        log_tol = (math.log(tail_tol) + math.log(total) + 2.0 * ln_peak - ln_gamma(2.0 * k)
+                   - max(0.0, 0.5 * log_w))
         needed = _series_cut(log_w, 2.0 * k, log_tol, ratio=0.5, error=TruncationError)
     if dim is None:
         dim = needed
@@ -253,17 +244,25 @@ def make_bg_state(k: float, z: complex, dim: int | None = None,
         coeffs[0] = 1.0
     else:
         if dim > size:
-            log_t = _state_log_terms(log_w, k, dim)
+            amp = _peak_table(rho, math.log(rho), 2.0 * k, dim, root=True)[0][0]
         theta = math.atan2(z.imag, z.real)  # cmath.phase raises on a subnormal angle
-        coeffs = np.exp(0.5 * (log_t[:dim] - ln_s)) * np.exp(1j * theta * np.arange(dim))
+        coeffs = amp[:dim] / math.sqrt(total) * np.exp(1j * theta * np.arange(dim))
+        if not amp[0] >= sys.float_info.min:
+            coeffs[0] = math.exp(log_c0)  # the product lost digits below normal
 
     state = BGState(k=k, z=z, dim=dim, coeffs=coeffs, tail_tol=tail_tol)
 
     # interior rows of (K- - z) coeffs vanish identically; rounding only; they
     # read no table, so they check the coefficients by a second route
     interior = _kminus_rows(state)[:-1]
+    where = f"at k={k}, z={z}"
     check_route("coherent-state coefficients and K- c = z c", np.max(np.abs(interior), initial=0.0),
-                1e-12 * (1.0 + rho), context=f"at k={k}, z={z}")
+                1e-12 * (1.0 + rho), context=where)
+    # the documented tail, 0 <= 1 - sum |c_n|^2 < tail_tol, to rounding in the sum
+    tail = 1.0 - float(np.sum(np.abs(coeffs) ** 2))
+    check_route("coherent-state tail 1 - sum |c_n|^2 and the middle of [0, tail_tol]",
+                abs(tail - 0.5 * tail_tol), 0.5 * tail_tol + 4.0 * dim * sys.float_info.epsilon,
+                context=f"{where} (tail {tail:.3e})")
     return state
 
 
@@ -290,18 +289,18 @@ def eigenvector_residual(state: BGState) -> float:
 def _overlap_closed(k: float, z1: complex, z2: complex) -> complex:
     # S(conj(z2) z1) / sqrt(S(rho1^2) S(rho2^2)), S(w) = sum_n t_n with
     # t_n = w^n / (n! (2k)_n), as one series mean: the rows rho1 rho2, rho1^2
-    # and rho2^2 of the state's table, each shifted by its largest term, and
-    # the first row's means of cos and sin of n (arg z1 - arg z2)
+    # and rho2^2 of the state's terms, each relative to its largest, and the
+    # first row's means of cos and sin of n (arg z1 - arg z2)
+    rho1, rho2 = abs(z1), abs(z2)
     with np.errstate(divide="ignore"):  # ln 0 = -inf keeps t_0 alone
-        ln1, ln2 = np.log([abs(z1), abs(z2)])
+        ln1, ln2 = np.log([rho1, rho2])
     log_w = np.array([ln1 + ln2, 2.0 * ln1, 2.0 * ln2])
-    log_t = _state_log_terms(log_w, k, _series_cut(log_w, 2.0 * k) + 1)
-    top = log_t.max(axis=1)
+    terms, ln_peak = _peak_table(np.array([rho1 * rho2, rho1 * rho1, rho2 * rho2]), log_w,
+                                 2.0 * k, _series_cut(log_w, 2.0 * k) + 1)
     theta = math.atan2(z1.imag, z1.real) - math.atan2(z2.imag, z2.real)
-    angle = theta * np.arange(log_t.shape[1])
-    means, ln_s = _weighted_means(log_t - top[:, None],
-                                  np.column_stack([np.cos(angle), np.sin(angle)]), 1.0)
-    ln_s += top
+    angle = theta * np.arange(terms.shape[1])
+    means, total = _weighted_means(terms, np.column_stack([np.cos(angle), np.sin(angle)]), 1.0)
+    ln_s = np.log(total) + ln_peak
     return complex(*means[0]) * math.exp(ln_s[0] - 0.5 * (ln_s[1] + ln_s[2]))
 
 
@@ -413,13 +412,13 @@ def b_ratio(k: float, rho: float) -> float:
         # table is not cut
         return rho / (2.0 * k)
     try:
-        log_t, _ = _phase_log_terms(k, np.array([rho]))
+        terms = _phase_terms(k, np.array([rho]))[0]
     except DomainError:
         if not rho > _RHO_CUT:
             raise
         return bessel_i_scaled(2.0 * k, 2.0 * rho) / bessel_i_scaled(2.0 * k - 1.0, 2.0 * rho)
-    weights = 1.0 / (np.arange(log_t.shape[1]) + 2.0 * k)
-    return float(_weighted_means(log_t, weights, rho)[0][0])
+    weights = 1.0 / (np.arange(terms.shape[1]) + 2.0 * k)
+    return float(_weighted_means(terms, weights, rho)[0][0])
 
 
 def _padded_coeffs(state: BGState, minimum: int = 2) -> np.ndarray:
@@ -532,16 +531,16 @@ def k12_moments(state: BGState) -> K12Moments:
     )
 
 
-def _phase_log_terms(k: float, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # ln t_n, one row per rho, of t_n = rho^{2(n+k)} e^{-2 rho} / (n! Gamma(2k+n)),
-    # and the weights w_n = (1/(n+k) + 1/(n+k+1))/2: sum_n t_n w_n is
-    # e^{-2 rho} g(rho), and sum_n t_n identically equals
+def _phase_terms(k: float, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # t_n / t_p, one row per rho, of t_n = rho^{2(n+k)} e^{-2 rho} / (n! Gamma(2k+n)),
+    # the weights w_n = (1/(n+k) + 1/(n+k+1))/2 and ln(t_p / t_0): sum_n t_n w_n
+    # is e^{-2 rho} g(rho), and sum_n t_n identically equals
     # rho e^{-2 rho} I_{2k-1}(2 rho), so g/I needs no Bessel call and holds
     # for every k > 0.  The term peak sits near n = rho, so past _RHO_CUT a
     # series that is not cut is refused as out of the domain.
-    log_rho = np.log(rho)
+    log_w = 2.0 * np.log(rho)
     try:
-        size = _series_cut(2.0 * log_rho, 2.0 * k) + 1
+        size = _series_cut(log_w, 2.0 * k) + 1
     except ConvergenceError:
         top = float(rho.max())
         if top <= _RHO_CUT:
@@ -549,9 +548,9 @@ def _phase_log_terms(k: float, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         raise DomainError(f"the phase series is not cut within 200000 terms at k={float(k)!r}, "
                           f"rho={top!r}: rho <= {_RHO_CUT!r} is cut at every k, a larger "
                           "rho only at a larger k") from None
-    log_t = _log_terms(2.0 * log_rho, 2.0 * k, size) + (2.0 * k * log_rho - 2.0 * rho)[:, None]
+    terms, ln_peak = _peak_table(rho * rho, log_w, 2.0 * k, size)
     n = np.arange(size)
-    return log_t, 0.5 * (1.0 / (n + k) + 1.0 / (n + k + 1.0))
+    return terms, 0.5 * (1.0 / (n + k) + 1.0 / (n + k + 1.0)), ln_peak
 
 
 def _g_quadrature(k: float, rho: float) -> tuple[float, float]:
@@ -570,7 +569,9 @@ def _g_quadrature(k: float, rho: float) -> tuple[float, float]:
     ln2, ln_top = math.log(2.0), math.log(2.0 * rho)
     # ln of the coefficient of u^{2m + 2k - 1}, and that exponent, formed so
     # that a tiny k is not rounded away against 2m - 1
-    ln_c = (_log_terms(-2.0 * ln2, 2.0 * k, size) - (2.0 * k - 1.0) * ln2 - 2.0 * rho)[:, None]
+    m = np.arange(size, dtype=np.float64)
+    ln_c = (-2.0 * ln2 * m - (ln_gamma(m + 1.0) + ln_gamma(2.0 * k + m))
+            - (2.0 * k - 1.0) * ln2 - 2.0 * rho)[:, None]
     power = ((2.0 * np.arange(size) - 1.0) + 2.0 * k)[:, None]
     ln_w_top = beta * ln_top
 
@@ -609,8 +610,10 @@ def g_k(k: float, rho: float) -> float:
         return w0 * math.exp(2.0 * k * math.log(rho) - ln_gamma(2.0 * k))
     if rho > 350.0:
         raise DomainError("g_k overflows past rho = 350; use ratio_gI instead")
-    log_t, weights = _phase_log_terms(k, np.array([rho]))
-    scaled = float(np.exp(log_t[0]) @ weights)
+    terms, weights, ln_peak = _phase_terms(k, np.array([rho]))
+    # t_p = t_0 e^{ln_peak} with t_0 = rho^{2k} e^{-2 rho} / Gamma(2k)
+    t_p = math.exp(2.0 * k * math.log(rho) - 2.0 * rho - ln_gamma(2.0 * k) + ln_peak[0])
+    scaled = t_p * float(terms[0] @ weights)
 
     quad_scaled, err = _g_quadrature(k, rho)
     where = f"at k={k}, rho={rho}"
@@ -690,13 +693,11 @@ def kbound_scan(k_grid: np.ndarray | None = None,
     """Fill the g/I ratio over the grid and pass a verdict per k.
 
     BOUNDED means sup over rho stays at or below 1 + 1e-9.  Rows are
-    independent; each is one series mean, rho sum t_n w_n / sum t_n, over a
-    table cut where every rho's terms have fallen below 1e-18 of their
-    largest.  ``specfun._weighted_means`` forms it, with the rule of every
-    series mean: a row whose terms would underflow is divided by its largest
-    first, and a cell whose rho sum t_n w_n is not a normal double forms
-    rho (sum t_n w_n / sum t_n) instead.  ``ratio_gI`` is the one cell of a
-    one-point scan.  Every grid value must be a positive real, and every k
+    independent; each is one series mean, rho (sum t_n w_n / sum t_n), over
+    a table of the terms relative to each rho's largest, cut where every
+    rho's terms have fallen below 1e-18 of their largest
+    (``specfun._peak_table`` and ``specfun._weighted_means``, the rule of
+    every series mean).  ``ratio_gI`` is the one cell of a one-point scan.  Every grid value must be a positive real, and every k
     at least ``phaseops._K_MIN``, the smallest normal double.
     """
     k_values = _default_k_grid() if k_grid is None else np.asarray(k_grid, dtype=float)
@@ -714,7 +715,8 @@ def kbound_scan(k_grid: np.ndarray | None = None,
     for i, k in enumerate(k_values):
         # sum_n t_n equals rho e^{-2 rho} I_{2k-1}(2 rho) termwise, so rho
         # times the mean of the weights is g/I
-        ratio[i] = _weighted_means(*_phase_log_terms(k, rho_values), rho_values)[0]
+        terms, weights, _ = _phase_terms(k, rho_values)
+        ratio[i] = _weighted_means(terms, weights, rho_values)[0]
 
     sup = ratio.max(axis=1)
     argmax = rho_values[np.argmax(ratio, axis=1)]

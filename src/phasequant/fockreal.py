@@ -43,7 +43,7 @@ from .repalg import (
     commutator_gap,
 )
 from .phaseops import PhaseOperatorPair, _check_k, build_phase_ops
-from .specfun import _log_terms, _series_cut, _weighted_means
+from .specfun import _peak_table, _series_cut, _weighted_means
 
 __all__ = [
     "Generators",
@@ -266,7 +266,7 @@ def alpha_expectations(k: float, alpha: complex, dim: int | None = None) -> Alph
         c[0] = 1.0
     else:
         m = np.arange(dim, dtype=np.float64)
-        weights = np.exp(_log_terms(2.0 * math.log(r), None, dim) - r * r)
+        weights = _peak_table(r * r, 2.0 * math.log(r), None, dim)[0][0]
         # divided by their own total, as the closed forms' weights are
         c[:dim] = np.sqrt(weights / np.sum(weights)) * np.exp(1j * beta * m)
     gens, phase = hp_generators(k, mdim), hp_phase_ops(k, mdim)
@@ -290,10 +290,10 @@ def alpha_expectations(k: float, alpha: complex, dim: int | None = None) -> Alph
 def _radial_sums(k: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # h1 = <sqrt(N+2k)> and h2 = (r/2) <sqrt(N+2k)(1/(N+k)+1/(N+k+1))> at
     # every radius of r: two means over one shared table of the Poisson
-    # weights exp(2n ln r - ln n! - r^2), cut where every radius' weights
-    # have fallen below 1e-18 of their largest, and divided by their own
-    # total, so the rounding common to every weight cancels; the vacuum
-    # r = 0 has h1 = sqrt(2k), h2 = 0
+    # weights e^{-r^2} r^{2n} / n!, cut where every radius' weights have
+    # fallen below 1e-18 of their largest, and divided by their own total, so
+    # the rounding common to every weight cancels; the vacuum r = 0 has
+    # h1 = sqrt(2k), h2 = 0
     h1 = np.full_like(r, math.sqrt(2.0 * k))
     h2 = np.zeros_like(r)
     pos = r > 0.0
@@ -301,20 +301,21 @@ def _radial_sums(k: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rp = r[pos]
         log_w = 2.0 * np.log(rp)
         size = _series_cut(log_w, None) + 1
-        log_t = _log_terms(log_w, None, size) - (rp * rp)[:, np.newaxis]
+        r2 = rp * rp
+        terms, ln_peak = _peak_table(r2, log_w, None, size)
         n = np.arange(size, dtype=np.float64)
         root = np.sqrt(n + 2.0 * k)
-        means, log_total = _weighted_means(
-            log_t, np.column_stack([root, root * (1.0 / (n + k) + 1.0 / (n + k + 1.0))]),
+        means, total = _weighted_means(
+            terms, np.column_stack([root, root * (1.0 / (n + k) + 1.0 / (n + k + 1.0))]),
             np.column_stack([np.ones_like(rp), 0.5 * rp]))
         h1[pos], h2[pos] = means.T
         # the one check the division does not share: the raw total is 1 up to
         # the dropped tail, below t_N q/(1 - q) with q = r^2/(N+1) past the
         # last kept term t_N, and to rounding: a few ulp of the sum, plus
-        # that of the log-terms near the peak, of size about r^2 (1 + ln r^2)
-        r2 = rp * rp
+        # that of ln(t_p / t_0) - r^2, of size about r^2 (1 + ln r^2)
+        log_total = np.log(total) + ln_peak - r2
         q = r2 / size
-        tol = (np.exp(log_t[:, -1]) * q / (1.0 - q)
+        tol = (np.exp(ln_peak - r2) * terms[:, -1] * q / (1.0 - q)
                + math.ulp(1.0) * (4.0 + r2 * (1.0 + log_w)))
         deviation = np.abs(np.expm1(log_total))
         i = int(np.argmax(~(deviation <= tol)))
@@ -327,11 +328,9 @@ def h2_curve(k: float, r_values) -> np.ndarray:
     """Vectorized phase-mean profile h2 over a radius grid; 0 at r = 0.
 
     h2 = (r/2) <sqrt(N+2k)(1/(N+k)+1/(N+k+1))> over the Poisson weights
-    exp(2n ln r - ln n! - r^2), from one shared term table for every
-    radius.  ``specfun._weighted_means`` forms it, with the rule of every
-    series mean: the weights are divided by their own total (a row whose
-    terms would underflow by its largest first, and a cell that is not a
-    normal double divides before the factor r/2).  The raw total must be
+    e^{-r^2} r^{2n} / n!, from one shared term table for every radius.
+    ``specfun._weighted_means`` forms it, with the rule of every series
+    mean: the weights are divided by their own total.  The raw total must be
     1 to within the dropped tail and rounding (TruncationError otherwise).
     ``alpha_expectations`` takes its h2 from the same means, so the two
     agree bit for bit.  A subnormal k (below ``phaseops._K_MIN``), a k

@@ -357,13 +357,17 @@ def estimate_k_from_number_state(
 
     var = 0.5 * (var_k1 + var_k2)
     half_sum = 2.0 * k3_mean - 1.0
-    disc = half_sum * half_sum - 4.0 * (2.0 * var - k3_mean)
+    product = 2.0 * var - k3_mean
+    disc = half_sum * half_sum - 4.0 * product
     if disc < 0.0:
         raise InconsistentDataError("no real level solves the variance relation")
-    root = math.sqrt(disc)
+    # the root of larger modulus, and the other as product / larger, which does
+    # not cancel: half_sum - sqrt(disc) loses n once k + n rounds (k ~ 2e16)
+    larger = 0.5 * (half_sum + math.copysign(math.sqrt(disc), half_sum))
+    smaller = product / larger if larger != 0.0 else 0.0
 
     best: LevelEstimate | None = None
-    for raw in (0.5 * (half_sum + root), 0.5 * (half_sum - root)):
+    for raw in (larger, smaller):
         n = max(0, round(raw))
         k = k3_mean - n
         if k <= 0.0:

@@ -1,23 +1,22 @@
 """Log-Gamma, Gamma-weighted power series and modified Bessel functions.
 
-Tuned for the argument ranges this package visits (orders up to a few
-tens, arguments up to a few hundred):
+Orders up to about 2000 and arguments up to about 3000 are checked
+against mpmath:
 
 * ``ln_gamma`` -- the stdlib's ``math.lgamma`` behind a domain check, also
   elementwise on a numpy array.
 * One private series rule.  Every Gamma-weighted sum in the package (the
-  I_nu series, g(rho), the bound scan, b_ratio's series mean) has terms
-  t_n = w^n / (n! Gamma(a+n)), and the oscillator weights are w^n / n!.
-  ``_series_cut`` returns the cut N, the first n past the term peak below a
-  log tolerance (DLMF 10.25.2), for a below ``_A_LIMIT``.  It bisects on
-  the closed-form ln t_n of the largest w alone, which decides for every
-  row; ``_log_terms`` tabulates ln t_n, n <= N, for the callers that sum
-  (``bgstates`` forms the coherent state's terms, relative to Gamma(2k),
-  from its w^n / n!).  Every series mean (g/I in the bound scan, b_ratio,
-  the oscillator's h1 and h2, the overlap's closed form) comes from
-  ``_weighted_means``: sum t_n w_n / sum t_n per row, with the largest term
-  taken out of a row whose terms would underflow, a cell that is not a
-  normal double divided first, and ln sum t_n returned beside it.
+  I_nu series, g(rho), the bound scan, b_ratio's series mean, the coherent
+  state) has terms t_n = w^n / (n! Gamma(a+n)), and the oscillator weights
+  are w^n / n!.  ``_series_cut`` returns the cut N, the first n past the
+  term peak below a log tolerance (DLMF 10.25.2), for a below ``_A_LIMIT``;
+  it bisects on the closed-form ln t_n of the largest w alone, which
+  decides for every row.  ``_peak_table`` tabulates t_n / t_p, n <= N, as
+  products of the term ratios w / (n (a+n-1)) out from the largest term
+  t_p, with ln(t_p / t_0) beside it, for every caller that sums; no summed
+  table holds ln Gamma(a+n).  Every series mean (g/I in the bound scan,
+  b_ratio, the oscillator's h1 and h2, the overlap's closed form) is
+  ``_weighted_means``' sum t_n w_n / sum t_n per row of it.
 * ``bessel_i`` / ``bessel_i_scaled`` -- for nu > -1, one ascending series
   (DLMF 10.25.2) at every x, its terms t_m = t_{m-1} (x/2)^2 / (m (nu+m))
   summed relative to the largest as cumulative products over the rule's
@@ -74,10 +73,8 @@ __all__ = [
 _MAX_TERMS = 200_000
 # Terms below this fraction of a series' largest term are dropped.
 _LOG_SERIES_TOL = math.log(1e-18)
-# Largest argument of math.exp that does not overflow, and the log of the
-# smallest normal double.
+# Largest argument of math.exp that does not overflow.
 _LOG_MAX = math.log(sys.float_info.max)
-_LOG_MIN_NORMAL = math.log(sys.float_info.min)
 
 _LGAMMA = np.frompyfunc(math.lgamma, 1, 1)
 # math.lgamma overflows from here on
@@ -117,52 +114,60 @@ def _check_lgamma(x) -> None:
                           f"overflows, got x={float(x)!r}")
 
 
-def _log_terms(log_w, a: float | None, size: int) -> np.ndarray:
-    """ln(w^n / (n! Gamma(a+n))) for n < size, one row per entry of log_w.
+def _peak_table(w, log_w, a: float | None, size: int,
+                root: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Terms t_n / t_p, n < size, of the series in w^n / (n! (a)_n), and ln(t_p / t_0).
 
-    The result has shape log_w.shape + (size,).  a = None drops the
-    Gamma(a+n) factor, which leaves the Poisson form w^n / n!.  w^0 = 1 also
-    at w = 0 (ln w = -inf), so a zero w keeps t_0 alone.
+    One row per entry of w >= 0, given as a product of doubles, with
+    log_w = ln w beside it.  The term ratios r_n = w / (n (a + n - 1)), or
+    w / n where a is None, fall with n, so the largest term is t_p with
+    p = #{r_n > 1}.  The row is multiplied out from it, by r_n above p and by
+    1/r_n below, so its largest entry is exactly 1 and none overflows, and
+    ln(t_p / t_0) sums ln r_n, n <= p, with ln r_1 as log_w less the log of
+    its denominator: r_1 overflows at a tiny a.  root divides w by the
+    square root of each n (a + n - 1) instead: the amplitudes
+    w^n / sqrt(n! (a)_n) of the series in w^2.  w^0 = 1 also at w = 0, which
+    keeps t_0 alone.
     """
+    w = np.atleast_1d(np.asarray(w, dtype=np.float64))
     n = np.arange(size, dtype=np.float64)
-    lg = ln_gamma(n + 1.0)
-    if a is not None:
-        lg += ln_gamma(a + n)
-    power = np.empty(np.shape(log_w) + (size,))
-    power[..., 0] = 0.0
-    np.multiply.outer(log_w, n[1:], out=power[..., 1:])
-    return power - lg
+    grow = n if a is None else n * (a + (n - 1.0))
+    if root:
+        grow = np.sqrt(grow)
+    # r_n = w / grow[n] exceeds 1 exactly where grow[n] < w
+    peak = np.searchsorted(grow[1:], w)
+    ln_first = log_w - math.log(grow[1]) if size > 1 else 0.0
+    rising, falling = n < peak[:, np.newaxis], n > peak[:, np.newaxis]
+    # fall[:, n] = 1 / r_{n+1} below the peak; table holds ln of those first
+    fall = np.ones((w.size, size))
+    np.divide(grow[1:], w[:, np.newaxis], out=fall[:, :-1], where=rising[:, :-1])
+    table = np.zeros((w.size, size))
+    np.log(fall[:, 1:], out=table[:, 1:], where=rising[:, 1:])
+    ln_peak = np.where(peak > 0, ln_first, 0.0) - table.sum(axis=1)
+    table.fill(1.0)
+    np.divide(w[:, np.newaxis], grow, out=table, where=falling)
+    np.cumprod(table, axis=1, out=table)
+    np.cumprod(fall[:, ::-1], axis=1, out=fall[:, ::-1])
+    table *= fall
+    return table, ln_peak
 
 
-def _weighted_means(log_t: np.ndarray, weights: np.ndarray,
+def _weighted_means(terms: np.ndarray, weights: np.ndarray,
                     factor) -> tuple[np.ndarray, np.ndarray]:
-    """factor sum t_n w_n / sum t_n and ln sum t_n, per row of a log-term table.
+    """factor (sum t_n w_n / sum t_n) and sum t_n, per row of a term table.
 
-    log_t holds ln t_n with one row per argument, as :func:`_log_terms`
-    gives it; weights holds w_n as one column (1-d) or one column per mean
-    (2-d), and factor broadcasts against the means.  A row whose largest
-    log-term is not a normal double is divided by that term first, so its
-    terms do not underflow: its means are unchanged and every other row
-    keeps its bits.  A cell whose factor sum t_n w_n is not a normal double
-    lost digits or underflowed, so it forms factor (sum t_n w_n / sum t_n).
+    terms holds t_n / t_p with one row per argument, as :func:`_peak_table`
+    gives it, so sum t_n lies in [1, size]; weights holds w_n as one column
+    (1-d) or one column per mean (2-d), and factor broadcasts against the
+    means.
     """
-    top = log_t.max(axis=1)
-    shift = np.where(top < _LOG_MIN_NORMAL, top, 0.0)
-    terms = np.exp(log_t - shift[:, np.newaxis])
     weighted, total = terms @ weights, np.sum(terms, axis=1)
-    per_cell = total if weighted.ndim == 1 else total[:, np.newaxis]
-    cell = factor * weighted
-    means = cell / per_cell
-    # one scalar test spares every table without such a cell the array work
-    if cell.min() < sys.float_info.min:
-        low = cell < sys.float_info.min
-        means[low] = (factor * (weighted / per_cell))[low]
-    return means, np.log(total) + shift
+    return factor * (weighted / (total if weighted.ndim == 1 else total[:, np.newaxis])), total
 
 
 def _series_cut(log_w, a: float | None, log_tol=None, ratio: float = 1.0,
                 error: type[Exception] = ConvergenceError) -> int:
-    """The cut N of the series of :func:`_log_terms`: they sum n = 0 .. N.
+    """The cut N of the series in w^n / (n! Gamma(a+n)): they sum n = 0 .. N.
 
     N is the first n >= 1 past the peak, where t_n <= ratio t_{n-1}, at which
     every series (one per entry of log_w) has ln t_n < log_tol.  log_tol
@@ -172,7 +177,7 @@ def _series_cut(log_w, a: float | None, log_tol=None, ratio: float = 1.0,
     The largest w decides alone: its terms are the largest at every n >= 1,
     and past its peak they lie furthest above their own largest term too,
     as d/d ln w of n ln w - max_m (m ln w - c_m) is n - m* >= 0.  Its ln t_n,
-    formed as :func:`_log_terms` forms them, fall past the peak: doubling
+    n ln w - ln n! - ln Gamma(a+n), fall past the peak: doubling
     and bisection find the last n clear above the cut by twice their
     rounding (``slack``) and the n after it are scanned, so a cut costs
     O(log N) lgamma calls.  Where no n below ``_MAX_TERMS`` qualifies,
@@ -203,7 +208,7 @@ def _series_cut(log_w, a: float | None, log_tol=None, ratio: float = 1.0,
     while ratio * (first if a is None else first * (a + first - 1.0)) < w:
         first += 1
 
-    def log_term(n):  # _log_terms(top, a, n + 1)[n], bit for bit
+    def log_term(n):  # ln t_n of the largest w
         lg = math.lgamma(n + 1.0)
         if a is not None:
             lg += math.lgamma(a + n)

@@ -178,6 +178,97 @@ def test_state_table_against_mpmath():
             assert abs(float(np.sum(np.abs(state.coeffs) ** 2)) - 1.0) <= 1e-14, (k, rho)
 
 
+def _phase_series_means(k, rho):
+    # rho sum t_n / (n + 2k) / sum t_n (b_k) and rho sum t_n w_n / sum t_n (g/I),
+    # t_n = rho^{2n} / (n! (2k)_n), w_n = (1/(n+k) + 1/(n+k+1))/2, summed in
+    # the working precision past the peak until the terms fall below 1e-32
+    k, rho = mpmath.mpf(k), mpmath.mpf(rho)
+    term, total, b_sum, g_sum, n = mpmath.mpf(1), 0, 0, 0, 0
+    while n <= rho or term > 1e-32 * total:
+        total += term
+        b_sum += term / (n + 2 * k)
+        g_sum += term * (1 / (n + k) + 1 / (n + k + 1)) / 2
+        n += 1
+        term *= rho * rho / (n * (2 * k + (n - 1)))
+    return rho * b_sum / total, rho * g_sum / total, total
+
+
+def test_state_and_means_against_mpmath_over_the_whole_range():
+    # k log-uniform from the k floor to 1e6 and rho from 1e-3 to 700, at 30
+    # digits: every coefficient that is a normal double within 1e-13, and
+    # b_k, <K3> and <cos> within 1e-15.  With ln Gamma(2k+n) in the phase
+    # table and n ln w in the state's, they were 1.8e-12 and 1.0e-13 off
+    rng = np.random.default_rng(2034)
+    cells = zip(np.exp(rng.uniform(math.log(phaseops._K_MIN), math.log(1e6), 40)).tolist(),
+                np.exp(rng.uniform(math.log(1e-3), math.log(700.0), 40)).tolist(),
+                rng.uniform(-math.pi, math.pi, 40).tolist())
+    refused = 0
+    with mpmath.workdps(30):
+        for k, rho, phi in cells:
+            try:
+                state = make_bg_state(k, rho * cmath.exp(1j * phi))
+            except DomainError as exc:  # c_0 below the smallest double
+                assert "c_0 underflows" in str(exc)
+                refused += 1
+                continue
+            b, ratio, total = _phase_series_means(k, state.rho)
+            z = mpmath.mpc(state.z)
+            want = 1 / mpmath.sqrt(total)
+            for n, got in enumerate(state.coeffs.tolist()):
+                if n:
+                    want *= z / mpmath.sqrt(n * (2 * mpmath.mpf(k) + (n - 1)))
+                if abs(got) >= sys.float_info.min:
+                    assert abs(mpmath.mpc(got) - want) <= 1e-13 * abs(want), (k, rho, n)
+            k3 = k + state.rho * b
+            cos = mpmath.cos(state.phi) * ratio
+            assert abs(b_ratio(k, state.rho) - b) <= 1e-15 * b, (k, rho)
+            assert abs(k3_moments(state).mean - k3) <= 1e-15 * k3, (k, rho)
+            assert abs(phase_expectations(state).cos_mean - cos) <= 1e-15 * abs(cos), (k, rho)
+    assert refused <= 2
+
+
+# make_bg_state(k, rho).dim with k log-uniform from the k floor to 1e6 and rho
+# from 1e-3 to 700 (numpy.random.default_rng(41)), 0 for a refusal: recorded
+# while the state read a ln Gamma table, before it read term ratios
+FROZEN_DIMS = (
+    4, 24, 5, 28, 8, 4, 5, 11, 6, 7, 14, 8, 8, 6, 22, 52, 5, 55, 11, 56, 38, 5, 12, 5, 4, 49,
+    188, 34, 18, 63, 10, 29, 37, 2, 8, 4, 257, 353, 20, 4, 4, 8, 35, 11, 4, 4, 10, 304, 5, 169,
+    8, 6, 8, 6, 5, 14, 9, 10, 6, 25, 4, 536, 5, 9, 14, 28, 10, 31, 4, 6, 4, 130, 19, 21, 5, 78,
+    4, 45, 4, 343, 187, 906, 9, 18, 58, 4, 4, 8, 4, 24, 37, 471, 338, 4, 39, 406, 421, 6, 16, 4,
+    4, 734, 6, 31, 24, 237, 6, 5, 51, 40, 14, 4, 68, 8, 5, 26, 7, 5, 39, 4, 44, 7, 4, 4, 25, 232,
+    45, 117, 4, 63, 0, 420, 7, 37, 16, 4, 20, 4, 5, 5, 11, 39, 117, 4, 689, 124, 8, 4, 5, 5, 17,
+    19, 9, 4, 33, 8, 742, 9, 139, 101, 5, 21, 4, 7, 870, 5, 15, 237, 289, 118, 9, 91, 5, 4, 235,
+    78, 5, 12, 0, 23, 400, 346, 5, 100, 4, 20, 14, 34, 18, 150, 34, 5, 129, 5, 6, 17, 0, 595, 38,
+    167,
+)
+
+
+def test_state_dims_are_unchanged_on_a_seeded_sweep():
+    rng = np.random.default_rng(41)
+    ks = np.exp(rng.uniform(math.log(phaseops._K_MIN), math.log(1e6), 200))
+    rhos = np.exp(rng.uniform(math.log(1e-3), math.log(700.0), 200))
+    dims = []
+    for k, rho in zip(ks.tolist(), rhos.tolist()):
+        try:
+            dims.append(make_bg_state(k, rho).dim)
+        except DomainError:
+            dims.append(0)
+    assert tuple(dims) == FROZEN_DIMS
+
+
+def test_state_tail_lies_in_its_documented_range_at_tiny_k():
+    # 0 <= 1 - sum |c_n|^2 < tail_tol, to 4 dim eps, where rho^2 is near 2k:
+    # the logarithmic table missed it in 133 of these 200 cells, by up to 32x
+    rng = np.random.default_rng(2035)
+    ks = np.exp(rng.uniform(math.log(1e-300), math.log(1e-20), 200))
+    vs = np.exp(rng.uniform(math.log(0.1), math.log(10.0), 200))
+    for k, v in zip(ks.tolist(), vs.tolist()):
+        state = make_bg_state(k, math.sqrt(2.0 * k * v))
+        tail = 1.0 - float(np.sum(np.abs(state.coeffs) ** 2))
+        slack = 4.0 * state.dim * sys.float_info.epsilon
+        assert -slack <= tail <= state.tail_tol + slack, (k, v, tail)
+
+
 @pytest.mark.parametrize("k", [100.0, 300.0, 1000.0])
 def test_overlap_returns_at_large_k(k):
     # the closed form once rebuilt both normalizations through ln I and

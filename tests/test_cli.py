@@ -17,7 +17,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from phasequant import cli, repalg
+from phasequant import cli, nfm, repalg
 from phasequant.errors import check_domain
 
 
@@ -348,7 +348,6 @@ class TestValidationErrors:
         (("coherent", "--k", "1e200", "--rho", "0"), "overflows past k = 1.3407807929942596e+154"),
         # (n + k)^2 in the closed sum of squares: once an uncaught OverflowError
         # from k = 1.35e154 on, and 0.0 for 9.1e154 at k = 1.3e154
-        (("nfm-sim", "--kind", "number", "--k", "1e100", "--n", "3"), "nearest integer level"),
         (("nfm-sim", "--kind", "number", "--k", "1.3e154", "--n", "3"), "n3n4_sumsq must be finite"),
         (("nfm-sim", "--kind", "number", "--k", "1e200", "--n", "3"), "n3n4_sumsq must be finite"),
         (("nfm-sim", "--kind", "number", "--k", "1e308", "--n", "3"), "w3 must be finite"),
@@ -731,6 +730,19 @@ class TestAnalysisCommands:
 
 
 class TestNfmSim:
+    @pytest.mark.parametrize("k", [2e16, 5e16, 1e20, 1e50, 1e100])
+    def test_number_state_at_large_k(self, capsys, tmp_path, k):
+        # k + n rounds to a multiple of 4 from k = 2e16 on, and the smaller
+        # root half_sum - sqrt(disc) cancelled: once exit 1 with "observed
+        # variances and the nearest integer level disagree by 2.857e-01"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("nfm-sim", "--kind", "number", "--k", repr(k), "--n", "3",
+                           "--out", str(tmp_path / "out.csv")) == 0
+            rec = nfm.simulate_and_reconstruct(nfm.NumberStateSpec(k=k, n=3)).reconstruction
+        capsys.readouterr()
+        assert rec.n_estimate == 3 and math.isclose(rec.k_estimate, k, rel_tol=1e-15)
+
     def test_inline_number_state(self, capsys, tmp_path):
         summary = tmp_path / "s.json"
         assert run_cli("nfm-sim", "--kind", "number", "--k", "0.5", "--n", "3",

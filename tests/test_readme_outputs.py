@@ -35,39 +35,51 @@ PINNED = {
     'ground-variance --k 0.5 --k 1.0 --out gsv.csv': (
         0, '9f73ef9e3f3837b8b693de495b5a5a00f596071032ea9ee1fa669023ba3a3dcb',
         {'gsv.csv': '1cdf4c82378c037b74394c29c194e911b5f3779abed7e304db5503ccea8bee08'}),
+    # The digests of kbound-scan, coherent, oscillator, both nfm-sim commands
+    # and verify-all were recorded after every summed series became a table
+    # of term ratios multiplied out from its largest term.  What moved, with
+    # the distance to mpmath at 25 digits before -> after:
+    # - scan.csv: 5896 of 7800 ratios in their last digits, at worst
+    #   2.05e-15 -> 6.2e-16; scan.json: 33 of 39 sups in their last digits.
+    #   Verdicts, argmax_rho and the flip bracket are unchanged.
+    # - coh.json and coherent's stdout: b_k ...917 -> ...918 (1.2e-16 ->
+    #   2.4e-17), k3_mean ...752 -> ...757 (5.1e-17 -> 8.4e-17), k3_variance
+    #   ...569 -> ...5676 (8.3e-16 -> 7.7e-17), cos_mean ...522 -> ...525
+    #   (3.1e-16 -> 2.0e-16), sin_mean ...309 -> ...312 (5.3e-16 -> 1.9e-17),
+    #   var_k1/var_k2 ...876 -> ...878 (5.1e-17 -> 8.4e-17), and the last
+    #   digit of eigenvector_residual; dim is 17 as before.
+    # - h2.csv and oscillator's stdout: 173 of 200 h2 values in their last
+    #   digits, at worst 1.1e-15 -> 5.3e-16 (max h2 ...174 -> ...175).
+    # - nfm-sim: 88 of 100 trials rows and max_err_k1/k2, phi_mean, phi_std
+    #   and rho_std of run.json in their last digits.
+    # - report.json: the normalization detail 1.110e-15 -> 9.992e-16.
     'kbound-scan --out scan.csv --summary scan.json': (
         0, '7613de6f34735f980040a74d327cdf39e91781711800d3ad84f74174af816c93',
-        {'scan.csv': 'd01b12a200fb4222b38ebe9d603651be91673d59de6248d2ffc1b315520752f2',
-         'scan.json': 'b13aa61f3fa071d3d9a95fbc5c1129c3fa66d756aea2bcdf20708a89781f17a6'}),
-    # recorded after b_ratio became one series mean over the phase table:
-    # b_k, k3_mean, k3_variance and var_k1/var_k2 moved in their last digits
-    # (k3_mean now correctly rounded), and with them nfm-sim's trials and summary
+        {'scan.csv': 'eefa8d2d7199dde62f6e577bc1692863ce0d0dcdedf33e894fbb7b4ff6ae4987',
+         'scan.json': '55610248e20b17a2132b3786f0bed4a4780f4ee48e65e097a16609ef2fb7d354'}),
     'coherent --k 1.0 --rho 3.0 --phi 0.785 --format json --out coh.json': (
-        0, '1d9ada2b7260b2295f007a59b1e3ba9c23457d78440e7c771ef65fd4436792fe',
-        {'coh.json': '122e60c4868f863ea8b81d1f2e77b12cd417182b8c7f46a9056d9f6caaa4b772'}),
+        0, '36c1dda8e58d335f5d467e29bbfcf16839e32624110036c7f69ce9f981446395',
+        {'coh.json': '3d17b93dd5797f68e8c187ca859359a48e88503ff6de7ac8a9ae9838e39cf366'}),
     'completeness --k 1.0 --n 3 --out comp.csv': (
         0, '280f3e9d39696b352b5c709df28605966bd1045b72cef894fecd5f0d1e31ed7b',
         {'comp.csv': '42b35fc2cb50fd2d3f7b81855488c709be921658ad59613f5b0308d65efc4fc5'}),
     'oscillator --k 0.5 --r-max 20 --points 200 --out h2.csv': (
-        0, 'e150b2337297e099ff3ef10b0355be0f4879b40eda60b44213bdda58f20859ea',
-        {'h2.csv': 'c7ad58dd9e0d2d63ab5757de413af91aafbbf56ef87236dfc76dac633ff00839'}),
+        0, '36aa57001ae890ec7a2ca4a72ef94e36fba2d9a60f7167c52b52a9fddf9ca9da',
+        {'h2.csv': '71ef5a3e31fd48835aafe44463fcc306810270a5695986bcdcc24d66857c075c'}),
     'two-mode --dim-per-mode 24 --out sectors.csv': (
         0, '2931eed0656aae1045ce3c4cd4fceda2f9f53f78a6b50649b17c1ddda9c305f9',
         {'sectors.csv': '33d8199c4f9c924661478987b6e009c87fa458922ce57c457d3277193333c341'}),
     'nfm-sim --kind bg --k 1.0 --rho 3.0 --phi 0.5 --noise 0.01 --trials 100 --seed 7 '
     '--out trials.csv --summary run.json': (
         0, '7d4a47338ee1c70a4860417b3b10d4ec9cda9faa7c9d40e6d4e633cb7f415bff',
-        {'trials.csv': 'ef86ec631933a864c421fea99d1f46cee45dc758a5ea5a951c1628ae9d7f6628',
-         'run.json': '7d316d42e82fc1d714b86ab90da416ee82f5a3af89b91467b365f3ed1294cd4b'}),
+        {'trials.csv': '09d74e40e962bff9b0b8962c82715a756a3d03a3f117c4f8e0bf4ad59ead90dd',
+         'run.json': '2a88828625a69109829362746b033294265ef695da08e4bb4b0d44315376d94a'}),
     'nfm-sim --config run_config.json --out trials.csv': (
         0, '7d4a47338ee1c70a4860417b3b10d4ec9cda9faa7c9d40e6d4e633cb7f415bff',
-        {'trials.csv': 'db1432e1597ec69a32c8fe5c716f16797d6dc30ed33d88d0f372ebd970584bda'}),
+        {'trials.csv': 'c485690c0825d30544b8c72dfb541533759e8b82325b6e2af9099979280e76d3'}),
     'verify-all --out report.json': (
         1, '935f9354d42acf9c3a76ded2b63c9544520721af4560b839798e96f19af15346',
-        # recorded after I_nu became one ascending series summed about its
-        # largest term: the three-term recurrence's detail moved from
-        # 3.494e-14 to 1.537e-14
-        {'report.json': '66afa32a4b590c074de51fa053bbf739137149ee978a37ec3bd59ff438826c60'}),
+        {'report.json': '37a5ee5a0f4ffc302ffc85b2d46077dafe79f43889918ef4c5303d550a6f60ed'}),
 }
 
 

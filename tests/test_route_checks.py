@@ -243,10 +243,16 @@ def test_alpha_expectations_refuse_a_nan_matrix_value(monkeypatch):
 
 @pytest.mark.parametrize("shift", [1e-9, math.nan])
 def test_radial_sums_refuse_a_wrong_poisson_total(monkeypatch, shift):
-    # every weight off by the factor e^shift: the means divide it away, the
-    # raw total does not.  The first radius that fails is named
-    log_terms = fockreal._log_terms
-    monkeypatch.setattr(fockreal, "_log_terms", lambda *args: log_terms(*args) + shift)
+    # ln(t_p / t_0) off by shift, so every weight is off by the factor
+    # e^shift: the means divide it away, the raw total does not.  The first
+    # radius that fails is named
+    peak_table = fockreal._peak_table
+
+    def shifted(*args):
+        terms, ln_peak = peak_table(*args)
+        return terms, ln_peak + shift
+
+    monkeypatch.setattr(fockreal, "_peak_table", shifted)
     with pytest.raises(TruncationError, match=r"Poisson weights: raw total and 1 .* r=1\.0$"):
         h2_curve(1.0, [0.0, 1.0, 2.0])
     with pytest.raises(TruncationError, match="Poisson weights: raw total and 1"):
@@ -301,21 +307,36 @@ def test_two_mode_refuses_a_nan_commutator(monkeypatch, which):
 # bgstates
 
 
-def test_make_bg_state_refuses_a_nan_coefficient(monkeypatch):
-    # the NaN enters the table that an explicit dim rebuilds, past the one
-    # that gave ln S
+def _rebuilt_amplitudes(monkeypatch, change):
+    # the amplitude table that an explicit dim rebuilds, past the one that
+    # gave S, changed by ``change``; the sizes of both
     sizes = []
-    table = bgstates._state_log_terms
+    table = bgstates._peak_table
 
-    def with_nan(log_w, k, size):
+    def changed(w, log_w, a, size, root=False):
         sizes.append(size)
-        log_t = table(log_w, k, size)
-        return log_t if len(sizes) == 1 else np.append(log_t[:-1], np.nan)
+        amp, ln_peak = table(w, log_w, a, size, root)
+        return (amp, ln_peak) if len(sizes) == 1 else (change(amp), ln_peak)
 
-    monkeypatch.setattr(bgstates, "_state_log_terms", with_nan)
+    monkeypatch.setattr(bgstates, "_peak_table", changed)
+    return sizes
+
+
+def test_make_bg_state_refuses_a_nan_coefficient(monkeypatch):
+    sizes = _rebuilt_amplitudes(monkeypatch, lambda amp: np.append(amp[:, :-1], np.nan)[None])
     with pytest.raises(TruncationError, match="coherent-state coefficients"):
         make_bg_state(1.0, 3.0, dim=40)
     assert len(sizes) == 2 and sizes[0] < sizes[1] == 40
+
+
+def test_make_bg_state_refuses_a_tail_below_zero(monkeypatch):
+    # every coefficient 1e-12 too large: K- c = z c holds, and the norm
+    # 1 + 2e-12 leaves a tail of -2e-12
+    sizes = _rebuilt_amplitudes(monkeypatch, lambda amp: amp * (1.0 + 1e-12))
+    with pytest.raises(TruncationError, match=r"coherent-state tail 1 - sum \|c_n\|\^2 .* "
+                                              r"\(tail -2\.0\d\de-12\)$"):
+        make_bg_state(1.0, 3.0, dim=40)
+    assert len(sizes) == 2
 
 
 def test_overlap_refuses_a_nan_closed_form(monkeypatch):
@@ -356,10 +377,13 @@ def test_g_k_refuses_a_nan_quadrature_error(monkeypatch):
 
 def test_g_k_refuses_a_nan_series(monkeypatch):
     # the old relative scale max(|nan|, ...) was itself NaN, so nothing fired
-    log_terms = bgstates._phase_log_terms
-    monkeypatch.setattr(bgstates, "_phase_log_terms",
-                        lambda k, rho: (np.full_like(log_terms(k, rho)[0], math.nan),
-                                        log_terms(k, rho)[1]))
+    phase_terms = bgstates._phase_terms
+
+    def with_nan(k, rho):
+        terms, weights, ln_peak = phase_terms(k, rho)
+        return np.full_like(terms, math.nan), weights, ln_peak
+
+    monkeypatch.setattr(bgstates, "_phase_terms", with_nan)
     with pytest.raises(TruncationError, match="g_k series and quadrature routes disagree"):
         g_k(1.0, 2.0)
 

@@ -2,8 +2,9 @@
 
 ``specfun._series_cut`` returns the cut N by bisection on the log-terms of
 the largest series.  ``_table_cut`` below is the earlier rule, which built
-a ``_log_terms`` table, doubled it until some n past the peak had every row
-below the tolerance, and returned the table up to that n.  Both must give
+a table of ln t_n = n ln w - ln n! - ln Gamma(a+n) (``_lgamma_table``),
+doubled it until some n past the peak had every row below the tolerance,
+and returned the table up to that n.  Both must give
 the same N, or fail with the same error class, on a seeded sweep over every
 kind of call the package makes.
 """
@@ -16,9 +17,22 @@ import pytest
 
 from phasequant import bgstates, fockreal, specfun
 from phasequant.errors import ConvergenceError, DomainError, TruncationError
-from phasequant.specfun import _LOG_SERIES_TOL, _MAX_TERMS, _log_terms, _series_cut
+from phasequant.specfun import _LOG_SERIES_TOL, _MAX_TERMS, _series_cut
 
 _TABLE_DEPTH = 48.0
+
+
+def _lgamma_table(log_w, a, size):
+    # ln(w^n / (n! Gamma(a+n))) for n < size, one row per entry of log_w, as
+    # the package once tabulated every series; w^0 = 1 also at w = 0
+    n = np.arange(size, dtype=np.float64)
+    lg = specfun.ln_gamma(n + 1.0)
+    if a is not None:
+        lg += specfun.ln_gamma(a + n)
+    power = np.empty(np.shape(log_w) + (size,))
+    power[..., 0] = 0.0
+    np.multiply.outer(log_w, n[1:], out=power[..., 1:])
+    return power - lg
 
 
 def _table_cut(log_w, a, log_tol=None, ratio=1.0, error=ConvergenceError):
@@ -48,7 +62,7 @@ def _table_cut(log_w, a, log_tol=None, ratio=1.0, error=ConvergenceError):
     size = int(turn + math.sqrt(2.0 * _TABLE_DEPTH * (turn + 1.0))) + 8
     while True:
         size = min(size, _MAX_TERMS)
-        log_t = _log_terms(log_w, a, size)
+        log_t = _lgamma_table(log_w, a, size)
         if log_tol is None:
             tol = log_t.max(axis=-1, keepdims=True) + _LOG_SERIES_TOL
         else:
@@ -124,52 +138,40 @@ def test_unresolvable_log_terms_are_refused_at_once():
 
 
 @pytest.fixture
-def state_tables(monkeypatch):
-    # every bgstates._state_log_terms call, by size
+def peak_tables(monkeypatch):
+    # every specfun._peak_table call through the modules that import it, by size
     sizes = []
-    real = bgstates._state_log_terms
-    monkeypatch.setattr(bgstates, "_state_log_terms",
-                        lambda log_w, k, size: sizes.append(size) or real(log_w, k, size))
-    return sizes
+    real = specfun._peak_table
 
-
-@pytest.fixture
-def log_term_tables(monkeypatch):
-    # every _log_terms call through the modules that import it, by size
-    sizes = []
-    real = specfun._log_terms
-
-    def counted(log_w, a, size):
+    def counted(w, log_w, a, size, root=False):
         sizes.append(size)
-        return real(log_w, a, size)
+        return real(w, log_w, a, size, root)
 
     for module in (specfun, bgstates, fockreal):
-        monkeypatch.setattr(module, "_log_terms", counted)
+        monkeypatch.setattr(module, "_peak_table", counted)
     return sizes
 
 
-def test_index_only_callers_build_no_table(log_term_tables, state_tables):
+def test_index_only_callers_build_no_table(peak_tables):
     specfun._i_series(1.0, 6.0, 0.0)
-    assert log_term_tables == []
+    assert peak_tables == []
     # the tail cut is an index; the one table is the state's own
     assert bgstates.make_bg_state(1.0, 3.0).dim == 17
-    assert len(state_tables) == 1 and log_term_tables == state_tables
-    # the sizing is an index; the one table is the integrand's offset
-    log_term_tables.clear()
+    assert len(peak_tables) == 1
+    # the sizing is an index; the integrand's offset forms its own ln Gamma
+    # coefficients, so the second route of g_k shares no table
+    peak_tables.clear()
     bgstates._g_quadrature(1.0, 3.0)
-    assert len(log_term_tables) == 1
+    assert peak_tables == []
     # the dim is an index; the tables are the weights and the coefficients
-    log_term_tables.clear()
     fockreal.alpha_expectations(1.0, 2.0)
-    assert len(log_term_tables) == 2
+    assert len(peak_tables) == 2
 
 
-def test_make_bg_state_builds_one_table(log_term_tables, state_tables):
+def test_make_bg_state_builds_one_table(peak_tables):
     # README-size states (coherent, nfm-sim, verify-all): the coefficients,
-    # ln S, c_0 and the tail cut read one table
+    # S, c_0 and the tail cut read one amplitude table
     for k, rho in ((1.0, 3.0), (1.0, 3.0 * np.exp(0.5j)), (0.75, 2.0), (0.5, 0.5)):
-        state_tables.clear()
-        log_term_tables.clear()
+        peak_tables.clear()
         state = bgstates.make_bg_state(k, rho)
-        assert len(state_tables) == 1 and state_tables[0] >= state.dim
-        assert log_term_tables == state_tables
+        assert len(peak_tables) == 1 and peak_tables[0] >= state.dim

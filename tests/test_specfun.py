@@ -419,20 +419,34 @@ def test_bessel_k_range_limit_is_the_reference_exponent():
 
 
 # ---------------------------------------------------------------------------
-# the series mean
+# the term table
 
 
-def test_weighted_means_take_out_the_largest_term_of_an_underflowing_row():
-    # the second row lies 800 below the first, where its terms alone would
-    # all underflow; two weight columns, and a factor per row
-    log_t = np.array([[0.0, 0.5], [-800.0, -799.5]])
-    weights = np.array([[1.0, 0.5], [4.0, 0.5]])
-    means, log_total = specfun._weighted_means(log_t, weights, np.array([[1.0], [2.0]]))
-    total = 1.0 + math.exp(0.5)
-    mean = (1.0 + 4.0 * math.exp(0.5)) / total
-    assert np.allclose(means, [[mean, 0.5], [2.0 * mean, 1.0]], rtol=1e-15, atol=0.0)
-    assert np.allclose(log_total, [math.log(total), math.log(total) - 800.0],
-                       rtol=1e-15, atol=0.0)
+def test_peak_table_against_mpmath():
+    # w^n / (n! (a)_n) over its largest term, and ln(t_p / t_0), at 30 digits,
+    # with no warning: r_1 = w / a overflows at a = 4.6e-308 with w = 900,
+    # and a subnormal rho has normal amplitudes rho^n / sqrt(n! (a)_n)
+    mpmath.mp.dps = 30
+    cases = [(900.0, 2 * math.log(30.0), 4.6e-308, 120, False),
+             (4.9e5, 2 * math.log(700.0), 100.0, 1500, False),
+             (1e-3, math.log(1e-3), 7.0, 8, False),
+             (9.0, 2 * math.log(3.0), None, 40, False),
+             (1e-310, math.log(1e-310), 4.6e-308, 3, True),
+             (30.0, math.log(30.0), 2.0, 120, True)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for w, log_w, a, size, root in cases:
+            table, ln_peak = specfun._peak_table(w, log_w, a, size, root)
+            assert table.shape == (1, size) and table.max() == 1.0
+            want = [mpmath.mpf(1)]
+            for n in range(1, size):
+                grow = n * (mpmath.mpf(a) + (n - 1)) if a is not None else mpmath.mpf(n)
+                want.append(want[-1] * mpmath.mpf(w) / (mpmath.sqrt(grow) if root else grow))
+            top = max(want)
+            assert abs(ln_peak[0] - mpmath.log(top)) <= 1e-14 * max(1, abs(mpmath.log(top)))
+            for got, term in zip(table[0].tolist(), want):
+                if term / top > 1e-300:
+                    assert abs(got - term / top) <= 1e-13 * (term / top), (w, a, root)
 
 
 # ---------------------------------------------------------------------------
@@ -471,11 +485,11 @@ def test_wronskian_identity(nu, x):
 
 
 def test_a_zero_w_keeps_the_first_term_alone():
-    # ln w = -inf: w^0 = 1, and the series is cut at N = 1 with t_1 = 0
+    # w = 0, ln w = -inf: w^0 = 1, and the series is cut at N = 1 with t_1 = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        table = specfun._log_terms(np.array([-math.inf, 0.0]), 2.5, 3)
+        table, ln_peak = specfun._peak_table(np.array([0.0, 1.0]), np.array([-math.inf, 0.0]),
+                                             2.5, 3)
         assert specfun._series_cut(np.array([-math.inf, -math.inf]), 2.5) == 1
-    assert table[0].tolist() == [-math.lgamma(2.5), -math.inf, -math.inf]
-    n = np.arange(3.0)
-    assert table[1].tolist() == (-(specfun.ln_gamma(n + 1.0) + specfun.ln_gamma(2.5 + n))).tolist()
+    assert table[0].tolist() == [1.0, 0.0, 0.0] and ln_peak.tolist() == [0.0, 0.0]
+    assert table[1].tolist() == [1.0, 1.0 / 2.5, (1.0 / 2.5) * (1.0 / (2.0 * 3.5))]
