@@ -19,10 +19,11 @@ with
 and the scan of that ratio over (k, rho) decides whether the phase-operator
 spectrum can fill [-1, 1]: on the default grid the ratio stays below 1 for
 k >= 0.35 and crosses it for k <= 0.30 (near rho ~ 1 at k = 0.25), so the
-verdict flips in the measured bracket (0.30, 0.35).  One routine forms the series
-of g and I_{2k-1} for a whole rho grid: the scan sums it row by row,
-``ratio_gI`` is the scan's one cell and ``g_k`` sums the same terms, so the
-scan and a single state's expectations agree bit for bit.  b_k(rho) =
+verdict flips in the measured bracket (0.30, 0.35).  One routine forms the
+series means of g and I_{2k-1} for a whole rho grid, each row over the
+window of the phase table that carries its weight: ``ratio_gI`` is the
+scan's one cell, so the scan and a single state's expectations agree bit
+for bit, and ``g_k`` sums the whole table of the same terms.  b_k(rho) =
 I_2k(2 rho)/I_{2k-1}(2 rho) of the K3 moments is the same table's mean of
 rho/(n + 2k); at small rho it is rho/(2k), not the shorthand "b ~ rho",
 which holds only at k = 1/2.
@@ -51,6 +52,7 @@ from .specfun import (
     _k_quad,
     _peak_table,
     _series_cut,
+    _series_means,
     _tanh_sinh,
     _weighted_means,
     bessel_i_scaled,
@@ -91,10 +93,12 @@ _C0_UNDERFLOWS = ("make_bg_state: c_0 underflows at k={!r}, rho={!r}: ln|c_0| {}
                   f"{_LOG_MIN_DOUBLE:.6g}, that of the smallest double")
 # the largest rho whose 2 rho, the Bessel argument, is a finite double
 _RHO_MAX = sys.float_info.max / 2.0
-# the phase series of every k is cut within specfun's 200000 terms up to
-# this rho; it fails from 197133.69053852008 at k <= 1e-10, from 197134.68
-# at k = 1 and from 206824.38 at k = 1e4
-_RHO_CUT = 197133.69
+# the phase series' window of every k is cut within specfun's 200000 terms
+# up to this rho.  The smallest k widens its lower cut most: bisected to the
+# double, it fails from 34392762.81861603 at k = phaseops._K_MIN, from
+# 1.9835e8 at k = 1 and from 2.1597e8 at k = 1e4 (g/I; b_k's weights reach a
+# little further)
+_RHO_CUT = 34392762.81
 
 
 def _check_rho(rho, caller: str, domain: str = "nonnegative real") -> float:
@@ -299,7 +303,7 @@ def _overlap_closed(k: float, z1: complex, z2: complex) -> complex:
                                  2.0 * k, _series_cut(log_w, 2.0 * k) + 1)
     theta = math.atan2(z1.imag, z1.real) - math.atan2(z2.imag, z2.real)
     angle = theta * np.arange(terms.shape[1])
-    means, total = _weighted_means(terms, np.column_stack([np.cos(angle), np.sin(angle)]), 1.0)
+    means, total = _weighted_means(terms, (np.cos(angle), np.sin(angle)), 1.0)
     ln_s = np.log(total) + ln_peak
     return complex(*means[0]) * math.exp(ln_s[0] - 0.5 * (ln_s[1] + ln_s[2]))
 
@@ -397,12 +401,14 @@ def completeness_check(k: float, n: int, rho_max: float = 60.0) -> float:
 def b_ratio(k: float, rho: float) -> float:
     """I_{2k}(2 rho) / I_{2k-1}(2 rho), the mean-occupation ratio; 0 at rho=0.
 
-    The series mean rho sum t_n / (n + 2k) / sum t_n over the phase table,
-    whose t_n are the terms of I_{2k-1} (DLMF 10.25.2), within 1e-13 of
-    mpmath up to ``_RHO_CUT`` and wherever the table is cut past it; below
-    rho = 1e-7 its leading term rho/(2k) where the next ones are below
-    rounding (rho^2 < eps k(k+1)).  Past ``_RHO_CUT``, where the table is
-    not cut, the quotient of e^{-2 rho} I_nu.
+    The series mean rho sum t_n / (n + 2k) / sum t_n over the window of the
+    phase table that carries it, whose t_n are the terms of I_{2k-1}
+    (DLMF 10.25.2): within 1e-13 of mpmath up to ``_RHO_CUT`` and wherever
+    the window is cut past it (at k = 1 up to rho = 1.99e8), at a cost of
+    O(sqrt rho) terms (0.2 ms at (1e-3, 1.97e5)); below rho = 1e-7 its
+    leading term rho/(2k) where the next ones are below rounding
+    (rho^2 < eps k(k+1)).  Past ``_RHO_CUT``, where the window is not cut,
+    the quotient of e^{-2 rho} I_nu.
     A k below ``phaseops._K_MIN`` or a rho above 8.99e307 raises DomainError.
     """
     _check_k(k, "b_ratio")
@@ -412,13 +418,11 @@ def b_ratio(k: float, rho: float) -> float:
         # table is not cut
         return rho / (2.0 * k)
     try:
-        terms = _phase_terms(k, np.array([rho]))[0]
+        return float(_phase_means(k, np.array([rho]), lambda n: 1.0 / (n + 2.0 * k))[0])
     except DomainError:
         if not rho > _RHO_CUT:
             raise
         return bessel_i_scaled(2.0 * k, 2.0 * rho) / bessel_i_scaled(2.0 * k - 1.0, 2.0 * rho)
-    weights = 1.0 / (np.arange(terms.shape[1]) + 2.0 * k)
-    return float(_weighted_means(terms, weights, rho)[0][0])
 
 
 def _padded_coeffs(state: BGState, minimum: int = 2) -> np.ndarray:
@@ -531,26 +535,40 @@ def k12_moments(state: BGState) -> K12Moments:
     )
 
 
-def _phase_terms(k: float, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # t_n / t_p, one row per rho, of t_n = rho^{2(n+k)} e^{-2 rho} / (n! Gamma(2k+n)),
-    # the weights w_n = (1/(n+k) + 1/(n+k+1))/2 and ln(t_p / t_0): sum_n t_n w_n
-    # is e^{-2 rho} g(rho), and sum_n t_n identically equals
-    # rho e^{-2 rho} I_{2k-1}(2 rho), so g/I needs no Bessel call and holds
-    # for every k > 0.  The term peak sits near n = rho, so past _RHO_CUT a
-    # series that is not cut is refused as out of the domain.
-    log_w = 2.0 * np.log(rho)
+def _phase_weight(k: float):
+    # w_n = (1/(n+k) + 1/(n+k+1))/2 of g at every index of n
+    return lambda n: 0.5 * (1.0 / (n + k) + 1.0 / (n + k + 1.0))
+
+
+def _phase_means(k: float, rho: np.ndarray, weight) -> np.ndarray:
+    # rho sum t_n w_n / sum t_n per rho, with w_n = weight(n) and
+    # t_n = rho^{2(n+k)} e^{-2 rho} / (n! Gamma(2k+n)), over the windows of
+    # the phase table that carry it: sum_n t_n identically equals
+    # rho e^{-2 rho} I_{2k-1}(2 rho), so g/I and b_k need no Bessel call and
+    # hold for every k > 0.  The window about the peak near n = rho widens
+    # as sqrt(rho), so past _RHO_CUT one that is not cut is refused as out of
+    # the domain.
+    with np.errstate(over="ignore"):  # rho^2 = inf only where no window is cut
+        w = rho * rho
     try:
-        size = _series_cut(log_w, 2.0 * k) + 1
+        return _series_means(w, 2.0 * np.log(rho), 2.0 * k, weight, rho)
     except ConvergenceError:
         top = float(rho.max())
         if top <= _RHO_CUT:
             raise
-        raise DomainError(f"the phase series is not cut within 200000 terms at k={float(k)!r}, "
-                          f"rho={top!r}: rho <= {_RHO_CUT!r} is cut at every k, a larger "
-                          "rho only at a larger k") from None
+        raise DomainError(f"the phase series' window is not cut within 200000 terms at "
+                          f"k={float(k)!r}, rho={top!r}: rho <= {_RHO_CUT!r} is cut at every "
+                          "k, a larger rho only at a larger k") from None
+
+
+def _phase_terms(k: float, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # the whole phase table n = 0 .. N of g_k's series route: t_n / t_p, one
+    # row per rho, the weights w_n and ln(t_p / t_0), so that sum_n t_n w_n is
+    # e^{-2 rho} g(rho) once scaled by t_p
+    log_w = 2.0 * np.log(rho)
+    size = _series_cut(log_w, 2.0 * k) + 1
     terms, ln_peak = _peak_table(rho * rho, log_w, 2.0 * k, size)
-    n = np.arange(size)
-    return terms, 0.5 * (1.0 / (n + k) + 1.0 / (n + k + 1.0)), ln_peak
+    return terms, _phase_weight(k)(np.arange(size, dtype=np.float64)), ln_peak
 
 
 def _g_quadrature(k: float, rho: float) -> tuple[float, float]:
@@ -630,11 +648,12 @@ def ratio_gI(k: float, rho: float) -> float:
 
     This is the modulus of the phase expectation values; whether it stays
     below 1 over all rho is exactly the spectral-containment question.
-    It is the one cell of ``kbound_scan([k], [rho])``, bit for bit, except
-    below rho = 1e-7 where the series terms after the first are below
-    rounding (rho^2 < eps k(k+1)): there it is the limit rho w_0 with
-    w_0 = (1/k + 1/(k+1))/2.  rho above 8.99e307, where 2 rho overflows,
-    raises DomainError.
+    It is the one cell of ``kbound_scan([k], [rho])``, bit for bit, a mean
+    over O(sqrt rho) terms, except below rho = 1e-7 where the series terms
+    after the first are below rounding (rho^2 < eps k(k+1)): there it is the
+    limit rho w_0 with w_0 = (1/k + 1/(k+1))/2.  rho above 8.99e307, where
+    2 rho overflows, and past ``_RHO_CUT`` where the window is not cut raise
+    DomainError.
     """
     _check_k(k, "ratio_gI")
     _check_rho(rho, "ratio_gI")
@@ -693,12 +712,15 @@ def kbound_scan(k_grid: np.ndarray | None = None,
     """Fill the g/I ratio over the grid and pass a verdict per k.
 
     BOUNDED means sup over rho stays at or below 1 + 1e-9.  Rows are
-    independent; each is one series mean, rho (sum t_n w_n / sum t_n), over
-    a table of the terms relative to each rho's largest, cut where every
-    rho's terms have fallen below 1e-18 of their largest
-    (``specfun._peak_table`` and ``specfun._weighted_means``, the rule of
-    every series mean).  ``ratio_gI`` is the one cell of a one-point scan.  Every grid value must be a positive real, and every k
-    at least ``phaseops._K_MIN``, the smallest normal double.
+    independent; each cell is one series mean, rho (sum t_n w_n / sum t_n),
+    over the window of the phase terms that carries it
+    (``specfun._series_means``, the rule of every series mean): the rhos of
+    a k, sorted, share one table per block of at most 2^16 entries, cut
+    where every rho of the block has fallen below 1e-18 of its largest, so
+    a cell costs O(sqrt rho) terms.  ``ratio_gI`` is the one cell of a
+    one-point scan.  Every grid value must be a positive real, and every k
+    at least ``phaseops._K_MIN``, the smallest normal double; a rho past
+    ``_RHO_CUT`` whose window is not cut raises DomainError.
     """
     k_values = _default_k_grid() if k_grid is None else np.asarray(k_grid, dtype=float)
     rho_values = (
@@ -715,8 +737,7 @@ def kbound_scan(k_grid: np.ndarray | None = None,
     for i, k in enumerate(k_values):
         # sum_n t_n equals rho e^{-2 rho} I_{2k-1}(2 rho) termwise, so rho
         # times the mean of the weights is g/I
-        terms, weights, _ = _phase_terms(k, rho_values)
-        ratio[i] = _weighted_means(terms, weights, rho_values)[0]
+        ratio[i] = _phase_means(k, rho_values, _phase_weight(k))
 
     sup = ratio.max(axis=1)
     argmax = rho_values[np.argmax(ratio, axis=1)]

@@ -262,7 +262,10 @@ def _cmd_kbound_scan(args):
             raise DomainError("give all of --k-min/--k-max/--k-step or none")
         if args.k_max < args.k_min:
             raise DomainError("--k-max must be >= --k-min")
-        k_grid = np.arange(args.k_min, args.k_max + 0.5 * args.k_step, args.k_step)
+        # equal bounds are one row: k_max + k_step/2 rounds to k_max once the
+        # step is below half an ulp of k, and arange would then be empty
+        k_grid = (np.arange(args.k_min, args.k_max + 0.5 * args.k_step, args.k_step)
+                  if args.k_max > args.k_min else np.array([args.k_min]))
     if args.rho_min is not None or args.rho_max is not None or args.rho_points is not None:
         if None in (args.rho_min, args.rho_max, args.rho_points):
             raise DomainError("give all of --rho-min/--rho-max/--rho-points or none")

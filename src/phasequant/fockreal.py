@@ -43,7 +43,7 @@ from .repalg import (
     commutator_gap,
 )
 from .phaseops import PhaseOperatorPair, _check_k, build_phase_ops
-from .specfun import _peak_table, _series_cut, _weighted_means
+from .specfun import _peak_table, _series_blocks, _series_cut, _weighted_means
 
 __all__ = [
     "Generators",
@@ -63,9 +63,11 @@ _MATCH_TOL = 1e-13
 _COMM_TOL = 1e-12
 _ROUTE_TOL = 1e-10
 _TAIL_LOG = math.log(1e-14)
-# the largest radius, rounded down, whose Poisson series (cut at 1e-18 of its
-# largest term) ends within the 200000-term budget of specfun._series_cut:
-# the cut fails from r = 442.6685044711 on
+# the largest radius, rounded down, whose Poisson series from n = 0 (cut at
+# 1e-18 of its largest term) ends within the 200000-term budget of
+# specfun._series_cut: the cut fails from r = 442.6685044711 on.  h1 and h2
+# sum only a window of it, which reaches further, but alpha_expectations
+# tabulates the state from n = 0, and h2_curve keeps the same domain
 _R_MAX = 442.668
 
 
@@ -289,38 +291,47 @@ def alpha_expectations(k: float, alpha: complex, dim: int | None = None) -> Alph
 
 def _radial_sums(k: float, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # h1 = <sqrt(N+2k)> and h2 = (r/2) <sqrt(N+2k)(1/(N+k)+1/(N+k+1))> at
-    # every radius of r: two means over one shared table of the Poisson
-    # weights e^{-r^2} r^{2n} / n!, cut where every radius' weights have
-    # fallen below 1e-18 of their largest, and divided by their own total, so
+    # every radius of r: two means over the windowed tables of the Poisson
+    # weights e^{-r^2} r^{2n} / n!, cut where every radius of a block has
+    # fallen below 1e-18 of its largest, and divided by their own total, so
     # the rounding common to every weight cancels; the vacuum r = 0 has
     # h1 = sqrt(2k), h2 = 0
     h1 = np.full_like(r, math.sqrt(2.0 * k))
     h2 = np.zeros_like(r)
-    pos = r > 0.0
-    if np.any(pos):
+    pos = np.flatnonzero(r > 0.0)
+    if pos.size:
         rp = r[pos]
-        log_w = 2.0 * np.log(rp)
-        size = _series_cut(log_w, None) + 1
         r2 = rp * rp
-        terms, ln_peak = _peak_table(r2, log_w, None, size)
-        n = np.arange(size, dtype=np.float64)
-        root = np.sqrt(n + 2.0 * k)
-        means, total = _weighted_means(
-            terms, np.column_stack([root, root * (1.0 / (n + k) + 1.0 / (n + k + 1.0))]),
-            np.column_stack([np.ones_like(rp), 0.5 * rp]))
-        h1[pos], h2[pos] = means.T
-        # the one check the division does not share: the raw total is 1 up to
-        # the dropped tail, below t_N q/(1 - q) with q = r^2/(N+1) past the
-        # last kept term t_N, and to rounding: a few ulp of the sum, plus
-        # that of ln(t_p / t_0) - r^2, of size about r^2 (1 + ln r^2)
-        log_total = np.log(total) + ln_peak - r2
-        q = r2 / size
-        tol = (np.exp(ln_peak - r2) * terms[:, -1] * q / (1.0 - q)
-               + math.ulp(1.0) * (4.0 + r2 * (1.0 + log_w)))
-        deviation = np.abs(np.expm1(log_total))
-        i = int(np.argmax(~(deviation <= tol)))
-        check_route("Poisson weights: raw total and 1", deviation[i], tol[i],
-                    context=f"at r={float(rp[i])!r}")
+        log_w = 2.0 * np.log(rp)
+        factor = np.column_stack([np.ones_like(rp), 0.5 * rp])
+
+        def weights(n):
+            root = np.sqrt(n + 2.0 * k)
+            return root, root * (1.0 / (n + k) + 1.0 / (n + k + 1.0))
+
+        for rows, n, terms, ln_peak in _series_blocks(r2, log_w, None, weights):
+            means, total = _weighted_means(terms, weights(n), factor[rows])
+            h1[pos[rows]], h2[pos[rows]] = means.T
+            # the one check the division does not share: the raw total is 1 up
+            # to the dropped tails and to rounding.  ln(t_p / t_0) adds
+            # ln(t_lo / t_0) = sum_{m <= lo} ln(w / m), summed once for the
+            # block's first row and moved by lo ln(w / w_ref) to each other.
+            # Past the last kept term t_N the terms fall by q = r^2/(N+1) and
+            # below the first, t_lo, by s = lo/r^2, so the tails are below
+            # t_N q/(1 - q) and t_lo s/(1 - s); the rounding is a few ulp of
+            # the sum, plus that of ln(t_p / t_0) - r^2, of size about
+            # r^2 (1 + ln r^2)
+            lo, w, log_wb = n[0], r2[rows], log_w[rows]
+            w_ref = w[0]
+            ln_lo = np.sum(np.log(w_ref / np.arange(1.0, lo + 1.0))) + lo * np.log(w / w_ref)
+            ln_scale = ln_lo + ln_peak - w
+            q, s = w / (n[-1] + 1.0), lo / w
+            tol = (np.exp(ln_scale) * (terms[:, -1] * q / (1.0 - q) + terms[:, 0] * s / (1.0 - s))
+                   + math.ulp(1.0) * (4.0 + w * (1.0 + log_wb)))
+            deviation = np.abs(np.expm1(np.log(total) + ln_scale))
+            i = int(np.argmax(~(deviation <= tol)))
+            check_route("Poisson weights: raw total and 1", deviation[i], tol[i],
+                        context=f"at r={float(rp[rows][i])!r}")
     return h1, h2
 
 
@@ -328,14 +339,17 @@ def h2_curve(k: float, r_values) -> np.ndarray:
     """Vectorized phase-mean profile h2 over a radius grid; 0 at r = 0.
 
     h2 = (r/2) <sqrt(N+2k)(1/(N+k)+1/(N+k+1))> over the Poisson weights
-    e^{-r^2} r^{2n} / n!, from one shared term table for every radius.
+    e^{-r^2} r^{2n} / n!, each radius over the window of n that carries it:
+    the radii, sorted, share one table per block of at most 2^16 entries
+    (``specfun._series_blocks``), so a radius costs O(r) terms.
     ``specfun._weighted_means`` forms it, with the rule of every series
     mean: the weights are divided by their own total.  The raw total must be
-    1 to within the dropped tail and rounding (TruncationError otherwise).
+    1 to within the dropped tails and rounding (TruncationError otherwise).
     ``alpha_expectations`` takes its h2 from the same means, so the two
     agree bit for bit.  A subnormal k (below ``phaseops._K_MIN``), a k
-    whose 2k overflows and an r past 442.668, where the series is no longer
-    cut within 200000 terms, raise DomainError.
+    whose 2k overflows and an r past 442.668, the one radius limit of
+    ``alpha_expectations``, whose state table is cut within 200000 terms,
+    raise DomainError.
     """
     _check_k(k, "h2_curve", "h2_curve requires k > 0, got {value}")
     if not 2.0 * k < math.inf:

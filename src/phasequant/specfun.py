@@ -11,12 +11,24 @@ against mpmath:
   are w^n / n!.  ``_series_cut`` returns the cut N, the first n past the
   term peak below a log tolerance (DLMF 10.25.2), for a below ``_A_LIMIT``;
   it bisects on the closed-form ln t_n of the largest w alone, which
-  decides for every row.  ``_peak_table`` tabulates t_n / t_p, n <= N, as
-  products of the term ratios w / (n (a+n-1)) out from the largest term
-  t_p, with ln(t_p / t_0) beside it, for every caller that sums; no summed
-  table holds ln Gamma(a+n).  Every series mean (g/I in the bound scan,
-  b_ratio, the oscillator's h1 and h2, the overlap's closed form) is
-  ``_weighted_means``' sum t_n w_n / sum t_n per row of it.
+  decides for every row.  ``_peak_table`` tabulates t_n / t_p from a first
+  index to N as products of the term ratios w / (n (a+n-1)) out from the
+  largest term t_p, with ln(t_p / t_first) beside it, for every caller
+  that sums; no summed table holds ln Gamma(a+n).  Every series mean is
+  ``_weighted_means``' sum t_n w_n / sum t_n per row of such a table.
+* Windows and blocks.  The series means g/I (the bound scan and
+  ``ratio_gI``), b_ratio and the oscillator's h1 and h2 carry their weight
+  within a few sqrt(w) of the term peak, so ``_series_means`` and
+  ``_series_blocks`` tabulate each row only over the window n = lo .. hi
+  that carries it (``_series_window``): hi is the cut on the largest w of
+  a block of rows, lo the mirror cut below the peak of its smallest w,
+  widened by the weights' largest ratio to their value at a peak.  The
+  rows, sorted by w, are cut into blocks of at most ``_BLOCK_ENTRIES``
+  (2^16) entries, so a row costs O(sqrt w) terms and no table of a mean
+  passes 512 KB unless one row's window alone is wider.  There
+  ``_MAX_TERMS`` bounds a window's width; for every other series (the
+  state's own table, the overlap's closed form, g_k's two routes, I_nu) it
+  bounds the last index, as the whole n = 0 .. N is summed.
 * ``bessel_i`` / ``bessel_i_scaled`` -- for nu > -1, one ascending series
   (DLMF 10.25.2) at every x, its terms t_m = t_{m-1} (x/2)^2 / (m (nu+m))
   summed relative to the largest as cumulative products over the rule's
@@ -47,8 +59,8 @@ level's nodes in one numpy expression; nothing here imports scipy.
 The scaled variants ``bessel_i_scaled`` (e^{-x} I_nu) and ``bessel_k_scaled``
 (e^{x} K_nu) exist because downstream values are needed where the unscaled
 ones leave double range: I_{2k}(2 rho)/I_{2k-1}(2 rho) where the phase
-series is not cut (past rho = 197133.69), and K_{2k-1}(2 rho) e^{2 rho} in
-the radial moment.
+series' window is not cut (past rho = 34392762.81 at the smallest k), and
+K_{2k-1}(2 rho) e^{2 rho} in the radial moment.
 """
 
 from __future__ import annotations
@@ -69,8 +81,12 @@ __all__ = [
     "bessel_k_scaled",
 ]
 
-# Most terms any series may take; read at call time.
+# Most terms any series may take, read at call time: the width of a series
+# mean's window, the last index of every other series.
 _MAX_TERMS = 200_000
+# Most entries (rows times window width) of one table that a series mean
+# builds; a single row whose window is wider is a block of its own.
+_BLOCK_ENTRIES = 2 ** 16
 # Terms below this fraction of a series' largest term are dropped.
 _LOG_SERIES_TOL = math.log(1e-18)
 # Largest argument of math.exp that does not overflow.
@@ -114,36 +130,44 @@ def _check_lgamma(x) -> None:
                           f"overflows, got x={float(x)!r}")
 
 
-def _peak_table(w, log_w, a: float | None, size: int,
-                root: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Terms t_n / t_p, n < size, of the series in w^n / (n! (a)_n), and ln(t_p / t_0).
+def _peak_table(w, log_w, a: float | None, size: int, root: bool = False,
+                first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """t_n / t_p, first <= n < first + size, of the series in w^n / (n! (a)_n); ln(t_p / t_first).
 
     One row per entry of w >= 0, given as a product of doubles, with
     log_w = ln w beside it.  The term ratios r_n = w / (n (a + n - 1)), or
-    w / n where a is None, fall with n, so the largest term is t_p with
-    p = #{r_n > 1}.  The row is multiplied out from it, by r_n above p and by
+    w / n where a is None, fall with n, so the largest term of the row is
+    t_p with p - first = #{r_n > 1, first < n < first + size}: the peak
+    itself wherever it lies in the row's window, as ``_series_window``
+    places it.  The row is multiplied out from t_p, by r_n above p and by
     1/r_n below, so its largest entry is exactly 1 and none overflows, and
-    ln(t_p / t_0) sums ln r_n, n <= p, with ln r_1 as log_w less the log of
-    its denominator: r_1 overflows at a tiny a.  root divides w by the
-    square root of each n (a + n - 1) instead: the amplitudes
-    w^n / sqrt(n! (a)_n) of the series in w^2.  w^0 = 1 also at w = 0, which
-    keeps t_0 alone.
+    ln(t_p / t_first) sums ln r_n, first < n <= p, with ln r_{first+1} as
+    log_w less the log of its denominator: r_1 overflows at a tiny a.  root
+    divides w by the square root of each n (a + n - 1) instead: the
+    amplitudes w^n / sqrt(n! (a)_n) of the series in w^2.  w^0 = 1 also at
+    w = 0, which keeps t_0 alone.
     """
     w = np.atleast_1d(np.asarray(w, dtype=np.float64))
-    n = np.arange(size, dtype=np.float64)
+    n = np.arange(first, first + size, dtype=np.float64)
     grow = n if a is None else n * (a + (n - 1.0))
     if root:
         grow = np.sqrt(grow)
     # r_n = w / grow[n] exceeds 1 exactly where grow[n] < w
-    peak = np.searchsorted(grow[1:], w)
+    peak = np.searchsorted(grow[1:], w)[:, np.newaxis]
     ln_first = log_w - math.log(grow[1]) if size > 1 else 0.0
-    rising, falling = n < peak[:, np.newaxis], n > peak[:, np.newaxis]
-    # fall[:, n] = 1 / r_{n+1} below the peak; table holds ln of those first
-    fall = np.ones((w.size, size))
+    j = np.arange(size)
+    rising, falling = j < peak, j > peak
+    # fall[:, j] = 1 / r_{j+1} below the peak; table holds ln of those first.
+    # Both share one allocation: freed together, it stays in the allocator's
+    # heap for the next table of that size, where two would be handed back
+    # to the system and fault their pages in again (4000 page faults, 8 ms,
+    # per default bound scan)
+    fall, table = np.empty((2, w.size, size))
+    fall.fill(1.0)
     np.divide(grow[1:], w[:, np.newaxis], out=fall[:, :-1], where=rising[:, :-1])
-    table = np.zeros((w.size, size))
+    table.fill(0.0)
     np.log(fall[:, 1:], out=table[:, 1:], where=rising[:, 1:])
-    ln_peak = np.where(peak > 0, ln_first, 0.0) - table.sum(axis=1)
+    ln_peak = np.where(peak[:, 0] > 0, ln_first, 0.0) - table.sum(axis=1)
     table.fill(1.0)
     np.divide(w[:, np.newaxis], grow, out=table, where=falling)
     np.cumprod(table, axis=1, out=table)
@@ -157,17 +181,96 @@ def _weighted_means(terms: np.ndarray, weights: np.ndarray,
     """factor (sum t_n w_n / sum t_n) and sum t_n, per row of a term table.
 
     terms holds t_n / t_p with one row per argument, as :func:`_peak_table`
-    gives it, so sum t_n lies in [1, size]; weights holds w_n as one column
-    (1-d) or one column per mean (2-d), and factor broadcasts against the
-    means.
+    gives it, so sum t_n lies in [1, size]; weights holds w_n as one array,
+    or a tuple of them, one per mean (a column of the result), and factor
+    broadcasts against the means.  Each mean is one matrix-vector product:
+    a matrix product summed 8347 terms of h2 at r = 442 into 3.4e-15, the
+    products into 1.5e-18.
     """
-    weighted, total = terms @ weights, np.sum(terms, axis=1)
-    return factor * (weighted / (total if weighted.ndim == 1 else total[:, np.newaxis])), total
+    total = np.sum(terms, axis=1)
+    if isinstance(weights, tuple):
+        weighted = np.column_stack([terms @ w for w in weights])
+        return factor * (weighted / total[:, np.newaxis]), total
+    return factor * ((terms @ weights) / total), total
+
+
+def _turn(top: float, a: float | None, ratio: float = 1.0) -> tuple[float, float]:
+    # w = e^top (held below e^700) and the real n at which ratio n (a + n - 1) = w,
+    # in the form that does not cancel: the term ratio falls through ratio there
+    w = math.exp(min(top, 700.0))
+    turn = w / ratio
+    if a is not None:
+        b = a - 1.0
+        root = math.hypot(b, 2.0 * math.sqrt(turn))
+        turn = 2.0 * turn / (root + b) if b > 0.0 else 0.5 * (root - b)
+    return w, turn
+
+
+def _first_past(w: float, turn: float, a: float | None, ratio: float = 1.0) -> int:
+    # the first n >= 1 with t_n <= ratio t_{n-1}: t_n / t_{n-1} = w / (n (a + n - 1))
+    first = max(1, math.ceil(turn) - 1)
+    while ratio * (first if a is None else first * (a + first - 1.0)) < w:
+        first += 1
+    return first
+
+
+def _log_term(top: float, a: float | None, last: int):
+    # ln t_n = n top - ln n! - ln Gamma(a + n), and a bound on its rounding
+    # for n <= last: a few ulp of its parts
+    def log_term(n):
+        lg = math.lgamma(n + 1.0)
+        if a is not None:
+            lg += math.lgamma(a + n)
+        return top * n - lg
+
+    x = last + 1 + (a or 0.0)
+    return log_term, 8.0 * sys.float_info.epsilon * (abs(top) * (last + 1) + x * math.log(x + 2.0))
+
+
+def _peak_value(log_term, first: int, slack: float) -> float:
+    # the largest ln t_n about the peak first - 1: none past 2 slack below the
+    # largest seen rounds above it
+    peak = log_term(first - 1)
+    for step in (1, -1):
+        n = first - 1 + step
+        while n >= 0 and (value := log_term(n)) >= peak - 2.0 * slack:
+            peak = max(peak, value)
+            n += step
+    return peak
+
+
+def _walk(log_term, start: int, end: int, step: int, above: float, log_tol: float) -> int | None:
+    # the first n from start towards end (by step, end included) with
+    # ln t_n < log_tol, where ln t_n falls that way: doubling and bisection
+    # find the last n clear above the cut (>= above) and the n after it are
+    # scanned; None where none qualifies
+    lo, hi = start, start + step
+    while (end - hi) * step >= 0 and log_term(hi) >= above:
+        lo, hi = hi, hi + (hi - start)
+    if (hi - end) * step > 0:
+        hi = end + step
+    while abs(hi - lo) > 1:
+        mid = (lo + hi) // 2
+        if log_term(mid) >= above:
+            lo = mid
+        else:
+            hi = mid
+    for n in range(lo + step, end + step, step):
+        if log_term(n) < log_tol:
+            return n
+    return None
+
+
+def _check_a(a: float | None) -> None:
+    if a is not None and not a < _A_LIMIT:
+        raise DomainError(f"the series in w^n / (n! Gamma(a+n)) requires a < {_A_LIMIT!r} "
+                          f"(k < {_A_LIMIT / 2.0:.6g} where a = 2k), where ln Gamma(a) "
+                          f"resolves the 1e-18 cut, got a={float(a)!r}")
 
 
 def _series_cut(log_w, a: float | None, log_tol=None, ratio: float = 1.0,
-                error: type[Exception] = ConvergenceError) -> int:
-    """The cut N of the series in w^n / (n! Gamma(a+n)): they sum n = 0 .. N.
+                error: type[Exception] = ConvergenceError, floor: int = 0) -> int:
+    """The cut N of the series in w^n / (n! Gamma(a+n)): they sum n = floor .. N.
 
     N is the first n >= 1 past the peak, where t_n <= ratio t_{n-1}, at which
     every series (one per entry of log_w) has ln t_n < log_tol.  log_tol
@@ -180,67 +283,160 @@ def _series_cut(log_w, a: float | None, log_tol=None, ratio: float = 1.0,
     n ln w - ln n! - ln Gamma(a+n), fall past the peak: doubling
     and bisection find the last n clear above the cut by twice their
     rounding (``slack``) and the n after it are scanned, so a cut costs
-    O(log N) lgamma calls.  Where no n below ``_MAX_TERMS`` qualifies,
-    ``error`` is raised; an a from ``_A_LIMIT`` on raises DomainError.
+    O(log N) lgamma calls.  Where no n below floor + ``_MAX_TERMS``
+    qualifies, ``error`` is raised: a series from n = 0 is held to that many
+    terms, a window from its floor (``_series_window``) to that width.  An a
+    from ``_A_LIMIT`` on raises DomainError.
     """
-    if a is not None and not a < _A_LIMIT:
-        raise DomainError(f"the series in w^n / (n! Gamma(a+n)) requires a < {_A_LIMIT!r} "
-                          f"(k < {_A_LIMIT / 2.0:.6g} where a = 2k), where ln Gamma(a) "
-                          f"resolves the 1e-18 cut, got a={float(a)!r}")
+    _check_a(a)
     top = float(log_w.max() if isinstance(log_w, np.ndarray) else log_w)
     if top == -math.inf:
         return 1  # every w is 0: t_1 = 0 is the first term past the peak t_0
     if not math.isfinite(top):
         raise error(f"series in w = e^{top} cannot be summed")
+    last = floor + _MAX_TERMS - 1
     uncut = f"series in w = e^{top:.6g}, a = {a} not cut within {_MAX_TERMS} terms"
-    w = math.exp(min(top, 700.0))
-    turn = w / ratio
-    if a is not None:
-        # the root of n (a + n - 1) = turn, in the form that does not cancel
-        b = a - 1.0
-        root = math.hypot(b, 2.0 * math.sqrt(turn))
-        turn = 2.0 * turn / (root + b) if b > 0.0 else 0.5 * (root - b)
-    if turn >= _MAX_TERMS:
+    if floor:
+        uncut += f" from n = {floor}"
+    w, turn = _turn(top, a, ratio)
+    if turn >= last + 1:
         # the peak itself lies past the longest series: fail before walking to it
         raise error(uncut)
-    # the first n >= 1 with t_n <= ratio t_{n-1}: t_n / t_{n-1} = w / (n (a + n - 1))
-    first = max(1, math.ceil(turn) - 1)
-    while ratio * (first if a is None else first * (a + first - 1.0)) < w:
-        first += 1
-
-    def log_term(n):  # ln t_n of the largest w
-        lg = math.lgamma(n + 1.0)
-        if a is not None:
-            lg += math.lgamma(a + n)
-        return top * n - lg
-
-    # bounds the rounding of every log_term below _MAX_TERMS: a few ulp of its parts
-    x = _MAX_TERMS + (a or 0.0)
-    slack = 8.0 * sys.float_info.epsilon * (abs(top) * _MAX_TERMS + x * math.log(x + 2.0))
+    first = _first_past(w, turn, a, ratio)
+    log_term, slack = _log_term(top, a, last)
     if log_tol is None:
-        peak = log_term(first - 1)
-        for step in (1, -1):  # none past 2 slack below the largest seen rounds above it
-            n = first - 1 + step
-            while n >= 0 and (value := log_term(n)) >= peak - 2.0 * slack:
-                peak = max(peak, value)
-                n += step
-        log_tol = peak + _LOG_SERIES_TOL
-    above = log_tol + 2.0 * slack  # a term here has every earlier one above the cut
-    last = _MAX_TERMS - 1
-    lo, hi = first - 1, first
-    while hi <= last and log_term(hi) >= above:
-        lo, hi = hi, 2 * hi - first + 1
-    hi = min(hi, last + 1)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if log_term(mid) >= above:
-            lo = mid
-        else:
-            hi = mid
-    for n in range(lo + 1, last + 1):
-        if log_term(n) < log_tol:
-            return n
-    raise error(uncut)
+        log_tol = _peak_value(log_term, first, slack) + _LOG_SERIES_TOL
+    # a term at or above log_tol + 2 slack has every earlier one above the cut
+    cut = _walk(log_term, first - 1, last, 1, log_tol + 2.0 * slack, log_tol)
+    if cut is None:
+        raise error(uncut)
+    return cut
+
+
+def _series_window(bottom: float, top: float, a: float | None, weights) -> tuple[int, int]:
+    """The window [lo, hi] of n that carries the series means of w = e^bottom .. e^top.
+
+    hi is ``_series_cut``'s cut on the largest w, with lo as its floor.  lo
+    mirrors it below the peak of the smallest w, which decides alone there:
+    d/d ln w of n ln w - max_m (m ln w - c_m) is n - m* < 0 below every
+    peak.  lo is the first n walking down from that peak with ln t_n below
+    its largest term times 1e-18, widened by ln(largest weight / weight at
+    a peak): the weights w_n = ``weights(n)`` (one column per mean, each
+    monotone in n, as 1/(n+2k) is) may be largest at n = 0, where a tiny k
+    makes them huge.  0 where no n qualifies.  A window wider than
+    ``_MAX_TERMS`` raises ConvergenceError; one whose floor would lie that
+    far below the peak is refused before any walk, from the bound
+    t_{p+M} / t_p >= exp(-M^2 (1/p + 1/(a+p-1))) with M = ``_MAX_TERMS``.
+    """
+    _check_a(a)
+    lo = 0
+    if bottom > -math.inf:
+        if not math.isfinite(bottom):
+            raise ConvergenceError(f"series in w = e^{bottom} cannot be summed")
+        w, turn = _turn(bottom, a)
+        if turn > 2.0 and _MAX_TERMS ** 2 * (1.0 / (turn - 1.0) + (
+                0.0 if a is None else 1.0 / (a + (turn - 2.0)))) < -_LOG_SERIES_TOL:
+            raise ConvergenceError(f"series in w = e^{bottom:.6g}, a = {a}: its window about "
+                                   f"the peak is wider than {_MAX_TERMS} terms")
+        first = _first_past(w, turn, a)
+        if first > 1:
+            log_term, slack = _log_term(bottom, a, first)
+            log_tol = _peak_value(log_term, first, slack) + _LOG_SERIES_TOL
+            if log_term(0) < log_tol:
+                # t_0 lies below the cut: widen it by the weights at 0, at the
+                # smallest w's peak and at or past the largest's
+                at = np.array([0.0, first - 1.0, min(math.ceil(_turn(top, a)[1]),
+                                                     first + _MAX_TERMS)])
+                values = np.abs(np.asarray(weights(at), dtype=np.float64)).reshape(-1, 3)
+                widen = max(math.log(max(row)) - math.log(min(row[1:]))
+                            for row in values.tolist())
+                log_tol -= widen
+                end = max(0, first - _MAX_TERMS)
+                lo = _walk(log_term, first - 1, end, -1, log_tol + 2.0 * slack, log_tol)
+                if lo is None:
+                    if end > 0:
+                        raise ConvergenceError(f"series in w = e^{bottom:.6g}, a = {a}: its "
+                                               f"window below the peak is wider than "
+                                               f"{_MAX_TERMS} terms")
+                    lo = 0
+    return lo, _series_cut(top, a, floor=lo)
+
+
+def _estimated_windows(log_w: np.ndarray, a: float | None) -> tuple[np.ndarray, np.ndarray]:
+    # about where each row's window starts and ends: the peak, plus and
+    # minus sqrt(2 ln 1e18) standard deviations of the terms about it, whose
+    # variance is 1 / (1/p + 1/(a+p)) (w for the Poisson weights), and a few
+    w = np.exp(np.minimum(log_w, 700.0))
+    if a is None:
+        peak = var = w
+    else:
+        b = a - 1.0
+        root = np.hypot(b, 2.0 * np.sqrt(w))
+        peak = 2.0 * w / (root + b) if b > 0.0 else 0.5 * (root - b)
+        var = peak * (a + peak) / (a + 2.0 * peak)
+    half = math.sqrt(-2.0 * _LOG_SERIES_TOL) * np.sqrt(var) + 4.0
+    return np.maximum(peak - half, 0.0), peak + half
+
+
+def _series_blocks(w: np.ndarray, log_w: np.ndarray, a: float | None, weights):
+    """The tables of a series mean: (rows, n, t_n / t_p, ln(t_p / t_lo)) per block of rows.
+
+    Each block is a run of rows, consecutive in w, with one window
+    n = lo .. hi (``_series_window``) and at most ``_BLOCK_ENTRIES`` entries,
+    unless it is a single row whose window alone is wider.  rows indexes the
+    caller's arrays: the whole grid, in its order, where its one window
+    fits; else runs of the rows sorted by w, as many as their estimated
+    windows (``_estimated_windows``) fit, fewer where the cut window does
+    not, so each block costs a few cuts.  weights is the means' weight
+    function of n, which the windows' lower cut reads.
+    """
+    size = w.size
+
+    def window(rows, count):
+        # the window of rows and the most rows that one as wide may hold; a
+        # window not cut within _MAX_TERMS holds none, unless rows is one row
+        try:
+            lo, hi = _series_window(float(log_w[rows].min()), float(log_w[rows].max()), a,
+                                    weights)
+        except ConvergenceError:
+            if count == 1:
+                raise
+            return None, 0
+        return (lo, hi), max(1, _BLOCK_ENTRIES // (hi - lo + 1))
+
+    def block(rows, lo, hi):
+        return rows, np.arange(lo, hi + 1, dtype=np.float64), *_peak_table(
+            w[rows], log_w[rows], a, hi - lo + 1, first=lo)
+
+    cut, most = window(slice(None), size)
+    if size <= most:
+        yield block(slice(None), *cut)
+        return
+    order = np.argsort(log_w, kind="stable")
+    est_lo, est_hi = _estimated_windows(log_w[order], a)
+    start = 0
+    while start < size:
+        # as many rows as their estimated block has at most _BLOCK_ENTRIES
+        # entries and is at most twice as wide as the window of its last row
+        # alone, so no row costs more than twice its own; fewer while the cut
+        # window does not fit, half as many where it is not cut
+        span = est_hi[start:] - est_lo[start] + 1.0
+        fits = ((np.arange(1, size - start + 1) * span <= _BLOCK_ENTRIES)
+                & (span <= 2.0 * (est_hi[start:] - est_lo[start:] + 1.0)))
+        stop = size if fits.all() else start + max(1, int(np.argmin(fits)))
+        while stop - start > (most := window(order[start:stop], stop - start))[1]:
+            stop = start + (most[1] or (stop - start) // 2)
+        yield block(order[start:stop], *most[0])
+        start = stop
+
+
+def _series_means(w: np.ndarray, log_w: np.ndarray, a: float | None, weights,
+                  factor: np.ndarray) -> np.ndarray:
+    """factor sum t_n w_n / sum t_n for each row, over its block's windowed table."""
+    means = np.empty(w.size)
+    for rows, n, terms, _ in _series_blocks(w, log_w, a, weights):
+        means[rows] = _weighted_means(terms, weights(n), factor[rows])[0]
+    return means
 
 
 def _i_series(nu: float, x: float, scale: float) -> float:

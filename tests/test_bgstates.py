@@ -492,14 +492,23 @@ def test_b_ratio_against_mpmath_property(log_k, log_rho):
 
 
 def test_the_phase_series_names_its_rho_limit():
-    # once ConvergenceError "series in w = e^24.4121, a = 2.0 not cut within
-    # 200000 terms", naming neither rho nor a limit
-    with pytest.raises(DomainError, match=r"^the phase series is not cut within 200000 terms at "
-                                          r"k=1\.0, rho=200000\.0: rho <= 197133\.69 is cut at "
+    # the window about the peak near n = rho widens as sqrt(rho); the
+    # smallest k, whose weight at n = 0 widens the lower cut most, first
+    # leaves it uncut at rho = 34392762.81861603 (bisected to the double).
+    # Once the whole table was held to 200000 terms, and every k refused
+    # from rho = 197133.69 on
+    assert bgstates._RHO_CUT == 34392762.81
+    k_min = phaseops._K_MIN
+    assert 0.99 < ratio_gI(k_min, bgstates._RHO_CUT) < 1.0
+    with pytest.raises(DomainError, match=r"^the phase series' window is not cut within "
+                                          r"200000 terms at k=2\.2250738585072014e-308, "
+                                          r"rho=34392762\.82: rho <= 34392762\.81 is cut at "
                                           r"every k"):
-        ratio_gI(1.0, 2e5)
-    # the limit holds at the smallest k, and no rho cut today is refused
-    for k, rho in ((1e-300, bgstates._RHO_CUT), (1.0, 1.9e5), (1.0, 197134.68), (1e4, 2e5)):
+        ratio_gI(k_min, 34392762.82)
+    with pytest.raises(DomainError, match=r"at k=1\.0, rho=200000000\.0: rho <= 34392762\.81"):
+        ratio_gI(1.0, 2e8)
+    # a larger k reaches further, and no rho cut today is refused
+    for k, rho in ((1e-300, bgstates._RHO_CUT), (1.0, 1.98e8), (1e4, 2.15e8)):
         assert 0.99 < ratio_gI(k, rho) < 1.0
 
 
@@ -1041,33 +1050,30 @@ def test_the_state_and_the_closed_overlap_call_no_bessel_i(monkeypatch):
 
 
 def test_b_ratio_past_the_phase_series_calls_only_bessel_i_scaled(monkeypatch):
-    # past _RHO_CUT the table is cut at k = 1 up to rho = 197134.68, and not
-    # at all further on: there the asymptotic quotient
+    # past _RHO_CUT the window is cut at k = 1 up to rho = 199077157.76, and
+    # not at all further on: there the asymptotic quotient
     calls = _refuse_bessel_i(monkeypatch, allowed=("bessel_i_scaled",))
-    assert 0.99 < b_ratio(1.0, math.nextafter(bgstates._RHO_CUT, math.inf)) < 1.0
+    for rho in (math.nextafter(bgstates._RHO_CUT, math.inf), 3e5, 1.99e8):
+        assert 0.99 < b_ratio(1.0, rho) < 1.0
     assert calls == []
-    for rho in (3e5, 1e300):
+    for rho in (2e8, 1e300):
         calls.clear()
         assert 0.99 < b_ratio(1.0, rho) <= 1.0
         assert calls == ["bessel_i_scaled", "bessel_i_scaled"]
     with mpmath.workdps(40):
-        r = 2 * mpmath.mpf(3e5)
-        want = mpmath.besseli(2, r) / mpmath.besseli(1, r)
-    assert abs(b_ratio(1.0, 3e5) - want) <= 1e-15 * want
+        for rho in (3e5, 2e8):
+            r = 2 * mpmath.mpf(rho)
+            want = mpmath.besseli(2, r) / mpmath.besseli(1, r)
+            assert abs(b_ratio(1.0, rho) - want) <= 1e-15 * want
 
 
 def test_b_ratio_past_the_phase_series_reads_the_table_where_it_is_cut(monkeypatch):
-    # at k = 1e4 the table is cut up to rho = 206824.38; the quotient once
-    # refused (1e4, 2e5), and would be 1.9e-11 off.  mpmath (30 digits,
-    # maxterms 10**6) took 264 s for this reference, so it is frozen
+    # the quotient once refused (1e4, 2e5), and would be 1.9e-11 off.
+    # mpmath (30 digits, maxterms 10**6) took 264 s for this reference, so it
+    # is frozen
     _refuse_bessel_i(monkeypatch)
     want = 0.95125034800023766398
     assert abs(b_ratio(1e4, 2e5) - want) <= 1e-14 * want
-    # neither route reaches k = 1e3 here: the table is not cut, and the
-    # quotient's series needs more terms than the budget
-    monkeypatch.undo()
-    with pytest.raises(ConvergenceError, match="not cut within 200000 terms"):
-        b_ratio(1e3, 2e5)
 
 
 def test_every_series_in_2k_names_the_large_k_limit():

@@ -389,11 +389,13 @@ class TestValidationErrors:
         # once also "RuntimeWarning: overflow encountered in exp" from the power factor
         (("completeness", "--k", "80", "--n", "20", "--rho-max", "400"),
          "K_nu(x) is out of the quadrature's range at nu=159.0, "),
-        # once ConvergenceError "series in w = e^27.631, a = 2.0 not cut within 200000 terms"
+        # once ConvergenceError "series in w = e^27.631, a = 2.0 not cut within 200000 terms";
+        # past the window's reach at k = 1, rho = 1.98e8
         (("kbound-scan", "--k-min", "1", "--k-max", "1", "--k-step", "1", "--rho-min", "1",
-          "--rho-max", "1e6", "--rho-points", "3"),
-         "not cut within 200000 terms at k=1.0, rho=1000000.0: rho <= 197133.69 is cut at every k"),
-    ], ids=["completeness-k8", "completeness-k80", "kbound-scan-rho1e6"])
+          "--rho-max", "1e9", "--rho-points", "3"),
+         "not cut within 200000 terms at k=1.0, rho=1000000000.0: rho <= 34392762.81 is cut at "
+         "every k"),
+    ], ids=["completeness-k8", "completeness-k80", "kbound-scan-rho1e9"])
     def test_a_series_or_quadrature_out_of_range_is_one_error_line(self, capsys, tmp_path, argv,
                                                                    named):
         target = tmp_path / "out.csv"
@@ -599,6 +601,27 @@ class TestAnalysisCommands:
         verdicts = {row["k"]: row["verdict"] for row in data["rows"]}
         assert verdicts[0.25] == "EXCEEDS"
         assert verdicts[1.0] == "BOUNDED"
+
+    @pytest.mark.parametrize("k, step", [("5e15", "1"), ("1e8", "1e-8"), ("0.5", "0.1")])
+    def test_kbound_scan_equal_k_bounds_are_one_row(self, capsys, tmp_path, k, step):
+        # once "kbound_scan requires nonempty grids" where k_max + k_step/2
+        # rounds to k_max, as at 5e15 and at 1e8 with a step of 1e-8
+        grid = tmp_path / "scan.csv"
+        assert run_cli("kbound-scan", "--k-min", k, "--k-max", k, "--k-step", step,
+                       "--rho-min", "0.1", "--rho-max", "10", "--rho-points", "3",
+                       "--out", str(grid)) == 0
+        capsys.readouterr()
+        rows = grid.read_text().splitlines()[2:]
+        assert len(rows) == 3 and {row.split(",")[0] for row in rows} == {repr(float(k))}
+
+    def test_kbound_scan_k_grid_keeps_its_bits(self, capsys, tmp_path):
+        grid = tmp_path / "scan.csv"
+        assert run_cli("kbound-scan", "--k-min", "0.1", "--k-max", "0.3", "--k-step", "0.1",
+                       "--rho-min", "0.1", "--rho-max", "10", "--rho-points", "2",
+                       "--out", str(grid)) == 0
+        capsys.readouterr()
+        ks = [row.split(",")[0] for row in grid.read_text().splitlines()[2::2]]
+        assert ks == ["0.1", "0.2", "0.30000000000000004"]
 
     def test_coherent_json_and_nan_handling(self, capsys, tmp_path):
         target = tmp_path / "coh.json"

@@ -243,16 +243,16 @@ def test_alpha_expectations_refuse_a_nan_matrix_value(monkeypatch):
 
 @pytest.mark.parametrize("shift", [1e-9, math.nan])
 def test_radial_sums_refuse_a_wrong_poisson_total(monkeypatch, shift):
-    # ln(t_p / t_0) off by shift, so every weight is off by the factor
-    # e^shift: the means divide it away, the raw total does not.  The first
-    # radius that fails is named
-    peak_table = fockreal._peak_table
+    # ln(t_p / t_lo) of every windowed table off by shift, so every weight
+    # is off by the factor e^shift: the means divide it away, the raw total
+    # does not.  The first radius that fails is named
+    series_blocks = fockreal._series_blocks
 
     def shifted(*args):
-        terms, ln_peak = peak_table(*args)
-        return terms, ln_peak + shift
+        for rows, n, terms, ln_peak in series_blocks(*args):
+            yield rows, n, terms, ln_peak + shift
 
-    monkeypatch.setattr(fockreal, "_peak_table", shifted)
+    monkeypatch.setattr(fockreal, "_series_blocks", shifted)
     with pytest.raises(TruncationError, match=r"Poisson weights: raw total and 1 .* r=1\.0$"):
         h2_curve(1.0, [0.0, 1.0, 2.0])
     with pytest.raises(TruncationError, match="Poisson weights: raw total and 1"):

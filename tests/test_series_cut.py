@@ -143,9 +143,9 @@ def peak_tables(monkeypatch):
     sizes = []
     real = specfun._peak_table
 
-    def counted(w, log_w, a, size, root=False):
+    def counted(w, log_w, a, size, root=False, first=0):
         sizes.append(size)
-        return real(w, log_w, a, size, root)
+        return real(w, log_w, a, size, root, first)
 
     for module in (specfun, bgstates, fockreal):
         monkeypatch.setattr(module, "_peak_table", counted)
@@ -163,7 +163,8 @@ def test_index_only_callers_build_no_table(peak_tables):
     peak_tables.clear()
     bgstates._g_quadrature(1.0, 3.0)
     assert peak_tables == []
-    # the dim is an index; the tables are the weights and the coefficients
+    # the dim is an index; the tables are the state's weights and the one
+    # window of h1 and h2
     fockreal.alpha_expectations(1.0, 2.0)
     assert len(peak_tables) == 2
 

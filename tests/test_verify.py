@@ -136,7 +136,7 @@ NAN_SITES = [
     ("bgstates", bgstates, "ratio_gI", 2, ["dual-route moment agreement"]),
     ("bgstates", bgstates, "make_bg_state", 1, ["normalization by direct sum"]),
     ("bgstates", bgstates, "overlap", 2, ["overlap Cauchy-Schwarz"]),
-    ("bgstates", bgstates, "_peak_table", 1, ["ratio rows bounded/monotone"]),
+    ("bgstates", bgstates, "_series_means", 1, ["ratio rows bounded/monotone"]),
     ("fockreal", repalg, "commutator_gap", 2, ["five realizations close the algebra"]),
     ("fockreal", repalg, "band_gap", 2, ["dressed ladder equals abstract irrep"]),
     ("fockreal", fockreal, "hp_phase_ops", 1, ["band decay toward the historical pair"]),
