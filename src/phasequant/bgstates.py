@@ -94,11 +94,11 @@ _C0_UNDERFLOWS = ("make_bg_state: c_0 underflows at k={!r}, rho={!r}: ln|c_0| {}
 # the largest rho whose 2 rho, the Bessel argument, is a finite double
 _RHO_MAX = sys.float_info.max / 2.0
 # the phase series' window of every k is cut within specfun's 200000 terms
-# up to this rho.  The smallest k widens its lower cut most: bisected to the
-# double, it fails from 34392762.81861603 at k = phaseops._K_MIN, from
-# 1.9835e8 at k = 1 and from 2.1597e8 at k = 1e4 (g/I; b_k's weights reach a
-# little further)
-_RHO_CUT = 34392762.81
+# up to this rho.  The smallest k widens its lower cut most: scanned and
+# bisected to the double, it fails from 34392557.93108839 at phaseops._K_MIN
+# (an isolated larger rho, as 34392762.81, is still cut), from 1.9835e8 at
+# k = 1 and from 2.1597e8 at k = 1e4 (g/I; b_k's weights reach a bit further)
+_RHO_CUT = 34392557.93
 
 
 def _check_rho(rho, caller: str, domain: str = "nonnegative real") -> float:
@@ -219,7 +219,7 @@ def make_bg_state(k: float, z: complex, dim: int | None = None,
         except ConvergenceError:
             # a term peak past n = 1e5, half the budget, has the term ratio
             # rho^2/(n (2k+n-1)) >= 2 up to n = 5e4: ln|c_0| < -(5e4/2) ln 2 = -17328.7
-            if not rho * rho >= 1e5 * (2.0 * k + (1e5 - 1.0)):
+            if not log_w >= math.log(1e5) + math.log(2.0 * k + (1e5 - 1.0)):
                 raise
             raise DomainError(_C0_UNDERFLOWS.format(k, rho, "< -17328.7")) from None
         # the amplitudes sqrt(t_n / t_p) of t_n = rho^{2n} / (n! (2k)_n), so that
@@ -231,10 +231,9 @@ def make_bg_state(k: float, z: complex, dim: int | None = None,
         log_c0 = -(ln_peak + 0.5 * math.log(total))
         if not log_c0 >= _LOG_MIN_DOUBLE:
             raise DomainError(_C0_UNDERFLOWS.format(k, rho, f"= {log_c0:.6g}"))
-        # the first n past which terms halve, t_n / Gamma(2k) below
-        # tail_tol S / Gamma(2k) and, above rho = 1, below that over rho
-        log_tol = (math.log(tail_tol) + math.log(total) + 2.0 * ln_peak - ln_gamma(2.0 * k)
-                   - max(0.0, 0.5 * log_w))
+        # the first n past which terms halve, t_n below tail_tol S = tail_tol
+        # t_p total and, above rho = 1, below that over rho
+        log_tol = math.log(tail_tol) + math.log(total) - max(0.0, 0.5 * log_w)
         needed = _series_cut(log_w, 2.0 * k, log_tol, ratio=0.5, error=TruncationError)
     if dim is None:
         dim = needed
@@ -274,7 +273,11 @@ def _kminus_rows(state: BGState) -> np.ndarray:
     # the rows of (K- - z) coeffs; the last is -z coeffs[dim-1], since
     # truncation maps the missing component to zero
     dim, z, c = state.dim, state.z, state.coeffs
-    sub = np.sqrt(np.arange(1, dim) * (2.0 * state.k + np.arange(dim - 1)))
+    n = np.arange(1, dim)
+    if (dim - 1.0) * (2.0 * state.k + (dim - 2.0)) < math.inf:
+        sub = np.sqrt(n * (2.0 * state.k + (n - 1.0)))
+    else:  # n (2k + n - 1) passes DBL_MAX
+        sub = np.sqrt(n) * np.sqrt(2.0 * state.k + (n - 1.0))
     rows = np.empty(dim, dtype=np.complex128)
     rows[: dim - 1] = sub * c[1:] - z * c[: dim - 1]
     rows[dim - 1] = -z * c[dim - 1]
@@ -435,16 +438,16 @@ def _padded_coeffs(state: BGState, minimum: int = 2) -> np.ndarray:
     return c
 
 
-def _moment_tol(state: BGState) -> float:
+def _moment_tol(state: BGState, banded: bool = False) -> float:
     # The routes over the stored coefficients lose what couples the last one,
     # c = c_{dim-1}, to the omitted ones.  By the recursion the first omitted
     # coefficient is c rho / sqrt(edge), edge = dim (2k + dim - 1), and the
     # rest fall at least geometrically, so a mean loses about rho |c|^2 and a
     # second moment rho^2 |c|^2.  From dim = 2 on (shorter vectors are
     # zero-padded to 2) the banded routes also cut row dim, whose square is
-    # edge |c|^2 / 4.
+    # edge |c|^2 / 4; the routes over |c_n|^2 alone read no band.
     d, k, rho = state.dim, state.k, state.rho
-    edge = d * (2.0 * k + d - 1.0) if d >= 2 else 0.0
+    edge = d * (2.0 * k + d - 1.0) if banded and d >= 2 else 0.0
     last = abs(complex(state.coeffs[-1])) ** 2
     return max(_ROUTE_TOL, 10.0 * last * (rho + rho * rho + edge / 4.0))
 
@@ -517,7 +520,7 @@ def k12_moments(state: BGState) -> K12Moments:
 
     label = RepLabel(k=k)
     c = _padded_coeffs(state)
-    tol = _moment_tol(state)
+    tol = _moment_tol(state, banded=True)
     for name, build, closed_mean, closed_second in (
         ("K1", build_k1, mean_k1, second_k1),
         ("K2", build_k2, mean_k2, second_k2),

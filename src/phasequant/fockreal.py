@@ -218,7 +218,10 @@ def _coherent_dim(r: float) -> int:
     # term is at most r^2/(N+1) of the one before, so that weight is at most
     # t_N / (1 - r^2/(N+1)): the first cut N0 has t_N0 below 1e-14, and the
     # second lowers the tolerance by that factor at N0, which holds at N >= N0.
-    log_w, log_tol = 2.0 * math.log(r), _TAIL_LOG + r * r
+    # Both tolerances are taken, as the cut takes them, relative to the
+    # largest term t_p, p = #{m >= 1: r^2 / m > 1}.
+    log_w = 2.0 * math.log(r)
+    log_tol = _TAIL_LOG + r * r - float(np.sum(log_w - np.log(np.arange(1.0, math.ceil(r * r)))))
     first = _series_cut(log_w, None, log_tol, error=TruncationError)
     return _series_cut(log_w, None, log_tol + math.log1p(-r * r / (first + 1.0)),
                        error=TruncationError)

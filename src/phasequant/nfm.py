@@ -35,6 +35,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,8 @@ _NEGATIVE_SLACK = 1e-12
 _FLAT_TOL = 1e-10
 # relative tolerance of the level-state checks and of the level fit
 _LEVEL_TOL = 1e-6
+# the largest <K3> (k + n of a level state) whose 4 <K3>^2 is a double
+_K3_LIMIT = math.sqrt(sys.float_info.max) / 2.0
 
 
 @dataclass(frozen=True)
@@ -471,9 +474,15 @@ def ideal_second_moments(truth: StateTruth) -> SecondMoments:
 
     The reference channels are taken sharp at the modulus mean, and the
     summed channels are chosen so both modulus routes return <K3^2> exactly.
+    A <K3> past ``_K3_LIMIT`` (6.7e153), where their second moment
+    2 <K3^2> + 2 <K3>^2 overflows, raises DomainError.
     """
     refsq = truth.mean_k3 * truth.mean_k3
     sumsq = 2.0 * truth.k3_sq + 2.0 * refsq
+    if sumsq == math.inf:
+        raise DomainError(f"ideal_second_moments: 2 <K3^2> + 2 <K3>^2 overflows at k={truth.k!r}: "
+                          f"it requires <K3> <= {_K3_LIMIT!r} (k + n for a level state), got "
+                          f"<K3>={truth.mean_k3!r}")
     return SecondMoments(
         n3n4_sumsq=sumsq,
         n5n6_sumsq=sumsq,

@@ -7,14 +7,17 @@ against mpmath:
   elementwise on a numpy array.
 * One private series rule.  Every Gamma-weighted sum in the package (the
   I_nu series, g(rho), the bound scan, b_ratio's series mean, the coherent
-  state) has terms t_n = w^n / (n! Gamma(a+n)), and the oscillator weights
-  are w^n / n!.  ``_series_cut`` returns the cut N, the first n past the
-  term peak below a log tolerance (DLMF 10.25.2), for a below ``_A_LIMIT``;
-  it bisects on the closed-form ln t_n of the largest w alone, which
-  decides for every row.  ``_peak_table`` tabulates t_n / t_p from a first
-  index to N as products of the term ratios w / (n (a+n-1)) out from the
-  largest term t_p, with ln(t_p / t_first) beside it, for every caller
-  that sums; no summed table holds ln Gamma(a+n).  Every series mean is
+  state) has terms t_n = w^n / (n! (a)_n), up to the factor 1 / Gamma(a),
+  and the oscillator weights are w^n / n!; all have the term ratios
+  r_n = w / (n (a + n - 1)) (w / n), which fall with n.  ``_series_cut``
+  returns the cut N, the first n past the term peak below a log tolerance
+  (DLMF 10.25.2), at every a a double holds and every w below DBL_MAX:
+  the peak p = #{r_n > 1} in closed form, then ln(t_n / t_p) as sums of
+  ln r_n outward from it, in chunks, so a cut costs O(N - p) terms, on
+  the largest w alone, which decides for every row.  No cut reads
+  ln Gamma.  ``_peak_table`` tabulates t_n / t_p from a first index to N
+  as products of the same ratios out from t_p, with ln(t_p / t_first)
+  beside it, for every caller that sums.  Every series mean is
   ``_weighted_means``' sum t_n w_n / sum t_n per row of such a table.
 * Windows and blocks.  The series means g/I (the bound scan and
   ``ratio_gI``), b_ratio and the oscillator's h1 and h2 carry their weight
@@ -22,10 +25,12 @@ against mpmath:
   ``_series_blocks`` tabulate each row only over the window n = lo .. hi
   that carries it (``_series_window``): hi is the cut on the largest w of
   a block of rows, lo the mirror cut below the peak of its smallest w,
-  widened by the weights' largest ratio to their value at a peak.  The
-  rows, sorted by w, are cut into blocks of at most ``_BLOCK_ENTRIES``
-  (2^16) entries, so a row costs O(sqrt w) terms and no table of a mean
-  passes 512 KB unless one row's window alone is wider.  There
+  summed down from that peak and widened by the weights' largest ratio to
+  their value at a peak; a small peak, whose p ln r_1 bounds ln(t_p / t_0)
+  within the cut, keeps lo = 0 without a walk.  The rows, sorted by w, are
+  cut into blocks of at most ``_BLOCK_ENTRIES`` (2^16) entries, so a row
+  costs O(sqrt w) terms and no table of a mean passes 512 KB unless one
+  row's window alone is wider.  There
   ``_MAX_TERMS`` bounds a window's width; for every other series (the
   state's own table, the overlap's closed form, g_k's two routes, I_nu) it
   bounds the last index, as the whole n = 0 .. N is summed.
@@ -59,7 +64,7 @@ level's nodes in one numpy expression; nothing here imports scipy.
 The scaled variants ``bessel_i_scaled`` (e^{-x} I_nu) and ``bessel_k_scaled``
 (e^{x} K_nu) exist because downstream values are needed where the unscaled
 ones leave double range: I_{2k}(2 rho)/I_{2k-1}(2 rho) where the phase
-series' window is not cut (past rho = 34392762.81 at the smallest k), and
+series' window is not cut (past rho = 34392557.93 at the smallest k), and
 K_{2k-1}(2 rho) e^{2 rho} in the radial moment.
 """
 
@@ -95,9 +100,7 @@ _LOG_MAX = math.log(sys.float_info.max)
 _LGAMMA = np.frompyfunc(math.lgamma, 1, 1)
 # math.lgamma overflows from here on
 _LGAMMA_LIMIT = 2.5599833278516387e+305
-# _series_cut refuses a from here on, where ln Gamma(a) nears 2^59: its ulp of
-# 128 rounds the 1e-18 cut away (first at a = 1.58788157537119e16)
-_A_LIMIT = 1.58788e16
+_LN2 = math.log(2.0)
 
 
 def ln_gamma(x):
@@ -147,31 +150,37 @@ def _peak_table(w, log_w, a: float | None, size: int, root: bool = False,
     amplitudes w^n / sqrt(n! (a)_n) of the series in w^2.  w^0 = 1 also at
     w = 0, which keeps t_0 alone.
     """
-    w = np.atleast_1d(np.asarray(w, dtype=np.float64))
+    w = np.array(w, dtype=np.float64, ndmin=1)
     n = np.arange(first, first + size, dtype=np.float64)
+    end = first + size - 1.0
+    if a is not None and end * (float(a) + (end - 1.0)) == math.inf:
+        # n (a + n - 1) passes DBL_MAX, and a + n - 1 rounds to a: w and a in
+        # units of 2^64 (a in 2^128 under the root) leave every ratio as it is
+        w, log_w = w * 2.0 ** -64, log_w - 64.0 * _LN2
+        a *= 2.0 ** (-128 if root else -64)
     grow = n if a is None else n * (a + (n - 1.0))
     if root:
         grow = np.sqrt(grow)
     # r_n = w / grow[n] exceeds 1 exactly where grow[n] < w
-    peak = np.searchsorted(grow[1:], w)[:, np.newaxis]
+    peak = grow[1:].searchsorted(w)[:, np.newaxis]
     ln_first = log_w - math.log(grow[1]) if size > 1 else 0.0
     j = np.arange(size)
     rising, falling = j < peak, j > peak
-    # fall[:, j] = 1 / r_{j+1} below the peak; table holds ln of those first.
-    # Both share one allocation: freed together, it stays in the allocator's
-    # heap for the next table of that size, where two would be handed back
-    # to the system and fault their pages in again (4000 page faults, 8 ms,
-    # per default bound scan)
+    # fall[:, j] = 1 / r_{j+1} below the peak, 1 from it on; table holds the
+    # ln of those first.  Both share one allocation: freed together, it
+    # stays in the allocator's heap for the next table of that size, where
+    # two would be handed back to the system and fault their pages in again
+    # (4000 page faults, 8 ms, per default bound scan)
     fall, table = np.empty((2, w.size, size))
     fall.fill(1.0)
     np.divide(grow[1:], w[:, np.newaxis], out=fall[:, :-1], where=rising[:, :-1])
-    table.fill(0.0)
-    np.log(fall[:, 1:], out=table[:, 1:], where=rising[:, 1:])
-    ln_peak = np.where(peak[:, 0] > 0, ln_first, 0.0) - table.sum(axis=1)
+    table[:, 0] = 0.0
+    np.log(fall[:, 1:], out=table[:, 1:])
+    ln_peak = np.where(peak[:, 0] > 0, ln_first, 0.0) - np.add.reduce(table, axis=1)
     table.fill(1.0)
     np.divide(w[:, np.newaxis], grow, out=table, where=falling)
-    np.cumprod(table, axis=1, out=table)
-    np.cumprod(fall[:, ::-1], axis=1, out=fall[:, ::-1])
+    np.multiply.accumulate(table, axis=1, out=table)
+    np.multiply.accumulate(fall[:, ::-1], axis=1, out=fall[:, ::-1])
     table *= fall
     return table, ln_peak
 
@@ -185,7 +194,10 @@ def _weighted_means(terms: np.ndarray, weights: np.ndarray,
     or a tuple of them, one per mean (a column of the result), and factor
     broadcasts against the means.  Each mean is one matrix-vector product:
     a matrix product summed 8347 terms of h2 at r = 442 into 3.4e-15, the
-    products into 1.5e-18.
+    products into 1.5e-18.  Over a block of rows it rounds a little worse
+    than a dot product per row: the README oscillator's 200 radii lie within
+    6.2e-16 of mpmath (5.0e-16 each alone; h2(20) 5.6e-16 against 1.0e-16),
+    a sample of the default bound scan's cells within 5.1e-16.
     """
     total = np.sum(terms, axis=1)
     if isinstance(weights, tuple):
@@ -194,171 +206,140 @@ def _weighted_means(terms: np.ndarray, weights: np.ndarray,
     return factor * ((terms @ weights) / total), total
 
 
-def _turn(top: float, a: float | None, ratio: float = 1.0) -> tuple[float, float]:
-    # w = e^top (held below e^700) and the real n at which ratio n (a + n - 1) = w,
-    # in the form that does not cancel: the term ratio falls through ratio there
-    w = math.exp(min(top, 700.0))
-    turn = w / ratio
-    if a is not None:
-        b = a - 1.0
-        root = math.hypot(b, 2.0 * math.sqrt(turn))
-        turn = 2.0 * turn / (root + b) if b > 0.0 else 0.5 * (root - b)
-    return w, turn
+def _turn(top: float, a: float | None, ratio: float = 1.0) -> float:
+    # the real n at which ratio n (a + n - 1) = e^top, in a form that neither
+    # cancels nor overflows (no peak lies within the budget past top = 1400)
+    half = math.exp(0.5 * min(top, 1400.0)) / math.sqrt(ratio)
+    if a is None:
+        return half * half
+    b = a - 1.0
+    root = math.hypot(b, 2.0 * half)
+    return half * (half / (0.5 * root + 0.5 * b)) if b > 0.0 else 0.5 * (root - b)
 
 
-def _first_past(w: float, turn: float, a: float | None, ratio: float = 1.0) -> int:
-    # the first n >= 1 with t_n <= ratio t_{n-1}: t_n / t_{n-1} = w / (n (a + n - 1))
-    first = max(1, math.ceil(turn) - 1)
-    while ratio * (first if a is None else first * (a + first - 1.0)) < w:
+def _first_past(top: float, turn: float, a: float | None, ratio: float = 1.0) -> int:
+    # the first n >= 1 with t_n <= ratio t_{n-1}: ln r_n <= ln ratio
+    first, log_ratio = max(1, math.ceil(turn) - 1), math.log(ratio)
+    while top - math.log(first) - (0.0 if a is None else math.log(a + (first - 1.0))) > log_ratio:
         first += 1
     return first
 
 
-def _log_term(top: float, a: float | None, last: int):
-    # ln t_n = n top - ln n! - ln Gamma(a + n), and a bound on its rounding
-    # for n <= last: a few ulp of its parts
-    def log_term(n):
-        lg = math.lgamma(n + 1.0)
+def _cross(log_w: float, a: float | None, start: int, end: int, step: int,
+           level: float) -> int | None:
+    """The first n from start towards end (by step, end included) with ln(t_n / t_start) < level.
+
+    start is the term peak, or past it in the direction of step, so
+    ln(t_n / t_start), the sum of ln r_m outward from start (of -ln r_m
+    going down), falls monotonically.  It is summed in chunks, the first
+    1.25 sqrt(-2 level) standard deviations of the terms about a peak at
+    start (variance 1 / (1/p + 1/(a+p)), p for the Poisson weights), each
+    next one twice as long: O(distance) terms.  None where no n qualifies.
+    """
+    var = start if a is None else start / (1.0 + start / (a + start))
+    width = int(1.25 * math.sqrt(max(-2.0 * level, 0.0) * var)) + 16
+    depth, n = 0.0, start
+    while (end - n) * step > 0:
+        stop = n + step * min(width, abs(end - n))
+        m = np.arange(n + 1.0, stop + 1.0) if step > 0 else np.arange(float(n), stop, -1.0)
+        # ln t falls by -ln r_m per step up, by ln r_m down: ln(m (a + m - 1))
+        # less ln w, each factor's logarithm alone, as the product overflows
+        # where a nears DBL_MAX
+        fall = np.log(m)
         if a is not None:
-            lg += math.lgamma(a + n)
-        return top * n - lg
-
-    x = last + 1 + (a or 0.0)
-    return log_term, 8.0 * sys.float_info.epsilon * (abs(top) * (last + 1) + x * math.log(x + 2.0))
-
-
-def _peak_value(log_term, first: int, slack: float) -> float:
-    # the largest ln t_n about the peak first - 1: none past 2 slack below the
-    # largest seen rounds above it
-    peak = log_term(first - 1)
-    for step in (1, -1):
-        n = first - 1 + step
-        while n >= 0 and (value := log_term(n)) >= peak - 2.0 * slack:
-            peak = max(peak, value)
-            n += step
-    return peak
-
-
-def _walk(log_term, start: int, end: int, step: int, above: float, log_tol: float) -> int | None:
-    # the first n from start towards end (by step, end included) with
-    # ln t_n < log_tol, where ln t_n falls that way: doubling and bisection
-    # find the last n clear above the cut (>= above) and the n after it are
-    # scanned; None where none qualifies
-    lo, hi = start, start + step
-    while (end - hi) * step >= 0 and log_term(hi) >= above:
-        lo, hi = hi, hi + (hi - start)
-    if (hi - end) * step > 0:
-        hi = end + step
-    while abs(hi - lo) > 1:
-        mid = (lo + hi) // 2
-        if log_term(mid) >= above:
-            lo = mid
+            fall += np.log(a + (m - 1.0))
+        if step > 0:
+            fall -= log_w
         else:
-            hi = mid
-    for n in range(lo + step, end + step, step):
-        if log_term(n) < log_tol:
-            return n
+            np.subtract(log_w, fall, out=fall)
+        np.add.accumulate(fall, out=fall)
+        if depth:
+            fall += depth
+        past = int(fall.searchsorted(-level, "right"))
+        if past < fall.size:
+            return n + step * (past + 1)
+        depth, n, width = float(fall[-1]), stop, 2 * width
     return None
 
 
-def _check_a(a: float | None) -> None:
-    if a is not None and not a < _A_LIMIT:
-        raise DomainError(f"the series in w^n / (n! Gamma(a+n)) requires a < {_A_LIMIT!r} "
-                          f"(k < {_A_LIMIT / 2.0:.6g} where a = 2k), where ln Gamma(a) "
-                          f"resolves the 1e-18 cut, got a={float(a)!r}")
-
-
-def _series_cut(log_w, a: float | None, log_tol=None, ratio: float = 1.0,
+def _series_cut(log_w, a: float | None, log_tol: float = _LOG_SERIES_TOL, ratio: float = 1.0,
                 error: type[Exception] = ConvergenceError, floor: int = 0) -> int:
-    """The cut N of the series in w^n / (n! Gamma(a+n)): they sum n = floor .. N.
+    """The cut N of the series in w^n / (n! (a)_n): they sum n = floor .. N.
 
     N is the first n >= 1 past the peak, where t_n <= ratio t_{n-1}, at which
-    every series (one per entry of log_w) has ln t_n < log_tol.  log_tol
-    defaults to each series' largest term times 1e-18 (with ratio 1); the
-    terms past N then fall at least geometrically and are dropped.
+    every series (one per entry of log_w) has ln(t_n / t_p) < log_tol, t_p
+    its largest term: by default below 1e-18 of it.  The terms past N then
+    fall at least geometrically and are dropped.
 
     The largest w decides alone: its terms are the largest at every n >= 1,
     and past its peak they lie furthest above their own largest term too,
-    as d/d ln w of n ln w - max_m (m ln w - c_m) is n - m* >= 0.  Its ln t_n,
-    n ln w - ln n! - ln Gamma(a+n), fall past the peak: doubling
-    and bisection find the last n clear above the cut by twice their
-    rounding (``slack``) and the n after it are scanned, so a cut costs
-    O(log N) lgamma calls.  Where no n below floor + ``_MAX_TERMS``
-    qualifies, ``error`` is raised: a series from n = 0 is held to that many
-    terms, a window from its floor (``_series_window``) to that width.  An a
-    from ``_A_LIMIT`` on raises DomainError.
+    as d/d ln w of n ln w - max_m (m ln w - c_m) is n - m* >= 0.  Its
+    ln(t_n / t_p) sums ln r_m upward (``_cross``) from the peak p, which
+    ``_turn`` and ``_first_past`` find in closed form.  No sum holds
+    ln Gamma(a + n), whose rounding passed the cut from a ~ 1e13 on.  A w
+    past DBL_MAX, or no n below floor + ``_MAX_TERMS`` that qualifies,
+    raises ``error``: a series from n = 0 is held to that many terms, a
+    window from its floor to that width.
     """
-    _check_a(a)
     top = float(log_w.max() if isinstance(log_w, np.ndarray) else log_w)
     if top == -math.inf:
         return 1  # every w is 0: t_1 = 0 is the first term past the peak t_0
-    if not math.isfinite(top):
-        raise error(f"series in w = e^{top} cannot be summed")
+    if not top < _LOG_MAX:
+        raise error(f"series in w = e^{top:.6g} cannot be summed: w is no finite double")
     last = floor + _MAX_TERMS - 1
     uncut = f"series in w = e^{top:.6g}, a = {a} not cut within {_MAX_TERMS} terms"
     if floor:
         uncut += f" from n = {floor}"
-    w, turn = _turn(top, a, ratio)
+    turn = _turn(top, a, ratio)
     if turn >= last + 1:
         # the peak itself lies past the longest series: fail before walking to it
         raise error(uncut)
-    first = _first_past(w, turn, a, ratio)
-    log_term, slack = _log_term(top, a, last)
-    if log_tol is None:
-        log_tol = _peak_value(log_term, first, slack) + _LOG_SERIES_TOL
-    # a term at or above log_tol + 2 slack has every earlier one above the cut
-    cut = _walk(log_term, first - 1, last, 1, log_tol + 2.0 * slack, log_tol)
-    if cut is None:
+    first = _first_past(top, turn, a, ratio)
+    peak = first - 1 if ratio == 1.0 else _first_past(top, _turn(top, a), a) - 1
+    cut = _cross(top, a, peak, last, 1, log_tol)
+    if cut is None or first > last:
         raise error(uncut)
-    return cut
+    return max(cut, first)
 
 
 def _series_window(bottom: float, top: float, a: float | None, weights) -> tuple[int, int]:
     """The window [lo, hi] of n that carries the series means of w = e^bottom .. e^top.
 
     hi is ``_series_cut``'s cut on the largest w, with lo as its floor.  lo
-    mirrors it below the peak of the smallest w, which decides alone there:
-    d/d ln w of n ln w - max_m (m ln w - c_m) is n - m* < 0 below every
-    peak.  lo is the first n walking down from that peak with ln t_n below
-    its largest term times 1e-18, widened by ln(largest weight / weight at
-    a peak): the weights w_n = ``weights(n)`` (one column per mean, each
-    monotone in n, as 1/(n+2k) is) may be largest at n = 0, where a tiny k
-    makes them huge.  0 where no n qualifies.  A window wider than
+    mirrors it below the peak p of the smallest w, which decides alone
+    there: d/d ln w of n ln w - max_m (m ln w - c_m) is n - m* < 0 below
+    every peak.  lo is the first n down from p with t_n below 1e-18 of t_p
+    (``_cross``), widened by ln(largest weight / weight at a peak): the
+    weights w_n = ``weights(n)`` (one column per mean, each monotone in n,
+    as 1/(n+2k) is) may be largest at n = 0, where a tiny k makes them
+    huge.  lo is 0, with no walk and no weight read, where p ln r_1, which
+    bounds ln(t_p / t_0), lies within the cut.  A window wider than
     ``_MAX_TERMS`` raises ConvergenceError; one whose floor would lie that
     far below the peak is refused before any walk, from the bound
     t_{p+M} / t_p >= exp(-M^2 (1/p + 1/(a+p-1))) with M = ``_MAX_TERMS``.
     """
-    _check_a(a)
     lo = 0
     if bottom > -math.inf:
         if not math.isfinite(bottom):
             raise ConvergenceError(f"series in w = e^{bottom} cannot be summed")
-        w, turn = _turn(bottom, a)
+        turn = _turn(bottom, a)
         if turn > 2.0 and _MAX_TERMS ** 2 * (1.0 / (turn - 1.0) + (
                 0.0 if a is None else 1.0 / (a + (turn - 2.0)))) < -_LOG_SERIES_TOL:
             raise ConvergenceError(f"series in w = e^{bottom:.6g}, a = {a}: its window about "
                                    f"the peak is wider than {_MAX_TERMS} terms")
-        first = _first_past(w, turn, a)
-        if first > 1:
-            log_term, slack = _log_term(bottom, a, first)
-            log_tol = _peak_value(log_term, first, slack) + _LOG_SERIES_TOL
-            if log_term(0) < log_tol:
-                # t_0 lies below the cut: widen it by the weights at 0, at the
-                # smallest w's peak and at or past the largest's
-                at = np.array([0.0, first - 1.0, min(math.ceil(_turn(top, a)[1]),
-                                                     first + _MAX_TERMS)])
-                values = np.abs(np.asarray(weights(at), dtype=np.float64)).reshape(-1, 3)
-                widen = max(math.log(max(row)) - math.log(min(row[1:]))
-                            for row in values.tolist())
-                log_tol -= widen
-                end = max(0, first - _MAX_TERMS)
-                lo = _walk(log_term, first - 1, end, -1, log_tol + 2.0 * slack, log_tol)
-                if lo is None:
-                    if end > 0:
-                        raise ConvergenceError(f"series in w = e^{bottom:.6g}, a = {a}: its "
-                                               f"window below the peak is wider than "
-                                               f"{_MAX_TERMS} terms")
-                    lo = 0
+        peak = _first_past(bottom, turn, a) - 1
+        if peak * (bottom - (0.0 if a is None else math.log(a))) > -_LOG_SERIES_TOL:
+            # the weights at 0, at the smallest w's peak and at or past the largest's
+            at = np.array([0.0, float(peak), min(math.ceil(_turn(top, a)), peak + 1 + _MAX_TERMS)])
+            values = np.abs(np.asarray(weights(at), dtype=np.float64)).reshape(-1, 3)
+            widen = max(math.log(max(row)) - math.log(min(row[1:])) for row in values.tolist())
+            end = max(0, peak + 1 - _MAX_TERMS)
+            lo = _cross(bottom, a, peak, end, -1, _LOG_SERIES_TOL - widen)
+            if lo is None:
+                if end > 0:
+                    raise ConvergenceError(f"series in w = e^{bottom:.6g}, a = {a}: its window "
+                                           f"below the peak is wider than {_MAX_TERMS} terms")
+                lo = 0
     return lo, _series_cut(top, a, floor=lo)
 
 
@@ -572,7 +553,6 @@ _K_DROP = 45.0
 # Below this x the K integrand's tail lies past t = 710, where sinh^2(t/2)
 # overflows and cuts it off: K_{1/2}(7.4e-308) was 1.1e-13 off, unflagged.
 _K_X_MIN = 1e-306
-_LN2 = math.log(2.0)
 
 
 def _trapezoid(F, span: float, tol: float):

@@ -494,18 +494,18 @@ def test_b_ratio_against_mpmath_property(log_k, log_rho):
 def test_the_phase_series_names_its_rho_limit():
     # the window about the peak near n = rho widens as sqrt(rho); the
     # smallest k, whose weight at n = 0 widens the lower cut most, first
-    # leaves it uncut at rho = 34392762.81861603 (bisected to the double).
-    # Once the whole table was held to 200000 terms, and every k refused
-    # from rho = 197133.69 on
-    assert bgstates._RHO_CUT == 34392762.81
+    # leaves it uncut at rho = 34392557.93108839 (scanned, then bisected to
+    # the double).  Once the whole table was held to 200000 terms, and every
+    # k refused from rho = 197133.69 on
+    assert bgstates._RHO_CUT == 34392557.93
     k_min = phaseops._K_MIN
     assert 0.99 < ratio_gI(k_min, bgstates._RHO_CUT) < 1.0
     with pytest.raises(DomainError, match=r"^the phase series' window is not cut within "
                                           r"200000 terms at k=2\.2250738585072014e-308, "
-                                          r"rho=34392762\.82: rho <= 34392762\.81 is cut at "
+                                          r"rho=34392557\.94: rho <= 34392557\.93 is cut at "
                                           r"every k"):
-        ratio_gI(k_min, 34392762.82)
-    with pytest.raises(DomainError, match=r"at k=1\.0, rho=200000000\.0: rho <= 34392762\.81"):
+        ratio_gI(k_min, 34392557.94)
+    with pytest.raises(DomainError, match=r"at k=1\.0, rho=200000000\.0: rho <= 34392557\.93"):
         ratio_gI(1.0, 2e8)
     # a larger k reaches further, and no rho cut today is refused
     for k, rho in ((1e-300, bgstates._RHO_CUT), (1.0, 1.98e8), (1e4, 2.15e8)):
@@ -1076,23 +1076,62 @@ def test_b_ratio_past_the_phase_series_reads_the_table_where_it_is_cut(monkeypat
     assert abs(b_ratio(1e4, 2e5) - want) <= 1e-14 * want
 
 
-def test_every_series_in_2k_names_the_large_k_limit():
-    # from k = 7.9394e15 on ln Gamma(2k) passes 2^59 and rounds the 1e-18 cut
-    # away: once a ConvergenceError "... do not resolve the 1e-18 cut"
-    inside = math.nextafter(specfun._A_LIMIT / 2.0, 0.0)
-    state = make_bg_state(inside, 1.0)
-    assert abs(float(np.sum(np.abs(state.coeffs) ** 2)) - 1.0) <= 1e-14
-    with mpmath.workdps(40):
-        kk = mpmath.mpf(inside)
-        want = mpmath.besseli(2 * kk, 2) / mpmath.besseli(2 * kk - 1, 2)
-    assert abs(b_ratio(inside, 1.0) - want) <= 1e-13 * want
-    assert ratio_gI(inside, 1.0) == kbound_scan([inside], [1.0]).ratio[0, 0] > 0.0
-    outside = specfun._A_LIMIT / 2.0
-    for call in (lambda: make_bg_state(outside, 1.0), lambda: b_ratio(outside, 1.0),
-                 lambda: ratio_gI(outside, 100.0), lambda: g_k(outside, 1.0)):
-        with pytest.raises(DomainError, match=r"requires a < 1\.58788e\+16 \(k < 7\.9394e\+15 "
-                                              r"where a = 2k\)"):
-            call()
+def _phase_series_moments(k, rho):
+    # b_k = sum t_n rho/(n + 2k) / sum t_n and the mean and variance of n
+    # under the state's weights t_n = rho^{2n} / (n! (2k)_n), in mpmath at 30
+    # digits, each term built from the one before by its ratio
+    with mpmath.workdps(30):
+        a, r = 2 * mpmath.mpf(k), mpmath.mpf(rho)
+        t, n, total, b, first, second = mpmath.mpf(1), 0, 0, 0, 0, 0
+        while True:
+            total += t
+            b += t * r / (n + a)
+            first += t * n
+            second += t * n * n
+            n += 1
+            t *= r * r / (n * (a + n - 1))
+            if n > r and t < total * mpmath.mpf(10) ** -35:
+                break
+        mean = first / total
+        return float(b / total), float(mean), float(second / total - mean * mean)
+
+
+def test_every_series_in_2k_runs_past_k_7_9394e15():
+    # 40 seeded cells with k log-uniform in [1e12, 1e154]: the lgamma cut
+    # refused every k from 7.9394e15 on, 39 of these cells, and below that
+    # cut some states short of their tail ("tail -7.439e-01" at
+    # (2949021381109743.5, 586135911.9030025))
+    rng = np.random.default_rng(36)
+    ks = np.exp(rng.uniform(math.log(1e12), math.log(1e154), 40))
+    rhos = np.exp(rng.uniform(math.log(1e-3), math.log(300.0), 40))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k, rho in zip(ks.tolist(), rhos.tolist()):
+            state = make_bg_state(k, rho)
+            b, mean, variance = _phase_series_moments(k, rho)
+            assert abs(b_ratio(k, rho) - b) <= 1e-15 * b, (k, rho)
+            p = np.abs(state.coeffs) ** 2
+            n = np.arange(state.dim)
+            occupation = float(np.sum(p * n))
+            assert abs(occupation - mean) <= 1e-15 * mean + 1e-14, (k, rho)
+            assert abs(float(np.sum(p * (n - occupation) ** 2)) - variance) <= (
+                1e-15 * variance + 1e-14), (k, rho)
+            moments = k3_moments(state)
+            assert moments.mean == k + rho * moments.b_k
+            assert ratio_gI(k, rho) == kbound_scan([k], [rho]).ratio[0, 0] > 0.0
+            assert 0.0 <= g_k(k, rho) < math.inf
+    assert make_bg_state(2949021381109743.5, 586135911.9030025).dim > 1
+
+
+def test_k3_variance_check_reads_no_band():
+    # the exact cut gives this state dim 5 (the lgamma cut gave 7), where the
+    # banded routes' row-dim term 10 |c_4|^2 dim (2k + dim - 1) / 4 = 0.0116
+    # let the closed variance 3.0517578125e-05 pass against the summed
+    # 5.3941680508274e-05 (mpmath); the K3 routes read no band
+    state = make_bg_state(1315173966583160.0, 376676.7683790129)
+    assert state.dim == 5
+    with pytest.raises(TruncationError, match=r"K3 variance.*\(tolerance 5\.005e-07\)"):
+        k3_moments(state)
 
 
 def test_interior_check_and_residual_share_the_kminus_rows(monkeypatch):

@@ -272,6 +272,9 @@ class TestValidationErrors:
         # the K- c = z c rows once disagreed by 5.493e-12 against 4.0e-12 and
         # 2.109e-11 against 2.0e-12: ln I and ln Gamma(2k+n) cancelled
         ("1e4", "3"), ("1e6", "1"),
+        # once refused: "k < 7.9394e+15 where a = 2k", where ln Gamma(2k)
+        # rounded the series cut away
+        ("8e15", "1"), ("1e100", "1"),
     ])
     def test_coherent_at_large_k(self, capsys, k, rho):
         with warnings.catch_warnings():
@@ -329,27 +332,33 @@ class TestValidationErrors:
         (("ground-variance", "--k", "1e300"), "k <= 1e102"),
         # 2k overflows: once exit 0 with nan/inf cells and a RuntimeWarning
         (("oscillator", "--k", "1e308"), "finite 2k"),
-        # every series in a = 2k is refused from k = 7.9394e15 on, where
-        # ln Gamma(2k) no longer resolves the 1e-18 cut.  (2k - 1)^2
-        # overflowed in the series cut: once an uncaught OverflowError
-        (("coherent", "--k", "1e200", "--rho", "1"), "k < 7.9394e+15 where a = 2k"),
-        (("coherent", "--k", "1e300", "--rho", "1"), "k < 7.9394e+15 where a = 2k"),
+        # (2k - 1)^2 overflowed in the series cut: once an uncaught
+        # OverflowError; then every series in a = 2k was refused from
+        # k = 7.9394e15 on, where ln Gamma(2k) no longer resolved the cut.
+        # The cut now reaches every k, and k^2 in the K3 second moment ends
+        (("coherent", "--k", "1e200", "--rho", "1"), "overflows past k = 1.3407807929942596e+154"),
+        (("coherent", "--k", "1e300", "--rho", "1"), "overflows past k = 1.3407807929942596e+154"),
         # 2k itself overflows: once "cannot convert float NaN to integer"
         (("coherent", "--k", "1e308", "--rho", "1"), "2k must be finite"),
-        # log-terms near -4.6e102: once a 200,000-row table before blaming the
-        # length, then a ConvergenceError naming no limit
-        (("coherent", "--k", "1e100", "--rho", "1"), "k < 7.9394e+15 where a = 2k"),
         # math.lgamma(2k) overflows: once an uncaught OverflowError in the series cut
-        (("coherent", "--k", "3e305", "--rho", "1"), "k < 7.9394e+15 where a = 2k"),
+        (("coherent", "--k", "3e305", "--rho", "1"), "overflows past k = 1.3407807929942596e+154"),
+        # the term peak lies past n = 1e5; a ratio cut that forms
+        # n (2k + n - 1) as one product overflows here
         (("nfm-sim", "--kind", "bg", "--k", "1.98e306", "--rho", "4.87e257"),
-         "k < 7.9394e+15 where a = 2k"),
+         "c_0 underflows at k=1.98e+306, rho=4.87e+257: ln|c_0| < -17328.7"),
         # k^2 overflows in the K3 second moment: once a RuntimeWarning, then
         # "disagree by nan (tolerance inf)"
         (("coherent", "--k", "1e200", "--rho", "0"), "overflows past k = 1.3407807929942596e+154"),
         # (n + k)^2 in the closed sum of squares: once an uncaught OverflowError
-        # from k = 1.35e154 on, and 0.0 for 9.1e154 at k = 1.3e154
-        (("nfm-sim", "--kind", "number", "--k", "1.3e154", "--n", "3"), "n3n4_sumsq must be finite"),
-        (("nfm-sim", "--kind", "number", "--k", "1e200", "--n", "3"), "n3n4_sumsq must be finite"),
+        # from k = 1.35e154 on, and 0.0 for 9.1e154 at k = 1.3e154; then
+        # "n3n4_sumsq must be finite", naming a field, not the limit on k.
+        # The first <K3> = k + n past it, and two further
+        (("nfm-sim", "--kind", "number", "--k", "6.703903964971299e153", "--n", "3"),
+         "requires <K3> <= 6.703903964971298e+153"),
+        (("nfm-sim", "--kind", "number", "--k", "1.3e154", "--n", "3"),
+         "requires <K3> <= 6.703903964971298e+153"),
+        (("nfm-sim", "--kind", "number", "--k", "1e200", "--n", "3"),
+         "requires <K3> <= 6.703903964971298e+153"),
         (("nfm-sim", "--kind", "number", "--k", "1e308", "--n", "3"), "w3 must be finite"),
     ])
     def test_overflowing_k_is_one_error_line(self, capsys, tmp_path, argv, named):
@@ -393,7 +402,7 @@ class TestValidationErrors:
         # past the window's reach at k = 1, rho = 1.98e8
         (("kbound-scan", "--k-min", "1", "--k-max", "1", "--k-step", "1", "--rho-min", "1",
           "--rho-max", "1e9", "--rho-points", "3"),
-         "not cut within 200000 terms at k=1.0, rho=1000000000.0: rho <= 34392762.81 is cut at "
+         "not cut within 200000 terms at k=1.0, rho=1000000000.0: rho <= 34392557.93 is cut at "
          "every k"),
     ], ids=["completeness-k8", "completeness-k80", "kbound-scan-rho1e9"])
     def test_a_series_or_quadrature_out_of_range_is_one_error_line(self, capsys, tmp_path, argv,
@@ -602,6 +611,14 @@ class TestAnalysisCommands:
         assert verdicts[0.25] == "EXCEEDS"
         assert verdicts[1.0] == "BOUNDED"
 
+    def test_kbound_scan_past_the_former_k_limit(self, capsys, tmp_path):
+        # once "k < 7.9394e+15 where a = 2k", on the default rho grid
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("kbound-scan", "--k-min", "8e15", "--k-max", "8e15", "--k-step", "1",
+                           "--out", str(tmp_path / "scan.csv")) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("k, step", [("5e15", "1"), ("1e8", "1e-8"), ("0.5", "0.1")])
     def test_kbound_scan_equal_k_bounds_are_one_row(self, capsys, tmp_path, k, step):
         # once "kbound_scan requires nonempty grids" where k_max + k_step/2
@@ -753,7 +770,9 @@ class TestAnalysisCommands:
 
 
 class TestNfmSim:
-    @pytest.mark.parametrize("k", [2e16, 5e16, 1e20, 1e50, 1e100])
+    # 6.703903964971298e153 is the largest k + n whose summed channels'
+    # second moment is a double
+    @pytest.mark.parametrize("k", [2e16, 5e16, 1e20, 1e50, 1e100, 6.703903964971298e153])
     def test_number_state_at_large_k(self, capsys, tmp_path, k):
         # k + n rounds to a multiple of 4 from k = 2e16 on, and the smaller
         # root half_sum - sqrt(disc) cancelled: once exit 1 with "observed

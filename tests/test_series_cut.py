@@ -1,22 +1,25 @@
-"""The series cut against the table scan it replaced, and the tables it spares.
+"""The series cut against the table scan it replaced, an exact cut, and the tables it spares.
 
-``specfun._series_cut`` returns the cut N by bisection on the log-terms of
-the largest series.  ``_table_cut`` below is the earlier rule, which built
-a table of ln t_n = n ln w - ln n! - ln Gamma(a+n) (``_lgamma_table``),
-doubled it until some n past the peak had every row below the tolerance,
-and returned the table up to that n.  Both must give
-the same N, or fail with the same error class, on a seeded sweep over every
-kind of call the package makes.
+``specfun._series_cut`` sums the log term ratios outward from the term peak.
+``_table_cut`` below is the earlier rule, which built a table of
+ln t_n = n ln w - ln n! - ln Gamma(a+n) (``_lgamma_table``), doubled it
+until some n past the peak had every row below the tolerance, and returned
+the table up to that n.  Both must give the same N, or fail with the same
+error class, on a seeded sweep over every kind of call the package makes
+where ln Gamma(a + n) resolves the cut.  From a ~ 1e13 on it does not, so
+there the cut is held to ``_exact_cut``: the peak found by bisection on the
+ratios, and ln(t_n / t_p) as the ``math.fsum`` of ``math.log`` ratios.
 """
 
 import math
-import re
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from phasequant import bgstates, fockreal, specfun
-from phasequant.errors import ConvergenceError, DomainError, TruncationError
+from phasequant.errors import ConvergenceError, TruncationError
 from phasequant.specfun import _LOG_SERIES_TOL, _MAX_TERMS, _series_cut
 
 _TABLE_DEPTH = 48.0
@@ -75,12 +78,60 @@ def _table_cut(log_w, a, log_tol=None, ratio=1.0, error=ConvergenceError):
         size *= 2
 
 
+def _log_ratio(log_w, a, m):
+    # ln r_m of the term ratios r_m = w / (m (a + m - 1)), or w / m
+    return log_w - math.log(m) - (0.0 if a is None else math.log(a + (m - 1.0)))
+
+
+def _peak(log_w, a):
+    # p = #{r_m > 1} by bisection, as the ratios fall with m
+    lo, hi = 0, 1
+    while _log_ratio(log_w, a, hi) > 0.0:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _log_ratio(log_w, a, mid) > 0.0 else (lo, mid)
+    return lo
+
+
+def _exact_cut(log_w, a):
+    # the first n past the peak with t_n below 1e-18 of t_p, in exact sums:
+    # ln(t_n / t_p) as the math.fsum of the log ratios up from the peak
+    logs = []
+    n = _peak(log_w, a)
+    while True:
+        n += 1
+        logs.append(_log_ratio(log_w, a, n))
+        if math.fsum(logs) < _LOG_SERIES_TOL:
+            return n
+
+
+def _mpmath_cut(log_w, a):
+    # the same cut at 30 digits, each term built from the one before by its ratio
+    with mpmath.workdps(30):
+        w, a, tol = mpmath.exp(mpmath.mpf(log_w)), mpmath.mpf(a), mpmath.mpf(10) ** -18
+        t, peak, n = mpmath.mpf(1), mpmath.mpf(1), 0
+        while True:
+            n += 1
+            ratio = w / (n * (a + n - 1))
+            t *= ratio
+            peak = max(peak, t)
+            if ratio <= 1 and t < tol * peak:
+                return n
+
+
 def _outcome(cut, args, kwargs):
     try:
         result = cut(*args, **kwargs)
     except (ConvergenceError, TruncationError) as exc:
         return type(exc).__name__
     return result if isinstance(result, int) else result.shape[-1] - 1
+
+
+def _large_a(rng, low, high):
+    # log-uniform a in [10^low, 10^high], with w from e^-30 to 2e4 times a
+    a = float(10.0 ** rng.uniform(low, high))
+    return math.log(a) + float(rng.uniform(-30.0, math.log(2e4))), a
 
 
 def _sweep():
@@ -105,18 +156,50 @@ def _sweep():
         yield "explicit", (2.0 * math.log(r), None), {
             "log_tol": math.log(1e-14) + r * r, "error": TruncationError}
     for _ in range(1000):  # a >= 1e12: the peak root once cancelled, the log-terms round
-        a = float(10.0 ** rng.uniform(12, 16))
-        yield "a >= 1e12", (math.log(a) + float(rng.uniform(-30.0, math.log(2e4))), a), {}
+        yield "a >= 1e12", _large_a(rng, 12, 16), {}
+    for _ in range(1000):  # past the former refusal of a >= 1.58788e16
+        yield "a past 1.58788e16", _large_a(rng, math.log10(1.58788e16), 300), {}
+
+
+_EXACT = ("a >= 1e12", "a past 1.58788e16")
+
+
+def _cut_outcome(args, kwargs):
+    # an explicit tolerance on ln t_n of the earlier rule's terms, with
+    # t_0 = 1 / Gamma(a), moved to the largest term t_p, as the cut takes it
+    if "log_tol" in kwargs:
+        log_w, a = args
+        p = _peak(log_w, a)
+        log_peak = p * log_w - math.lgamma(p + 1.0) - (0.0 if a is None else math.lgamma(a + p))
+        kwargs = dict(kwargs, log_tol=kwargs["log_tol"] - log_peak)
+    return _outcome(_series_cut, args, kwargs)
 
 
 def test_the_cut_equals_the_table_scan_on_a_seeded_sweep():
     cases = list(_sweep())
-    assert len(cases) >= 20_000
-    differ = [(group, args, kwargs) for group, args, kwargs in cases
-              if _outcome(_series_cut, args, kwargs) != _outcome(_table_cut, args, kwargs)]
+    assert len(cases) >= 21_000
+    differ = [(group, args, kwargs) for group, args, kwargs in cases if group not in _EXACT
+              and _cut_outcome(args, kwargs) != _outcome(_table_cut, args, kwargs)]
     assert differ == []
     groups = {group for group, _, _ in cases}
-    assert len(groups) == 7
+    assert len(groups) == 8
+
+
+def test_the_cut_is_exact_where_ln_gamma_rounds_it_away():
+    # from a ~ 1e13 the lgamma rule's ln Gamma(a + n) rounds past the 1e-18
+    # cut: it differed from the exact cut in 279 of the 1000 cases with
+    # a >= 1e12 (cutting at 1 where it is 4 at (25.678, 5.261e15), at 59,
+    # just past the peak, where it is 140 at (40.378, 5.898e15)), and
+    # refused every a past 1.58788e16
+    cases = [args for group, args, _ in _sweep() if group in _EXACT]
+    assert len(cases) == 2000
+    assert [args for args in cases if _series_cut(*args) != _exact_cut(*args)] == []
+    assert _series_cut(25.678285440732285, 5260695866332641.0) == 4
+    assert _series_cut(40.37812450444881, 5898042762219487.0) == 140
+    # the exact reference itself against mpmath on a seeded subset
+    rng = np.random.default_rng(36)
+    for i in rng.choice(len(cases), 50, replace=False).tolist():
+        assert _exact_cut(*cases[i]) == _mpmath_cut(*cases[i]), cases[i]
 
 
 def test_the_cut_is_an_int():
@@ -124,17 +207,19 @@ def test_the_cut_is_an_int():
     assert _series_cut(2.0 * math.log(3.0), 2.0) == 19
 
 
-def test_unresolvable_log_terms_are_refused_at_once():
-    # ln t_0 = -ln Gamma(2e100) = -4.6e102: a 41-nat cut rounds onto it, as it
-    # does from ln Gamma(a) = 2^59 on; once a ConvergenceError after the peak scan
-    inside = math.nextafter(specfun._A_LIMIT, 0.0)
-    assert math.lgamma(inside) < 2.0 ** 59
-    for log_w in (2.0 * math.log(1e-3), 0.0, 2.0 * math.log(1e9)):
-        assert _series_cut(log_w, inside) >= 1
-    for a in (specfun._A_LIMIT, 2e100):
-        with pytest.raises(DomainError, match=r"requires a < 1\.58788e\+16 \(k < 7\.9394e\+15 "
-                                              r"where a = 2k\).*" + re.escape(f"got a={a!r}")):
-            _series_cut(0.0, a)
+def test_the_cut_reaches_every_double_a():
+    # a = 2k up to DBL_MAX: n (a + n - 1) overflows there, so the cut takes
+    # each factor's logarithm alone.  Once refused from a = 1.58788e16 on,
+    # as ln Gamma(a) rounded the cut away; a = 2e100 took a 200,000-row
+    # table before that
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in (1.58788e16, 2e100, 1.7976931348623157e308):
+            for log_w in (2.0 * math.log(1e-3), 0.0, min(math.log(a) + 5.0, 709.0)):
+                assert _series_cut(log_w, a) == _exact_cut(log_w, a)
+        # a series whose w is no double cannot be tabulated
+        with pytest.raises(ConvergenceError, match=r"w is no finite double"):
+            _series_cut(math.log(1.7976931348623157e308) + 1.0, 1.7976931348623157e308)
 
 
 @pytest.fixture

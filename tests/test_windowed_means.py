@@ -121,10 +121,11 @@ def test_blocks_partition_the_rows_within_the_entry_bound(a, w):
 
 
 def test_the_window_limit_is_one_error():
-    # one rho just inside _RHO_CUT and one just outside it, at the k that
-    # reaches least
+    # the last rho of the edge below _RHO_CUT and the first past it, at the k
+    # that reaches least.  34392762.818616025, bisected before, is still cut,
+    # but lies past the first rho that is not
     k = phaseops._K_MIN
-    last = 34392762.818616025
+    last = 34392557.93108838
     ratio = kbound_scan([k], [1.0, bgstates._RHO_CUT, last]).ratio[0]
     assert np.all((0.99 < ratio[1:]) & (ratio[1:] < 1.0))
     with pytest.raises(DomainError, match=r"phase series' window is not cut"):
