@@ -49,6 +49,7 @@ from .errors import (
 from .phaseops import _check_k, build_phase_ops
 from .repalg import RepLabel, banded_matvec, build_k1, build_k2
 from .specfun import (
+    _LGAMMA_LIMIT,
     _k_quad,
     _peak_table,
     _series_cut,
@@ -589,18 +590,21 @@ def _g_quadrature(k: float, rho: float) -> tuple[float, float]:
     size = _series_cut(2.0 * math.log(rho), 2.0 * k) + 1
     ln2, ln_top = math.log(2.0), math.log(2.0 * rho)
     # ln of the coefficient of u^{2m + 2k - 1}, and that exponent, formed so
-    # that a tiny k is not rounded away against 2m - 1
+    # that a tiny k is not rounded away against 2m - 1; near the ln_gamma limit
+    # they pass -DBL_MAX: -inf, whose exp 0 is the term's value there
     m = np.arange(size, dtype=np.float64)
-    ln_c = (-2.0 * ln2 * m - (ln_gamma(m + 1.0) + ln_gamma(2.0 * k + m))
-            - (2.0 * k - 1.0) * ln2 - 2.0 * rho)[:, None]
+    with np.errstate(over="ignore"):
+        ln_c = (-2.0 * ln2 * m - (ln_gamma(m + 1.0) + ln_gamma(2.0 * k + m))
+                - (2.0 * k - 1.0) * ln2 - 2.0 * rho)[:, None]
     power = ((2.0 * np.arange(size) - 1.0) + 2.0 * k)[:, None]
     ln_w_top = beta * ln_top
 
     def integrand(t):
         ln_t = np.log(t)
-        terms = np.exp(power * (ln_top + ln_t) + ln_c)
-        # the first term in w: c_0 w^{2k/beta - 1} / beta
-        lead = np.exp((2.0 * k / beta - 1.0) * (ln_w_top + ln_t) + ln_c[0]) / beta
+        with np.errstate(over="ignore"):
+            terms = np.exp(power * (ln_top + ln_t) + ln_c)
+            # the first term in w: c_0 w^{2k/beta - 1} / beta
+            lead = np.exp((2.0 * k / beta - 1.0) * (ln_w_top + ln_t) + ln_c[0]) / beta
         first = math.exp(ln_w_top) * lead + 2.0 * rho * terms[1:].sum(axis=0)
         second = 2.0 * rho * np.exp(2.0 * (ln_top + ln_t)) * terms.sum(axis=0)
         return np.stack([first, second])
@@ -624,6 +628,9 @@ def g_k(k: float, rho: float) -> float:
     check_domain("rho", rho, "nonnegative real")
     if rho == 0.0:
         return 0.0
+    if not 2.0 * k < _LGAMMA_LIMIT:
+        raise DomainError(f"g_k requires 2k < {_LGAMMA_LIMIT!r}, where ln Gamma(2k) of its "
+                          f"series overflows, got k={k!r}")
     if rho < 1e-7 and rho * rho < sys.float_info.epsilon * k:
         # leading series term, where the next one, down by about rho^2/(2k),
         # is below rounding

@@ -45,7 +45,6 @@ from .repalg import (
     _ladder,
     band_gap,
     banded_matmul,
-    banded_matvec,
 )
 
 __all__ = [
@@ -301,14 +300,15 @@ def cos_squared_diag_asymptote(k: float, n: int) -> float:
     return 0.5 * (1.0 + 0.25 * (1.0 + 4.0 * q) / (x * x))
 
 
-def _sturm_count(off_sq: list, x: float, pivmin: float) -> int:
-    # eigenvalues of the zero-diagonal symmetric tridiagonal below x: the
-    # negative pivots of the LDL^T factorization of T - x I (Sylvester's law
-    # of inertia).  A zero pivot is replaced by -pivmin, which counts that
-    # eigenvalue.
+def _sturm_count(diag: list, off_sq: list, pivmin: float, x: float) -> int:
+    # eigenvalues below x of the symmetric tridiagonal T with diagonal diag and
+    # squared off-diagonal off_sq: the negative pivots of the LDL^T
+    # factorization of T - x I (Sylvester's law of inertia).  A zero pivot is
+    # replaced by -pivmin, which counts that eigenvalue.  On a zero diagonal
+    # 0.0 - x is exactly -x, so the cos band is counted as with no diagonal.
     count, pivot = 0, 1.0
-    for b2 in [0.0] + off_sq:
-        pivot = -x - b2 / pivot
+    for d, b2 in zip(diag, [0.0] + off_sq):
+        pivot = d - x - b2 / pivot
         if pivot == 0.0:
             pivot = -pivmin
         if pivot < 0.0:
@@ -329,14 +329,15 @@ def _cos_band(pair: PhaseOperatorPair, caller: str) -> np.ndarray:
     return off.astype(np.float64)
 
 
-def _sturm_setup(off: np.ndarray) -> tuple[list, float, float]:
-    # squared off-diagonal, pivot floor and rounding window of the Sturm count
-    # on the zero-diagonal band: both routes that count or solve on it carry
-    # backward errors of a few eps * ||T||, and ||T|| <= 2 max|off|
+def _sturm_band(diag: np.ndarray, off: np.ndarray) -> tuple[tuple[list, list, float], float]:
+    # the diagonal, squared off-diagonal and pivot floor that _sturm_count
+    # reads, and the rounding window of the counts on the cos band T: every
+    # route that counts or solves on it carries backward errors of a few
+    # eps * ||T||, and ||T|| <= 2 max|off|
     off_sq = off * off
     pivmin = sys.float_info.min * max(1.0, float(np.max(off_sq, initial=0.0)))
-    delta = 128.0 * _EPS * float(np.max(np.abs(off), initial=0.0))
-    return off_sq.tolist(), pivmin, delta
+    return ((diag.tolist(), off_sq.tolist(), pivmin),
+            128.0 * _EPS * float(np.max(np.abs(off), initial=0.0)))
 
 
 def _half_size_band(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -425,9 +426,9 @@ def phase_spectrum(pair: PhaseOperatorPair) -> np.ndarray:
     cos_eigs = np.concatenate([-s[::-1], np.zeros(dim % 2), s])
 
     t = 1.0 + _VERDICT_TOL
-    off_sq, pivmin, delta = _sturm_setup(off)
-    above = dim - _sturm_count(off_sq, t, pivmin)
-    below = _sturm_count(off_sq, -t, pivmin)
+    band, delta = _sturm_band(np.zeros(dim), off)
+    above = dim - _sturm_count(*band, t)
+    below = _sturm_count(*band, -t)
     for what, count, sure, possible in (
         ("above", above, cos_eigs > t + delta, cos_eigs > t - delta),
         ("below", below, cos_eigs < -t - delta, cos_eigs < -t + delta),
@@ -438,34 +439,6 @@ def phase_spectrum(pair: PhaseOperatorPair) -> np.ndarray:
                 f"gives {int(np.sum(sure))}..{int(np.sum(possible))} at k={pair.k}, dim={dim}"
             )
     return cos_eigs
-
-
-def _inverse_step(off: list, mu: float, floor: float) -> np.ndarray:
-    # one step of inverse iteration on the zero-diagonal band T by the twisted
-    # factorization: LDL^T from the top and UDU^T from the bottom of T - mu I
-    # meet at the row r where gamma_r = D+_r + D-_r + mu is smallest, and
-    # x = (T - mu I)^{-1} gamma_r e_r follows from the two unit factors with
-    # x_r = 1 (Parlett & Dhillon, Linear Algebra Appl. 309 (2000) 121).
-    # A pivot below floor in size is set to +-floor: x changes, the
-    # residual bound it is used for stays valid.
-    dim = len(off) + 1
-
-    def pivots(band):
-        out, pivot = [], -mu
-        for b in band + [0.0]:
-            out.append(pivot if abs(pivot) >= floor else math.copysign(floor, pivot))
-            pivot = -mu - b * b / out[-1]
-        return out
-
-    top, bottom = pivots(off), pivots(off[::-1])[::-1]
-    r = min(range(dim), key=lambda i: abs(top[i] + bottom[i] + mu))
-    x = [0.0] * dim
-    x[r] = 1.0
-    for i in range(r - 1, -1, -1):
-        x[i] = -off[i] / top[i] * x[i + 1]
-    for i in range(r + 1, dim):
-        x[i] = -off[i - 1] / bottom[i] * x[i - 1]
-    return np.array(x)
 
 
 def phase_extremes(pair: PhaseOperatorPair, count: int) -> np.ndarray:
@@ -481,22 +454,36 @@ def phase_extremes(pair: PhaseOperatorPair, count: int) -> np.ndarray:
     doubles; the bracket holds the eigenvalue, and its midpoint mu is
     returned (Barth, Martin & Wilkinson, Numer. Math. 9 (1967) 386).
 
-    Inverse iteration: one O(n) twisted-factorization solve of
-    (T - mu I) x = gamma e_r gives a vector whose residual, formed by a
-    separate band product, bounds the distance from mu to the spectrum:
-    min |lambda - mu| <= ||T x - mu x|| / ||x|| (Parlett, The Symmetric
-    Eigenvalue Problem, SIAM 1998, section 4.5).  That bound must lie within
-    the rounding window 128 eps max|off| of the Sturm count; otherwise
-    TruncationError is raised.  A band that is not finite, or has an entry
-    past ``_BAND_MAX``, raises DomainError.
+    Check: the half-size band B^T B of :func:`phase_spectrum`, whose m =
+    floor(dim/2) eigenvalues are sigma^2 for the cos eigenvalues sigma >= 0,
+    counts N(x) = dim - m + #{sigma^2 < x^2} cos eigenvalues below x > 0,
+    and m - #{sigma^2 < x^2} below x <= 0.  Its Sturm counts must bracket
+    the bisected index within the window delta = 128 eps max|off| of both
+    counts, N(mu - delta) <= index < N(mu + delta), else TruncationError is
+    raised.  Near 0 that count is coarser than delta (its squares carry
+    errors of a few eps, not eps |mu|); a phase band's extremes lie near +-1.
+    Both run on the band scaled by a power of two to max|off| in [1/2, 1),
+    which every count and midpoint follows exactly but for the floor of an
+    exact zero pivot: no square overflows, and a subnormal one errs by
+    5e-324 at most against a norm near 1.  A band that is not finite, or
+    has an entry past ``_BAND_MAX``, raises DomainError.
     """
     off = _cos_band(pair, "phase_extremes")
-    dim = pair.dim
+    dim, half = pair.dim, pair.dim // 2
     count = check_domain("count", count, "positive integer")
     if count > dim:
         raise DomainError(f"phase_extremes requires 1 <= count <= dim={dim}, got {count}")
-    off_sq, pivmin, delta = _sturm_setup(off)
-    off_list = off.tolist()
+    shift = -math.frexp(float(np.max(np.abs(off))))[1]
+    off = np.ldexp(off, shift)
+    band, delta = _sturm_band(np.zeros(dim), off)
+    diag, sub = _half_size_band(off)  # sub holds a dummy entry at half = 1
+    squares, _ = _sturm_band(diag, sub[: half - 1])
+
+    def below(x: float) -> int:
+        # N(x): every -sigma, the odd dim's 0 and the sigma < x, or the -sigma < x
+        n = _sturm_count(*squares, x * x)
+        return dim - half + n if x > 0.0 else half - n
+
     scale = float(np.max(np.abs(off)))
     tops = []
     for index in range(dim - count, dim):
@@ -505,19 +492,19 @@ def phase_extremes(pair: PhaseOperatorPair, count: int) -> np.ndarray:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
                 break
-            if _sturm_count(off_sq, mid, pivmin) > index:
+            if _sturm_count(*band, mid) > index:
                 hi = mid
             else:
                 lo = mid
         mu = 0.5 * (lo + hi)
-        x = _inverse_step(off_list, mu, _EPS * scale)
-        x /= np.max(np.abs(x))
-        tx = banded_matvec({-1: off, 1: off}, x)
-        check_route("inverse iteration and bisection",
-                    np.linalg.norm(tx - mu * x) / np.linalg.norm(x), delta,
-                    context=f"at the bisected eigenvalue {mu!r}, k={pair.k}, dim={dim}")
+        counts = below(mu - delta), below(mu + delta)
+        if not counts[0] <= index < counts[1]:
+            raise TruncationError(
+                f"Sturm counts of the half-size band are {counts[0]} and {counts[1]} below "
+                f"mu -+ {math.ldexp(delta, -shift):.3e}, which do not bracket index {index} of "
+                f"the bisected eigenvalue mu={math.ldexp(mu, -shift)!r} at k={pair.k}, dim={dim}")
         tops.append(mu)
-    return np.array(tops)
+    return np.ldexp(tops, -shift)
 
 
 def spectrum_verdict(eigenvalues: np.ndarray) -> str:

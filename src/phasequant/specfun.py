@@ -444,8 +444,9 @@ def _i_series(nu: float, x: float, scale: float) -> float:
     parts = [nu * log_half, -ln_gamma(a), -scale, math.log(total), *np.log(rise).tolist()]
     log_value = math.fsum(parts)
     if log_value <= _LOG_MAX:
-        # e^{log_value} alone would add |log_value| eps / 2; the residual restores it
-        value = math.exp(log_value) * (1.0 + math.fsum([*parts, -log_value]))
+        # e^{log_value} alone would add |log_value| eps / 2; the residual restores
+        # it.  Past 2^53 it can pass -1 where the exp is 0: abs keeps that 0 positive
+        value = abs(math.exp(log_value) * (1.0 + math.fsum([*parts, -log_value])))
         if value < math.inf:
             return value
     what = "e^-x I_nu(x)" if scale else "I_nu(x)"
@@ -490,6 +491,9 @@ def _check_i_domain(name: str, nu: float, x: float) -> None:
     check_domain("x", x, "nonnegative real", message)
     if not nu > -1.0 or (nu < 0.0 and x == 0.0):
         raise DomainError(message)
+    if not nu + 1.0 < _LGAMMA_LIMIT:
+        raise DomainError(f"{name} requires nu + 1 < {_LGAMMA_LIMIT!r}, where ln Gamma(nu + 1) "
+                          f"of its series overflows, got nu={nu!r}")
 
 
 def bessel_i(nu: float, x: float) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +56,8 @@ def _sum_squares_diagonal(k: float, dim: int) -> np.ndarray:
 
 
 def _specfun_checks(results: list) -> None:
-    rng = np.random.default_rng(101)
-    points = [(float(rng.uniform(1.0, 10.0)), float(rng.uniform(0.1, 50.0)))
+    rng = random.Random(101)
+    points = [(rng.uniform(1.0, 10.0), rng.uniform(0.1, 50.0))
               for _ in range(20)]
 
     def recurrence():
@@ -259,11 +260,11 @@ def _bgstates_checks(results: list) -> None:
         return gap < 1e-12, f"| ||c||^2 - 1 | = {gap:.3e}"
 
     def cauchy_schwarz():
-        rng = np.random.default_rng(7)
+        rng = random.Random(7)
         worst = 0.0
         strict_ok = True
         for _ in range(30):
-            k = float(rng.uniform(0.3, 2.5))
+            k = rng.uniform(0.3, 2.5)
             z1 = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             z2 = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             s1 = bgstates.make_bg_state(k, z1)
@@ -371,13 +372,13 @@ def _fockreal_checks(results: list) -> None:
 
 def _nfm_checks(results: list) -> None:
     def round_trip():
-        rng = np.random.default_rng(13)
+        rng = random.Random(13)
         worst = 0.0
         for _ in range(1000):
             cfg = nfm.ClassicalConfig(
-                I1=float(rng.uniform(0.001, 1000.0)),
-                I2=float(rng.uniform(0.001, 1000.0)),
-                phi=float(rng.uniform(-math.pi, math.pi)),
+                I1=rng.uniform(0.001, 1000.0),
+                I2=rng.uniform(0.001, 1000.0),
+                phi=rng.uniform(-math.pi, math.pi),
             )
             obs = nfm.classical_observables(nfm.classical_readings(cfg))
             p = math.sqrt(cfg.I1 * cfg.I2)
@@ -406,12 +407,12 @@ def _nfm_checks(results: list) -> None:
         )
 
     def gauge_invariance():
-        rng = np.random.default_rng(17)
+        rng = random.Random(17)
         worst = 0.0
         for _ in range(200):
-            a1, a2 = float(rng.uniform(0.1, 10)), float(rng.uniform(0.1, 10))
-            p1, p2 = float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3))
-            c = float(rng.uniform(-5, 5))
+            a1, a2 = rng.uniform(0.1, 10), rng.uniform(0.1, 10)
+            p1, p2 = rng.uniform(-3, 3), rng.uniform(-3, 3)
+            c = rng.uniform(-5, 5)
             base = nfm.classical_readings(nfm.config_from_amplitudes(a1, p1, a2, p2))
             moved = nfm.classical_readings(
                 nfm.config_from_amplitudes(a1, p1 + c, a2, p2 + c))

@@ -136,7 +136,8 @@ class TestUsageErrors:
 
     def test_quadrature_paths_leave_scipy_integrate_unloaded(self):
         # completeness needs numpy alone; nothing, the verify battery with its
-        # bisected containment checks included, loads any scipy module
+        # bisected containment checks included, loads any scipy module, and
+        # the battery's seeded points load no numpy.random
         code = (
             "import sys, tempfile, os\n"
             "from phasequant import bgstates, cli, specfun, verify\n"
@@ -149,6 +150,7 @@ class TestUsageErrors:
             "specfun.bessel_k(2.3, 0.7)\n"
             "verify.run_all()\n"
             "assert scipy_mods() == [], scipy_mods()\n"
+            "assert 'numpy.random' not in sys.modules\n"
             "print('ok')\n"
         )
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -156,6 +156,30 @@ def test_spectrum_routes_refuse_a_band_whose_squares_overflow(route):
     assert top == pytest.approx(math.sqrt(2.0) / math.sqrt(1e-308) / 4.0, rel=1e-12)
 
 
+_LGAMMA_LIMIT = 2.5599833278516387e+305
+
+
+@pytest.mark.parametrize("call, inside, outside, message", [
+    # g_k reads ln Gamma(2k); its quadrature's exponents reach -inf near
+    # t = 0 just inside the limit, which once raised an overflow warning
+    (lambda k: bgstates.g_k(k, 1.0), 1.2e305, _LGAMMA_LIMIT / 2,
+     r"g_k requires 2k < 2\.5599833278516387e\+305, .* got k=1\.2799916639258194e\+305"),
+    (lambda nu: specfun.bessel_i(nu, 2.0), math.nextafter(_LGAMMA_LIMIT, 0.0), _LGAMMA_LIMIT,
+     r"bessel_i requires nu \+ 1 < 2\.5599833278516387e\+305, .* got nu=2\.55998"),
+    (lambda nu: specfun.bessel_i_scaled(nu, 2.0), 2.5e305, 3e305,
+     r"bessel_i_scaled requires nu \+ 1 < 2\.5599833278516387e\+305, .* got nu=3e\+305"),
+])
+def test_ln_gamma_limits_are_named_by_their_callers(call, inside, outside, message):
+    assert specfun._LGAMMA_LIMIT == _LGAMMA_LIMIT
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = call(inside)
+        # e^{-ln Gamma} underflows: a zero, and not a negative one
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        with pytest.raises(DomainError, match=message):
+            call(outside)
+
+
 @pytest.mark.parametrize("make", [
     lambda: bgstates.make_bg_state(1.0, complex(math.inf, 0.0)),
     lambda: bgstates.make_bg_state(1.0, complex(0.0, math.nan)),

@@ -362,17 +362,26 @@ def test_spectrum_bounded_and_filling_for_k1():
 def test_sturm_counts_match_lapack(k, dim):
     from scipy.linalg import eigvalsh_tridiagonal
 
+    # the one count routine on the cos band and on its half-size band B^T B
     off = build_phase_ops(RepLabel(k=k), dim).cos.diagonals[-1].real.astype(np.float64)
     eigs = eigvalsh_tridiagonal(np.zeros(dim), off)
-    off_sq = (off * off).tolist()
+    diag, sub = phaseops._half_size_band(off)
+    sub = sub[: dim // 2 - 1]
+    squares = eigvalsh_tridiagonal(diag, sub)
+    band, _ = phaseops._sturm_band(np.zeros(dim), off)
+    half, _ = phaseops._sturm_band(diag, sub)
     for x in (1.0 + 1e-12, -1.0 - 1e-12, 0.5, -0.3):
-        assert phaseops._sturm_count(off_sq, x, 1e-300) == int(np.sum(eigs < x))
+        assert phaseops._sturm_count(*band, x) == int(np.sum(eigs < x))
+        assert phaseops._sturm_count(*half, x * x) == int(np.sum(squares < x * x))
 
 
 def test_sturm_count_zero_pivot_counts_the_eigenvalue():
     # [[0, 1], [1, 0]] at x = 0 hits an exact zero pivot; eigenvalues are -1, 1
-    assert phaseops._sturm_count([1.0], 0.0, 1e-300) == 1
-    assert phaseops._sturm_count([1.0], 1.0, 1e-300) == 2
+    assert phaseops._sturm_count([0.0, 0.0], [1.0], 1e-300, 0.0) == 1
+    assert phaseops._sturm_count([0.0, 0.0], [1.0], 1e-300, 1.0) == 2
+    # [[2, 1], [1, 2]], eigenvalues 1 and 3, on its diagonal
+    assert phaseops._sturm_count([2.0, 2.0], [1.0], 1e-300, 1.0) == 1
+    assert phaseops._sturm_count([2.0, 2.0], [1.0], 1e-300, 3.0) == 2
 
 
 def _counting_solver(monkeypatch, shift=None, info=None):
@@ -530,16 +539,46 @@ def test_phase_extremes_match_phase_spectrum(k, dim, count):
     assert np.max(np.abs(tops - eigs[-count:])) <= window
 
 
-def test_phase_extremes_inverse_iteration_catches_a_corrupted_band(monkeypatch):
-    # the bisection counts on a band scaled by 1.0001 while the residual is
-    # taken on the true one: the top eigenvalue moves 1e-4, far outside the
-    # window
-    count = phaseops._sturm_count
-    monkeypatch.setattr(phaseops, "_sturm_count",
-                        lambda off_sq, x, pivmin:
-                        count([1.0002 * v for v in off_sq], x, pivmin))
+@pytest.mark.parametrize("k", [0.5, 1.0])
+@pytest.mark.parametrize("dim", [7, 8])
+def test_phase_extremes_of_the_whole_spectrum(k, dim):
+    # every eigenvalue: the negative ones, and the odd dim's 0, are counted
+    # on the half-size band by its branch for x <= 0
+    pair = build_phase_ops(RepLabel(k=k), dim)
+    off = pair.cos.diagonals[-1].real.astype(np.float64)
+    window = 128.0 * np.finfo(np.float64).eps * np.max(np.abs(off))
+    assert np.max(np.abs(phase_extremes(pair, dim) - phase_spectrum(pair))) <= window
+
+
+@pytest.mark.parametrize("entry", [1e100, 1e-158, 1e-300])
+def test_phase_extremes_of_a_band_far_from_unit_size(entry):
+    # a constant cos band c has eigenvalues 2c cos(j pi/(dim+1)); unscaled,
+    # the squares of 1e100 overflow in B^T B, and those of 1e-158 lose digits
+    # as subnormals, where the bisection once read 3e-8 off (0 at 1e-300), unflagged
+    pair = PhaseOperatorPair(np.full(9, entry), 1.0)
+    exact = entry * np.cos(np.array([2.0, 1.0]) * np.pi / 11.0)
+    assert np.max(np.abs(phase_extremes(pair, 2) / exact - 1.0)) <= 1e-15
+
+
+def test_phase_extremes_answer_at_dim_200000():
+    # the edge row: the one-step inverse iteration that once checked the
+    # bisection could not hold the window here, 1.776e-14 against 1.507e-14
+    pair = build_phase_ops(RepLabel(k=1.0), 200000)
+    off = pair.cos.diagonals[-1].real.astype(np.float64)
+    window = 128.0 * np.finfo(np.float64).eps * np.max(np.abs(off))
+    assert abs(float(phase_extremes(pair, 1)[0]) - 0.9999999999206299) <= window
+
+
+def test_phase_extremes_count_check_catches_a_corrupted_band(monkeypatch):
+    # the check counts on a half-size band formed from the band scaled by
+    # 1.0001 while the bisection counts on the true one: its top two
+    # eigenvalues move past the bisected top, far outside the window
+    half_size_band = phaseops._half_size_band
+    monkeypatch.setattr(phaseops, "_half_size_band", lambda off: half_size_band(1.0001 * off))
     pair = build_phase_ops(RepLabel(k=1.0), 400)
-    with pytest.raises(TruncationError, match="inverse iteration"):
+    with pytest.raises(TruncationError, match=r"half-size band are 398 and 398 below mu -\+ "
+                                              r"1\.507e-14, which do not bracket index 399 of "
+                                              r"the bisected eigenvalue mu=0\.99997867770"):
         phase_extremes(pair, 1)
 
 

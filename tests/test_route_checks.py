@@ -196,10 +196,11 @@ def test_spectrum_refuses_a_nan_sin_band():
         phase_extremes(skewed, 1)
 
 
-def test_extremes_refuse_a_nan_residual(monkeypatch):
-    monkeypatch.setattr(phaseops, "_inverse_step",
-                        lambda off, mu, floor: np.full(len(off) + 1, np.nan))
-    with pytest.raises(TruncationError, match="inverse iteration"):
+def test_extremes_refuse_a_nan_count_band(monkeypatch):
+    # a NaN half-size band counts nothing below either end of the window
+    monkeypatch.setattr(phaseops, "_half_size_band",
+                        lambda off: (np.full(8, np.nan), np.full(8, np.nan)))
+    with pytest.raises(TruncationError, match="Sturm counts of the half-size band"):
         phase_extremes(build_phase_ops(RepLabel(k=1.0), 16), 1)
 
 
