@@ -6,7 +6,9 @@ coefficients are
     c_n = S^{-1/2} z^n / sqrt(n! (2k)_n),  S = sum_n rho^{2n} / (n! (2k)_n) = 0F1(; 2k; rho^2)
 
 (DLMF 10.25.2; Barut & Girardello, Commun. Math. Phys. 21 (1971) 41): the
-state is normalized by the table of its own terms.  Every expectation value
+state is normalized by the table of its own terms, and built wherever its
+tail cut lies within specfun's 200000 terms (rho <= 141420.3 at every k);
+leading coefficients past about rho = 747 underflow to 0.  Every expectation value
 in this module is produced twice, once in closed form through series means
 over the state's or the phase table and once by truncated sums over the
 stored coefficients, and construction fails loudly if the routes drift apart.
@@ -38,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import repalg, specfun
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -87,11 +90,6 @@ _ROUTE_TOL = 1e-10
 _SUP_TOL = 1e-9
 # relative bound on the moment quadrature's error estimate plus its tail
 _QUADRATURE_TOL = 1e-9
-# logarithm of the smallest subnormal double
-_LOG_MIN_DOUBLE = math.log(math.ulp(0.0))
-# make_bg_state's refusal, given k, rho and what bounds ln|c_0|
-_C0_UNDERFLOWS = ("make_bg_state: c_0 underflows at k={!r}, rho={!r}: ln|c_0| {} is below "
-                  f"{_LOG_MIN_DOUBLE:.6g}, that of the smallest double")
 # the largest rho whose 2 rho, the Bessel argument, is a finite double
 _RHO_MAX = sys.float_info.max / 2.0
 # the phase series' window of every k is cut within specfun's 200000 terms
@@ -124,6 +122,7 @@ class BGState:
 
     ``coeffs[n]`` is the exact infinite-state coefficient, not renormalized
     after truncation, so sum(|coeffs|^2) = 1 - tail with tail < tail_tol.
+    ``coeffs[0]`` is real and nonnegative: 0 where it underflows.
     """
 
     k: float
@@ -138,8 +137,8 @@ class BGState:
         if self.coeffs.shape != (self.dim,):
             raise DimensionMismatchError("coefficient vector length differs from dim")
         c0 = complex(self.coeffs[0])
-        if not (c0.imag == 0.0 and c0.real > 0.0):
-            raise DomainError("coeffs[0] must be real positive in this phase convention")
+        if not (c0.imag == 0.0 and c0.real >= 0.0):
+            raise DomainError("coeffs[0] must be real nonnegative in this phase convention")
 
     @property
     def rho(self) -> float:
@@ -194,16 +193,17 @@ def make_bg_state(k: float, z: complex, dim: int | None = None,
     """Construct |k,z> truncated where the coefficient tail is below tail_tol.
 
     With dim omitted, the smallest adequate dimension is chosen; an explicit
-    dim smaller than that raises.  The coefficients, S, the c_0 check and
-    the tail cut read one table of the amplitudes rho^n / sqrt(n! (2k)_n)
-    relative to the largest, multiplied out from their ratios.  Before the
-    state is returned, the lowering-operator eigenvalue relation is verified
-    row by row on the interior, and the tail 1 - sum |c_n|^2 must lie in
-    [0, tail_tol] to 4 dim eps (TruncationError otherwise).
-    k must be at least ``phaseops._K_MIN`` with 2k finite.  A state whose
-    c_0 underflows raises ``DomainError``: ln|c_0| below that of the
-    smallest double, about -744.4 (k = 1/2 past rho of about 745), or below
-    -17328.7 where the series is not cut within specfun's 200000 terms.
+    dim smaller than that raises.  The coefficients, S and the tail cut read
+    one table of the amplitudes rho^n / sqrt(n! (2k)_n) relative to the
+    largest, multiplied out from their ratios; those below the smallest
+    double are 0 (c_0 from rho = 746.7 on at k = 1/2).  Their phases
+    e^{i n arg z} are rounded once from repalg's storage precision.  The
+    K- c = z c rows are verified on the interior, and the tail
+    1 - sum |c_n|^2 must lie in [0, tail_tol] to 4 dim eps (TruncationError
+    otherwise).  k must be at least ``phaseops._K_MIN`` with 2k finite.  The
+    tail cut, near n = sqrt(2) rho at small k, must lie within specfun's
+    200000 terms (rho <= 141420.3 at the smallest k, 141421.0 at k = 1);
+    past that one DomainError names the bound at k.
     """
     _check_k(k, "make_bg_state")
     check_domain("2k", 2.0 * k)
@@ -211,48 +211,38 @@ def make_bg_state(k: float, z: complex, dim: int | None = None,
     z = complex(z)
     rho = _check_rho(abs(z), "make_bg_state")
 
-    if rho == 0.0:
-        needed = 1
-    else:
-        log_w = 2.0 * math.log(rho)
-        try:
-            size = _series_cut(log_w, 2.0 * k) + 1
-        except ConvergenceError:
-            # a term peak past n = 1e5, half the budget, has the term ratio
-            # rho^2/(n (2k+n-1)) >= 2 up to n = 5e4: ln|c_0| < -(5e4/2) ln 2 = -17328.7
-            if not log_w >= math.log(1e5) + math.log(2.0 * k + (1e5 - 1.0)):
-                raise
-            raise DomainError(_C0_UNDERFLOWS.format(k, rho, "< -17328.7")) from None
-        # the amplitudes sqrt(t_n / t_p) of t_n = rho^{2n} / (n! (2k)_n), so that
-        # S = t_p sum amp^2, and ln sqrt(t_p / t_0) with t_0 = 1
-        table, ln_peak = _peak_table(rho, math.log(rho), 2.0 * k, size, root=True)
-        amp, ln_peak = table[0], float(ln_peak[0])
+    # ln rho^2; at rho = 0 the table keeps t_0 alone
+    log_w = 2.0 * math.log(rho) if rho else -math.inf
+    try:
+        size = _series_cut(log_w, 2.0 * k) + 1
+        # the amplitudes sqrt(t_n / t_p) of t_n = rho^{2n} / (n! (2k)_n), so
+        # that S = t_p sum amp^2; those far below the peak are 0
+        amp = _peak_table(rho, 0.5 * log_w, 2.0 * k, size, root=True)[0][0]
         total = float(np.sum(amp * amp))
-        # checked before the tail cut, which past rho ~ 1e5 fails first
-        log_c0 = -(ln_peak + 0.5 * math.log(total))
-        if not log_c0 >= _LOG_MIN_DOUBLE:
-            raise DomainError(_C0_UNDERFLOWS.format(k, rho, f"= {log_c0:.6g}"))
         # the first n past which terms halve, t_n below tail_tol S = tail_tol
         # t_p total and, above rho = 1, below that over rho
         log_tol = math.log(tail_tol) + math.log(total) - max(0.0, 0.5 * log_w)
-        needed = _series_cut(log_w, 2.0 * k, log_tol, ratio=0.5, error=TruncationError)
+        needed = _series_cut(log_w, 2.0 * k, log_tol, ratio=0.5)
+    except ConvergenceError:
+        # that cut lies at the first n from which the terms halve,
+        # rho^2 <= n (2k + n - 1) / 2, wherever it nears the budget: the
+        # bound at its last index (within 2e-12 of the one bisected at the
+        # smallest k, k = 1/2 and k = 1), or where rho^2 overflows
+        last = specfun._MAX_TERMS - 1
+        bound = min(math.sqrt(0.5 * last) * math.sqrt(2.0 * k + (last - 1.0)),
+                    math.sqrt(sys.float_info.max))
+        raise DomainError(f"make_bg_state: the state's series is not cut within {last + 1} "
+                          f"terms at k={k!r}, rho={rho!r}: at this k it is cut up to "
+                          f"rho = {bound!r}") from None
     if dim is None:
         dim = needed
     elif check_domain("dim", dim, "positive integer") < needed:
         raise TruncationError(
             f"dim={dim} cannot meet tail_tol={tail_tol}; need at least {needed}"
         )
-
-    coeffs = np.zeros(dim, dtype=np.complex128)
-    if rho == 0.0:
-        coeffs[0] = 1.0
-    else:
-        if dim > size:
-            amp = _peak_table(rho, math.log(rho), 2.0 * k, dim, root=True)[0][0]
-        theta = math.atan2(z.imag, z.real)  # cmath.phase raises on a subnormal angle
-        coeffs = amp[:dim] / math.sqrt(total) * np.exp(1j * theta * np.arange(dim))
-        if not amp[0] >= sys.float_info.min:
-            coeffs[0] = math.exp(log_c0)  # the product lost digits below normal
+    if dim > size:
+        amp = _peak_table(rho, 0.5 * log_w, 2.0 * k, dim, root=True)[0][0]
+    coeffs = amp[:dim] / math.sqrt(total) * _turns(z, 0j, dim)
 
     state = BGState(k=k, z=z, dim=dim, coeffs=coeffs, tail_tol=tail_tol)
 
@@ -294,6 +284,15 @@ def eigenvector_residual(state: BGState) -> float:
     return float(np.linalg.norm(_kminus_rows(state)))
 
 
+def _turns(z1: complex, z2: complex, size: int) -> np.ndarray:
+    # e^{i n theta}, 0 <= n < size, theta = arg z1 - arg z2, with theta and
+    # n theta formed in repalg's storage precision and rounded once: formed
+    # in doubles, n theta carries about n ulp(theta) (2.25e-13 rad at n = 707)
+    real = repalg._REAL
+    theta = np.arctan2(real(z1.imag), real(z1.real)) - np.arctan2(real(z2.imag), real(z2.real))
+    return np.exp(1j * (theta * np.arange(size, dtype=real))).astype(np.complex128)
+
+
 def _overlap_closed(k: float, z1: complex, z2: complex) -> complex:
     # S(conj(z2) z1) / sqrt(S(rho1^2) S(rho2^2)), S(w) = sum_n t_n with
     # t_n = w^n / (n! (2k)_n), as one series mean: the rows rho1 rho2, rho1^2
@@ -305,9 +304,8 @@ def _overlap_closed(k: float, z1: complex, z2: complex) -> complex:
     log_w = np.array([ln1 + ln2, 2.0 * ln1, 2.0 * ln2])
     terms, ln_peak = _peak_table(np.array([rho1 * rho2, rho1 * rho1, rho2 * rho2]), log_w,
                                  2.0 * k, _series_cut(log_w, 2.0 * k) + 1)
-    theta = math.atan2(z1.imag, z1.real) - math.atan2(z2.imag, z2.real)
-    angle = theta * np.arange(terms.shape[1])
-    means, total = _weighted_means(terms, (np.cos(angle), np.sin(angle)), 1.0)
+    turns = _turns(z1, z2, terms.shape[1])
+    means, total = _weighted_means(terms, (turns.real, turns.imag), 1.0)
     ln_s = np.log(total) + ln_peak
     return complex(*means[0]) * math.exp(ln_s[0] - 0.5 * (ln_s[1] + ln_s[2]))
 

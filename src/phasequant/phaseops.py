@@ -503,7 +503,7 @@ def phase_extremes(pair: PhaseOperatorPair, count: int) -> np.ndarray:
                 f"Sturm counts of the half-size band are {counts[0]} and {counts[1]} below "
                 f"mu -+ {math.ldexp(delta, -shift):.3e}, which do not bracket index {index} of "
                 f"the bisected eigenvalue mu={math.ldexp(mu, -shift)!r} at k={pair.k}, dim={dim}")
-        tops.append(mu)
+        tops.append(mu + 0.0)  # +0.0 for the odd dim's 0, as phase_spectrum gives it
     return np.ldexp(tops, -shift)
 
 

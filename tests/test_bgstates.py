@@ -5,6 +5,7 @@ series and Bessel quotients.
 """
 
 import cmath
+import json
 import math
 import sys
 import warnings
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phasequant import bgstates, phaseops, specfun
+from phasequant import bgstates, cli, nfm, phaseops, specfun
 from phasequant.bgstates import (
     BGState,
     b_ratio,
@@ -197,18 +198,21 @@ def test_state_and_means_against_mpmath_over_the_whole_range():
     # k log-uniform from the k floor to 1e6 and rho from 1e-3 to 700, at 30
     # digits: every coefficient that is a normal double within 1e-13, and
     # b_k, <K3> and <cos> within 1e-15.  With ln Gamma(2k+n) in the phase
-    # table and n ln w in the state's, they were 1.8e-12 and 1.0e-13 off
+    # table and n ln w in the state's, they were 1.8e-12 and 1.0e-13 off.
+    # Two cells, whose c_0 underflows, were refused until the state took
+    # c_0 = 0; at (3.92e-179, 686.9) c_898 was then 1.09e-13 off while the
+    # phases n arg z were formed in doubles, and c_707 at the added cell
+    # (2, 650 e^{2.9i}) 2.25e-13
     rng = np.random.default_rng(2034)
-    cells = zip(np.exp(rng.uniform(math.log(phaseops._K_MIN), math.log(1e6), 40)).tolist(),
-                np.exp(rng.uniform(math.log(1e-3), math.log(700.0), 40)).tolist(),
-                rng.uniform(-math.pi, math.pi, 40).tolist())
+    cells = [*zip(np.exp(rng.uniform(math.log(phaseops._K_MIN), math.log(1e6), 40)).tolist(),
+                  np.exp(rng.uniform(math.log(1e-3), math.log(700.0), 40)).tolist(),
+                  rng.uniform(-math.pi, math.pi, 40).tolist()), (2.0, 650.0, 2.9)]
     refused = 0
     with mpmath.workdps(30):
         for k, rho, phi in cells:
             try:
                 state = make_bg_state(k, rho * cmath.exp(1j * phi))
-            except DomainError as exc:  # c_0 below the smallest double
-                assert "c_0 underflows" in str(exc)
+            except DomainError:
                 refused += 1
                 continue
             b, ratio, total = _phase_series_means(k, state.rho)
@@ -224,22 +228,48 @@ def test_state_and_means_against_mpmath_over_the_whole_range():
             assert abs(b_ratio(k, state.rho) - b) <= 1e-15 * b, (k, rho)
             assert abs(k3_moments(state).mean - k3) <= 1e-15 * k3, (k, rho)
             assert abs(phase_expectations(state).cos_mean - cos) <= 1e-15 * abs(cos), (k, rho)
-    assert refused <= 2
+    assert refused == 0
+
+
+def test_coherent_and_nfm_sim_past_the_former_c0_limit(capsys, tmp_path):
+    # k = 1, rho = 1e4 was refused as "c_0 underflows ... ln|c_0| = -9992.46"
+    # until the state took c_0 = 0.  Its b_k, <K3> and <cos> hold the 1e-15
+    # they hold below rho = 700, against the series at 30 digits
+    coh, trials = tmp_path / "coh.json", tmp_path / "trials.csv"
+    assert cli.main(["coherent", "--k", "1", "--rho", "1e4", "--format", "json",
+                     "--out", str(coh)]) == 0
+    assert cli.main(["nfm-sim", "--kind", "bg", "--k", "1", "--rho", "1e4", "--trials", "3",
+                     "--out", str(trials)]) == 0
+    capsys.readouterr()
+    got = json.loads(coh.read_text())
+    truth = nfm.state_truth(nfm.parse_state_spec({"kind": "bg", "k": 1.0, "rho": 1e4}))
+    with mpmath.workdps(30):
+        b, ratio, _ = _phase_series_means(1.0, 1e4)
+        k3 = 1 + 1e4 * b
+        assert got["dim"] == 14142 and got["sin_mean"] == 0.0
+        assert abs(got["b_k"] - b) <= 1e-15 * b
+        assert abs(got["cos_mean"] - ratio) <= 1e-15 * ratio
+        for mean in (got["k3_mean"], truth.mean_k3):
+            assert abs(mean - k3) <= 1e-15 * k3
+    rows = trials.read_text().splitlines()[2:]
+    assert [row.split(",")[:2] for row in rows] == [[str(t), "10000.0"] for t in range(3)]
 
 
 # make_bg_state(k, rho).dim with k log-uniform from the k floor to 1e6 and rho
-# from 1e-3 to 700 (numpy.random.default_rng(41)), 0 for a refusal: recorded
-# while the state read a ln Gamma table, before it read term ratios
+# from 1e-3 to 700 (numpy.random.default_rng(41)): recorded while the state
+# read a ln Gamma table, before it read term ratios.  The entries 798, 951
+# and 778 were 0, refusals of a c_0 that underflows, until the state took
+# c_0 = 0
 FROZEN_DIMS = (
     4, 24, 5, 28, 8, 4, 5, 11, 6, 7, 14, 8, 8, 6, 22, 52, 5, 55, 11, 56, 38, 5, 12, 5, 4, 49,
     188, 34, 18, 63, 10, 29, 37, 2, 8, 4, 257, 353, 20, 4, 4, 8, 35, 11, 4, 4, 10, 304, 5, 169,
     8, 6, 8, 6, 5, 14, 9, 10, 6, 25, 4, 536, 5, 9, 14, 28, 10, 31, 4, 6, 4, 130, 19, 21, 5, 78,
     4, 45, 4, 343, 187, 906, 9, 18, 58, 4, 4, 8, 4, 24, 37, 471, 338, 4, 39, 406, 421, 6, 16, 4,
     4, 734, 6, 31, 24, 237, 6, 5, 51, 40, 14, 4, 68, 8, 5, 26, 7, 5, 39, 4, 44, 7, 4, 4, 25, 232,
-    45, 117, 4, 63, 0, 420, 7, 37, 16, 4, 20, 4, 5, 5, 11, 39, 117, 4, 689, 124, 8, 4, 5, 5, 17,
+    45, 117, 4, 63, 798, 420, 7, 37, 16, 4, 20, 4, 5, 5, 11, 39, 117, 4, 689, 124, 8, 4, 5, 5, 17,
     19, 9, 4, 33, 8, 742, 9, 139, 101, 5, 21, 4, 7, 870, 5, 15, 237, 289, 118, 9, 91, 5, 4, 235,
-    78, 5, 12, 0, 23, 400, 346, 5, 100, 4, 20, 14, 34, 18, 150, 34, 5, 129, 5, 6, 17, 0, 595, 38,
-    167,
+    78, 5, 12, 951, 23, 400, 346, 5, 100, 4, 20, 14, 34, 18, 150, 34, 5, 129, 5, 6, 17, 778, 595,
+    38, 167,
 )
 
 
@@ -293,14 +323,19 @@ def test_construction_validation():
         make_bg_state(1.0, 1.0, tail_tol=0.0)
     with pytest.raises(TruncationError):
         make_bg_state(1.0, 10.0, dim=5)
-    # the series peak lies past the term budget, and c_0 underflows wherever
-    # it does: fails at once on c_0, before the cut
-    with pytest.raises(DomainError, match="c_0 underflows"):
+    # the series peak lies past the term budget: once refused as a c_0 that
+    # underflows, now as a series not cut, with the bound at k
+    with pytest.raises(DomainError, match=r"not cut within 200000 terms at k=0\.5, rho=1e\+300: "
+                                          r"at this k it is cut up to rho = 141420\.649"):
         make_bg_state(0.5, 1e300)
     with pytest.raises(DimensionMismatchError):
         BGState(k=1.0, z=0j, dim=3, coeffs=np.ones(2, dtype=complex), tail_tol=1e-14)
-    with pytest.raises(DomainError):
-        BGState(k=1.0, z=1 + 0j, dim=1, coeffs=np.array([1j]), tail_tol=1e-14)
+    for c0 in (1j, -1.0, -1e-300):
+        with pytest.raises(DomainError, match="real nonnegative"):
+            BGState(k=1.0, z=1 + 0j, dim=1, coeffs=np.array([c0]), tail_tol=1e-14)
+    # 0, the value a c_0 that underflows takes
+    assert BGState(k=1.0, z=1 + 0j, dim=1, coeffs=np.zeros(1, dtype=complex),
+                   tail_tol=1e-14).coeffs[0] == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -345,9 +345,11 @@ class TestValidationErrors:
         # math.lgamma(2k) overflows: once an uncaught OverflowError in the series cut
         (("coherent", "--k", "3e305", "--rho", "1"), "overflows past k = 1.3407807929942596e+154"),
         # the term peak lies past n = 1e5; a ratio cut that forms
-        # n (2k + n - 1) as one product overflows here
+        # n (2k + n - 1) as one product overflows here.  Once refused as
+        # "c_0 underflows ... ln|c_0| < -17328.7"; rho^2 is no double
         (("nfm-sim", "--kind", "bg", "--k", "1.98e306", "--rho", "4.87e257"),
-         "c_0 underflows at k=1.98e+306, rho=4.87e+257: ln|c_0| < -17328.7"),
+         "not cut within 200000 terms at k=1.98e+306, rho=4.87e+257: at this k it is cut up "
+         "to rho = 1.3407807929942596e+154"),
         # k^2 overflows in the K3 second moment: once a RuntimeWarning, then
         # "disagree by nan (tolerance inf)"
         (("coherent", "--k", "1e200", "--rho", "0"), "overflows past k = 1.3407807929942596e+154"),

@@ -232,36 +232,42 @@ def test_rho_phi_and_dims_are_refused_quietly(make):
             make()
 
 
-def test_a_coherent_state_whose_c0_underflows_is_refused(capsys, tmp_path):
-    # c_0 ~ e^{-rho} at k = 1/2 leaves double range between rho = 720 and 750;
-    # it once failed the internal "coeffs[0] must be real positive"
+def test_a_coherent_state_whose_c0_underflows_is_built(capsys, tmp_path):
+    # c_0 ~ e^{-rho} at k = 1/2 leaves double range at rho = 746.7; it once
+    # failed the internal "coeffs[0] must be real positive", then was refused
+    # as "c_0 underflows ... ln|c_0| = -747.712".  The state takes c_0 = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for rho in (750.0, 1e3, 1e5):
-            with pytest.raises(DomainError, match=r"k=0\.5, rho=.*ln\|c_0\| = -"):
-                bgstates.make_bg_state(0.5, rho)
+            state = bgstates.make_bg_state(0.5, rho)
+            assert state.coeffs[0] == 0.0 and state.coeffs[0].imag == 0.0
+            assert abs(float(np.sum(np.abs(state.coeffs) ** 2)) - 1.0) <= 1e-13
     assert bgstates.make_bg_state(0.5, 720.0).coeffs[0].real > 0.0
     target = tmp_path / "c.csv"
-    assert cli.main(["coherent", "--k", "0.5", "--rho", "750", "--out", str(target)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "ln|c_0| = -747.712" in err and not target.exists()
+    assert cli.main(["coherent", "--k", "0.5", "--rho", "750", "--out", str(target)]) == 0
+    assert capsys.readouterr().err == "" and "\ndim,1061\n" in target.read_text()
 
 
-def test_c0_is_checked_before_the_tail_cut():
-    # from rho ~ 1e5 on the tail cut ran first and failed with "series in
-    # w = e^27.631, a = 2.0 not cut within 200000 terms", naming neither rho
-    # nor the c_0 limit.  Past the term budget no table forms (from rho =
-    # 1.98e5 at k = 1), and the term peak past n = 1e5 bounds ln|c_0|
-    for rho in (1.98e5, 1e6, 1e307):
-        message = f"c_0 underflows at k=1, rho={rho!r}: ln|c_0| < -17328.7 is below -744.44"
-        with pytest.raises(DomainError, match=re.escape(message)):
-            bgstates.make_bg_state(1, rho)
+def test_a_state_past_its_series_cut_names_the_bound():
+    # The tail cut, where the terms halve from rho^2 <= n (2k + n - 1) / 2 on,
+    # must lie within the 200000 terms: rho just inside the bound of k builds
+    # the last index, just outside raises.  From rho ~ 1e5 on the cut once
+    # failed with "series in w = e^27.631, a = 2.0 not cut within 200000
+    # terms", naming neither rho nor a limit; then as "c_0 underflows ...
+    # ln|c_0| < -17328.7", and past 1.34e154 as "w is no finite double"
+    for k, bound in ((0.5, 141420.6491305283), (1.0, 141421.00268347695)):
+        assert bgstates.make_bg_state(k, bound * (1.0 - 1e-12)).dim == 199999
+        for rho in (bound * (1.0 + 1e-12), 2e5, 1e155, 1e307):
+            message = (f"make_bg_state: the state's series is not cut within 200000 terms at "
+                       f"k={k!r}, rho={rho!r}: at this k it is cut up to rho = {bound!r}")
+            with pytest.raises(DomainError, match=re.escape(message)):
+                bgstates.make_bg_state(k, rho)
     child = subprocess.run([sys.executable, "-m", "phasequant.cli", "coherent",
                             "--k", "1", "--rho", "1e6"], capture_output=True, text=True)
     assert (child.returncode, child.stdout) == (1, "")
-    assert child.stderr == ("error: make_bg_state: c_0 underflows at k=1.0, rho=1000000.0: "
-                            "ln|c_0| < -17328.7 is below -744.44, that of the smallest double\n")
+    assert child.stderr == ("error: make_bg_state: the state's series is not cut within 200000 "
+                            "terms at k=1.0, rho=1000000.0: at this k it is cut up to "
+                            "rho = 141421.00268347695\n")
 
 
 def test_a_rho_or_r_whose_square_or_double_overflows_is_refused(capsys):

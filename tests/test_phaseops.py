@@ -550,6 +550,17 @@ def test_phase_extremes_of_the_whole_spectrum(k, dim):
     assert np.max(np.abs(phase_extremes(pair, dim) - phase_spectrum(pair))) <= window
 
 
+@pytest.mark.parametrize("dim", [3, 7, 401])
+def test_phase_extremes_give_the_odd_dims_zero_as_phase_spectrum_does(dim):
+    # +0.0: the bisection's last bracket about 0 is [-5e-324, 0], whose
+    # midpoint -0.0 was once returned
+    pair = build_phase_ops(RepLabel(k=1.0), dim)
+    count = dim // 2 + 1
+    tops, eigs = phase_extremes(pair, count), phase_spectrum(pair)[-count:]
+    assert tops[0] == eigs[0] == 0.0
+    assert np.array_equal(np.signbit(tops), np.signbit(eigs))
+
+
 @pytest.mark.parametrize("entry", [1e100, 1e-158, 1e-300])
 def test_phase_extremes_of_a_band_far_from_unit_size(entry):
     # a constant cos band c has eigenvalues 2c cos(j pi/(dim+1)); unscaled,
