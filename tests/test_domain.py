@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from phasequant import bgstates, cli, fockreal, nfm, phaseops, repalg, specfun
-from phasequant.errors import ConvergenceError, DomainError, check_domain
+from phasequant.errors import DomainError, check_domain
 
 DOMAINS = ("positive real", "nonnegative real", "finite real",
            "positive integer", "nonnegative integer")
@@ -200,7 +200,7 @@ def test_ln_gamma_limits_are_named_by_their_callers(call, inside, outside, messa
     lambda: fockreal.dirac_sg_ops(4.5),
     lambda: fockreal.squared_boson(math.inf),
     lambda: fockreal.two_mode(2.5),
-    lambda: fockreal.alpha_expectations(1.0, 0.5, dim=math.inf),
+    lambda: fockreal.alpha_expectations(1.0, complex(0.0, math.nan)),
     lambda: bgstates.make_bg_state(1.0, 1.0, dim=math.inf),
     lambda: bgstates.moment_integral(1.0, 2.5),
     lambda: nfm.InterferenceReading("x", 1.0, 1.0, 1.0, 1.0, 1.0),
@@ -284,44 +284,56 @@ def test_a_rho_or_r_whose_square_or_double_overflows_is_refused(capsys):
                                                   r"2 rho is finite, got rho="):
                 call(rho)
     assert 2.0 * top < math.inf and bgstates.b_ratio(1.0, 1e300) == 1.0
-    for call in (lambda r: fockreal.alpha_expectations(1.0, r),
-                 lambda r: fockreal.h2_curve(1.0, [0.0, r])):
-        with pytest.raises(DomainError, match=r"r <= 442\.668, where the Poisson series of h1 "
-                                              r"and h2 is cut within 200000 terms, got r=1e\+200"):
-            call(1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda r: fockreal.alpha_expectations(1.0, r),
+                     lambda r: fockreal.h2_curve(1.0, [0.0, r])):
+            for r in (1e200, 1.4e154):
+                with pytest.raises(DomainError, match=re.escape(_window_refusal(1.0, r))):
+                    call(r)
     assert cli.main(["coherent", "--k", "1", "--rho", "1e308"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: make_bg_state requires rho <= ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("r", [443.0, 500.0])
-def test_the_oscillator_radius_limit_is_named_before_any_series(r, monkeypatch):
-    # the Poisson series of h1 and h2 is no longer cut within 200000 terms
-    # from r = 442.6685 on; past it the calls once failed with "series in
-    # w = e^12.1871, a = None not cut within 200000 terms", naming neither r
-    # nor the limit
-    monkeypatch.setattr(fockreal, "_series_cut", None)  # no series is reached
-    for caller, call in (("alpha_expectations", lambda: fockreal.alpha_expectations(1.0, r)),
-                         ("h2_curve", lambda: fockreal.h2_curve(1.0, [0.0, r]))):
-        with pytest.raises(DomainError, match=rf"^{caller} requires r <= 442\.668, .* "
-                                              rf"got r={r}$"):
-            call()
+def _window_refusal(k, r):
+    return (f"the Poisson series' window is not cut within 200000 terms at k={k!r}, r={r!r}: "
+            "r <= 5332.8 is cut at every k, a larger r only at a larger k")
 
 
-def test_the_oscillator_radius_limit_is_where_the_series_cut_ends():
-    h2 = fockreal.h2_curve(1.0, [fockreal._R_MAX])
-    assert 0.0 < h2[0] < 1.0
-    with pytest.raises(ConvergenceError, match="not cut within 200000 terms"):
-        specfun._series_cut(2.0 * np.log(np.array([442.6686])), None)
+@pytest.mark.parametrize("k, bound", [(phaseops._K_MIN, 5332.868669756628),
+                                      (1.0, 10427.577722055998)])
+def test_the_oscillator_radius_limit_is_where_the_window_is_cut(k, bound):
+    # the Poisson window of h1, h2 and the coherent vector must be cut within
+    # 200000 terms: r just inside the bound of k is summed, just outside
+    # raises.  It was r <= 442.668 at every k while alpha_expectations
+    # tabulated its vector from n = 0
+    inside, outside = bound * (1.0 - 1e-12), bound * (1.0 + 1e-12)
+    assert 0.0 < fockreal.h2_curve(k, [inside])[0] <= 1.0
+    assert fockreal.alpha_expectations(k, inside).mean_k3 == inside * inside + k
+    for call in (lambda r: fockreal.alpha_expectations(k, r),
+                 lambda r: fockreal.h2_curve(k, [0.0, 1.0, r])):
+        with pytest.raises(DomainError, match=f"^{re.escape(_window_refusal(k, outside))}$"):
+            call(outside)
+    assert fockreal._R_CUT < bound
+
+
+def test_the_oscillator_command_takes_radii_whose_square_underflows(capsys, tmp_path):
+    # it exited 1 with "Poisson weights: raw total and 1 disagree by nan
+    # (tolerance nan) at r=5e-324"
+    target = tmp_path / "h2.csv"
+    assert cli.main(["oscillator", "--k", "1", "--r-max", "5e-324", "--points", "2",
+                     "--out", str(target)]) == 0
+    assert capsys.readouterr().err == ""
+    assert target.read_text().splitlines()[-2:] == ["0.0,0.0", "5e-324,0.0"]
 
 
 def test_the_oscillator_command_names_the_radius_limit(tmp_path):
     child = subprocess.run([sys.executable, "-m", "phasequant.cli", "oscillator", "--k", "1",
-                            "--r-max", "443", "--out", "h2.csv"],
+                            "--r-max", "10428", "--points", "3", "--out", "h2.csv"],
                            capture_output=True, text=True, cwd=tmp_path)
     assert (child.returncode, child.stdout) == (1, "")
-    assert child.stderr == ("error: h2_curve requires r <= 442.668, where the Poisson series "
-                            "of h1 and h2 is cut within 200000 terms, got r=443.0\n")
+    assert child.stderr == f"error: {_window_refusal(1.0, 10428.0)}\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -4,15 +4,19 @@ Radial-series reference values were frozen from a 40-digit evaluation.
 """
 
 import dataclasses
+import decimal
 import math
+import sys
+from decimal import Decimal
 
 import mpmath
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from phasequant import fockreal, repalg
+from phasequant import fockreal, phaseops, repalg
 from phasequant.errors import DomainError, InconsistentDataError, TruncationError
 from phasequant.fockreal import (
     TwoModeBasisIndex,
@@ -178,7 +182,7 @@ def test_phase_checks_are_relative_at_tiny_k(k):
     p = hp_phase_ops(k, 64)
     assert (p.k, p.dim) == (k, 64)
     assert float(p.cos.diagonals[1][0]) > 1e6
-    e = alpha_expectations(k, 1.0 + 1.0j, 64)
+    e = alpha_expectations(k, 1.0 + 1.0j)
     assert math.isclose(e.cos_mean, e.sin_mean, rel_tol=1e-14)
 
 
@@ -355,17 +359,59 @@ def test_alpha_bound_example():
     assert 0.9 < ae.h2 <= 1.0
 
 
-@pytest.mark.parametrize("r", [1.0, 3.0, 8.0, 20.0, 50.0, 100.0])
-def test_coherent_dim_drops_weight_below_1e_14(r):
-    # the dropped Poisson weight sum_{n >= dim} e^{-r^2} r^{2n}/n! is the
-    # regularized lower incomplete gamma P(dim, r^2); cutting where the term
-    # alone fell below 1e-14 left 1.6e-14 at r = 8 and 1.4e-13 at r = 100
-    dim = fockreal._coherent_dim(r)
+def _window(k, r):
+    # the n = lo .. hi that h1, h2 and the coherent vector of r are summed over
+    (_, n, _, _), = fockreal._radial_sums(k, np.array([r]))
+    return int(n[0]), int(n[-1])
+
+
+@pytest.mark.parametrize("r", [1.0, 3.0, 8.0, 20.0, 50.0, 100.0, 1000.0])
+def test_the_window_drops_weight_below_1e_14(r):
+    # the Poisson weight of the n < lo and n > hi that the window leaves out:
+    # Q(lo, r^2) + P(hi + 1, r^2), the regularized incomplete gamma functions
+    # (DLMF 8.2.4), with none below n = 0.  The state's own cut once dropped
+    # 1.6e-14 at r = 8 and 1.4e-13 at r = 100, where its last term alone fell
+    # below 1e-14
+    lo, hi = _window(0.5, r)
     with mpmath.workdps(40):
-        dropped = mpmath.gammainc(dim, 0, mpmath.mpf(r) ** 2, regularized=True)
+        w = mpmath.mpf(r) ** 2
+        below = mpmath.gammainc(lo, w, mpmath.inf, regularized=True) if lo else 0
+        dropped = below + mpmath.gammainc(hi + 1, 0, w, regularized=True)
     assert dropped < 1e-14
-    with pytest.raises(TruncationError, match="coherent tail above 1e-14"):
-        alpha_expectations(0.5, r, dim=dim - 1)
+    assert (lo > 0) == (r >= 8.0)
+
+
+def test_the_raw_total_anchor_against_mpmath():
+    # ln(e^{-w} w^lo / lo!) in O(1); the O(lo) sum of ln(w / m) it replaced,
+    # and the direct lo ln w - w - ln lo!, cancel terms of size w ln w
+    for lo in (1, 10, 15, 16, 17, 100, 10 ** 4, 10 ** 6, 10 ** 8):
+        for w in (lo * 1.001, lo + 9.0 * math.sqrt(lo) + 1.0, 3.0 * lo):
+            got = float(fockreal._ln_poisson(float(lo), np.array([w]))[0])
+            with mpmath.workdps(40):
+                want = lo * mpmath.log(w) - w - mpmath.loggamma(lo + 1)
+            assert abs(got - want) <= math.ulp(1.0) * (32.0 + (w - lo)), (lo, w)
+
+
+@pytest.mark.parametrize("r", [20.0, 100.0])
+def test_the_windowed_bands_are_the_builders_bands(r):
+    # the matrix route of alpha_expectations reads the dressed ladder, N + k
+    # and the phase band at n = lo .. hi from the expression the builders use
+    k = 0.75
+    lo, hi = _window(k, r)
+    ladder, k3, lower = fockreal._dressed_bands(k, np.arange(lo, hi + 1, dtype=repalg._REAL))
+    gens, pair = hp_generators(k, hi + 2), hp_phase_ops(k, hi + 2)
+    assert _same_bits(ladder, gens.kp.diagonals[-1][lo:hi])
+    assert _same_bits(ladder, gens.km.diagonals[1][lo:hi])
+    assert _same_bits(k3, gens.k3.diagonals[0][lo:hi + 1])
+    assert _same_bits(lower, pair.lower[lo:hi])
+
+
+def test_a_band_shifted_by_one_index_fails_the_route_check(monkeypatch):
+    dressed = fockreal._dressed_bands
+    monkeypatch.setattr(fockreal, "_dressed_bands", lambda k, n: dressed(k, n + 1))
+    for r in (3.0, 1000.0):
+        with pytest.raises(TruncationError, match="K1 mean: closed form and matrix value"):
+            alpha_expectations(1.0, r)
 
 
 @pytest.mark.parametrize("r", [343.0, 345.0, 373.0, 415.0, 440.0, 442.0])
@@ -378,15 +424,17 @@ def test_alpha_expectations_hold_their_routes_at_large_r(r):
 
 def _h_reference(k, r):
     # h1 and h2 at 30 digits, summed over the n within 12 r + 40 of the peak
-    # n = r^2: the Poisson weights outside lie below 1e-30 of the largest
-    with mpmath.workdps(30):
-        k, r = mpmath.mpf(k), mpmath.mpf(r)
+    # n = r^2: the Poisson weights outside lie below 1e-30 of the largest.
+    # The means divide by their own total, so the terms start from 1 at the
+    # first n.  In decimal arithmetic, for speed: r = 2000 sums 48000 terms
+    with decimal.localcontext(prec=30):
+        k, r = Decimal(k), Decimal(r)
         r2 = r * r
         lo = max(0, int(r2 - 12 * r - 40))
-        term = mpmath.exp(lo * mpmath.log(r2) - mpmath.loggamma(lo + 1) - r2)
-        total = s1 = s2 = mpmath.mpf(0)
+        term = Decimal(1)
+        total = s1 = s2 = Decimal(0)
         for n in range(lo, int(r2 + 12 * r + 40)):
-            root = mpmath.sqrt(n + 2 * k)
+            root = (n + 2 * k).sqrt()
             total += term
             s1 += term * root
             s2 += term * root * (1 / (n + k) + 1 / (n + k + 1))
@@ -411,8 +459,61 @@ def test_h1_h2_against_mpmath_up_to_the_radius_limit():
 def test_alpha_validation():
     with pytest.raises(DomainError):
         alpha_expectations(0.0, 1.0)
-    with pytest.raises(TruncationError):
-        alpha_expectations(0.5, 10.0, dim=5)
+
+
+def test_the_windowed_routes_reach_past_the_former_radius_limit():
+    # alpha_expectations tabulated its vector from n = 0 and was refused
+    # past r = 442.668, and h2_curve with it
+    ae = alpha_expectations(1.0, 1000.0)
+    assert ae.mean_k3 == 1000001.0
+    for got, want in zip((ae.h1, ae.h2), _h_reference(1.0, 1000.0)):
+        assert abs(got - want) <= 1e-14 * want
+    h2 = h2_curve(0.5, [0.0, 2000.0])
+    assert h2[0] == 0.0
+    assert abs(h2[1] - _h_reference(0.5, 2000.0)[1]) <= 1e-14 * h2[1]
+
+
+@pytest.mark.parametrize("k", [1e11, 1e100, phaseops._K_MIN])
+def test_alpha_expectations_at_extreme_k_against_30_digits(k):
+    # k = 1e11 was refused by the per-call dressed-ladder build ("dressed
+    # raising vs abstract: builds disagree by 2.274e-13 (tolerance 1.000e-13)"):
+    # its absolute sector tolerance lies below the rounding of entries near
+    # sqrt(2 k n)
+    alpha = 3.0 * complex(math.cos(0.7), math.sin(0.7))
+    r, beta = abs(alpha), math.atan2(alpha.imag, alpha.real)
+    ae = alpha_expectations(k, alpha)
+    h1, h2 = _h_reference(k, r)
+    with mpmath.workdps(30):
+        c, s = mpmath.cos(beta), mpmath.sin(beta)
+        want = {"h1": h1, "h2": h2, "mean_k1": r * c * h1, "mean_k2": -r * s * h1,
+                "mean_k3": mpmath.mpf(r) ** 2 + k, "cos_mean": c * h2, "sin_mean": s * h2}
+    for name, value in want.items():
+        assert abs(getattr(ae, name) - value) <= 1e-14 * abs(value), name
+
+
+# the smallest r whose r^2 is a normal double
+_R_NORMAL = math.sqrt(sys.float_info.min)
+
+
+@pytest.mark.parametrize("r", [0.0, 5e-324, 1e-200, _R_NORMAL])
+def test_radii_whose_square_underflows(r):
+    # r^2 below the smallest normal double: r = 1e-200 and 5e-324 once failed
+    # the raw-total check with NaN, as lo / r^2 was 0/0
+    assert _R_NORMAL * _R_NORMAL >= sys.float_info.min
+    assert math.nextafter(_R_NORMAL, 0.0) ** 2 < sys.float_info.min
+    k = 1.0
+    slope = 0.5 * math.sqrt(2.0 * k) * (1.0 / k + 1.0 / (k + 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ae = alpha_expectations(k, r)
+        assert ae.h1 == math.sqrt(2.0 * k) and ae.mean_k3 == k
+        assert abs(ae.h2 - slope * r) <= 1e-15 * slope * r + 5e-324
+        assert h2_curve(k, [r])[0] == ae.h2
+        # with a radius whose window is wider, in one table
+        grid = [0.0, 5e-324, 1e-200, _R_NORMAL, 1.0]
+        h2 = h2_curve(k, grid)
+        assert h2[:4].tolist() == [h2_curve(k, [x])[0] for x in grid[:4]]
+        assert abs(h2[4] - alpha_expectations(k, 1.0).h2) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

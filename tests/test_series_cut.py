@@ -151,7 +151,7 @@ def _sweep():
     for _ in range(3000):  # make_bg_state's tail cut: an explicit tolerance, terms that halve
         yield "ratio 0.5", (float(rng.uniform(-50.0, 12.0)), float(10.0 ** rng.uniform(-3, 3))), {
             "log_tol": float(rng.uniform(-80.0, 10.0)), "ratio": 0.5, "error": TruncationError}
-    for _ in range(2000):  # alpha_expectations: e^{-r^2} r^{2n}/n! below 1e-14
+    for _ in range(2000):  # e^{-r^2} r^{2n}/n! below 1e-14, the former coherent-vector cut
         r = float(10.0 ** rng.uniform(-3, 1.5))
         yield "explicit", (2.0 * math.log(r), None), {
             "log_tol": math.log(1e-14) + r * r, "error": TruncationError}
@@ -232,7 +232,7 @@ def peak_tables(monkeypatch):
         sizes.append(size)
         return real(w, log_w, a, size, root, first)
 
-    for module in (specfun, bgstates, fockreal):
+    for module in (specfun, bgstates):
         monkeypatch.setattr(module, "_peak_table", counted)
     return sizes
 
@@ -248,10 +248,10 @@ def test_index_only_callers_build_no_table(peak_tables):
     peak_tables.clear()
     bgstates._g_quadrature(1.0, 3.0)
     assert peak_tables == []
-    # the dim is an index; the tables are the state's weights and the one
-    # window of h1 and h2
+    # the one table is the window of h1, h2 and the coherent vector (the
+    # vector once had a table of its own, from n = 0)
     fockreal.alpha_expectations(1.0, 2.0)
-    assert len(peak_tables) == 2
+    assert len(peak_tables) == 1
 
 
 def test_make_bg_state_builds_one_table(peak_tables):

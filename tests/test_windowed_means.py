@@ -89,9 +89,11 @@ def test_the_lower_cut_keeps_a_huge_weight_at_n_0():
 @pytest.mark.parametrize("run", [
     lambda: h2_curve(0.5, np.linspace(0.0, 442.0, 200)),
     lambda: kbound_scan([0.3, 1.0], np.geomspace(0.01, 1e5, 200)),
-], ids=["h2-to-r442", "scan-to-rho1e5"])
+    lambda: h2_curve(1.0, [0.0, 1e4]),
+], ids=["h2-to-r442", "scan-to-rho1e5", "h2-at-r1e4"])
 def test_means_at_the_domain_edges_stay_small(run):
-    # once 713 MB (199 radii x 199403 terms) and 541 MB
+    # once 713 MB (199 radii x 199403 terms) and 541 MB; at r = 1e4 the
+    # raw-total check summed ln(r^2 / m) over the 1e8 m below the window
     tracemalloc.start()
     try:
         run()
